@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint fmt check
+.PHONY: build test vet lint fmt check bench
 
 build:
 	$(GO) build ./...
@@ -21,5 +21,13 @@ lint:
 
 fmt:
 	gofmt -l -w .
+
+# bench runs one workload of the repository benchmark (BENCHMARK.json,
+# benchmark/README.md) the way the driver does: `make bench W=pbft-fig2`.
+# Workloads: pbft-fig2, raft-flap, pbft-faults-coverage,
+# pbft-sharded-durable. By-products stay under the git-ignored
+# .bench_build/.
+bench:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 30 --trace 0
 
 check: build vet lint test

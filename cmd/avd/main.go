@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -49,6 +51,8 @@ func main() {
 		minRuns    = flag.Int("minruns", 256, "re-execution budget for -minimize")
 		stateDir   = flag.String("state", "", "durable state directory: journal progress after every batch and resume from it on restart")
 		shardSpec  = flag.String("shard", "", "run one shard of a K-way sharded campaign, as k/K (0-based); requires a deterministic shard plan shared with the supervisor")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the campaign, before the summary")
 	)
 	flag.Parse()
 
@@ -144,8 +148,16 @@ func main() {
 	// partial results are summarized below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	stopCPUProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
+		fatal(err)
+	}
 	start := time.Now()
 	results, runErr := eng.RunAll(ctx)
+	stopCPUProfile()
+	if err := writeHeapProfile(*memProfile); err != nil {
+		fatal(err)
+	}
 	interrupted := false
 	if runErr != nil {
 		interrupted = errors.Is(runErr, context.Canceled)
@@ -212,6 +224,48 @@ func main() {
 	if runErr != nil {
 		os.Exit(1)
 	}
+}
+
+// startCPUProfile starts CPU profiling into path and returns the function
+// that ends it; an empty path profiles nothing.
+func startCPUProfile(path string) (stop func(), err error) {
+	if path == "" {
+		return func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "avd: cpuprofile:", err)
+		}
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile to path (no-op when empty). It
+// runs right after the campaign, while the harness still holds its warm
+// masters, so inuse_space shows what a campaign retains and alloc_space
+// what its windows churned.
+func writeHeapProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // materialize up-to-date in-use statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

@@ -20,9 +20,12 @@ package avd_test
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"avd/internal/campaign"
 	"avd/internal/cluster"
 	"avd/internal/core"
 	"avd/internal/oracle"
@@ -201,6 +204,65 @@ func TestRunawayScenarioDegradesToHung(t *testing.T) {
 	calm := space.New(map[string]int64{raftsim.DimClients: 10})
 	if res := r.RunFork(calm); res.Hung || res.Error != "" {
 		t.Fatalf("budget leaked into a healthy scenario: %+v", res)
+	}
+}
+
+// TestMemoryRunawayCostsOneTest is the regression test for the OOM that
+// sizing the benchmark found: `avd -target raft -strategy coverage
+// -faults crash -seed 1` died on its second test, past 5 GB. A Raft
+// leader copies its whole unacknowledged log suffix on every send to a
+// peer that is down, so a long crash window makes one measurement
+// window's message memory quadratic in its length. The slab arena's
+// fixed window ceiling (slab.WindowCeiling) must end such a test as a
+// hung row — cold and forked alike — and the campaign must carry on
+// within a bounded heap.
+func TestMemoryRunawayCostsOneTest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 30-test campaign")
+	}
+	setup, err := campaign.Build(campaign.Config{
+		Target: "raft", Strategy: "coverage", Faults: "crash", Tests: 30, Seed: 1,
+		Measure: 1500 * time.Millisecond, StepBudget: 2_000_000, Workers: 1, Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(setup.Target, core.WithExplorer(setup.Explorer), core.WithBudget(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 30 {
+		t.Fatalf("campaign finished %d of 30 tests", len(results))
+	}
+	var runaway *core.Result
+	for i, res := range results {
+		if strings.Contains(res.Error, "window-memory ceiling") {
+			if !res.Hung {
+				t.Errorf("test %d hit the memory ceiling but is not marked hung: %+v", i+1, res)
+			}
+			if runaway == nil {
+				runaway = &results[i]
+			}
+		}
+	}
+	if runaway == nil {
+		t.Fatal("no test hit the window-memory ceiling; the runaway this test pins is gone (fix the test, or celebrate)")
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapSys >= 2<<30 {
+		t.Errorf("HeapSys = %d MB after the campaign, want < 2048 MB", ms.HeapSys>>20)
+	}
+	// The ceiling trips on the same event cold and forked: a restore
+	// carves nothing, so both windows lease identically.
+	cold := setup.Target.Run(runaway.Scenario)
+	cold.Generator = runaway.Generator // the explorer's label, not the run's
+	if !reflect.DeepEqual(cold, *runaway) {
+		t.Errorf("runaway verdict differs between cold and fork:\ncold: %+v\nfork: %+v", cold, *runaway)
 	}
 }
 

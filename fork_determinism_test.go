@@ -18,6 +18,7 @@ import (
 	"avd/internal/plugin"
 	"avd/internal/raftsim"
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 func pbftForkWorkload() cluster.Workload {
@@ -162,6 +163,59 @@ func TestForkedEqualsColdRaft(t *testing.T) {
 			assertSameRun(t, sc.Key(), coldRes, forkRes, coldTrace, forkTrace)
 			if !reflect.DeepEqual(coldRep, forkRep) {
 				t.Errorf("%s fork %d: report differs:\ncold: %+v\nfork: %+v", sc.Key(), fork, coldRep, forkRep)
+			}
+		}
+	}
+}
+
+// TestForkedEqualsColdPoisonedPool: forked == cold still holds when
+// forks of three populations are interleaved on one Runner and every
+// chunk the shared slab pool takes back is overwritten with garbage
+// (DESIGN.md §15). Each fork carves its window out of memory another
+// master used last, so a stale pointer into a parked master's window, or
+// an object field its call site forgot to assign, shows up as a trace or
+// Result mismatch (or a fault) instead of a plausible stale value.
+func TestForkedEqualsColdPoisonedPool(t *testing.T) {
+	slab.SetPoison(true)
+	defer slab.SetPoison(false)
+
+	pr, err := cluster.NewRunner(pbftForkWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbftSCs := pbftForkScenarios(t) // populations (20,1), (10,1), (20,2)
+	for round := 0; round < 3; round++ {
+		for _, sc := range pbftSCs {
+			coldRes, coldRep, coldTrace := pr.RunTraced(sc)
+			forkRes, forkRep, forkTrace := pr.RunTracedFork(sc)
+			assertSameRun(t, "pbft "+sc.Key(), coldRes, forkRes, coldTrace, forkTrace)
+			if !reflect.DeepEqual(coldRep, forkRep) {
+				t.Errorf("pbft %s round %d: report differs:\ncold: %+v\nfork: %+v", sc.Key(), round, coldRep, forkRep)
+			}
+		}
+	}
+
+	w := raftsim.DefaultWorkload()
+	w.Warmup = 300 * time.Millisecond
+	w.Measure = 800 * time.Millisecond
+	rr, err := raftsim.NewRunner(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := core.Space(raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for _, clients := range []int64{5, 10, 25} {
+			sc := space.New(map[string]int64{
+				raftsim.DimClients: clients, raftsim.DimFlapIntervalMS: 100, raftsim.DimFlapDownMS: 200,
+			})
+			coldRes, coldRep, coldTrace := rr.RunTraced(sc)
+			forkRes, forkRep, forkTrace := rr.RunTracedFork(sc)
+			assertSameRun(t, "raft "+sc.Key(), coldRes, forkRes, coldTrace, forkTrace)
+			if !reflect.DeepEqual(coldRep, forkRep) {
+				t.Errorf("raft %s round %d: report differs:\ncold: %+v\nfork: %+v", sc.Key(), round, coldRep, forkRep)
 			}
 		}
 	}

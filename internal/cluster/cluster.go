@@ -18,6 +18,7 @@ import (
 	"avd/internal/plugin"
 	"avd/internal/scenario"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Workload fixes everything about a test that is not a hyperspace
@@ -170,6 +171,11 @@ type Runner struct {
 	// arena for the contention-free fork path (core.WorkerSnapshotter):
 	// no shared checkout mutex, one build per (worker, population).
 	workerMasters core.WorkerArenas[masterKey, *deployment]
+
+	// pool lends every deployment — pooled master, worker-arena master or
+	// cold run — the message memory of its measurement window; it comes
+	// back when the run parks (DESIGN.md §15).
+	pool slab.Pool
 }
 
 // masterKey is the structural identity of a deployment: everything that
@@ -411,8 +417,13 @@ func (r *Runner) execute(sc scenario.Scenario, correctClients int64, withFaults 
 	}
 	d := r.newDeployment(correctClients, maliciousPopulation(sc))
 	d.eng.RunFor(r.w.Warmup)
+	// Fix the arena's mark where a master's capture would, so the window
+	// leases — and trips the memory ceiling — exactly as a forked one.
+	d.mem.Capture()
 	d.arm(sc, withFaults, extra...)
-	return d.measure(sc, window)
+	res, rep := d.measure(sc, window)
+	d.park()
+	return res, rep
 }
 
 // executeFork runs the scenario by forking a warm master deployment:
@@ -458,6 +469,7 @@ func (r *Runner) forkRun(d *deployment, sc scenario.Scenario, withFaults bool, w
 	}
 	runStart := metrics.StartWatch()
 	res, rep := d.measure(sc, window)
+	d.park()
 	if withFaults {
 		r.phases.AddRun(runStart.Elapsed())
 	}

@@ -15,6 +15,7 @@ import (
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // deployment is one instantiated PBFT cluster bound to its own engine.
@@ -38,12 +39,17 @@ type deployment struct {
 	clients   []*pbft.Client
 	malicious []*pbft.Client
 
+	// mem accounts for the message arena every replica and client carves
+	// from: capture adopts the warm-up prefix, park hands the window's
+	// chunks back to the Runner's pool (DESIGN.md §15).
+	mem *slab.Arena
+
 	// Measurement plumbing: completions count only inside the window.
 	measuring bool
 	completed uint64
 	latSum    time.Duration
 	latN      uint64
-	latTail   []time.Duration
+	latTail   []time.Duration // borrowed from the Runner's pool for the length of one measure
 
 	// snap is the post-warmup capture forks restore from (nil until the
 	// first forked run).
@@ -74,11 +80,13 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 		eng:     sim.New(w.Seed),
 		net:     nil,
 		keyring: mac.NewKeyring(uint64(w.Seed)),
-		oracles: oracle.NewSet(oracle.NewAgreement("pbft"), cov),
+		oracles: oracle.NewSet(oracle.NewAgreementIn(&r.pool, "pbft"), cov),
 		cov:     cov,
 		byz:     &pbft.ByzantineBehavior{},
 		byzIdx:  w.ByzantineReplica,
 	}
+	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
+	arena := pbft.NewArena(d.mem)
 	if d.byzIdx < 0 || d.byzIdx >= w.PBFT.N {
 		d.byzIdx = 0
 	}
@@ -108,6 +116,7 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 				d.oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: seq, Digest: digest})
 			}),
 			viewObs,
+			pbft.WithArena(arena),
 		}
 		if i == d.byzIdx {
 			// The potential Byzantine replica: behavior fields stay zero
@@ -128,7 +137,7 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 	d.clients = make([]*pbft.Client, 0, correctClients)
 	for i := int64(0); i < correctClients; i++ {
 		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.net, d.keyring,
-			pbft.WithOnComplete(onComplete))
+			pbft.WithOnComplete(onComplete), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: client construction: %v", err))
 		}
@@ -142,7 +151,7 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 	d.malicious = make([]*pbft.Client, 0, nMalicious)
 	for i := int64(0); i < nMalicious; i++ {
 		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.net, d.keyring,
-			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})))
+			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: malicious client construction: %v", err))
 		}
@@ -186,12 +195,14 @@ func (d *deployment) capture() {
 	for _, m := range d.malicious {
 		s.malicious = append(s.malicious, m.Snapshot())
 	}
+	d.mem.Capture()
 	d.snap = s
 }
 
 // restore rolls the whole deployment back to the post-warmup snapshot.
 func (d *deployment) restore() {
 	s := d.snap
+	d.park()
 	d.eng.Restore(s.eng)
 	d.net.Restore(s.net)
 	d.oracles.Restore(s.oracles) // also detaches per-run checkers
@@ -214,6 +225,17 @@ func (d *deployment) restore() {
 	d.measuring = false
 	d.completed = 0
 	d.latSum, d.latN = 0, 0
+}
+
+// park ends a run: the window's message memory and the oracle tables go
+// back to the Runner's pool, so a parked master retains only what its
+// snapshot references and the next fork — of this master or any other —
+// carves the same chunks. Nothing reads the window's objects afterwards:
+// the result is already extracted, and restore overwrites every pointer
+// to them. park is idempotent, and only restore may follow it.
+func (d *deployment) park() {
+	d.mem.Rewind()
+	d.oracles.Park()
 }
 
 // arm activates the scenario's faults and per-run checkers. It runs at
@@ -418,7 +440,7 @@ func corruptPayload(from, to simnet.Addr, payload any) any {
 // outcome. Attack runs pass Workload.Measure; attack-free baselines may
 // pass the shorter Workload.baselineWindow.
 func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = d.latTail[:0]
+	d.latTail = slab.Borrow[time.Duration](d.mem.Pool())
 
 	d.measuring = true
 	if d.w.StepBudget > 0 {
@@ -428,6 +450,12 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	hung := d.eng.BudgetExceeded()
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(0)
+	}
+	// The arena stops the engine when the window's message memory runs
+	// away; like the step budget, that ends dispatch but not the window.
+	overflowed := d.mem.Overflowed()
+	if overflowed {
+		d.eng.Resume()
 	}
 	d.measuring = false
 
@@ -480,8 +508,13 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	if hung {
 		res.Hung = true
 		res.Error = fmt.Sprintf("cluster: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
+	} else if overflowed {
+		res.Hung = true
+		res.Error = fmt.Sprintf("cluster: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", slab.WindowCeiling>>20)
 	}
 	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
+	slab.Return(d.mem.Pool(), d.latTail)
+	d.latTail = nil
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
 	return res, rep

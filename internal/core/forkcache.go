@@ -135,6 +135,19 @@ func (c *ForkCache[K, D]) FreeLen(key K) int {
 	return len(c.free[key])
 }
 
+// Each calls fn for every parked deployment (test and diagnostics hook).
+// fn runs under the cache lock and must not call back into the cache.
+func (c *ForkCache[K, D]) Each(fn func(K, D)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	//avdlint:allow diagnostics hook: callers aggregate order-independently
+	for k, free := range c.free {
+		for _, d := range free {
+			fn(k, d)
+		}
+	}
+}
+
 // WorkerArenas is the contention-free sibling of ForkCache (DESIGN.md
 // §14): instead of a shared checkout pool, every campaign worker slot
 // owns a private arena of masters keyed by structural identity. The

@@ -9,9 +9,10 @@ import (
 
 // DefaultDeterministicPackages lists the packages whose behavior must be
 // a pure function of (scenario, seed): the simulation engine, the
-// simulated network, both SUT families, the oracles, the harnesses and
-// the campaign engine's hot paths. Everything the forked==cold and
-// checkpoint-replay guarantees rest on lives here.
+// simulated network, both SUT families, the oracles, the harnesses, the
+// campaign engine's hot paths and the slab allocator under all of them.
+// Everything the forked==cold and checkpoint-replay guarantees rest on
+// lives here.
 var DefaultDeterministicPackages = []string{
 	"avd/internal/sim",
 	"avd/internal/simnet",
@@ -26,6 +27,7 @@ var DefaultDeterministicPackages = []string{
 	"avd/internal/graycode",
 	"avd/internal/plugin",
 	"avd/internal/campaign",
+	"avd/internal/slab",
 }
 
 // wallClockFuncs are the time package entry points that read or wait on

@@ -20,6 +20,8 @@ package oracle
 import (
 	"fmt"
 	"sort"
+
+	"avd/internal/slab"
 )
 
 // EventKind classifies one protocol observation.
@@ -212,6 +214,17 @@ func (s *Set) Restore(st []any) {
 	}
 }
 
+// Park ends a run for the base checkers that hold run-sized tables: they
+// hand the tables to their scratch pool, since the next Restore rebuilds
+// them from the snapshot anyway.
+func (s *Set) Park() {
+	for _, c := range s.checkers[:s.base] {
+		if p, ok := c.(interface{ Park() }); ok {
+			p.Park()
+		}
+	}
+}
+
 // violationAgg aggregates repeated trips of one invariant: first witness
 // wins the Detail, later trips only bump the count. Runs that break
 // nothing never touch it, so it stays a small ordered slice.
@@ -271,6 +284,9 @@ type Agreement struct {
 	// local overwrites even after a cross-node conflict already tripped.
 	perNode [][]digestCell
 	agg     violationAgg
+	// pool stocks the tables between runs (Park): they grow with the
+	// window's sequence numbers, and a parked deployment needs none.
+	pool *slab.Pool
 }
 
 type commitCell struct {
@@ -287,7 +303,29 @@ type digestCell struct {
 // NewAgreement returns an agreement checker whose violations are named
 // "<prefix>/agreement" and "<prefix>/durability".
 func NewAgreement(prefix string) *Agreement {
-	return &Agreement{prefix: prefix, agg: newViolationAgg()}
+	return NewAgreementIn(new(slab.Pool), prefix)
+}
+
+// NewAgreementIn is NewAgreement with the parked tables stocked in pool —
+// the one the deployments of a harness Runner share — instead of a
+// private pool.
+func NewAgreementIn(pool *slab.Pool, prefix string) *Agreement {
+	return &Agreement{prefix: prefix, agg: newViolationAgg(), pool: pool}
+}
+
+// Park hands the tables to the pool; only RestoreState may follow. The
+// order mirrors RestoreState's borrows, so under one worker every table
+// gets its own backing array back.
+func (c *Agreement) Park() {
+	for i := len(c.perNode) - 1; i >= 0; i-- {
+		slab.Return(c.pool, c.perNode[i])
+		c.perNode[i] = nil
+	}
+	c.perNode = c.perNode[:0]
+	if c.commits != nil {
+		slab.Return(c.pool, c.commits)
+		c.commits = nil
+	}
 }
 
 var _ Checker = (*Agreement)(nil)
@@ -357,16 +395,10 @@ func (c *Agreement) SnapshotState() any {
 // RestoreState implements Rewindable.
 func (c *Agreement) RestoreState(v any) {
 	st := v.(*agreementState)
-	c.commits = append(c.commits[:0], st.commits...)
-	if len(c.perNode) > len(st.perNode) {
-		c.perNode = c.perNode[:len(st.perNode)]
-	}
-	for i, mine := range st.perNode {
-		if i < len(c.perNode) {
-			c.perNode[i] = append(c.perNode[i][:0], mine...)
-		} else {
-			c.perNode = append(c.perNode, append([]digestCell(nil), mine...))
-		}
+	c.Park()
+	c.commits = append(slab.Borrow[commitCell](c.pool), st.commits...)
+	for _, mine := range st.perNode {
+		c.perNode = append(c.perNode, append(slab.Borrow[digestCell](c.pool), mine...))
 	}
 	c.agg.restore(st.agg)
 }

@@ -84,12 +84,11 @@ type Client struct {
 	allAddrs   []simnet.Addr
 	authKeys   []mac.Key // pairwise key per replica, derived once
 
-	// Rewindable bump slabs for requests and their authenticator
-	// vectors (see slab in replica.go): requests are built once per
-	// transmission and shared by pointer; a snapshot restore rewinds
-	// both slabs to their capture marks.
-	reqSlab slab[Request]
-	auths   tagSlab
+	// mem is the deployment's message arena (arena.go): requests and
+	// their authenticator vectors are built once per transmission, shared
+	// by pointer and carved from it. A client built without
+	// WithClientArena gets a private one.
+	mem *Arena
 
 	// onComplete, when set, observes every completed request.
 	onComplete func(seq uint64, latency time.Duration)
@@ -104,6 +103,12 @@ type ClientOption func(*Client)
 // injector; malicious clients get a ModMask plan here.
 func WithInjector(in *faultinject.Injector) ClientOption {
 	return func(c *Client) { c.inj = in }
+}
+
+// WithClientArena makes the client carve its requests from the
+// deployment's shared arena instead of a private one.
+func WithClientArena(a *Arena) ClientOption {
+	return func(c *Client) { c.mem = a }
 }
 
 // WithOnComplete registers a completion observer.
@@ -138,6 +143,9 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.mem == nil {
+		c.mem = newPrivateArena()
 	}
 	c.retryFn = func() { c.onRetry(c.retryFor) }
 	c.macPoint = c.inj.Point(PointGenerateMAC)
@@ -211,7 +219,7 @@ func (c *Client) issueNext() {
 // transmission but leave its retransmission intact (the undocumented-bug
 // dynamics of §6).
 func (c *Client) buildRequest(retransmission bool) *Request {
-	req := c.reqSlab.get()
+	req := c.mem.requests.Get()
 	*req = Request{
 		Client:         c.addr,
 		Seq:            c.seq,
@@ -219,7 +227,7 @@ func (c *Client) buildRequest(retransmission bool) *Request {
 		Retransmission: retransmission,
 	}
 	digest := req.Digest()
-	auth := c.auths.get(c.pcfg.N)
+	auth := c.mem.tags.Get(c.pcfg.N)
 	for i := range auth {
 		auth[i] = c.generateMAC(i, digest)
 	}

@@ -37,6 +37,16 @@ func (s voteSnap) restoreInto(v *voteSet) {
 	copy(v.digests, s.digests)
 }
 
+// forwardedSnap captures one pendingForwarded record: the record itself
+// predates the arena's capture mark, so Restore writes the value back in
+// place instead of carving a copy — a restore allocates nothing from the
+// arena, which keeps a forked window's lease count identical to the cold
+// run's (the window-memory ceiling must trip on the same event in both).
+type forwardedSnap struct {
+	at  *forwarded
+	val forwarded
+}
+
 // entryState is the deep copy of one log entry's agreement state.
 type entryState struct {
 	seq        uint64
@@ -65,14 +75,19 @@ type ReplicaState struct {
 	lowWater   uint64
 	log        []entryState
 
-	pending    []*Request
+	pending []*Request
+	// pendingBuf is the pending buffer's own backing array at capture
+	// time, which predates the arena mark: Restore copies pending back
+	// into it, and whatever the window appends beyond its capacity is
+	// arena memory.
+	pendingBuf []*Request
 	admitted   []uint64
 	batchTimer sim.Timer
 	slowTimer  sim.Timer
 
 	lastReply []*Reply
 
-	pendingForwarded map[RequestKey]forwarded
+	pendingForwarded map[RequestKey]forwardedSnap
 	singleTimer      sim.Timer
 	reqTimers        map[RequestKey]sim.Timer
 
@@ -80,17 +95,6 @@ type ReplicaState struct {
 
 	checkpoints map[uint64]voteSnap
 	stateDigest uint64
-
-	// Slab rewind marks: everything the measurement window allocated
-	// above these positions is unreachable after Restore, so the slabs
-	// roll back and the next fork reuses the memory.
-	replyMark  slabMark
-	prepMark   slabMark
-	commitMark slabMark
-	ppMark     slabMark
-	fwMark     slabMark
-	fwdMsgMark slabMark
-	authMark   slabMark
 
 	viewChanges  map[uint64]map[int]*ViewChange
 	newViewTimer sim.Timer
@@ -114,11 +118,12 @@ func (r *Replica) Snapshot() *ReplicaState {
 		lowWater:         r.lowWater,
 		log:              make([]entryState, 0, len(r.log)),
 		pending:          append([]*Request(nil), r.pending...),
+		pendingBuf:       r.pending[:0],
 		admitted:         append([]uint64(nil), r.admitted...),
 		batchTimer:       r.batchTimer,
 		slowTimer:        r.slowTimer,
 		lastReply:        append([]*Reply(nil), r.lastReply...),
-		pendingForwarded: make(map[RequestKey]forwarded, len(r.pendingForwarded)),
+		pendingForwarded: make(map[RequestKey]forwardedSnap, len(r.pendingForwarded)),
 		singleTimer:      r.singleTimer,
 		reqTimers:        make(map[RequestKey]sim.Timer, len(r.reqTimers)),
 		pendingBad:       make(map[RequestKey][]seqIdx, len(r.pendingBad)),
@@ -128,13 +133,6 @@ func (r *Replica) Snapshot() *ReplicaState {
 		newViewTimer:     r.newViewTimer,
 		nvTimeout:        r.nvTimeout,
 		stats:            r.stats,
-		replyMark:        r.replySlab.mark(),
-		prepMark:         r.prepSlab.mark(),
-		commitMark:       r.commitSlab.mark(),
-		ppMark:           r.ppSlab.mark(),
-		fwMark:           r.fwSlab.mark(),
-		fwdMsgMark:       r.fwdMsgSlab.mark(),
-		authMark:         r.auths.mark(),
 	}
 	//avdlint:allow capture: each iteration writes only its own seq key and reads only that entry
 	for seq, e := range r.log {
@@ -159,7 +157,7 @@ func (r *Replica) Snapshot() *ReplicaState {
 		s.log = append(s.log, es)
 	}
 	for k, fw := range r.pendingForwarded {
-		s.pendingForwarded[k] = *fw
+		s.pendingForwarded[k] = forwardedSnap{at: fw, val: *fw}
 	}
 	for k, v := range r.reqTimers {
 		s.reqTimers[k] = v
@@ -183,17 +181,10 @@ func (r *Replica) Snapshot() *ReplicaState {
 	return s
 }
 
-// Restore rolls the replica back to the captured state.
+// Restore rolls the replica back to the captured state. The deployment
+// has already rewound the shared message arena: the window's objects are
+// garbage, and everything restored below predates the capture mark.
 func (r *Replica) Restore(s *ReplicaState) {
-	// Rewind the object slabs first: the window's objects are garbage,
-	// and allocations below (forwarded copies) reuse their memory.
-	r.replySlab.rewind(s.replyMark)
-	r.prepSlab.rewind(s.prepMark)
-	r.commitSlab.rewind(s.commitMark)
-	r.ppSlab.rewind(s.ppMark)
-	r.fwSlab.rewind(s.fwMark)
-	r.fwdMsgSlab.rewind(s.fwdMsgMark)
-	r.auths.rewind(s.authMark)
 	r.crashed = s.crashed
 	r.crashReason = s.crashReason
 	r.view = s.view
@@ -226,17 +217,15 @@ func (r *Replica) Restore(s *ReplicaState) {
 		}
 		r.log[es.seq] = e
 	}
-	r.pending = append(r.pending[:0], s.pending...)
+	r.pending = append(s.pendingBuf[:0], s.pending...)
 	r.admitted = append(r.admitted[:0], s.admitted...)
 	r.batchTimer = s.batchTimer
 	r.slowTimer = s.slowTimer
 	r.lastReply = append(r.lastReply[:0], s.lastReply...)
 	clear(r.pendingForwarded)
-	//avdlint:allow restore refill: slab objects are fully overwritten per key and the slab mark counts allocations, not order
 	for k, fw := range s.pendingForwarded {
-		cp := r.fwSlab.get()
-		*cp = fw
-		r.pendingForwarded[k] = cp
+		*fw.at = fw.val
+		r.pendingForwarded[k] = fw.at
 	}
 	r.singleTimer = s.singleTimer
 	clear(r.reqTimers)
@@ -308,8 +297,6 @@ type ClientState struct {
 	broadcast  bool
 	counters   map[string]uint64
 	stats      ClientStats
-	reqMark    slabMark
-	authMark   slabMark
 }
 
 // Snapshot captures the client's complete mutable state, including its
@@ -331,16 +318,12 @@ func (c *Client) Snapshot() *ClientState {
 		broadcast:  c.ccfg.Broadcast,
 		counters:   c.inj.CounterSnapshot(),
 		stats:      c.stats,
-		reqMark:    c.reqSlab.mark(),
-		authMark:   c.auths.mark(),
 	}
 	return s
 }
 
 // Restore rolls the client back to the captured state.
 func (c *Client) Restore(s *ClientState) {
-	c.reqSlab.rewind(s.reqMark)
-	c.auths.rewind(s.authMark)
 	c.running = s.running
 	c.view = s.view
 	c.seq = s.seq

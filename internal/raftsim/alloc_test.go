@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// TestRaftRestoreAllocFree pins the slab diet (slab.go): once the
-// message slabs, the engine's lane buffers and the latency tail have
-// reached steady-state capacity, a measurement-window/restore cycle must
-// not allocate. Every AppendEntries batch, vote, client request and
-// reply the window builds comes from a rewindable slab that Restore
-// rolls back, so the next fork overwrites the same memory — this is the
-// raft port of PBFT's PR 5 treatment and the guard for ISSUE 10.
+// TestRaftRestoreAllocFree pins the slab diet (arena.go): once the
+// shared pool is warm and the engine's lane buffers have reached
+// steady-state capacity, a measurement-window/restore cycle must not
+// allocate. Every AppendEntries batch, vote, client request and reply
+// the window builds is carved from chunks leased from the Runner's pool,
+// and the restore hands them — with the nodes' logs and the oracle
+// tables — back for the next fork to reuse (DESIGN.md §15).
 func TestRaftRestoreAllocFree(t *testing.T) {
 	w := DefaultWorkload()
 	r, err := NewRunner(w)
@@ -26,8 +26,8 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 		d.eng.RunFor(100 * time.Millisecond)
 		d.restore()
 	}
-	// Warm to the high-water marks: the first cycles may grow slab
-	// chunks, lane buffers and dense tables.
+	// Warm to the high-water marks: the first cycles may grow the pool,
+	// lane buffers and dense tables.
 	for i := 0; i < 3; i++ {
 		cycle()
 	}

@@ -53,10 +53,10 @@ type Client struct {
 	retry    sim.Timer
 	retryFn  func()
 
-	// reqSlab bump-allocates outgoing requests; Restore rewinds it
-	// (slab.go), so retransmission storms cost no heap allocations on the
-	// forked hot path.
-	reqSlab slab[ClientRequest]
+	// mem is the deployment's message arena (arena.go): outgoing requests
+	// are carved from it, so retransmission storms cost no heap
+	// allocations on the forked hot path.
+	mem *Arena
 
 	onComplete func(seq uint64, latency time.Duration)
 	stats      ClientStats
@@ -64,6 +64,12 @@ type Client struct {
 
 // ClientOption customizes client construction.
 type ClientOption func(*Client)
+
+// WithClientArena makes the client carve its requests from the
+// deployment's shared arena instead of a private one.
+func WithClientArena(a *Arena) ClientOption {
+	return func(c *Client) { c.mem = a }
+}
 
 // WithOnComplete registers a completion observer.
 func WithOnComplete(fn func(seq uint64, latency time.Duration)) ClientOption {
@@ -95,6 +101,9 @@ func NewClient(addr simnet.Addr, cfg Config, ccfg ClientConfig, net *simnet.Netw
 	}
 	for _, opt := range opts {
 		opt(c)
+	}
+	if c.mem == nil {
+		c.mem = newPrivateArena()
 	}
 	c.retryFn = func() { c.onRetry(c.retryFor) }
 	net.Handle(addr, c.onMessage)
@@ -143,7 +152,7 @@ func (c *Client) issueNext() {
 }
 
 func (c *Client) send() {
-	req := c.reqSlab.get()
+	req := c.mem.requests.Get()
 	*req = ClientRequest{Client: c.addr, Seq: c.seq}
 	c.net.Send(c.addr, simnet.Addr(c.target), req)
 	c.armRetry()

@@ -11,6 +11,7 @@ import (
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // deployment is one instantiated Raft cluster bound to its own engine.
@@ -28,11 +29,16 @@ type deployment struct {
 	nodes   []*Node
 	cs      []*Client
 
+	// mem accounts for the message arena every node and client carves
+	// from: capture adopts the warm-up prefix, park hands the window's
+	// chunks back to the Runner's pool (DESIGN.md §15).
+	mem *slab.Arena
+
 	measuring bool
 	completed uint64
 	latSum    time.Duration
 	latN      uint64
-	latTail   []time.Duration
+	latTail   []time.Duration // borrowed from the Runner's pool for the length of one measure
 
 	snap *deploymentSnapshot
 }
@@ -60,12 +66,14 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 		eng: sim.New(w.Seed),
 		oracles: oracle.NewSet(
 			oracle.NewElectionSafety("raft"),
-			oracle.NewAgreement("raft"),
+			oracle.NewAgreementIn(&r.pool, "raft"),
 			cov,
 		),
 		cov: cov,
 	}
 	d.net = simnet.New(d.eng, w.Net)
+	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
+	arena := NewArena(d.mem)
 
 	d.nodes = make([]*Node, 0, w.Raft.N)
 	for i := 0; i < w.Raft.N; i++ {
@@ -76,7 +84,8 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 			}),
 			WithApplyObserver(func(index uint64, e Entry) {
 				d.oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
-			}))
+			}),
+			WithArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("raftsim: node construction: %v", err)) // config was validated
 		}
@@ -87,7 +96,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	d.cs = make([]*Client, 0, clients)
 	nextAddr := simnet.Addr(w.Raft.N)
 	for i := int64(0); i < clients; i++ {
-		c, err := NewClient(nextAddr, w.Raft, w.Client, d.net, WithOnComplete(onComplete))
+		c, err := NewClient(nextAddr, w.Raft, w.Client, d.net, WithOnComplete(onComplete), WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("raftsim: client construction: %v", err))
 		}
@@ -128,12 +137,14 @@ func (d *deployment) capture() {
 	for _, c := range d.cs {
 		s.clients = append(s.clients, c.Snapshot())
 	}
+	d.mem.Capture()
 	d.snap = s
 }
 
 // restore rolls the whole deployment back to the post-warmup snapshot.
 func (d *deployment) restore() {
 	s := d.snap
+	d.park()
 	d.eng.Restore(s.eng)
 	d.net.Restore(s.net)
 	d.oracles.Restore(s.oracles)
@@ -146,6 +157,18 @@ func (d *deployment) restore() {
 	d.measuring = false
 	d.completed = 0
 	d.latSum, d.latN = 0, 0
+}
+
+// park ends a run: the window's message memory, the nodes' logs and the
+// oracle tables go back to the Runner's pool, so a parked master retains
+// only what its snapshot references (see cluster's deployment.park). It
+// is idempotent, and only restore may follow it.
+func (d *deployment) park() {
+	d.mem.Rewind()
+	for _, n := range d.nodes {
+		n.Park()
+	}
+	d.oracles.Park()
 }
 
 // arm activates the scenario's attacker and per-run checkers at
@@ -218,7 +241,7 @@ func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 // outcome. Attack runs pass Workload.Measure; attack-free baselines may
 // pass the shorter Workload.baselineWindow.
 func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = d.latTail[:0]
+	d.latTail = slab.Borrow[time.Duration](d.mem.Pool())
 
 	d.measuring = true
 	leaderBefore := currentLeader(d.nodes)
@@ -229,6 +252,12 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	hung := d.eng.BudgetExceeded()
 	if d.w.StepBudget > 0 {
 		d.eng.SetStepBudget(0)
+	}
+	// The arena stops the engine when the window's message memory runs
+	// away; like the step budget, that ends dispatch but not the window.
+	overflowed := d.mem.Overflowed()
+	if overflowed {
+		d.eng.Resume()
 	}
 	d.measuring = false
 	leaderAfter := currentLeader(d.nodes)
@@ -270,8 +299,13 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	if hung {
 		res.Hung = true
 		res.Error = fmt.Sprintf("raftsim: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
+	} else if overflowed {
+		res.Hung = true
+		res.Error = fmt.Sprintf("raftsim: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", slab.WindowCeiling>>20)
 	}
 	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
+	slab.Return(d.mem.Pool(), d.latTail)
+	d.latTail = nil
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
 	return res, rep

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/oracle"
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden trace fixtures")
@@ -67,6 +69,39 @@ func TestGoldenTrace(t *testing.T) {
 	}
 	sc := goldenSpace(t).New(point)
 	_, _, events := r.RunTraced(sc)
+	checkGolden(t, sc, events)
+}
+
+// TestGoldenTracePoisonedForks replays the golden pair through the fork
+// path with the slab pool's poison hook on and forks of two other client
+// counts interleaved: every chunk the golden master's windows carve was
+// last used by another master and comes back as 0xA5 garbage, so the
+// fixture only matches if every object is fully initialized by its call
+// site and nothing reads a window's objects after its master parked
+// (DESIGN.md §15).
+func TestGoldenTracePoisonedForks(t *testing.T) {
+	slab.SetPoison(true)
+	defer slab.SetPoison(false)
+	w, point := goldenWorkload()
+	r, err := NewRunner(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := goldenSpace(t)
+	sc := space.New(point)
+	for round := 0; round < 2; round++ {
+		for _, clients := range []int64{3, 7} {
+			r.RunFork(space.New(map[string]int64{DimClients: clients, DimFlapIntervalMS: 200, DimFlapDownMS: 100}))
+		}
+		_, _, events := r.RunTracedFork(sc)
+		checkGolden(t, sc, events)
+	}
+}
+
+// checkGolden compares a traced run of the golden pair against the
+// committed fixture (rewriting it under -update).
+func checkGolden(t *testing.T, sc scenario.Scenario, events []oracle.Event) {
+	t.Helper()
 	if len(events) == 0 {
 		t.Fatal("traced run produced no events")
 	}

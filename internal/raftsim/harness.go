@@ -11,6 +11,7 @@ import (
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Workload fixes everything about a Raft test that is not a hyperspace
@@ -104,6 +105,10 @@ type Runner struct {
 	// arena for the contention-free fork path (core.WorkerSnapshotter):
 	// no shared checkout mutex, one build per (worker, count).
 	workerMasters core.WorkerArenas[int64, *deployment]
+
+	// pool lends every deployment the message memory of its measurement
+	// window; it comes back when the run parks (DESIGN.md §15).
+	pool slab.Pool
 }
 
 // NewRunner returns a runner for the workload.
@@ -473,8 +478,13 @@ func (r *Runner) execute(sc scenario.Scenario, clients int64, withFaults bool, e
 	}
 	d := r.newDeployment(clients)
 	d.eng.RunFor(r.w.Warmup)
+	// Fix the arena's mark where a master's capture would, so the window
+	// leases — and trips the memory ceiling — exactly as a forked one.
+	d.mem.Capture()
 	d.arm(sc, withFaults, extra...)
-	return d.measure(sc, window)
+	res, rep := d.measure(sc, window)
+	d.park()
+	return res, rep
 }
 
 // executeFork runs the scenario by forking a warm master deployment for
@@ -517,6 +527,7 @@ func (r *Runner) forkRun(d *deployment, sc scenario.Scenario, withFaults bool, w
 	}
 	runStart := metrics.StartWatch()
 	res, rep := d.measure(sc, window)
+	d.park()
 	if withFaults {
 		r.phases.AddRun(runStart.Elapsed())
 	}

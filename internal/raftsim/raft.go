@@ -253,15 +253,11 @@ type Node struct {
 	// a retransmission of an in-flight request is not appended twice.
 	pending []uint64
 
-	// Message slabs (slab.go): every wire message the node sends is bump-
-	// allocated and rewound by Restore, keeping the forked hot path
-	// allocation-flat.
-	rvSlab  slab[RequestVote]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	rvrSlab slab[RequestVoteReply]   //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	aeSlab  slab[AppendEntries]      //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	aerSlab slab[AppendEntriesReply] //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	crSlab  slab[ClientReply]        //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
-	entSlab entrySlab                //avdlint:derived slab storage: Snapshot/Restore track the mark; surviving objects predate it and are never rewound
+	// mem is the deployment's message arena (arena.go): every wire
+	// message the node sends is carved from it, keeping the forked hot
+	// path allocation-flat. The deployment captures and rewinds it; a
+	// node built without WithArena gets a private one.
+	mem *Arena
 
 	// Oracle observers, invoked on the simulation goroutine: onLead when
 	// the node assumes leadership for a term, onApply for every log
@@ -279,6 +275,12 @@ type NodeOption func(*Node)
 // an election, carrying the term it now leads.
 func WithLeadObserver(fn func(term uint64)) NodeOption {
 	return func(n *Node) { n.onLead = fn }
+}
+
+// WithArena makes the node carve its messages from the deployment's
+// shared arena instead of a private one.
+func WithArena(a *Arena) NodeOption {
+	return func(n *Node) { n.mem = a }
 }
 
 // WithApplyObserver registers a callback invoked for every log index the
@@ -309,6 +311,9 @@ func NewNode(id int, cfg Config, net *simnet.Network, opts ...NodeOption) (*Node
 	}
 	for _, opt := range opts {
 		opt(n)
+	}
+	if n.mem == nil {
+		n.mem = newPrivateArena()
 	}
 	n.electionFn = n.onElectionTimeout
 	n.heartbeatFn = n.onHeartbeat
@@ -443,7 +448,7 @@ func (n *Node) onElectionTimeout() {
 	n.stats.ElectionsStarted++
 	n.votes = 1 << uint(n.id)
 	lastIdx, lastTerm := n.lastLog()
-	rv := n.rvSlab.get()
+	rv := n.mem.votes.Get()
 	*rv = RequestVote{Term: n.term, Candidate: n.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm}
 	for peer := 0; peer < n.cfg.N; peer++ {
 		if peer != n.id {
@@ -508,10 +513,10 @@ func (n *Node) sendAppend(peer int) {
 	if uint64(len(n.log)) >= next {
 		// Copy: the message outlives this call and the log's backing
 		// array is mutated in place on truncation after a step-down.
-		entries = n.entSlab.get(len(n.log) - int(next-1))
+		entries = n.mem.entries.Get(len(n.log) - int(next-1))
 		copy(entries, n.log[next-1:])
 	}
-	ae := n.aeSlab.get()
+	ae := n.mem.appends.Get()
 	*ae = AppendEntries{
 		Term:         n.term,
 		Leader:       n.id,
@@ -556,7 +561,7 @@ func (n *Node) onRequestVote(m *RequestVote) {
 			n.resetElectionTimer()
 		}
 	}
-	rep := n.rvrSlab.get()
+	rep := n.mem.voteReplies.Get()
 	*rep = RequestVoteReply{Term: n.term, From: n.id, Granted: granted}
 	n.net.Send(simnet.Addr(n.id), simnet.Addr(m.Candidate), rep)
 }
@@ -620,14 +625,14 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 
 // sendAppendReply answers an AppendEntries from the reply slab.
 func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
-	rep := n.aerSlab.get()
+	rep := n.mem.appendReplies.Get()
 	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx}
 	n.net.Send(simnet.Addr(n.id), simnet.Addr(leader), rep)
 }
 
 // sendClientReply answers a ClientRequest from the reply slab.
 func (n *Node) sendClientReply(client simnet.Addr, seq uint64, ok bool, leaderHint int) {
-	rep := n.crSlab.get()
+	rep := n.mem.replies.Get()
 	*rep = ClientReply{Seq: seq, OK: ok, Leader: leaderHint}
 	n.net.Send(simnet.Addr(n.id), client, rep)
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"avd/internal/sim"
+	"avd/internal/slab"
 )
 
 // This file implements the SUT side of snapshot/fork execution
@@ -33,16 +34,6 @@ type NodeState struct {
 	lastSeq []uint64
 	pending []uint64
 
-	// Slab rewind points: Restore rewinds each message slab to its
-	// capture mark, so everything a measurement window bump-allocated is
-	// reused by the next fork (slab.go).
-	rvMark  slabMark
-	rvrMark slabMark
-	aeMark  slabMark
-	aerMark slabMark
-	crMark  slabMark
-	entMark slabMark
-
 	stats NodeStats
 }
 
@@ -64,33 +55,30 @@ func (n *Node) Snapshot() *NodeState {
 		heartbeatTimer: n.heartbeatTimer,
 		lastSeq:        append([]uint64(nil), n.lastSeq...),
 		pending:        append([]uint64(nil), n.pending...),
-		rvMark:         n.rvSlab.mark(),
-		rvrMark:        n.rvrSlab.mark(),
-		aeMark:         n.aeSlab.mark(),
-		aerMark:        n.aerSlab.mark(),
-		crMark:         n.crSlab.mark(),
-		entMark:        n.entSlab.mark(),
 		stats:          n.stats,
 	}
 	return s
 }
 
-// Restore rolls the node back to the captured state.
+// Park ends a run: the log's backing array — grown all window long, and
+// rebuilt from the snapshot by the next Restore anyway — goes to the
+// Runner's scratch stock, so a parked master does not retain one
+// high-water log per node.
+func (n *Node) Park() {
+	if n.log != nil {
+		slab.Return(n.mem.pool, n.log)
+		n.log = nil
+	}
+}
+
+// Restore rolls a parked node back to the captured state.
 func (n *Node) Restore(s *NodeState) {
-	// Rewind the message slabs first: every object allocated after the
-	// mark is unreachable once the engine/network snapshots roll back.
-	n.rvSlab.rewind(s.rvMark)
-	n.rvrSlab.rewind(s.rvrMark)
-	n.aeSlab.rewind(s.aeMark)
-	n.aerSlab.rewind(s.aerMark)
-	n.crSlab.rewind(s.crMark)
-	n.entSlab.rewind(s.entMark)
 	n.crashed = s.crashed
 	n.role = s.role
 	n.term = s.term
 	n.votedFor = s.votedFor
 	n.leader = s.leader
-	n.log = append(n.log[:0], s.log...)
+	n.log = append(slab.Borrow[Entry](n.mem.pool), s.log...)
 	n.commit = s.commit
 	n.applied = s.applied
 	n.votes = s.votes
@@ -112,7 +100,6 @@ type ClientState struct {
 	curRetry time.Duration
 	retryFor uint64
 	retry    sim.Timer
-	reqMark  slabMark
 	stats    ClientStats
 }
 
@@ -126,14 +113,12 @@ func (c *Client) Snapshot() *ClientState {
 		curRetry: c.curRetry,
 		retryFor: c.retryFor,
 		retry:    c.retry,
-		reqMark:  c.reqSlab.mark(),
 		stats:    c.stats,
 	}
 }
 
 // Restore rolls the client back to the captured state.
 func (c *Client) Restore(s *ClientState) {
-	c.reqSlab.rewind(s.reqMark)
 	c.running = s.running
 	c.seq = s.seq
 	c.target = s.target

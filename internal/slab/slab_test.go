@@ -1,0 +1,268 @@
+package slab
+
+import (
+	"sync"
+	"testing"
+	"unsafe"
+)
+
+type obj struct {
+	a, b uint64
+	p    *uint64
+}
+
+func capacity[T any](b *bump[T]) int {
+	n := 0
+	for _, c := range b.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// TestSlabRewindReusesMemory: objects carved before the mark survive a
+// rewind untouched, and the first object carved after it lands on the
+// memory the rewound one had.
+func TestSlabRewindReusesMemory(t *testing.T) {
+	a := NewArena(nil, nil)
+	s := New[obj](a)
+	kept := s.Get()
+	*kept = obj{a: 1, b: 2}
+	a.Capture()
+	first := s.Get()
+	*first = obj{a: 3}
+	for i := 0; i < 3*s.chunkLen; i++ {
+		*s.Get() = obj{a: uint64(i)}
+	}
+	if a.Held() <= a.Owned() {
+		t.Fatalf("window did not lease: held %d, owned %d", a.Held(), a.Owned())
+	}
+	a.Rewind()
+	if *kept != (obj{a: 1, b: 2}) {
+		t.Fatalf("object below the mark changed: %+v", *kept)
+	}
+	if again := s.Get(); again != first {
+		t.Fatalf("first object after the rewind is at %p, want the rewound slot %p", again, first)
+	}
+}
+
+// TestPoolLeaseAccounting: chunks above the mark are on lease until the
+// rewind, the captured prefix is adopted, and a second arena carves its
+// window out of the chunks the first one returned.
+func TestPoolLeaseAccounting(t *testing.T) {
+	var p Pool
+	a := NewArena(&p, nil)
+	s := New[obj](a)
+	for i := 0; i < 2*s.chunkLen+1; i++ {
+		s.Get()
+	}
+	if got := p.Leased(); got != 3 {
+		t.Fatalf("leased %d chunks during warm-up, want 3", got)
+	}
+	a.Capture()
+	if got := p.Leased(); got != 0 {
+		t.Fatalf("leased %d chunks after capture, want 0 (prefix adopted)", got)
+	}
+	if a.Held() != 1 || a.Owned() != 1 {
+		t.Fatalf("capture keeps held=%d owned=%d chunks, want the one still being carved", a.Held(), a.Owned())
+	}
+	for i := 0; i < 4*s.chunkLen; i++ {
+		s.Get()
+	}
+	if got := p.Leased(); got != 4 {
+		t.Fatalf("leased %d chunks in the window, want 4", got)
+	}
+	window := s.chunks[len(s.chunks)-1]
+	a.Rewind()
+	if got := p.Leased(); got != 0 {
+		t.Fatalf("leased %d chunks after rewind, want 0", got)
+	}
+	if a.Held() != a.Owned() {
+		t.Fatalf("parked arena holds %d chunks, owns %d", a.Held(), a.Owned())
+	}
+
+	b := NewArena(&p, nil)
+	sb := New[obj](b)
+	sb.Get()
+	if unsafe.SliceData(sb.cur) != unsafe.SliceData(window) {
+		t.Fatal("second arena did not reuse the chunk the first one returned last")
+	}
+	// A cold run never captures: its rewind returns everything.
+	b.Rewind()
+	if p.Leased() != 0 || b.Held() != 0 {
+		t.Fatalf("uncaptured rewind left leased=%d held=%d", p.Leased(), b.Held())
+	}
+}
+
+// TestSpanWindows: windows are exactly n long, never straddle chunks and
+// do not overlap.
+func TestSpanWindows(t *testing.T) {
+	a := NewArena(nil, nil)
+	s := NewSpan[uint64](a)
+	n := s.chunkLen/2 + 1 // two of these cannot share a chunk
+	w1, w2 := s.Get(n), s.Get(n)
+	if len(w1) != n || cap(w1) != n || len(w2) != n || cap(w2) != n {
+		t.Fatalf("windows are %d/%d and %d/%d, want len == cap == %d", len(w1), cap(w1), len(w2), cap(w2), n)
+	}
+	for i := range w1 {
+		w1[i], w2[i] = 1, 2
+	}
+	if w1[n-1] != 1 || w2[0] != 2 {
+		t.Fatal("windows overlap")
+	}
+	if a.Held() != 2 {
+		t.Fatalf("two half-chunk-plus-one windows hold %d chunks, want 2", a.Held())
+	}
+}
+
+// TestSpanOversize is the regression test for the raft catch-up OOM: the
+// old entrySlab sized a new chunk as 256*n for a variable n, so one
+// 17,594-entry batch allocated 4.5 M entries. An oversize request gets a
+// chunk of exactly its own size, and that chunk is not pooled.
+func TestSpanOversize(t *testing.T) {
+	var p Pool
+	a := NewArena(&p, nil)
+	s := NewSpan[obj](a)
+	s.Get(4)
+	before := capacity(&s.bump)
+	const n = 20_000
+	if w := s.Get(n); len(w) != n {
+		t.Fatalf("oversize window has %d elements, want %d", len(w), n)
+	}
+	if grown := capacity(&s.bump) - before; grown >= 2*n {
+		t.Fatalf("Get(%d) grew retained capacity by %d elements, want < %d", n, grown, 2*n)
+	}
+	s.Get(4)
+	a.Rewind()
+	for _, c := range s.free.chunks {
+		if len(c) != s.chunkLen {
+			t.Fatalf("pool stocks a %d-element chunk, want only %d-element ones", len(c), s.chunkLen)
+		}
+	}
+	if len(s.free.chunks) != 2 {
+		t.Fatalf("pool stocks %d chunks, want the 2 fixed-size ones", len(s.free.chunks))
+	}
+}
+
+// TestWindowCeiling: crossing the ceiling calls stop once, latches
+// Overflowed, still serves the allocation, and the next rewind re-arms.
+func TestWindowCeiling(t *testing.T) {
+	stops := 0
+	a := NewArena(nil, func() { stops++ })
+	s := NewSpan[uint64](a)
+	const n = 16 << 20 // 128 MB a piece, never touched
+	for i := 0; i < WindowCeiling/(8*n); i++ {
+		s.Get(n)
+	}
+	if a.Overflowed() || stops != 0 {
+		t.Fatalf("overflowed at exactly the ceiling (stops=%d)", stops)
+	}
+	if w := s.Get(n); len(w) != n {
+		t.Fatal("the allocation that crosses the ceiling must still succeed")
+	}
+	s.Get(n)
+	if !a.Overflowed() || stops != 1 {
+		t.Fatalf("overflowed=%v stops=%d after crossing, want true and 1", a.Overflowed(), stops)
+	}
+	a.Rewind()
+	if a.Overflowed() {
+		t.Fatal("rewind did not clear the overflow latch")
+	}
+}
+
+// TestPoison: with the test hook on, a chunk comes back from the pool
+// filled with 0xA5.
+func TestPoison(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	var p Pool
+	a := NewArena(&p, nil)
+	s := New[obj](a)
+	*s.Get() = obj{a: 7}
+	a.Rewind()
+	if got := s.Get(); got.a != 0xA5A5A5A5A5A5A5A5 || got.b != 0xA5A5A5A5A5A5A5A5 {
+		t.Fatalf("reused object is %#x/%#x, want poison", got.a, got.b)
+	}
+}
+
+// TestSpanAppend: a buffer grown through Append keeps its contents, and
+// everything it left behind is rewound with the window.
+func TestSpanAppend(t *testing.T) {
+	var p Pool
+	a := NewArena(&p, nil)
+	s := NewSpan[uint64](a)
+	a.Capture()
+	var buf []uint64
+	for i := 0; i < 3*s.chunkLen; i++ {
+		buf = s.Append(buf, uint64(i))
+	}
+	for i, v := range buf {
+		if v != uint64(i) {
+			t.Fatalf("buf[%d] = %d after growth", i, v)
+		}
+	}
+	a.Rewind()
+	if p.Leased() != 0 || a.Held() != a.Owned() {
+		t.Fatalf("append trail survived the rewind: leased=%d held=%d owned=%d", p.Leased(), a.Held(), a.Owned())
+	}
+}
+
+// TestScratchStockIsBounded: a Return with no matching Borrow (a buffer
+// the owner grew itself) is dropped, so the stock holds as many buffers
+// as were ever out at once, and a Borrow gets the last Return back.
+func TestScratchStockIsBounded(t *testing.T) {
+	var p Pool
+	for i := 0; i < 10; i++ {
+		Return(&p, make([]int, 0, 64)) // ten masters' warm-up buffers
+	}
+	if got := Borrow[int](&p); got != nil {
+		t.Fatalf("unmatched Returns were stocked: Borrow gave cap %d", cap(got))
+	}
+	buf := make([]int, 5, 128)
+	Return(&p, buf)
+	got := Borrow[int](&p)
+	if len(got) != 0 || cap(got) != 128 {
+		t.Fatalf("Borrow gave len %d cap %d, want the returned buffer emptied (0, 128)", len(got), cap(got))
+	}
+	Return(&p, got)
+	Return(&p, make([]int, 0, 64))
+	if l := listFor[int](&p, scratchKey[int]{}); len(l.chunks) != 1 {
+		t.Fatalf("stock holds %d buffers with one ever out, want 1", len(l.chunks))
+	}
+}
+
+// TestConcurrentArenas: arenas on separate goroutines share one pool (run
+// under -race); every arena sees only its own writes.
+func TestConcurrentArenas(t *testing.T) {
+	var p Pool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(id uint64) {
+			defer wg.Done()
+			a := NewArena(&p, nil)
+			s := New[obj](a)
+			sp := NewSpan[uint64](a)
+			a.Capture()
+			for round := 0; round < 20; round++ {
+				var objs []*obj
+				for i := 0; i < 3*s.chunkLen; i++ {
+					o := s.Get()
+					*o = obj{a: id, b: uint64(i)}
+					objs = append(objs, o)
+					sp.Get(3)[0] = id
+				}
+				for i, o := range objs {
+					if o.a != id || o.b != uint64(i) {
+						t.Errorf("arena %d read %+v at %d", id, *o, i)
+						return
+					}
+				}
+				a.Rewind()
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	if p.Leased() != 0 {
+		t.Fatalf("leased %d chunks after every arena rewound", p.Leased())
+	}
+}
