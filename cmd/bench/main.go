@@ -331,7 +331,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	runner := newPBFT().Runner
+	runner := newPBFT()
 	bigmac := space.New(map[string]int64{
 		plugin.DimMACMask:          int64(graycode.Decode(0xEEE)),
 		plugin.DimCorrectClients:   30,

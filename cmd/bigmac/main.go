@@ -43,7 +43,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bigmac:", err)
 		os.Exit(1)
 	}
-	runner := target.Runner
+	runner := target
 
 	if *discover {
 		runDiscovery(target, *budget, *seed, *workers)

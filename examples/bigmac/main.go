@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := target.Runner
+	runner := target
 	space, err := avd.SpaceOf(target.Plugins()...)
 	if err != nil {
 		log.Fatal(err)

@@ -266,99 +266,46 @@ func TestForkedCoverageDigests(t *testing.T) {
 	}
 }
 
-// TestWorkerForkEqualsFork: the contention-free per-worker-arena path
-// (core.WorkerSnapshotter, ISSUE 10) is bit-for-bit the pooled fork path
-// on both targets, for every worker slot — including the baseline
-// throughput the impact score folds in.
-func TestWorkerForkEqualsFork(t *testing.T) {
-	pr, err := cluster.NewRunner(pbftForkWorkload())
-	if err != nil {
-		t.Fatal(err)
+// TestParallelCampaignDeterminism: a workers=4 campaign — four runs in
+// flight checking masters out of the one pool while the engine's
+// prefetch goroutines build the next populations behind them —
+// reproduces itself bit-for-bit on both targets: two campaigns, same
+// seed, identical fingerprints. (Determinism is per (seed, workers);
+// different worker counts legitimately explore different proposals.) Run
+// under -race this is the parallel fork path's race test.
+func TestParallelCampaignDeterminism(t *testing.T) {
+	raftWorkload := raftsim.DefaultWorkload()
+	raftWorkload.Warmup = 300 * time.Millisecond
+	raftWorkload.Measure = 800 * time.Millisecond
+	targets := map[string]func() (core.Target, error){
+		"pbft": func() (core.Target, error) { return cluster.NewTarget(pbftForkWorkload()) },
+		"raft": func() (core.Target, error) { return raftsim.NewTarget(raftWorkload) },
 	}
-	for _, sc := range pbftForkScenarios(t) {
-		want := pr.RunFork(sc)
-		for worker := 0; worker < 3; worker++ {
-			got := pr.RunForkWorker(sc, worker)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("pbft %s worker %d: arena-forked Result differs from pooled fork:\npool:  %+v\narena: %+v", sc.Key(), worker, want, got)
+	for name, newTarget := range targets {
+		campaign := func() string {
+			target, err := newTarget()
+			if err != nil {
+				t.Fatal(err)
 			}
-			// A second run on the same slot reuses the retained master.
-			if again := pr.RunForkWorker(sc, worker); !reflect.DeepEqual(want, again) {
-				t.Errorf("pbft %s worker %d: arena re-fork diverged", sc.Key(), worker)
+			eng, err := core.NewEngine(target, core.WithSeed(7), core.WithBudget(12), core.WithWorkers(4))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-
-	w := raftsim.DefaultWorkload()
-	w.Warmup = 300 * time.Millisecond
-	w.Measure = 800 * time.Millisecond
-	rr, err := raftsim.NewRunner(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, err := core.Space(raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := space.New(map[string]int64{
-		raftsim.DimClients: 10, raftsim.DimFlapIntervalMS: 100, raftsim.DimFlapDownMS: 200,
-	})
-	want := rr.RunFork(sc)
-	for worker := 0; worker < 3; worker++ {
-		if got := rr.RunForkWorker(sc, worker); !reflect.DeepEqual(want, got) {
-			t.Errorf("raft worker %d: arena-forked Result differs from pooled fork:\npool:  %+v\narena: %+v", worker, want, got)
-		}
-	}
-}
-
-// pooledForkTarget hides RunForkWorker from the engine, forcing the
-// shared-ForkCache fork path: the reference the arena path must match.
-type pooledForkTarget struct{ core.Target }
-
-func (p pooledForkTarget) RunFork(sc scenario.Scenario) core.Result {
-	return p.Target.(core.Snapshotter).RunFork(sc)
-}
-
-// TestWorkerForkCampaignDeterminism: for a fixed (seed, workers) pair, a
-// parallel engine routing live tests through the per-worker arenas
-// (core.WorkerSnapshotter) produces bit-for-bit the results of the same
-// campaign over the shared checkout pool, and repeated arena campaigns
-// reproduce themselves exactly. (Campaign determinism is per
-// (seed, workers) — different worker counts legitimately explore
-// different proposals, so the pooled/arena comparison holds the pair
-// fixed.)
-func TestWorkerForkCampaignDeterminism(t *testing.T) {
-	const workers = 4
-	run := func(pooled bool) []core.Result {
-		var target core.Target
-		var err error
-		target, err = cluster.NewTarget(pbftForkWorkload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pooled {
-			target = pooledForkTarget{target}
-		}
-		eng, err := core.NewEngine(target, core.WithSeed(7), core.WithBudget(12), core.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := eng.RunAll(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return results
-	}
-	want := run(true) // shared-pool reference
-	for rep := 0; rep < 2; rep++ {
-		got := run(false) // per-worker arenas
-		if len(got) != len(want) {
-			t.Fatalf("arena run %d: %d results, want %d", rep, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("arena run %d: result %d differs from pooled campaign:\npool:  %+v\narena: %+v", rep, i, want[i], got[i])
+			results, err := eng.RunAll(t.Context())
+			if err != nil {
+				t.Fatal(err)
 			}
+			if len(results) != 12 {
+				t.Fatalf("%s: %d results, want 12", name, len(results))
+			}
+			fp, err := core.FingerprintResults(results)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fp
+		}
+		if first, second := campaign(), campaign(); first != second {
+			t.Errorf("%s: workers=4 campaign fingerprints differ across runs: %s vs %s", name, first, second)
 		}
 	}
 }

@@ -36,8 +36,8 @@ func TestBaselineForkedEqualsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := baselineScenario(t, correct)
-		coldRes, coldRep := cold.execute(sc, correct, false)
-		forkRes, forkRep := forked.executeFork(sc, correct, false)
+		coldRes, coldRep := cold.Execute(sc, false, false)
+		forkRes, forkRep := forked.Execute(sc, false, true)
 		if !reflect.DeepEqual(coldRes, forkRes) {
 			t.Errorf("correct=%d: forked baseline Result differs from cold:\ncold: %+v\nfork: %+v", correct, coldRes, forkRes)
 		}
@@ -46,7 +46,7 @@ func TestBaselineForkedEqualsCold(t *testing.T) {
 		}
 		// A second fork from the now-captured master must reproduce the
 		// first (snapshot reuse).
-		againRes, againRep := forked.executeFork(sc, correct, false)
+		againRes, againRep := forked.Execute(sc, false, true)
 		if !reflect.DeepEqual(forkRes, againRes) || !reflect.DeepEqual(forkRep, againRep) {
 			t.Errorf("correct=%d: re-forked baseline diverged from first fork", correct)
 		}
@@ -70,27 +70,21 @@ func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := baselineScenario(t, 15)
-	coldRes, _ := cold.execute(sc, 15, false)
-	forkRes, _ := forked.executeFork(sc, 15, false)
+	coldRes, _ := cold.Execute(sc, false, false)
+	forkRes, _ := forked.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) {
 		t.Errorf("forked baseline under BaselineMeasure differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
 	}
 }
 
 // TestBaselineMeasureValidation: a negative baseline window is a
-// configuration error, and zero preserves the full Measure window.
+// configuration error. (That zero keeps the full Measure window and a
+// positive value replaces it is the harness's rule, pinned by
+// core.TestHarnessBaselineWindow.)
 func TestBaselineMeasureValidation(t *testing.T) {
 	w := DefaultWorkload()
 	w.BaselineMeasure = -time.Second
 	if _, err := NewRunner(w); err == nil {
 		t.Error("negative BaselineMeasure accepted")
-	}
-	w.BaselineMeasure = 0
-	if got := w.baselineWindow(); got != w.Measure {
-		t.Errorf("zero BaselineMeasure: window %v, want Measure %v", got, w.Measure)
-	}
-	w.BaselineMeasure = 300 * time.Millisecond
-	if got := w.baselineWindow(); got != 300*time.Millisecond {
-		t.Errorf("BaselineMeasure window %v, want 300ms", got)
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"avd/internal/core"
-	"avd/internal/metrics"
-	"avd/internal/oracle"
 	"avd/internal/pbft"
 	"avd/internal/plugin"
 	"avd/internal/scenario"
@@ -145,46 +143,55 @@ type Report struct {
 	P99Latency         time.Duration
 }
 
-// Runner executes scenarios against a fixed workload. It caches baseline
-// (attack-free) measurements per correct-client count, as impact is
-// relative to them. Runner is safe for concurrent use by parallel
-// sweeps and campaign workers.
+// Runner is the PBFT system under test: the generic core.Harness over
+// PBFT deployments, one warm master per (correct, malicious) client
+// population. It executes scenarios against a fixed workload, is a
+// core.Target, and is safe for concurrent use by parallel sweeps and
+// campaign workers.
 type Runner struct {
+	*core.Harness[masterKey, *deployment, Report]
 	w Workload
-	// baselines is the shared singleflight cache: concurrent workers
-	// needing the same missing baseline share one deterministic
-	// measurement instead of duplicating it.
-	baselines core.BaselineCache
 
-	// phases accumulates the campaign time decomposition
-	// (warmup/baseline/fork/run/analyze) that cmd/bench reports.
-	phases core.PhaseTimes
-
-	// masters caches warm deployments per client population for the
-	// snapshot/fork execution path: a deployment is built and warmed once
-	// per (correct, malicious) population, snapshotted, and then every
-	// test with that population forks from the snapshot instead of
-	// cold-building the cluster.
-	masters core.ForkCache[masterKey, *deployment]
-
-	// workerMasters holds each parallel campaign worker's private master
-	// arena for the contention-free fork path (core.WorkerSnapshotter):
-	// no shared checkout mutex, one build per (worker, population).
-	workerMasters core.WorkerArenas[masterKey, *deployment]
-
-	// pool lends every deployment — pooled master, worker-arena master or
-	// cold run — the message memory of its measurement window; it comes
-	// back when the run parks (DESIGN.md §15).
+	// pool lends every deployment the message memory of its measurement
+	// window; it comes back when the run parks (DESIGN.md §15).
 	pool slab.Pool
 }
+
+// Target is the Runner under the name the core.Target seam knows it by.
+type Target = Runner
+
+var (
+	_ core.Target            = (*Runner)(nil)
+	_ core.WorkerSnapshotter = (*Runner)(nil)
+	_ core.Preparer          = (*Runner)(nil)
+	_ core.Warmer            = (*Runner)(nil)
+)
 
 // masterKey is the structural identity of a deployment: everything that
 // shapes the warmup. Fault parameters are not part of it — they arm at
 // measurement start.
 type masterKey struct{ correct, malicious int64 }
 
-// NewRunner returns a runner for the workload.
-func NewRunner(w Workload) (*Runner, error) {
+// populationOf is the client population a scenario deploys. The
+// malicious population is topology, not behavior: baseline runs deploy
+// the same clients and simply never arm their corruption plans, so one
+// master per population serves attack forks and baseline forks alike.
+func populationOf(sc scenario.Scenario) masterKey {
+	return masterKey{
+		correct:   sc.GetOr(plugin.DimCorrectClients, 10),
+		malicious: sc.GetOr(plugin.DimMaliciousClients, 1),
+	}
+}
+
+// NewRunner returns a runner for the workload with the default plugins.
+func NewRunner(w Workload) (*Runner, error) { return NewTarget(w) }
+
+// NewTarget builds the PBFT system under test for a workload. With no
+// explicit plugins it exposes the paper's PBFT hyperspace — the 12-bit
+// Gray-coded MAC-corruption mask composed with the client-population
+// dimensions; pass plugins to widen or narrow the attack surface (e.g.
+// adding Reorder or SlowPrimary).
+func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 	if err := w.PBFT.Validate(); err != nil {
 		return nil, err
 	}
@@ -197,294 +204,28 @@ func NewRunner(w Workload) (*Runner, error) {
 	if w.BaselineMeasure < 0 {
 		return nil, fmt.Errorf("cluster: baseline measurement window must not be negative")
 	}
-	return &Runner{w: w}, nil
-}
-
-// baselineWindow is the measurement window for attack-free baselines.
-func (w Workload) baselineWindow() time.Duration {
-	if w.BaselineMeasure > 0 {
-		return w.BaselineMeasure
+	if len(plugins) == 0 {
+		plugins = []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
 	}
-	return w.Measure
+	r := &Runner{w: w}
+	r.Harness = core.NewHarness[masterKey, *deployment, Report](core.HarnessSpec[masterKey, *deployment]{
+		Name:                "pbft",
+		Plugins:             plugins,
+		Config:              w,
+		ClientsDim:          plugin.DimCorrectClients,
+		Key:                 populationOf,
+		Build:               r.newDeployment,
+		Measure:             w.Measure,
+		BaselineMeasure:     w.BaselineMeasure,
+		StepBudget:          w.StepBudget,
+		LatencyRef:          w.LatencyRef,
+		ReferenceThroughput: w.ReferenceThroughput,
+	})
+	return r, nil
 }
 
 // Workload returns the runner's workload.
 func (r *Runner) Workload() Workload { return r.w }
-
-var _ core.Runner = (*Runner)(nil)
-
-// Run implements core.Runner: a cold run, building and warming a fresh
-// deployment. It is the reference semantics that the forked path must
-// reproduce bit-for-bit.
-func (r *Runner) Run(sc scenario.Scenario) core.Result {
-	res, _ := r.RunReport(sc)
-	return res
-}
-
-// RunFork implements core.Snapshotter: execute the scenario by forking a
-// warm master deployment for the scenario's client population. Identical
-// to Run — trace, metrics, oracle verdicts — at a fraction of the cost.
-func (r *Runner) RunFork(sc scenario.Scenario) core.Result {
-	res, _ := r.RunForkReport(sc)
-	return res
-}
-
-// RunReport executes the scenario cold and returns both the impact
-// result and the detailed report.
-func (r *Runner) RunReport(sc scenario.Scenario) (core.Result, Report) {
-	return r.runScored(sc, false)
-}
-
-// RunForkReport is RunReport through the snapshot/fork path.
-func (r *Runner) RunForkReport(sc scenario.Scenario) (core.Result, Report) {
-	return r.runScored(sc, true)
-}
-
-// RunTraced executes the scenario cold with a trace recorder attached
-// for the measurement window and returns the oracle-event stream
-// alongside the result.
-func (r *Runner) RunTraced(sc scenario.Scenario) (core.Result, Report, []oracle.Event) {
-	rec := oracle.NewRecorder()
-	res, rep := r.runScoredExtra(sc, false, rec)
-	return res, rep, rec.Events()
-}
-
-// RunTracedFork is RunTraced through the snapshot/fork path; the
-// determinism tests compare its stream against RunTraced's.
-func (r *Runner) RunTracedFork(sc scenario.Scenario) (core.Result, Report, []oracle.Event) {
-	rec := oracle.NewRecorder()
-	res, rep := r.runScoredExtra(sc, true, rec)
-	return res, rep, rec.Events()
-}
-
-func (r *Runner) runScored(sc scenario.Scenario, fork bool) (core.Result, Report) {
-	return r.runScoredExtra(sc, fork)
-}
-
-func (r *Runner) runScoredExtra(sc scenario.Scenario, fork bool, extra ...oracle.Checker) (core.Result, Report) {
-	correct := sc.GetOr(plugin.DimCorrectClients, 10)
-	var (
-		res core.Result
-		rep Report
-	)
-	if fork {
-		res, rep = r.executeFork(sc, correct, true, extra...)
-	} else {
-		res, rep = r.execute(sc, correct, true, extra...)
-	}
-	return r.score(correct, res, rep)
-}
-
-var _ core.WorkerSnapshotter = (*Runner)(nil)
-
-// RunForkWorker implements core.WorkerSnapshotter: the forked run checks
-// its master out of the worker slot's private arena instead of the
-// shared ForkCache, so parallel campaign workers never contend on the
-// checkout mutex. The master build, the fork and the measurement are the
-// same deterministic steps as RunFork's, so results are bit-for-bit
-// identical regardless of which slot runs a scenario (enforced by test).
-func (r *Runner) RunForkWorker(sc scenario.Scenario, worker int) core.Result {
-	correct := sc.GetOr(plugin.DimCorrectClients, 10)
-	arena := r.workerMasters.Arena(worker)
-	key := masterKey{correct: correct, malicious: maliciousPopulation(sc)}
-	d := arena[key]
-	if d == nil {
-		start := metrics.StartWatch()
-		d = r.newDeployment(key.correct, key.malicious)
-		d.eng.RunFor(r.w.Warmup)
-		arena[key] = d
-		r.phases.AddWarmup(start.Elapsed())
-	}
-	res, rep := r.forkRun(d, sc, true, r.w.Measure)
-	res, _ = r.score(correct, res, rep)
-	return res
-}
-
-// score computes the impact of a measured result against the cached
-// attack-free baseline for the population.
-func (r *Runner) score(correct int64, res core.Result, rep Report) (core.Result, Report) {
-	baseline := r.Baseline(correct)
-	analyzeStart := metrics.StartWatch()
-	defer func() { r.phases.AddAnalyze(analyzeStart.Elapsed()) }()
-	res.BaselineThroughput = baseline
-	if baseline > 0 {
-		ref := baseline
-		if r.w.ReferenceThroughput > 0 {
-			ref = r.w.ReferenceThroughput
-		}
-		tputImpact := 1 - res.Throughput/ref
-		if tputImpact < 0 {
-			tputImpact = 0
-		}
-		if tputImpact > 1 {
-			tputImpact = 1
-		}
-		if r.w.LatencyRef > 0 {
-			latImpact := float64(res.AvgLatency) / float64(r.w.LatencyRef)
-			if latImpact > 1 {
-				latImpact = 1
-			}
-			res.Impact = 0.8*tputImpact + 0.2*latImpact
-		} else {
-			res.Impact = tputImpact
-		}
-	}
-	return res, rep
-}
-
-// Baseline returns the attack-free throughput for a correct-client
-// count, measuring and caching it on first use. Concurrent callers for
-// the same count share a single measurement; different counts measure in
-// parallel.
-func (r *Runner) Baseline(correctClients int64) float64 {
-	return r.baselines.Get(correctClients, r.measureBaseline)
-}
-
-func (r *Runner) measureBaseline(correctClients int64) float64 {
-	start := metrics.StartWatch()
-	defer func() { r.phases.AddBaseline(start.Elapsed()) }()
-	empty := scenario.MustNewSpace(scenario.Dimension{
-		Name: plugin.DimCorrectClients, Min: correctClients, Max: correctClients, Step: 1,
-	}).New(nil)
-	// Baselines fork from the same warm master attack runs use — the
-	// raft treatment (ISSUE 10). Faults arm at measurement start, so the
-	// warmed snapshot is already fault-neutral: a baseline is simply a
-	// fork with nothing armed, and the baseline phase prices only its
-	// short measurement windows, never a duplicate build+warm per count.
-	// The value is memoized per count by the BaselineCache, so every
-	// population sharing the count pays zero.
-	res, _ := r.executeFork(empty, correctClients, false)
-	return res.Throughput
-}
-
-var _ core.Warmer = (*Runner)(nil)
-
-// Warm implements core.Warmer: before a batch is dispatched to parallel
-// campaign workers, measure the batch's missing baselines concurrently so
-// workers neither duplicate them nor serialize behind one another.
-func (r *Runner) Warm(batch []scenario.Scenario) {
-	counts := make([]int64, len(batch))
-	for i, sc := range batch {
-		counts[i] = sc.GetOr(plugin.DimCorrectClients, 10)
-	}
-	r.baselines.Warm(counts, r.measureBaseline)
-}
-
-var _ core.Preparer = (*Runner)(nil)
-
-// Prepare implements core.Preparer: it readies the scenario's
-// per-population artifacts — the warm, captured master deployment and
-// the baseline measurement — ahead of the run, so the pipelined campaign
-// executor can overlap the next population's build+warmup with the
-// current population's measurement. Prepare changes no observable
-// result: the master is the same deterministic build the run would do,
-// and the baseline the same memoized measurement.
-func (r *Runner) Prepare(sc scenario.Scenario) {
-	correct := sc.GetOr(plugin.DimCorrectClients, 10)
-	key := masterKey{correct: correct, malicious: maliciousPopulation(sc)}
-	r.masters.Prepare(key, func() *deployment {
-		start := metrics.StartWatch()
-		d := r.newDeployment(key.correct, key.malicious)
-		d.eng.RunFor(r.w.Warmup)
-		r.phases.AddWarmup(start.Elapsed())
-		forkStart := metrics.StartWatch()
-		d.capture()
-		r.phases.AddFork(forkStart.Elapsed())
-		return d
-	})
-	r.Baseline(correct)
-}
-
-// Phases returns the accumulated campaign-phase breakdown (see
-// core.PhaseTimes). The accumulators live for the Runner's lifetime;
-// cmd/bench isolates campaigns by constructing a fresh target per run.
-func (r *Runner) Phases() core.PhaseBreakdown { return r.phases.Breakdown() }
-
-// FlushMasters discards every parked warm master. Benchmarks that switch
-// from fork-based execution to cold-run measurement call it so the
-// cold runs aren't taxed by GC marking of retained deployments they will
-// never fork from; the next forked run transparently rebuilds.
-func (r *Runner) FlushMasters() { r.masters.DropAll() }
-
-// execute builds, warms and runs one cold deployment. withFaults=false
-// strips every malicious element (baseline measurement). Faults arm at
-// measurement start — identically to the forked path, so a cold run is
-// the forked run's reference semantics.
-func (r *Runner) execute(sc scenario.Scenario, correctClients int64, withFaults bool, extra ...oracle.Checker) (core.Result, Report) {
-	window := r.w.Measure
-	if !withFaults {
-		window = r.w.baselineWindow()
-	}
-	d := r.newDeployment(correctClients, maliciousPopulation(sc))
-	d.eng.RunFor(r.w.Warmup)
-	// Fix the arena's mark where a master's capture would, so the window
-	// leases — and trips the memory ceiling — exactly as a forked one.
-	d.mem.Capture()
-	d.arm(sc, withFaults, extra...)
-	res, rep := d.measure(sc, window)
-	d.park()
-	return res, rep
-}
-
-// executeFork runs the scenario by forking a warm master deployment:
-// check out (or build) a master for the scenario's client population,
-// restore it to its post-warmup snapshot, arm the scenario's faults and
-// measure. Baseline forks (withFaults=false) skip the per-phase
-// accounting: measureBaseline attributes their whole cost — including
-// the attack-free master's build — to the baseline phase.
-func (r *Runner) executeFork(sc scenario.Scenario, correctClients int64, withFaults bool, extra ...oracle.Checker) (core.Result, Report) {
-	window := r.w.Measure
-	if !withFaults {
-		window = r.w.baselineWindow()
-	}
-	key := masterKey{correct: correctClients, malicious: maliciousPopulation(sc)}
-	d := r.masters.Acquire(key, func() *deployment {
-		start := metrics.StartWatch()
-		defer func() {
-			if withFaults {
-				r.phases.AddWarmup(start.Elapsed())
-			}
-		}()
-		d := r.newDeployment(key.correct, key.malicious)
-		d.eng.RunFor(r.w.Warmup)
-		return d
-	})
-	defer r.masters.Release(key, d)
-	return r.forkRun(d, sc, withFaults, window, extra...)
-}
-
-// forkRun restores a checked-out master to its post-warmup snapshot
-// (capturing it on first use), arms the scenario and measures. Shared by
-// the pooled (executeFork) and per-worker-arena (RunForkWorker) paths.
-func (r *Runner) forkRun(d *deployment, sc scenario.Scenario, withFaults bool, window time.Duration, extra ...oracle.Checker) (core.Result, Report) {
-	forkStart := metrics.StartWatch()
-	if d.snap == nil {
-		d.capture()
-	} else {
-		d.restore()
-	}
-	d.arm(sc, withFaults, extra...)
-	if withFaults {
-		r.phases.AddFork(forkStart.Elapsed())
-	}
-	runStart := metrics.StartWatch()
-	res, rep := d.measure(sc, window)
-	d.park()
-	if withFaults {
-		r.phases.AddRun(runStart.Elapsed())
-	}
-	return res, rep
-}
-
-// maliciousPopulation is the malicious-client population a scenario
-// deploys. The population is topology, not behavior: baseline runs
-// deploy the same clients and simply never arm their corruption plans
-// (faults arm at measurement start, so a warmed master snapshot is
-// fault-neutral and one master per (count, population) serves attack
-// forks and baseline forks alike).
-func maliciousPopulation(sc scenario.Scenario) int64 {
-	return sc.GetOr(plugin.DimMaliciousClients, 1)
-}
 
 // dropWindow drops sends from one address for call numbers in
 // [start, start+length) — the FaultPlan plugin's network fault.

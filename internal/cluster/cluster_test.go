@@ -84,6 +84,22 @@ func TestBaselineCached(t *testing.T) {
 	}
 }
 
+// TestBaselineIgnoresStepBudget: the per-test event budget stops
+// scenario-induced storms; a baseline arms no scenario, so its window
+// must not be cut short by it. At the 300,000-event budget CI's
+// faults-smoke uses, a 160-client baseline window used to
+// come back truncated to 36,658 req/s with no row marked hung, and every
+// impact scored against it was understated.
+func TestBaselineIgnoresStepBudget(t *testing.T) {
+	w := DefaultWorkload()
+	w.Measure = 1500 * time.Millisecond // cmd/avd's default window
+	want := newRunner(t, w).Baseline(160)
+	w.StepBudget = 300_000
+	if got := newRunner(t, w).Baseline(160); got != want {
+		t.Errorf("160-client baseline under -stepbudget 300000: %.1f req/s, without a budget %.1f", got, want)
+	}
+}
+
 func TestNoAttackScenarioHasZeroImpact(t *testing.T) {
 	r := newRunner(t, fastWorkload())
 	sc := paperSpace(t).New(map[string]int64{

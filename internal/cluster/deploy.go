@@ -8,7 +8,6 @@ import (
 	"avd/internal/faultinject"
 	"avd/internal/graycode"
 	"avd/internal/mac"
-	"avd/internal/metrics"
 	"avd/internal/oracle"
 	"avd/internal/pbft"
 	"avd/internal/plugin"
@@ -44,17 +43,16 @@ type deployment struct {
 	// chunks back to the Runner's pool (DESIGN.md §15).
 	mem *slab.Arena
 
-	// Measurement plumbing: completions count only inside the window.
-	measuring bool
-	completed uint64
-	latSum    time.Duration
-	latN      uint64
-	latTail   []time.Duration // borrowed from the Runner's pool for the length of one measure
+	// win counts the correct clients' completions inside the window.
+	win core.Window
+	// faults addresses the replicas for the fault-vocabulary-v2 axes.
+	faults plugin.FaultSite
 
-	// snap is the post-warmup capture forks restore from (nil until the
-	// first forked run).
+	// snap is the post-warmup capture every run restores from.
 	snap *deploymentSnapshot
 }
+
+var _ core.Deployment[Report] = (*deployment)(nil)
 
 // deploymentSnapshot pairs the engine/network captures with every
 // replica's and client's own state capture.
@@ -67,10 +65,11 @@ type deploymentSnapshot struct {
 	malicious []*pbft.ClientState
 }
 
-// newDeployment builds and starts a fault-neutral deployment with the
-// given client population. The caller runs the warmup.
-func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
+// newDeployment builds, starts and warms up a fault-neutral deployment
+// with the given client population.
+func (r *Runner) newDeployment(key masterKey) *deployment {
 	w := r.w
+	correctClients, nMalicious := key.correct, key.malicious
 	// The coverage checker is part of the base oracle set: it is
 	// Rewindable, so snapshot/fork execution rolls its timeline fold back
 	// with the invariant checkers and forked digests equal cold ones.
@@ -86,6 +85,7 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 		byzIdx:  w.ByzantineReplica,
 	}
 	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
+	d.win = core.Window{Name: "cluster", Eng: d.eng, Mem: d.mem}
 	arena := pbft.NewArena(d.mem)
 	if d.byzIdx < 0 || d.byzIdx >= w.PBFT.N {
 		d.byzIdx = 0
@@ -130,7 +130,18 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 		d.replicas = append(d.replicas, rep)
 	}
 
-	onComplete := d.onComplete
+	d.faults = plugin.FaultSite{
+		Eng: d.eng, Net: d.net, Obs: d.oracles,
+		PickVictim: d.pickCrashVictim,
+		Crash:      func(node int, keepDurable bool) bool { return d.replicas[node].Crash(keepDurable) },
+		Restart:    func(node int) { d.replicas[node].Restart() },
+		Corrupt:    corruptPayload,
+	}
+	for _, rpl := range d.replicas {
+		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: rpl.Addr(), Clock: rpl.Clock()})
+	}
+
+	onComplete := d.win.OnComplete
 
 	// Correct clients.
 	nextAddr := simnet.Addr(w.PBFT.N)
@@ -165,22 +176,12 @@ func (r *Runner) newDeployment(correctClients, nMalicious int64) *deployment {
 	for _, m := range d.malicious {
 		m.Start()
 	}
+	d.eng.RunFor(w.Warmup)
 	return d
 }
 
-// onComplete observes one correct-client completion.
-func (d *deployment) onComplete(seq uint64, latency time.Duration) {
-	if !d.measuring {
-		return
-	}
-	d.completed++
-	d.latSum += latency
-	d.latN++
-	d.latTail = append(d.latTail, latency)
-}
-
-// capture takes the post-warmup snapshot forks restore from.
-func (d *deployment) capture() {
+// Capture takes the post-warmup snapshot every run restores from.
+func (d *deployment) Capture() {
 	s := &deploymentSnapshot{
 		eng:     d.eng.Snapshot(),
 		net:     d.net.Snapshot(),
@@ -199,8 +200,8 @@ func (d *deployment) capture() {
 	d.snap = s
 }
 
-// restore rolls the whole deployment back to the post-warmup snapshot.
-func (d *deployment) restore() {
+// Restore rolls the whole deployment back to the post-warmup snapshot.
+func (d *deployment) Restore() {
 	s := d.snap
 	d.park()
 	d.eng.Restore(s.eng)
@@ -222,26 +223,23 @@ func (d *deployment) restore() {
 		m.SetBroadcast(false)
 	}
 	*d.byz = pbft.ByzantineBehavior{}
-	d.measuring = false
-	d.completed = 0
-	d.latSum, d.latN = 0, 0
+	d.win.Reset()
 }
 
 // park ends a run: the window's message memory and the oracle tables go
 // back to the Runner's pool, so a parked master retains only what its
 // snapshot references and the next fork — of this master or any other —
 // carves the same chunks. Nothing reads the window's objects afterwards:
-// the result is already extracted, and restore overwrites every pointer
-// to them. park is idempotent, and only restore may follow it.
+// the result is already extracted, and Restore overwrites every pointer
+// to them. park is idempotent, and only Restore may follow it.
 func (d *deployment) park() {
 	d.mem.Rewind()
 	d.oracles.Park()
 }
 
-// arm activates the scenario's faults and per-run checkers. It runs at
-// measurement start on the cold path and the forked path alike, so both
-// execute the identical post-warmup event sequence.
-func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
+// Arm activates the scenario's faults and per-run checkers at measurement
+// start; withFaults=false strips every malicious element (baseline).
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
 	d.oracles.Attach(extra...)
 	if !withFaults {
 		return
@@ -289,122 +287,29 @@ func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 	}
 	d.replicas[d.byzIdx].ApplyByzantine()
 
-	// Fault vocabulary v2 (DESIGN.md §10): crash-restart, clock skew,
-	// asymmetric partitions, link corruption/duplication. Every axis is
-	// off at its minimum, so legacy scenarios arm exactly what they used
-	// to.
-	crashInterval := time.Duration(sc.GetOr(plugin.DimCrashIntervalMS, 0)) * time.Millisecond
-	crashDown := time.Duration(sc.GetOr(plugin.DimCrashDownMS, 0)) * time.Millisecond
-	if crashInterval > 0 && crashDown > 0 {
-		attacker := &crashRestart{
-			eng: d.eng, replicas: d.replicas, obs: d.oracles,
-			interval: crashInterval, down: crashDown,
-			lose: sc.GetOr(plugin.DimCrashLose, 0) != 0,
-		}
-		attacker.start()
-	}
-	if v := sc.GetOr(plugin.DimSkewNode, 0); v > 0 && int(v) <= len(d.replicas) {
-		if pm := sc.GetOr(plugin.DimSkewPermille, 0); pm != 0 {
-			d.eng.SetSkew(d.replicas[v-1].Clock(), int32(pm))
-		}
-	}
-	if v := sc.GetOr(plugin.DimOneWayVictim, 0); v > 0 && int(v) <= len(d.replicas) {
-		victim := d.replicas[v-1].Addr()
-		outbound := sc.GetOr(plugin.DimOneWayDir, 0) != 0
-		for _, rpl := range d.replicas {
-			peer := rpl.Addr()
-			if peer == victim {
-				continue
-			}
-			if outbound {
-				d.net.Block(victim, peer)
-			} else {
-				d.net.Block(peer, victim)
-			}
-		}
-	}
-	corruptMask := sc.GetOr(plugin.DimCorruptMask, 0)
-	dupMask := sc.GetOr(plugin.DimDupMask, 0)
-	if corruptMask != 0 || dupMask != 0 {
-		from := simnet.AnyAddr
-		if v := sc.GetOr(plugin.DimNetFaultFrom, 0); v > 0 && int(v) <= len(d.replicas) {
-			from = d.replicas[v-1].Addr()
-		}
-		plan := faultinject.NewPlan(
-			faultinject.Rule{
-				Point:    simnet.PointLinkCorrupt,
-				Trigger:  faultinject.ModMask{Mask: uint64(corruptMask), Period: 8},
-				Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
-			},
-			faultinject.Rule{
-				Point:    simnet.PointLinkDup,
-				Trigger:  faultinject.ModMask{Mask: uint64(dupMask), Period: 8},
-				Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
-			},
-		)
-		d.net.ArmLinkFaults(from, simnet.AnyAddr, plan, corruptPayload)
-	}
+	// Fault vocabulary v2 (DESIGN.md §10); every axis is off at its
+	// minimum, so legacy scenarios arm exactly what they used to.
+	plugin.ArmFaults(sc, &d.faults)
 }
 
-// crashRestart is the PBFT-side crash-restart attacker: every interval
-// tick it picks a victim, takes it down with Replica.Crash, and schedules
-// the restart after the down window. At most one injected crash is
-// outstanding at a time, and a replica that already died of a protocol
-// defect is never struck or revived (Crash reports whether the fault took
-// effect). Victim selection is deterministic: the current primary is the
-// highest-value target — killing it forces a view change, and killing it
-// with durable-state loss discards the log the view change needs — with
-// round-robin as the fallback.
-type crashRestart struct {
-	eng      *sim.Engine
-	replicas []*pbft.Replica
-	obs      *oracle.Set // crash/restart markers for the coverage timeline
-	interval time.Duration
-	down     time.Duration
-	lose     bool // take the durable state with it
-	victim   int  // replica currently down from an injected crash, -1 when none
-	strikes  uint64
-}
-
-func (a *crashRestart) start() {
-	a.victim = -1
-	a.eng.Schedule(a.interval, a.strike)
-}
-
-func (a *crashRestart) pick() int {
-	for _, rpl := range a.replicas {
+// pickCrashVictim chooses the crash-restart attacker's next victim: the
+// current primary is the highest-value target — killing it forces a view
+// change, and killing it with durable-state loss discards the log the
+// view change needs — with round-robin as the fallback. A replica that
+// already died of a protocol defect is never struck or revived.
+func (d *deployment) pickCrashVictim(strikes uint64) int {
+	for _, rpl := range d.replicas {
 		if crashed, _ := rpl.Crashed(); !crashed && rpl.IsPrimary() && !rpl.InViewChange() {
 			return rpl.ID()
 		}
 	}
-	for i := range a.replicas {
-		rpl := a.replicas[(int(a.strikes)+i)%len(a.replicas)]
+	for i := range d.replicas {
+		rpl := d.replicas[(int(strikes)+i)%len(d.replicas)]
 		if crashed, _ := rpl.Crashed(); !crashed {
 			return rpl.ID()
 		}
 	}
 	return -1
-}
-
-func (a *crashRestart) strike() {
-	if a.victim < 0 {
-		if v := a.pick(); v >= 0 && a.replicas[v].Crash(!a.lose) {
-			a.victim = v
-			a.strikes++
-			a.obs.Observe(oracle.Event{Kind: oracle.EventCrash, Node: v})
-			a.eng.Schedule(a.down, a.restart)
-		}
-	}
-	a.eng.Schedule(a.interval, a.strike)
-}
-
-func (a *crashRestart) restart() {
-	if a.victim < 0 {
-		return
-	}
-	a.replicas[a.victim].Restart()
-	a.obs.Observe(oracle.Event{Kind: oracle.EventRestart, Node: a.victim})
-	a.victim = -1
 }
 
 // corruptPayload is the PBFT target's simnet.Corrupter: it garbles a
@@ -436,50 +341,11 @@ func corruptPayload(from, to simnet.Addr, payload any) any {
 	return nil
 }
 
-// measure runs the given measurement window and collects the scenario
-// outcome. Attack runs pass Workload.Measure; attack-free baselines may
-// pass the shorter Workload.baselineWindow.
-func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = slab.Borrow[time.Duration](d.mem.Pool())
-
-	d.measuring = true
-	if d.w.StepBudget > 0 {
-		d.eng.SetStepBudget(d.w.StepBudget)
-	}
-	d.eng.RunFor(window)
-	hung := d.eng.BudgetExceeded()
-	if d.w.StepBudget > 0 {
-		d.eng.SetStepBudget(0)
-	}
-	// The arena stops the engine when the window's message memory runs
-	// away; like the step budget, that ends dispatch but not the window.
-	overflowed := d.mem.Overflowed()
-	if overflowed {
-		d.eng.Resume()
-	}
-	d.measuring = false
-
-	// Censored latency: a request still stuck at window end (e.g. the
-	// whole system crashed) contributes its elapsed wait, so that total
-	// collapse shows up as high average latency rather than as a rosy
-	// average over the few requests that did complete.
-	end := d.eng.Now()
-	for _, c := range d.clients {
-		if sentAt, ok := c.Outstanding(); ok {
-			if waited := end.Sub(sentAt); waited > 0 {
-				d.latSum += waited
-				d.latN++
-				d.latTail = append(d.latTail, waited)
-			}
-		}
-	}
-
-	res := core.Result{Scenario: sc}
-	res.Throughput = float64(d.completed) / window.Seconds()
-	if d.latN > 0 {
-		res.AvgLatency = d.latSum / time.Duration(d.latN)
-	}
-	rep := Report{CorrectCompleted: d.completed}
+// Measure runs the given measurement window and collects the scenario
+// outcome.
+func (d *deployment) Measure(sc scenario.Scenario, window time.Duration, stepBudget uint64) (core.Result, Report) {
+	res, p99 := core.MeasureWindow(&d.win, d.clients, sc, window, stepBudget)
+	rep := Report{CorrectCompleted: d.win.Completed(), P99Latency: p99}
 	for _, c := range d.clients {
 		rep.Retransmissions += c.Stats().Retransmissions
 	}
@@ -505,17 +371,8 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	res.ViewChanges = rep.ViewsInstalled
 	res.InjectedCrashes = rep.Crashes
 	res.Restarts = rep.Restarts
-	if hung {
-		res.Hung = true
-		res.Error = fmt.Sprintf("cluster: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
-	} else if overflowed {
-		res.Hung = true
-		res.Error = fmt.Sprintf("cluster: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", slab.WindowCeiling>>20)
-	}
-	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
-	slab.Return(d.mem.Pool(), d.latTail)
-	d.latTail = nil
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
+	d.park()
 	return res, rep
 }

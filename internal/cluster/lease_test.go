@@ -9,9 +9,9 @@ import (
 
 // TestParkedMastersHoldNoLeases is the retention half of the pool's
 // contract (DESIGN.md §15): after forks interleaved across six
-// populations — pooled path, worker-arena path and a cold run — nothing
-// is on lease, and every parked master holds exactly the chunks its
-// capture kept, at most one per slab.
+// populations — attack forks, the baseline forks they trigger and a cold
+// run — nothing is on lease, and every parked master holds exactly the
+// chunks its capture kept, at most one per slab.
 func TestParkedMastersHoldNoLeases(t *testing.T) {
 	w := fastWorkload()
 	w.Measure = 400 * time.Millisecond
@@ -19,15 +19,10 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 	space := paperSpace(t)
 	populations := []int64{10, 20, 30, 40, 50, 60}
 	for round := 0; round < 3; round++ {
-		for i, clients := range populations {
-			sc := space.New(map[string]int64{
+		for _, clients := range populations {
+			r.RunFork(space.New(map[string]int64{
 				plugin.DimCorrectClients: clients, plugin.DimMaliciousClients: 1, plugin.DimMACMask: 0xEEE,
-			})
-			if i%2 == 0 {
-				r.RunFork(sc)
-			} else {
-				r.RunForkWorker(sc, round%2)
-			}
+			}))
 		}
 	}
 	r.Run(space.New(map[string]int64{plugin.DimCorrectClients: 20, plugin.DimMaliciousClients: 1}))
@@ -35,18 +30,12 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 		t.Errorf("%d chunks still on lease with every master parked", got)
 	}
 	masters := 0
-	check := func(key masterKey, d *deployment) {
+	r.EachMaster(func(key masterKey, d *deployment) {
 		masters++
 		if d.mem.Held() != d.mem.Owned() {
 			t.Errorf("parked master %+v holds %d chunks, its capture kept %d", key, d.mem.Held(), d.mem.Owned())
 		}
-	}
-	r.masters.Each(check)
-	for worker := 0; worker < r.workerMasters.Size(); worker++ {
-		for key, d := range r.workerMasters.Arena(worker) {
-			check(key, d)
-		}
-	}
+	})
 	if masters < len(populations) {
 		t.Fatalf("inspected %d parked masters, want at least %d", masters, len(populations))
 	}
@@ -58,13 +47,12 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 func TestPBFTRestoreAllocFree(t *testing.T) {
 	w := fastWorkload()
 	r := newRunner(t, w)
-	d := r.newDeployment(8, 1)
-	d.eng.RunFor(w.Warmup)
-	d.capture()
+	d := r.newDeployment(masterKey{correct: 8, malicious: 1})
+	d.Capture()
 
 	cycle := func() {
 		d.eng.RunFor(100 * time.Millisecond)
-		d.restore()
+		d.Restore()
 	}
 	for i := 0; i < 3; i++ {
 		cycle()

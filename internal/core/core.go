@@ -108,24 +108,19 @@ type Snapshotter interface {
 	RunFork(sc scenario.Scenario) Result
 }
 
-// WorkerSnapshotter is the contention-free variant of the fork
-// capability (DESIGN.md §14): RunForkWorker executes the scenario from a
-// master arena private to the given worker slot, so parallel campaign
-// workers never contend on a shared checkout mutex or pool. The engine
-// guarantees at most one in-flight call per worker slot at a time;
-// results must be bit-for-bit identical to RunFork (and hence to Run)
-// regardless of which slot executes a scenario. Targets implement it in
-// addition to Snapshotter — a parallel engine prefers RunForkWorker, a
-// serial engine keeps RunFork.
+// WorkerSnapshotter is a retired capability: per-worker master arenas
+// are gone, the engine no longer looks for it, and Harness.RunForkWorker
+// just calls RunFork. The interface remains only because benchmark/
+// still names it (ROADMAP item 2 has the removal note).
 type WorkerSnapshotter interface {
 	Snapshotter
-	// RunForkWorker executes the scenario from the worker slot's private
-	// master arena. worker is a small dense index in [0, workers).
+	// RunForkWorker executes the scenario exactly as RunFork does; worker
+	// is ignored.
 	RunForkWorker(sc scenario.Scenario, worker int) Result
 }
 
 // Preparer is the prefetch capability of the pipelined campaign executor
-// (DESIGN.md §9): Prepare makes the expensive per-population artifacts a
+// (DESIGN.md §8): Prepare makes the expensive per-population artifacts a
 // scenario needs — the warm master deployment and the baseline
 // measurement — ready ahead of its run, so the engine can overlap the
 // next test's master build+warmup with the current test's measurement.

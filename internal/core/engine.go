@@ -367,23 +367,10 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 	// every test forks from a warm per-population snapshot instead of
 	// cold-building the deployment (identical results, enforced by test).
 	runFn := e.target.Run
-	forked := false
 	if s, ok := e.target.(Snapshotter); ok && !e.cfg.coldRuns {
 		runFn = s.RunFork
-		forked = true
 	}
-	// Contention-free parallel forks: a WorkerSnapshotter target gives
-	// each worker slot a private master arena, removing the shared
-	// checkout mutex from the parallel hot path. The serial engine keeps
-	// RunFork, so workers=1 execution is untouched. Slot assignment is
-	// the batch index — deterministic per (seed, workers) — and
-	// RunForkWorker is bit-for-bit RunFork by contract, so the campaign's
-	// results are unchanged.
-	var workerRun func(scenario.Scenario, int) Result
-	if ws, ok := e.target.(WorkerSnapshotter); ok && forked && e.cfg.workers > 1 {
-		workerRun = ws.RunForkWorker
-	}
-	// Pipelined prefetch (DESIGN.md §9): a Preparer target gets its
+	// Pipelined prefetch (DESIGN.md §8): a Preparer target gets its
 	// per-population masters and baselines built concurrently with the
 	// batch's measurements instead of serially ahead of them. Prepare is
 	// result-neutral by contract, so the pipeline preserves bit-for-bit
@@ -439,15 +426,7 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		}
 		live := batch[replayed:]
 		if len(live) > 0 && workers > 1 {
-			if workerRun != nil {
-				// Per-worker arenas retain their masters for the whole
-				// campaign, so master prefetch into the shared cache would
-				// be wasted work; baselines are still shared and warm
-				// concurrently.
-				if warmer != nil {
-					warmer.Warm(live)
-				}
-			} else if preparer != nil {
+			if preparer != nil {
 				// Fire-and-forget: workers start measuring immediately
 				// while the populations they need next warm up behind
 				// them. Baselines singleflight; masters prepared here
@@ -459,6 +438,10 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 					//avdlint:allow prefetch pool: Prepare is observably idempotent (memoized masters and baselines)
 					go func(sc scenario.Scenario) {
 						defer prepWG.Done()
+						// A panicking prefetch must not take the process
+						// down: the run that needs the master hits the
+						// same panic under safeRun and records it.
+						defer func() { _ = recover() }()
 						preparer.Prepare(sc)
 					}(sc)
 				}
@@ -467,13 +450,7 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 			}
 		}
 		if len(live) == 1 {
-			if workerRun != nil {
-				results[replayed] = safeRun(func(sc scenario.Scenario) Result {
-					return workerRun(sc, replayed)
-				}, live[0])
-			} else {
-				results[replayed] = safeRun(runFn, live[0])
-			}
+			results[replayed] = safeRun(runFn, live[0])
 		} else if len(live) > 1 {
 			var wg sync.WaitGroup
 			for i := range live {
@@ -481,15 +458,7 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 				//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
 				go func(i int) {
 					defer wg.Done()
-					if workerRun != nil {
-						// Slot replayed+i: unique within the batch, so no
-						// two in-flight runs share an arena.
-						results[replayed+i] = safeRun(func(sc scenario.Scenario) Result {
-							return workerRun(sc, replayed+i)
-						}, live[i])
-					} else {
-						results[replayed+i] = safeRun(runFn, live[i])
-					}
+					results[replayed+i] = safeRun(runFn, live[i])
 				}(i)
 			}
 			wg.Wait()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -317,5 +318,74 @@ func TestEngineExhaustedExplorer(t *testing.T) {
 	}
 	if len(results) != 10 {
 		t.Fatalf("exhaustive 10-point space yielded %d results", len(results))
+	}
+}
+
+// poisonedPrepTarget is a fork-capable Preparer whose master build
+// panics for one population (x%5 == 3): the prefetch goroutine hits the
+// panic first, the run that needs the master hits it again.
+type poisonedPrepTarget struct {
+	fakeTarget
+	masters ForkCache[int64, *int64]
+}
+
+func (t *poisonedPrepTarget) build(key int64) func() *int64 {
+	return func() *int64 {
+		if key == 3 {
+			panic("master build exploded for this population")
+		}
+		return &key
+	}
+}
+
+func (t *poisonedPrepTarget) Prepare(sc scenario.Scenario) {
+	key := sc.GetOr("x", 0) % 5
+	t.masters.Prepare(key, t.build(key))
+}
+
+func (t *poisonedPrepTarget) RunFork(sc scenario.Scenario) Result {
+	key := sc.GetOr("x", 0) % 5
+	d := t.masters.Acquire(key, t.build(key))
+	defer t.masters.Release(key, d)
+	return t.Run(sc)
+}
+
+// TestEnginePrefetchPanicDegrades: a target panic inside the engine's
+// fire-and-forget Prepare goroutine must cost the campaign exactly what
+// the same panic costs inside a run — error Results for that population's
+// scenarios, everything else intact — not the process.
+func TestEnginePrefetchPanicDegrades(t *testing.T) {
+	target := &poisonedPrepTarget{fakeTarget: fakeTarget{Runner: pureRunner(), plugins: twoDimPlugins()}}
+	eng, err := NewEngine(target, WithExplorer(newEngineController(t, 42)), WithBudget(80), WithWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, runErr := eng.RunAll(context.Background())
+	if runErr != nil {
+		t.Fatalf("prefetch panic aborted the campaign: %v", runErr)
+	}
+	if len(results) != 80 {
+		t.Fatalf("campaign ran %d of 80 tests", len(results))
+	}
+	pure := pureRunner()
+	poisoned := 0
+	for _, r := range results {
+		if r.Scenario.GetOr("x", 0)%5 == 3 {
+			poisoned++
+			if !strings.Contains(r.Error, "master build exploded") {
+				t.Fatalf("poisoned population's result lacks the panic: %+v", r)
+			}
+			continue
+		}
+		want := pure.Run(r.Scenario)
+		if r.Errored() || r.Impact != want.Impact {
+			t.Fatalf("healthy result disturbed: got %+v, want impact %v", r, want.Impact)
+		}
+	}
+	if poisoned == 0 {
+		t.Fatal("campaign never visited the poisoned population")
+	}
+	if target.masters.building[3] {
+		t.Error("panicked Prepare left its key marked as building")
 	}
 }

@@ -3,11 +3,10 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // ForkCache is the master-deployment checkout that fork-capable
-// harnesses share (DESIGN.md §8, §9): warm deployments keyed by
+// harnesses share (DESIGN.md §8): warm deployments keyed by
 // structural identity, checked out exclusively by one worker at a time
 // and returned after the forked run. It is the snapshot-era sibling of
 // BaselineCache — harness infrastructure hoisted here so the PBFT and
@@ -22,32 +21,15 @@ import (
 type ForkCache[K comparable, D any] struct {
 	mu   sync.Mutex
 	free map[K][]D
-	// cap bounds the free list per key; 0 means DefaultCap().
-	cap int
 	// building tracks in-flight Prepare builds per key, deduplicating
 	// concurrent prefetches.
 	building map[K]bool
 }
 
-// DefaultCap is the per-key free-list bound used when SetCap was not
-// called: the machine's parallelism, since no more than GOMAXPROCS
-// workers can hold a key's deployment checked out at once.
-func DefaultCap() int { return runtime.GOMAXPROCS(0) }
-
-// SetCap bounds the free list per key: Release drops deployments beyond
-// the bound instead of caching them. n <= 0 restores the default.
-func (c *ForkCache[K, D]) SetCap(n int) {
-	c.mu.Lock()
-	c.cap = n
-	c.mu.Unlock()
-}
-
-func (c *ForkCache[K, D]) capLocked() int {
-	if c.cap > 0 {
-		return c.cap
-	}
-	return DefaultCap()
-}
+// freeCap is the per-key free-list bound: the machine's parallelism,
+// since no more than GOMAXPROCS workers can hold a key's deployment
+// checked out at once. Release drops deployments beyond it.
+func freeCap() int { return runtime.GOMAXPROCS(0) }
 
 // Acquire checks out a free deployment for key, building one when none
 // is available. build runs outside the lock and Acquire never blocks on
@@ -74,7 +56,7 @@ func (c *ForkCache[K, D]) Acquire(key K, build func() D) D {
 // dropping it instead when the key's free list is at capacity.
 func (c *ForkCache[K, D]) Release(key K, d D) {
 	c.mu.Lock()
-	if len(c.free[key]) >= c.capLocked() {
+	if len(c.free[key]) >= freeCap() {
 		c.mu.Unlock()
 		return
 	}
@@ -101,11 +83,17 @@ func (c *ForkCache[K, D]) Prepare(key K, build func() D) {
 	}
 	c.building[key] = true
 	c.mu.Unlock()
+	// A panicking build must not leave the key marked in flight, or no
+	// later Prepare would ever build it.
+	defer func() {
+		c.mu.Lock()
+		delete(c.building, key)
+		c.mu.Unlock()
+	}()
 
 	d := build()
 
 	c.mu.Lock()
-	delete(c.building, key)
 	if c.free == nil {
 		c.free = make(map[K][]D)
 	}
@@ -146,51 +134,4 @@ func (c *ForkCache[K, D]) Each(fn func(K, D)) {
 			fn(k, d)
 		}
 	}
-}
-
-// WorkerArenas is the contention-free sibling of ForkCache (DESIGN.md
-// §14): instead of a shared checkout pool, every campaign worker slot
-// owns a private arena of masters keyed by structural identity. The
-// engine guarantees at most one in-flight run per slot, so arena access
-// needs no lock at all — only growing the slot table synchronizes, via
-// copy-on-write on an atomic pointer, and that happens once per new
-// slot, not per run. Masters live for the runner's lifetime: a campaign
-// pays one build per (worker, population) and forks for free thereafter.
-// The zero value is ready to use.
-type WorkerArenas[K comparable, D any] struct {
-	mu     sync.Mutex
-	arenas atomic.Pointer[[]map[K]D]
-}
-
-// Arena returns the worker slot's private arena, growing the slot table
-// on first sight of the index. The caller owns the returned map
-// exclusively until its run completes (the WorkerSnapshotter contract).
-func (a *WorkerArenas[K, D]) Arena(worker int) map[K]D {
-	if p := a.arenas.Load(); p != nil && worker < len(*p) {
-		return (*p)[worker]
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var cur []map[K]D
-	if p := a.arenas.Load(); p != nil {
-		cur = *p
-	}
-	if worker < len(cur) {
-		return cur[worker]
-	}
-	grown := make([]map[K]D, worker+1)
-	copy(grown, cur)
-	for i := len(cur); i < len(grown); i++ {
-		grown[i] = make(map[K]D)
-	}
-	a.arenas.Store(&grown)
-	return grown[worker]
-}
-
-// Size reports the number of worker slots grown so far (test hook).
-func (a *WorkerArenas[K, D]) Size() int {
-	if p := a.arenas.Load(); p != nil {
-		return len(*p)
-	}
-	return 0
 }

@@ -11,8 +11,8 @@ import (
 // scoring. Harnesses accumulate into it with atomic adds (campaign
 // workers and the pipelined prefetcher run concurrently, so on
 // multi-core machines the phase seconds may legitimately sum to more
-// than the campaign's wall-clock). cmd/bench emits the breakdown as the
-// campaign_phases section of the BENCH trajectory.
+// than the campaign's wall-clock). Harness.Phases returns the breakdown;
+// `benchmark --trace 1` reports it as the harness.*_s layer metrics.
 type PhaseTimes struct {
 	warmup   atomic.Int64
 	baseline atomic.Int64

@@ -19,12 +19,11 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := r.newDeployment(8)
-	d.eng.RunFor(w.Warmup)
-	d.capture()
+	d.Capture()
 
 	cycle := func() {
 		d.eng.RunFor(100 * time.Millisecond)
-		d.restore()
+		d.Restore()
 	}
 	// Warm to the high-water marks: the first cycles may grow the pool,
 	// lane buffers and dense tables.

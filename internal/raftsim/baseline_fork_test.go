@@ -32,15 +32,15 @@ func TestBaselineForkedEqualsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		sc := raftBaselineScenario(t, clients)
-		coldRes, coldRep := cold.execute(sc, clients, false)
-		forkRes, forkRep := forked.executeFork(sc, clients, false)
+		coldRes, coldRep := cold.Execute(sc, false, false)
+		forkRes, forkRep := forked.Execute(sc, false, true)
 		if !reflect.DeepEqual(coldRes, forkRes) {
 			t.Errorf("clients=%d: forked baseline Result differs from cold:\ncold: %+v\nfork: %+v", clients, coldRes, forkRes)
 		}
 		if !reflect.DeepEqual(coldRep, forkRep) {
 			t.Errorf("clients=%d: forked baseline Report differs from cold:\ncold: %+v\nfork: %+v", clients, coldRep, forkRep)
 		}
-		againRes, againRep := forked.executeFork(sc, clients, false)
+		againRes, againRep := forked.Execute(sc, false, true)
 		if !reflect.DeepEqual(forkRes, againRes) || !reflect.DeepEqual(forkRep, againRep) {
 			t.Errorf("clients=%d: re-forked baseline diverged from first fork", clients)
 		}
@@ -63,23 +63,19 @@ func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := raftBaselineScenario(t, 15)
-	coldRes, _ := cold.execute(sc, 15, false)
-	forkRes, _ := forked.executeFork(sc, 15, false)
+	coldRes, _ := cold.Execute(sc, false, false)
+	forkRes, _ := forked.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) {
 		t.Errorf("forked baseline under BaselineMeasure differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
 	}
 }
 
-// TestBaselineMeasureValidation: a negative baseline window is rejected;
-// zero keeps the full Measure window.
+// TestBaselineMeasureValidation: a negative baseline window is rejected
+// (the window rule itself is core.TestHarnessBaselineWindow's).
 func TestBaselineMeasureValidation(t *testing.T) {
 	w := DefaultWorkload()
 	w.BaselineMeasure = -time.Second
 	if _, err := NewRunner(w); err == nil {
 		t.Error("negative BaselineMeasure accepted")
-	}
-	w.BaselineMeasure = 0
-	if got := w.baselineWindow(); got != w.Measure {
-		t.Errorf("zero BaselineMeasure: window %v, want Measure %v", got, w.Measure)
 	}
 }

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"avd/internal/core"
-	"avd/internal/faultinject"
-	"avd/internal/metrics"
 	"avd/internal/oracle"
+	"avd/internal/plugin"
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
@@ -34,14 +33,16 @@ type deployment struct {
 	// chunks back to the Runner's pool (DESIGN.md §15).
 	mem *slab.Arena
 
-	measuring bool
-	completed uint64
-	latSum    time.Duration
-	latN      uint64
-	latTail   []time.Duration // borrowed from the Runner's pool for the length of one measure
+	// win counts the clients' completions inside the window.
+	win core.Window
+	// faults addresses the nodes for the fault-vocabulary-v2 axes.
+	faults plugin.FaultSite
 
+	// snap is the post-warmup capture every run restores from.
 	snap *deploymentSnapshot
 }
+
+var _ core.Deployment[Report] = (*deployment)(nil)
 
 // deploymentSnapshot pairs the engine/network captures with every
 // node's and client's own state capture.
@@ -53,8 +54,8 @@ type deploymentSnapshot struct {
 	clients []*ClientState
 }
 
-// newDeployment builds and starts a fault-neutral Raft deployment. The
-// caller runs the warmup.
+// newDeployment builds, starts and warms up a fault-neutral Raft
+// deployment.
 func (r *Runner) newDeployment(clients int64) *deployment {
 	w := r.w
 	// The coverage checker is part of the base oracle set: it is
@@ -73,6 +74,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	}
 	d.net = simnet.New(d.eng, w.Net)
 	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
+	d.win = core.Window{Name: "raftsim", Eng: d.eng, Mem: d.mem}
 	arena := NewArena(d.mem)
 
 	d.nodes = make([]*Node, 0, w.Raft.N)
@@ -92,7 +94,21 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 		d.nodes = append(d.nodes, n)
 	}
 
-	onComplete := d.onComplete
+	d.faults = plugin.FaultSite{
+		Eng: d.eng, Net: d.net, Obs: d.oracles,
+		PickVictim: d.pickCrashVictim,
+		Crash: func(node int, keepDurable bool) bool {
+			d.nodes[node].Crash(keepDurable)
+			return true
+		},
+		Restart: func(node int) { d.nodes[node].Restart() },
+		Corrupt: corruptPayload,
+	}
+	for _, n := range d.nodes {
+		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: simnet.Addr(n.ID()), Clock: n.Clock()})
+	}
+
+	onComplete := d.win.OnComplete
 	d.cs = make([]*Client, 0, clients)
 	nextAddr := simnet.Addr(w.Raft.N)
 	for i := int64(0); i < clients; i++ {
@@ -110,22 +126,12 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	for _, c := range d.cs {
 		c.Start()
 	}
+	d.eng.RunFor(w.Warmup)
 	return d
 }
 
-// onComplete observes one client completion.
-func (d *deployment) onComplete(seq uint64, latency time.Duration) {
-	if !d.measuring {
-		return
-	}
-	d.completed++
-	d.latSum += latency
-	d.latN++
-	d.latTail = append(d.latTail, latency)
-}
-
-// capture takes the post-warmup snapshot forks restore from.
-func (d *deployment) capture() {
+// Capture takes the post-warmup snapshot every run restores from.
+func (d *deployment) Capture() {
 	s := &deploymentSnapshot{
 		eng:     d.eng.Snapshot(),
 		net:     d.net.Snapshot(),
@@ -141,8 +147,8 @@ func (d *deployment) capture() {
 	d.snap = s
 }
 
-// restore rolls the whole deployment back to the post-warmup snapshot.
-func (d *deployment) restore() {
+// Restore rolls the whole deployment back to the post-warmup snapshot.
+func (d *deployment) Restore() {
 	s := d.snap
 	d.park()
 	d.eng.Restore(s.eng)
@@ -154,15 +160,13 @@ func (d *deployment) restore() {
 	for i, c := range d.cs {
 		c.Restore(s.clients[i])
 	}
-	d.measuring = false
-	d.completed = 0
-	d.latSum, d.latN = 0, 0
+	d.win.Reset()
 }
 
 // park ends a run: the window's message memory, the nodes' logs and the
 // oracle tables go back to the Runner's pool, so a parked master retains
 // only what its snapshot references (see cluster's deployment.park). It
-// is idempotent, and only restore may follow it.
+// is idempotent, and only Restore may follow it.
 func (d *deployment) park() {
 	d.mem.Rewind()
 	for _, n := range d.nodes {
@@ -171,9 +175,12 @@ func (d *deployment) park() {
 	d.oracles.Park()
 }
 
-// arm activates the scenario's attacker and per-run checkers at
-// measurement start (cold path and forked path alike).
-func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
+// Arm activates the scenario's attackers and per-run checkers at
+// measurement start; withFaults=false strips the attackers (baseline).
+// The Raft protocol oracles — election safety, log-matching agreement
+// over applied entries, committed-entry durability — always observe the
+// run; extra checkers (e.g. a trace Recorder) join for the window.
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
 	d.oracles.Attach(extra...)
 	if !withFaults {
 		return
@@ -184,102 +191,19 @@ func (d *deployment) arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 		attacker := &leaderFlap{eng: d.eng, net: d.net, nodes: d.nodes, interval: flapInterval, down: flapDown}
 		attacker.start()
 	}
-	crashInterval := time.Duration(sc.GetOr(DimCrashIntervalMS, 0)) * time.Millisecond
-	crashDown := time.Duration(sc.GetOr(DimCrashDownMS, 0)) * time.Millisecond
-	if crashInterval > 0 && crashDown > 0 {
-		attacker := &crashRestart{
-			eng: d.eng, nodes: d.nodes, obs: d.oracles,
-			interval: crashInterval, down: crashDown,
-			lose: sc.GetOr(DimCrashLose, 0) != 0,
-		}
-		attacker.start()
-	}
-	if v := sc.GetOr(DimSkewNode, 0); v > 0 && int(v) <= len(d.nodes) {
-		if pm := sc.GetOr(DimSkewPermille, 0); pm != 0 {
-			d.eng.SetSkew(d.nodes[v-1].Clock(), int32(pm))
-		}
-	}
-	if v := sc.GetOr(DimOneWayVictim, 0); v > 0 && int(v) <= len(d.nodes) {
-		victim := simnet.Addr(v - 1)
-		outbound := sc.GetOr(DimOneWayDir, 0) != 0
-		for _, n := range d.nodes {
-			peer := simnet.Addr(n.ID())
-			if peer == victim {
-				continue
-			}
-			if outbound {
-				d.net.Block(victim, peer)
-			} else {
-				d.net.Block(peer, victim)
-			}
-		}
-	}
-	corruptMask := sc.GetOr(DimCorruptMask, 0)
-	dupMask := sc.GetOr(DimDupMask, 0)
-	if corruptMask != 0 || dupMask != 0 {
-		from := simnet.AnyAddr
-		if v := sc.GetOr(DimNetFaultFrom, 0); v > 0 && int(v) <= len(d.nodes) {
-			from = simnet.Addr(v - 1)
-		}
-		plan := faultinject.NewPlan(
-			faultinject.Rule{
-				Point:    simnet.PointLinkCorrupt,
-				Trigger:  faultinject.ModMask{Mask: uint64(corruptMask), Period: 8},
-				Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
-			},
-			faultinject.Rule{
-				Point:    simnet.PointLinkDup,
-				Trigger:  faultinject.ModMask{Mask: uint64(dupMask), Period: 8},
-				Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
-			},
-		)
-		d.net.ArmLinkFaults(from, simnet.AnyAddr, plan, corruptPayload)
-	}
+	plugin.ArmFaults(sc, &d.faults)
 }
 
-// measure runs the given measurement window and collects the scenario
-// outcome. Attack runs pass Workload.Measure; attack-free baselines may
-// pass the shorter Workload.baselineWindow.
-func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.Result, Report) {
-	d.latTail = slab.Borrow[time.Duration](d.mem.Pool())
-
-	d.measuring = true
+// Measure runs the given measurement window and collects the scenario
+// outcome.
+func (d *deployment) Measure(sc scenario.Scenario, window time.Duration, stepBudget uint64) (core.Result, Report) {
 	leaderBefore := currentLeader(d.nodes)
-	if d.w.StepBudget > 0 {
-		d.eng.SetStepBudget(d.w.StepBudget)
+	res, p99 := core.MeasureWindow(&d.win, d.cs, sc, window, stepBudget)
+	rep := Report{
+		Completed:     d.win.Completed(),
+		LeaderChanged: leaderBefore != currentLeader(d.nodes),
+		P99Latency:    p99,
 	}
-	d.eng.RunFor(window)
-	hung := d.eng.BudgetExceeded()
-	if d.w.StepBudget > 0 {
-		d.eng.SetStepBudget(0)
-	}
-	// The arena stops the engine when the window's message memory runs
-	// away; like the step budget, that ends dispatch but not the window.
-	overflowed := d.mem.Overflowed()
-	if overflowed {
-		d.eng.Resume()
-	}
-	d.measuring = false
-	leaderAfter := currentLeader(d.nodes)
-
-	// Censored latency for requests still stuck at window end.
-	end := d.eng.Now()
-	for _, c := range d.cs {
-		if sentAt, ok := c.Outstanding(); ok {
-			if waited := end.Sub(sentAt); waited > 0 {
-				d.latSum += waited
-				d.latN++
-				d.latTail = append(d.latTail, waited)
-			}
-		}
-	}
-
-	res := core.Result{Scenario: sc}
-	res.Throughput = float64(d.completed) / window.Seconds()
-	if d.latN > 0 {
-		res.AvgLatency = d.latSum / time.Duration(d.latN)
-	}
-	rep := Report{Completed: d.completed, LeaderChanged: leaderBefore != leaderAfter}
 	for _, n := range d.nodes {
 		st := n.Stats()
 		rep.ElectionsStarted += st.ElectionsStarted
@@ -296,17 +220,8 @@ func (d *deployment) measure(sc scenario.Scenario, window time.Duration) (core.R
 	res.ViewChanges = rep.ElectionsStarted // terms are Raft's "views"
 	res.InjectedCrashes = rep.Crashes
 	res.Restarts = rep.Restarts
-	if hung {
-		res.Hung = true
-		res.Error = fmt.Sprintf("raftsim: scenario exceeded the %d-event step budget (runaway event storm)", d.w.StepBudget)
-	} else if overflowed {
-		res.Hung = true
-		res.Error = fmt.Sprintf("raftsim: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", slab.WindowCeiling>>20)
-	}
-	rep.P99Latency = metrics.PercentileInPlace(d.latTail, 99)
-	slab.Return(d.mem.Pool(), d.latTail)
-	d.latTail = nil
 	res.Coverage = d.cov.Digest()
 	res.Violations = d.oracles.Finish()
+	d.park()
 	return res, rep
 }

@@ -9,9 +9,9 @@ import (
 
 // TestParkedMastersHoldNoLeases: the Raft harness honours the pool's
 // retention contract (DESIGN.md §15) — after forks interleaved across six
-// client counts on the pooled path, the worker-arena path and a cold run,
-// nothing is on lease, every parked master holds exactly the chunks its
-// capture kept, and its nodes have handed their logs back.
+// client counts (attack forks, the baseline forks they trigger) and a
+// cold run, nothing is on lease, every parked master holds exactly the
+// chunks its capture kept, and its nodes have handed their logs back.
 func TestParkedMastersHoldNoLeases(t *testing.T) {
 	w := DefaultWorkload()
 	w.Measure = 400 * time.Millisecond
@@ -25,13 +25,8 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 	}
 	counts := []int64{5, 10, 15, 20, 25, 30}
 	for round := 0; round < 3; round++ {
-		for i, clients := range counts {
-			sc := space.New(map[string]int64{DimClients: clients, DimFlapIntervalMS: 100, DimFlapDownMS: 200})
-			if i%2 == 0 {
-				r.RunFork(sc)
-			} else {
-				r.RunForkWorker(sc, round%2)
-			}
+		for _, clients := range counts {
+			r.RunFork(space.New(map[string]int64{DimClients: clients, DimFlapIntervalMS: 100, DimFlapDownMS: 200}))
 		}
 	}
 	r.Run(space.New(map[string]int64{DimClients: 10}))
@@ -39,7 +34,7 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 		t.Errorf("%d chunks still on lease with every master parked", got)
 	}
 	masters := 0
-	check := func(clients int64, d *deployment) {
+	r.EachMaster(func(clients int64, d *deployment) {
 		masters++
 		if d.mem.Held() != d.mem.Owned() {
 			t.Errorf("parked %d-client master holds %d chunks, its capture kept %d", clients, d.mem.Held(), d.mem.Owned())
@@ -49,13 +44,7 @@ func TestParkedMastersHoldNoLeases(t *testing.T) {
 				t.Errorf("parked %d-client master: node %d still holds a %d-entry log buffer", clients, n.id, cap(n.log))
 			}
 		}
-	}
-	r.masters.Each(check)
-	for worker := 0; worker < r.workerMasters.Size(); worker++ {
-		for clients, d := range r.workerMasters.Arena(worker) {
-			check(clients, d)
-		}
-	}
+	})
 	if masters < len(counts) {
 		t.Fatalf("inspected %d parked masters, want at least %d", masters, len(counts))
 	}

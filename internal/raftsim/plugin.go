@@ -22,23 +22,6 @@ const (
 	DimFlapDownMS = "flap_down_ms"
 )
 
-// The fault-vocabulary-v2 dimensions (crash-restart, clock skew,
-// asymmetric partitions, link corruption/duplication) are protocol-
-// neutral and live in internal/plugin; the local aliases keep this
-// package's harness and tests readable.
-const (
-	DimCrashIntervalMS = plugin.DimCrashIntervalMS
-	DimCrashDownMS     = plugin.DimCrashDownMS
-	DimCrashLose       = plugin.DimCrashLose
-	DimSkewNode        = plugin.DimSkewNode
-	DimSkewPermille    = plugin.DimSkewPermille
-	DimOneWayVictim    = plugin.DimOneWayVictim
-	DimOneWayDir       = plugin.DimOneWayDir
-	DimCorruptMask     = plugin.DimCorruptMask
-	DimDupMask         = plugin.DimDupMask
-	DimNetFaultFrom    = plugin.DimNetFaultFrom
-)
-
 // Clients controls the deployment-shape dimension of the Raft
 // experiment: how many correct closed-loop clients connect.
 type Clients struct {

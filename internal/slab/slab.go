@@ -23,6 +23,7 @@
 package slab
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -45,6 +46,16 @@ const chunkBytes = 32 << 10
 // under 2 GB (ceiling + masters, times the collector's headroom).
 const WindowCeiling = 512 << 20
 
+// collectEvery is how many bytes of warm-up chunks a pool's arenas may
+// forget (Arena.Capture) before the pool runs a garbage collection. Those
+// chunks are over half of what a campaign allocates, and its steady state
+// allocates next to nothing, so the collector's last cycle falls inside
+// the phase that builds the masters — where exactly is thread timing, and
+// it decided how much dead warm-up memory the process kept to its end
+// (163-192 MB peaks for one campaign). Collecting at points that depend
+// only on the work done pins the heap's high-water mark (DESIGN.md §15).
+const collectEvery = 32 << 20
+
 // poison makes the pool overwrite every chunk it takes back (tests only,
 // see SetPoison).
 var poison atomic.Bool
@@ -61,6 +72,7 @@ type Pool struct {
 	mu     sync.Mutex
 	lists  map[any]any // chunkKey[T]{} or scratchKey[T]{} -> *freeList[T]
 	leased int         // chunks out on lease (handed out, not yet returned or adopted)
+	forgot int         // bytes captures forgot since the last collection (see collectEvery)
 }
 
 // Leased reports how many chunks are currently out on lease: handed to a
@@ -117,7 +129,7 @@ type Arena struct {
 type rewinder interface {
 	Mark() Mark
 	Rewind(Mark)
-	adopt() (adopted int)
+	adopt() (adopted, forgot int)
 	held() int
 }
 
@@ -137,19 +149,31 @@ func NewArena(pool *Pool, stop func()) *Arena {
 // and adopts the chunks below it: they leave the pool's lease count, and
 // each slab keeps only the chunk it is still carving — whatever the
 // snapshot references in the others stays alive through those references
-// alone.
+// alone, and the rest is the collector's: every collectEvery bytes the
+// pool's arenas forget, the capture that crosses the line collects.
 func (a *Arena) Capture() {
 	a.marks = a.marks[:0]
 	a.owned = 0
-	adopted := 0
+	adopted, forgot := 0, 0
 	for _, s := range a.slabs {
-		adopted += s.adopt()
+		n, bytes := s.adopt()
+		adopted += n
+		forgot += bytes
 		a.marks = append(a.marks, s.Mark())
 		a.owned += s.held()
 	}
-	a.pool.mu.Lock()
-	a.pool.leased -= adopted
-	a.pool.mu.Unlock()
+	p := a.pool
+	p.mu.Lock()
+	p.leased -= adopted
+	p.forgot += forgot
+	collect := p.forgot >= collectEvery
+	if collect {
+		p.forgot = 0
+	}
+	p.mu.Unlock()
+	if collect {
+		runtime.GC()
+	}
 	a.window, a.overflow = 0, false
 }
 
@@ -284,15 +308,19 @@ func (b *bump[T]) Rewind(m Mark) {
 }
 
 // adopt takes every held chunk off lease and forgets all but the current
-// one; it reports how many were on lease.
-func (b *bump[T]) adopt() int {
+// one; it reports how many were on lease and how many bytes it forgot.
+func (b *bump[T]) adopt() (adopted, forgot int) {
 	if n := len(b.chunks); n > 1 {
+		var zero T
+		for _, c := range b.chunks[:n-1] {
+			forgot += len(c) * int(unsafe.Sizeof(zero))
+		}
 		clear(b.chunks[:n-1])
 		b.chunks = append(b.chunks[:0], b.cur)
 	}
-	n := b.leased
+	adopted = b.leased
 	b.leased = 0
-	return n
+	return adopted, forgot
 }
 
 func (b *bump[T]) held() int { return len(b.chunks) }

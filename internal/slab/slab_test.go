@@ -1,6 +1,7 @@
 package slab
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -264,5 +265,38 @@ func TestConcurrentArenas(t *testing.T) {
 	wg.Wait()
 	if p.Leased() != 0 {
 		t.Fatalf("leased %d chunks after every arena rewound", p.Leased())
+	}
+}
+
+// TestCaptureCollectsForgottenWarmup: captures account the warm-up bytes
+// they forget against the pool, and the one that brings the account to
+// collectEvery runs a collection and clears it — at a point that depends
+// only on the work done, whichever arena of the pool gets there.
+func TestCaptureCollectsForgottenWarmup(t *testing.T) {
+	var p Pool
+	warm := func(bytes int) { // forgets at least bytes: the chunk being carved stays
+		a := NewArena(&p, nil)
+		s := New[obj](a)
+		for i := 0; i <= (bytes+chunkBytes)/int(unsafe.Sizeof(obj{})); i++ {
+			s.Get()
+		}
+		a.Capture()
+	}
+	cycles := func() uint32 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.NumGC
+	}
+	warm(collectEvery / 2)
+	if p.forgot < collectEvery/2 || p.forgot >= collectEvery {
+		t.Fatalf("pool accounts %d forgotten bytes after half a quota of warm-up", p.forgot)
+	}
+	before := cycles()
+	warm(collectEvery / 2)
+	if p.forgot != 0 {
+		t.Fatalf("pool still accounts %d forgotten bytes after a full quota", p.forgot)
+	}
+	if cycles() == before {
+		t.Fatal("the capture that filled the quota did not collect")
 	}
 }

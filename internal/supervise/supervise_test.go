@@ -200,8 +200,12 @@ func TestSupervisorKillHook(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		// Kill only once the first worker has recorded its start: a kill
+		// that lands before the shell wrote the count leaves the restart
+		// at count 1, looping forever with nobody left to kill it (seen
+		// under -race on a loaded machine).
 		for {
-			if s.Kill(0) {
+			if b, _ := os.ReadFile(filepath.Join(dir, "count")); len(b) > 0 && s.Kill(0) {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)
