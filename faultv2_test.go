@@ -21,7 +21,6 @@ package avd_test
 import (
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -207,16 +206,16 @@ func TestRunawayScenarioDegradesToHung(t *testing.T) {
 	}
 }
 
-// TestMemoryRunawayCostsOneTest is the regression test for the OOM that
-// sizing the benchmark found: `avd -target raft -strategy coverage
-// -faults crash -seed 1` died on its second test, past 5 GB. A Raft
-// leader copies its whole unacknowledged log suffix on every send to a
-// peer that is down, so a long crash window makes one measurement
-// window's message memory quadratic in its length. The slab arena's
-// fixed window ceiling (slab.WindowCeiling) must end such a test as a
-// hung row — cold and forked alike — and the campaign must carry on
-// within a bounded heap.
-func TestMemoryRunawayCostsOneTest(t *testing.T) {
+// TestRaftCrashCampaignLosesNoVerdict: `avd -target raft -strategy
+// coverage -faults crash -seed 1` is the campaign that used to die of
+// memory on its second test (PR 14), and then lost 8 verdicts in 40 to
+// the 512 MB window ceiling that contained it: the leader copied its
+// whole unacknowledged log into every AppendEntries, and a crashed peer
+// acknowledges nothing. Messages alias the log now (ISSUE 17), so every
+// test of the campaign must come back with a verdict — crash faults are
+// where PR 6 found real Raft bugs — inside a 512 MB heap (the contained
+// campaign was allowed 2 GB).
+func TestRaftCrashCampaignLosesNoVerdict(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 30-test campaign")
 	}
@@ -238,31 +237,20 @@ func TestMemoryRunawayCostsOneTest(t *testing.T) {
 	if len(results) != 30 {
 		t.Fatalf("campaign finished %d of 30 tests", len(results))
 	}
-	var runaway *core.Result
+	crashes := uint64(0)
 	for i, res := range results {
-		if strings.Contains(res.Error, "window-memory ceiling") {
-			if !res.Hung {
-				t.Errorf("test %d hit the memory ceiling but is not marked hung: %+v", i+1, res)
-			}
-			if runaway == nil {
-				runaway = &results[i]
-			}
+		if res.Errored() {
+			t.Errorf("test %d came back without a verdict (hung=%v): %s", i+1, res.Hung, res.Error)
 		}
+		crashes += res.InjectedCrashes
 	}
-	if runaway == nil {
-		t.Fatal("no test hit the window-memory ceiling; the runaway this test pins is gone (fix the test, or celebrate)")
+	if crashes == 0 {
+		t.Error("the campaign injected no crash; nothing was tested")
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	if ms.HeapSys >= 2<<30 {
-		t.Errorf("HeapSys = %d MB after the campaign, want < 2048 MB", ms.HeapSys>>20)
-	}
-	// The ceiling trips on the same event cold and forked: a restore
-	// carves nothing, so both windows lease identically.
-	cold := setup.Target.Run(runaway.Scenario)
-	cold.Generator = runaway.Generator // the explorer's label, not the run's
-	if !reflect.DeepEqual(cold, *runaway) {
-		t.Errorf("runaway verdict differs between cold and fork:\ncold: %+v\nfork: %+v", cold, *runaway)
+	if ms.HeapSys >= 512<<20 {
+		t.Errorf("HeapSys = %d MB after the campaign, want < 512 MB", ms.HeapSys>>20)
 	}
 }
 

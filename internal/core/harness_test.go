@@ -6,11 +6,13 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 func regSpec() HarnessSpec[int64, *regDeployment] {
@@ -49,6 +51,37 @@ func TestHarnessColdEqualsEveryFork(t *testing.T) {
 	}
 	if got := target.RunForkWorker(sc, 3); !reflect.DeepEqual(coldRes, got) {
 		t.Errorf("RunForkWorker differs from RunFork: %+v", got)
+	}
+}
+
+// TestHarnessWindowCeilingCostsOneTest: a deployment whose window leaks
+// past slab.WindowCeiling is stopped and reported like an exhausted step
+// budget — Result.Hung plus an Error naming the ceiling — on the same
+// event cold and forked (a restore carves nothing, so both windows lease
+// identically); park hands every lease back, and the master's next fork
+// is healthy. No shipped scenario reaches the ceiling any more, so the
+// toy leaks on purpose.
+func TestHarnessWindowCeilingCostsOneTest(t *testing.T) {
+	target := newRegTarget(regSpec())
+	sc := regScenario(t, target, 4, 1)
+	healthy := target.RunFork(sc)
+	if healthy.Errored() {
+		t.Fatalf("toy run degraded before it leaked: %+v", healthy)
+	}
+	target.leak = slab.WindowCeiling / 16
+	cold := target.Run(sc)
+	if !cold.Hung || !strings.Contains(cold.Error, "window-memory ceiling") {
+		t.Fatalf("leaking window was not cut at the ceiling: %+v", cold)
+	}
+	if fork := target.RunFork(sc); !reflect.DeepEqual(cold, fork) {
+		t.Errorf("ceiling verdict differs between cold and fork:\ncold: %+v\nfork: %+v", cold, fork)
+	}
+	if got := target.pool.Leased(); got != 0 {
+		t.Errorf("%d chunks still on lease after the hung tests parked", got)
+	}
+	target.leak = 0
+	if again := target.RunFork(sc); !reflect.DeepEqual(healthy, again) {
+		t.Errorf("the ceiling leaked into the next fork:\nbefore: %+v\nafter:  %+v", healthy, again)
 	}
 }
 

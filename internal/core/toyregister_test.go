@@ -80,6 +80,10 @@ type regTarget struct {
 	builds atomic.Int64
 	// buildDelay and measureDelay make the phase timers observable.
 	buildDelay, measureDelay time.Duration
+	// leak is a defect switched on by a test: the bytes the primary
+	// carves from the window arena, and never uses, per write it
+	// replicates during an attack window.
+	leak int
 	// What Measure was asked for: unarmed windows run, and the latest
 	// unarmed window and attack budget.
 	baselineWindows, lastBaselineWindow atomic.Int64
@@ -111,6 +115,7 @@ type regDeployment struct {
 	nodes   [2]regNode
 	clients []*regClient
 	mem     *slab.Arena
+	junk    *slab.Span[byte] // what regTarget.leak leaks into
 	win     Window
 	attack  bool
 	snap    *regSnapshot
@@ -132,6 +137,7 @@ func (t *regTarget) newDeployment(clients int64) *regDeployment {
 	d.oracles = oracle.NewSet(oracle.NewAgreementIn(&t.pool, "register"), cov)
 	d.net = simnet.New(d.eng, simnet.Config{BaseLatency: 500 * time.Microsecond})
 	d.mem = slab.NewArena(&t.pool, d.eng.Stop)
+	d.junk = slab.NewSpan[byte](d.mem)
 	d.win = Window{Name: "register", Eng: d.eng, Mem: d.mem}
 	d.net.Handle(regPrimary, d.primary)
 	d.net.Handle(regBackup, d.backup)
@@ -155,6 +161,9 @@ func (d *regDeployment) primary(from simnet.Addr, payload any) {
 	switch m := payload.(type) {
 	case *regWrite:
 		d.apply(0, m)
+		if d.attack && d.t.leak > 0 {
+			d.junk.Get(d.t.leak)
+		}
 		d.net.Send(regPrimary, regBackup, m)
 	case *regAck:
 		d.net.Send(regPrimary, m.client, m)

@@ -20,6 +20,7 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 	}
 	d := r.newDeployment(8)
 	d.Capture()
+	d.Restore() // a captured deployment is parked: only Restore may follow
 
 	cycle := func() {
 		d.eng.RunFor(100 * time.Millisecond)

@@ -3,13 +3,13 @@ package raftsim
 import "avd/internal/slab"
 
 // Arena is the message memory of one Raft deployment: every wire message
-// a node or client sends — vote requests and replies, append batches and
-// the log-suffix copies they carry, client requests and replies — is
-// carved from these slabs (see package slab) instead of being a fresh
-// heap allocation, which used to make sendAppend/onAppendEntries/
-// Client.send the top three sites of a campaign allocation profile. One
-// arena serves the whole deployment; the harness owns its capture/rewind
-// cycle through the slab.Arena the slabs were created from.
+// a node or client sends — vote requests and replies, append batches,
+// client requests and replies — is carved from these slabs (see package
+// slab) instead of being a fresh heap allocation. The entries an append
+// batch carries are not here: they alias the sender's log (Node.shared).
+// One arena serves the whole deployment; the harness owns its
+// capture/rewind cycle through the slab.Arena the slabs were created
+// from.
 type Arena struct {
 	votes         *slab.Slab[RequestVote]
 	voteReplies   *slab.Slab[RequestVoteReply]
@@ -17,9 +17,6 @@ type Arena struct {
 	appendReplies *slab.Slab[AppendEntriesReply]
 	requests      *slab.Slab[ClientRequest]
 	replies       *slab.Slab[ClientReply]
-	// entries backs the copy of log[next-1:] each AppendEntries takes
-	// (the log's backing array is truncated in place on conflict).
-	entries *slab.Span[Entry]
 	// pool stocks the nodes' log buffers between runs (Node.Park).
 	pool *slab.Pool
 }
@@ -33,7 +30,6 @@ func NewArena(mem *slab.Arena) *Arena {
 		appendReplies: slab.New[AppendEntriesReply](mem),
 		requests:      slab.New[ClientRequest](mem),
 		replies:       slab.New[ClientReply](mem),
-		entries:       slab.NewSpan[Entry](mem),
 		pool:          mem.Pool(),
 	}
 }

@@ -130,7 +130,9 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	return d
 }
 
-// Capture takes the post-warmup snapshot every run restores from.
+// Capture takes the post-warmup snapshot every run restores from, and
+// leaves the deployment parked (Node.Snapshot keeps the logs): only
+// Restore may follow.
 func (d *deployment) Capture() {
 	s := &deploymentSnapshot{
 		eng:     d.eng.Snapshot(),

@@ -16,6 +16,7 @@ package raftsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"avd/internal/sim"
@@ -199,6 +200,8 @@ type NodeStats struct {
 	Redirects uint64
 	// AppendsRejected counts failed AppendEntries consistency checks.
 	AppendsRejected uint64
+	// AcksRefused counts acks a leader dropped: a match claimed past its log.
+	AcksRefused uint64
 	// Crashes / Restarts count injected crash-restart cycles (the
 	// crashrestart fault plugin drives them).
 	Crashes  uint64
@@ -232,12 +235,19 @@ type Node struct {
 	log      []Entry
 	commit   uint64
 	applied  uint64
+	// shared is the log's aliasing high-water mark: AppendEntries carry
+	// sub-slices of the log, so a message in flight may read indices up
+	// to shared, and they are never overwritten in place (truncate).
+	shared uint64
 
 	// votes is the ballot box for the node's current candidacy, a dense
 	// presence mask over node ids (Config.Validate bounds N at 64).
 	votes      uint64
 	nextIndex  []uint64
 	matchIndex []uint64
+	// termStart is where the log's trailing run of current-term entries
+	// begins, fixed on taking office: advanceCommit commits from it up.
+	termStart uint64
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
@@ -368,7 +378,7 @@ func (n *Node) Crash(keepDurable bool) {
 	if !keepDurable {
 		n.term = 0
 		n.votedFor = -1
-		n.log = n.log[:0]
+		n.truncate(0)
 	}
 }
 
@@ -391,6 +401,7 @@ func (n *Node) Restart() {
 		n.nextIndex[i] = 0
 		n.matchIndex[i] = 0
 	}
+	n.termStart = 0
 	clear(n.lastSeq)
 	clear(n.pending)
 	n.resetElectionTimer()
@@ -475,6 +486,10 @@ func (n *Node) becomeLeader() {
 		n.matchIndex[i] = 0
 	}
 	n.matchIndex[n.id] = lastIdx
+	n.termStart = lastIdx + 1
+	for n.termStart > 1 && n.log[n.termStart-2].Term == n.term {
+		n.termStart-- // a term re-run after state loss left entries of it behind
+	}
 	clear(n.pending)
 	n.broadcastAppend()
 	n.heartbeatTimer.Stop()
@@ -510,11 +525,10 @@ func (n *Node) sendAppend(peer int) {
 		prevTerm = n.log[prevIdx-1].Term
 	}
 	var entries []Entry
-	if uint64(len(n.log)) >= next {
-		// Copy: the message outlives this call and the log's backing
-		// array is mutated in place on truncation after a step-down.
-		entries = n.mem.entries.Get(len(n.log) - int(next-1))
-		copy(entries, n.log[next-1:])
+	if last := uint64(len(n.log)); last >= next {
+		// Alias, don't copy: indices up to last are now read-only (shared).
+		entries = n.log[prevIdx:last:last]
+		n.shared = last
 	}
 	ae := n.mem.appends.Get()
 	*ae = AppendEntries{
@@ -604,7 +618,7 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 		idx++
 		if uint64(len(n.log)) >= idx {
 			if n.log[idx-1].Term != e.Term {
-				n.log = n.log[:idx-1]
+				n.truncate(idx - 1)
 				n.log = append(n.log, e)
 			}
 		} else {
@@ -621,6 +635,16 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 		n.applyCommitted()
 	}
 	n.sendAppendReply(m.Leader, true, idx)
+}
+
+// truncate cuts the log to its first keep entries: in place above the
+// aliasing high-water mark; below it the kept prefix moves to an array no
+// message has seen — one copy per step-down, not one per truncation.
+func (n *Node) truncate(keep uint64) {
+	if keep < n.shared {
+		n.log, n.shared = append(make([]Entry, 0, cap(n.log)), n.log[:keep]...), 0
+	}
+	n.log = n.log[:keep]
 }
 
 // sendAppendReply answers an AppendEntries from the reply slab.
@@ -652,6 +676,12 @@ func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {
 		n.sendAppend(m.From)
 		return
 	}
+	if m.MatchIndex > uint64(len(n.log)) {
+		// No follower holds more than it was sent: PrevLogIndex was garbled
+		// in flight, and the claim would put nextIndex past the log.
+		n.stats.AcksRefused++
+		return
+	}
 	if m.MatchIndex > n.matchIndex[m.From] {
 		n.matchIndex[m.From] = m.MatchIndex
 		n.nextIndex[m.From] = m.MatchIndex + 1
@@ -660,24 +690,27 @@ func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {
 }
 
 // advanceCommit commits the highest current-term index replicated on a
-// majority (Raft §5.4.2: only current-term entries commit by counting).
+// majority (Raft §5.4.2: only current-term entries commit by counting):
+// the (N/2+1)-th largest matchIndex, clamped to the log, provided every
+// entry from it up carries the current term — it lies in the trailing
+// run that starts at termStart. The work depends on N alone.
 func (n *Node) advanceCommit() {
-	last, _ := n.lastLog()
-	for idx := last; idx > n.commit; idx-- {
-		if n.log[idx-1].Term != n.term {
-			break
+	ahead := 0
+	for _, m := range n.matchIndex {
+		if m > n.commit {
+			ahead++
 		}
-		count := 0
-		for peer := 0; peer < n.cfg.N; peer++ {
-			if n.matchIndex[peer] >= idx {
-				count++
-			}
-		}
-		if count >= n.cfg.N/2+1 {
-			n.commit = idx
-			n.applyCommitted()
-			break
-		}
+	}
+	if ahead < n.cfg.N/2+1 {
+		return // most acks: no majority past the commit index yet
+	}
+	var buf [64]uint64 // Config.Validate bounds N at 64
+	match := buf[:copy(buf[:], n.matchIndex)]
+	slices.Sort(match)
+	idx := min(match[len(match)-(n.cfg.N/2+1)], uint64(len(n.log)))
+	if idx > n.commit && idx >= n.termStart {
+		n.commit = idx
+		n.applyCommitted()
 	}
 }
 

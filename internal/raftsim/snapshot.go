@@ -27,6 +27,7 @@ type NodeState struct {
 	votes      uint64
 	nextIndex  []uint64
 	matchIndex []uint64
+	termStart  uint64
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
@@ -37,7 +38,10 @@ type NodeState struct {
 	stats NodeStats
 }
 
-// Snapshot captures the node's complete mutable state.
+// Snapshot captures the node's complete mutable state and parks the
+// node. The capture keeps the log array itself: messages in flight now —
+// delivered again after every Restore — alias it (Node.shared), so
+// nothing may write to it again. Each Restore runs on a copy.
 func (n *Node) Snapshot() *NodeState {
 	s := &NodeState{
 		crashed:        n.crashed,
@@ -45,25 +49,28 @@ func (n *Node) Snapshot() *NodeState {
 		term:           n.term,
 		votedFor:       n.votedFor,
 		leader:         n.leader,
-		log:            append([]Entry(nil), n.log...),
+		log:            n.log,
 		commit:         n.commit,
 		applied:        n.applied,
 		votes:          n.votes,
 		nextIndex:      append([]uint64(nil), n.nextIndex...),
 		matchIndex:     append([]uint64(nil), n.matchIndex...),
+		termStart:      n.termStart,
 		electionTimer:  n.electionTimer,
 		heartbeatTimer: n.heartbeatTimer,
 		lastSeq:        append([]uint64(nil), n.lastSeq...),
 		pending:        append([]uint64(nil), n.pending...),
 		stats:          n.stats,
 	}
+	n.log, n.shared = nil, 0
 	return s
 }
 
 // Park ends a run: the log's backing array — grown all window long, and
 // rebuilt from the snapshot by the next Restore anyway — goes to the
 // Runner's scratch stock, so a parked master does not retain one
-// high-water log per node.
+// high-water log per node. Only the window's messages can alias it (the
+// captured array stays with Snapshot), and they die with the window.
 func (n *Node) Park() {
 	if n.log != nil {
 		slab.Return(n.mem.pool, n.log)
@@ -79,11 +86,13 @@ func (n *Node) Restore(s *NodeState) {
 	n.votedFor = s.votedFor
 	n.leader = s.leader
 	n.log = append(slab.Borrow[Entry](n.mem.pool), s.log...)
+	n.shared = 0 // a copy no message has seen
 	n.commit = s.commit
 	n.applied = s.applied
 	n.votes = s.votes
 	n.nextIndex = append(n.nextIndex[:0], s.nextIndex...)
 	n.matchIndex = append(n.matchIndex[:0], s.matchIndex...)
+	n.termStart = s.termStart
 	n.electionTimer = s.electionTimer
 	n.heartbeatTimer = s.heartbeatTimer
 	n.lastSeq = append(n.lastSeq[:0], s.lastSeq...)

@@ -36,15 +36,15 @@ import (
 const chunkBytes = 32 << 10
 
 // WindowCeiling bounds the bytes one Arena may lease between two rewinds.
-// The largest 1.5 s windows measured lease 38 MB on PBFT (250 clients)
-// and 288 MB on Raft (a leader-flap storm; the median is under 64 MB). A
-// scenario that crosses the ceiling is a memory runaway — a Raft leader
-// re-copying its whole unacknowledged log suffix to a crashed peer on
-// every send, quadratic in the window, went past 5 GB — and is stopped
-// through the Arena's stop callback, so it costs one test rather than the
-// process. The value also keeps the heap of a campaign that hits it
-// under 2 GB (ceiling + masters, times the collector's headroom).
-const WindowCeiling = 512 << 20
+// Every message of a window is a fixed-size object — Raft's AppendEntries
+// alias the leader's log instead of copying it — so a window leases in
+// proportion to the events it executes: the largest measured are 41 MB
+// on PBFT (250 clients) and 91 MB on Raft (a duplicated-ack storm that
+// runs to the 2M-event step budget; DESIGN.md §15 has the table). The
+// ceiling is the backstop behind that budget: a deployment that leaks
+// past it is stopped through the Arena's stop callback and costs one
+// hung test, not the process.
+const WindowCeiling = 128 << 20
 
 // collectEvery is how many bytes of warm-up chunks a pool's arenas may
 // forget (Arena.Capture) before the pool runs a garbage collection. Those
@@ -354,7 +354,7 @@ func (s *Slab[T]) Get() *T {
 }
 
 // Span hands out windows of n contiguous elements (authenticator
-// vectors, log-suffix copies).
+// vectors, request batches).
 type Span[T any] struct{ bump[T] }
 
 // NewSpan creates a span allocator of T in the arena.

@@ -150,7 +150,7 @@ func TestWindowCeiling(t *testing.T) {
 	stops := 0
 	a := NewArena(nil, func() { stops++ })
 	s := NewSpan[uint64](a)
-	const n = 16 << 20 // 128 MB a piece, never touched
+	const n = 4 << 20 // 32 MB a piece, never touched
 	for i := 0; i < WindowCeiling/(8*n); i++ {
 		s.Get(n)
 	}

@@ -351,14 +351,20 @@ func SummarizeCampaign(w io.Writer, label string, results []core.Result) {
 		}
 		fmt.Fprintf(w, "  oracle violations: %s\n", strings.Join(parts, ", "))
 	}
-	// Injected crash-restart fault activity and degraded tests.
+	// Injected crash-restart fault activity and degraded tests. Hung tests
+	// are split by what cut them short (core.MeasureWindow names it in the
+	// Error): verdicts lost to memory are a defect in the target, verdicts
+	// lost to the step budget are the scenario's doing.
 	var crashes, restarts uint64
-	hung, errored := 0, 0
+	hung, ceiling, errored := 0, 0, 0
 	for _, r := range results {
 		crashes += r.InjectedCrashes
 		restarts += r.Restarts
 		if r.Hung {
 			hung++
+			if strings.Contains(r.Error, "window-memory ceiling") {
+				ceiling++
+			}
 		} else if r.Error != "" {
 			errored++
 		}
@@ -367,7 +373,8 @@ func SummarizeCampaign(w io.Writer, label string, results []core.Result) {
 		fmt.Fprintf(w, "  injected crashes: %d (restarts %d)\n", crashes, restarts)
 	}
 	if hung > 0 || errored > 0 {
-		fmt.Fprintf(w, "  degraded tests: %d hung, %d errored (campaign continued)\n", hung, errored)
+		fmt.Fprintf(w, "  degraded tests: %d hung (%d step budget, %d memory ceiling), %d errored (campaign continued)\n",
+			hung, hung-ceiling, ceiling, errored)
 	}
 	// Coverage feedback: how much behavioral diversity the campaign saw
 	// (results without a digest — degraded runs, pre-coverage

@@ -213,6 +213,20 @@ func TestSummarizeCampaign(t *testing.T) {
 	if !strings.Contains(out, "coverage: 1 distinct behavior sets over 1 timelines") {
 		t.Errorf("summary lacks coverage line: %q", out)
 	}
+	if strings.Contains(out, "degraded tests") {
+		t.Errorf("summary of a clean campaign reports degraded tests: %q", out)
+	}
+	// Hung tests are split by cause, in the words core.MeasureWindow uses.
+	degraded := append(sampleResults(t),
+		core.Result{Hung: true, Error: "raftsim: scenario exceeded the 2000000-event step budget (runaway event storm)"},
+		core.Result{Hung: true, Error: "raftsim: scenario exceeded the 2000000-event step budget (runaway event storm)"},
+		core.Result{Hung: true, Error: "raftsim: scenario exceeded the 128 MB window-memory ceiling (runaway allocation)"},
+		core.Result{Error: "core: target panicked"})
+	sb.Reset()
+	SummarizeCampaign(&sb, "avd", degraded)
+	if want := "degraded tests: 3 hung (2 step budget, 1 memory ceiling), 1 errored (campaign continued)"; !strings.Contains(sb.String(), want) {
+		t.Errorf("summary lacks %q: %q", want, sb.String())
+	}
 	sb.Reset()
 	SummarizeCampaign(&sb, "none", nil)
 	if !strings.Contains(sb.String(), "no tests") {
