@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -23,6 +24,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -171,7 +173,7 @@ func main() {
 		}
 		fmt.Printf("durable checkpoint: %s (%d results)\n", durable.Path(), durable.Len())
 	}
-	fmt.Printf("\n%d tests in %v (wall)\n\n", len(results), time.Since(start).Round(time.Second))
+	fmt.Printf("\n%s\n\n", wallLine(len(results), time.Since(start)))
 	if len(results) > 0 {
 		trace.SummarizeCampaign(os.Stdout, *strategy, results)
 		if cov, ok := explorer.(*core.CoverageExplorer); ok {
@@ -179,21 +181,9 @@ func main() {
 				cov.Corpus().Len(), cov.Corpus().Behaviors())
 		}
 
-		best := append([]core.Result(nil), results...)
-		for i := 0; i < len(best); i++ {
-			for j := i + 1; j < len(best); j++ {
-				if best[j].Impact > best[i].Impact {
-					best[i], best[j] = best[j], best[i]
-				}
-			}
-		}
-		n := *topN
-		if n > len(best) {
-			n = len(best)
-		}
-		fmt.Printf("\ntop %d attacks:\n", n)
-		for i := 0; i < n; i++ {
-			r := best[i]
+		best := topAttacks(results, *topN)
+		fmt.Printf("\ntop %d attacks:\n", len(best))
+		for i, r := range best {
 			fmt.Printf("  %d. impact=%.3f tput=%.0f req/s lat=%v crash=%d injected=%d/%d  %s%s%s\n",
 				i+1, r.Impact, r.Throughput, r.AvgLatency.Round(time.Millisecond),
 				r.CrashedReplicas, r.InjectedCrashes, r.Restarts,
@@ -224,6 +214,21 @@ func main() {
 	if runErr != nil {
 		os.Exit(1)
 	}
+}
+
+// wallLine is the summary's timing line. Milliseconds, because a CI smoke
+// finishes in well under a second; the "N tests in" prefix is what
+// benchmark/parse.go scans for.
+func wallLine(tests int, wall time.Duration) string {
+	return fmt.Sprintf("%d tests in %v (wall, %.1f tests/s)", tests, wall.Round(time.Millisecond), float64(tests)/wall.Seconds())
+}
+
+// topAttacks returns the n results of highest impact, ties in execution
+// order.
+func topAttacks(results []core.Result, n int) []core.Result {
+	best := slices.Clone(results)
+	slices.SortStableFunc(best, func(a, b core.Result) int { return cmp.Compare(b.Impact, a.Impact) })
+	return best[:max(0, min(n, len(best)))]
 }
 
 // startCPUProfile starts CPU profiling into path and returns the function

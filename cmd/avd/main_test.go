@@ -1,10 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
+
+	"avd/internal/core"
 )
 
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
@@ -34,5 +40,47 @@ func TestProfileFlags(t *testing.T) {
 		if info.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(path))
 		}
+	}
+}
+
+// TestTopAttacksStableByImpact: the top-N list is by impact, and results
+// of equal impact keep the order they were executed in (the sort this
+// replaced was quadratic and shuffled ties).
+func TestTopAttacksStableByImpact(t *testing.T) {
+	var results []core.Result
+	for i, impact := range []float64{0.2, 0.9, 0.5, 0.9, 0.2, 0.9, 0.5} {
+		results = append(results, core.Result{Impact: impact, Generator: strconv.Itoa(i)})
+	}
+	var got []string
+	for _, r := range topAttacks(results, 5) {
+		got = append(got, r.Generator)
+	}
+	if want := []string{"1", "3", "5", "2", "6"}; !slices.Equal(got, want) {
+		t.Errorf("top 5 = %v, want %v", got, want)
+	}
+	if results[0].Generator != "0" {
+		t.Error("topAttacks reordered the campaign's own results")
+	}
+	if n := len(topAttacks(results, 20)); n != len(results) {
+		t.Errorf("asking for more than there is returned %d of %d", n, len(results))
+	}
+	if n := len(topAttacks(results, -1)); n != 0 {
+		t.Errorf("-top -1 returned %d results", n)
+	}
+}
+
+// TestWallLine: a sub-second campaign does not read "0s", the rate is
+// there, and the line still starts the way benchmark/parse.go scans it.
+func TestWallLine(t *testing.T) {
+	got := wallLine(100, 2563400*time.Microsecond)
+	if want := "100 tests in 2.563s (wall, 39.0 tests/s)"; got != want {
+		t.Errorf("wallLine = %q, want %q", got, want)
+	}
+	if got := wallLine(12, 87*time.Millisecond); got != "12 tests in 87ms (wall, 137.9 tests/s)" {
+		t.Errorf("sub-second wallLine = %q", got)
+	}
+	var n int
+	if _, err := fmt.Sscanf(got, "%d tests in", &n); err != nil || n != 100 {
+		t.Errorf("the benchmark's scan of %q found %d, %v", got, n, err)
 	}
 }

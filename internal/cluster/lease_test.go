@@ -61,3 +61,32 @@ func TestPBFTRestoreAllocFree(t *testing.T) {
 		t.Fatalf("run+restore cycle allocates %.1f objects per fork; want 0", allocs)
 	}
 }
+
+// TestWindowDispatchCounts is the exact guard on queue work (CI's
+// perf-smoke runs it by name; ROADMAP 1(a)'s Cost record starts with
+// these two fields): the unarmed 1.5 s window of the largest population
+// a default campaign builds — 250 correct clients and one malicious —
+// runs exactly windowExecuted callbacks and pays for them with exactly
+// windowDispatches queue events, because a round's same-instant
+// deliveries ride one sim.Stream train. Executed moves only if the
+// protocol, the clients or the network send something else; Dispatches
+// moves if a change schedules anything for the delivery instant between
+// two sends and silently stops trains forming. Update either figure only
+// with that explanation.
+func TestWindowDispatchCounts(t *testing.T) {
+	const (
+		windowExecuted   = 716_664
+		windowDispatches = 3_296
+	)
+	r := newRunner(t, DefaultWorkload())
+	d := r.newDeployment(masterKey{correct: 250, malicious: 1})
+	d.Capture()
+	d.Restore()
+	executed, dispatches := d.eng.Executed(), d.eng.Dispatches()
+	d.eng.RunFor(1500 * time.Millisecond)
+	executed, dispatches = d.eng.Executed()-executed, d.eng.Dispatches()-dispatches
+	if executed != windowExecuted || dispatches != windowDispatches {
+		t.Errorf("the window ran %d callbacks from %d queue events, want exactly %d from %d",
+			executed, dispatches, windowExecuted, windowDispatches)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"avd/internal/oracle"
 	"avd/internal/scenario"
+	"avd/internal/sim"
 	"avd/internal/slab"
 )
 
@@ -70,6 +71,16 @@ func TestGoldenTrace(t *testing.T) {
 	sc := goldenSpace(t).New(point)
 	_, _, events := r.RunTraced(sc)
 	checkGolden(t, sc, events)
+}
+
+// TestGoldenTraceSplitTrains: the fixture was recorded when every message
+// delivery was a queue event of its own, and sim.SetSplitTrains brings
+// that engine back — it must still produce the fixture, the same bytes
+// TestGoldenTrace gets with a fan-out's deliveries riding one event.
+func TestGoldenTraceSplitTrains(t *testing.T) {
+	sim.SetSplitTrains(true)
+	defer sim.SetSplitTrains(false)
+	TestGoldenTrace(t)
 }
 
 // TestGoldenTracePoisonedForks replays the golden pair through the fork

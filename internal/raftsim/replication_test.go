@@ -465,3 +465,80 @@ func TestStormWindowLease(t *testing.T) {
 		t.Errorf("the storm window leased %d chunks (%d KB), want exactly %d", got, got*32, stormLeaseChunks)
 	}
 }
+
+// TestWindowDispatchCounts is the exact guard on queue work, the twin of
+// cluster's (CI's perf-smoke runs both by name): the armed window of the
+// golden leader-flap pair and of the storm probe above run exactly this
+// many callbacks from exactly this many queue events. A node's fan-out
+// to its peers and the replies that come back at one instant each ride
+// one sim.Stream train; election and heartbeat timers do not, so the
+// ratio is smaller than PBFT's. Executed moves only if the window sends
+// or arms something else; Dispatches moves if a change schedules
+// anything for the delivery instant between two sends and silently stops
+// trains forming. Update either figure only with that explanation.
+func TestWindowDispatchCounts(t *testing.T) {
+	golden, goldenPoint := goldenWorkload()
+	storm := DefaultWorkload()
+	storm.Measure = 1500 * time.Millisecond
+	for _, tc := range []struct {
+		name                 string
+		w                    Workload
+		sc                   scenario.Scenario
+		executed, dispatches uint64
+	}{
+		{"golden", golden, goldenSpace(t).New(goldenPoint), 658, 262},
+		{"storm", storm, testSpace(t).New(map[string]int64{DimClients: 50, DimFlapIntervalMS: 300, DimFlapDownMS: 200}), 76_416, 1_080},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRunner(tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := r.newDeployment(tc.sc.GetOr(DimClients, 0))
+			d.Capture()
+			d.Restore()
+			d.Arm(tc.sc, true)
+			executed, dispatches := d.eng.Executed(), d.eng.Dispatches()
+			d.eng.RunFor(tc.w.Measure)
+			executed, dispatches = d.eng.Executed()-executed, d.eng.Dispatches()-dispatches
+			if executed != tc.executed || dispatches != tc.dispatches {
+				t.Errorf("the window ran %d callbacks from %d queue events, want exactly %d from %d",
+					executed, dispatches, tc.executed, tc.dispatches)
+			}
+		})
+	}
+}
+
+// TestStormHungSameWithSplitTrains: a corrupt+dup ack storm runs into
+// CI's 300,000-event step budget in the middle of a train. The verdict
+// and the engine's callback count must be what they are when every
+// delivery is a queue event of its own (sim.SetSplitTrains): a delivery
+// that rides a train still costs the budget one step.
+func TestStormHungSameWithSplitTrains(t *testing.T) {
+	run := func() (core.Result, uint64) {
+		w := DefaultWorkload()
+		w.Measure = 800 * time.Millisecond
+		w.StepBudget = 300_000
+		r, err := NewRunner(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.RunFork(allFaultsSpace(t).New(map[string]int64{
+			DimClients: 10, plugin.DimCorruptMask: 0xA5, plugin.DimDupMask: 0x3C,
+		}))
+		var executed uint64
+		r.EachMaster(func(_ int64, d *deployment) { executed = d.eng.Executed() })
+		return res, executed
+	}
+	sim.SetSplitTrains(true)
+	split, splitExecuted := run()
+	sim.SetSplitTrains(false)
+	merged, mergedExecuted := run()
+	if !merged.Hung {
+		t.Fatalf("the storm did not exhaust the step budget: %+v", merged)
+	}
+	if !reflect.DeepEqual(split, merged) || splitExecuted != mergedExecuted {
+		t.Errorf("verdict differs with trains:\nsplit:  %d callbacks, %+v\nmerged: %d callbacks, %+v",
+			splitExecuted, split, mergedExecuted, merged)
+	}
+}

@@ -18,10 +18,16 @@
 // the entire engine state is three slice copies, and restoring is a
 // delta — only the slots dirtied since the capture copy back
 // (DESIGN.md §8, §9).
+//
+// Timers (Schedule, At) are cancelable closures with a queue node each;
+// deliveries (Stream.Schedule) are uncancelable fn(arg) calls of which
+// consecutive ones for one instant share a node: a network's fan-out costs
+// the queue one event, not one per message (DESIGN.md §2).
 package sim
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -54,10 +60,10 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 //
 // Timers are values, not pointers: scheduling allocates nothing for the
 // handle, and the underlying arena slot is recycled through the engine's
-// free list after it fires or its cancellation is collected. A generation
-// counter makes stale handles inert — a Timer kept after its event fired
-// (or after the engine was restored to a snapshot that predates it) can
-// never affect a later event that reuses the same slot.
+// free list after it fires or its cancellation is collected. An engine
+// never reuses an event id, in this fork or a later one, and a handle only
+// resolves while its slot holds its id — a Timer kept after its event fired
+// (or after a Restore to before it) can never affect the slot's next event.
 type Timer struct {
 	eng *Engine
 	idx int32
@@ -123,11 +129,11 @@ func (t Timer) When() Time {
 	return ev.at
 }
 
-// event is one arena slot. fn/call/arg are cleared on recycle so the
-// arena never pins dead callbacks.
+// event is one arena slot: a timer (fn) or a train of deliveries (tr).
+// Both are cleared on recycle so the arena never pins dead callbacks.
 type event struct {
 	at  Time
-	gen uint64 // bumped on recycle; validates Timer handles
+	gen uint64 // the queued event's id, 0 while the slot is free; validates Timer handles
 	// touched is the dirty-tracking watermark: the engine's dirtySeq value
 	// as of the last mutation of this slot. A slot whose watermark matches
 	// the current dirtySeq is already on the dirty list, so delta Restore
@@ -140,8 +146,7 @@ type event struct {
 	pos      int32
 	canceled bool
 	fn       func()
-	call     func(any) // with arg: the closure-free variant (ScheduleCall)
-	arg      any
+	tr       *train
 }
 
 // lanePos encodes lane residency in an event's pos field: lane i's
@@ -165,7 +170,7 @@ func less(a, b node) bool {
 	return a.seq < b.seq
 }
 
-// ArgCloner is implemented by ScheduleCall arguments whose backing
+// ArgCloner is implemented by Stream.Schedule arguments whose backing
 // objects are pooled or mutated after delivery (e.g. simnet's recycled
 // message envelopes). Engine.Snapshot stores a detached clone of such
 // arguments and Engine.Restore re-clones it per restore, so every fork
@@ -176,7 +181,7 @@ type ArgCloner interface {
 	CloneSimArg() any
 }
 
-// ArgRecycler is optionally implemented by pooled ScheduleCall arguments
+// ArgRecycler is optionally implemented by pooled Stream.Schedule arguments
 // (alongside ArgCloner): when Restore discards a pending delivery — the
 // event was scheduled after the snapshot, so the rollback unschedules it
 // forever — the engine hands the argument back to its pool instead of
@@ -231,6 +236,7 @@ type Engine struct {
 	free      []int32         // recycled arena slots
 	live      int             // pending events (canceled lane members excluded)
 	seq       uint64
+	gens      uint64 //avdlint:ephemeral event ids only have to be unique: never rolling the counter back is what keeps one fork's Timers inert in the next
 	seed      int64
 	src       *splitmixSource
 	rng       *rand.Rand
@@ -245,8 +251,13 @@ type Engine struct {
 	dirty    []int32
 	dirtySeq uint64
 
-	// Executed counts events that have fired, for diagnostics and tests.
-	executed uint64
+	executed   uint64 // callbacks run
+	dispatches uint64 // queue nodes popped: executed less the deliveries that rode a train
+
+	// open is the train a Stream.Schedule for its instant, openAt, may join.
+	open       *train   //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
+	openAt     Time     //avdlint:ephemeral meaningful only while open is set, and set with it
+	freeTrains []*train //avdlint:ephemeral pool: a checkout's stream, cursor and arguments are overwritten before use
 
 	// clocks holds per-registered-clock drift in permille (positive runs
 	// fast: scheduled delays shrink; negative runs slow). Clock 0 does not
@@ -317,8 +328,11 @@ func (e *Engine) Now() Time { return e.now }
 // network randomness must come from here to preserve reproducibility.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Executed returns the number of events that have fired so far.
+// Executed returns the number of callbacks (timers, deliveries) run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Dispatches returns the number of queue nodes popped so far.
+func (e *Engine) Dispatches() uint64 { return e.dispatches }
 
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return e.live }
@@ -401,25 +415,85 @@ func (e *Engine) Schedule(d time.Duration, fn func()) Timer {
 
 // At runs fn at virtual time t (clamped to now if t is in the past).
 func (e *Engine) At(t Time, fn func()) Timer {
-	return e.schedule(t, fn, nil, nil)
+	return e.schedule(t, fn, nil)
 }
 
-// ScheduleCall runs fn(arg) after virtual duration d. It is Schedule for
-// callbacks that need one argument: passing a long-lived fn plus the arg
-// avoids allocating a fresh closure per call on hot paths such as
-// message delivery.
-func (e *Engine) ScheduleCall(d time.Duration, fn func(any), arg any) Timer {
-	return e.schedule(e.now.Add(d), nil, fn, arg)
+// Stream is an uncancelable flow of fn(arg) deliveries, the shape of
+// network traffic: one long-lived fn, no closure and no Timer per send.
+// Consecutive Schedule calls that land on one instant, nothing else
+// scheduled for it in between, ride one queue node (a train): events fire in
+// (at, seq) order, so they are adjacent whatever is scheduled later. Each
+// still takes a seq and counts in Executed, Pending and the step budget.
+type Stream struct {
+	eng *Engine
+	fn  func(any)
 }
 
-// AtCall is ScheduleCall at an absolute virtual time.
-func (e *Engine) AtCall(t Time, fn func(any), arg any) Timer {
-	return e.schedule(t, nil, fn, arg)
+// NewStream returns a stream that calls fn with each scheduled argument.
+func (e *Engine) NewStream(fn func(any)) *Stream { return &Stream{eng: e, fn: fn} }
+
+// train is one queue node's deliveries: args[:next] ran and are nilled.
+type train struct {
+	s    *Stream
+	args []any
+	next int
+	one  [1]any // args' first backing array: a train of one is one cache line
 }
 
-func (e *Engine) schedule(t Time, fn func(), call func(any), arg any) Timer {
+var splitTrains atomic.Bool
+
+// SetSplitTrains is a test hook no flag, option or config field reaches:
+// while on, every delivery gets a queue node of its own, as before trains.
+func SetSplitTrains(on bool) { splitTrains.Store(on) }
+
+// Schedule delivers arg after d, behind all that is queued for that instant.
+func (s *Stream) Schedule(d time.Duration, arg any) {
+	e := s.eng
+	t := e.now.Add(d)
+	if tr := e.open; tr != nil && t == e.openAt && tr.s == s {
+		tr.args = append(tr.args, arg)
+		e.seq++
+		e.live++
+		return
+	}
+	tr := e.getTrain()
+	tr.s = s
+	tr.args = append(tr.args, arg)
+	e.schedule(t, nil, tr)
+	if !splitTrains.Load() {
+		e.open, e.openAt = tr, t
+	}
+}
+
+func (e *Engine) getTrain() *train {
+	if n := len(e.freeTrains); n > 0 {
+		tr := e.freeTrains[n-1]
+		e.freeTrains = e.freeTrains[:n-1]
+		return tr
+	}
+	tr := new(train)
+	tr.args = tr.one[:0]
+	return tr
+}
+
+// putTrain pools a train; what it still holds a rollback discards.
+func (e *Engine) putTrain(tr *train) {
+	for i, a := range tr.args[tr.next:] {
+		if r, ok := a.(ArgRecycler); ok {
+			r.RecycleSimArg()
+		}
+		tr.args[tr.next+i] = nil
+	}
+	tr.args, tr.next = tr.args[:0], 0
+	e.freeTrains = append(e.freeTrains, tr)
+}
+
+func (e *Engine) schedule(t Time, fn func(), tr *train) Timer {
 	if t < e.now {
 		t = e.now
+	}
+	if t == e.openAt {
+		e.open = nil
 	}
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -430,8 +504,9 @@ func (e *Engine) schedule(t Time, fn func(), call func(any), arg any) Timer {
 		idx = int32(len(e.arena) - 1)
 	}
 	ev := &e.arena[idx]
-	ev.at, ev.canceled = t, false
-	ev.fn, ev.call, ev.arg = fn, call, arg
+	e.gens++
+	ev.at, ev.gen, ev.canceled = t, e.gens, false
+	ev.fn, ev.tr = fn, tr
 	if e.track != nil && ev.touched != e.dirtySeq {
 		ev.touched = e.dirtySeq
 		e.dirty = append(e.dirty, idx)
@@ -496,8 +571,8 @@ func (e *Engine) mark(idx int32) {
 // Timer handle that still points at it.
 func (e *Engine) recycle(idx int32) {
 	ev := &e.arena[idx]
-	ev.gen++
-	ev.fn, ev.call, ev.arg = nil, nil, nil
+	ev.gen = 0
+	ev.fn, ev.tr = nil, nil
 	if e.track != nil && ev.touched != e.dirtySeq {
 		ev.touched = e.dirtySeq
 		e.dirty = append(e.dirty, idx)
@@ -566,20 +641,62 @@ func (ln *lane) advance() {
 	}
 }
 
-// fire dispatches one located event.
-func (e *Engine) fire(nd node, src int) {
-	e.take(src)
+// fire dispatches one located event. A train closes when its first
+// delivery runs and delivers its arguments back to back, passing the run
+// loop's own gates between every two (one is Step's: exactly one callback);
+// an interrupted train stays queued at its cursor, under its first key,
+// which still sorts first: nothing else of its instant preceded its close.
+func (e *Engine) fire(nd node, src int, one bool) {
 	ev := &e.arena[nd.idx]
 	e.now = nd.at
+	tr := ev.tr
+	if tr != nil {
+		if tr == e.open {
+			e.open = nil
+		}
+		if len(tr.args) > 1 {
+			e.deliver(tr, nd.idx, src, one)
+			return
+		}
+	}
+	e.take(src)
+	e.dispatches++
 	e.executed++
 	e.live--
-	fn, call, arg := ev.fn, ev.call, ev.arg
+	fn := ev.fn
 	e.recycle(nd.idx)
-	if call != nil {
-		call(arg)
-	} else {
+	if tr == nil {
 		fn()
+		return
 	}
+	// A train of one — all of jittered traffic — has no cursor to keep.
+	arg := tr.args[0]
+	tr.args[0], tr.next = nil, 1
+	e.putTrain(tr)
+	tr.s.fn(arg)
+}
+
+func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
+	e.mark(idx) // the cursor is about to move
+	fn := tr.s.fn
+	for {
+		arg := tr.args[tr.next]
+		tr.args[tr.next] = nil
+		tr.next++
+		e.executed++
+		e.live--
+		fn(arg)
+		if tr.next == len(tr.args) {
+			break
+		}
+		if one || e.stopped || e.overBudget() {
+			return
+		}
+	}
+	e.take(src)
+	e.dispatches++
+	e.recycle(idx)
+	e.putTrain(tr)
 }
 
 // Step fires the next event. It reports false when the queue is empty or
@@ -592,7 +709,7 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	e.fire(nd, src)
+	e.fire(nd, src, true)
 	return true
 }
 
@@ -604,7 +721,7 @@ func (e *Engine) Run() {
 		if !ok {
 			return
 		}
-		e.fire(nd, src)
+		e.fire(nd, src, false)
 	}
 }
 
@@ -618,7 +735,7 @@ func (e *Engine) RunUntil(t Time) {
 		if !ok || nd.at > t {
 			break
 		}
-		e.fire(nd, src)
+		e.fire(nd, src, false)
 	}
 	if e.now < t {
 		e.now = t
@@ -739,6 +856,7 @@ type Snapshot struct {
 	now      Time
 	seq      uint64
 	executed uint64
+	dispatch uint64
 	live     int
 	rngState uint64
 	heap     []node
@@ -748,10 +866,9 @@ type Snapshot struct {
 	clocks   []int32
 	stepLim  uint64
 	budgetHt bool
-	// cloneIdx lists arena slots whose args are pooled objects (ArgCloner):
-	// the snapshot arena holds a detached master copy and every Restore
-	// hands out a fresh clone of it.
-	cloneIdx []int32
+	// trainIdx lists the slots holding a pending train: the snapshot arena
+	// points at a detached master of each, Restore hands out fresh copies.
+	trainIdx []int32
 }
 
 // laneSnap captures one FIFO lane (members from head on, tombstones
@@ -774,6 +891,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		now:      e.now,
 		seq:      e.seq,
 		executed: e.executed,
+		dispatch: e.dispatches,
 		live:     e.live,
 		rngState: e.src.state,
 		heap:     append([]node(nil), e.heap...),
@@ -791,16 +909,12 @@ func (e *Engine) Snapshot() *Snapshot {
 			tombs:  ln.tombs,
 		})
 	}
-	// Detach pooled args: the live object will be recycled and rewritten
-	// once its delivery fires, so the snapshot keeps an immutable master.
+	// Detach pending trains: deliveries will move the live ones' cursors and
+	// recycle their arguments, so the snapshot keeps immutable masters.
 	detach := func(nd node) {
-		ev := &s.arena[nd.idx]
-		if ev.canceled {
-			return
-		}
-		if c, ok := ev.arg.(ArgCloner); ok {
-			ev.arg = c.CloneSimArg()
-			s.cloneIdx = append(s.cloneIdx, nd.idx)
+		if ev := &s.arena[nd.idx]; ev.tr != nil {
+			ev.tr = copyTrain(new(train), ev.tr)
+			s.trainIdx = append(s.trainIdx, nd.idx)
 		}
 	}
 	for _, nd := range s.heap {
@@ -814,11 +928,24 @@ func (e *Engine) Snapshot() *Snapshot {
 	e.track = s
 	e.dirtySeq++
 	e.dirty = e.dirty[:0]
+	e.open = nil // joining a captured train would change it without dirtying its slot
 	return s
 }
 
+// copyTrain fills dst with src's pending deliveries, ArgCloners as clones.
+func copyTrain(dst, src *train) *train {
+	dst.s = src.s
+	for _, a := range src.args[src.next:] {
+		if c, ok := a.(ArgCloner); ok {
+			a = c.CloneSimArg()
+		}
+		dst.args = append(dst.args, a)
+	}
+	return dst
+}
+
 // Restore rolls the engine back to the snapshot state. Timer handles
-// taken before the snapshot become valid again (their generation is part
+// taken before the snapshot become valid again (their event id is part
 // of the captured arena); handles created after it go inert. Restore
 // panics if the snapshot belongs to a different engine.
 //
@@ -832,7 +959,7 @@ func (e *Engine) Restore(s *Snapshot) {
 		panic("sim: snapshot restored into a different engine")
 	}
 	e.now, e.seq, e.executed, e.stopped = s.now, s.seq, s.executed, false
-	e.live = s.live
+	e.dispatches, e.live, e.open = s.dispatch, s.live, nil
 	// Clocks only ever grow (registered at build time), so the snapshot's
 	// skews copy back in place; the step budget is two scalar copies.
 	e.clocks = append(e.clocks[:0], s.clocks...)
@@ -842,33 +969,27 @@ func (e *Engine) Restore(s *Snapshot) {
 		// Delta path: copy back exactly the slots mutated since the last
 		// restore. Slots grown past the snapshot arena are invalidated;
 		// untouched grown slots were already invalidated by the previous
-		// restore and need no work. A dirty slot still holding a pending
-		// pooled argument (fire clears args before dispatch, so non-nil
-		// means never delivered) is a delivery this rollback discards:
-		// hand the envelope back to its pool — unless the snapshot itself
-		// references the object (a detached master or a kept clone).
+		// restore and need no work. A dirty slot still holding a train (an
+		// exhausted one has left its slot) holds deliveries this rollback
+		// discards: the train and its envelopes go back to their pools.
 		for _, idx := range e.dirty {
+			ev := &e.arena[idx]
+			if ev.tr != nil {
+				e.putTrain(ev.tr)
+			}
 			if int(idx) < len(s.arena) {
-				ev := &e.arena[idx]
-				if r, ok := ev.arg.(ArgRecycler); ok && !ev.canceled && ev.arg != s.arena[idx].arg {
-					r.RecycleSimArg()
-				}
-				e.arena[idx] = s.arena[idx]
+				*ev = s.arena[idx]
 			} else {
-				ev := &e.arena[idx]
-				if r, ok := ev.arg.(ArgRecycler); ok && !ev.canceled {
-					r.RecycleSimArg()
-				}
-				ev.gen++
-				ev.fn, ev.call, ev.arg = nil, nil, nil
+				ev.gen = 0
+				ev.fn, ev.tr = nil, nil
 			}
 		}
 	} else {
 		grown := e.arena[len(s.arena):]
 		copy(e.arena, s.arena)
 		for i := range grown {
-			grown[i].gen++
-			grown[i].fn, grown[i].call, grown[i].arg = nil, nil, nil
+			grown[i].gen = 0
+			grown[i].fn, grown[i].tr = nil, nil
 		}
 		e.track = s
 	}
@@ -908,13 +1029,12 @@ func (e *Engine) Restore(s *Snapshot) {
 		ln.tombs = 0
 	}
 
-	// Pooled args are re-cloned per restore so each fork delivers an
-	// object the previous fork has not already recycled. A slot still
-	// holding a previous restore's clone (its delivery never fired, so
-	// the slot was never dirtied) keeps it — that copy is still detached.
-	for _, idx := range s.cloneIdx {
-		if e.arena[idx].arg == s.arena[idx].arg {
-			e.arena[idx].arg = s.arena[idx].arg.(ArgCloner).CloneSimArg()
+	// Trains are re-copied per restore so each fork delivers objects the
+	// previous fork has not already recycled. A slot never dirtied keeps
+	// the previous restore's copy: none of it was delivered.
+	for _, idx := range s.trainIdx {
+		if m := s.arena[idx].tr; e.arena[idx].tr == m {
+			e.arena[idx].tr = copyTrain(e.getTrain(), m)
 		}
 	}
 	// The splitmix state is one word: rolling the stream back is a copy,

@@ -115,24 +115,30 @@ func TestSnapshotRevivesPendingTimers(t *testing.T) {
 
 // TestSnapshotInertsPostSnapshotTimers: handles created after the
 // snapshot must go inert on restore even though their arena slots are
-// recycled for new events.
+// recycled for new events — both a slot grown past the snapshot arena and
+// one the snapshot holds as free, which comes back exactly as it was.
 func TestSnapshotInertsPostSnapshotTimers(t *testing.T) {
 	e := New(1)
 	e.Schedule(time.Millisecond, func() {})
+	e.Schedule(time.Millisecond, func() {}).Stop() // a free slot inside the arena
 	snap := e.Snapshot()
-	late := e.Schedule(2*time.Millisecond, func() {})
+	reused := e.Schedule(2*time.Millisecond, func() {})
+	grown := e.Schedule(2*time.Millisecond, func() {})
 	e.Restore(snap)
-	if late.Active() {
-		t.Error("post-snapshot timer reports active after restore")
-	}
-	if late.Stop() {
-		t.Error("post-snapshot timer stopped a restored event")
-	}
 	fired := 0
 	e.Schedule(3*time.Millisecond, func() { fired++ })
+	e.Schedule(3*time.Millisecond, func() { fired++ })
+	for _, late := range []Timer{reused, grown} {
+		if late.Active() {
+			t.Error("post-snapshot timer reports active after restore")
+		}
+		if late.Stop() {
+			t.Error("post-snapshot timer stopped a restored event")
+		}
+	}
 	e.Run()
-	if fired != 1 {
-		t.Fatalf("restored engine fired %d new events, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("restored engine fired %d new events, want 2", fired)
 	}
 }
 
@@ -153,7 +159,7 @@ func TestSnapshotCanceledEventsStayCanceled(t *testing.T) {
 	}
 }
 
-// cloneArg is a mutable ScheduleCall argument standing in for a pooled
+// cloneArg is a mutable Stream.Schedule argument standing in for a pooled
 // message envelope: delivery "recycles" it by overwriting its value.
 type cloneArg struct{ v int }
 
@@ -169,7 +175,7 @@ func TestSnapshotClonesPooledArgs(t *testing.T) {
 		got = append(got, m.v)
 		m.v = -1 // recycle: wreck the object
 	}
-	e.ScheduleCall(time.Millisecond, deliver, &cloneArg{v: 42})
+	e.NewStream(deliver).Schedule(time.Millisecond, &cloneArg{v: 42})
 	snap := e.Snapshot()
 	for i := 0; i < 3; i++ {
 		e.Restore(snap)

@@ -1,0 +1,587 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The differential test of dispatch order: random programs of timers,
+// stream deliveries, cancellations, partial runs, budgets, stops and
+// snapshot rollbacks run on the real engine and on refQueue, a naive
+// queue that keeps one entry per delivery in a slice sorted by
+// (at, seq). Whatever the engine does to put deliveries on trains, both
+// must run the same callbacks in the same order and report the same
+// Now, Executed, Pending and BudgetExceeded after every operation.
+
+// orderQueue is what a program drives: the engine under test or the
+// reference.
+type orderQueue interface {
+	bind(deliver func(id int, beh byte)) // what a delivery calls when it lands
+	timer(d time.Duration, fn func()) (stop func() bool)
+	send(stream int, d time.Duration, id int, beh byte)
+	step() bool
+	run()
+	runFor(d time.Duration)
+	setBudget(steps uint64)
+	stop()
+	resume()
+	snapshot()
+	restore()
+	observe() observation
+}
+
+// observation is the queue state a program can see after an operation.
+// inFlight is the number of undelivered stream arguments: the reference
+// counts its queue, the engine side counts envelopes checked out of its
+// pool, so a leaked or doubly recycled envelope shows up as a mismatch.
+type observation struct {
+	now       Time
+	executed  uint64
+	pending   int
+	budgetHit bool
+	inFlight  int
+}
+
+// --- the reference ---------------------------------------------------------
+
+type refEvent struct {
+	at       Time
+	seq      uint64
+	uid      int // survives rollback, unlike seq: what a timer handle names
+	fn       func()
+	delivery bool
+}
+
+type refState struct {
+	now       Time
+	seq       uint64
+	executed  uint64
+	stopped   bool
+	stepLimit uint64
+	budgetHit bool
+	evs       []refEvent // sorted by (at, seq)
+}
+
+type refQueue struct {
+	refState
+	nextUID int
+	snap    *refState
+	deliver func(id int, beh byte)
+}
+
+func (q *refQueue) bind(deliver func(int, byte)) { q.deliver = deliver }
+
+func (q *refQueue) schedule(d time.Duration, fn func(), delivery bool) int {
+	t := q.now.Add(d)
+	q.nextUID++
+	// seq only grows, so the new event goes behind every event of its instant.
+	i := slices.IndexFunc(q.evs, func(e refEvent) bool { return e.at > t })
+	if i < 0 {
+		i = len(q.evs)
+	}
+	q.evs = slices.Insert(q.evs, i, refEvent{at: t, seq: q.seq, uid: q.nextUID, fn: fn, delivery: delivery})
+	q.seq++
+	return q.nextUID
+}
+
+func (q *refQueue) timer(d time.Duration, fn func()) func() bool {
+	uid := q.schedule(d, fn, false)
+	return func() bool {
+		i := slices.IndexFunc(q.evs, func(e refEvent) bool { return e.uid == uid })
+		if i < 0 {
+			return false
+		}
+		q.evs = slices.Delete(q.evs, i, i+1)
+		return true
+	}
+}
+
+func (q *refQueue) send(_ int, d time.Duration, id int, beh byte) {
+	q.schedule(d, func() { q.deliver(id, beh) }, true)
+}
+
+func (q *refQueue) overBudget() bool {
+	if q.stepLimit != 0 && q.executed >= q.stepLimit {
+		q.budgetHit = true
+		return true
+	}
+	return false
+}
+
+func (q *refQueue) fire() {
+	ev := q.evs[0]
+	q.evs = q.evs[1:]
+	q.now = ev.at
+	q.executed++
+	ev.fn()
+}
+
+func (q *refQueue) step() bool {
+	if q.stopped || q.overBudget() || len(q.evs) == 0 {
+		return false
+	}
+	q.fire()
+	return true
+}
+
+func (q *refQueue) run() {
+	for !q.stopped && !q.overBudget() && len(q.evs) > 0 {
+		q.fire()
+	}
+}
+
+func (q *refQueue) runFor(d time.Duration) {
+	t := q.now.Add(d)
+	for !q.stopped && !q.overBudget() && len(q.evs) > 0 && q.evs[0].at <= t {
+		q.fire()
+	}
+	if q.now < t {
+		q.now = t
+	}
+}
+
+func (q *refQueue) setBudget(steps uint64) {
+	q.stepLimit, q.budgetHit = 0, false
+	if steps != 0 {
+		q.stepLimit = q.executed + steps
+	}
+}
+
+func (q *refQueue) stop()   { q.stopped = true }
+func (q *refQueue) resume() { q.stopped = false }
+
+func (q *refQueue) snapshot() {
+	s := q.refState
+	s.evs = slices.Clone(q.evs)
+	q.snap = &s
+}
+
+func (q *refQueue) restore() {
+	q.refState = *q.snap
+	q.evs = slices.Clone(q.snap.evs)
+	q.stopped = false
+}
+
+func (q *refQueue) observe() observation {
+	o := observation{now: q.now, executed: q.executed, pending: len(q.evs), budgetHit: q.budgetHit}
+	for _, ev := range q.evs {
+		if ev.delivery {
+			o.inFlight++
+		}
+	}
+	return o
+}
+
+// --- the engine under test ---------------------------------------------------
+
+// envelope is a pooled stream argument in the mould of simnet.Message:
+// delivery wrecks it and returns it to the pool, snapshots clone it.
+type envelope struct {
+	id   int
+	beh  byte
+	live bool
+	pool *envPool
+}
+
+type envPool struct {
+	t    *testing.T
+	free []*envelope
+	out  int // checked out and not yet returned
+	// snapshotting marks clones as snapshot masters, which the engine
+	// keeps for good: they are checked out but in no queue.
+	snapshotting bool
+	masters      int
+}
+
+func (p *envPool) get() *envelope {
+	p.out++
+	if n := len(p.free); n > 0 {
+		env := p.free[n-1]
+		p.free = p.free[:n-1]
+		env.live = true
+		return env
+	}
+	return &envelope{live: true, pool: p}
+}
+
+func (p *envPool) put(env *envelope) {
+	if !env.live {
+		p.t.Fatalf("envelope %d returned to the pool twice", env.id)
+	}
+	env.id, env.live = -1, false
+	p.out--
+	p.free = append(p.free, env)
+}
+
+func (env *envelope) CloneSimArg() any {
+	c := env.pool.get()
+	c.id, c.beh = env.id, env.beh
+	if env.pool.snapshotting {
+		env.pool.masters++
+	}
+	return c
+}
+
+func (env *envelope) RecycleSimArg() { env.pool.put(env) }
+
+type engineQueue struct {
+	e       *Engine
+	streams [2]*Stream
+	pool    *envPool
+	snap    *Snapshot
+	deliver func(id int, beh byte)
+}
+
+func newEngineQueue(t *testing.T) *engineQueue {
+	q := &engineQueue{e: New(1), pool: &envPool{t: t}}
+	for i := range q.streams {
+		q.streams[i] = q.e.NewStream(func(x any) {
+			env := x.(*envelope)
+			if !env.live {
+				t.Fatalf("a recycled envelope was delivered")
+			}
+			id, beh := env.id, env.beh
+			q.pool.put(env)
+			q.deliver(id, beh)
+		})
+	}
+	return q
+}
+
+func (q *engineQueue) bind(deliver func(int, byte)) { q.deliver = deliver }
+
+func (q *engineQueue) timer(d time.Duration, fn func()) func() bool {
+	return q.e.Schedule(d, fn).Stop
+}
+
+func (q *engineQueue) send(stream int, d time.Duration, id int, beh byte) {
+	env := q.pool.get()
+	env.id, env.beh = id, beh
+	q.streams[stream].Schedule(d, env)
+}
+
+func (q *engineQueue) step() bool                { return q.e.Step() }
+func (q *engineQueue) run()                      { q.e.Run() }
+func (q *engineQueue) runFor(d time.Duration)    { q.e.RunFor(d) }
+func (q *engineQueue) setBudget(steps uint64)    { q.e.SetStepBudget(steps) }
+func (q *engineQueue) stop()                     { q.e.Stop() }
+func (q *engineQueue) resume()                   { q.e.Resume() }
+func (q *engineQueue) restore()                  { q.e.Restore(q.snap) }
+func (q *engineQueue) dispatches() (d, x uint64) { return q.e.Dispatches(), q.e.Executed() }
+
+func (q *engineQueue) snapshot() {
+	q.pool.snapshotting = true
+	q.snap = q.e.Snapshot()
+	q.pool.snapshotting = false
+}
+
+func (q *engineQueue) observe() observation {
+	return observation{
+		now:       q.e.Now(),
+		executed:  q.e.Executed(),
+		pending:   q.e.Pending(),
+		budgetHit: q.e.BudgetExceeded(),
+		inFlight:  q.pool.out - q.pool.masters,
+	}
+}
+
+// --- programs ----------------------------------------------------------------
+
+// Top-level operations, one opcode byte (mod numOps) plus operand bytes.
+const (
+	opTimer     = iota // delay, behaviour
+	opSend             // stream, delay, behaviour
+	opStopTimer        // which handle
+	opStep
+	opRunFor // delay
+	opBudget // steps (mod 8; 0 disarms)
+	opStop
+	opResume
+	opSnapshot
+	opRestore
+	opRun
+	numOps
+)
+
+// What a callback does when it fires, besides logging itself: the low
+// three bits of its behaviour byte pick the action, the rest is its
+// operand. Scheduling from a callback draws on the program's fuel, so
+// every program terminates.
+const (
+	behNone      = iota
+	behSendNow   // zero-delay send: a train for the running instant
+	behSendLater // send after operand%4 ms
+	behTimer     // timer after operand%4 ms
+	behStop      // Engine.Stop from inside a callback
+	behStopTimer // cancel handle operand
+	behFanout    // two zero-delay sends
+	behChain     // send after operand%4 ms with this same behaviour
+	numBehs
+)
+
+func beh(action, operand int) byte { return byte(operand*numBehs + action) }
+
+func delayOf(b byte) time.Duration { return time.Duration(b%4) * time.Millisecond }
+
+// runner interprets one program against one queue. Everything it keeps
+// (log, handles, ids, fuel) lives outside the queue and is never rolled
+// back, so two runners of one program stay in step as long as their
+// queues fire the same callbacks in the same order.
+type runner struct {
+	q      orderQueue
+	log    []int // callback ids in firing order; negative entries are operation results
+	stops  []func() bool
+	nextID int
+	fuel   int
+}
+
+func (r *runner) id() int { r.nextID++; return r.nextID }
+
+func (r *runner) result(ok bool) {
+	if ok {
+		r.log = append(r.log, -2)
+	} else {
+		r.log = append(r.log, -1)
+	}
+}
+
+func (r *runner) addTimer(d time.Duration, b byte) {
+	id := r.id()
+	r.stops = append(r.stops, r.q.timer(d, func() { r.fire(id, b) }))
+}
+
+func (r *runner) stopTimer(k int) {
+	if len(r.stops) > 0 {
+		r.result(r.stops[k%len(r.stops)]())
+	}
+}
+
+func (r *runner) fire(id int, b byte) {
+	r.log = append(r.log, id)
+	action, operand := int(b)%numBehs, int(b)/numBehs
+	if action == behStop {
+		r.q.stop()
+		return
+	}
+	if action == behStopTimer {
+		r.stopTimer(operand)
+		return
+	}
+	if action == behNone || r.fuel == 0 {
+		return
+	}
+	r.fuel--
+	later := delayOf(byte(operand))
+	switch action {
+	case behSendNow:
+		r.q.send(operand%2, 0, r.id(), behNone)
+	case behSendLater:
+		r.q.send(operand%2, later, r.id(), behNone)
+	case behTimer:
+		r.addTimer(later, behNone)
+	case behFanout:
+		r.q.send(operand%2, 0, r.id(), behNone)
+		r.q.send(operand%2, 0, r.id(), behNone)
+	case behChain:
+		r.q.send(operand%2, later, r.id(), b)
+	}
+}
+
+// exec runs prog and returns what was observable after each operation.
+func (r *runner) exec(prog []byte) []observation {
+	var seen []observation
+	next := func() byte {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return b
+	}
+	snapped := false
+	for len(prog) > 0 {
+		switch next() % numOps {
+		case opTimer:
+			r.addTimer(delayOf(next()), next())
+		case opSend:
+			r.q.send(int(next()%2), delayOf(next()), r.id(), next())
+		case opStopTimer:
+			r.stopTimer(int(next()))
+		case opStep:
+			r.result(r.q.step())
+		case opRunFor:
+			r.q.runFor(delayOf(next()))
+		case opBudget:
+			r.q.setBudget(uint64(next() % 8))
+		case opStop:
+			r.q.stop()
+		case opResume:
+			r.q.resume()
+		case opSnapshot:
+			r.q.snapshot()
+			snapped = true
+		case opRestore:
+			if snapped {
+				r.q.restore()
+			}
+		case opRun:
+			r.q.run()
+		}
+		seen = append(seen, r.q.observe())
+	}
+	return seen
+}
+
+func runProgram(q orderQueue, prog []byte) (*runner, []observation) {
+	r := &runner{q: q, fuel: 256}
+	q.bind(r.fire)
+	return r, r.exec(prog)
+}
+
+// checkProgram runs prog on the reference and on the engine — once as
+// shipped and once under SetSplitTrains, where every delivery has a
+// queue node of its own as before trains existed — and fails on the
+// first observable difference.
+func checkProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	want, wantSeen := runProgram(&refQueue{}, prog)
+
+	for _, split := range []bool{false, true} {
+		SetSplitTrains(split)
+		eq := newEngineQueue(t)
+		got, gotSeen := runProgram(eq, prog)
+		SetSplitTrains(false)
+
+		name := fmt.Sprintf("engine(split=%v)", split)
+		for i := range wantSeen {
+			if gotSeen[i] != wantSeen[i] {
+				t.Fatalf("%s diverges after operation %d of %s:\n got %+v\nwant %+v", name, i, disasm(prog), gotSeen[i], wantSeen[i])
+			}
+		}
+		if !slices.Equal(got.log, want.log) {
+			t.Fatalf("%s callback order differs for %s:\n got %v\nwant %v", name, disasm(prog), got.log, want.log)
+		}
+		if d, x := eq.dispatches(); d > x || (split && d != x) {
+			t.Fatalf("%s: %d dispatches for %d callbacks", name, d, x)
+		}
+	}
+}
+
+// disasm renders a program for failure messages.
+func disasm(prog []byte) string {
+	names := [numOps]string{"timer", "send", "stoptimer", "step", "runfor", "budget", "stop", "resume", "snapshot", "restore", "run"}
+	operands := [numOps]int{2, 3, 1, 0, 1, 1, 0, 0, 0, 0, 0}
+	var sb strings.Builder
+	for len(prog) > 0 {
+		op := prog[0] % numOps
+		n := min(operands[op], len(prog)-1)
+		fmt.Fprintf(&sb, "%s%v ", names[op], prog[1:1+n])
+		prog = prog[1+n:]
+	}
+	return sb.String()
+}
+
+// fan is n same-instant sends of behaviour b on one stream: one train.
+func fan(n int, b byte) []byte {
+	var p []byte
+	for i := 0; i < n; i++ {
+		p = append(p, opSend, 0, 1, b)
+	}
+	return p
+}
+
+// streamOrderSeeds are the cases a train implementation gets wrong first.
+func streamOrderSeeds() map[string][]byte {
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	// Enough traffic of one delay to promote its lane, stepped through,
+	// then rolled back and run again.
+	var lanes []byte
+	for i := 0; i < 100; i++ {
+		lanes = append(lanes, opSend, byte(i%2), 1, behNone, opSend, byte(i%2), 1, behNone, opTimer, 2, behNone, opStep)
+		if i == 70 {
+			lanes = append(lanes, opSnapshot)
+		}
+	}
+	lanes = append(lanes, opRun, opRestore, opRun)
+
+	return map[string][]byte{
+		// A timer scheduled for the train's instant between two sends must
+		// split the train: send, timer, send fire in that order.
+		"timer-splits-train": {opSend, 0, 1, behNone, opTimer, 1, behNone, opSend, 0, 1, behNone, opRun},
+		// So must a send on another stream.
+		"other-stream-splits-train": {opSend, 0, 1, behNone, opSend, 1, 1, behNone, opSend, 0, 1, behNone, opRun},
+		// Zero-delay sends from inside a delivery land behind everything
+		// already queued for the instant, the rest of the train included.
+		"zero-delay-send-in-delivery": cat(fan(1, beh(behSendNow, 0)), fan(1, beh(behFanout, 0)), fan(2, behNone), []byte{opTimer, 1, beh(behSendNow, 0), opRun}),
+		// A zero-delay storm: each train's deliveries send the next train.
+		"zero-delay-chain": cat(fan(2, beh(behChain, 0)), []byte{opBudget, 7, opRun, opBudget, 0, opRun}),
+		// Stop() from the second of five deliveries: the rest stay queued
+		// and arrive, once, after Resume.
+		"stop-mid-train": cat(fan(1, behNone), fan(1, beh(behStop, 0)), fan(3, behNone), []byte{opRun, opStep, opResume, opRun}),
+		// The step budget runs out inside a train; re-arming delivers the rest.
+		"budget-mid-train": cat(fan(6, behNone), []byte{opBudget, 2, opRun, opRun, opBudget, 3, opRunFor, 3, opBudget, 0, opRun}),
+		// Step delivers exactly one callback of a train.
+		"step-delivers-one": cat(fan(3, behNone), []byte{opStep, opStep, opTimer, 0, behNone, opStep, opStep, opStep}),
+		// Snapshot with a train half delivered, finish it, roll back: the
+		// remainder is delivered again from fresh clones, twice over.
+		"restore-half-delivered": cat(fan(4, behNone), []byte{opStep, opStep, opSnapshot, opRun, opRestore, opStep, opRestore, opRun}),
+		// A send after Snapshot must not join a captured train, and a
+		// rollback must discard (and recycle) what it added.
+		"send-after-snapshot": cat(fan(2, behNone), []byte{opSnapshot}, fan(2, behNone), []byte{opRestore}, fan(2, behNone), []byte{opStep, opRestore}, fan(1, behNone), []byte{opRun, opRestore, opRun}),
+		// A send for the instant of a train that has already left starts a
+		// new one.
+		"send-at-departed-instant": cat(fan(2, behNone), []byte{opRunFor, 1, opSend, 0, 0, behNone, opSend, 0, 0, behNone, opRun}),
+		// A timer canceled around a train, and a stale handle after rollback.
+		"cancel-around-train": cat([]byte{opTimer, 1, behNone}, fan(2, beh(behStopTimer, 0)), []byte{opTimer, 1, behNone, opSnapshot, opTimer, 1, behNone, opRestore, opStopTimer, 2, opStopTimer, 1, opRun}),
+		"lanes-and-rollback":  lanes,
+	}
+}
+
+// FuzzStreamOrder is the differential test over arbitrary programs; its
+// seed corpus runs as a unit test on every `go test`.
+func FuzzStreamOrder(f *testing.F) {
+	for _, prog := range streamOrderSeeds() {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 4096 {
+			t.Skip("long programs only repeat short ones")
+		}
+		checkProgram(t, prog)
+	})
+}
+
+// TestStreamOrderSeeds names the seed that fails.
+func TestStreamOrderSeeds(t *testing.T) {
+	for name, prog := range streamOrderSeeds() {
+		t.Run(name, func(t *testing.T) { checkProgram(t, prog) })
+	}
+}
+
+// TestTrainsForm pins the queue work itself, which the differential test
+// cannot see: same-instant deliveries share one dispatch, and everything
+// that must split a train costs exactly one more.
+func TestTrainsForm(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		prog       []byte
+		dispatches uint64
+		executed   uint64
+	}{
+		{"one-train", fan(3, behNone), 1, 3},
+		{"timer-splits", streamOrderSeeds()["timer-splits-train"], 3, 3},
+		{"stream-splits", streamOrderSeeds()["other-stream-splits-train"], 3, 3},
+		{"interrupted-train-is-one-dispatch", streamOrderSeeds()["stop-mid-train"], 1, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eq := newEngineQueue(t)
+			runProgram(eq, append(slices.Clone(tc.prog), opResume, opRun))
+			if d, x := eq.dispatches(); d != tc.dispatches || x != tc.executed {
+				t.Fatalf("%d dispatches for %d callbacks, want %d for %d", d, x, tc.dispatches, tc.executed)
+			}
+		})
+	}
+}

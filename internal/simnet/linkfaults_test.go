@@ -155,6 +155,70 @@ func TestLinkFaultStatsConservation(t *testing.T) {
 	}
 }
 
+// TestStatsConservationMidTrain: the ledger counts a message when its
+// delivery resolves, not when its queue event does. Same-instant
+// deliveries share one engine event (a sim.Stream train); when the step
+// budget cuts a train short, what it has not delivered is still in
+// flight, before and after a rollback onto the half-delivered train:
+//
+//	Sent + Duplicated == Delivered + Dropped + Partitioned + Pending()
+//
+// and the interrupted, rolled-back run ends on the ledger of a straight one.
+func TestStatsConservationMidTrain(t *testing.T) {
+	build := func() (*sim.Engine, *Network) {
+		eng := sim.New(23)
+		net := New(eng, Config{BaseLatency: 2 * time.Millisecond})
+		net.Handle(2, func(Addr, any) {})
+		net.ArmLinkFaults(AnyAddr, AnyAddr, faultinject.NewPlan(dupEvery(3, 1)), xorCorrupter)
+		for i := 0; i < 100; i++ {
+			net.Send(1, 2, i)
+			net.Send(1, 99, i) // unknown destination: dropped at delivery
+		}
+		return eng, net
+	}
+	straightEng, straight := build()
+	straightEng.Run()
+
+	eng, net := build()
+	inFlight := int(net.Stats().Sent + net.Stats().Duplicated)
+	if inFlight <= 200 {
+		t.Fatalf("no duplicates were injected: %d envelopes for 200 sends", inFlight)
+	}
+	balance := func(when string, inFlight int) {
+		t.Helper()
+		st := net.Stats()
+		if eng.Pending() != inFlight {
+			t.Fatalf("%s: %d deliveries pending, want %d", when, eng.Pending(), inFlight)
+		}
+		if got, want := st.Delivered+st.Dropped+st.Partitioned+uint64(inFlight), st.Sent+st.Duplicated; got != want {
+			t.Fatalf("%s: ledger out of balance: Delivered+Dropped+Partitioned+in-flight = %d, Sent+Duplicated = %d (%+v)",
+				when, got, want, st)
+		}
+	}
+	balance("before the window", inFlight)
+
+	eng.SetStepBudget(30)
+	eng.Run()
+	if !eng.BudgetExceeded() || eng.Dispatches() != 0 {
+		t.Fatalf("the budget did not trip inside the one train: exceeded=%v, %d dispatches", eng.BudgetExceeded(), eng.Dispatches())
+	}
+	balance("budget tripped mid-train", inFlight-30)
+
+	esnap, nsnap := eng.Snapshot(), net.Snapshot()
+	for fork := 0; fork < 3; fork++ {
+		eng.SetStepBudget(0)
+		eng.Run()
+		balance("drained", 0)
+		if net.Stats() != straight.Stats() {
+			t.Fatalf("fork %d ends on %+v, a straight run on %+v", fork, net.Stats(), straight.Stats())
+		}
+		net.Send(1, 2, -1) // a delivery the rollback discards
+		eng.Restore(esnap)
+		net.Restore(nsnap)
+		balance("rolled back onto the half-delivered train", inFlight-30)
+	}
+}
+
 // TestLinkFaultSnapshotRestore: the armed plan's call counters are part
 // of the network snapshot — a fork must garble the same sends as the run
 // it forked from, and re-arming replaces cleanly.

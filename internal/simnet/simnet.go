@@ -83,7 +83,7 @@ type Config struct {
 }
 
 // Stats counts network activity since creation. The conservation
-// invariant (checked by TestStatsConservation) is
+// invariant (TestLinkFaultStatsConservation, TestStatsConservationMidTrain) is
 //
 //	Sent + Duplicated == Delivered + Dropped + Partitioned + in-flight
 //
@@ -138,9 +138,9 @@ type Network struct {
 	// snapshot masters never enter the pool.
 	//avdlint:ephemeral message pool: checkouts are fully overwritten and the engine recycles discarded deliveries, so no stale pooled entry is ever delivered
 	freeMsgs []*Message
-	// deliverFn is the pre-bound delivery callback handed to
-	// sim.Engine.ScheduleCall, avoiding a closure allocation per send.
-	deliverFn func(any)
+	// deliveries is the engine stream in-flight envelopes ride: one pre-bound
+	// callback, and one queue event per instant rather than per message.
+	deliveries *sim.Stream
 }
 
 type linkKey struct{ from, to Addr }
@@ -244,7 +244,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		linkLatency: make(map[linkKey]time.Duration),
 		blocked:     make(map[linkKey]bool),
 	}
-	n.deliverFn = func(x any) { n.deliver(x.(*Message)) }
+	n.deliveries = eng.NewStream(func(x any) { n.deliver(x.(*Message)) })
 	return n
 }
 
@@ -391,7 +391,7 @@ func (n *Network) Send(from, to Addr, payload any) {
 		d += time.Duration(n.eng.Rand().Int63n(int64(n.cfg.Jitter)))
 	}
 	d += m.ExtraDelay
-	n.eng.ScheduleCall(d, n.deliverFn, m)
+	n.deliveries.Schedule(d, m)
 	if duplicate {
 		// The duplicate rides the same latency and is queued after the
 		// original (same at, later seq), so it arrives immediately behind
@@ -399,7 +399,7 @@ func (n *Network) Send(from, to Addr, payload any) {
 		dm := n.getMsg()
 		*dm = *m
 		n.stats.Duplicated++
-		n.eng.ScheduleCall(d, n.deliverFn, dm)
+		n.deliveries.Schedule(d, dm)
 	}
 }
 

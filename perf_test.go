@@ -16,6 +16,7 @@ import (
 	"avd/internal/plugin"
 	"avd/internal/scenario"
 	"avd/internal/sim"
+	"avd/internal/simnet"
 )
 
 // dedupSpace is the paper's PBFT hyperspace shape (mask x clients x
@@ -72,6 +73,89 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Schedule(time.Microsecond, fn)
 		e.Step()
+	}
+}
+
+// fanoutNet is the traffic shape the campaign workloads have, with the
+// protocol taken out: node 0 sends to 250 peers at one instant and every
+// peer answers, so a round is 500 messages landing on two instants.
+// Without jitter each instant's deliveries ride one sim.Stream train;
+// with jitter every delivery has an instant, and so a queue event, of
+// its own — the two ends of what simnet can ask of the engine.
+func fanoutNet(jitter time.Duration) (e *sim.Engine, net *simnet.Network, round func()) {
+	const peers = 250
+	e = sim.New(1)
+	net = simnet.New(e, simnet.Config{BaseLatency: 500 * time.Microsecond, Jitter: jitter})
+	var payload any = uint64(7) // small enough that boxing never allocates
+	net.Handle(0, func(simnet.Addr, any) {})
+	for p := simnet.Addr(1); p <= peers; p++ {
+		net.Handle(p, func(simnet.Addr, any) { net.Send(p, 0, payload) })
+	}
+	return e, net, func() {
+		for p := simnet.Addr(1); p <= peers; p++ {
+			net.Send(0, p, payload)
+		}
+		e.Run()
+	}
+}
+
+func benchmarkSimnetRounds(b *testing.B, jitter time.Duration) {
+	e, _, round := fanoutNet(jitter)
+	for i := 0; i < 8; i++ { // warm the envelope, train and slot pools
+		round()
+	}
+	executed, dispatches := e.Executed(), e.Dispatches()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	executed, dispatches = e.Executed()-executed, e.Dispatches()-dispatches
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(executed), "ns/msg")
+	b.ReportMetric(float64(executed)/float64(dispatches), "msgs/event")
+}
+
+// BenchmarkSimnetFanout: same-instant deliveries, 250 to a train.
+func BenchmarkSimnetFanout(b *testing.B) { benchmarkSimnetRounds(b, 0) }
+
+// BenchmarkSimnetJitter: the worst case for trains, one delivery each.
+func BenchmarkSimnetJitter(b *testing.B) { benchmarkSimnetRounds(b, 200*time.Microsecond) }
+
+// TestSimnetRoundsAllocFree is the hard assert behind the two benchmarks:
+// in the steady state a round allocates nothing at either end of the
+// traffic, and neither does rolling back onto trains in flight — the
+// rollback's discarded envelopes and trains are what the next fork's
+// copies are made of.
+func TestSimnetRoundsAllocFree(t *testing.T) {
+	for name, jitter := range map[string]time.Duration{"fanout": 0, "jitter": 200 * time.Microsecond} {
+		e, net, round := fanoutNet(jitter)
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+			t.Errorf("%s: a steady-state round allocates %.1f objects, want 0", name, allocs)
+		}
+
+		// Capture with the requests in flight; each fork delivers them and
+		// is rolled back with the replies in flight.
+		for p := simnet.Addr(1); p <= 250; p++ {
+			net.Send(0, p, uint64(7))
+		}
+		esnap, nsnap := e.Snapshot(), net.Snapshot()
+		fork := func() {
+			e.RunFor(500 * time.Microsecond)
+			if e.Pending() == 0 {
+				t.Fatalf("%s: nothing in flight at the rollback", name)
+			}
+			e.Restore(esnap)
+			net.Restore(nsnap)
+		}
+		for i := 0; i < 3; i++ {
+			fork()
+		}
+		if allocs := testing.AllocsPerRun(20, fork); allocs != 0 {
+			t.Errorf("%s: a run+restore cycle over trains in flight allocates %.1f objects, want 0", name, allocs)
+		}
 	}
 }
 
