@@ -83,7 +83,7 @@ func main() {
 	opts := []core.EngineOption{
 		core.WithExplorer(explorer),
 		core.WithBudget(*tests),
-		core.WithWorkers(*workers),
+		core.WithWorkers(setup.Manifest.Workers),
 	}
 
 	// Durable state: validate the manifest (refusing a resume whose flags
@@ -142,8 +142,9 @@ func main() {
 	if shards > 1 {
 		shardNote = fmt.Sprintf(" shard=%d/%d (%s)", shard, shards, setup.Plan)
 	}
+	// workers is the count that runs, not the flag: -workers 0 is -workers 1.
 	fmt.Printf("target=%s strategy=%s hyperspace=%d scenarios budget=%d workers=%d%s\n",
-		target.Name(), *strategy, space.Size(), *tests, *workers, shardNote)
+		target.Name(), *strategy, space.Size(), *tests, setup.Manifest.Workers, shardNote)
 
 	// Ctrl-C (or the supervisor's drain signal) cancels the campaign; the
 	// batch in flight still completes and reaches the checkpoint, and the
@@ -182,7 +183,9 @@ func main() {
 		}
 
 		best := topAttacks(results, *topN)
-		fmt.Printf("\ntop %d attacks:\n", len(best))
+		if len(best) > 0 {
+			fmt.Printf("\ntop %d attacks:\n", len(best))
+		}
 		for i, r := range best {
 			fmt.Printf("  %d. impact=%.3f tput=%.0f req/s lat=%v crash=%d injected=%d/%d  %s%s%s\n",
 				i+1, r.Impact, r.Throughput, r.AvgLatency.Round(time.Millisecond),

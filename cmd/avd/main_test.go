@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +16,9 @@ import (
 
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // profile behind and the campaign still exits 0, so sizing a change does
-// not need a patched binary.
+// not need a patched binary. The same run checks what the binary prints
+// for -workers 0 (the one worker that runs it, as the manifest records)
+// and -top 0 (no "top 0 attacks:" header over nothing).
 func TestProfileFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs a real campaign")
@@ -28,9 +31,16 @@ func TestProfileFlags(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	run := exec.Command(bin, "-tests", "12", "-seed", "3", "-quiet", "-cpuprofile", cpu, "-memprofile", mem)
-	if out, err := run.CombinedOutput(); err != nil {
+	run := exec.Command(bin, "-tests", "12", "-seed", "3", "-quiet", "-cpuprofile", cpu, "-memprofile", mem, "-workers", "0", "-top", "0")
+	out, err := run.CombinedOutput()
+	if err != nil {
 		t.Fatalf("avd with profile flags: %v\n%s", err, out)
+	}
+	if banner, _, _ := strings.Cut(string(out), "\n"); !strings.HasSuffix(banner, " budget=12 workers=1") {
+		t.Errorf("-workers 0 banner = %q, want the effective workers=1", banner)
+	}
+	if strings.Contains(string(out), "attacks:") {
+		t.Errorf("-top 0 still prints a top-attacks header:\n%s", out)
 	}
 	for _, path := range []string{cpu, mem} {
 		info, err := os.Stat(path)

@@ -30,7 +30,7 @@ type Config struct {
 	Plugins    string        // comma-separated plugin names ("" = target default)
 	Faults     string        // comma-separated fault-vocabulary-v2 names
 	StepBudget uint64        // per-test simulation event budget
-	Workers    int           // parallel test-execution workers
+	Workers    int           // parallel test-execution workers; below 1 runs as 1, which is what Build records
 	Shard      int           // 0-based shard index
 	Shards     int           // K; <= 1 means unsharded
 }
@@ -72,6 +72,9 @@ func ParseShard(s string) (shard, shards int, err error) {
 // pure function of the plugin set, so every process handed the same
 // flags — each worker and the supervisor — derives the same plan.
 func Build(cfg Config) (*Setup, error) {
+	// The manifest records the campaign that runs: -workers 0 and -workers 1
+	// execute the same tests in the same order and must resume each other.
+	cfg.Workers = max(cfg.Workers, 1)
 	plugins, nodes, err := basePlugins(cfg.Target, cfg.Plugins)
 	if err != nil {
 		return nil, err

@@ -74,3 +74,36 @@ func TestRunForkWorkerIsRunFork(t *testing.T) {
 		h.FlushMasters()
 	}
 }
+
+// TestManifestRecordsEffectiveWorkers: -workers 0 (or less) runs on the
+// one worker core.WithWorkers makes of it, so the manifest says 1 and a
+// durable campaign started either way resumes the other; -workers 2 is a
+// different campaign and still refuses.
+func TestManifestRecordsEffectiveWorkers(t *testing.T) {
+	manifest := func(workers int) core.Manifest {
+		setup, err := Build(Config{
+			Target: "raft", Strategy: "avd", Tests: 10, Seed: 1,
+			Measure: 300 * time.Millisecond, StepBudget: 2_000_000, Workers: workers, Shards: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return setup.Manifest
+	}
+	one := manifest(1)
+	for _, workers := range []int{0, -3} {
+		m := manifest(workers)
+		if m.Workers != 1 {
+			t.Errorf("-workers %d: manifest records workers=%d, want 1", workers, m.Workers)
+		}
+		if err := one.Validate(m); err != nil {
+			t.Errorf("-workers 1 does not resume -workers %d: %v", workers, err)
+		}
+		if err := m.Validate(one); err != nil {
+			t.Errorf("-workers %d does not resume -workers 1: %v", workers, err)
+		}
+	}
+	if err := manifest(2).Validate(one); err == nil {
+		t.Error("-workers 2 resumed a -workers 1 campaign")
+	}
+}

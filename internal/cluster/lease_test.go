@@ -72,7 +72,9 @@ func TestPBFTRestoreAllocFree(t *testing.T) {
 // protocol, the clients or the network send something else; Dispatches
 // moves if a change schedules anything for the delivery instant between
 // two sends and silently stops trains forming. Update either figure only
-// with that explanation.
+// with that explanation. Resets and Requeues are zero: no PBFT code re-arms
+// a timer through Engine.Reset, which makes this window the control for
+// raftsim's twin.
 func TestWindowDispatchCounts(t *testing.T) {
 	const (
 		windowExecuted   = 716_664
@@ -88,5 +90,8 @@ func TestWindowDispatchCounts(t *testing.T) {
 	if executed != windowExecuted || dispatches != windowDispatches {
 		t.Errorf("the window ran %d callbacks from %d queue events, want exactly %d from %d",
 			executed, dispatches, windowExecuted, windowDispatches)
+	}
+	if resets, requeues := d.eng.Resets(), d.eng.Requeues(); resets != 0 || requeues != 0 {
+		t.Errorf("the deployment re-armed %d timers in place and re-queued %d, want 0 and 0", resets, requeues)
 	}
 }

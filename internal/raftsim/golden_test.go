@@ -83,6 +83,14 @@ func TestGoldenTraceSplitTrains(t *testing.T) {
 	TestGoldenTrace(t)
 }
 
+// TestGoldenTraceEagerResets: and when every election-timer re-arm was a
+// Stop and a Schedule, which sim.SetEagerResets makes of Engine.Reset again.
+func TestGoldenTraceEagerResets(t *testing.T) {
+	sim.SetEagerResets(true)
+	defer sim.SetEagerResets(false)
+	TestGoldenTrace(t)
+}
+
 // TestGoldenTracePoisonedForks replays the golden pair through the fork
 // path with the slab pool's poison hook on and forks of two other client
 // counts interleaved: every chunk the golden master's windows carve was

@@ -413,12 +413,12 @@ func (n *Node) electionTimeout() time.Duration {
 }
 
 func (n *Node) resetElectionTimer() {
-	n.electionTimer.Stop()
 	// Timers run on the node's own clock: skew makes this node's election
 	// timeout fire early (fast clock) or late (slow clock) relative to its
 	// peers, which is how stale-leader and premature-election schedules
-	// enter the search space.
-	n.electionTimer = n.eng.ScheduleSkewed(n.clock, n.electionTimeout(), n.electionFn)
+	// enter the search space. Every AppendEntries received comes through
+	// here, and Reset moves the pending timer without a queue operation.
+	n.electionTimer = n.eng.ResetSkewed(n.electionTimer, n.clock, n.electionTimeout(), n.electionFn)
 }
 
 func (n *Node) lastLog() (index, term uint64) {
@@ -492,8 +492,7 @@ func (n *Node) becomeLeader() {
 	}
 	clear(n.pending)
 	n.broadcastAppend()
-	n.heartbeatTimer.Stop()
-	n.heartbeatTimer = n.eng.ScheduleSkewed(n.clock, n.cfg.HeartbeatInterval, n.heartbeatFn)
+	n.heartbeatTimer = n.eng.ResetSkewed(n.heartbeatTimer, n.clock, n.cfg.HeartbeatInterval, n.heartbeatFn)
 }
 
 func (n *Node) onHeartbeat() {

@@ -476,6 +476,13 @@ func TestStormWindowLease(t *testing.T) {
 // or arms something else; Dispatches moves if a change schedules
 // anything for the delivery instant between two sends and silently stops
 // trains forming. Update either figure only with that explanation.
+//
+// Resets and Requeues (fields three and four of ROADMAP 1(a)'s Cost
+// record) pin the election timers' lazy path: every AppendEntries received
+// re-arms one through Engine.Reset, and Resets counts the calls that moved
+// no queue node, Requeues the nodes the re-arms cost after all — stale ones
+// the dispatcher put back plus moves to an earlier instant. Resets falling
+// or Requeues climbing means timers stopped being re-armed in place.
 func TestWindowDispatchCounts(t *testing.T) {
 	golden, goldenPoint := goldenWorkload()
 	storm := DefaultWorkload()
@@ -485,9 +492,10 @@ func TestWindowDispatchCounts(t *testing.T) {
 		w                    Workload
 		sc                   scenario.Scenario
 		executed, dispatches uint64
+		resets, requeues     uint64
 	}{
-		{"golden", golden, goldenSpace(t).New(goldenPoint), 658, 262},
-		{"storm", storm, testSpace(t).New(map[string]int64{DimClients: 50, DimFlapIntervalMS: 300, DimFlapDownMS: 200}), 76_416, 1_080},
+		{"golden", golden, goldenSpace(t).New(goldenPoint), 658, 262, 255, 21},
+		{"storm", storm, testSpace(t).New(map[string]int64{DimClients: 50, DimFlapIntervalMS: 300, DimFlapDownMS: 200}), 76_416, 1_080, 30_166, 73},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := NewRunner(tc.w)
@@ -499,11 +507,17 @@ func TestWindowDispatchCounts(t *testing.T) {
 			d.Restore()
 			d.Arm(tc.sc, true)
 			executed, dispatches := d.eng.Executed(), d.eng.Dispatches()
+			resets, requeues := d.eng.Resets(), d.eng.Requeues()
 			d.eng.RunFor(tc.w.Measure)
 			executed, dispatches = d.eng.Executed()-executed, d.eng.Dispatches()-dispatches
 			if executed != tc.executed || dispatches != tc.dispatches {
 				t.Errorf("the window ran %d callbacks from %d queue events, want exactly %d from %d",
 					executed, dispatches, tc.executed, tc.dispatches)
+			}
+			resets, requeues = d.eng.Resets()-resets, d.eng.Requeues()-requeues
+			if resets != tc.resets || requeues != tc.requeues {
+				t.Errorf("the window re-armed %d timers in place and re-queued %d, want exactly %d and %d",
+					resets, requeues, tc.resets, tc.requeues)
 			}
 		})
 	}
@@ -513,7 +527,9 @@ func TestWindowDispatchCounts(t *testing.T) {
 // CI's 300,000-event step budget in the middle of a train. The verdict
 // and the engine's callback count must be what they are when every
 // delivery is a queue event of its own (sim.SetSplitTrains): a delivery
-// that rides a train still costs the budget one step.
+// that rides a train still costs the budget one step. And what they are
+// when every timer re-arm is a Stop and a Schedule (sim.SetEagerResets):
+// a stale node re-queued on the way costs it none.
 func TestStormHungSameWithSplitTrains(t *testing.T) {
 	run := func() (core.Result, uint64) {
 		w := DefaultWorkload()
@@ -530,15 +546,17 @@ func TestStormHungSameWithSplitTrains(t *testing.T) {
 		r.EachMaster(func(_ int64, d *deployment) { executed = d.eng.Executed() })
 		return res, executed
 	}
-	sim.SetSplitTrains(true)
-	split, splitExecuted := run()
-	sim.SetSplitTrains(false)
-	merged, mergedExecuted := run()
-	if !merged.Hung {
-		t.Fatalf("the storm did not exhaust the step budget: %+v", merged)
+	shipped, shippedExecuted := run()
+	if !shipped.Hung {
+		t.Fatalf("the storm did not exhaust the step budget: %+v", shipped)
 	}
-	if !reflect.DeepEqual(split, merged) || splitExecuted != mergedExecuted {
-		t.Errorf("verdict differs with trains:\nsplit:  %d callbacks, %+v\nmerged: %d callbacks, %+v",
-			splitExecuted, split, mergedExecuted, merged)
+	for name, set := range map[string]func(bool){"split trains": sim.SetSplitTrains, "eager resets": sim.SetEagerResets} {
+		set(true)
+		hooked, hookedExecuted := run()
+		set(false)
+		if !reflect.DeepEqual(hooked, shipped) || hookedExecuted != shippedExecuted {
+			t.Errorf("verdict differs with %s:\nhooked:  %d callbacks, %+v\nshipped: %d callbacks, %+v",
+				name, hookedExecuted, hooked, shippedExecuted, shipped)
+		}
 	}
 }

@@ -14,14 +14,17 @@ func TestRestoreAllocFree(t *testing.T) {
 	e := New(1)
 	// A recurring-delay workload hot enough to promote lanes, plus
 	// randomized one-shot timers that stay on the heap, plus timer churn
-	// (cancel + re-arm) to exercise the tombstone paths.
+	// (cancel + re-arm) to exercise the tombstone paths, plus an election
+	// timer every tick pushes back through Reset: its node is stale at the
+	// capture and is re-queued in every cycle.
 	var tick func()
-	var churn Timer
+	var churn, election Timer
 	tick = func() {
 		e.Schedule(time.Millisecond, tick)
 		churn.Stop()
 		churn = e.Schedule(5*time.Millisecond, func() {})
 		e.Schedule(time.Duration(e.Rand().Int63n(int64(3*time.Millisecond))), func() {})
+		election = e.Reset(election, e.Now().Add(3*time.Millisecond+time.Duration(e.Rand().Int63n(int64(3*time.Millisecond)))), func() {})
 	}
 	for i := 0; i < 4; i++ {
 		e.Schedule(time.Millisecond, tick)
@@ -29,8 +32,14 @@ func TestRestoreAllocFree(t *testing.T) {
 	e.RunFor(300 * time.Millisecond)
 
 	s := e.Snapshot()
+	if election.When() == e.heap[e.arena[election.idx].pos].at {
+		t.Fatal("the election timer's node is not stale at the capture")
+	}
 	cycle := func() {
 		e.RunFor(100 * time.Millisecond)
+		if e.Requeues() == s.requeues {
+			t.Fatal("the cycle re-queued no stale node")
+		}
 		e.Restore(s)
 	}
 	// Warm the pools: the first cycles may grow lane buffers, the dirty
@@ -46,14 +55,23 @@ func TestRestoreAllocFree(t *testing.T) {
 // TestRestoreDeltaMatchesFull cross-checks the delta path against the
 // full-copy path: running from a delta restore and from a full restore
 // (forced by restoring an older snapshot first) produces the same
-// executed-event counts and clock.
+// executed-event counts and clock. The election timer is re-armed through
+// Reset every tick for 1–4 ms on: mostly in place (a stale node is in
+// flight at every capture and rollback), sometimes after it fired.
 func TestRestoreDeltaMatchesFull(t *testing.T) {
-	run := func(forceFull bool) (uint64, Time) {
+	type outcome struct {
+		executed, requeues uint64
+		now                Time
+		pending            int
+	}
+	run := func(forceFull bool) outcome {
 		e := New(42)
 		var tick func()
+		var election Timer
 		tick = func() {
 			e.Schedule(2*time.Millisecond, tick)
 			e.Schedule(time.Duration(e.Rand().Int63n(int64(time.Millisecond))), func() {})
+			election = e.Reset(election, e.Now().Add(time.Millisecond+time.Duration(e.Rand().Int63n(int64(3*time.Millisecond)))), func() {})
 		}
 		e.Schedule(time.Millisecond, tick)
 		e.RunFor(50 * time.Millisecond)
@@ -71,12 +89,13 @@ func TestRestoreDeltaMatchesFull(t *testing.T) {
 			}
 		}
 		e.RunFor(20 * time.Millisecond)
-		return e.Executed(), e.Now()
+		return outcome{e.Executed(), e.Requeues(), e.Now(), e.Pending()}
 	}
-	dExec, dNow := run(false)
-	fExec, fNow := run(true)
-	if dExec != fExec || dNow != fNow {
-		t.Fatalf("delta path (exec %d, now %v) diverges from full path (exec %d, now %v)",
-			dExec, dNow, fExec, fNow)
+	delta, full := run(false), run(true)
+	if delta != full {
+		t.Fatalf("delta path %+v diverges from full path %+v", delta, full)
+	}
+	if delta.requeues == 0 {
+		t.Fatal("no stale node was re-queued")
 	}
 }

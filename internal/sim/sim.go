@@ -19,7 +19,9 @@
 // delta — only the slots dirtied since the capture copy back
 // (DESIGN.md §8, §9).
 //
-// Timers (Schedule, At) are cancelable closures with a queue node each;
+// Timers (Schedule, At) are cancelable closures with a queue node each,
+// and Reset moves a pending one to a later instant without touching the
+// queue: the node stays put and is re-queued if it surfaces early;
 // deliveries (Stream.Schedule) are uncancelable fn(arg) calls of which
 // consecutive ones for one instant share a node: a network's fan-out costs
 // the queue one event, not one per message (DESIGN.md §2).
@@ -56,7 +58,7 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Timer is a value handle to a scheduled callback. The zero value is an
 // inactive timer on which Stop and Active are safe no-ops; live timers
-// are created by Engine.Schedule and Engine.At.
+// are created by Engine.Schedule, Engine.At and Engine.Reset.
 //
 // Timers are values, not pointers: scheduling allocates nothing for the
 // handle, and the underlying arena slot is recycled through the engine's
@@ -132,7 +134,12 @@ func (t Timer) When() Time {
 // event is one arena slot: a timer (fn) or a train of deliveries (tr).
 // Both are cleared on recycle so the arena never pins dead callbacks.
 type event struct {
-	at  Time
+	at Time
+	// seq is the insertion sequence the event fires under: with at, its key.
+	// Reset rewrites the key and leaves the queue node where it is, so a node
+	// whose seq is not its slot's is stale — never later than the key, and
+	// re-queued under it when it reaches the front (see Engine.fire).
+	seq uint64
 	gen uint64 // the queued event's id, 0 while the slot is free; validates Timer handles
 	// touched is the dirty-tracking watermark: the engine's dirtySeq value
 	// as of the last mutation of this slot. A slot whose watermark matches
@@ -253,6 +260,8 @@ type Engine struct {
 
 	executed   uint64 // callbacks run
 	dispatches uint64 // queue nodes popped: executed less the deliveries that rode a train
+	resets     uint64 // Reset calls that left the queue node where it was
+	requeues   uint64 // queue nodes a Reset cost after all: stale ones re-queued, and moves to an earlier instant
 
 	// open is the train a Stream.Schedule for its instant, openAt, may join.
 	open       *train   //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
@@ -334,6 +343,13 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Dispatches returns the number of queue nodes popped so far.
 func (e *Engine) Dispatches() uint64 { return e.dispatches }
 
+// Resets returns the number of Reset calls that moved no queue node.
+func (e *Engine) Resets() uint64 { return e.resets }
+
+// Requeues returns the number of queue nodes Reset has cost: stale nodes
+// the dispatcher re-queued plus timers Reset moved to an earlier instant.
+func (e *Engine) Requeues() uint64 { return e.requeues }
+
 // Pending returns the number of events still queued.
 func (e *Engine) Pending() int { return e.live }
 
@@ -377,6 +393,51 @@ func (e *Engine) skewed(clock int, d time.Duration) time.Duration {
 // fire earlier in global time, a slow one later.
 func (e *Engine) ScheduleSkewed(clock int, d time.Duration, fn func()) Timer {
 	return e.At(e.now.Add(e.skewed(clock, d)), fn)
+}
+
+var eagerResets atomic.Bool
+
+// SetEagerResets is a test hook no flag, option or config field reaches:
+// while on, every Reset is the Stop and the At it stands for.
+func SetEagerResets(on bool) { eagerResets.Store(on) }
+
+// Reset re-arms t: exactly t.Stop() followed by At(at, fn), down to the seq
+// and the event id the pair takes, and t is inert afterwards. When t is
+// pending and at is no earlier than where its queue node sits, the node
+// stays there and only the slot's key moves; the dispatcher re-queues the
+// node under that key if it comes up first (fire). Order is unchanged:
+// events fire in (at, seq) order of their slots' keys, and a node is never
+// queued later than its slot's key.
+func (e *Engine) Reset(t Timer, at Time, fn func()) Timer {
+	if at < e.now {
+		at = e.now
+	}
+	if ev := t.ev(); ev != nil && !ev.canceled && t.eng == e && !eagerResets.Load() {
+		queuedAt := ev.at // a lane member's node is not at hand; it is no later than the slot
+		if ev.pos >= 0 {
+			queuedAt = e.heap[ev.pos].at
+		}
+		if at >= queuedAt {
+			if at == e.openAt {
+				e.open = nil
+			}
+			e.gens++
+			ev.at, ev.seq, ev.gen, ev.fn = at, e.seq, e.gens, fn
+			e.seq++
+			e.resets++
+			e.mark(t.idx)
+			return Timer{eng: e, idx: t.idx, gen: ev.gen}
+		}
+		e.requeues++
+	}
+	t.Stop()
+	return e.At(at, fn)
+}
+
+// ResetSkewed is Reset with d a duration on the given node-local clock, as
+// ScheduleSkewed is Schedule.
+func (e *Engine) ResetSkewed(t Timer, clock int, d time.Duration, fn func()) Timer {
+	return e.Reset(t, e.now.Add(e.skewed(clock, d)), fn)
 }
 
 // SetStepBudget arms the runaway-scenario watchdog: the engine will fire
@@ -505,7 +566,7 @@ func (e *Engine) schedule(t Time, fn func(), tr *train) Timer {
 	}
 	ev := &e.arena[idx]
 	e.gens++
-	ev.at, ev.gen, ev.canceled = t, e.gens, false
+	ev.at, ev.seq, ev.gen, ev.canceled = t, e.seq, e.gens, false
 	ev.fn, ev.tr = fn, tr
 	if e.track != nil && ev.touched != e.dirtySeq {
 		ev.touched = e.dirtySeq
@@ -641,13 +702,23 @@ func (ln *lane) advance() {
 	}
 }
 
-// fire dispatches one located event. A train closes when its first
-// delivery runs and delivers its arguments back to back, passing the run
-// loop's own gates between every two (one is Step's: exactly one callback);
-// an interrupted train stays queued at its cursor, under its first key,
-// which still sorts first: nothing else of its instant preceded its close.
-func (e *Engine) fire(nd node, src int, one bool) {
+// fire dispatches one located event and reports true. A train closes when
+// its first delivery runs and delivers its arguments back to back, passing
+// the run loop's own gates between every two (one is Step's: exactly one
+// callback); an interrupted train stays queued at its cursor, under its
+// first key, which still sorts first: nothing else of its instant preceded
+// its close.
+//
+// A stale node is re-queued instead and fire reports false, having run no
+// callback, moved no clock and counted no dispatch: the caller looks again.
+// No event is passed over that way, because a node is never later than its
+// slot's key: a stale one surfaces, and moves, before its key is due.
+func (e *Engine) fire(nd node, src int, one bool) bool {
 	ev := &e.arena[nd.idx]
+	if ev.seq != nd.seq {
+		e.requeue(nd, src)
+		return false
+	}
 	e.now = nd.at
 	tr := ev.tr
 	if tr != nil {
@@ -656,7 +727,7 @@ func (e *Engine) fire(nd node, src int, one bool) {
 		}
 		if len(tr.args) > 1 {
 			e.deliver(tr, nd.idx, src, one)
-			return
+			return true
 		}
 	}
 	e.take(src)
@@ -667,13 +738,33 @@ func (e *Engine) fire(nd node, src int, one bool) {
 	e.recycle(nd.idx)
 	if tr == nil {
 		fn()
-		return
+		return true
 	}
 	// A train of one — all of jittered traffic — has no cursor to keep.
 	arg := tr.args[0]
 	tr.args[0], tr.next = nil, 1
 	e.putTrain(tr)
 	tr.s.fn(arg)
+	return true
+}
+
+// requeue moves a stale minimum — one whose seq is not its slot's, left
+// behind by Reset — to its slot's key: back into the lane it came from if it
+// sorts after every member, else the heap. It marks the slot because a
+// lane-to-heap move changes pos.
+func (e *Engine) requeue(nd node, src int) {
+	ev := &e.arena[nd.idx]
+	e.take(src)
+	e.requeues++
+	e.mark(nd.idx)
+	nd.at, nd.seq = ev.at, ev.seq
+	if src >= 0 && nd.at > e.lanes[src].lastAt {
+		ln := e.lanes[src]
+		ln.buf = append(ln.buf, nd)
+		ln.lastAt = nd.at
+	} else {
+		e.push(nd)
+	}
 }
 
 func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
@@ -702,15 +793,16 @@ func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
 // Step fires the next event. It reports false when the queue is empty or
 // the engine was stopped.
 func (e *Engine) Step() bool {
-	if e.stopped || e.overBudget() {
-		return false
+	for !e.stopped && !e.overBudget() {
+		nd, src, ok := e.minPending()
+		if !ok {
+			return false
+		}
+		if e.fire(nd, src, true) {
+			return true
+		}
 	}
-	nd, src, ok := e.minPending()
-	if !ok {
-		return false
-	}
-	e.fire(nd, src, true)
-	return true
+	return false
 }
 
 // Run fires events until the queue drains, Stop is called, or the step
@@ -857,6 +949,8 @@ type Snapshot struct {
 	seq      uint64
 	executed uint64
 	dispatch uint64
+	resets   uint64
+	requeues uint64
 	live     int
 	rngState uint64
 	heap     []node
@@ -892,6 +986,8 @@ func (e *Engine) Snapshot() *Snapshot {
 		seq:      e.seq,
 		executed: e.executed,
 		dispatch: e.dispatches,
+		resets:   e.resets,
+		requeues: e.requeues,
 		live:     e.live,
 		rngState: e.src.state,
 		heap:     append([]node(nil), e.heap...),
@@ -960,6 +1056,7 @@ func (e *Engine) Restore(s *Snapshot) {
 	}
 	e.now, e.seq, e.executed, e.stopped = s.now, s.seq, s.executed, false
 	e.dispatches, e.live, e.open = s.dispatch, s.live, nil
+	e.resets, e.requeues = s.resets, s.requeues
 	// Clocks only ever grow (registered at build time), so the snapshot's
 	// skews copy back in place; the step budget is two scalar copies.
 	e.clocks = append(e.clocks[:0], s.clocks...)

@@ -6,21 +6,24 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The differential test of dispatch order: random programs of timers,
-// stream deliveries, cancellations, partial runs, budgets, stops and
-// snapshot rollbacks run on the real engine and on refQueue, a naive
+// stream deliveries, cancellations, re-arms, partial runs, budgets, stops
+// and snapshot rollbacks run on the real engine and on refQueue, a naive
 // queue that keeps one entry per delivery in a slice sorted by
-// (at, seq). Whatever the engine does to put deliveries on trains, both
-// must run the same callbacks in the same order and report the same
-// Now, Executed, Pending and BudgetExceeded after every operation.
+// (at, seq). Whatever the engine does to put deliveries on trains or to
+// leave a re-armed timer's node where it was, both must run the same
+// callbacks in the same order and report the same Now, Executed, Pending
+// and BudgetExceeded after every operation.
 
 // orderQueue is what a program drives: the engine under test or the
 // reference.
 type orderQueue interface {
 	bind(deliver func(id int, beh byte)) // what a delivery calls when it lands
-	timer(d time.Duration, fn func()) (stop func() bool)
+	timer(d time.Duration, fn func()) timerHandle
+	reset(h timerHandle, d time.Duration, fn func()) timerHandle // h may be nil: the zero Timer
 	send(stream int, d time.Duration, id int, beh byte)
 	step() bool
 	run()
@@ -32,6 +35,9 @@ type orderQueue interface {
 	restore()
 	observe() observation
 }
+
+// timerHandle is one queue's name for a timer it scheduled.
+type timerHandle interface{ stop() bool }
 
 // observation is the queue state a program can see after an operation.
 // inFlight is the number of undelivered stream arguments: the reference
@@ -87,16 +93,31 @@ func (q *refQueue) schedule(d time.Duration, fn func(), delivery bool) int {
 	return q.nextUID
 }
 
-func (q *refQueue) timer(d time.Duration, fn func()) func() bool {
-	uid := q.schedule(d, fn, false)
-	return func() bool {
-		i := slices.IndexFunc(q.evs, func(e refEvent) bool { return e.uid == uid })
-		if i < 0 {
-			return false
-		}
-		q.evs = slices.Delete(q.evs, i, i+1)
-		return true
+type refTimer struct {
+	q   *refQueue
+	uid int
+}
+
+func (h refTimer) stop() bool {
+	q := h.q
+	i := slices.IndexFunc(q.evs, func(e refEvent) bool { return e.uid == h.uid })
+	if i < 0 {
+		return false
 	}
+	q.evs = slices.Delete(q.evs, i, i+1)
+	return true
+}
+
+func (q *refQueue) timer(d time.Duration, fn func()) timerHandle {
+	return refTimer{q, q.schedule(d, fn, false)}
+}
+
+// reset is Reset's contract spelled out: Stop, then Schedule.
+func (q *refQueue) reset(h timerHandle, d time.Duration, fn func()) timerHandle {
+	if h != nil {
+		h.stop()
+	}
+	return q.timer(d, fn)
 }
 
 func (q *refQueue) send(_ int, d time.Duration, id int, beh byte) {
@@ -253,8 +274,17 @@ func newEngineQueue(t *testing.T) *engineQueue {
 
 func (q *engineQueue) bind(deliver func(int, byte)) { q.deliver = deliver }
 
-func (q *engineQueue) timer(d time.Duration, fn func()) func() bool {
-	return q.e.Schedule(d, fn).Stop
+type engineTimer struct{ Timer }
+
+func (h engineTimer) stop() bool { return h.Stop() }
+
+func (q *engineQueue) timer(d time.Duration, fn func()) timerHandle {
+	return engineTimer{q.e.Schedule(d, fn)}
+}
+
+func (q *engineQueue) reset(h timerHandle, d time.Duration, fn func()) timerHandle {
+	t, _ := h.(engineTimer)
+	return engineTimer{q.e.Reset(t.Timer, q.e.Now().Add(d), fn)}
 }
 
 func (q *engineQueue) send(stream int, d time.Duration, id int, beh byte) {
@@ -303,6 +333,7 @@ const (
 	opSnapshot
 	opRestore
 	opRun
+	opReset // which handle, delay, behaviour
 	numOps
 )
 
@@ -319,6 +350,7 @@ const (
 	behStopTimer // cancel handle operand
 	behFanout    // two zero-delay sends
 	behChain     // send after operand%4 ms with this same behaviour
+	behReset     // re-arm handle operand for operand%4 ms from now
 	numBehs
 )
 
@@ -331,11 +363,11 @@ func delayOf(b byte) time.Duration { return time.Duration(b%4) * time.Millisecon
 // back, so two runners of one program stay in step as long as their
 // queues fire the same callbacks in the same order.
 type runner struct {
-	q      orderQueue
-	log    []int // callback ids in firing order; negative entries are operation results
-	stops  []func() bool
-	nextID int
-	fuel   int
+	q       orderQueue
+	log     []int // callback ids in firing order; negative entries are operation results
+	handles []timerHandle
+	nextID  int
+	fuel    int
 }
 
 func (r *runner) id() int { r.nextID++; return r.nextID }
@@ -350,13 +382,24 @@ func (r *runner) result(ok bool) {
 
 func (r *runner) addTimer(d time.Duration, b byte) {
 	id := r.id()
-	r.stops = append(r.stops, r.q.timer(d, func() { r.fire(id, b) }))
+	r.handles = append(r.handles, r.q.timer(d, func() { r.fire(id, b) }))
 }
 
 func (r *runner) stopTimer(k int) {
-	if len(r.stops) > 0 {
-		r.result(r.stops[k%len(r.stops)]())
+	if len(r.handles) > 0 {
+		r.result(r.handles[k%len(r.handles)].stop())
 	}
+}
+
+// resetTimer re-arms handle k, or the zero Timer while there is none. The
+// handle it went through stays in the list, inert.
+func (r *runner) resetTimer(k int, d time.Duration, b byte) {
+	var h timerHandle
+	if len(r.handles) > 0 {
+		h = r.handles[k%len(r.handles)]
+	}
+	id := r.id()
+	r.handles = append(r.handles, r.q.reset(h, d, func() { r.fire(id, b) }))
 }
 
 func (r *runner) fire(id int, b byte) {
@@ -387,6 +430,8 @@ func (r *runner) fire(id int, b byte) {
 		r.q.send(operand%2, 0, r.id(), behNone)
 	case behChain:
 		r.q.send(operand%2, later, r.id(), b)
+	case behReset:
+		r.resetTimer(operand, later, behNone)
 	}
 }
 
@@ -429,6 +474,8 @@ func (r *runner) exec(prog []byte) []observation {
 			}
 		case opRun:
 			r.q.run()
+		case opReset:
+			r.resetTimer(int(next()), delayOf(next()), next())
 		}
 		seen = append(seen, r.q.observe())
 	}
@@ -441,21 +488,24 @@ func runProgram(q orderQueue, prog []byte) (*runner, []observation) {
 	return r, r.exec(prog)
 }
 
-// checkProgram runs prog on the reference and on the engine — once as
-// shipped and once under SetSplitTrains, where every delivery has a
-// queue node of its own as before trains existed — and fails on the
-// first observable difference.
+// checkProgram runs prog on the reference and on the engine — as shipped,
+// under SetSplitTrains, where every delivery has a queue node of its own
+// as before trains existed, and under SetEagerResets, where every Reset
+// is a Stop and an At — and fails on the first observable difference.
 func checkProgram(t *testing.T, prog []byte) {
 	t.Helper()
 	want, wantSeen := runProgram(&refQueue{}, prog)
 
-	for _, split := range []bool{false, true} {
+	for _, hooks := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+		split, eager := hooks[0], hooks[1]
 		SetSplitTrains(split)
+		SetEagerResets(eager)
 		eq := newEngineQueue(t)
 		got, gotSeen := runProgram(eq, prog)
 		SetSplitTrains(false)
+		SetEagerResets(false)
 
-		name := fmt.Sprintf("engine(split=%v)", split)
+		name := fmt.Sprintf("engine(split=%v, eager=%v)", split, eager)
 		for i := range wantSeen {
 			if gotSeen[i] != wantSeen[i] {
 				t.Fatalf("%s diverges after operation %d of %s:\n got %+v\nwant %+v", name, i, disasm(prog), gotSeen[i], wantSeen[i])
@@ -467,13 +517,16 @@ func checkProgram(t *testing.T, prog []byte) {
 		if d, x := eq.dispatches(); d > x || (split && d != x) {
 			t.Fatalf("%s: %d dispatches for %d callbacks", name, d, x)
 		}
+		if eager && eq.e.Resets() != 0 {
+			t.Fatalf("%s: %d resets left a node in place", name, eq.e.Resets())
+		}
 	}
 }
 
 // disasm renders a program for failure messages.
 func disasm(prog []byte) string {
-	names := [numOps]string{"timer", "send", "stoptimer", "step", "runfor", "budget", "stop", "resume", "snapshot", "restore", "run"}
-	operands := [numOps]int{2, 3, 1, 0, 1, 1, 0, 0, 0, 0, 0}
+	names := [numOps]string{"timer", "send", "stoptimer", "step", "runfor", "budget", "stop", "resume", "snapshot", "restore", "run", "reset"}
+	operands := [numOps]int{2, 3, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3}
 	var sb strings.Builder
 	for len(prog) > 0 {
 		op := prog[0] % numOps
@@ -507,7 +560,60 @@ func streamOrderSeeds() map[string][]byte {
 	}
 	lanes = append(lanes, opRun, opRestore, opRun)
 
+	// A heartbeat: one timer re-armed for one fixed delay each time it has
+	// fired, 65 times, which earns the delay a lane and puts the timer in
+	// it (handle 65, due in 2 ms). A millisecond on it is re-armed in place
+	// for 2 ms more, and a second timer joins the lane for that same
+	// instant: the lane's lastAt now ties the stale node's key, so when the
+	// node surfaces it must go to the heap — appended to the lane it would
+	// fire behind the younger timer. Then two members of one instant, the
+	// second re-armed in place and canceled through its new handle: a
+	// tombstone the lane collects, not a stale node to re-queue. Then the
+	// tie again with a capture before the node surfaces and a rollback just
+	// after, nothing else having touched the slot: the node is back in the
+	// lane, and a Stop must look for it there. Last, a capture with a lane
+	// member stale, run, rolled back and run again.
+	heartbeat := []byte{opTimer, 2, behNone, opRunFor, 2}
+	for i := 0; i < 65; i++ {
+		heartbeat = append(heartbeat, opReset, byte(i), 2, behNone, opRunFor, 2)
+	}
+	heartbeat = append(heartbeat[:len(heartbeat)-1], 1, // the 65th re-arm is still pending
+		opReset, 65, 2, behNone, opTimer, 2, behNone, opRun,
+		opTimer, 2, behNone, opTimer, 2, behNone, opReset, 69, 3, behNone, opStopTimer, 69, opStopTimer, 70, opTimer, 3, behNone, opRun,
+		opTimer, 2, behNone, opRunFor, 1, opReset, 72, 2, behNone, opTimer, 2, behNone, opSnapshot, opRunFor, 1, opRestore, opStopTimer, 73, opRun,
+		opTimer, 2, behNone, opReset, 75, 3, behNone, opSnapshot, opRun, opRestore, opStep, opRestore, opRun)
+
 	return map[string][]byte{
+		// Re-armed for later, then run to between the old deadline and the
+		// new: nothing fires, Now lands on the horizon, the timer stays pending.
+		"reset-later-run-between": {opTimer, 1, behNone, opReset, 0, 3, behNone, opRunFor, 2, opRunFor, 2},
+		// Re-armed for earlier than where its node sits: a real Stop and At.
+		"reset-earlier": {opTimer, 3, behNone, opTimer, 2, behNone, opReset, 0, 1, behNone, opRun},
+		// Re-armed in place for the open train's instant between two sends:
+		// the train must split — send, timer, send — as it does when the
+		// re-arm moves the timer to an earlier instant and really schedules.
+		"reset-splits-train":         {opTimer, 0, behNone, opSend, 0, 1, behNone, opReset, 0, 1, behNone, opSend, 0, 1, behNone, opRun},
+		"reset-earlier-splits-train": {opTimer, 3, behNone, opSend, 0, 1, behNone, opReset, 0, 1, behNone, opSend, 0, 1, behNone, opRun},
+		// The handle a re-arm went through is inert; the one it returned
+		// cancels, and the node left behind must not bring the timer back.
+		"stop-around-reset": {opTimer, 1, behNone, opTimer, 2, behNone, opReset, 0, 3, behNone, opStopTimer, 0, opStopTimer, 2, opStopTimer, 2, opRun},
+		// Re-arming the zero Timer, a fired one and a stopped one is a plain At.
+		"reset-not-pending": {opReset, 0, 1, behNone, opRun, opReset, 0, 1, behNone, opTimer, 2, behNone, opStopTimer, 2, opReset, 2, 1, behNone, opRun},
+		// Step over a stale minimum runs exactly one callback: the re-queue
+		// is not a step.
+		"step-over-stale": {opTimer, 1, behNone, opTimer, 2, behNone, opReset, 0, 3, behNone, opStep, opStep, opStep},
+		// The budget counts callbacks, not the stale nodes passed on the way.
+		"budget-over-stale": {opTimer, 0, behNone, opTimer, 0, behNone, opTimer, 1, behNone, opReset, 0, 2, behNone, opReset, 1, 2, behNone, opBudget, 2, opRun, opRun, opBudget, 0, opRun},
+		// A capture with a stale node in flight: the continuation re-queues
+		// it, and so does every rollback's.
+		"restore-stale-node": {opTimer, 1, behNone, opTimer, 2, behNone, opReset, 0, 3, behNone, opSnapshot, opRun, opRestore, opStep, opReset, 2, 1, behNone, opRestore, opRun},
+		// Re-arms from inside callbacks, the shape of an election timer
+		// pushed back by every heartbeat received.
+		// A rollback undoes a re-arm that touched nothing but the slot.
+		"restore-undoes-reset": {opTimer, 1, behNone, opSnapshot, opReset, 0, 3, behNone, opRestore, opStopTimer, 1, opRun},
+		"reset-in-delivery":    cat([]byte{opTimer, 3, behNone}, fan(2, beh(behReset, 0)), []byte{opSend, 1, 2, beh(behReset, 3), opRun}),
+		"heartbeat-lane":       heartbeat,
+
 		// A timer scheduled for the train's instant between two sends must
 		// split the train: send, timer, send fire in that order.
 		"timer-splits-train": {opSend, 0, 1, behNone, opTimer, 1, behNone, opSend, 0, 1, behNone, opRun},
@@ -558,6 +664,36 @@ func FuzzStreamOrder(f *testing.F) {
 func TestStreamOrderSeeds(t *testing.T) {
 	for name, prog := range streamOrderSeeds() {
 		t.Run(name, func(t *testing.T) { checkProgram(t, prog) })
+	}
+}
+
+// TestResetsStayPut pins what the differential test cannot see either: a
+// re-arm for no earlier than its node's instant moves nothing until the
+// node surfaces, if it ever does.
+func TestResetsStayPut(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Errorf("an arena slot is %d bytes, want 56: every parked master keeps its arena twice", got)
+	}
+	for _, tc := range []struct {
+		name             string
+		prog             []byte
+		resets, requeues uint64
+	}{
+		{"later-and-never-reached", streamOrderSeeds()["reset-later-run-between"][:7], 1, 0},
+		{"later-and-fired", streamOrderSeeds()["reset-later-run-between"], 1, 1},
+		{"later-and-stopped", streamOrderSeeds()["stop-around-reset"], 1, 0},
+		{"earlier", streamOrderSeeds()["reset-earlier"], 0, 1},
+		{"not-pending", streamOrderSeeds()["reset-not-pending"], 0, 0},
+		{"four-re-arms-one-re-queue", []byte{opTimer, 1, behNone, opReset, 0, 3, behNone, opReset, 1, 2, behNone, opReset, 2, 3, behNone, opReset, 3, 1, behNone, opRun}, 4, 1},
+		{"lane-member", streamOrderSeeds()["heartbeat-lane"], 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eq := newEngineQueue(t)
+			runProgram(eq, tc.prog)
+			if got, moved := eq.e.Resets(), eq.e.Requeues(); got != tc.resets || moved != tc.requeues {
+				t.Fatalf("%d resets in place and %d re-queues, want %d and %d", got, moved, tc.resets, tc.requeues)
+			}
+		})
 	}
 }
 

@@ -159,6 +159,92 @@ func TestSimnetRoundsAllocFree(t *testing.T) {
 	}
 }
 
+// timerChurn is raft's timer traffic with the protocol taken out: five
+// timers, none ever due, each re-armed every 100 µs of virtual time. With
+// shape "heap" the deadlines are random, 150–300 ms on — a follower's
+// election timer, pushed back by every AppendEntries, whose delay never
+// repeats and so lives on the heap; with "lane" they are a fixed 50 ms on,
+// the leader's heartbeat, whose delay earns a FIFO lane. rearm is either
+// Engine.Reset or the Stop + Schedule pair it replaces.
+func timerChurn(shape string, rearm func(*sim.Engine, sim.Timer, time.Duration, func()) sim.Timer) (e *sim.Engine, round func()) {
+	e = sim.New(1)
+	fn := func() {}
+	var timers [5]sim.Timer
+	round = func() {
+		e.RunFor(100 * time.Microsecond)
+		for i, t := range timers {
+			d := 50 * time.Millisecond
+			if shape == "heap" {
+				d = 150*time.Millisecond + time.Duration(e.Rand().Int63n(int64(150*time.Millisecond)))
+			}
+			timers[i] = rearm(e, t, d, fn)
+		}
+	}
+	// Real schedules first, enough of them to promote the fixed delay's lane
+	// whichever rearm follows; then the lanes, the heap and the free list
+	// reach their steady-state capacity.
+	own := rearm
+	rearm = timerRearms["stop+schedule"]
+	for i := 0; i < 20; i++ {
+		round()
+	}
+	rearm = own
+	for i := 0; i < 2000; i++ {
+		round()
+	}
+	return e, round
+}
+
+var timerRearms = map[string]func(*sim.Engine, sim.Timer, time.Duration, func()) sim.Timer{
+	"reset": func(e *sim.Engine, t sim.Timer, d time.Duration, fn func()) sim.Timer {
+		return e.Reset(t, e.Now().Add(d), fn)
+	},
+	"stop+schedule": func(e *sim.Engine, t sim.Timer, d time.Duration, fn func()) sim.Timer {
+		t.Stop()
+		return e.Schedule(d, fn)
+	},
+}
+
+// BenchmarkTimerReset: one re-arm, both shapes, in place and as the pair.
+func BenchmarkTimerReset(b *testing.B) {
+	for _, shape := range []string{"heap", "lane"} {
+		for _, how := range []string{"reset", "stop+schedule"} {
+			b.Run(shape+"/"+how, func(b *testing.B) {
+				_, round := timerChurn(shape, timerRearms[how])
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += 5 {
+					round()
+				}
+			})
+		}
+	}
+}
+
+// TestTimerResetAllocFree is the hard assert behind the benchmark: in the
+// steady state a re-arm allocates nothing, in place or not, and in place
+// is how Reset re-arms — but for a random deadline that falls before the
+// node, and at the cost of re-queueing each node when it comes due stale.
+func TestTimerResetAllocFree(t *testing.T) {
+	for _, shape := range []string{"heap", "lane"} {
+		for how, rearm := range timerRearms {
+			e, round := timerChurn(shape, rearm)
+			resets, requeues := e.Resets(), e.Requeues()
+			const rounds = 5000 // 500 ms: every node comes due stale at least once
+			if allocs := testing.AllocsPerRun(rounds, round); allocs != 0 {
+				t.Errorf("%s/%s: a round of re-arms allocates %.1f objects, want 0", shape, how, allocs)
+			}
+			resets, requeues = e.Resets()-resets, e.Requeues()-requeues
+			if all := uint64(5 * (rounds + 1)); how == "reset" && (resets < all*99/100 || requeues < 5 || requeues > all/100) {
+				t.Errorf("%s: %d of %d re-arms stayed in place and %d nodes were re-queued", shape, resets, all, requeues)
+			}
+			if how != "reset" && resets+requeues != 0 {
+				t.Errorf("%s/%s: %d resets and %d re-queues without a Reset", shape, how, resets, requeues)
+			}
+		}
+	}
+}
+
 // snapshotScenario is the Big MAC point the snapshot/fork benchmarks
 // execute (30 correct clients, heavy mask).
 func snapshotScenario(b *testing.B) (*cluster.Runner, scenario.Scenario) {

@@ -1,10 +1,12 @@
 package avd_test
 
 // Riding a train changes nothing but the queue's work (ISSUE 18,
-// DESIGN.md §2): with sim.SetSplitTrains on, every delivery gets a queue
-// node of its own, as before trains existed, and every observable of a
-// run — oracle-event stream, Result, report, a whole campaign's results
-// — must be what it is with trains forming. internal/sim's differential
+// DESIGN.md §2), and neither does re-arming a timer in place (ISSUE 19):
+// with sim.SetSplitTrains on, every delivery gets a queue node of its
+// own, as before trains existed; with sim.SetEagerResets on, every
+// Engine.Reset is the Stop and the At it stands for; and every observable
+// of a run — oracle-event stream, Result, report, a whole campaign's
+// results — must be what it is as shipped. internal/sim's differential
 // test argues the same from the engine's side; this is the end-to-end
 // half, through both shipped targets.
 
@@ -23,13 +25,23 @@ import (
 	"avd/internal/slab"
 )
 
-// splitAndMerged runs f once with every delivery travelling alone and
-// once with trains forming.
-func splitAndMerged[T any](f func() T) (split, merged T) {
-	sim.SetSplitTrains(true)
-	split = f()
-	sim.SetSplitTrains(false)
-	return split, f()
+// queueHooks are the engine's two test hooks and the targets whose queue
+// traffic each can change: no PBFT code calls Reset.
+var queueHooks = []struct {
+	name    string
+	set     func(bool)
+	targets []string
+}{
+	{"split trains", sim.SetSplitTrains, []string{"pbft", "raft"}},
+	{"eager resets", sim.SetEagerResets, []string{"raft"}},
+}
+
+// hookedAndShipped runs f once with the hook on and once as shipped.
+func hookedAndShipped[T any](set func(bool), f func() T) (hooked, shipped T) {
+	set(true)
+	hooked = f()
+	set(false)
+	return hooked, f()
 }
 
 // tracedRun is everything RunTraced reports about one execution.
@@ -87,15 +99,19 @@ func TestTrainsNeutralTracedRuns(t *testing.T) {
 		}
 		return runs
 	}
-	for name, f := range map[string]func() []tracedRun{"pbft": pbftRuns, "raft": raftRuns} {
-		split, merged := splitAndMerged(f)
-		for i := range split {
-			if len(merged[i].Trace) == 0 {
-				t.Fatalf("%s run %d traced no events", name, i)
-			}
-			assertSameRun(t, name, split[i].Result, merged[i].Result, split[i].Trace, merged[i].Trace)
-			if !reflect.DeepEqual(split[i].Report, merged[i].Report) {
-				t.Errorf("%s run %d: report differs:\nsplit:  %+v\nmerged: %+v", name, i, split[i].Report, merged[i].Report)
+	runs := map[string]func() []tracedRun{"pbft": pbftRuns, "raft": raftRuns}
+	for _, hook := range queueHooks {
+		for _, target := range hook.targets {
+			name := target + ", " + hook.name
+			hooked, shipped := hookedAndShipped(hook.set, runs[target])
+			for i := range hooked {
+				if len(shipped[i].Trace) == 0 {
+					t.Fatalf("%s run %d traced no events", name, i)
+				}
+				assertSameRun(t, name, hooked[i].Result, shipped[i].Result, hooked[i].Trace, shipped[i].Trace)
+				if !reflect.DeepEqual(hooked[i].Report, shipped[i].Report) {
+					t.Errorf("%s run %d: report differs:\nhooked:  %+v\nshipped: %+v", name, i, hooked[i].Report, shipped[i].Report)
+				}
 			}
 		}
 	}
@@ -104,47 +120,49 @@ func TestTrainsNeutralTracedRuns(t *testing.T) {
 // TestTrainsNeutralFaultCampaigns: thirty coverage-guided tests with
 // every v2 fault armed — crashes, skewed clocks, one-way partitions,
 // corrupted and duplicated messages, and on raft the ack storms that run
-// into the step budget, so windows end inside a train — come back result
-// for result the same either way. The budget is a third of CI's 300,000
+// into the step budget, so windows end inside a train and with stale
+// timer nodes queued — come back result for result the same either way. The budget is a third of CI's 300,000
 // events to keep the raft storms cheap; raftsim's
 // TestStormHungSameWithSplitTrains runs one at the full figure.
 func TestTrainsNeutralFaultCampaigns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four 30-test campaigns")
+		t.Skip("runs six 30-test campaigns")
 	}
-	for _, target := range []string{"pbft", "raft"} {
-		split, merged := splitAndMerged(func() []core.Result {
-			setup, err := campaign.Build(campaign.Config{
-				Target: target, Strategy: "coverage", Faults: "crash,skew,oneway,corrupt,dup", Tests: 30, Seed: 1,
-				Measure: 500 * time.Millisecond, StepBudget: 100_000, Workers: 1, Shards: 1,
+	for _, hook := range queueHooks {
+		for _, target := range hook.targets {
+			hooked, shipped := hookedAndShipped(hook.set, func() []core.Result {
+				setup, err := campaign.Build(campaign.Config{
+					Target: target, Strategy: "coverage", Faults: "crash,skew,oneway,corrupt,dup", Tests: 30, Seed: 1,
+					Measure: 500 * time.Millisecond, StepBudget: 100_000, Workers: 1, Shards: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := core.NewEngine(setup.Target, core.WithExplorer(setup.Explorer), core.WithBudget(30))
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, err := eng.RunAll(t.Context())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return results
 			})
-			if err != nil {
-				t.Fatal(err)
+			if len(shipped) != 30 {
+				t.Fatalf("%s campaign finished %d of 30 tests", target, len(shipped))
 			}
-			eng, err := core.NewEngine(setup.Target, core.WithExplorer(setup.Explorer), core.WithBudget(30))
-			if err != nil {
-				t.Fatal(err)
+			hung := 0
+			for i := range shipped {
+				if shipped[i].Hung {
+					hung++
+				}
+				if !reflect.DeepEqual(hooked[i], shipped[i]) {
+					t.Fatalf("%s test %d differs with %s:\nhooked:  %+v\nshipped: %+v", target, i+1, hook.name, hooked[i], shipped[i])
+				}
 			}
-			results, err := eng.RunAll(t.Context())
-			if err != nil {
-				t.Fatal(err)
+			if target == "raft" && hung == 0 {
+				t.Error("no raft test ran into the step budget; the mid-train case was not exercised")
 			}
-			return results
-		})
-		if len(merged) != 30 {
-			t.Fatalf("%s campaign finished %d of 30 tests", target, len(merged))
-		}
-		hung := 0
-		for i := range merged {
-			if merged[i].Hung {
-				hung++
-			}
-			if !reflect.DeepEqual(split[i], merged[i]) {
-				t.Fatalf("%s test %d differs:\nsplit:  %+v\nmerged: %+v", target, i+1, split[i], merged[i])
-			}
-		}
-		if target == "raft" && hung == 0 {
-			t.Error("no raft test ran into the step budget; the mid-train case was not exercised")
 		}
 	}
 }
