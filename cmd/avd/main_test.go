@@ -14,6 +14,35 @@ import (
 	"avd/internal/core"
 )
 
+// buildAvd builds the binary under test into dir.
+func buildAvd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "avd")
+	build := exec.Command("go", "build", "-o", bin, "avd/cmd/avd")
+	build.Dir = "../.."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestBadShardFlagExitsBeforeState: a -shard that is not k/K exactly is
+// refused before the campaign touches its state directory.
+func TestBadShardFlagExitsBeforeState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	dir := t.TempDir()
+	state := filepath.Join(dir, "state")
+	out, err := exec.Command(buildAvd(t, dir), "-shard", "1/2/7junk", "-tests", "2", "-state", state).CombinedOutput()
+	if err == nil {
+		t.Errorf("avd -shard 1/2/7junk exited 0:\n%s", out)
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("the refused run left a state directory behind (stat: %v)", err)
+	}
+}
+
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // profile behind and the campaign still exits 0, so sizing a change does
 // not need a patched binary. The same run checks what the binary prints
@@ -24,12 +53,7 @@ func TestProfileFlags(t *testing.T) {
 		t.Skip("builds the binary and runs a real campaign")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "avd")
-	build := exec.Command("go", "build", "-o", bin, "avd/cmd/avd")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildAvd(t, dir)
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	run := exec.Command(bin, "-tests", "12", "-seed", "3", "-quiet", "-cpuprofile", cpu, "-memprofile", mem, "-workers", "0", "-top", "0")
 	out, err := run.CombinedOutput()

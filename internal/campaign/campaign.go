@@ -10,6 +10,7 @@ package campaign
 import (
 	"fmt"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -59,13 +60,18 @@ func ParseShard(s string) (shard, shards int, err error) {
 	if s == "" {
 		return 0, 1, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &shards); err != nil {
+	// Two plain decimal numbers and nothing else — ParseUint takes no sign,
+	// no space and no trailing byte — so "1/2/7junk" is not shard 1 of 2.
+	index, count, ok := strings.Cut(s, "/")
+	k, errIndex := strconv.ParseUint(index, 10, 31)
+	n, errCount := strconv.ParseUint(count, 10, 31)
+	if !ok || errIndex != nil || errCount != nil {
 		return 0, 0, fmt.Errorf("campaign: -shard %q: want k/K (e.g. 0/4)", s)
 	}
-	if shards < 1 || shard < 0 || shard >= shards {
+	if k >= n {
 		return 0, 0, fmt.Errorf("campaign: -shard %q: k must be in [0, K)", s)
 	}
-	return shard, shards, nil
+	return int(k), int(n), nil
 }
 
 // Build assembles the campaign a Config describes. Shard planning is a

@@ -107,3 +107,33 @@ func TestManifestRecordsEffectiveWorkers(t *testing.T) {
 		t.Error("-workers 2 resumed a -workers 1 campaign")
 	}
 }
+
+// TestParseShard: -shard is k/K exactly — two plain decimal numbers with
+// 0 <= k < K — or empty for an unsharded run; a sign, a space or anything
+// after K is an error, not something to stop reading at.
+func TestParseShard(t *testing.T) {
+	for _, tc := range []struct {
+		in            string
+		shard, shards int
+		ok            bool
+	}{
+		{"", 0, 1, true},
+		{"1/2", 1, 2, true},
+		{"0/4", 0, 4, true},
+		{"1/2/7", 0, 0, false},
+		{"0/4x", 0, 0, false},
+		{" 0/4", 0, 0, false},
+		{"0/ 4", 0, 0, false},
+		{"+1/2", 0, 0, false},
+		{"-1/2", 0, 0, false},
+		{"2/2", 0, 0, false},
+		{"0/0", 0, 0, false},
+		{"3", 0, 0, false},
+		{"/", 0, 0, false},
+	} {
+		shard, shards, err := ParseShard(tc.in)
+		if (err == nil) != tc.ok || shard != tc.shard || shards != tc.shards {
+			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, shard, shards, err, tc.shard, tc.shards, tc.ok)
+		}
+	}
+}

@@ -248,9 +248,8 @@ func (c *Client) generateMAC(replica int, digest uint64) mac.Tag {
 func (c *Client) replicaAddrs() []simnet.Addr { return c.allAddrs }
 
 func (c *Client) armRetry() {
-	c.retryTimer.Stop()
 	c.retryFor = c.seq
-	c.retryTimer = c.eng.Schedule(c.curRetry, c.retryFn)
+	c.retryTimer = c.eng.Reset(c.retryTimer, c.eng.Now().Add(c.curRetry), c.retryFn)
 }
 
 func (c *Client) onRetry(seq uint64) {
@@ -307,7 +306,13 @@ func (c *Client) onMessage(from simnet.Addr, payload any) {
 func (c *Client) complete() {
 	c.curDone = true
 	c.stats.Completed++
-	c.retryTimer.Stop()
+	// A closed loop issues the next request in this callback and armRetry
+	// re-arms the pending timer in place; Stop takes no seq, so leaving it to
+	// that Reset moves no key. If onComplete stops the client, Client.Stop
+	// has stopped the timer.
+	if c.ccfg.ThinkTime > 0 {
+		c.retryTimer.Stop()
+	}
 	latency := c.eng.Now().Sub(c.sentAt)
 	if c.onComplete != nil {
 		c.onComplete(c.seq, latency)

@@ -426,3 +426,60 @@ func TestReplicaStatsAccumulate(t *testing.T) {
 		t.Error("fewer requests than batches executed")
 	}
 }
+
+// TestClientRetryTimerExits: a closed-loop client that completes a request
+// leaves the pending retry timer to the next request's Reset, so every exit
+// that sends no next request from the same callback has to stop it: think
+// time, Client.Stop with a request in flight, and a Stop from inside the
+// completion observer. At each the timer is inactive, Engine.Pending is
+// exactly what it was when complete() stopped the timer first thing, and no
+// retry ever fires — the retry timeout is shorter than the think time, and
+// onRetry would retransmit a request that has completed but not been
+// followed.
+func TestClientRetryTimerExits(t *testing.T) {
+	ccfg := ClientConfig{Retry: 20 * time.Millisecond, RetryCap: 40 * time.Millisecond}
+	for _, tc := range []struct {
+		name    string
+		think   time.Duration
+		exit    func(tb *testbed, c *Client) // runs inside onComplete
+		drive   func(tb *testbed, c *Client) // from Start to the exit
+		pending int
+	}{
+		{"think-time", 50 * time.Millisecond,
+			func(tb *testbed, c *Client) { tb.eng.Stop() },
+			func(tb *testbed, c *Client) { tb.eng.Run() }, 3},
+		{"stop-mid-request", 0,
+			func(tb *testbed, c *Client) { t.Error("the stopped client completed a request") },
+			func(tb *testbed, c *Client) { tb.run(time.Millisecond); c.Stop() }, 1},
+		{"stop-in-oncomplete", 0,
+			func(tb *testbed, c *Client) { c.Stop(); tb.eng.Stop() },
+			func(tb *testbed, c *Client) { tb.eng.Run() }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, testbedOpts{})
+			cfg := ccfg
+			cfg.ThinkTime = tc.think
+			var c *Client
+			exit := tc.exit
+			c = tb.addClient(cfg, WithOnComplete(func(uint64, time.Duration) {
+				if exit != nil {
+					exit(tb, c)
+					exit = nil
+				}
+			}))
+			c.Start()
+			tc.drive(tb, c)
+			if c.retryTimer.Active() {
+				t.Error("the retry timer is still pending")
+			}
+			if got := tb.eng.Pending(); got != tc.pending {
+				t.Errorf("%d events pending, want exactly %d", got, tc.pending)
+			}
+			tb.eng.Resume()
+			tb.run(time.Second)
+			if got := c.Stats().Retransmissions; got != 0 {
+				t.Errorf("%d retransmissions, want none", got)
+			}
+		})
+	}
+}

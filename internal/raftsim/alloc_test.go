@@ -6,7 +6,7 @@ import (
 )
 
 // TestRaftRestoreAllocFree pins the slab diet (arena.go): once the
-// shared pool is warm and the engine's lane buffers have reached
+// shared pool is warm and the engine's queue has reached its
 // steady-state capacity, a measurement-window/restore cycle must not
 // allocate. Every AppendEntries batch, vote, client request and reply
 // the window builds is carved from chunks leased from the Runner's pool,
@@ -27,7 +27,7 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 		d.Restore()
 	}
 	// Warm to the high-water marks: the first cycles may grow the pool,
-	// lane buffers and dense tables.
+	// the engine's queue and dense tables.
 	for i := 0; i < 3; i++ {
 		cycle()
 	}

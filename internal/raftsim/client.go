@@ -159,9 +159,8 @@ func (c *Client) send() {
 }
 
 func (c *Client) armRetry() {
-	c.retry.Stop()
 	c.retryFor = c.seq
-	c.retry = c.eng.Schedule(c.curRetry, c.retryFn)
+	c.retry = c.eng.Reset(c.retry, c.eng.Now().Add(c.curRetry), c.retryFn)
 }
 
 func (c *Client) onRetry(seq uint64) {
@@ -185,7 +184,9 @@ func (c *Client) onMessage(from simnet.Addr, payload any) {
 		return
 	}
 	if reply.OK {
-		c.retry.Stop()
+		// The pending retry timer is left to issueNext's armRetry, which
+		// re-arms it in place (Stop takes no seq, so no key moves); if
+		// onComplete stops the client, Client.Stop has stopped the timer.
 		c.stats.Completed++
 		if reply.Leader >= 0 {
 			c.target = reply.Leader

@@ -266,3 +266,51 @@ func TestEdgeCases(t *testing.T) {
 		}
 	})
 }
+
+// TestClientRetryTimerExits: a client whose request commits leaves the
+// pending retry timer to the next request's Reset, so an exit that sends no
+// next request has to stop it: Client.Stop with a request in flight and a
+// Stop from inside the completion observer. At each the timer is inactive,
+// Engine.Pending is exactly what it was when the reply.OK arm stopped the
+// timer first thing, and no retry ever fires.
+func TestClientRetryTimerExits(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		exit    func(cl *edgeCluster, c *Client) // runs inside onComplete
+		drive   func(cl *edgeCluster, c *Client) // from Start to the exit
+		pending int
+	}{
+		{"stop-mid-request",
+			func(cl *edgeCluster, c *Client) { t.Error("the stopped client completed a request") },
+			func(cl *edgeCluster, c *Client) { cl.eng.RunFor(200 * time.Microsecond); c.Stop() }, 6},
+		{"stop-in-oncomplete",
+			func(cl *edgeCluster, c *Client) { c.Stop(); cl.eng.Stop() },
+			func(cl *edgeCluster, c *Client) { cl.eng.Run() }, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cl := newEdgeCluster(t, cfg, 5)
+			cl.start()
+			cl.eng.RunFor(time.Second) // a leader is up and heartbeating
+			var c *Client
+			c, err := NewClient(simnet.Addr(cfg.N), cfg, DefaultClientConfig(), cl.net,
+				WithOnComplete(func(uint64, time.Duration) { tc.exit(cl, c) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			tc.drive(cl, c)
+			if c.retry.Active() {
+				t.Error("the retry timer is still pending")
+			}
+			if got := cl.eng.Pending(); got != tc.pending {
+				t.Errorf("%d events pending, want exactly %d", got, tc.pending)
+			}
+			cl.eng.Resume()
+			cl.eng.RunFor(time.Second)
+			if st := c.Stats(); st.Retransmissions != 0 || st.Issued != 1 {
+				t.Errorf("%d retransmissions of %d requests, want none of 1", st.Retransmissions, st.Issued)
+			}
+		})
+	}
+}

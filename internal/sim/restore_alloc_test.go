@@ -6,17 +6,14 @@ import (
 )
 
 // TestRestoreAllocFree pins the allocation cost of the delta-restore hot
-// path: once lane buffers, the dirty list and the free list have reached
-// steady-state capacity, a run/restore cycle must not allocate. This is
-// the guard for the regression ISSUE 5 fixed — Restore used to rebuild
-// every lane buffer with append([]node(nil), ...) per fork.
+// path: once the heap, the dirty list and the free list have reached
+// steady-state capacity, a run/restore cycle must not allocate.
 func TestRestoreAllocFree(t *testing.T) {
 	e := New(1)
-	// A recurring-delay workload hot enough to promote lanes, plus
-	// randomized one-shot timers that stay on the heap, plus timer churn
-	// (cancel + re-arm) to exercise the tombstone paths, plus an election
-	// timer every tick pushes back through Reset: its node is stale at the
-	// capture and is re-queued in every cycle.
+	// A recurring-delay workload, plus randomized one-shot timers, plus
+	// timer churn (cancel + re-arm), plus an election timer every tick
+	// pushes back through Reset: its node is stale at the capture and is
+	// re-keyed in every cycle.
 	var tick func()
 	var churn, election Timer
 	tick = func() {
@@ -42,8 +39,8 @@ func TestRestoreAllocFree(t *testing.T) {
 		}
 		e.Restore(s)
 	}
-	// Warm the pools: the first cycles may grow lane buffers, the dirty
-	// list and the free list to their high-water marks.
+	// Warm the pools: the first cycles may grow the heap, the dirty list
+	// and the free list to their high-water marks.
 	for i := 0; i < 3; i++ {
 		cycle()
 	}

@@ -10,18 +10,16 @@
 // run with hundreds of clients completes in milliseconds. This is the
 // stand-in for the paper's Emulab testbed (see DESIGN.md §2).
 //
-// Events live in a flat arena indexed by small integers and the priority
-// queue holds pointer-free value nodes, so the sift operations of a busy
-// simulation never touch the garbage collector's write barrier (the heap
-// was the single hottest site of a full-throughput deployment before this
-// layout). The arena is also what makes Snapshot/Restore cheap: capturing
-// the entire engine state is three slice copies, and restoring is a
-// delta — only the slots dirtied since the capture copy back
-// (DESIGN.md §8, §9).
+// Events live in a flat arena indexed by small integers and the queue is
+// one heap of pointer-free value nodes, so the sift operations of a busy
+// simulation never touch the garbage collector's write barrier. The arena
+// is also what makes Snapshot/Restore cheap: capturing the entire engine
+// state is three slice copies, and restoring is a delta — only the slots
+// dirtied since the capture copy back (DESIGN.md §2, §9).
 //
 // Timers (Schedule, At) are cancelable closures with a queue node each,
 // and Reset moves a pending one to a later instant without touching the
-// queue: the node stays put and is re-queued if it surfaces early;
+// queue: the node stays put and takes its new key if it surfaces early;
 // deliveries (Stream.Schedule) are uncancelable fn(arg) calls of which
 // consecutive ones for one instant share a node: a network's fan-out costs
 // the queue one event, not one per message (DESIGN.md §2).
@@ -53,9 +51,6 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // Seconds returns t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
-// Duration converts a virtual duration expressed as Time delta.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Timer is a value handle to a scheduled callback. The zero value is an
 // inactive timer on which Stop and Active are safe no-ops; live timers
 // are created by Engine.Schedule, Engine.At and Engine.Reset.
@@ -84,42 +79,21 @@ func (t Timer) ev() *event {
 	return ev
 }
 
-// Stop cancels the timer. Heap-resident events are removed from the
-// queue immediately (retransmission-heavy workloads cancel and re-arm a
-// timer per request, and tombstones were measurably inflating the
-// queue); lane-resident events are canceled in place and collected when
-// their FIFO drains past them, which is at most one lane period away —
-// except the lane head, which is pruned immediately so the dispatcher
-// never has to consult the arena for cancellation (see minPending). It
-// reports whether the call prevented the callback from firing (false if
-// it already fired or was already stopped).
+// Stop cancels the timer: its queue node is removed and its slot recycled
+// at once, so the queue never holds a canceled event. It reports whether the
+// call prevented the callback from firing (false if it already fired or was
+// already stopped).
 func (t Timer) Stop() bool {
-	ev := t.ev()
-	if ev == nil || ev.canceled {
+	if t.ev() == nil {
 		return false
 	}
 	t.eng.live--
-	if ev.pos < 0 {
-		ln := t.eng.lanes[-ev.pos-1]
-		if ln.head < len(ln.buf) && ln.buf[ln.head].idx == t.idx {
-			t.eng.recycle(t.idx)
-			t.eng.advanceLane(ln)
-			return true
-		}
-		ev.canceled = true
-		ln.tombs++
-		t.eng.mark(t.idx)
-		return true
-	}
 	t.eng.remove(t.idx)
 	return true
 }
 
 // Active reports whether the timer is still pending.
-func (t Timer) Active() bool {
-	ev := t.ev()
-	return ev != nil && !ev.canceled
-}
+func (t Timer) Active() bool { return t.ev() != nil }
 
 // When returns the virtual time at which the timer fires (meaningless
 // once the timer is no longer Active).
@@ -138,7 +112,7 @@ type event struct {
 	// seq is the insertion sequence the event fires under: with at, its key.
 	// Reset rewrites the key and leaves the queue node where it is, so a node
 	// whose seq is not its slot's is stale — never later than the key, and
-	// re-queued under it when it reaches the front (see Engine.fire).
+	// re-keyed to it when it reaches the front (see Engine.fire).
 	seq uint64
 	gen uint64 // the queued event's id, 0 while the slot is free; validates Timer handles
 	// touched is the dirty-tracking watermark: the engine's dirtySeq value
@@ -146,20 +120,10 @@ type event struct {
 	// the current dirtySeq is already on the dirty list, so delta Restore
 	// copies it back exactly once (see Engine.mark).
 	touched uint64
-	// pos is the event's index in the heap, or -(laneIdx+1) for events
-	// queued in FIFO lane laneIdx (lane members are canceled in place and
-	// collected when their lane drains past them; a canceled head is
-	// pruned immediately).
-	pos      int32
-	canceled bool
-	fn       func()
-	tr       *train
+	pos     int32 // the queue node's index in the heap, so Stop deletes in place
+	fn      func()
+	tr      *train
 }
-
-// lanePos encodes lane residency in an event's pos field: lane i's
-// members carry -(i+1), so any negative pos means "in a lane" and names
-// which one.
-func lanePos(laneIdx int) int32 { return int32(-laneIdx - 1) }
 
 // node is one priority-queue entry: pointer-free by design, so heap
 // sifts compile to plain word moves with no write barriers.
@@ -204,50 +168,21 @@ type ArgRecycler interface {
 	RecycleSimArg()
 }
 
-// lane is a FIFO fast path for one recurring scheduling delay. Nearly
-// all events of a busy deployment are scheduled at now+d for a handful
-// of fixed d values (link latency, retransmission timeouts, heartbeat
-// periods); because now is monotone, each such stream arrives already
-// sorted, and a plain queue replaces O(log n) heap sifts with O(1)
-// appends. Order stays exact: the dispatcher takes the global
-// (at, seq)-minimum across every lane head and the heap root.
-type lane struct {
-	delay  Time // the scheduling delta this lane carries
-	buf    []node
-	head   int
-	lastAt Time // at of the newest member; appends must not precede it
-	// tombs counts canceled members still buffered. Lanes carrying
-	// never-canceled streams (message deliveries, heartbeats) stay at
-	// zero, which lets advanceLane skip the arena lookup entirely.
-	tombs int
-}
-
-// Lane tuning: more lanes cost every dispatch a comparison, so only
-// delays hot enough to matter get one.
-const (
-	maxLanes     = 8
-	lanePromote  = 64   // schedules of one delay before it earns a lane
-	maxDelayHits = 1024 // promotion-counter map size bound
-)
-
 // Engine is a discrete-event simulator. It is not safe for concurrent use:
 // all interaction must happen from the goroutine driving Run/Step, which is
 // also the goroutine on which event callbacks execute.
 type Engine struct {
-	now   Time
-	heap  []node  // 4-ary min-heap by (at, seq), for irregular delays
-	lanes []*lane // FIFO fast paths for recurring delays (≤ maxLanes, scanned linearly)
-	//avdlint:derived scheduling heuristic: lane vs heap placement preserves (at, seq) order either way
-	delayHits map[Time]uint32 // lane-promotion counters
-	arena     []event         // slot storage; queue nodes and Timers index into it
-	free      []int32         // recycled arena slots
-	live      int             // pending events (canceled lane members excluded)
-	seq       uint64
-	gens      uint64 //avdlint:ephemeral event ids only have to be unique: never rolling the counter back is what keeps one fork's Timers inert in the next
-	seed      int64
-	src       *splitmixSource
-	rng       *rand.Rand
-	stopped   bool //avdlint:ephemeral run-scoped stop latch: Restore re-arms the engine so every fork starts runnable
+	now     Time
+	heap    []node  // the queue: a 4-ary min-heap of nodes by (at, seq)
+	arena   []event // slot storage; queue nodes and Timers index into it
+	free    []int32 // recycled arena slots
+	live    int     // pending events
+	seq     uint64
+	gens    uint64 //avdlint:ephemeral event ids only have to be unique: never rolling the counter back is what keeps one fork's Timers inert in the next
+	seed    int64
+	src     *splitmixSource
+	rng     *rand.Rand
+	stopped bool //avdlint:ephemeral run-scoped stop latch: Restore re-arms the engine so every fork starts runnable
 
 	// Dirty tracking for delta Restore: track is the snapshot deltas are
 	// recorded against (nil disables tracking entirely — engines that
@@ -261,7 +196,7 @@ type Engine struct {
 	executed   uint64 // callbacks run
 	dispatches uint64 // queue nodes popped: executed less the deliveries that rode a train
 	resets     uint64 // Reset calls that left the queue node where it was
-	requeues   uint64 // queue nodes a Reset cost after all: stale ones re-queued, and moves to an earlier instant
+	requeues   uint64 // queue nodes a Reset cost after all: stale ones re-keyed, and moves to an earlier instant
 
 	// open is the train a Stream.Schedule for its instant, openAt, may join.
 	open       *train   //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
@@ -289,8 +224,7 @@ type Engine struct {
 // and replaying the stream position O(taps). The generator passes the
 // usual statistical batteries and is faster per tap than the stdlib
 // rngSource; it is not the stdlib stream, so traces differ from
-// pre-splitmix builds of this repository (golden fixtures were
-// regenerated once, see DESIGN.md §9).
+// pre-splitmix builds of this repository.
 type splitmixSource struct {
 	state uint64
 }
@@ -310,24 +244,7 @@ func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
 // New returns an engine whose randomness derives entirely from seed.
 func New(seed int64) *Engine {
 	src := &splitmixSource{state: uint64(seed)}
-	return &Engine{
-		seed:      seed,
-		src:       src,
-		rng:       rand.New(src),
-		delayHits: make(map[Time]uint32),
-	}
-}
-
-// laneOf finds the lane carrying delta, nil when none. A linear scan
-// over at most maxLanes delays beats the map this used to be: the lookup
-// runs once per schedule.
-func (e *Engine) laneOf(delta Time) (int, *lane) {
-	for i, ln := range e.lanes {
-		if ln.delay == delta {
-			return i, ln
-		}
-	}
-	return -1, nil
+	return &Engine{seed: seed, src: src, rng: rand.New(src)}
 }
 
 // Now returns the current virtual time.
@@ -347,7 +264,7 @@ func (e *Engine) Dispatches() uint64 { return e.dispatches }
 func (e *Engine) Resets() uint64 { return e.resets }
 
 // Requeues returns the number of queue nodes Reset has cost: stale nodes
-// the dispatcher re-queued plus timers Reset moved to an earlier instant.
+// the dispatcher re-keyed plus timers Reset moved to an earlier instant.
 func (e *Engine) Requeues() uint64 { return e.requeues }
 
 // Pending returns the number of events still queued.
@@ -404,20 +321,16 @@ func SetEagerResets(on bool) { eagerResets.Store(on) }
 // Reset re-arms t: exactly t.Stop() followed by At(at, fn), down to the seq
 // and the event id the pair takes, and t is inert afterwards. When t is
 // pending and at is no earlier than where its queue node sits, the node
-// stays there and only the slot's key moves; the dispatcher re-queues the
-// node under that key if it comes up first (fire). Order is unchanged:
+// stays there and only the slot's key moves; the dispatcher re-keys the
+// node to it if it comes up first (fire). Order is unchanged:
 // events fire in (at, seq) order of their slots' keys, and a node is never
 // queued later than its slot's key.
 func (e *Engine) Reset(t Timer, at Time, fn func()) Timer {
 	if at < e.now {
 		at = e.now
 	}
-	if ev := t.ev(); ev != nil && !ev.canceled && t.eng == e && !eagerResets.Load() {
-		queuedAt := ev.at // a lane member's node is not at hand; it is no later than the slot
-		if ev.pos >= 0 {
-			queuedAt = e.heap[ev.pos].at
-		}
-		if at >= queuedAt {
+	if ev := t.ev(); ev != nil && t.eng == e && !eagerResets.Load() {
+		if at >= e.heap[ev.pos].at {
 			if at == e.openAt {
 				e.open = nil
 			}
@@ -566,52 +479,16 @@ func (e *Engine) schedule(t Time, fn func(), tr *train) Timer {
 	}
 	ev := &e.arena[idx]
 	e.gens++
-	ev.at, ev.seq, ev.gen, ev.canceled = t, e.seq, e.gens, false
+	ev.at, ev.seq, ev.gen = t, e.seq, e.gens
 	ev.fn, ev.tr = fn, tr
 	if e.track != nil && ev.touched != e.dirtySeq {
 		ev.touched = e.dirtySeq
 		e.dirty = append(e.dirty, idx)
 	}
-	nd := node{at: t, seq: e.seq, idx: idx}
+	e.push(node{at: t, seq: e.seq, idx: idx})
 	e.seq++
 	e.live++
-	delta := t - e.now
-	if li, ln := e.laneOf(delta); ln != nil && (ln.head == len(ln.buf) || t >= ln.lastAt) {
-		ln.buf = append(ln.buf, nd)
-		ln.lastAt = t
-		ev.pos = lanePos(li)
-	} else if ln == nil && e.promote(delta, t) != nil {
-		ln := e.lanes[len(e.lanes)-1]
-		ln.buf = append(ln.buf, nd)
-		ln.lastAt = t
-		ev.pos = lanePos(len(e.lanes) - 1)
-	} else {
-		e.push(nd)
-	}
 	return Timer{eng: e, idx: idx, gen: ev.gen}
-}
-
-// promote creates a lane for delta once it has proven hot, returning nil
-// while the delay is still cold or the lane budget is spent.
-func (e *Engine) promote(delta Time, t Time) *lane {
-	if len(e.lanes) >= maxLanes || delta < 0 {
-		return nil
-	}
-	hits := e.delayHits[delta] + 1
-	if hits < lanePromote {
-		if len(e.delayHits) >= maxDelayHits {
-			// One-shot delays (randomized timeouts) would grow the
-			// counter map forever; dropping the counters only delays
-			// promotion, it never changes behavior.
-			clear(e.delayHits)
-		}
-		e.delayHits[delta] = hits
-		return nil
-	}
-	delete(e.delayHits, delta)
-	ln := &lane{delay: delta, lastAt: t}
-	e.lanes = append(e.lanes, ln)
-	return ln
 }
 
 // mark records a slot mutation for delta Restore; it is a no-op while no
@@ -641,82 +518,26 @@ func (e *Engine) recycle(idx int32) {
 	e.free = append(e.free, idx)
 }
 
-// minPending locates the (at, seq)-minimum pending event across the
-// heap root and every lane head. Lane heads are live by invariant — a
-// canceled head is pruned at Stop time and advanceLane skips tombstones
-// — so the scan never touches the arena. src is the lane index, or -1
-// for the heap.
-func (e *Engine) minPending() (nd node, src int, ok bool) {
-	src = -1
-	if len(e.heap) > 0 {
-		nd, ok = e.heap[0], true
-	}
-	for i, ln := range e.lanes {
-		if ln.head < len(ln.buf) {
-			if cand := ln.buf[ln.head]; !ok || less(cand, nd) {
-				nd, src, ok = cand, i, true
-			}
-		}
-	}
-	return nd, src, ok
-}
-
-// take removes the previously located minimum from its queue.
-func (e *Engine) take(src int) {
-	if src < 0 {
-		e.pop()
-		return
-	}
-	e.advanceLane(e.lanes[src])
-}
-
-// advanceLane consumes the lane head, then prunes canceled successors so
-// the next head is live again (the invariant minPending relies on). With
-// no tombstones buffered the arena is never consulted.
-func (e *Engine) advanceLane(ln *lane) {
-	ln.advance()
-	for ln.tombs > 0 && ln.head < len(ln.buf) {
-		cand := ln.buf[ln.head]
-		if !e.arena[cand.idx].canceled {
-			return
-		}
-		e.recycle(cand.idx)
-		ln.tombs--
-		ln.advance()
-	}
-}
-
-// advance consumes the lane head, compacting the drained prefix so the
-// buffer stays bounded under continuous traffic.
-func (ln *lane) advance() {
-	ln.head++
-	if ln.head == len(ln.buf) {
-		ln.head = 0
-		ln.buf = ln.buf[:0]
-		return
-	}
-	if ln.head >= 1024 && ln.head*2 >= len(ln.buf) {
-		n := copy(ln.buf, ln.buf[ln.head:])
-		ln.buf = ln.buf[:n]
-		ln.head = 0
-	}
-}
-
-// fire dispatches one located event and reports true. A train closes when
+// fire dispatches the queue's minimum and reports true. A train closes when
 // its first delivery runs and delivers its arguments back to back, passing
 // the run loop's own gates between every two (one is Step's: exactly one
 // callback); an interrupted train stays queued at its cursor, under its
 // first key, which still sorts first: nothing else of its instant preceded
 // its close.
 //
-// A stale node is re-queued instead and fire reports false, having run no
+// A stale minimum is re-keyed instead and fire reports false, having run no
 // callback, moved no clock and counted no dispatch: the caller looks again.
-// No event is passed over that way, because a node is never later than its
-// slot's key: a stale one surfaces, and moves, before its key is due.
-func (e *Engine) fire(nd node, src int, one bool) bool {
+// The node takes its slot's key where it sits, at the root, and sinks; no
+// slot changes, so nothing is marked (Restore recomputes every pos). No event
+// is passed over that way, because a node is never later than its slot's
+// key: a stale one surfaces, and moves, before its key is due.
+func (e *Engine) fire(one bool) bool {
+	nd := e.heap[0]
 	ev := &e.arena[nd.idx]
 	if ev.seq != nd.seq {
-		e.requeue(nd, src)
+		e.requeues++
+		nd.at, nd.seq = ev.at, ev.seq
+		e.siftDown(nd, 0)
 		return false
 	}
 	e.now = nd.at
@@ -726,11 +547,11 @@ func (e *Engine) fire(nd node, src int, one bool) bool {
 			e.open = nil
 		}
 		if len(tr.args) > 1 {
-			e.deliver(tr, nd.idx, src, one)
+			e.deliver(tr, nd.idx, one)
 			return true
 		}
 	}
-	e.take(src)
+	e.pop()
 	e.dispatches++
 	e.executed++
 	e.live--
@@ -748,26 +569,7 @@ func (e *Engine) fire(nd node, src int, one bool) bool {
 	return true
 }
 
-// requeue moves a stale minimum — one whose seq is not its slot's, left
-// behind by Reset — to its slot's key: back into the lane it came from if it
-// sorts after every member, else the heap. It marks the slot because a
-// lane-to-heap move changes pos.
-func (e *Engine) requeue(nd node, src int) {
-	ev := &e.arena[nd.idx]
-	e.take(src)
-	e.requeues++
-	e.mark(nd.idx)
-	nd.at, nd.seq = ev.at, ev.seq
-	if src >= 0 && nd.at > e.lanes[src].lastAt {
-		ln := e.lanes[src]
-		ln.buf = append(ln.buf, nd)
-		ln.lastAt = nd.at
-	} else {
-		e.push(nd)
-	}
-}
-
-func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
+func (e *Engine) deliver(tr *train, idx int32, one bool) {
 	e.mark(idx) // the cursor is about to move
 	fn := tr.s.fn
 	for {
@@ -784,7 +586,7 @@ func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
 			return
 		}
 	}
-	e.take(src)
+	e.pop()
 	e.dispatches++
 	e.recycle(idx)
 	e.putTrain(tr)
@@ -793,12 +595,8 @@ func (e *Engine) deliver(tr *train, idx int32, src int, one bool) {
 // Step fires the next event. It reports false when the queue is empty or
 // the engine was stopped.
 func (e *Engine) Step() bool {
-	for !e.stopped && !e.overBudget() {
-		nd, src, ok := e.minPending()
-		if !ok {
-			return false
-		}
-		if e.fire(nd, src, true) {
+	for !e.stopped && !e.overBudget() && len(e.heap) > 0 {
+		if e.fire(true) {
 			return true
 		}
 	}
@@ -808,12 +606,8 @@ func (e *Engine) Step() bool {
 // Run fires events until the queue drains, Stop is called, or the step
 // budget runs out.
 func (e *Engine) Run() {
-	for !e.stopped && !e.overBudget() {
-		nd, src, ok := e.minPending()
-		if !ok {
-			return
-		}
-		e.fire(nd, src, false)
+	for !e.stopped && !e.overBudget() && len(e.heap) > 0 {
+		e.fire(false)
 	}
 }
 
@@ -822,12 +616,8 @@ func (e *Engine) Run() {
 // budget runs out mid-window, dispatch stops but the clock still advances
 // to t, so a harness measuring a hung scenario completes its window.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped && !e.overBudget() {
-		nd, src, ok := e.minPending()
-		if !ok || nd.at > t {
-			break
-		}
-		e.fire(nd, src, false)
+	for !e.stopped && !e.overBudget() && len(e.heap) > 0 && e.heap[0].at <= t {
+		e.fire(false)
 	}
 	if e.now < t {
 		e.now = t
@@ -847,9 +637,7 @@ func (e *Engine) Resume() { e.stopped = false }
 // The queue is a 4-ary min-heap over pointer-free nodes: sifts are plain
 // word moves (no write barriers), the tree is half as deep as a binary
 // heap's, and sibling nodes share cache lines. Each arena slot tracks its
-// node's position so Stop can delete in place instead of leaving a
-// tombstone — retransmission timers cancel and re-arm once per request,
-// and tombstones were the bulk of the queue in full-throttle deployments.
+// node's position so Stop deletes in place instead of leaving a tombstone.
 
 // place writes nd at heap position i and records the position.
 func (e *Engine) place(nd node, i int) {
@@ -903,17 +691,15 @@ func (e *Engine) siftDown(nd node, i int) {
 	e.place(nd, i)
 }
 
-// pop removes and returns the minimum node.
-func (e *Engine) pop() node {
+// pop removes the minimum node.
+func (e *Engine) pop() {
 	h := e.heap
-	nd := h[0]
 	n := len(h) - 1
 	tail := h[n]
 	e.heap = h[:n]
 	if n > 0 {
 		e.siftDown(tail, 0)
 	}
-	return nd
 }
 
 // remove deletes the queued event in arena slot idx and recycles the
@@ -954,7 +740,6 @@ type Snapshot struct {
 	live     int
 	rngState uint64
 	heap     []node
-	lanes    []laneSnap
 	arena    []event
 	free     []int32
 	clocks   []int32
@@ -963,15 +748,6 @@ type Snapshot struct {
 	// trainIdx lists the slots holding a pending train: the snapshot arena
 	// points at a detached master of each, Restore hands out fresh copies.
 	trainIdx []int32
-}
-
-// laneSnap captures one FIFO lane (members from head on, tombstones
-// included — they are part of the exact queue state).
-type laneSnap struct {
-	delay  Time
-	lastAt Time
-	buf    []node
-	tombs  int
 }
 
 // Snapshot captures the engine state and arms delta tracking: until the
@@ -997,28 +773,12 @@ func (e *Engine) Snapshot() *Snapshot {
 		stepLim:  e.stepLimit,
 		budgetHt: e.budgetHit,
 	}
-	for _, ln := range e.lanes {
-		s.lanes = append(s.lanes, laneSnap{
-			delay:  ln.delay,
-			lastAt: ln.lastAt,
-			buf:    append([]node(nil), ln.buf[ln.head:]...),
-			tombs:  ln.tombs,
-		})
-	}
 	// Detach pending trains: deliveries will move the live ones' cursors and
 	// recycle their arguments, so the snapshot keeps immutable masters.
-	detach := func(nd node) {
+	for _, nd := range s.heap {
 		if ev := &s.arena[nd.idx]; ev.tr != nil {
 			ev.tr = copyTrain(new(train), ev.tr)
 			s.trainIdx = append(s.trainIdx, nd.idx)
-		}
-	}
-	for _, nd := range s.heap {
-		detach(nd)
-	}
-	for _, ln := range s.lanes {
-		for _, nd := range ln.buf {
-			detach(nd)
 		}
 	}
 	e.track = s
@@ -1047,9 +807,10 @@ func copyTrain(dst, src *train) *train {
 //
 // Restoring the tracked snapshot (the most recent one) is a delta
 // operation: only arena slots dirtied since the last Snapshot/Restore
-// are copied back, lane buffers rewind in place, and the random stream
-// state is a single word copy. Restoring an older snapshot falls back to
-// a full-state copy and re-arms tracking against that snapshot.
+// are copied back and the random stream state is a single word copy.
+// Restoring an older snapshot falls back to a full-state copy and re-arms
+// tracking against that snapshot; no product path does (every fork restores
+// the snapshot it tracks), and tests hold the delta path to it.
 func (e *Engine) Restore(s *Snapshot) {
 	if s.owner != e {
 		panic("sim: snapshot restored into a different engine")
@@ -1105,25 +866,6 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.heap = append(e.heap[:0], s.heap...)
 	for i, nd := range e.heap {
 		e.arena[nd.idx].pos = int32(i)
-	}
-
-	// Lanes rewind in place: the engine's lane list only ever grows, and
-	// the snapshot's lanes are a prefix of it in creation order, so each
-	// buffer is a head-reset copy into pooled storage. Lanes promoted
-	// after the snapshot empty out but stay registered — a future
-	// schedule of that delay takes the lane path, which changes queue
-	// layout but not the (at, seq) dispatch order.
-	for i, ls := range s.lanes {
-		ln := e.lanes[i]
-		ln.buf = append(ln.buf[:0], ls.buf...)
-		ln.head = 0
-		ln.lastAt = ls.lastAt
-		ln.tombs = ls.tombs
-	}
-	for _, ln := range e.lanes[len(s.lanes):] {
-		ln.buf = ln.buf[:0]
-		ln.head = 0
-		ln.tombs = 0
 	}
 
 	// Trains are re-copied per restore so each fork delivers objects the

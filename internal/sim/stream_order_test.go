@@ -549,30 +549,29 @@ func fan(n int, b byte) []byte {
 // streamOrderSeeds are the cases a train implementation gets wrong first.
 func streamOrderSeeds() map[string][]byte {
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
-	// Enough traffic of one delay to promote its lane, stepped through,
-	// then rolled back and run again.
-	var lanes []byte
+	// A hundred rounds of two fixed delays, a train and a timer each,
+	// stepped through so the queue grows; then rolled back and run again.
+	var fixedDelay []byte
 	for i := 0; i < 100; i++ {
-		lanes = append(lanes, opSend, byte(i%2), 1, behNone, opSend, byte(i%2), 1, behNone, opTimer, 2, behNone, opStep)
+		fixedDelay = append(fixedDelay, opSend, byte(i%2), 1, behNone, opSend, byte(i%2), 1, behNone, opTimer, 2, behNone, opStep)
 		if i == 70 {
-			lanes = append(lanes, opSnapshot)
+			fixedDelay = append(fixedDelay, opSnapshot)
 		}
 	}
-	lanes = append(lanes, opRun, opRestore, opRun)
+	fixedDelay = append(fixedDelay, opRun, opRestore, opRun)
 
 	// A heartbeat: one timer re-armed for one fixed delay each time it has
-	// fired, 65 times, which earns the delay a lane and puts the timer in
-	// it (handle 65, due in 2 ms). A millisecond on it is re-armed in place
-	// for 2 ms more, and a second timer joins the lane for that same
-	// instant: the lane's lastAt now ties the stale node's key, so when the
-	// node surfaces it must go to the heap — appended to the lane it would
-	// fire behind the younger timer. Then two members of one instant, the
-	// second re-armed in place and canceled through its new handle: a
-	// tombstone the lane collects, not a stale node to re-queue. Then the
-	// tie again with a capture before the node surfaces and a rollback just
-	// after, nothing else having touched the slot: the node is back in the
-	// lane, and a Stop must look for it there. Last, a capture with a lane
-	// member stale, run, rolled back and run again.
+	// fired, 65 times (handle 65, due in 2 ms). A millisecond on it is
+	// re-armed in place for 2 ms more, and a second timer is scheduled for
+	// that same instant: the stale node's key ties the younger timer's
+	// instant, and re-keyed it must still fire ahead of it, by seq. Then two
+	// timers of one instant, the second re-armed in place and canceled
+	// through its new handle: Stop removes the node left behind, there is
+	// nothing to re-key. Then the tie again with a capture before the node
+	// surfaces and a rollback just after, nothing else having touched the
+	// slot: the node is back where the capture had it, and a Stop must find
+	// it there. Last, a capture with a stale node queued, run, rolled back
+	// and run again.
 	heartbeat := []byte{opTimer, 2, behNone, opRunFor, 2}
 	for i := 0; i < 65; i++ {
 		heartbeat = append(heartbeat, opReset, byte(i), 2, behNone, opRunFor, 2)
@@ -610,9 +609,15 @@ func streamOrderSeeds() map[string][]byte {
 		// Re-arms from inside callbacks, the shape of an election timer
 		// pushed back by every heartbeat received.
 		// A rollback undoes a re-arm that touched nothing but the slot.
-		"restore-undoes-reset": {opTimer, 1, behNone, opSnapshot, opReset, 0, 3, behNone, opRestore, opStopTimer, 1, opRun},
-		"reset-in-delivery":    cat([]byte{opTimer, 3, behNone}, fan(2, beh(behReset, 0)), []byte{opSend, 1, 2, beh(behReset, 3), opRun}),
-		"heartbeat-lane":       heartbeat,
+		"restore-undoes-reset":  {opTimer, 1, behNone, opSnapshot, opReset, 0, 3, behNone, opRestore, opStopTimer, 1, opRun},
+		"reset-in-delivery":     cat([]byte{opTimer, 3, behNone}, fan(2, beh(behReset, 0)), []byte{opSend, 1, 2, beh(behReset, 3), opRun}),
+		"heartbeat-fixed-delay": heartbeat,
+		// A capture with a stale node queued, run until the node surfaces and
+		// is re-keyed at the root (it sinks below the 2 ms timer), rolled
+		// back: the node is where the capture had it, under its old key, and
+		// nothing marked the slot. A Stop through the handle taken before the
+		// capture must remove it, so only the 2 ms timer fires.
+		"stale-root-rekeyed-then-restore": {opTimer, 1, behNone, opReset, 0, 3, behNone, opTimer, 2, behNone, opSnapshot, opRunFor, 1, opRestore, opStopTimer, 1, opRun},
 
 		// A timer scheduled for the train's instant between two sends must
 		// split the train: send, timer, send fire in that order.
@@ -641,8 +646,8 @@ func streamOrderSeeds() map[string][]byte {
 		// new one.
 		"send-at-departed-instant": cat(fan(2, behNone), []byte{opRunFor, 1, opSend, 0, 0, behNone, opSend, 0, 0, behNone, opRun}),
 		// A timer canceled around a train, and a stale handle after rollback.
-		"cancel-around-train": cat([]byte{opTimer, 1, behNone}, fan(2, beh(behStopTimer, 0)), []byte{opTimer, 1, behNone, opSnapshot, opTimer, 1, behNone, opRestore, opStopTimer, 2, opStopTimer, 1, opRun}),
-		"lanes-and-rollback":  lanes,
+		"cancel-around-train":      cat([]byte{opTimer, 1, behNone}, fan(2, beh(behStopTimer, 0)), []byte{opTimer, 1, behNone, opSnapshot, opTimer, 1, behNone, opRestore, opStopTimer, 2, opStopTimer, 1, opRun}),
+		"fixed-delay-and-rollback": fixedDelay,
 	}
 }
 
@@ -685,7 +690,9 @@ func TestResetsStayPut(t *testing.T) {
 		{"earlier", streamOrderSeeds()["reset-earlier"], 0, 1},
 		{"not-pending", streamOrderSeeds()["reset-not-pending"], 0, 0},
 		{"four-re-arms-one-re-queue", []byte{opTimer, 1, behNone, opReset, 0, 3, behNone, opReset, 1, 2, behNone, opReset, 2, 3, behNone, opReset, 3, 1, behNone, opRun}, 4, 1},
-		{"lane-member", streamOrderSeeds()["heartbeat-lane"], 4, 2},
+		{"fixed-delay", streamOrderSeeds()["heartbeat-fixed-delay"], 4, 2},
+		{"stale-root-rekeyed", streamOrderSeeds()["stale-root-rekeyed-then-restore"][:13], 1, 1},         // up to and including the RunFor
+		{"stale-root-rekeyed-then-restore", streamOrderSeeds()["stale-root-rekeyed-then-restore"], 1, 0}, // the rollback takes the re-key back, counter included
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eq := newEngineQueue(t)

@@ -161,11 +161,11 @@ func TestSimnetRoundsAllocFree(t *testing.T) {
 
 // timerChurn is raft's timer traffic with the protocol taken out: five
 // timers, none ever due, each re-armed every 100 µs of virtual time. With
-// shape "heap" the deadlines are random, 150–300 ms on — a follower's
-// election timer, pushed back by every AppendEntries, whose delay never
-// repeats and so lives on the heap; with "lane" they are a fixed 50 ms on,
-// the leader's heartbeat, whose delay earns a FIFO lane. rearm is either
-// Engine.Reset or the Stop + Schedule pair it replaces.
+// shape "random" the deadlines are random, 150–300 ms on — a follower's
+// election timer, pushed back by every AppendEntries; with "fixed" they are
+// a fixed 50 ms on — the leader's heartbeat and a client's retry timer, so
+// each re-arm is the queue's latest deadline. rearm is either Engine.Reset
+// or the Stop + Schedule pair it replaces.
 func timerChurn(shape string, rearm func(*sim.Engine, sim.Timer, time.Duration, func()) sim.Timer) (e *sim.Engine, round func()) {
 	e = sim.New(1)
 	fn := func() {}
@@ -174,21 +174,13 @@ func timerChurn(shape string, rearm func(*sim.Engine, sim.Timer, time.Duration, 
 		e.RunFor(100 * time.Microsecond)
 		for i, t := range timers {
 			d := 50 * time.Millisecond
-			if shape == "heap" {
+			if shape == "random" {
 				d = 150*time.Millisecond + time.Duration(e.Rand().Int63n(int64(150*time.Millisecond)))
 			}
 			timers[i] = rearm(e, t, d, fn)
 		}
 	}
-	// Real schedules first, enough of them to promote the fixed delay's lane
-	// whichever rearm follows; then the lanes, the heap and the free list
-	// reach their steady-state capacity.
-	own := rearm
-	rearm = timerRearms["stop+schedule"]
-	for i := 0; i < 20; i++ {
-		round()
-	}
-	rearm = own
+	// The heap and the free list reach their steady-state capacity.
 	for i := 0; i < 2000; i++ {
 		round()
 	}
@@ -207,7 +199,7 @@ var timerRearms = map[string]func(*sim.Engine, sim.Timer, time.Duration, func())
 
 // BenchmarkTimerReset: one re-arm, both shapes, in place and as the pair.
 func BenchmarkTimerReset(b *testing.B) {
-	for _, shape := range []string{"heap", "lane"} {
+	for _, shape := range []string{"random", "fixed"} {
 		for _, how := range []string{"reset", "stop+schedule"} {
 			b.Run(shape+"/"+how, func(b *testing.B) {
 				_, round := timerChurn(shape, timerRearms[how])
@@ -226,7 +218,7 @@ func BenchmarkTimerReset(b *testing.B) {
 // is how Reset re-arms — but for a random deadline that falls before the
 // node, and at the cost of re-queueing each node when it comes due stale.
 func TestTimerResetAllocFree(t *testing.T) {
-	for _, shape := range []string{"heap", "lane"} {
+	for _, shape := range []string{"random", "fixed"} {
 		for how, rearm := range timerRearms {
 			e, round := timerChurn(shape, rearm)
 			resets, requeues := e.Resets(), e.Requeues()

@@ -26,14 +26,16 @@ import (
 )
 
 // queueHooks are the engine's two test hooks and the targets whose queue
-// traffic each can change: no PBFT code calls Reset.
+// traffic each can change. Both targets' clients re-arm their retry timer
+// through Reset once per request, and raft's nodes their election and
+// heartbeat timers, so eager resets put the Stop + At pair back everywhere.
 var queueHooks = []struct {
 	name    string
 	set     func(bool)
 	targets []string
 }{
 	{"split trains", sim.SetSplitTrains, []string{"pbft", "raft"}},
-	{"eager resets", sim.SetEagerResets, []string{"raft"}},
+	{"eager resets", sim.SetEagerResets, []string{"pbft", "raft"}},
 }
 
 // hookedAndShipped runs f once with the hook on and once as shipped.
@@ -126,7 +128,7 @@ func TestTrainsNeutralTracedRuns(t *testing.T) {
 // TestStormHungSameWithSplitTrains runs one at the full figure.
 func TestTrainsNeutralFaultCampaigns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs six 30-test campaigns")
+		t.Skip("runs eight 30-test campaigns")
 	}
 	for _, hook := range queueHooks {
 		for _, target := range hook.targets {
