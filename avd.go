@@ -216,11 +216,6 @@ func WithObserver(obs CampaignObserver) EngineOption { return core.WithObserver(
 // WithCheckpoint attaches a checkpoint for cancel-and-resume campaigns.
 func WithCheckpoint(ck *Checkpoint) EngineOption { return core.WithCheckpoint(ck) }
 
-// WithColdRuns disables snapshot/fork execution: every test cold-builds
-// a fresh deployment even when the target supports forking. Results are
-// identical either way; this exists for benchmarking the two paths.
-func WithColdRuns() EngineOption { return core.WithColdRuns() }
-
 // NewCheckpoint returns an empty campaign checkpoint.
 func NewCheckpoint() *Checkpoint { return core.NewCheckpoint() }
 

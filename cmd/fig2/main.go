@@ -99,15 +99,14 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := trace.WriteCampaignCSV(f, "avd", avdResults); err != nil {
+		err = trace.WriteCampaignCSV(f, "avd", avdResults)
+		if err == nil {
+			// The random campaign follows without a second header.
+			err = trace.WriteCampaignRows(f, "random", rndResults)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "fig2:", err)
 			os.Exit(1)
-		}
-		// Append the random campaign without a second header.
-		for i, r := range rndResults {
-			fmt.Fprintf(f, "random,%d,%q,%.4f,%.1f,%.1f,%.4f,%d,%d,%s\n",
-				i+1, r.Scenario.Key(), r.Impact, r.Throughput, r.BaselineThroughput,
-				r.AvgLatency.Seconds(), r.CrashedReplicas, r.ViewChanges, r.Generator)
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}

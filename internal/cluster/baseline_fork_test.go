@@ -53,14 +53,13 @@ func TestBaselineForkedEqualsCold(t *testing.T) {
 	}
 }
 
-// TestBaselineWindowForkedEqualsCold: with a shortened BaselineMeasure
-// the cold and forked baseline paths still agree bit-for-bit — both must
-// measure over the same (baseline) window.
+// TestBaselineWindowForkedEqualsCold: a baseline's window is the attack
+// window, Measure, and the cold and forked baseline paths agree over it
+// bit-for-bit.
 func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 	w := DefaultWorkload()
 	w.Warmup = 200 * time.Millisecond
 	w.Measure = 600 * time.Millisecond
-	w.BaselineMeasure = 250 * time.Millisecond
 	cold, err := NewRunner(w)
 	if err != nil {
 		t.Fatal(err)
@@ -73,18 +72,6 @@ func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 	coldRes, _ := cold.Execute(sc, false, false)
 	forkRes, _ := forked.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) {
-		t.Errorf("forked baseline under BaselineMeasure differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
-	}
-}
-
-// TestBaselineMeasureValidation: a negative baseline window is a
-// configuration error. (That zero keeps the full Measure window and a
-// positive value replaces it is the harness's rule, pinned by
-// core.TestHarnessBaselineWindow.)
-func TestBaselineMeasureValidation(t *testing.T) {
-	w := DefaultWorkload()
-	w.BaselineMeasure = -time.Second
-	if _, err := NewRunner(w); err == nil {
-		t.Error("negative BaselineMeasure accepted")
+		t.Errorf("forked baseline differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
 	}
 }

@@ -41,14 +41,6 @@ type Workload struct {
 	// Measure is the measurement window over which throughput and
 	// latency are computed.
 	Measure time.Duration
-	// BaselineMeasure, when positive, is the measurement window for
-	// attack-free baseline measurements; zero means Measure. Baselines
-	// estimate steady-state throughput of a warm, fault-free cluster — a
-	// far less noisy quantity than an attacked run — so campaign drivers
-	// (cmd/bench, cmd/fig2) shorten this window to keep the baseline
-	// phase off the critical path. Zero keeps baselines on the full
-	// Measure window.
-	BaselineMeasure time.Duration
 	// Correct configures the correct closed-loop clients.
 	Correct pbft.ClientConfig
 	// Malicious configures the MAC-corrupting clients.
@@ -201,9 +193,6 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 	if w.MaskBits == 0 || w.MaskBits > 32 {
 		return nil, fmt.Errorf("cluster: mask bits %d out of range [1,32]", w.MaskBits)
 	}
-	if w.BaselineMeasure < 0 {
-		return nil, fmt.Errorf("cluster: baseline measurement window must not be negative")
-	}
 	if len(plugins) == 0 {
 		plugins = []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
 	}
@@ -216,7 +205,6 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 		Key:                 populationOf,
 		Build:               r.newDeployment,
 		Measure:             w.Measure,
-		BaselineMeasure:     w.BaselineMeasure,
 		StepBudget:          w.StepBudget,
 		LatencyRef:          w.LatencyRef,
 		ReferenceThroughput: w.ReferenceThroughput,

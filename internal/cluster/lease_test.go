@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/graycode"
 	"avd/internal/plugin"
 )
 
@@ -60,6 +61,32 @@ func TestPBFTRestoreAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
 		t.Fatalf("run+restore cycle allocates %.1f objects per fork; want 0", allocs)
+	}
+}
+
+// TestForkedBigMACAllocs pins what one forked test costs the collector
+// once its master and its baseline exist: the Big MAC attack (all-backup
+// corruption, 30 correct clients, one malicious) over a 1.5 s window
+// allocates forkedAllocs objects — arming the fault plan, the replicas'
+// pre-prepare bookkeeping as the attack lands, the run's report; the
+// window's messages come from the pool. Lower the pin when a change
+// removes an allocation; raise it only with the reason the new one cannot
+// live in the deployment or its arena. Cold runs (build + warm-up +
+// capture) are not pinned: no campaign takes that path per test.
+func TestForkedBigMACAllocs(t *testing.T) {
+	const forkedAllocs = 21
+	w := DefaultWorkload()
+	w.Measure = 1500 * time.Millisecond
+	r := newRunner(t, w)
+	bigmac := paperSpace(t).New(map[string]int64{
+		plugin.DimMACMask:          int64(graycode.Decode(0xEEE)),
+		plugin.DimCorrectClients:   30,
+		plugin.DimMaliciousClients: 1,
+	})
+	r.Baseline(30)
+	r.RunFork(bigmac) // builds, warms and captures the master
+	if allocs := testing.AllocsPerRun(20, func() { r.RunFork(bigmac) }); allocs > forkedAllocs {
+		t.Errorf("a forked Big MAC test allocates %.0f objects, pinned at %d", allocs, forkedAllocs)
 	}
 }
 

@@ -101,8 +101,7 @@ func (f RunnerFunc) Run(sc scenario.Scenario) Result { return f(sc) }
 // same metrics, same oracle verdicts — and, like Run, safe for
 // concurrent use. An Engine detects the capability on its Target and
 // switches to fork-per-test execution automatically; targets that do not
-// implement it transparently keep cold runs (see WithColdRuns to force
-// them).
+// implement it transparently keep cold runs.
 type Snapshotter interface {
 	// RunFork executes the scenario from a warm snapshot.
 	RunFork(sc scenario.Scenario) Result

@@ -97,7 +97,6 @@ type engineConfig struct {
 	observer   CampaignObserver
 	checkpoint *Checkpoint
 	sink       func([]Result) error
-	coldRuns   bool
 }
 
 // WithWorkers sets the number of concurrent test-execution workers.
@@ -135,15 +134,6 @@ func WithExplorer(ex Explorer) EngineOption {
 // re-observed.
 func WithObserver(obs CampaignObserver) EngineOption {
 	return func(c *engineConfig) { c.observer = obs }
-}
-
-// WithColdRuns disables snapshot/fork execution: every test cold-builds
-// and warms a fresh deployment even when the target implements
-// Snapshotter. Forked and cold runs are bit-for-bit identical (enforced
-// by test), so this exists for benchmarking the two paths against each
-// other, not for correctness.
-func WithColdRuns() EngineOption {
-	return func(c *engineConfig) { c.coldRuns = true }
 }
 
 // WithCheckpoint attaches a checkpoint: results already in it are
@@ -367,7 +357,7 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 	// every test forks from a warm per-population snapshot instead of
 	// cold-building the deployment (identical results, enforced by test).
 	runFn := e.target.Run
-	if s, ok := e.target.(Snapshotter); ok && !e.cfg.coldRuns {
+	if s, ok := e.target.(Snapshotter); ok {
 		runFn = s.RunFork
 	}
 	// Pipelined prefetch (DESIGN.md §8): a Preparer target gets its

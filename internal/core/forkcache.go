@@ -106,9 +106,9 @@ func (c *ForkCache[K, D]) Prepare(key K, build func() D) {
 // DropAll discards every cached deployment. Callers use it to retire
 // masters that will not be checked out again — a parked warm deployment
 // is pure GC scan-set weight (the PR 5 lesson: dead masters measurably
-// slow every cold run that allocates alongside them; cmd/bench flushes
-// between its campaign and cold-run sections for exactly this reason).
-// Subsequent Acquires simply rebuild.
+// slow every cold run that allocates alongside them; benchmark/ flushes
+// between its set-up passes for exactly this reason). Subsequent Acquires
+// simply rebuild.
 func (c *ForkCache[K, D]) DropAll() {
 	c.mu.Lock()
 	clear(c.free)

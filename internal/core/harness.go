@@ -54,9 +54,8 @@ type HarnessSpec[K comparable, D any] struct {
 	Key func(sc scenario.Scenario) K
 	// Build instantiates, starts and warms up the deployment for a key.
 	Build func(key K) D
-	// Measure is the window of an attack run; BaselineMeasure, when
-	// positive, the shorter window of an attack-free baseline.
-	Measure, BaselineMeasure time.Duration
+	// Measure is the window of every run, attack or attack-free baseline.
+	Measure time.Duration
 	// StepBudget caps the events one attack window may execute (0 =
 	// unlimited). It exists to stop scenario-induced storms, so baseline
 	// windows, which arm no scenario, run without it.
@@ -204,12 +203,9 @@ func (h *Harness[K, D, R]) buildMaster(key K, accrue bool) D {
 // forkRun rewinds a checked-out master to its capture, arms the scenario
 // and measures: the one execution path of every run.
 func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, extra ...oracle.Checker) (Result, R) {
-	window, budget := h.spec.Measure, h.spec.StepBudget
+	budget := h.spec.StepBudget
 	if !attack {
 		budget = 0
-		if h.spec.BaselineMeasure > 0 {
-			window = h.spec.BaselineMeasure
-		}
 	}
 	forkStart := metrics.StartWatch()
 	d.Restore()
@@ -218,7 +214,7 @@ func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, extra
 		h.phases.AddFork(forkStart.Elapsed())
 	}
 	runStart := metrics.StartWatch()
-	res, rep := d.Measure(sc, window, budget)
+	res, rep := d.Measure(sc, h.spec.Measure, budget)
 	if attack {
 		h.phases.AddRun(runStart.Elapsed())
 	}

@@ -211,9 +211,8 @@ func TestHarnessPhaseBuckets(t *testing.T) {
 }
 
 // TestHarnessBaselineWindow: attack runs get Measure and the step budget;
-// baselines get BaselineMeasure when it is positive, Measure otherwise,
-// and never a budget — a budget small enough to cut every attack window
-// short leaves the baseline what it is without one.
+// baselines get Measure and never a budget — a budget small enough to cut
+// every attack window short leaves the baseline what it is without one.
 func TestHarnessBaselineWindow(t *testing.T) {
 	spec := regSpec()
 	unbudgeted := newRegTarget(spec)
@@ -231,17 +230,10 @@ func TestHarnessBaselineWindow(t *testing.T) {
 		t.Errorf("baseline under a step budget %v, without %v", got, want)
 	}
 	if got := time.Duration(budgeted.lastBaselineWindow.Load()); got != spec.Measure {
-		t.Errorf("zero BaselineMeasure: baseline window %v, want Measure %v", got, spec.Measure)
+		t.Errorf("baseline window %v, want Measure %v", got, spec.Measure)
 	}
-
-	spec.BaselineMeasure = 80 * time.Millisecond
-	short := newRegTarget(spec)
-	short.Baseline(4)
-	if got := time.Duration(short.lastBaselineWindow.Load()); got != 80*time.Millisecond {
-		t.Errorf("baseline window %v, want BaselineMeasure 80ms", got)
-	}
-	coldRes, coldRep := short.Execute(sc, false, false)
-	forkRes, forkRep := short.Execute(sc, false, true)
+	coldRes, coldRep := budgeted.Execute(sc, false, false)
+	forkRes, forkRep := budgeted.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) || !reflect.DeepEqual(coldRep, forkRep) {
 		t.Errorf("unarmed cold run differs from unarmed fork:\ncold: %+v %+v\nfork: %+v %+v", coldRes, coldRep, forkRes, forkRep)
 	}

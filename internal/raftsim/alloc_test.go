@@ -3,6 +3,8 @@ package raftsim
 import (
 	"testing"
 	"time"
+
+	"avd/internal/core"
 )
 
 // TestRaftRestoreAllocFree pins the slab diet (arena.go): once the
@@ -33,5 +35,31 @@ func TestRaftRestoreAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
 		t.Fatalf("run+restore cycle allocates %.1f objects per fork; want 0", allocs)
+	}
+}
+
+// TestForkedStormAllocs is the Raft twin of cluster.TestForkedBigMACAllocs:
+// with its master and baseline in place, a forked leader-flap storm (10
+// clients, the leader isolated for 200 ms every 300 ms, 1.5 s window)
+// allocates forkedAllocs objects — the heal callback each strike
+// schedules, arming, the baseline lookup; messages and logs come from the
+// pool.
+func TestForkedStormAllocs(t *testing.T) {
+	const forkedAllocs = 12
+	w := DefaultWorkload()
+	w.Measure = 1500 * time.Millisecond
+	r, err := NewRunner(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := core.Space(r.Plugins()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm := space.New(map[string]int64{DimClients: 10, DimFlapIntervalMS: 300, DimFlapDownMS: 200})
+	r.Baseline(10)
+	r.RunFork(storm) // builds, warms and captures the master
+	if allocs := testing.AllocsPerRun(20, func() { r.RunFork(storm) }); allocs > forkedAllocs {
+		t.Errorf("a forked leader-flap storm allocates %.0f objects, pinned at %d", allocs, forkedAllocs)
 	}
 }

@@ -48,12 +48,11 @@ func TestBaselineForkedEqualsCold(t *testing.T) {
 }
 
 // TestBaselineWindowForkedEqualsCold: the cold and forked baseline paths
-// agree when BaselineMeasure shortens the baseline window.
+// agree over the full Measure window, the only window a baseline has.
 func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 	w := DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 800 * time.Millisecond
-	w.BaselineMeasure = 300 * time.Millisecond
 	cold, err := NewRunner(w)
 	if err != nil {
 		t.Fatal(err)
@@ -66,16 +65,6 @@ func TestBaselineWindowForkedEqualsCold(t *testing.T) {
 	coldRes, _ := cold.Execute(sc, false, false)
 	forkRes, _ := forked.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) {
-		t.Errorf("forked baseline under BaselineMeasure differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
-	}
-}
-
-// TestBaselineMeasureValidation: a negative baseline window is rejected
-// (the window rule itself is core.TestHarnessBaselineWindow's).
-func TestBaselineMeasureValidation(t *testing.T) {
-	w := DefaultWorkload()
-	w.BaselineMeasure = -time.Second
-	if _, err := NewRunner(w); err == nil {
-		t.Error("negative BaselineMeasure accepted")
+		t.Errorf("forked baseline differs from cold:\ncold: %+v\nfork: %+v", coldRes, forkRes)
 	}
 }

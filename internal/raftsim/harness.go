@@ -30,12 +30,6 @@ type Workload struct {
 	Warmup time.Duration
 	// Measure is the measurement window.
 	Measure time.Duration
-	// BaselineMeasure, when positive, is a shorter measurement window
-	// used only for attack-free baseline runs: a steady-state baseline
-	// converges long before the full attack window elapses, and the
-	// window dominates baseline cost once masters are warm-forked. Zero
-	// means "use Measure", preserving historical results bit-for-bit.
-	BaselineMeasure time.Duration
 	// Client configures the closed-loop clients.
 	Client ClientConfig
 	// LatencyRef scales the latency component of the impact metric (see
@@ -117,24 +111,20 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 	if w.Measure <= 0 {
 		return nil, fmt.Errorf("raftsim: measurement window must be positive")
 	}
-	if w.BaselineMeasure < 0 {
-		return nil, fmt.Errorf("raftsim: baseline measurement window must not be negative")
-	}
 	if len(plugins) == 0 {
 		plugins = []core.Plugin{NewClientsPlugin(), NewLeaderFlapPlugin()}
 	}
 	r := &Runner{w: w}
 	r.Harness = core.NewHarness[int64, *deployment, Report](core.HarnessSpec[int64, *deployment]{
-		Name:            "raft",
-		Plugins:         plugins,
-		Config:          w,
-		ClientsDim:      DimClients,
-		Key:             func(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) },
-		Build:           r.newDeployment,
-		Measure:         w.Measure,
-		BaselineMeasure: w.BaselineMeasure,
-		StepBudget:      w.StepBudget,
-		LatencyRef:      w.LatencyRef,
+		Name:       "raft",
+		Plugins:    plugins,
+		Config:     w,
+		ClientsDim: DimClients,
+		Key:        func(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) },
+		Build:      r.newDeployment,
+		Measure:    w.Measure,
+		StepBudget: w.StepBudget,
+		LatencyRef: w.LatencyRef,
 	})
 	return r, nil
 }

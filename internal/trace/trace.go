@@ -16,14 +16,21 @@ import (
 	"avd/internal/plugin"
 )
 
-// WriteCampaignCSV writes one row per executed test: iteration, scenario
-// parameters, impact, throughput, latency, crash/view-change counters,
-// injected crash-restart activity, degraded-test markers, and the oracle
-// invariants the run violated (semicolon-joined).
+// WriteCampaignCSV writes the header and one row per executed test:
+// iteration, scenario parameters, impact, throughput, latency,
+// crash/view-change counters, injected crash-restart activity,
+// degraded-test markers, and the oracle invariants the run violated
+// (semicolon-joined).
 func WriteCampaignCSV(w io.Writer, label string, results []core.Result) error {
 	if _, err := fmt.Fprintln(w, "strategy,iteration,scenario,impact,throughput_rps,baseline_rps,avg_latency_s,crashed_replicas,view_changes,injected_crashes,restarts,hung,error,generator,violations,timeline_hash,behavior_digest,behaviors"); err != nil {
 		return err
 	}
+	return WriteCampaignRows(w, label, results)
+}
+
+// WriteCampaignRows writes WriteCampaignCSV's rows without its header, so
+// a second campaign can follow the first in one file under another label.
+func WriteCampaignRows(w io.Writer, label string, results []core.Result) error {
 	for i, r := range results {
 		errLine := r.Error
 		if nl := strings.IndexByte(errLine, '\n'); nl >= 0 {

@@ -78,6 +78,33 @@ func TestWriteCampaignCSV(t *testing.T) {
 	}
 }
 
+// TestTwoCampaignCSVIsRectangular: a second campaign appended with
+// WriteCampaignRows gives every line of the file the header's field count
+// (scenario keys are quoted and contain no commas; these rows carry no
+// error text).
+func TestTwoCampaignCSVIsRectangular(t *testing.T) {
+	var sb strings.Builder
+	if err := WriteCampaignCSV(&sb, "avd", sampleResults(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCampaignRows(&sb, "random", sampleResults(t)); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("file has %d lines, want header + 2 + 2 rows", len(lines))
+	}
+	fields := strings.Count(lines[0], ",") + 1
+	for i, line := range lines {
+		if got := strings.Count(line, ",") + 1; got != fields {
+			t.Errorf("line %d has %d fields, header has %d: %q", i+1, got, fields, line)
+		}
+	}
+	if !strings.HasPrefix(lines[3], "random,1,") || !strings.HasPrefix(lines[4], "random,2,") {
+		t.Errorf("second campaign rows are not labelled and numbered on their own: %q, %q", lines[3], lines[4])
+	}
+}
+
 func TestSeriesSelectors(t *testing.T) {
 	results := sampleResults(t)
 	if got := Series(results, Impact); got[0] != 0.2 || got[1] != 0.95 {

@@ -1,80 +1,20 @@
-// Micro-benchmarks for the campaign engine's hot paths: scenario
-// identity (dedup keys), simulator timer churn, and the parallel
-// campaign itself. cmd/bench runs a subset of these and records the
-// numbers in BENCH_<pr>.json, the repo's performance trajectory.
+// Micro-benchmarks, and the allocation asserts behind them, for hot paths
+// no benchmark/ probe reports: simnet fan-out rounds, in-place timer
+// re-arms, oracle observation and the parallel campaign. A figure a probe
+// does report (benchmark/probes.go) lives there and nowhere else.
 package avd_test
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
-	"avd/internal/cluster"
 	"avd/internal/core"
 	"avd/internal/oracle"
 	"avd/internal/plugin"
-	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
 )
-
-// dedupSpace is the paper's PBFT hyperspace shape (mask x clients x
-// malicious), the space every campaign dedups over.
-func dedupSpace(b *testing.B) (*scenario.Space, []scenario.Scenario) {
-	b.Helper()
-	s, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	scs := make([]scenario.Scenario, 256)
-	for i := range scs {
-		scs[i] = s.Random(rng)
-	}
-	return s, scs
-}
-
-// BenchmarkScenarioKeyString is the old dedup identity: the formatted,
-// sorted, joined string key (kept for reports).
-func BenchmarkScenarioKeyString(b *testing.B) {
-	_, scs := dedupSpace(b)
-	seen := make(map[string]bool, len(scs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seen[scs[i%len(scs)].Key()] = true
-	}
-}
-
-// BenchmarkScenarioKeyCompact is the new dedup identity: packed axis
-// indices, no allocation.
-func BenchmarkScenarioKeyCompact(b *testing.B) {
-	_, scs := dedupSpace(b)
-	seen := make(map[scenario.CompactKey]bool, len(scs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seen[scs[i%len(scs)].Compact()] = true
-	}
-}
-
-// BenchmarkEngineSchedule measures steady-state timer churn: schedule
-// plus fire, the pattern PBFT retransmission timers hammer.
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := sim.New(1)
-	fn := func() {}
-	for i := 0; i < 1024; i++ { // warm the free list and heap
-		e.Schedule(time.Duration(i), fn)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(time.Microsecond, fn)
-		e.Step()
-	}
-}
 
 // fanoutNet is the traffic shape the campaign workloads have, with the
 // protocol taken out: node 0 sends to 250 peers at one instant and every
@@ -234,53 +174,6 @@ func TestTimerResetAllocFree(t *testing.T) {
 				t.Errorf("%s/%s: %d resets and %d re-queues without a Reset", shape, how, resets, requeues)
 			}
 		}
-	}
-}
-
-// snapshotScenario is the Big MAC point the snapshot/fork benchmarks
-// execute (30 correct clients, heavy mask).
-func snapshotScenario(b *testing.B) (*cluster.Runner, scenario.Scenario) {
-	b.Helper()
-	w := cluster.DefaultWorkload()
-	w.Measure = 500 * time.Millisecond
-	r, err := cluster.NewRunner(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := s.New(map[string]int64{
-		plugin.DimMACMask:          0x3B2, // Gray-decodes to the 0xEEE mask
-		plugin.DimCorrectClients:   30,
-		plugin.DimMaliciousClients: 1,
-	})
-	r.Baseline(30)
-	return r, sc
-}
-
-// BenchmarkSnapshotForkTest: one test through the fork path (restore a
-// warm master, arm faults, run the measurement window). The CI
-// perf-smoke job runs every Snapshot* benchmark at -benchtime=1x.
-func BenchmarkSnapshotForkTest(b *testing.B) {
-	r, sc := snapshotScenario(b)
-	r.RunFork(sc) // build + warm + capture the master
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RunFork(sc)
-	}
-}
-
-// BenchmarkSnapshotColdTest: the same test cold-building the deployment
-// every time — the before picture of the fork speedup.
-func BenchmarkSnapshotColdTest(b *testing.B) {
-	r, sc := snapshotScenario(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Run(sc)
 	}
 }
 
