@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/campaign"
 	"avd/internal/core"
+	"avd/internal/plugin"
 )
 
 // buildAvd builds the binary under test into dir.
@@ -40,6 +42,54 @@ func TestBadShardFlagExitsBeforeState(t *testing.T) {
 	}
 	if _, err := os.Stat(state); !os.IsNotExist(err) {
 		t.Errorf("the refused run left a state directory behind (stat: %v)", err)
+	}
+}
+
+// TestResumeAcrossShardPlansRefused: a state directory written when the
+// shard plan strode the largest axis (mac_mask) holds another sub-space's
+// results. A -shard 0/2 resume over it exits non-zero naming the shard
+// axis, before it opens — let alone truncates or appends to — the journal.
+func TestResumeAcrossShardPlansRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	dir := t.TempDir()
+	state := filepath.Join(dir, "state")
+	setup, err := campaign.Build(campaign.Config{
+		Target: "pbft", Strategy: "avd", Tests: 4, Seed: 1,
+		Measure: 300 * time.Millisecond, StepBudget: 2_000_000, Workers: 1, Shard: 0, Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := core.ShardPlan{Shards: 2, Axis: plugin.DimMACMask}
+	sub, err := old.Subspace(setup.FullSpace, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := setup.Manifest
+	manifest.ShardAxis, manifest.Space = old.Axis, core.SpaceSignature(sub)
+	paths := campaign.PathsFor(state, 0, 2)
+	journal, results := paths.Checkpoint+".journal", []byte("avdjrnl1 and the mask shard's results")
+	if err := os.MkdirAll(state, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteManifest(paths.Manifest, manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, results, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := exec.Command(buildAvd(t, dir), "-shard", "0/2", "-tests", "4", "-measure", "300ms", "-state", state, "-quiet").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "shard axis: resuming with correct_clients, campaign was started with mac_mask") {
+		t.Errorf("resume over the other plan's state: err %v, want a refusal naming the shard axis:\n%s", err, out)
+	}
+	if got, err := os.ReadFile(journal); err != nil || string(got) != string(results) {
+		t.Errorf("the refused resume touched the journal: %q, %v", got, err)
+	}
+	if _, err := os.Stat(paths.Checkpoint); !os.IsNotExist(err) {
+		t.Errorf("the refused resume left a checkpoint behind (stat: %v)", err)
 	}
 }
 

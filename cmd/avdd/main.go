@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -203,6 +204,9 @@ func main() {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "shards %d/%d complete, %d merged results\n", survivors, *shards, len(merged))
 	trace.SummarizeCampaign(&sb, *strategy, merged)
+	if *shards > 1 {
+		shardImpactLines(&sb, perShard)
+	}
 	fmt.Fprintf(&sb, "campaign fingerprint: %s\n", fp)
 	fmt.Print(sb.String())
 	if *summaryOut != "" {
@@ -227,6 +231,24 @@ func main() {
 	}
 	if runErr != nil {
 		os.Exit(1)
+	}
+}
+
+// shardImpactLines says, shard by shard, how many of its own tests each
+// completed shard needed to reach impact 0.9. The merged summary's "first
+// reached at test N" counts along shard 0's results, then shard 1's, and
+// so on, while the shards ran side by side: its N grows by a whole budget
+// for every earlier shard that did not get there first.
+func shardImpactLines(w io.Writer, perShard [][]core.Result) {
+	for k, results := range perShard {
+		if results == nil {
+			continue // incomplete: not merged
+		}
+		if n := core.TestsToImpact(results, 0.9); n > 0 {
+			fmt.Fprintf(w, "  shard %d: impact >= 0.90 first reached at its test %d\n", k, n)
+		} else {
+			fmt.Fprintf(w, "  shard %d: impact >= 0.90 never reached\n", k)
+		}
 	}
 }
 

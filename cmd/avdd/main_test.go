@@ -5,7 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"avd/internal/core"
 )
 
 // buildBinaries compiles cmd/avd and cmd/avdd into a temp dir once per
@@ -77,5 +81,33 @@ func TestKillStormBitIdentical(t *testing.T) {
 	storm := run("storm", "-storm", "5", "-stormevery", "250ms")
 	if !bytes.Equal(clean, storm) {
 		t.Fatalf("kill-storm campaign diverged from the uninterrupted run\n--- clean ---\n%s\n--- storm ---\n%s", clean, storm)
+	}
+	if n := bytes.Count(clean, []byte(": impact >= 0.90 ")); n != 3 {
+		t.Errorf("summary has %d per-shard impact lines, want one per shard:\n%s", n, clean)
+	}
+}
+
+// TestShardImpactLines: each shard's tests-to-impact counts that shard's
+// own tests. The merged stream is shard 0's results and then shard 1's,
+// so its one "first reached at test N" line puts an attack shard 1 found
+// on its 2nd test at test 5 when shard 0 ran three tests and found nothing.
+func TestShardImpactLines(t *testing.T) {
+	impacts := func(values ...float64) []core.Result {
+		results := make([]core.Result, len(values))
+		for i, v := range values {
+			results[i].Impact = v
+		}
+		return results
+	}
+	perShard := [][]core.Result{impacts(0.1, 0.2, 0.3), impacts(0.5, 0.95, 0.99), nil}
+	if n := core.TestsToImpact(slices.Concat(perShard...), 0.9); n != 5 {
+		t.Fatalf("merged stream reaches impact 0.9 at test %d, want 5", n)
+	}
+	var sb strings.Builder
+	shardImpactLines(&sb, perShard)
+	want := "  shard 0: impact >= 0.90 never reached\n" +
+		"  shard 1: impact >= 0.90 first reached at its test 2\n"
+	if sb.String() != want {
+		t.Errorf("per-shard lines:\n%swant:\n%s", sb.String(), want)
 	}
 }

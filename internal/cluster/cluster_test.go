@@ -391,3 +391,32 @@ func TestReportFieldsPopulated(t *testing.T) {
 		t.Error("P99 latency missing despite completions")
 	}
 }
+
+// TestStructuralMarkerMatchesMasterKey: scenario.Dimension.Structural is
+// a promise about populationOf — over every plugin the PBFT target
+// accepts, moving a structural axis changes the master key and moving any
+// other axis does not. core.PlanShards relies on it to give every
+// population to one shard.
+func TestStructuralMarkerMatchesMasterKey(t *testing.T) {
+	space, err := core.Space(
+		plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}, plugin.NewFaultPlan(), &plugin.SlowPrimary{},
+		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := space.New(nil)
+	structural := 0
+	for _, d := range space.Dimensions() {
+		moved := populationOf(base.With(d.Name, d.Value(1))) != populationOf(base)
+		if moved != d.Structural {
+			t.Errorf("%s: Structural=%v, moving it changes the master key: %v", d.Name, d.Structural, moved)
+		}
+		if d.Structural {
+			structural++
+		}
+	}
+	if structural != 2 {
+		t.Errorf("%d structural axes, want correct_clients and malicious_clients", structural)
+	}
+}

@@ -27,25 +27,35 @@ type ShardPlan struct {
 }
 
 // PlanShards picks the split axis for a K-way shard of the space: the
-// dimension with the most values (ties break to the first), so the
-// split stays as even as possible. It fails when the space cannot feed
-// K shards at least one value each.
+// widest structural dimension (scenario.Dimension.Structural) with at
+// least K values, so the shards partition the populations — and with
+// them the masters and baselines a target builds — instead of each
+// building all of them. When no structural axis can feed K shards it
+// falls back to the dimension with the most values, which keeps the
+// split as even as possible. Ties break to the first dimension. It
+// fails when no axis can give K shards at least one value each.
 func PlanShards(space *scenario.Space, k int) (ShardPlan, error) {
 	if k < 1 {
 		return ShardPlan{}, fmt.Errorf("core: shard plan needs >= 1 shards, got %d", k)
 	}
 	dims := space.Dimensions()
-	best := 0
+	widest, structural := 0, -1
 	for i, d := range dims {
-		if d.Count() > dims[best].Count() {
-			best = i
+		if d.Count() > dims[widest].Count() {
+			widest = i
+		}
+		if d.Structural && d.Count() >= int64(k) && (structural < 0 || d.Count() > dims[structural].Count()) {
+			structural = i
 		}
 	}
-	if dims[best].Count() < int64(k) {
-		return ShardPlan{}, fmt.Errorf("core: cannot split %d ways: largest axis %q has only %d values",
-			k, dims[best].Name, dims[best].Count())
+	if structural >= 0 {
+		return ShardPlan{Shards: k, Axis: dims[structural].Name}, nil
 	}
-	return ShardPlan{Shards: k, Axis: dims[best].Name}, nil
+	if dims[widest].Count() < int64(k) {
+		return ShardPlan{}, fmt.Errorf("core: cannot split %d ways: largest axis %q has only %d values",
+			k, dims[widest].Name, dims[widest].Count())
+	}
+	return ShardPlan{Shards: k, Axis: dims[widest].Name}, nil
 }
 
 // Validate checks the plan against the full space it claims to split.
@@ -89,12 +99,9 @@ func (p ShardPlan) Subspace(space *scenario.Space, k int) (*scenario.Space, erro
 
 // strided is the split axis as shard k sees it.
 func (p ShardPlan) strided(d scenario.Dimension, k int) scenario.Dimension {
-	return scenario.Dimension{
-		Name: d.Name,
-		Min:  d.Min + int64(k)*d.Step,
-		Max:  d.Max,
-		Step: d.Step * int64(p.Shards),
-	}
+	d.Min += int64(k) * d.Step
+	d.Step *= int64(p.Shards)
+	return d
 }
 
 // shardPlugin narrows one plugin's view of the split axis. Only

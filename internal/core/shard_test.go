@@ -68,6 +68,88 @@ func TestShardPlanErrors(t *testing.T) {
 	}
 }
 
+// populationPlugins is a plugin set shaped like a shipped target's: a
+// wide fault axis and a narrower structural one.
+func populationPlugins() []Plugin {
+	return []Plugin{
+		&gridPlugin{name: "x", dim: scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}},
+		&gridPlugin{name: "pop", dim: scenario.Dimension{Name: "pop", Min: 10, Max: 250, Step: 10, Structural: true}},
+	}
+}
+
+// TestPlanShardsAxisRule: the plan strides the widest structural axis
+// that can feed K shards, and only when there is none the largest axis.
+func TestPlanShardsAxisRule(t *testing.T) {
+	dim := func(name string, count int64, structural bool) scenario.Dimension {
+		return scenario.Dimension{Name: name, Min: 0, Max: count - 1, Step: 1, Structural: structural}
+	}
+	mask, correct, malicious := dim("mask", 4096, false), dim("correct", 25, true), dim("malicious", 2, true)
+	for _, tc := range []struct {
+		name string
+		dims []scenario.Dimension
+		k    int
+		want string // "" = error
+	}{
+		{"structural beats a larger axis", []scenario.Dimension{mask, correct, malicious}, 2, "correct"},
+		{"widest structural wins wherever it sits", []scenario.Dimension{malicious, mask, correct}, 2, "correct"},
+		{"structural ties break to the first", []scenario.Dimension{mask, dim("b", 25, true), correct}, 4, "b"},
+		{"a structural axis too narrow for K is passed over", []scenario.Dimension{malicious, correct, mask}, 3, "correct"},
+		{"K wider than every structural axis falls back to the largest", []scenario.Dimension{mask, correct, malicious}, 32, "mask"},
+		{"largest-axis ties break to the first", []scenario.Dimension{dim("p", 8, false), dim("q", 8, false)}, 2, "p"},
+		{"K wider than every axis", []scenario.Dimension{mask, correct, malicious}, 4097, ""},
+	} {
+		plan, err := PlanShards(scenario.MustNewSpace(tc.dims...), tc.k)
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("%s: planned %s, want an error", tc.name, plan)
+			}
+			continue
+		}
+		if err != nil || plan.Axis != tc.want || plan.Shards != tc.k {
+			t.Errorf("%s: plan %s, err %v; want %d shards striding %q", tc.name, plan, err, tc.k, tc.want)
+		}
+	}
+}
+
+// TestShardKeepsStructuralMarker: a shard's view of the split axis is
+// still structural, through Subspace and through WrapPlugins — a target
+// built over the shard sees the same marker its plugin set.
+func TestShardKeepsStructuralMarker(t *testing.T) {
+	plugins := populationPlugins()
+	full, err := Space(plugins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanShards(full, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Axis != "pop" {
+		t.Fatalf("plan %s, want the structural axis", plan)
+	}
+	sub, err := plan.Subspace(full, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped, err := plan.WrapPlugins(plugins, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineSpace, err := Space(wrapped...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, space := range map[string]*scenario.Space{"Subspace": sub, "WrapPlugins": engineSpace} {
+		pop, _ := space.Dim("pop")
+		if want := (scenario.Dimension{Name: "pop", Min: 20, Max: 250, Step: 20, Structural: true}); pop != want {
+			t.Errorf("%s: split axis %+v, want %+v", name, pop, want)
+		}
+		if x, _ := space.Dim("x"); x.Structural {
+			t.Errorf("%s: axis x became structural", name)
+		}
+	}
+}
+
 // TestShardWrapPluginsSpaceMatchesSubspace: the engine space built from
 // wrapped plugins must be structurally identical to the plan's
 // Subspace, so CompactKeys agree between the explorer and the merge.
@@ -105,7 +187,9 @@ func TestShardWrapPluginsSpaceMatchesSubspace(t *testing.T) {
 
 // TestShardMutationStaysInShard: mutations through wrapped plugins can
 // never leave the shard's residue class — the property that makes the
-// merge's membership check sound.
+// merge's membership check sound. That the shipped client plugins also
+// step on the shard's grid (core cannot import them) is
+// campaign.TestShardMutationStepsOnShardGrid.
 func TestShardMutationStaysInShard(t *testing.T) {
 	plugins := twoDimPlugins()
 	full, err := Space(plugins...)
@@ -143,21 +227,20 @@ func TestShardMutationStaysInShard(t *testing.T) {
 	}
 }
 
-// TestMergeShards: merging shard campaigns combines results with
-// exactly-once accounting and rejects double-counting and strays.
-func TestMergeShards(t *testing.T) {
-	plugins := twoDimPlugins()
+// shardCampaigns runs a small campaign in every shard of a k-way plan
+// over the plugin set.
+func shardCampaigns(t *testing.T, plugins []Plugin, k int) (full *scenario.Space, plan ShardPlan, perShard [][]Result, total int) {
+	t.Helper()
 	full, err := Space(plugins...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanShards(full, 3)
+	plan, err = PlanShards(full, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := pureRunner()
-	perShard := make([][]Result, plan.Shards)
-	total := 0
+	perShard = make([][]Result, plan.Shards)
 	for k := 0; k < plan.Shards; k++ {
 		wrapped, err := plan.WrapPlugins(plugins, k)
 		if err != nil {
@@ -174,6 +257,13 @@ func TestMergeShards(t *testing.T) {
 		perShard[k] = results
 		total += len(results)
 	}
+	return full, plan, perShard, total
+}
+
+// TestMergeShards: merging shard campaigns combines results with
+// exactly-once accounting and rejects double-counting and strays.
+func TestMergeShards(t *testing.T) {
+	full, plan, perShard, total := shardCampaigns(t, twoDimPlugins(), 3)
 	merged, err := MergeShards(full, plan, perShard)
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +307,21 @@ func TestMergeShards(t *testing.T) {
 	t.Run("shard count mismatch", func(t *testing.T) {
 		if _, err := MergeShards(full, plan, perShard[:2]); err == nil {
 			t.Fatal("merging 2 shard streams under a 3-shard plan must fail")
+		}
+	})
+	t.Run("structural axis", func(t *testing.T) {
+		full, plan, perShard, total := shardCampaigns(t, populationPlugins(), 2)
+		if plan.Axis != "pop" {
+			t.Fatalf("plan %s, want the structural axis", plan)
+		}
+		merged, err := MergeShards(full, plan, perShard)
+		if err != nil || len(merged) != total {
+			t.Fatalf("merged %d results of %d: %v", len(merged), total, err)
+		}
+		// A population belongs to one shard: swapping the streams puts
+		// every result in the wrong residue class.
+		if _, err := MergeShards(full, plan, [][]Result{perShard[1], perShard[0]}); err == nil || !strings.Contains(err.Error(), "residue") {
+			t.Fatalf("swapped shard streams merged: %v", err)
 		}
 	})
 }

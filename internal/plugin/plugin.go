@@ -104,6 +104,20 @@ func ScaledDelta(distance float64, max int64, rng *rand.Rand) int64 {
 	return d
 }
 
+// GridOf returns the axis named by own as the parent's space grids it,
+// and own itself when the parent has no such axis. A plugin that steps
+// along an axis must step on this grid, not on its own fields: a shard
+// that strides the axis (core.ShardPlan) sees every K-th value, and
+// Scenario.With floors anything in between back down.
+func GridOf(parent scenario.Scenario, own scenario.Dimension) scenario.Dimension {
+	if space := parent.Space(); space != nil {
+		if d, ok := space.Dim(own.Name); ok {
+			return d
+		}
+	}
+	return own
+}
+
 // MACCorrupt is the MAC-corruption fault-injection plugin of §6. Its
 // single dimension is the 12-bit hyperspace coordinate; the effective
 // injector bitmask is the Gray encoding of the coordinate, so that
@@ -174,11 +188,13 @@ var _ core.Plugin = (*Clients)(nil)
 // Name implements core.Plugin.
 func (p *Clients) Name() string { return "clients" }
 
-// Dimensions implements core.Plugin.
+// Dimensions implements core.Plugin. Both axes are structural: the
+// cluster harness keys its masters and baselines on exactly this pair
+// (cluster.populationOf).
 func (p *Clients) Dimensions() []scenario.Dimension {
 	return []scenario.Dimension{
-		{Name: DimCorrectClients, Min: p.MinCorrect, Max: p.MaxCorrect, Step: p.StepCorrect},
-		{Name: DimMaliciousClients, Min: p.MinMalicious, Max: p.MaxMalicious, Step: 1},
+		{Name: DimCorrectClients, Min: p.MinCorrect, Max: p.MaxCorrect, Step: p.StepCorrect, Structural: true},
+		{Name: DimMaliciousClients, Min: p.MinMalicious, Max: p.MaxMalicious, Step: 1, Structural: true},
 	}
 }
 
@@ -193,10 +209,10 @@ func (p *Clients) Mutate(parent scenario.Scenario, distance float64, rng *rand.R
 		next := p.MinMalicious + (cur-p.MinMalicious+1+rng.Int63n(span))%(span+1)
 		parent = parent.With(DimMaliciousClients, next)
 	}
-	steps := (p.MaxCorrect - p.MinCorrect) / p.StepCorrect
-	delta := ScaledDelta(distance, steps, rng)
+	axis := GridOf(parent, p.Dimensions()[0])
+	delta := ScaledDelta(distance, axis.Count()-1, rng)
 	cur := parent.GetOr(DimCorrectClients, p.MinCorrect)
-	return parent.With(DimCorrectClients, cur+delta*p.StepCorrect)
+	return parent.With(DimCorrectClients, cur+delta*axis.Step)
 }
 
 // Reorder is the message-reordering tool of §5: it delays a fraction of

@@ -98,6 +98,11 @@ var (
 	_ core.Warmer            = (*Runner)(nil)
 )
 
+// populationOf is the client population a scenario deploys — the whole
+// structural identity of a Raft deployment, and so the harness's master
+// and baseline key.
+func populationOf(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) }
+
 // NewRunner returns a runner for the workload with the default plugins.
 func NewRunner(w Workload) (*Runner, error) { return NewTarget(w) }
 
@@ -120,7 +125,7 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 		Plugins:    plugins,
 		Config:     w,
 		ClientsDim: DimClients,
-		Key:        func(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) },
+		Key:        populationOf,
 		Build:      r.newDeployment,
 		Measure:    w.Measure,
 		StepBudget: w.StepBudget,

@@ -39,20 +39,21 @@ var _ core.Plugin = (*Clients)(nil)
 // Name implements core.Plugin.
 func (p *Clients) Name() string { return "raftclients" }
 
-// Dimensions implements core.Plugin.
+// Dimensions implements core.Plugin. The axis is structural: the raft
+// harness keys its masters and baselines on the client count alone.
 func (p *Clients) Dimensions() []scenario.Dimension {
 	return []scenario.Dimension{
-		{Name: DimClients, Min: p.Min, Max: p.Max, Step: p.Step},
+		{Name: DimClients, Min: p.Min, Max: p.Max, Step: p.Step, Structural: true},
 	}
 }
 
 // Mutate implements core.Plugin: small distances nudge the client count
 // by one step, large distances jump across the range.
 func (p *Clients) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	steps := (p.Max - p.Min) / p.Step
-	delta := plugin.ScaledDelta(distance, steps, rng)
+	axis := plugin.GridOf(parent, p.Dimensions()[0])
+	delta := plugin.ScaledDelta(distance, axis.Count()-1, rng)
 	cur := parent.GetOr(DimClients, p.Min)
-	return parent.With(DimClients, cur+delta*p.Step)
+	return parent.With(DimClients, cur+delta*axis.Step)
 }
 
 // LeaderFlap is the Raft target's network-attacker plugin: a vantage

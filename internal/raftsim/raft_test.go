@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/core"
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
@@ -197,5 +198,34 @@ func TestApplyDedup(t *testing.T) {
 	}
 	if rep.Retransmissions == 0 {
 		t.Fatal("5% drop rate caused no retransmissions; dedup untested")
+	}
+}
+
+// TestStructuralMarkerMatchesMasterKey: scenario.Dimension.Structural is
+// a promise about populationOf — over every plugin the Raft target
+// accepts, moving a structural axis changes the master key and moving any
+// other axis does not. core.PlanShards relies on it to give every
+// population to one shard.
+func TestStructuralMarkerMatchesMasterKey(t *testing.T) {
+	space, err := core.Space(
+		NewClientsPlugin(), NewLeaderFlapPlugin(),
+		NewCrashRestartPlugin(), NewClockSkewPlugin(), NewOneWayPlugin(), NewNetFaultsPlugin(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := space.New(nil)
+	structural := 0
+	for _, d := range space.Dimensions() {
+		moved := populationOf(base.With(d.Name, d.Value(1))) != populationOf(base)
+		if moved != d.Structural {
+			t.Errorf("%s: Structural=%v, moving it changes the master key: %v", d.Name, d.Structural, moved)
+		}
+		if d.Structural {
+			structural++
+		}
+	}
+	if structural != 1 {
+		t.Errorf("%d structural axes, want raft_clients alone", structural)
 	}
 }

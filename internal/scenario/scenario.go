@@ -19,6 +19,13 @@ type Dimension struct {
 	Min  int64
 	Max  int64
 	Step int64
+	// Structural marks an axis whose value shapes the deployment a target
+	// builds and warms before any test runs (a client population): two
+	// scenarios that differ on it never share a master or a baseline. The
+	// owning plugin sets it; it is a promise about the target's set-up
+	// key, not part of the axis grid, so it is in no key or signature.
+	// core.PlanShards prefers such an axis (DESIGN.md §13).
+	Structural bool
 }
 
 // Validate reports structural problems with the dimension.
