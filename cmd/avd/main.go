@@ -80,6 +80,10 @@ func main() {
 	}
 	target, space, explorer := setup.Target, setup.Space, setup.Explorer
 
+	// Output files open before the campaign spends its budget or touches
+	// its state directory, so a path that cannot be written fails at once.
+	csvFile, cpuFile, memFile := createOutput(*csvPath), createOutput(*cpuProfile), createOutput(*memProfile)
+
 	opts := []core.EngineOption{
 		core.WithExplorer(explorer),
 		core.WithBudget(*tests),
@@ -151,16 +155,16 @@ func main() {
 	// partial results are summarized below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	stopCPUProfile, err := startCPUProfile(*cpuProfile)
+	stopCPUProfile, err := startCPUProfile(cpuFile)
 	if err != nil {
 		fatal(err)
 	}
 	start := time.Now()
 	results, runErr := eng.RunAll(ctx)
-	stopCPUProfile()
-	if err := writeHeapProfile(*memProfile); err != nil {
-		fatal(err)
-	}
+	// An output that fails from here on is reported and turns the exit
+	// status, but the checkpoint is still folded and the summary printed.
+	outputErr := stopCPUProfile()
+	outputErr = errors.Join(outputErr, writeHeapProfile(memFile))
 	interrupted := false
 	if runErr != nil {
 		interrupted = errors.Is(runErr, context.Canceled)
@@ -197,24 +201,24 @@ func main() {
 			runMinimize(target, results, *minThresh, *minRuns)
 		}
 
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			if err := trace.WriteCampaignCSV(f, *strategy, results); err != nil {
-				fatal(err)
-			}
+	}
+	if csvFile != nil {
+		err := trace.WriteCampaignCSV(csvFile, *strategy, results)
+		if err = errors.Join(err, csvFile.Close()); err != nil {
+			outputErr = errors.Join(outputErr, fmt.Errorf("csv: %w", err))
+		} else {
 			fmt.Printf("\nwrote %s\n", *csvPath)
 		}
+	}
+	if outputErr != nil {
+		fmt.Fprintln(os.Stderr, "avd:", outputErr)
 	}
 	if interrupted {
 		// Distinguish "drained on signal, checkpoint flushed" from
 		// natural completion so a supervisor knows the shard is not done.
 		os.Exit(3)
 	}
-	if runErr != nil {
+	if runErr != nil || outputErr != nil {
 		os.Exit(1)
 	}
 }
@@ -234,46 +238,51 @@ func topAttacks(results []core.Result, n int) []core.Result {
 	return best[:max(0, min(n, len(best)))]
 }
 
-// startCPUProfile starts CPU profiling into path and returns the function
-// that ends it; an empty path profiles nothing.
-func startCPUProfile(path string) (stop func(), err error) {
-	if path == "" {
-		return func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "avd: cpuprofile:", err)
-		}
-	}, nil
-}
-
-// writeHeapProfile writes the heap profile to path (no-op when empty). It
-// runs right after the campaign, while the harness still holds its warm
-// masters, so inuse_space shows what a campaign retains and alloc_space
-// what its windows churned.
-func writeHeapProfile(path string) error {
+// createOutput creates the file an output flag names, or exits; an empty
+// path names none.
+func createOutput(path string) *os.File {
 	if path == "" {
 		return nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		fatal(err)
+	}
+	return f
+}
+
+// startCPUProfile starts CPU profiling into f and returns the function
+// that ends it and closes f; a nil f profiles nothing.
+func startCPUProfile(f *os.File) (stop func() error, err error) {
+	if f == nil {
+		return func() error { return nil }, nil
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		return nil
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile to f and closes it (no-op when
+// nil). It runs right after the campaign, while the harness still holds
+// its warm masters, so inuse_space shows what a campaign retains and
+// alloc_space what its windows churned.
+func writeHeapProfile(f *os.File) error {
+	if f == nil {
+		return nil
 	}
 	runtime.GC() // materialize up-to-date in-use statistics
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
+	err := pprof.WriteHeapProfile(f)
+	if err = errors.Join(err, f.Close()); err != nil {
+		return fmt.Errorf("memprofile: %w", err)
 	}
-	return f.Close()
+	return nil
 }
 
 func fatal(err error) {

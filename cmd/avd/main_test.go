@@ -127,6 +127,32 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
+// TestBadOutputPathExitsBeforeCampaign: an output file that cannot be
+// created is refused before the first test runs and before the state
+// directory exists — not after the whole budget (-csv), and not in place
+// of the checkpoint's final fold (-memprofile).
+func TestBadOutputPathExitsBeforeCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	dir := t.TempDir()
+	bin := buildAvd(t, dir)
+	bad := filepath.Join(dir, "no", "such", "dir", "out")
+	for _, flag := range []string{"-csv", "-memprofile", "-cpuprofile"} {
+		state := filepath.Join(dir, "state"+flag)
+		out, err := exec.Command(bin, "-tests", "3", "-seed", "3", "-quiet", "-state", state, flag, bad).CombinedOutput()
+		if err == nil {
+			t.Errorf("avd %s %s exited 0:\n%s", flag, bad, out)
+		}
+		if strings.Contains(string(out), "budget=") || strings.Contains(string(out), "tests in") {
+			t.Errorf("avd %s %s started its campaign before failing:\n%s", flag, bad, out)
+		}
+		if _, err := os.Stat(state); !os.IsNotExist(err) {
+			t.Errorf("avd %s %s left a state directory behind (stat: %v)", flag, bad, err)
+		}
+	}
+}
+
 // TestTopAttacksStableByImpact: the top-N list is by impact, and results
 // of equal impact keep the order they were executed in (the sort this
 // replaced was quadratic and shuffled ties).

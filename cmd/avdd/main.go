@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,6 +65,16 @@ func main() {
 	if *workerBin == "" || *stateDir == "" {
 		fmt.Fprintln(os.Stderr, "avdd: -worker and -state are required")
 		os.Exit(2)
+	}
+	// -csv opens before any worker runs (and before the state directory
+	// exists), so a path that cannot be written fails at once.
+	var csvFile *os.File
+	if *csvPath != "" {
+		f, err := os.Create(*csvPath)
+		if err != nil {
+			fatal(err)
+		}
+		csvFile = f
 	}
 	if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 		fatal(err)
@@ -215,17 +226,10 @@ func main() {
 		}
 		fmt.Printf("avdd: wrote %s\n", *summaryOut)
 	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteCampaignCSV(f, *strategy, merged); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+	if csvFile != nil {
+		err := trace.WriteCampaignCSV(csvFile, *strategy, merged)
+		if err = errors.Join(err, csvFile.Close()); err != nil {
+			fatal(fmt.Errorf("csv: %w", err))
 		}
 		fmt.Printf("avdd: wrote %s\n", *csvPath)
 	}

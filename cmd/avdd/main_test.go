@@ -31,6 +31,26 @@ func buildBinaries(t *testing.T) (avd, avdd string) {
 	return avd, avdd
 }
 
+// TestBadCSVPathExitsBeforeWorkers: a -csv that cannot be created is
+// refused before a worker starts or the state directory exists, not after
+// every shard has spent its budget.
+func TestBadCSVPathExitsBeforeWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	avd, avdd := buildBinaries(t)
+	dir := t.TempDir()
+	state := filepath.Join(dir, "state")
+	out, err := exec.Command(avdd, "-worker", avd, "-state", state, "-tests", "3",
+		"-csv", filepath.Join(dir, "no", "such", "dir", "out.csv")).CombinedOutput()
+	if err == nil {
+		t.Errorf("avdd with an unwritable -csv exited 0:\n%s", out)
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("the refused run left a state directory behind (stat: %v)\n%s", err, out)
+	}
+}
+
 // TestKillStormBitIdentical is the tentpole's proof: a supervised
 // sharded campaign whose workers are SIGKILLed mid-run must produce a
 // merged campaign — results, violations, coverage digests, test counts

@@ -91,6 +91,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		d.byzIdx = 0
 	}
 	d.net = simnet.New(d.eng, w.Net)
+	d.net.SetReleaser(arena.Release)
 
 	// Protocol oracles observe every replica's executions: no two
 	// replicas may commit different batches at one sequence number

@@ -90,6 +90,30 @@ func TestForkedBigMACAllocs(t *testing.T) {
 	}
 }
 
+// windowLeaseChunks is what the unarmed 1.5 s window of the largest
+// default population, 250 correct clients and one malicious, leases from
+// the pool: 15 MB of 32 KB chunks. It was 1,260 (39 MB) while every reply
+// stayed carved until the rewind; replies now go back to the arena when
+// their envelope has delivered them, and what is left is what the
+// replicas' logs share — requests, votes, pre-prepares and their
+// authenticator vectors. A change that moves it changed what the window
+// sends or what a message costs; update the figure only with that
+// explanation.
+const windowLeaseChunks = 480
+
+// TestWindowLease is the exact guard on window memory, the twin of
+// raftsim's TestStormWindowLease (CI's perf-smoke runs both by name).
+func TestWindowLease(t *testing.T) {
+	r := newRunner(t, DefaultWorkload())
+	d := r.newDeployment(masterKey{correct: 250, malicious: 1})
+	d.Capture()
+	d.Restore()
+	d.eng.RunFor(1500 * time.Millisecond)
+	if got := d.mem.Held() - d.mem.Owned(); got != windowLeaseChunks {
+		t.Errorf("the window leased %d chunks (%d KB), want exactly %d", got, got*32, windowLeaseChunks)
+	}
+}
+
 // TestWindowDispatchCounts is the exact guard on queue work (CI's
 // perf-smoke runs it by name; ROADMAP 1(a)'s Cost record starts with
 // these two fields): the unarmed 1.5 s window of the largest population

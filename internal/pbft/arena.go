@@ -47,6 +47,16 @@ func NewArena(mem *slab.Arena) *Arena {
 	}
 }
 
+// Release is the deployment's simnet.Releaser: a reply, which replicas
+// only ever send with SendOwned, goes back to its slab. Nothing else is
+// sent owned — requests, votes and pre-prepares are shared by the
+// replicas' logs.
+func (a *Arena) Release(payload any) {
+	if rp, ok := payload.(*Reply); ok {
+		a.replies.Put(rp)
+	}
+}
+
 // newPrivateArena backs a replica or client constructed without a
 // deployment arena (unit tests wiring a cluster by hand): it is never
 // rewound and simply grows.

@@ -483,3 +483,26 @@ func TestClientRetryTimerExits(t *testing.T) {
 		})
 	}
 }
+
+// TestExecTimeDelaysReplies: with a simulated execution cost every reply
+// leaves its replica ExecTime late — from a copy the timer holds by value,
+// not from the arena — and requests still complete, just slower.
+func TestExecTimeDelaysReplies(t *testing.T) {
+	completed := func(execTime time.Duration) uint64 {
+		cfg := DefaultConfig()
+		cfg.ExecTime = execTime
+		tb := newTestbed(t, testbedOpts{cfg: cfg})
+		c := tb.addClient(ClientConfig{Retry: time.Second, RetryCap: time.Second})
+		c.Start()
+		tb.run(200 * time.Millisecond)
+		tb.assertSafety()
+		if st := c.Stats(); st.BadReplies != 0 || st.Retransmissions != 0 {
+			t.Errorf("ExecTime %v: %d bad replies, %d retransmissions", execTime, st.BadReplies, st.Retransmissions)
+		}
+		return c.Stats().Completed
+	}
+	prompt, late := completed(0), completed(5*time.Millisecond)
+	if late == 0 || late >= prompt {
+		t.Errorf("completed %d requests with a 5 ms execution cost, %d with none", late, prompt)
+	}
+}

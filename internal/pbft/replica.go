@@ -179,10 +179,11 @@ type Replica struct {
 	batchTimer sim.Timer
 	slowTimer  sim.Timer
 
-	// Client bookkeeping: the last reply sent per client address.
+	// Client bookkeeping: the last reply sent per client address, by
+	// value — a reply on the wire belongs to its envelope (executeBatch).
 	// Addresses are small and dense, so a slice beats the map this used
 	// to be (the lookup runs once per executed request per replica).
-	lastReply []*Reply
+	lastReply []lastReply
 
 	// Client-request view-change timers (§6). pendingForwarded holds the
 	// requests this replica received directly from clients and has not
@@ -448,21 +449,41 @@ func (r *Replica) clientKey(a simnet.Addr) mac.Key {
 	return k
 }
 
+// lastReply is one slot of the dense last-reply table; sent tells a reply
+// from a slot the table only grew past.
+type lastReply struct {
+	Reply
+	sent bool
+}
+
 // lastReplyFor returns the cached last reply for a client, nil when none.
+// The pointer is into the table: use it before the next setLastReply.
 func (r *Replica) lastReplyFor(a simnet.Addr) *Reply {
-	if int(a) >= 0 && int(a) < len(r.lastReply) {
-		return r.lastReply[a]
+	if int(a) >= 0 && int(a) < len(r.lastReply) && r.lastReply[a].sent {
+		return &r.lastReply[a].Reply
 	}
 	return nil
 }
 
-// setLastReply records the last reply sent to a client, growing the
-// dense table on first contact.
-func (r *Replica) setLastReply(a simnet.Addr, rp *Reply) {
+// setLastReply returns the slot that records the last reply sent to a
+// client, for the caller to fill, growing the dense table on first
+// contact.
+func (r *Replica) setLastReply(a simnet.Addr) *Reply {
 	for int(a) >= len(r.lastReply) {
-		r.lastReply = append(r.lastReply, nil)
+		r.lastReply = append(r.lastReply, lastReply{})
 	}
-	r.lastReply[a] = rp
+	s := &r.lastReply[a]
+	s.sent = true
+	return &s.Reply
+}
+
+// resendReply sends a reply kept by value — a table entry being
+// retransmitted, or one ExecTime delayed — as a fresh copy its envelope
+// owns, exactly like the first transmission (executeBatch).
+func (r *Replica) resendReply(last *Reply) {
+	rp := r.mem.replies.Get()
+	*rp = *last
+	r.net.SendOwned(r.Addr(), last.Client, rp)
 }
 
 // verifyPeer checks our entry of a peer replica's authenticator.
@@ -593,7 +614,7 @@ func (r *Replica) onDirectRequest(req *Request) {
 	// Executed already? Re-send the cached reply.
 	if last := r.lastReplyFor(req.Client); last != nil && last.Seq >= req.Seq {
 		if last.Seq == req.Seq {
-			r.net.Send(r.Addr(), req.Client, last)
+			r.resendReply(last)
 		}
 		return
 	}
@@ -670,7 +691,7 @@ func (r *Replica) onForwardedRequest(fw *ForwardedRequest) {
 	req := fw.Request
 	if last := r.lastReplyFor(req.Client); last != nil && last.Seq >= req.Seq {
 		if last.Seq == req.Seq {
-			r.net.Send(r.Addr(), req.Client, last)
+			r.resendReply(last)
 		}
 		return
 	}
@@ -1051,25 +1072,46 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		}
 		r.stateDigest = fnv3(r.stateDigest, req.Digest(), seq)
 		r.stats.RequestsExecuted++
-		reply := r.mem.replies.Get()
-		*reply = Reply{
-			View:    r.view,
-			Replica: r.id,
-			Client:  req.Client,
-			Seq:     req.Seq,
-			Result:  r.stateDigest,
-		}
-		reply.Tag = mac.Sum(r.clientKey(req.Client), reply.digest())
-		r.setLastReply(req.Client, reply)
+		// The reply on the wire belongs to its envelope — the client's
+		// handler is the last to read it and the network then hands it
+		// back to the arena (Arena.Release) — and the table keeps its own
+		// copy. Both are filled field by field. Reply has more fields than
+		// the compiler keeps in registers, so a literal is built on the
+		// stack and copied out, and a struct copy from one to the other
+		// would reload, 16 bytes at a time, what was just stored 8 at a
+		// time, which the store buffer cannot forward.
+		//
+		// A reply that waits out ExecTime waits on the heap instead: its
+		// timer closure outlives a snapshot, so every fork runs it, and an
+		// arena reply it had kept would be shared between them.
+		var reply *Reply
 		if r.cfg.ExecTime > 0 {
-			reply := reply
+			reply = new(Reply)
+		} else {
+			reply = r.mem.replies.Get()
+		}
+		reply.View = r.view
+		reply.Replica = r.id
+		reply.Client = req.Client
+		reply.Seq = req.Seq
+		reply.Result = r.stateDigest
+		tag := mac.Sum(r.clientKey(req.Client), reply.digest())
+		reply.Tag = tag
+		slot := r.setLastReply(req.Client)
+		slot.View = r.view
+		slot.Replica = r.id
+		slot.Client = req.Client
+		slot.Seq = req.Seq
+		slot.Result = r.stateDigest
+		slot.Tag = tag
+		if r.cfg.ExecTime > 0 {
 			r.eng.ScheduleSkewed(r.clock, r.cfg.ExecTime, func() {
 				if !r.crashed {
-					r.net.Send(r.Addr(), reply.Client, reply)
+					r.resendReply(reply)
 				}
 			})
 		} else {
-			r.net.Send(r.Addr(), req.Client, reply)
+			r.net.SendOwned(r.Addr(), req.Client, reply)
 		}
 		r.onRequestExecuted(req.Key())
 	}

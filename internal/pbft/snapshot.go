@@ -85,7 +85,7 @@ type ReplicaState struct {
 	batchTimer sim.Timer
 	slowTimer  sim.Timer
 
-	lastReply []*Reply
+	lastReply []lastReply
 
 	pendingForwarded map[RequestKey]forwardedSnap
 	singleTimer      sim.Timer
@@ -122,7 +122,7 @@ func (r *Replica) Snapshot() *ReplicaState {
 		admitted:         append([]uint64(nil), r.admitted...),
 		batchTimer:       r.batchTimer,
 		slowTimer:        r.slowTimer,
-		lastReply:        append([]*Reply(nil), r.lastReply...),
+		lastReply:        append([]lastReply(nil), r.lastReply...),
 		pendingForwarded: make(map[RequestKey]forwardedSnap, len(r.pendingForwarded)),
 		singleTimer:      r.singleTimer,
 		reqTimers:        make(map[RequestKey]sim.Timer, len(r.reqTimers)),

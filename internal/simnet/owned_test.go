@@ -1,0 +1,180 @@
+package simnet
+
+import (
+	"testing"
+	"time"
+
+	"avd/internal/faultinject"
+	"avd/internal/sim"
+	"avd/internal/slab"
+)
+
+// cell is the payload of the ownership table: carved from a slab, and
+// filled with 0xA5 the moment the releaser puts it back (slab.SetPoison).
+type cell struct{ v uint64 }
+
+const (
+	cellValue    = 42
+	cellPoisoned = 0xA5A5A5A5A5A5A5A5
+)
+
+// ownedFixture is a two-node network whose releaser counts and puts back,
+// and whose handler checks that what it reads is still the sender's value.
+type ownedFixture struct {
+	eng       *sim.Engine
+	net       *Network
+	cells     *slab.Slab[cell]
+	delivered int
+	released  int
+}
+
+func newOwnedFixture(t *testing.T, cfg Config) *ownedFixture {
+	f := &ownedFixture{eng: sim.New(1), cells: slab.New[cell](slab.NewArena(nil, nil))}
+	f.net = New(f.eng, cfg)
+	f.net.SetReleaser(func(p any) {
+		f.released++
+		f.cells.Put(p.(*cell))
+	})
+	f.net.Handle(2, func(_ Addr, p any) {
+		f.delivered++
+		if f.released != 0 {
+			t.Errorf("released %d payloads before the handler ran", f.released)
+		}
+		if got := p.(*cell).v; got != cellValue {
+			t.Errorf("handler read %#x, want %d", got, cellValue)
+		}
+	})
+	return f
+}
+
+func (f *ownedFixture) send(owned bool) *cell {
+	c := f.cells.Get()
+	c.v = cellValue
+	if owned {
+		f.net.SendOwned(1, 2, c)
+	} else {
+		f.net.Send(1, 2, c)
+	}
+	return c
+}
+
+// sendAndRun sends one payload and runs the engine dry.
+func (f *ownedFixture) sendAndRun(owned bool) *cell {
+	c := f.send(owned)
+	f.eng.Run()
+	return c
+}
+
+// TestOwnedPayloadRelease is the ownership table: a payload sent with
+// SendOwned is released exactly when its one envelope has delivered it,
+// after the handler, and in no other case.
+func TestOwnedPayloadRelease(t *testing.T) {
+	slab.SetPoison(true)
+	defer slab.SetPoison(false)
+	lat := Config{BaseLatency: time.Millisecond}
+	dropAll := InterceptorFunc(func(*Message) Verdict { return VerdictDrop })
+	cases := []struct {
+		name string
+		cfg  Config
+		// run sends one payload, drives the engine and returns the payload:
+		// only a released one reads as poison afterwards.
+		run                 func(f *ownedFixture) *cell
+		delivered, released int
+		wantPoison          bool
+	}{
+		{name: "owned, delivered once", cfg: lat, delivered: 1, released: 1, wantPoison: true,
+			run: func(f *ownedFixture) *cell { return f.sendAndRun(true) }},
+		{name: "plain Send", cfg: lat, delivered: 1,
+			run: func(f *ownedFixture) *cell { return f.sendAndRun(false) }},
+		{name: "dup armed on the link", cfg: lat, delivered: 2,
+			run: func(f *ownedFixture) *cell {
+				f.net.ArmLinkFaults(1, 2, faultinject.NewPlan(dupEvery(1, 0)), nil)
+				return f.sendAndRun(true)
+			}},
+		{name: "corrupter swaps the payload", cfg: lat, delivered: 1,
+			run: func(f *ownedFixture) *cell {
+				f.net.ArmLinkFaults(1, 2, faultinject.NewPlan(corruptEvery(1)),
+					func(_, _ Addr, p any) any { c := *p.(*cell); return &c })
+				return f.sendAndRun(true)
+			}},
+		{name: "interceptor swaps the payload", cfg: lat, delivered: 1,
+			run: func(f *ownedFixture) *cell {
+				f.net.AddInterceptor(InterceptorFunc(func(m *Message) Verdict {
+					c := *m.Payload.(*cell)
+					m.Payload = &c
+					return VerdictDeliver
+				}))
+				return f.sendAndRun(true)
+			}},
+		{name: "interceptor drop", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				f.net.AddInterceptor(dropAll)
+				return f.sendAndRun(true)
+			}},
+		{name: "DropRate 1", cfg: Config{BaseLatency: time.Millisecond, DropRate: 1},
+			run: func(f *ownedFixture) *cell { return f.sendAndRun(true) }},
+		{name: "partition at send", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				f.net.Block(1, 2)
+				return f.sendAndRun(true)
+			}},
+		{name: "partition at delivery", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				c := f.send(true)
+				f.net.Block(1, 2)
+				f.eng.Run()
+				return c
+			}},
+		{name: "no handler", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				f.net.Handle(2, nil)
+				return f.sendAndRun(true)
+			}},
+		{name: "Close", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				c := f.send(true)
+				f.net.Close()
+				f.eng.Run()
+				return c
+			}},
+		// In flight at the snapshot: the live envelope and every restore's
+		// clone deliver the same payload, so none of them may release it.
+		{name: "in flight at Snapshot, live and two restores", cfg: lat, delivered: 3,
+			run: func(f *ownedFixture) *cell {
+				c := f.send(true)
+				snap := f.eng.Snapshot()
+				f.eng.Run()
+				for i := 0; i < 2; i++ {
+					f.eng.Restore(snap)
+					f.eng.Run()
+				}
+				return c
+			}},
+		// Sent after the snapshot and discarded by Restore (RecycleSimArg):
+		// the deployment has rewound the sender's memory by then.
+		{name: "discarded by Restore", cfg: lat,
+			run: func(f *ownedFixture) *cell {
+				snap := f.eng.Snapshot()
+				c := f.send(true)
+				f.eng.Restore(snap)
+				f.eng.Run()
+				return c
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newOwnedFixture(t, tc.cfg)
+			c := tc.run(f)
+			if f.delivered != tc.delivered || f.released != tc.released {
+				t.Errorf("delivered %d released %d, want %d and %d", f.delivered, f.released, tc.delivered, tc.released)
+			}
+			want := uint64(cellValue)
+			if tc.wantPoison {
+				want = cellPoisoned
+			}
+			if c.v != want {
+				t.Errorf("payload reads %#x afterwards, want %#x", c.v, want)
+			}
+		})
+	}
+}

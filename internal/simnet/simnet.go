@@ -45,6 +45,9 @@ type Message struct {
 	// draw from the envelope pool instead of the heap (CloneSimArg) and
 	// discarded in-flight envelopes return to it (RecycleSimArg).
 	net *Network
+	// owned marks the envelope as the only reference to Payload (SendOwned):
+	// delivering it hands the payload to the network's Releaser.
+	owned bool
 }
 
 // Verdict is an interceptor's ruling on a message.
@@ -108,7 +111,9 @@ type Network struct {
 	// and the per-delivery lookup is hot enough that a map showed up in
 	// deployment profiles.
 	//avdlint:derived deployment wiring: Register runs during cluster build, before the first snapshot
-	handlers     []Handler
+	handlers []Handler
+	//avdlint:derived deployment wiring: SetReleaser runs during cluster build, before the first snapshot
+	release      Releaser
 	interceptors []Interceptor
 	linkLatency  map[linkKey]time.Duration
 	blocked      map[linkKey]bool
@@ -163,6 +168,13 @@ const (
 // nil declines (the message is delivered untouched and not counted).
 type Corrupter func(from, to Addr, payload any) any
 
+// Releaser takes back a payload sent with SendOwned once its envelope has
+// delivered it and the handler has returned: nothing references it any
+// more. It is called for nothing else — a payload that is dropped,
+// duplicated, corrupted, captured by a snapshot or discarded by a restore
+// is left to whoever reclaims the sender's memory wholesale.
+type Releaser func(payload any)
+
 // linkFaults is the armed per-link fault state: a victim link selector
 // (AnyAddr wildcards), a faultinject plan consulted through resolved
 // point handles, and the corrupter that knows the target's payload types.
@@ -206,11 +218,14 @@ func (n *Network) DisarmLinkFaults() { n.lf = linkFaults{} }
 // CloneSimArg implements sim.ArgCloner: in-flight message envelopes are
 // pooled (recycled at delivery), so an engine snapshot detaches a copy
 // and every restore delivers a fresh one. The payload pointer is shared —
-// protocol messages are treated as immutable once sent. Clones draw from
-// the owning network's envelope pool: a restore-time clone is delivered
-// during the fork window and recycled right back, so the restore hot
-// path allocates nothing once the pool reaches steady state.
+// protocol messages are treated as immutable once sent — so from here on
+// no envelope owns it, the live one included: every fork delivers it
+// again. Clones draw from the owning network's envelope pool: a
+// restore-time clone is delivered during the fork window and recycled
+// right back, so the restore hot path allocates nothing once the pool
+// reaches steady state.
 func (m *Message) CloneSimArg() any {
+	m.owned = false
 	if m.net == nil {
 		c := *m
 		return &c
@@ -223,7 +238,9 @@ func (m *Message) CloneSimArg() any {
 // RecycleSimArg implements sim.ArgRecycler: an envelope whose pending
 // delivery a snapshot restore discards returns to the pool instead of
 // leaking to the garbage collector. The engine guarantees the event that
-// held it is unscheduled and never recycles snapshot master copies.
+// held it is unscheduled and never recycles snapshot master copies. An
+// owned payload is not released here: the deployment rewinds its arena
+// before it restores the engine, so the payload's memory is already gone.
 func (m *Message) RecycleSimArg() {
 	if m.net != nil {
 		m.net.putMsg(m)
@@ -259,6 +276,10 @@ func (n *Network) Handle(addr Addr, h Handler) {
 	}
 	n.handlers[addr] = h
 }
+
+// SetReleaser registers the function that takes back SendOwned payloads;
+// without one SendOwned is Send.
+func (n *Network) SetReleaser(r Releaser) { n.release = r }
 
 // AddInterceptor appends an interceptor to the chain.
 func (n *Network) AddInterceptor(i Interceptor) {
@@ -344,7 +365,16 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Send transmits payload from->to. Delivery is scheduled after the link
 // latency plus jitter plus any interceptor-added delay. Send never blocks.
-func (n *Network) Send(from, to Addr, payload any) {
+func (n *Network) Send(from, to Addr, payload any) { n.send(from, to, payload, false) }
+
+// SendOwned is Send for a payload (a pointer) that the caller references
+// nowhere else and to is its only recipient: the envelope owns it, and the
+// Releaser gets it back right after to's handler has returned.
+func (n *Network) SendOwned(from, to Addr, payload any) {
+	n.send(from, to, payload, n.release != nil)
+}
+
+func (n *Network) send(from, to Addr, payload any, owned bool) {
 	if n.closed {
 		return
 	}
@@ -354,12 +384,19 @@ func (n *Network) Send(from, to Addr, payload any) {
 		return
 	}
 	m := n.getMsg()
-	m.From, m.To, m.Payload, m.SendTime, m.ExtraDelay = from, to, payload, n.eng.Now(), 0
-	for _, ic := range n.interceptors {
-		if ic.Intercept(m) == VerdictDrop {
-			n.stats.Dropped++
-			n.putMsg(m)
-			return
+	m.From, m.To, m.Payload, m.SendTime, m.ExtraDelay, m.owned = from, to, payload, n.eng.Now(), 0, owned
+	if len(n.interceptors) > 0 {
+		for _, ic := range n.interceptors {
+			if ic.Intercept(m) == VerdictDrop {
+				n.stats.Dropped++
+				n.putMsg(m)
+				return
+			}
+		}
+		// A payload an interceptor (or, below, the corrupter) swapped, or
+		// a second copy of it, leaves the envelope owning nothing.
+		if m.owned && m.Payload != payload {
+			m.owned = false
 		}
 	}
 	// Link faults garble before the loss roll, so a corrupt-then-dropped
@@ -370,10 +407,12 @@ func (n *Network) Send(from, to Addr, payload any) {
 			if p := n.lf.corrupter(from, to, m.Payload); p != nil {
 				m.Payload = p
 				n.stats.Corrupted++
+				m.owned = false
 			}
 		}
 		if dec := n.lf.dup.Check(); dec.Action != faultinject.ActNone {
 			duplicate = true
+			m.owned = false
 		}
 	}
 	if n.cfg.DropRate > 0 && n.eng.Rand().Float64() < n.cfg.DropRate {
@@ -504,7 +543,7 @@ func (n *Network) Broadcast(from Addr, tos []Addr, payload any) {
 }
 
 func (n *Network) deliver(m *Message) {
-	from, to, payload := m.From, m.To, m.Payload
+	from, to, payload, owned := m.From, m.To, m.Payload, m.owned
 	n.putMsg(m)
 	if n.closed {
 		return
@@ -524,5 +563,15 @@ func (n *Network) deliver(m *Message) {
 		return
 	}
 	n.stats.Delivered++
+	// The branch comes before the handler so that unowned traffic ends in
+	// the call it always ended in: a flag kept live across it cost raftsim,
+	// which owns nothing, a nanosecond per message.
+	if !owned {
+		h(from, payload)
+		return
+	}
+	// The one place a payload is released: its only recipient's handler
+	// has returned.
 	h(from, payload)
+	n.release(payload)
 }

@@ -1,11 +1,13 @@
 // Package slab is the rewindable bump allocator behind snapshot/fork
-// execution (DESIGN.md §15). Protocol objects that are built once, shared
-// by pointer and never individually freed — requests, replies, votes,
-// append batches, authenticator vectors — are carved out of fixed-size
-// chunks; everything a measurement window carves becomes unreachable the
-// moment the deployment rolls back to its post-warm-up snapshot, so a
-// rewind reuses the memory instead of handing it to the garbage
-// collector.
+// execution (DESIGN.md §15). Protocol objects that are built once and
+// shared by pointer — requests, replies, votes, append batches,
+// authenticator vectors — are carved out of fixed-size chunks; everything
+// a measurement window carves becomes unreachable the moment the
+// deployment rolls back to its post-warm-up snapshot, so a rewind reuses
+// the memory instead of handing it to the garbage collector. Most objects
+// are never individually freed; one whose only reference is known to be
+// gone (a reply its envelope has delivered) goes back through Slab.Put
+// and is the next one Get hands out.
 //
 // Ownership is split at the capture mark. Chunks a deployment filled
 // before Arena.Capture hold objects its snapshot may still point to: they
@@ -37,8 +39,9 @@ const chunkBytes = 32 << 10
 
 // WindowCeiling bounds the bytes one Arena may lease between two rewinds.
 // Every message of a window is a fixed-size object — Raft's AppendEntries
-// alias the leader's log instead of copying it — so a window leases in
-// proportion to the events it executes: the largest measured are 41 MB
+// alias the leader's log instead of copying it, and a PBFT reply goes
+// back through Put when it is delivered — so a window leases in
+// proportion to the events it executes: the largest measured are 16 MB
 // on PBFT (250 clients) and 91 MB on Raft (a duplicated-ack storm that
 // runs to the 2M-event step budget; DESIGN.md §15 has the table). The
 // ceiling is the backstop behind that budget: a deployment that leaks
@@ -60,10 +63,11 @@ const collectEvery = 32 << 20
 // see SetPoison).
 var poison atomic.Bool
 
-// SetPoison is a test hook: while on, every chunk returned to any Pool is
-// filled with 0xA5 bytes, so an object that is read before its call site
-// initialized it — or through a pointer that outlived its window — shows
-// up as garbage (or a fault) instead of as a plausible stale value.
+// SetPoison is a test hook: while on, every chunk returned to any Pool
+// and every object returned through Slab.Put is filled with 0xA5 bytes,
+// so an object that is read before its call site initialized it — or
+// through a pointer that outlived its window or its release — shows up as
+// garbage (or a fault) instead of as a plausible stale value.
 func SetPoison(on bool) { poison.Store(on) }
 
 // Pool is the shared stock of free chunks, one LIFO list per element
@@ -325,32 +329,73 @@ func (b *bump[T]) adopt() (adopted, forgot int) {
 
 func (b *bump[T]) held() int { return len(b.chunks) }
 
-func poisonChunk[T any](c []T) {
+// poisonChunk fills c with 0xA5 bytes and reports whether it already was.
+func poisonChunk[T any](c []T) (was bool) {
 	var zero T
 	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), len(c)*int(unsafe.Sizeof(zero)))
+	was = len(raw) > 0
 	for i := range raw {
+		was = was && raw[i] == 0xA5
 		raw[i] = 0xA5
 	}
+	return was
 }
 
 // Slab hands out single objects.
-type Slab[T any] struct{ bump[T] }
+type Slab[T any] struct {
+	bump[T]
+	// freed holds the objects Put handed back, last in first out. They
+	// still sit in the slab's chunks, so the list is emptied whenever the
+	// chunks change hands: a Rewind returns them to the pool and a Capture
+	// forgets them, and a pointer left here would alias or pin them.
+	freed []*T
+}
 
 // New creates a slab of T in the arena.
 func New[T any](a *Arena) *Slab[T] {
-	s := &Slab[T]{newBump[T](a)}
+	s := &Slab[T]{bump: newBump[T](a)}
 	a.slabs = append(a.slabs, s)
 	return s
 }
 
 // Get returns the next object, dirty: the caller must assign every field.
+// Objects handed back through Put go out again first.
 func (s *Slab[T]) Get() *T {
+	if k := len(s.freed); k > 0 {
+		p := s.freed[k-1]
+		s.freed = s.freed[:k-1]
+		return p
+	}
 	if s.off == len(s.cur) {
 		s.grow(1)
 	}
 	p := &s.cur[s.off]
 	s.off++
 	return p
+}
+
+// Put hands back an object Get returned since the arena's last Capture
+// or Rewind. The caller must hold the only reference to it; under
+// SetPoison an object put twice panics.
+func (s *Slab[T]) Put(p *T) {
+	if poison.Load() && poisonChunk(unsafe.Slice(p, 1)) {
+		panic("slab: Put of an object that was already put back")
+	}
+	s.freed = append(s.freed, p)
+}
+
+// Rewind is bump.Rewind with the free list emptied first.
+func (s *Slab[T]) Rewind(m Mark) {
+	s.freed = s.freed[:0]
+	s.bump.Rewind(m)
+}
+
+// adopt also drops every pointer the free list ever held, popped ones
+// included: they are all that could keep a forgotten chunk alive.
+func (s *Slab[T]) adopt() (adopted, forgot int) {
+	clear(s.freed[:cap(s.freed)])
+	s.freed = s.freed[:0]
+	return s.bump.adopt()
 }
 
 // Span hands out windows of n contiguous elements (authenticator

@@ -185,6 +185,96 @@ func TestPoison(t *testing.T) {
 	}
 }
 
+// TestPutGetLIFO: Get drains what Put handed back, last in first out,
+// before it carves anything new, and Put moves no chunk: Held and the
+// pool's lease count are what they were.
+func TestPutGetLIFO(t *testing.T) {
+	var p Pool
+	a := NewArena(&p, nil)
+	s := New[obj](a)
+	x, y, z := s.Get(), s.Get(), s.Get()
+	held, leased := a.Held(), p.Leased()
+	s.Put(x)
+	s.Put(z)
+	s.Put(y)
+	if a.Held() != held || p.Leased() != leased {
+		t.Fatalf("Put moved chunks: held %d leased %d, want %d and %d", a.Held(), p.Leased(), held, leased)
+	}
+	for i, want := range []*obj{y, z, x} {
+		if got := s.Get(); got != want {
+			t.Fatalf("Get %d after the puts returned %p, want %p", i, got, want)
+		}
+	}
+	if fresh := s.Get(); fresh == x || fresh == y || fresh == z {
+		t.Fatal("Get handed out a live object once the free list was empty")
+	}
+	if a.Held() != held || p.Leased() != leased {
+		t.Fatalf("draining the free list moved chunks: held %d leased %d", a.Held(), p.Leased())
+	}
+}
+
+// TestPutPoison: with the test hook on, Put fills the object it takes
+// back, so a read through a pointer that outlived the release is garbage
+// and a second release of it is caught.
+func TestPutPoison(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	s := New[obj](NewArena(nil, nil))
+	x, next := s.Get(), s.Get()
+	*x, *next = obj{a: 7}, obj{a: 8}
+	s.Put(x)
+	if x.a != 0xA5A5A5A5A5A5A5A5 || x.b != 0xA5A5A5A5A5A5A5A5 {
+		t.Fatalf("released object reads %#x/%#x, want poison", x.a, x.b)
+	}
+	if next.a != 8 {
+		t.Fatalf("Put poisoned its neighbour: %#x", next.a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Put of the same object did not panic")
+		}
+	}()
+	s.Put(x)
+}
+
+// TestFreeListEmptiedByRewindAndCapture: the objects on the free list sit
+// in chunks that a Rewind returns to the pool and a Capture forgets, so
+// both empty it — the next Get carves, it does not hand out memory that
+// now belongs to someone else — and a Capture also drops every pointer the
+// list ever held, or those would keep the forgotten chunks alive.
+func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
+	a := NewArena(nil, nil)
+	s := New[obj](a)
+	below := s.Get()
+	a.Capture()
+	first := s.Get()
+	s.Put(s.Get())
+	s.Put(first)
+	a.Rewind()
+	if len(s.freed) != 0 {
+		t.Fatalf("free list holds %d objects after a rewind", len(s.freed))
+	}
+	if got := s.Get(); got != first {
+		t.Fatalf("first Get after the rewind is %p, want the rewound slot %p", got, first)
+	}
+
+	s.Put(s.Get())
+	s.Put(s.Get())
+	s.Get() // popped: its pointer is still in the list's backing array
+	a.Capture()
+	if len(s.freed) != 0 {
+		t.Fatalf("free list holds %d objects after a capture", len(s.freed))
+	}
+	for i, p := range s.freed[:cap(s.freed)] {
+		if p != nil {
+			t.Fatalf("capture left pointer %d of the free list's backing array set", i)
+		}
+	}
+	if got := s.Get(); got == below || got == first {
+		t.Fatal("Get after a capture handed out an object from below the mark")
+	}
+}
+
 // TestSpanAppend: a buffer grown through Append keeps its contents, and
 // everything it left behind is rewound with the window.
 func TestSpanAppend(t *testing.T) {
