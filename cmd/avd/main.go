@@ -152,15 +152,16 @@ func main() {
 
 	// Ctrl-C (or the supervisor's drain signal) cancels the campaign; the
 	// batch in flight still completes and reaches the checkpoint, and the
-	// partial results are summarized below.
+	// partial results are summarized below. Once the campaign has returned
+	// the signals kill the process again, so a second Ctrl-C is not lost.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	stopCPUProfile, err := startCPUProfile(cpuFile)
 	if err != nil {
 		fatal(err)
 	}
 	start := time.Now()
 	results, runErr := eng.RunAll(ctx)
+	stop()
 	// An output that fails from here on is reported and turns the exit
 	// status, but the checkpoint is still folded and the summary printed.
 	outputErr := stopCPUProfile()
@@ -197,7 +198,9 @@ func main() {
 				r.Scenario.Key(), violationSuffix(r), errorSuffix(r))
 		}
 
-		if *minimize {
+		if *minimize && interrupted {
+			fmt.Fprintln(os.Stderr, "avd: interrupted: -minimize skipped")
+		} else if *minimize {
 			runMinimize(target, results, *minThresh, *minRuns)
 		}
 

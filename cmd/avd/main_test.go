@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -150,6 +153,50 @@ func TestBadOutputPathExitsBeforeCampaign(t *testing.T) {
 		if _, err := os.Stat(state); !os.IsNotExist(err) {
 			t.Errorf("avd %s %s left a state directory behind (stat: %v)", flag, bad, err)
 		}
+	}
+}
+
+// TestInterruptedMinimizeSkipsMinimization: a -minimize campaign
+// interrupted after its first progress line drains the batch in flight,
+// prints its summary and exits 3 at once, without the up to -minruns
+// re-executions minimization would spend.
+func TestInterruptedMinimizeSkipsMinimization(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and runs a real campaign")
+	}
+	run := exec.Command(buildAvd(t, t.TempDir()), "-tests", "400", "-seed", "3", "-minimize")
+	stdout, err := run.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	run.Stderr = &stderr
+	if err := run.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		out.WriteString(lines.Text() + "\n")
+		if strings.Contains(lines.Text(), " impact=") {
+			if err := run.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	for lines.Scan() {
+		out.WriteString(lines.Text() + "\n")
+	}
+	var exit *exec.ExitError
+	if err := run.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 3 {
+		t.Fatalf("interrupted avd -minimize: %v, want exit status 3\nstdout:\n%s\nstderr:\n%s", err, out.String(), stderr.String())
+	}
+	if strings.Contains(out.String(), "minimizing") {
+		t.Errorf("the interrupted campaign still minimized:\n%s", out.String())
+	}
+	if !strings.Contains(stderr.String(), "-minimize skipped") {
+		t.Errorf("stderr does not say minimization was skipped:\n%s", stderr.String())
 	}
 }
 

@@ -94,7 +94,7 @@ func TestForkedBigMACAllocs(t *testing.T) {
 // default population, 250 correct clients and one malicious, leases from
 // the pool: 15 MB of 32 KB chunks. It was 1,260 (39 MB) while every reply
 // stayed carved until the rewind; replies now go back to the arena when
-// their envelope has delivered them, and what is left is what the
+// their delivery has run, and what is left is what the
 // replicas' logs share — requests, votes, pre-prepares and their
 // authenticator vectors. A change that moves it changed what the window
 // sends or what a message costs; update the figure only with that

@@ -58,11 +58,11 @@ func assertSameTrace(t *testing.T, label string, want, got []oracle.Event) {
 }
 
 // TestOwnedRepliesForkedEqualsCold: a reply goes back to the arena the
-// moment its envelope has delivered it (DESIGN.md §15), and with the pool
+// moment its delivery has run (DESIGN.md §15), and with the pool
 // poisoned a release too many shows as a diverging trace or as the slab's
 // put-twice panic. A master
 // captured with replies in flight, whose every fork delivers them again;
-// a dup fault on a replica's links, which puts two envelopes behind one
+// a dup fault on a replica's links, which puts two deliveries behind one
 // reply; crashes with state loss, which reset the last-reply table; and
 // replies delayed past the clients' retry, which the replicas answer with
 // copies out of that table: each forked three times equals its cold run.
@@ -104,7 +104,7 @@ func TestOwnedRepliesForkedEqualsCold(t *testing.T) {
 }
 
 // TestRunOnFromCaptureThenFork: a deployment that runs straight on from
-// its capture delivers what was in flight through the live envelopes, not
+// its capture delivers what was in flight through the live trains, not
 // through a restore's clones. Those must not own their replies either, or
 // the fork that follows would read released memory.
 func TestRunOnFromCaptureThenFork(t *testing.T) {

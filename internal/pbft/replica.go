@@ -180,7 +180,7 @@ type Replica struct {
 	slowTimer  sim.Timer
 
 	// Client bookkeeping: the last reply sent per client address, by
-	// value — a reply on the wire belongs to its envelope (executeBatch).
+	// value — a reply on the wire belongs to its delivery (executeBatch).
 	// Addresses are small and dense, so a slice beats the map this used
 	// to be (the lookup runs once per executed request per replica).
 	lastReply []lastReply
@@ -478,7 +478,7 @@ func (r *Replica) setLastReply(a simnet.Addr) *Reply {
 }
 
 // resendReply sends a reply kept by value — a table entry being
-// retransmitted, or one ExecTime delayed — as a fresh copy its envelope
+// retransmitted, or one ExecTime delayed — as a fresh copy its delivery
 // owns, exactly like the first transmission (executeBatch).
 func (r *Replica) resendReply(last *Reply) {
 	rp := r.mem.replies.Get()
@@ -1072,7 +1072,7 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		}
 		r.stateDigest = fnv3(r.stateDigest, req.Digest(), seq)
 		r.stats.RequestsExecuted++
-		// The reply on the wire belongs to its envelope — the client's
+		// The reply on the wire belongs to its delivery — the client's
 		// handler is the last to read it and the network then hands it
 		// back to the arena (Arena.Release) — and the table keeps its own
 		// copy. Both are filled field by field. Reply has more fields than

@@ -34,6 +34,26 @@ func NewArena(mem *slab.Arena) *Arena {
 	}
 }
 
+// Release is the deployment's simnet.Releaser. Every message with one
+// recipient — vote replies, append batches and their acks, client requests
+// and replies — is sent with SendOwned and comes back here when its
+// delivery has run; the broadcast RequestVote is shared by its recipients
+// and stays bump-allocated.
+func (a *Arena) Release(payload any) {
+	switch m := payload.(type) {
+	case *AppendEntries:
+		a.appends.Put(m)
+	case *AppendEntriesReply:
+		a.appendReplies.Put(m)
+	case *ClientRequest:
+		a.requests.Put(m)
+	case *ClientReply:
+		a.replies.Put(m)
+	case *RequestVoteReply:
+		a.voteReplies.Put(m)
+	}
+}
+
 // newPrivateArena backs a node or client constructed without a
 // deployment arena (unit tests wiring a cluster by hand): it is never
 // rewound and simply grows.

@@ -154,7 +154,7 @@ func (c *Client) issueNext() {
 func (c *Client) send() {
 	req := c.mem.requests.Get()
 	*req = ClientRequest{Client: c.addr, Seq: c.seq}
-	c.net.Send(c.addr, simnet.Addr(c.target), req)
+	c.net.SendOwned(c.addr, simnet.Addr(c.target), req)
 	c.armRetry()
 }
 

@@ -76,6 +76,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
 	d.win = core.Window{Name: "raftsim", Eng: d.eng, Mem: d.mem}
 	arena := NewArena(d.mem)
+	d.net.SetReleaser(arena.Release)
 
 	d.nodes = make([]*Node, 0, w.Raft.N)
 	for i := 0; i < w.Raft.N; i++ {

@@ -529,16 +529,18 @@ func (n *Node) sendAppend(peer int) {
 		entries = n.log[prevIdx:last:last]
 		n.shared = last
 	}
+	// Field by field, not a literal: AppendEntries is eight words, over the
+	// four the compiler keeps in registers, so a literal is built on the
+	// stack with 8-byte stores and copied out with 16-byte loads that the
+	// store buffer cannot forward (EXPERIMENTS.md, PR 24 and 25).
 	ae := n.mem.appends.Get()
-	*ae = AppendEntries{
-		Term:         n.term,
-		Leader:       n.id,
-		PrevLogIndex: prevIdx,
-		PrevLogTerm:  prevTerm,
-		Entries:      entries,
-		LeaderCommit: n.commit,
-	}
-	n.net.Send(simnet.Addr(n.id), simnet.Addr(peer), ae)
+	ae.Term = n.term
+	ae.Leader = n.id
+	ae.PrevLogIndex = prevIdx
+	ae.PrevLogTerm = prevTerm
+	ae.Entries = entries
+	ae.LeaderCommit = n.commit
+	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(peer), ae)
 }
 
 func (n *Node) onMessage(from simnet.Addr, payload any) {
@@ -576,7 +578,7 @@ func (n *Node) onRequestVote(m *RequestVote) {
 	}
 	rep := n.mem.voteReplies.Get()
 	*rep = RequestVoteReply{Term: n.term, From: n.id, Granted: granted}
-	n.net.Send(simnet.Addr(n.id), simnet.Addr(m.Candidate), rep)
+	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(m.Candidate), rep)
 }
 
 func (n *Node) onRequestVoteReply(m *RequestVoteReply) {
@@ -650,14 +652,14 @@ func (n *Node) truncate(keep uint64) {
 func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
 	rep := n.mem.appendReplies.Get()
 	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx}
-	n.net.Send(simnet.Addr(n.id), simnet.Addr(leader), rep)
+	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(leader), rep)
 }
 
 // sendClientReply answers a ClientRequest from the reply slab.
 func (n *Node) sendClientReply(client simnet.Addr, seq uint64, ok bool, leaderHint int) {
 	rep := n.mem.replies.Get()
 	*rep = ClientReply{Seq: seq, OK: ok, Leader: leaderHint}
-	n.net.Send(simnet.Addr(n.id), client, rep)
+	n.net.SendOwned(simnet.Addr(n.id), client, rep)
 }
 
 func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {

@@ -438,12 +438,15 @@ func entriesDigest(entries []Entry) uint64 {
 
 // stormLeaseChunks is what the window of the leader-flap storm below
 // leases from the pool, in 32 KB chunks. Every message is a fixed-size
-// object, so the figure is a function of the messages sent and of nothing
-// else: 100 chunks (3,276,752 bytes), against 683 (22,375,832 bytes)
-// while AppendEntries copied their entries. A change that moves it
-// changed what the window sends or what a message costs; update the
-// figure only with that explanation.
-const stormLeaseChunks = 100
+// object and every one with a single recipient goes back to its slab when
+// its delivery has run, so the window carves what it has in flight at
+// once plus the broadcast RequestVotes, and all of that but one chunk fits
+// in the chunks the capture kept: 1 chunk, against 100 (3,276,752 bytes)
+// while every message stayed carved until the rewind and 683 (22,375,832
+// bytes) while AppendEntries copied their entries. A change that moves it
+// changed what the window sends, what a message costs or which messages
+// go back; update the figure only with that explanation.
+const stormLeaseChunks = 1
 
 // TestStormWindowLease is the exact guard on window memory (CI's
 // perf-smoke runs it by name): the benchmark's storm probe — 50 clients,

@@ -20,9 +20,10 @@
 // Timers (Schedule, At) are cancelable closures with a queue node each,
 // and Reset moves a pending one to a later instant without touching the
 // queue: the node stays put and takes its new key if it surfaces early;
-// deliveries (Stream.Schedule) are uncancelable fn(arg) calls of which
-// consecutive ones for one instant share a node: a network's fan-out costs
-// the queue one event, not one per message (DESIGN.md §2).
+// deliveries (Stream.Schedule) are uncancelable fn(arg, meta) calls, held
+// by value, of which consecutive ones for one instant share a node: a
+// network's fan-out costs the queue one event, not one per message
+// (DESIGN.md §2).
 package sim
 
 import (
@@ -139,33 +140,6 @@ func less(a, b node) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// ArgCloner is implemented by Stream.Schedule arguments whose backing
-// objects are pooled or mutated after delivery (e.g. simnet's recycled
-// message envelopes). Engine.Snapshot stores a detached clone of such
-// arguments and Engine.Restore re-clones it per restore, so every fork
-// delivers a fresh object while runs that never snapshot pay nothing.
-type ArgCloner interface {
-	// CloneSimArg returns a detached copy safe to deliver after the
-	// original has been recycled.
-	CloneSimArg() any
-}
-
-// ArgRecycler is optionally implemented by pooled Stream.Schedule arguments
-// (alongside ArgCloner): when Restore discards a pending delivery — the
-// event was scheduled after the snapshot, so the rollback unschedules it
-// forever — the engine hands the argument back to its pool instead of
-// leaking it to the garbage collector. Combined with CloneSimArg drawing
-// clones from the same pool, a run/restore cycle recirculates the same
-// envelopes and the restore hot path stays allocation-free (ISSUE 10).
-// Only the argument's owner is recycled; snapshot master copies are
-// never handed back (Restore skips any argument its snapshot still
-// references).
-type ArgRecycler interface {
-	// RecycleSimArg returns the argument to its owner's pool. The engine
-	// guarantees no pending event references it afterwards.
-	RecycleSimArg()
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use:
@@ -392,26 +366,42 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return e.schedule(t, fn, nil)
 }
 
-// Stream is an uncancelable flow of fn(arg) deliveries, the shape of
-// network traffic: one long-lived fn, no closure and no Timer per send.
-// Consecutive Schedule calls that land on one instant, nothing else
-// scheduled for it in between, ride one queue node (a train): events fire in
-// (at, seq) order, so they are adjacent whatever is scheduled later. Each
-// still takes a seq and counts in Executed, Pending and the step budget.
+// Stream is an uncancelable flow of fn(arg, meta) deliveries, the shape of
+// network traffic: one long-lived fn, no closure and no Timer per send, and
+// each delivery a value the engine holds until it runs. Consecutive
+// Schedule calls that land on one instant, nothing else scheduled for it in
+// between, ride one queue node (a train): events fire in (at, seq) order,
+// so they are adjacent whatever is scheduled later. Each still takes a seq
+// and counts in Executed, Pending and the step budget.
 type Stream struct {
 	eng *Engine
-	fn  func(any)
+	fn  func(arg any, meta uint64)
 }
 
-// NewStream returns a stream that calls fn with each scheduled argument.
-func (e *Engine) NewStream(fn func(any)) *Stream { return &Stream{eng: e, fn: fn} }
+// Owned is the bit of a delivery's meta word that marks it as holding the
+// only reference to its arg. Snapshot clears it in every pending delivery,
+// the live one and the captured one alike: whatever is in flight at a
+// capture is delivered again by every fork, so no delivery of it owns it.
+// The engine reads no other bit of meta.
+const Owned uint64 = 1 << 63
 
-// train is one queue node's deliveries: args[:next] ran and are nilled.
+// NewStream returns a stream that calls fn with each scheduled delivery.
+func (e *Engine) NewStream(fn func(arg any, meta uint64)) *Stream {
+	return &Stream{eng: e, fn: fn}
+}
+
+// delivery is one Stream.Schedule call, by value.
+type delivery struct {
+	arg  any
+	meta uint64
+}
+
+// train is one queue node's deliveries: ds[:next] ran.
 type train struct {
 	s    *Stream
-	args []any
+	ds   []delivery
 	next int
-	one  [1]any // args' first backing array: a train of one is one cache line
+	one  [1]delivery // ds' first backing array: a train of one is one cache line
 }
 
 var splitTrains atomic.Bool
@@ -420,19 +410,20 @@ var splitTrains atomic.Bool
 // while on, every delivery gets a queue node of its own, as before trains.
 func SetSplitTrains(on bool) { splitTrains.Store(on) }
 
-// Schedule delivers arg after d, behind all that is queued for that instant.
-func (s *Stream) Schedule(d time.Duration, arg any) {
+// Schedule delivers (arg, meta) after d, behind all that is queued for that
+// instant.
+func (s *Stream) Schedule(d time.Duration, arg any, meta uint64) {
 	e := s.eng
 	t := e.now.Add(d)
 	if tr := e.open; tr != nil && t == e.openAt && tr.s == s {
-		tr.args = append(tr.args, arg)
+		tr.ds = append(tr.ds, delivery{arg, meta})
 		e.seq++
 		e.live++
 		return
 	}
 	tr := e.getTrain()
 	tr.s = s
-	tr.args = append(tr.args, arg)
+	tr.ds = append(tr.ds, delivery{arg, meta})
 	e.schedule(t, nil, tr)
 	if !splitTrains.Load() {
 		e.open, e.openAt = tr, t
@@ -446,19 +437,18 @@ func (e *Engine) getTrain() *train {
 		return tr
 	}
 	tr := new(train)
-	tr.args = tr.one[:0]
+	tr.ds = tr.one[:0]
 	return tr
 }
 
-// putTrain pools a train; what it still holds a rollback discards.
+// putTrain pools a train, dropping what it still references.
 func (e *Engine) putTrain(tr *train) {
-	for i, a := range tr.args[tr.next:] {
-		if r, ok := a.(ArgRecycler); ok {
-			r.RecycleSimArg()
-		}
-		tr.args[tr.next+i] = nil
+	if len(tr.ds) == 1 {
+		tr.ds[0] = delivery{} // all of jittered traffic: no call into the runtime
+	} else {
+		clear(tr.ds)
 	}
-	tr.args, tr.next = tr.args[:0], 0
+	tr.ds, tr.next = tr.ds[:0], 0
 	e.freeTrains = append(e.freeTrains, tr)
 }
 
@@ -519,7 +509,7 @@ func (e *Engine) recycle(idx int32) {
 }
 
 // fire dispatches the queue's minimum and reports true. A train closes when
-// its first delivery runs and delivers its arguments back to back, passing
+// its first delivery runs and runs its deliveries back to back, passing
 // the run loop's own gates between every two (one is Step's: exactly one
 // callback); an interrupted train stays queued at its cursor, under its
 // first key, which still sorts first: nothing else of its instant preceded
@@ -546,7 +536,7 @@ func (e *Engine) fire(one bool) bool {
 		if tr == e.open {
 			e.open = nil
 		}
-		if len(tr.args) > 1 {
+		if len(tr.ds) > 1 {
 			e.deliver(tr, nd.idx, one)
 			return true
 		}
@@ -562,10 +552,9 @@ func (e *Engine) fire(one bool) bool {
 		return true
 	}
 	// A train of one — all of jittered traffic — has no cursor to keep.
-	arg := tr.args[0]
-	tr.args[0], tr.next = nil, 1
+	d := tr.ds[0]
 	e.putTrain(tr)
-	tr.s.fn(arg)
+	tr.s.fn(d.arg, d.meta)
 	return true
 }
 
@@ -573,13 +562,12 @@ func (e *Engine) deliver(tr *train, idx int32, one bool) {
 	e.mark(idx) // the cursor is about to move
 	fn := tr.s.fn
 	for {
-		arg := tr.args[tr.next]
-		tr.args[tr.next] = nil
+		d := tr.ds[tr.next]
 		tr.next++
 		e.executed++
 		e.live--
-		fn(arg)
-		if tr.next == len(tr.args) {
+		fn(d.arg, d.meta)
+		if tr.next == len(tr.ds) {
 			break
 		}
 		if one || e.stopped || e.overBudget() {
@@ -754,7 +742,8 @@ type Snapshot struct {
 // next Snapshot, the engine records which arena slots are mutated, so
 // restoring this snapshot copies back only the touched slots instead of
 // the whole arena. The capture does not perturb the simulation: a run
-// that continues from here is identical to one that never snapshotted.
+// that continues from here is identical to one that never snapshotted,
+// except that no delivery pending at the capture is Owned any more.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		owner:    e,
@@ -773,11 +762,17 @@ func (e *Engine) Snapshot() *Snapshot {
 		stepLim:  e.stepLimit,
 		budgetHt: e.budgetHit,
 	}
-	// Detach pending trains: deliveries will move the live ones' cursors and
-	// recycle their arguments, so the snapshot keeps immutable masters.
+	// Detach pending trains: deliveries will move the live ones' cursors, so
+	// the snapshot keeps immutable masters. What they hold is now delivered
+	// by the run that continues and again by every fork: none of it is
+	// owned any more, live or captured.
 	for _, nd := range s.heap {
 		if ev := &s.arena[nd.idx]; ev.tr != nil {
-			ev.tr = copyTrain(new(train), ev.tr)
+			live := ev.tr
+			for i := range live.ds[live.next:] {
+				live.ds[live.next+i].meta &^= Owned
+			}
+			ev.tr = copyTrain(new(train), live)
 			s.trainIdx = append(s.trainIdx, nd.idx)
 		}
 	}
@@ -788,15 +783,10 @@ func (e *Engine) Snapshot() *Snapshot {
 	return s
 }
 
-// copyTrain fills dst with src's pending deliveries, ArgCloners as clones.
+// copyTrain fills dst with src's pending deliveries.
 func copyTrain(dst, src *train) *train {
 	dst.s = src.s
-	for _, a := range src.args[src.next:] {
-		if c, ok := a.(ArgCloner); ok {
-			a = c.CloneSimArg()
-		}
-		dst.args = append(dst.args, a)
-	}
+	dst.ds = append(dst.ds, src.ds[src.next:]...)
 	return dst
 }
 
@@ -829,7 +819,7 @@ func (e *Engine) Restore(s *Snapshot) {
 		// untouched grown slots were already invalidated by the previous
 		// restore and need no work. A dirty slot still holding a train (an
 		// exhausted one has left its slot) holds deliveries this rollback
-		// discards: the train and its envelopes go back to their pools.
+		// discards: the train goes back to the pool, its deliveries nowhere.
 		for _, idx := range e.dirty {
 			ev := &e.arena[idx]
 			if ev.tr != nil {
@@ -868,9 +858,9 @@ func (e *Engine) Restore(s *Snapshot) {
 		e.arena[nd.idx].pos = int32(i)
 	}
 
-	// Trains are re-copied per restore so each fork delivers objects the
-	// previous fork has not already recycled. A slot never dirtied keeps
-	// the previous restore's copy: none of it was delivered.
+	// Trains are re-copied per restore so each fork starts from the master's
+	// cursor. A slot never dirtied keeps the previous restore's copy: none of
+	// it was delivered.
 	for _, idx := range s.trainIdx {
 		if m := s.arena[idx].tr; e.arena[idx].tr == m {
 			e.arena[idx].tr = copyTrain(e.getTrain(), m)

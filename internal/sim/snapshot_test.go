@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -159,30 +160,32 @@ func TestSnapshotCanceledEventsStayCanceled(t *testing.T) {
 	}
 }
 
-// cloneArg is a mutable Stream.Schedule argument standing in for a pooled
-// message envelope: delivery "recycles" it by overwriting its value.
-type cloneArg struct{ v int }
-
-func (c *cloneArg) CloneSimArg() any { cp := *c; return &cp }
-
-// TestSnapshotClonesPooledArgs: an ArgCloner argument mutated by an
-// earlier fork must be delivered pristine in later forks.
-func TestSnapshotClonesPooledArgs(t *testing.T) {
+// TestSnapshotDisownsPendingDeliveries: a delivery is a value, so every
+// fork gets the captured one back as it was, and a delivery pending at the
+// capture arrives un-owned in the run that continues and in every fork,
+// while one scheduled after the capture keeps its Owned bit.
+func TestSnapshotDisownsPendingDeliveries(t *testing.T) {
 	e := New(1)
-	var got []int
-	deliver := func(x any) {
-		m := x.(*cloneArg)
-		got = append(got, m.v)
-		m.v = -1 // recycle: wreck the object
+	type got struct {
+		arg  any
+		meta uint64
 	}
-	e.NewStream(deliver).Schedule(time.Millisecond, &cloneArg{v: 42})
+	var log []got
+	s := e.NewStream(func(arg any, meta uint64) { log = append(log, got{arg, meta}) })
+	s.Schedule(time.Millisecond, "captured", 42|Owned)
 	snap := e.Snapshot()
+	s.Schedule(time.Millisecond, "after", 7|Owned)
+	e.Run()
+	if want := []got{{"captured", 42}, {"after", 7 | Owned}}; !slices.Equal(log, want) {
+		t.Fatalf("the run that continued delivered %v, want %v", log, want)
+	}
 	for i := 0; i < 3; i++ {
+		log = log[:0]
 		e.Restore(snap)
 		e.Run()
-	}
-	if len(got) != 3 || got[0] != 42 || got[1] != 42 || got[2] != 42 {
-		t.Fatalf("pooled arg deliveries = %v, want three 42s", got)
+		if want := []got{{"captured", 42}}; !slices.Equal(log, want) {
+			t.Fatalf("fork %d delivered %v, want %v", i, log, want)
+		}
 	}
 }
 

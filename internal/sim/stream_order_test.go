@@ -40,9 +40,10 @@ type orderQueue interface {
 type timerHandle interface{ stop() bool }
 
 // observation is the queue state a program can see after an operation.
-// inFlight is the number of undelivered stream arguments: the reference
-// counts its queue, the engine side counts envelopes checked out of its
-// pool, so a leaked or doubly recycled envelope shows up as a mismatch.
+// inFlight is the number of undelivered stream deliveries: the reference
+// counts its queue, the engine side counts sends less deliveries and rolls
+// the count back with the engine, so a delivery a rollback lost or kept
+// shows up as a mismatch.
 type observation struct {
 	now       Time
 	executed  uint64
@@ -198,74 +199,32 @@ func (q *refQueue) observe() observation {
 
 // --- the engine under test ---------------------------------------------------
 
-// envelope is a pooled stream argument in the mould of simnet.Message:
-// delivery wrecks it and returns it to the pool, snapshots clone it.
-type envelope struct {
-	id   int
-	beh  byte
-	live bool
-	pool *envPool
-}
-
-type envPool struct {
-	t    *testing.T
-	free []*envelope
-	out  int // checked out and not yet returned
-	// snapshotting marks clones as snapshot masters, which the engine
-	// keeps for good: they are checked out but in no queue.
-	snapshotting bool
-	masters      int
-}
-
-func (p *envPool) get() *envelope {
-	p.out++
-	if n := len(p.free); n > 0 {
-		env := p.free[n-1]
-		p.free = p.free[:n-1]
-		env.live = true
-		return env
-	}
-	return &envelope{live: true, pool: p}
-}
-
-func (p *envPool) put(env *envelope) {
-	if !env.live {
-		p.t.Fatalf("envelope %d returned to the pool twice", env.id)
-	}
-	env.id, env.live = -1, false
-	p.out--
-	p.free = append(p.free, env)
-}
-
-func (env *envelope) CloneSimArg() any {
-	c := env.pool.get()
-	c.id, c.beh = env.id, env.beh
-	if env.pool.snapshotting {
-		env.pool.masters++
-	}
-	return c
-}
-
-func (env *envelope) RecycleSimArg() { env.pool.put(env) }
-
+// engineQueue sends each delivery Owned, its id and behaviour in the meta
+// word, the way simnet packs addresses there. A delivery must arrive with
+// exactly that meta, the Owned bit cleared if and only if a snapshot was
+// taken since it was sent: every delivery pending at a capture is made
+// again by the run that continues and by every fork.
 type engineQueue struct {
 	e       *Engine
 	streams [2]*Stream
-	pool    *envPool
 	snap    *Snapshot
 	deliver func(id int, beh byte)
+
+	snaps  int         // Snapshot calls so far; never rolled back
+	sentIn map[int]int // snaps as of each id's send
+
+	inFlight, snapInFlight int
 }
 
 func newEngineQueue(t *testing.T) *engineQueue {
-	q := &engineQueue{e: New(1), pool: &envPool{t: t}}
+	q := &engineQueue{e: New(1), sentIn: make(map[int]int)}
 	for i := range q.streams {
-		q.streams[i] = q.e.NewStream(func(x any) {
-			env := x.(*envelope)
-			if !env.live {
-				t.Fatalf("a recycled envelope was delivered")
+		q.streams[i] = q.e.NewStream(func(_ any, meta uint64) {
+			id, beh := int(meta&^Owned>>8), byte(meta)
+			if owned, want := meta&Owned != 0, q.sentIn[id] == q.snaps; owned != want {
+				t.Fatalf("delivery %d arrived with Owned %v, want %v (%d snapshots since it was sent)", id, owned, want, q.snaps-q.sentIn[id])
 			}
-			id, beh := env.id, env.beh
-			q.pool.put(env)
+			q.inFlight--
 			q.deliver(id, beh)
 		})
 	}
@@ -288,9 +247,9 @@ func (q *engineQueue) reset(h timerHandle, d time.Duration, fn func()) timerHand
 }
 
 func (q *engineQueue) send(stream int, d time.Duration, id int, beh byte) {
-	env := q.pool.get()
-	env.id, env.beh = id, beh
-	q.streams[stream].Schedule(d, env)
+	q.sentIn[id] = q.snaps
+	q.inFlight++
+	q.streams[stream].Schedule(d, nil, uint64(id)<<8|uint64(beh)|Owned)
 }
 
 func (q *engineQueue) step() bool                { return q.e.Step() }
@@ -299,13 +258,17 @@ func (q *engineQueue) runFor(d time.Duration)    { q.e.RunFor(d) }
 func (q *engineQueue) setBudget(steps uint64)    { q.e.SetStepBudget(steps) }
 func (q *engineQueue) stop()                     { q.e.Stop() }
 func (q *engineQueue) resume()                   { q.e.Resume() }
-func (q *engineQueue) restore()                  { q.e.Restore(q.snap) }
 func (q *engineQueue) dispatches() (d, x uint64) { return q.e.Dispatches(), q.e.Executed() }
 
 func (q *engineQueue) snapshot() {
-	q.pool.snapshotting = true
 	q.snap = q.e.Snapshot()
-	q.pool.snapshotting = false
+	q.snaps++
+	q.snapInFlight = q.inFlight
+}
+
+func (q *engineQueue) restore() {
+	q.e.Restore(q.snap)
+	q.inFlight = q.snapInFlight
 }
 
 func (q *engineQueue) observe() observation {
@@ -314,7 +277,7 @@ func (q *engineQueue) observe() observation {
 		executed:  q.e.Executed(),
 		pending:   q.e.Pending(),
 		budgetHit: q.e.BudgetExceeded(),
-		inFlight:  q.pool.out - q.pool.masters,
+		inFlight:  q.inFlight,
 	}
 }
 
@@ -637,10 +600,10 @@ func streamOrderSeeds() map[string][]byte {
 		// Step delivers exactly one callback of a train.
 		"step-delivers-one": cat(fan(3, behNone), []byte{opStep, opStep, opTimer, 0, behNone, opStep, opStep, opStep}),
 		// Snapshot with a train half delivered, finish it, roll back: the
-		// remainder is delivered again from fresh clones, twice over.
+		// remainder is delivered again, un-owned, twice over.
 		"restore-half-delivered": cat(fan(4, behNone), []byte{opStep, opStep, opSnapshot, opRun, opRestore, opStep, opRestore, opRun}),
 		// A send after Snapshot must not join a captured train, and a
-		// rollback must discard (and recycle) what it added.
+		// rollback must discard what it added.
 		"send-after-snapshot": cat(fan(2, behNone), []byte{opSnapshot}, fan(2, behNone), []byte{opRestore}, fan(2, behNone), []byte{opStep, opRestore}, fan(1, behNone), []byte{opRun, opRestore, opRun}),
 		// A send for the instant of a train that has already left starts a
 		// new one.

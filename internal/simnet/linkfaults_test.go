@@ -182,7 +182,7 @@ func TestStatsConservationMidTrain(t *testing.T) {
 	eng, net := build()
 	inFlight := int(net.Stats().Sent + net.Stats().Duplicated)
 	if inFlight <= 200 {
-		t.Fatalf("no duplicates were injected: %d envelopes for 200 sends", inFlight)
+		t.Fatalf("no duplicates were injected: %d deliveries for 200 sends", inFlight)
 	}
 	balance := func(when string, inFlight int) {
 		t.Helper()

@@ -66,8 +66,8 @@ func (f *ownedFixture) sendAndRun(owned bool) *cell {
 }
 
 // TestOwnedPayloadRelease is the ownership table: a payload sent with
-// SendOwned is released exactly when its one envelope has delivered it,
-// after the handler, and in no other case.
+// SendOwned is released exactly when its one delivery has run, after the
+// handler, and in no other case.
 func TestOwnedPayloadRelease(t *testing.T) {
 	slab.SetPoison(true)
 	defer slab.SetPoison(false)
@@ -137,8 +137,8 @@ func TestOwnedPayloadRelease(t *testing.T) {
 				f.eng.Run()
 				return c
 			}},
-		// In flight at the snapshot: the live envelope and every restore's
-		// clone deliver the same payload, so none of them may release it.
+		// In flight at the snapshot: the live delivery and every restore's
+		// copy of it deliver the same payload, so none of them may release it.
 		{name: "in flight at Snapshot, live and two restores", cfg: lat, delivered: 3,
 			run: func(f *ownedFixture) *cell {
 				c := f.send(true)
@@ -150,8 +150,20 @@ func TestOwnedPayloadRelease(t *testing.T) {
 				}
 				return c
 			}},
-		// Sent after the snapshot and discarded by Restore (RecycleSimArg):
-		// the deployment has rewound the sender's memory by then.
+		// Snapshot clears the owned bit of both copies of what is in flight,
+		// and of nothing else: a payload sent after it is owned as ever.
+		{name: "Snapshot clears the owned bit of the live and the captured delivery", cfg: lat, delivered: 3, released: 1,
+			run: func(f *ownedFixture) *cell {
+				c := f.send(true)
+				snap := f.eng.Snapshot()
+				f.eng.Run()
+				f.eng.Restore(snap)
+				f.eng.Run()
+				f.sendAndRun(true)
+				return c
+			}},
+		// Sent after the snapshot and discarded by Restore: the engine drops
+		// the delivery, and the deployment has rewound the sender's memory.
 		{name: "discarded by Restore", cfg: lat,
 			run: func(f *ownedFixture) *cell {
 				snap := f.eng.Snapshot()

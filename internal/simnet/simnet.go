@@ -28,26 +28,19 @@ func (a Addr) String() string { return fmt.Sprintf("node%d", int(a)) }
 // goroutine; they may send messages and schedule timers but must not block.
 type Handler func(from Addr, payload any)
 
-// Message is a message in flight, visible to interceptors before its
+// Message is a message being sent, as the interceptors see it before its
 // delivery is scheduled. Interceptors may mutate Payload and ExtraDelay
-// but must not retain the *Message beyond Intercept: message objects are
-// recycled once delivery resolves.
+// but must not retain the *Message beyond Intercept: a network has one,
+// which every send reuses. What is in flight is not a Message but a
+// delivery the engine holds by value: the payload and a meta word with the
+// addresses and the owned flag (see meta).
 type Message struct {
 	From    Addr
 	To      Addr
 	Payload any
-	// SendTime is the virtual time at which Send was called.
-	SendTime sim.Time
 	// ExtraDelay is added to the link latency; interceptors add here to
 	// delay (and thereby reorder) traffic.
 	ExtraDelay time.Duration
-	// net points back at the owning network so snapshot/restore clones
-	// draw from the envelope pool instead of the heap (CloneSimArg) and
-	// discarded in-flight envelopes return to it (RecycleSimArg).
-	net *Network
-	// owned marks the envelope as the only reference to Payload (SendOwned):
-	// delivering it hands the payload to the network's Releaser.
-	owned bool
 }
 
 // Verdict is an interceptor's ruling on a message.
@@ -133,17 +126,10 @@ type Network struct {
 	// value means disarmed (one bool check per send).
 	lf linkFaults
 
-	// freeMsgs recycles Message objects: a message's lifetime ends when
-	// delivery (or a drop) resolves, so the in-flight set is small and
-	// per-send allocation is avoidable. Interceptors must not retain
-	// *Message beyond Intercept. Snapshot/restore participates in the
-	// pool: restore-time clones are drawn from it (CloneSimArg) and
-	// envelopes whose deliveries a rollback discards return to it
-	// (RecycleSimArg); every checkout is fully overwritten before use and
-	// snapshot masters never enter the pool.
-	//avdlint:ephemeral message pool: checkouts are fully overwritten and the engine recycles discarded deliveries, so no stale pooled entry is ever delivered
-	freeMsgs []*Message
-	// deliveries is the engine stream in-flight envelopes ride: one pre-bound
+	// view is the Message every send shows the interceptors.
+	//avdlint:ephemeral send-scoped: filled before the interceptors run and its payload dropped after
+	view Message
+	// deliveries is the engine stream in-flight messages ride: one pre-bound
 	// callback, and one queue event per instant rather than per message.
 	deliveries *sim.Stream
 }
@@ -163,17 +149,24 @@ const (
 )
 
 // Corrupter rewrites a payload into a garbled variant. It must return a
-// new value — payload objects are shared with the sender and with
-// snapshot clones, so mutating in place would corrupt the past. Returning
-// nil declines (the message is delivered untouched and not counted).
+// new value — payload objects are shared with the sender and with every
+// fork that delivers them again, so mutating in place would corrupt the
+// past. Returning nil declines (the message is delivered untouched and not
+// counted).
 type Corrupter func(from, to Addr, payload any) any
 
-// Releaser takes back a payload sent with SendOwned once its envelope has
-// delivered it and the handler has returned: nothing references it any
-// more. It is called for nothing else — a payload that is dropped,
-// duplicated, corrupted, captured by a snapshot or discarded by a restore
-// is left to whoever reclaims the sender's memory wholesale.
+// Releaser takes back a payload sent with SendOwned once its delivery has
+// run and the handler has returned: nothing references it any more. It is
+// called for nothing else — a payload that is dropped, duplicated,
+// corrupted, in flight at a snapshot or discarded by a restore is left to
+// whoever reclaims the sender's memory wholesale.
 type Releaser func(payload any)
+
+// meta packs what a delivery needs besides its payload into the word the
+// engine carries with it: from in the low 32 bits, to in the next 31, and
+// sim.Owned on top when the delivery holds the only reference to the
+// payload. Addresses are handler indices, so to always fits.
+func meta(from, to Addr) uint64 { return uint64(uint32(from)) | uint64(to)<<32 }
 
 // linkFaults is the armed per-link fault state: a victim link selector
 // (AnyAddr wildcards), a faultinject plan consulted through resolved
@@ -215,38 +208,6 @@ func (n *Network) ArmLinkFaults(from, to Addr, plan faultinject.Plan, c Corrupte
 // DisarmLinkFaults removes armed link faults.
 func (n *Network) DisarmLinkFaults() { n.lf = linkFaults{} }
 
-// CloneSimArg implements sim.ArgCloner: in-flight message envelopes are
-// pooled (recycled at delivery), so an engine snapshot detaches a copy
-// and every restore delivers a fresh one. The payload pointer is shared —
-// protocol messages are treated as immutable once sent — so from here on
-// no envelope owns it, the live one included: every fork delivers it
-// again. Clones draw from the owning network's envelope pool: a
-// restore-time clone is delivered during the fork window and recycled
-// right back, so the restore hot path allocates nothing once the pool
-// reaches steady state.
-func (m *Message) CloneSimArg() any {
-	m.owned = false
-	if m.net == nil {
-		c := *m
-		return &c
-	}
-	c := m.net.getMsg()
-	*c = *m
-	return c
-}
-
-// RecycleSimArg implements sim.ArgRecycler: an envelope whose pending
-// delivery a snapshot restore discards returns to the pool instead of
-// leaking to the garbage collector. The engine guarantees the event that
-// held it is unscheduled and never recycles snapshot master copies. An
-// owned payload is not released here: the deployment rewinds its arena
-// before it restores the engine, so the payload's memory is already gone.
-func (m *Message) RecycleSimArg() {
-	if m.net != nil {
-		m.net.putMsg(m)
-	}
-}
-
 // New returns a network running on eng with the given config.
 func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.DropRate < 0 {
@@ -261,7 +222,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		linkLatency: make(map[linkKey]time.Duration),
 		blocked:     make(map[linkKey]bool),
 	}
-	n.deliveries = eng.NewStream(func(x any) { n.deliver(x.(*Message)) })
+	n.deliveries = eng.NewStream(n.deliver)
 	return n
 }
 
@@ -368,7 +329,7 @@ func (n *Network) Stats() Stats { return n.stats }
 func (n *Network) Send(from, to Addr, payload any) { n.send(from, to, payload, false) }
 
 // SendOwned is Send for a payload (a pointer) that the caller references
-// nowhere else and to is its only recipient: the envelope owns it, and the
+// nowhere else and to is its only recipient: the delivery owns it, and the
 // Releaser gets it back right after to's handler has returned.
 func (n *Network) SendOwned(from, to Addr, payload any) {
 	n.send(from, to, payload, n.release != nil)
@@ -383,41 +344,44 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 		n.stats.Partitioned++
 		return
 	}
-	m := n.getMsg()
-	m.From, m.To, m.Payload, m.SendTime, m.ExtraDelay, m.owned = from, to, payload, n.eng.Now(), 0, owned
+	m := meta(from, to)
+	if owned {
+		m |= sim.Owned
+	}
+	var extra time.Duration
 	if len(n.interceptors) > 0 {
+		v := &n.view
+		v.From, v.To, v.Payload, v.ExtraDelay = from, to, payload, 0
 		for _, ic := range n.interceptors {
-			if ic.Intercept(m) == VerdictDrop {
+			if ic.Intercept(v) == VerdictDrop {
 				n.stats.Dropped++
-				n.putMsg(m)
+				v.Payload = nil
 				return
 			}
 		}
 		// A payload an interceptor (or, below, the corrupter) swapped, or
-		// a second copy of it, leaves the envelope owning nothing.
-		if m.owned && m.Payload != payload {
-			m.owned = false
+		// a second copy of it, leaves the delivery owning nothing.
+		if v.Payload != payload {
+			payload, m = v.Payload, m&^sim.Owned
 		}
+		extra, v.Payload = v.ExtraDelay, nil
 	}
 	// Link faults garble before the loss roll, so a corrupt-then-dropped
 	// message increments Corrupted and Dropped once each.
 	duplicate := false
 	if n.lf.armed && n.lf.matches(from, to) {
 		if dec := n.lf.corrupt.Check(); dec.Action == faultinject.ActCorrupt && n.lf.corrupter != nil {
-			if p := n.lf.corrupter(from, to, m.Payload); p != nil {
-				m.Payload = p
+			if p := n.lf.corrupter(from, to, payload); p != nil {
+				payload, m = p, m&^sim.Owned
 				n.stats.Corrupted++
-				m.owned = false
 			}
 		}
 		if dec := n.lf.dup.Check(); dec.Action != faultinject.ActNone {
-			duplicate = true
-			m.owned = false
+			duplicate, m = true, m&^sim.Owned
 		}
 	}
 	if n.cfg.DropRate > 0 && n.eng.Rand().Float64() < n.cfg.DropRate {
 		n.stats.Dropped++
-		n.putMsg(m)
 		return
 	}
 	d := n.cfg.BaseLatency
@@ -429,40 +393,23 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 	if n.cfg.Jitter > 0 {
 		d += time.Duration(n.eng.Rand().Int63n(int64(n.cfg.Jitter)))
 	}
-	d += m.ExtraDelay
-	n.deliveries.Schedule(d, m)
+	d += extra
+	n.deliveries.Schedule(d, payload, m)
 	if duplicate {
 		// The duplicate rides the same latency and is queued after the
 		// original (same at, later seq), so it arrives immediately behind
 		// it — the classic at-least-once delivery fault.
-		dm := n.getMsg()
-		*dm = *m
 		n.stats.Duplicated++
-		n.deliveries.Schedule(d, dm)
+		n.deliveries.Schedule(d, payload, m)
 	}
-}
-
-func (n *Network) getMsg() *Message {
-	if l := len(n.freeMsgs); l > 0 {
-		m := n.freeMsgs[l-1]
-		n.freeMsgs[l-1] = nil
-		n.freeMsgs = n.freeMsgs[:l-1]
-		return m
-	}
-	return &Message{net: n}
-}
-
-func (n *Network) putMsg(m *Message) {
-	m.Payload = nil
-	n.freeMsgs = append(n.freeMsgs, m)
 }
 
 // NetSnapshot is a restorable capture of the network's own state:
 // counters, partitions, per-link latency overrides, and the interceptor
-// chain length. In-flight messages are not here — their delivery events
-// live in the engine, whose snapshot clones the pooled envelopes (see
-// Message.CloneSimArg); pairing a Network.Snapshot with the engine's
-// Snapshot captures the network completely.
+// chain length. In-flight messages are not here — they are deliveries the
+// engine holds by value, and its snapshot copies them; pairing a
+// Network.Snapshot with the engine's Snapshot captures the network
+// completely.
 type NetSnapshot struct {
 	stats        Stats
 	blocked      map[linkKey]bool
@@ -542,12 +489,11 @@ func (n *Network) Broadcast(from Addr, tos []Addr, payload any) {
 	}
 }
 
-func (n *Network) deliver(m *Message) {
-	from, to, payload, owned := m.From, m.To, m.Payload, m.owned
-	n.putMsg(m)
+func (n *Network) deliver(payload any, m uint64) {
 	if n.closed {
 		return
 	}
+	from, to := Addr(int32(m)), Addr(m<<1>>33)
 	// Re-check the partition at delivery time: messages in flight when a
 	// partition forms are lost, matching the usual fail-stop link model.
 	if len(n.blocked) > 0 && n.blocked[linkKey{from, to}] {
@@ -564,9 +510,8 @@ func (n *Network) deliver(m *Message) {
 	}
 	n.stats.Delivered++
 	// The branch comes before the handler so that unowned traffic ends in
-	// the call it always ended in: a flag kept live across it cost raftsim,
-	// which owns nothing, a nanosecond per message.
-	if !owned {
+	// the call it always ended in, with no flag kept live across it.
+	if m&sim.Owned == 0 {
 		h(from, payload)
 		return
 	}

@@ -6,7 +6,7 @@
 // deployment rolls back to its post-warm-up snapshot, so a rewind reuses
 // the memory instead of handing it to the garbage collector. Most objects
 // are never individually freed; one whose only reference is known to be
-// gone (a reply its envelope has delivered) goes back through Slab.Put
+// gone (a message whose delivery has run) goes back through Slab.Put
 // and is the next one Get hands out.
 //
 // Ownership is split at the capture mark. Chunks a deployment filled
@@ -39,14 +39,14 @@ const chunkBytes = 32 << 10
 
 // WindowCeiling bounds the bytes one Arena may lease between two rewinds.
 // Every message of a window is a fixed-size object — Raft's AppendEntries
-// alias the leader's log instead of copying it, and a PBFT reply goes
-// back through Put when it is delivered — so a window leases in
-// proportion to the events it executes: the largest measured are 16 MB
-// on PBFT (250 clients) and 91 MB on Raft (a duplicated-ack storm that
-// runs to the 2M-event step budget; DESIGN.md §15 has the table). The
-// ceiling is the backstop behind that budget: a deployment that leaks
-// past it is stopped through the Arena's stop callback and costs one
-// hung test, not the process.
+// alias the leader's log instead of copying it, and a message with one
+// recipient goes back through Put when it is delivered — so a window
+// leases in proportion to the events it executes: the largest measured
+// are 16 MB on PBFT (250 clients) and 65 MB on Raft (a duplicated-ack
+// storm, whose duplicates nothing releases, run to the 2M-event step
+// budget; DESIGN.md §15 has the table). The ceiling is the backstop
+// behind that budget: a deployment that leaks past it is stopped through
+// the Arena's stop callback and costs one hung test, not the process.
 const WindowCeiling = 128 << 20
 
 // collectEvery is how many bytes of warm-up chunks a pool's arenas may
@@ -330,10 +330,23 @@ func (b *bump[T]) adopt() (adopted, forgot int) {
 func (b *bump[T]) held() int { return len(b.chunks) }
 
 // poisonChunk fills c with 0xA5 bytes and reports whether it already was.
+// A T with pointers is stored a word at a time: the collector may scan the
+// memory meanwhile, and a pointer it reads half overwritten can point into
+// the heap, where it is fatal; a whole 0xA5A5A5A5A5A5A5A5 points nowhere.
 func poisonChunk[T any](c []T) (was bool) {
+	const pattern = 0xA5A5A5A5A5A5A5A5
 	var zero T
-	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), len(c)*int(unsafe.Sizeof(zero)))
-	was = len(raw) > 0
+	size := len(c) * int(unsafe.Sizeof(zero))
+	was = size > 0
+	if unsafe.Alignof(zero) == 8 { // so size is a whole number of words
+		words := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(c))), size/8)
+		for i := range words {
+			was = was && words[i] == pattern
+			words[i] = pattern
+		}
+		return was
+	}
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(c))), size)
 	for i := range raw {
 		was = was && raw[i] == 0xA5
 		raw[i] = 0xA5

@@ -185,6 +185,47 @@ func TestPoison(t *testing.T) {
 	}
 }
 
+// TestPoisonKeepsPointersWhole: with the test hook on, Put and Rewind
+// overwrite objects whose pointer slots the collector may be scanning at
+// that very moment. A pointer it reads half overwritten can point into the
+// heap, which is fatal ("found bad pointer in Go heap"), so the fill goes a
+// word at a time. The test churns pointer-holding objects beside a
+// collector that never stops.
+func TestPoisonKeepsPointersWhole(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	a := NewArena(nil, nil)
+	s := New[obj](a)
+	targets := make([]uint64, 64)
+	a.Capture()
+	for round := 0; round < 1000; round++ {
+		for i := 0; i < s.chunkLen; i++ {
+			o := s.Get()
+			*o = obj{p: &targets[i%len(targets)]}
+			if i%2 == 0 {
+				s.Put(o)
+			}
+		}
+		a.Rewind()
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestPutGetLIFO: Get drains what Put handed back, last in first out,
 // before it carves anything new, and Put moves no chunk: Held and the
 // pool's lease count are what they were.

@@ -41,7 +41,7 @@ func fanoutNet(jitter time.Duration) (e *sim.Engine, net *simnet.Network, round 
 
 func benchmarkSimnetRounds(b *testing.B, jitter time.Duration) {
 	e, _, round := fanoutNet(jitter)
-	for i := 0; i < 8; i++ { // warm the envelope, train and slot pools
+	for i := 0; i < 8; i++ { // warm the train and slot pools
 		round()
 	}
 	executed, dispatches := e.Executed(), e.Dispatches()
@@ -64,7 +64,7 @@ func BenchmarkSimnetJitter(b *testing.B) { benchmarkSimnetRounds(b, 200*time.Mic
 // TestSimnetRoundsAllocFree is the hard assert behind the two benchmarks:
 // in the steady state a round allocates nothing at either end of the
 // traffic, and neither does rolling back onto trains in flight — the
-// rollback's discarded envelopes and trains are what the next fork's
+// rollback's discarded trains are what the next fork's
 // copies are made of.
 func TestSimnetRoundsAllocFree(t *testing.T) {
 	for name, jitter := range map[string]time.Duration{"fanout": 0, "jitter": 200 * time.Microsecond} {
