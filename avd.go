@@ -219,40 +219,6 @@ func WithCheckpoint(ck *Checkpoint) EngineOption { return core.WithCheckpoint(ck
 // NewCheckpoint returns an empty campaign checkpoint.
 func NewCheckpoint() *Checkpoint { return core.NewCheckpoint() }
 
-// Campaign drives an explorer against a runner for a test budget and
-// returns the executed results in order.
-//
-// Deprecated: build an Engine over a Target instead — NewEngine(target,
-// WithExplorer(ex), WithBudget(budget)) followed by RunAll — which adds
-// streaming, cancellation and checkpointing on the same serial
-// semantics.
-func Campaign(ex Explorer, runner Runner, budget int) []Result {
-	return core.Campaign(ex, runner, budget)
-}
-
-// ParallelCampaign is Campaign with a pool of workers draining the
-// pending-test queue Ψ concurrently. Results and explorer feedback stay
-// in dispatch order, so a fixed (seed, workers) pair is deterministic
-// and workers=1 reproduces Campaign exactly. workers <= 0 uses all CPUs.
-//
-// Deprecated: build an Engine over a Target instead — NewEngine(target,
-// WithExplorer(ex), WithBudget(budget), WithWorkers(workers)) — which
-// preserves the (seed, workers) determinism contract and adds
-// streaming, cancellation and checkpointing.
-func ParallelCampaign(ex Explorer, runner Runner, budget, workers int) []Result {
-	return core.ParallelCampaign(ex, runner, budget, workers)
-}
-
-// Sweep executes independent scenarios in parallel across workers,
-// labeling every result as exhaustively generated.
-//
-// Deprecated: use an Engine with an exhaustive explorer
-// (NewExhaustiveExplorer) over a Target, which streams and cancels; or
-// core-level sweeps with an explicit generator label.
-func Sweep(scenarios []Scenario, runner Runner, workers int) []Result {
-	return core.Sweep(scenarios, runner, workers, "exhaustive")
-}
-
 // Minimize delta-debugs a vulnerable scenario down to a minimal
 // reproduction: it re-runs deterministically reduced variants of the
 // scenario's fault schedule (dropping and shortening fault dimensions)

@@ -1,11 +1,34 @@
 package avd_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"avd"
 )
+
+// funcTarget serves a RunnerFunc through the Target seam an Engine
+// drives.
+type funcTarget struct{ avd.RunnerFunc }
+
+func (funcTarget) Name() string          { return "func" }
+func (funcTarget) Plugins() []avd.Plugin { return nil }
+
+// runCampaign drives ex against target on an Engine with the given
+// workers and returns its results.
+func runCampaign(tb testing.TB, target avd.Target, ex avd.Explorer, budget, workers int) []avd.Result {
+	tb.Helper()
+	eng, err := avd.NewEngine(target, avd.WithExplorer(ex), avd.WithBudget(budget), avd.WithWorkers(workers))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
+}
 
 // TestPublicAPIEndToEnd exercises the facade the way a downstream user
 // would: build a runner, compose plugins, run a short campaign, inspect
@@ -22,7 +45,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
-	results := avd.Campaign(ctrl, runner, 8)
+	results := runCampaign(t, runner, ctrl, 8, 1)
 	if len(results) != 8 {
 		t.Fatalf("campaign ran %d tests, want 8", len(results))
 	}
@@ -59,14 +82,14 @@ func TestPublicAPIExplorers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
+	runner := funcTarget{func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 9}
-	})
-	random := avd.Campaign(avd.NewRandomExplorer(space, 1), runner, 5)
+	}}
+	random := runCampaign(t, runner, avd.NewRandomExplorer(space, 1), 5, 1)
 	if len(random) != 5 {
 		t.Errorf("random campaign ran %d tests", len(random))
 	}
-	exhaustive := avd.Campaign(avd.NewExhaustiveExplorer(space), runner, 100)
+	exhaustive := runCampaign(t, runner, avd.NewExhaustiveExplorer(space), 100, 1)
 	if len(exhaustive) != 10 {
 		t.Errorf("exhaustive campaign ran %d tests, want all 10", len(exhaustive))
 	}
@@ -77,7 +100,8 @@ func TestPublicAPIExplorers(t *testing.T) {
 
 // TestPublicAPIParallelCampaign pins the parallel-engine determinism
 // contract against the real PBFT runner: one worker reproduces the
-// serial campaign exactly, and a multi-worker run reproduces itself.
+// paper's serial loop (cold runs, fed back one at a time) exactly, and a
+// multi-worker run reproduces itself.
 func TestPublicAPIParallelCampaign(t *testing.T) {
 	w := avd.DefaultWorkload()
 	w.Measure = 300 * time.Millisecond
@@ -96,37 +120,32 @@ func TestPublicAPIParallelCampaign(t *testing.T) {
 		}
 		return ctrl
 	}
-	fingerprint := func(results []avd.Result) []string {
-		out := make([]string, len(results))
-		for i, r := range results {
-			out[i] = r.Scenario.Key()
+	same := func(label string, x, y []avd.Result) {
+		t.Helper()
+		if len(x) != 8 || len(y) != 8 {
+			t.Fatalf("%s: ran %d and %d tests, want 8", label, len(x), len(y))
 		}
-		return out
-	}
-
-	serial := avd.Campaign(newCtrl(), newRunner(), 8)
-	oneWorker := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 1)
-	a, b := fingerprint(serial), fingerprint(oneWorker)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("workers=1 diverged from Campaign at test %d: %s vs %s", i, a[i], b[i])
-		}
-		if serial[i].Impact != oneWorker[i].Impact {
-			t.Fatalf("workers=1 impact diverged at test %d", i)
+		for i := range x {
+			if x[i].Scenario.Key() != y[i].Scenario.Key() || x[i].Impact != y[i].Impact {
+				t.Fatalf("%s: diverged at test %d: %s (%v) vs %s (%v)", label, i,
+					x[i].Scenario.Key(), x[i].Impact, y[i].Scenario.Key(), y[i].Impact)
+			}
 		}
 	}
 
-	par1 := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 4)
-	par2 := avd.ParallelCampaign(newCtrl(), newRunner(), 8, 4)
-	c, d := fingerprint(par1), fingerprint(par2)
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("workers=4 nondeterministic at test %d: %s vs %s", i, c[i], d[i])
+	var serial []avd.Result
+	ctrl, runner := newCtrl(), newRunner()
+	for len(serial) < 8 {
+		sc, _, ok := ctrl.Next()
+		if !ok {
+			break
 		}
-		if par1[i].Impact != par2[i].Impact {
-			t.Fatalf("workers=4 impact nondeterministic at test %d", i)
-		}
+		res := runner.Run(sc)
+		ctrl.Record(res)
+		serial = append(serial, res)
 	}
+	same("workers=1 vs the serial loop", serial, runCampaign(t, newRunner(), newCtrl(), 8, 1))
+	same("workers=4 across runs", runCampaign(t, newRunner(), newCtrl(), 8, 4), runCampaign(t, newRunner(), newCtrl(), 8, 4))
 }
 
 // TestPublicAPIGenetic exercises the genetic explorer via the facade.
@@ -136,10 +155,10 @@ func TestPublicAPIGenetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
+	runner := funcTarget{func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr(avd.DimMACMask, 0)) / 4095}
-	})
-	results := avd.Campaign(ga, runner, 30)
+	}}
+	results := runCampaign(t, runner, ga, 30, 1)
 	if len(results) != 30 {
 		t.Fatalf("GA campaign ran %d tests, want 30", len(results))
 	}
@@ -149,26 +168,23 @@ func TestPublicAPIGenetic(t *testing.T) {
 	}
 }
 
-// TestPublicAPISweep checks parallel sweeps through the facade.
+// TestPublicAPISweep checks parallel exhaustive sweeps through the
+// facade: eight workers, results in grid order.
 func TestPublicAPISweep(t *testing.T) {
 	space, err := avd.NewSpace(avd.Dimension{Name: "x", Min: 0, Max: 31, Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scs []avd.Scenario
-	for i := int64(0); i < 32; i++ {
-		scs = append(scs, space.New(map[string]int64{"x": i}))
-	}
-	runner := avd.RunnerFunc(func(sc avd.Scenario) avd.Result {
+	runner := funcTarget{func(sc avd.Scenario) avd.Result {
 		return avd.Result{Scenario: sc, Impact: 0.5}
-	})
-	results := avd.Sweep(scs, runner, 8)
+	}}
+	results := runCampaign(t, runner, avd.NewExhaustiveExplorer(space), 100, 8)
 	if len(results) != 32 {
 		t.Fatalf("sweep returned %d results", len(results))
 	}
 	for i, r := range results {
-		if r.Scenario.Key() != scs[i].Key() {
-			t.Fatal("sweep order broken")
+		if r.Scenario.GetOr("x", -1) != int64(i) || r.Generator != "exhaustive" {
+			t.Fatalf("sweep result %d is %s (%s)", i, r.Scenario.Key(), r.Generator)
 		}
 	}
 }

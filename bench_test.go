@@ -15,6 +15,7 @@
 package avd_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func BenchmarkFig2AVD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.Campaign(ctrl, runner, 40)
+		results := runCampaign(b, runner, ctrl, 40, 1)
 		best = core.BestSoFar(results)[len(results)-1]
 		found = firstDark(results)
 	}
@@ -91,7 +92,7 @@ func BenchmarkFig2Random(b *testing.B) {
 	var best core.Result
 	var found int
 	for i := 0; i < b.N; i++ {
-		results := core.Campaign(core.NewRandomExplorer(space, int64(i+1)), runner, 40)
+		results := runCampaign(b, runner, core.NewRandomExplorer(space, int64(i+1)), 40, 1)
 		best = core.BestSoFar(results)[len(results)-1]
 		found = firstDark(results)
 	}
@@ -119,7 +120,7 @@ func BenchmarkFig3Subspace(b *testing.B) {
 	}
 	var dark int
 	for i := 0; i < b.N; i++ {
-		results := core.Sweep(scs, runner, 0, "exhaustive")
+		results := runCampaign(b, runner, core.NewListExplorer(scs), len(scs), runtime.NumCPU())
 		dark = 0
 		for _, r := range results {
 			if r.Throughput < 500 {
@@ -183,7 +184,7 @@ func BenchmarkTimeToBigMACAVD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.Campaign(ctrl, runner, 60)
+		results := runCampaign(b, runner, ctrl, 60, 1)
 		if n := firstDark(results); n > 0 {
 			total += float64(n)
 		} else {
@@ -201,7 +202,7 @@ func BenchmarkTimeToBigMACRandom(b *testing.B) {
 	space := paperSpace(b)
 	var total, failures float64
 	for i := 0; i < b.N; i++ {
-		results := core.Campaign(core.NewRandomExplorer(space, int64(i+1)), runner, 60)
+		results := runCampaign(b, runner, core.NewRandomExplorer(space, int64(i+1)), 60, 1)
 		if n := firstDark(results); n > 0 {
 			total += float64(n)
 		} else {
@@ -314,7 +315,7 @@ func BenchmarkAblationPluginFitness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1 := core.Campaign(c1, runner, 30)
+		r1 := runCampaign(b, runner, c1, 30, 1)
 		withFit = core.BestSoFar(r1)[len(r1)-1].Impact
 		c2, err := core.NewController(core.ControllerConfig{
 			Seed: int64(i + 1), SeedTests: 8, DisablePluginFitness: true,
@@ -322,7 +323,7 @@ func BenchmarkAblationPluginFitness(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2 := core.Campaign(c2, runner, 30)
+		r2 := runCampaign(b, runner, c2, 30, 1)
 		without = core.BestSoFar(r2)[len(r2)-1].Impact
 	}
 	b.ReportMetric(withFit, "impact_weighted")
@@ -375,13 +376,13 @@ func BenchmarkAblationGeneticVsHillClimb(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r1 := core.Campaign(ctrl, runner, 40)
+		r1 := runCampaign(b, runner, ctrl, 40, 1)
 		hill = core.BestSoFar(r1)[len(r1)-1].Impact
 		ga, err := core.NewGenetic(core.GeneticConfig{Seed: int64(i + 1), Population: 10}, plugins...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		r2 := core.Campaign(ga, runner, 40)
+		r2 := runCampaign(b, runner, ga, 40, 1)
 		genetic = core.BestSoFar(r2)[len(r2)-1].Impact
 	}
 	b.ReportMetric(hill, "impact_hillclimb")
@@ -434,7 +435,7 @@ func BenchmarkPublicAPICampaign(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := avd.Campaign(ctrl, runner, 15)
+		results := runCampaign(b, runner, ctrl, 15, 1)
 		best = avd.BestSoFar(results)[len(results)-1]
 	}
 	b.ReportMetric(best.Impact, "impact")

@@ -96,6 +96,31 @@ func TestResumeAcrossShardPlansRefused(t *testing.T) {
 	}
 }
 
+// TestResumeWithChangedMeasureRefused: the manifest's config fingerprint
+// covers the workload, so a resume with another -measure exits 1 naming
+// config, and a resume with the same flags is accepted.
+func TestResumeWithChangedMeasureRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary and runs a real campaign")
+	}
+	dir := t.TempDir()
+	bin, state := buildAvd(t, dir), filepath.Join(dir, "state")
+	run := func(measure string) ([]byte, error) {
+		return exec.Command(bin, "-tests", "2", "-measure", measure, "-state", state, "-quiet").CombinedOutput()
+	}
+	if out, err := run("200ms"); err != nil {
+		t.Fatalf("first run: %v\n%s", err, out)
+	}
+	out, err := run("300ms")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "config: resuming with") {
+		t.Errorf("resume with -measure 300ms: err %v, want exit 1 naming config:\n%s", err, out)
+	}
+	if out, err := run("200ms"); err != nil {
+		t.Errorf("resume with the same flags: %v\n%s", err, out)
+	}
+}
+
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // profile behind and the campaign still exits 0, so sizing a change does
 // not need a patched binary. The same run checks what the binary prints

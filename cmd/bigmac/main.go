@@ -21,6 +21,7 @@ import (
 	"avd/internal/core"
 	"avd/internal/graycode"
 	"avd/internal/plugin"
+	"avd/internal/scenario"
 	"avd/internal/trace"
 )
 
@@ -40,11 +41,8 @@ func main() {
 	w.Measure = *measure
 	target, err := cluster.NewTarget(w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bigmac:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	runner := target
-
 	if *discover {
 		runDiscovery(target, *budget, *seed, *workers)
 		return
@@ -52,21 +50,24 @@ func main() {
 
 	space, err := core.Space(target.Plugins()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bigmac:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	coord := int64(graycode.Decode(*mask))
-	sc := space.New(map[string]int64{
+	vals := map[string]int64{
 		plugin.DimMACMask:          coord,
 		plugin.DimCorrectClients:   *clients,
 		plugin.DimMaliciousClients: 1,
-	})
+	}
+	if err := checkGrid(space, vals); err != nil {
+		fatal(err)
+	}
+	sc := space.New(vals)
 	fmt.Printf("deployment: 4 replicas (f=1), %d correct clients, 1 malicious client\n", *clients)
 	fmt.Printf("attack: corrupt bit mask %#03x (coordinate %d in Gray code)\n", *mask, coord)
 	fmt.Printf("         bit n corrupts the (n mod 12)-th generateMAC call of the malicious client\n\n")
 
-	baseline := runner.Baseline(*clients)
-	res, rep := runner.RunReport(sc)
+	baseline := target.Baseline(*clients)
+	res, rep := target.RunReport(sc)
 	fmt.Printf("baseline throughput (no attack): %9.0f req/s\n", baseline)
 	fmt.Printf("throughput under attack:         %9.0f req/s\n", res.Throughput)
 	fmt.Printf("impact: %.3f   avg latency: %v   p99: %v\n",
@@ -92,14 +93,12 @@ func runDiscovery(target *cluster.Target, budget int, seed int64, workers int) {
 	eng, err := core.NewEngine(target,
 		core.WithSeed(seed), core.WithBudget(budget), core.WithWorkers(workers))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bigmac:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("running AVD discovery campaign (budget %d, seed %d, %d workers)...\n", budget, seed, workers)
 	results, err := eng.RunAll(context.Background())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bigmac:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	firstDark := 0
 	for i, r := range results {
@@ -118,4 +117,20 @@ func runDiscovery(target *cluster.Target, budget int, seed int64, workers int) {
 	} else {
 		fmt.Printf("no sub-500 req/s attack found within %d tests; try another seed\n", budget)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "bigmac:", err)
+	os.Exit(1)
+}
+
+// checkGrid refuses a value the space would clamp onto its grid, which
+// would silently run a scenario other than the one asked for.
+func checkGrid(space *scenario.Space, vals map[string]int64) error {
+	for _, d := range space.Dimensions() {
+		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
+			return fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v)
+		}
+	}
+	return nil
 }

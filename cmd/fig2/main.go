@@ -10,6 +10,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,13 +35,19 @@ func main() {
 	w.Measure = *measure
 	target, err := cluster.NewTarget(w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig2:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	space, err := core.Space(target.Plugins()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig2:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	// The output file opens before the campaigns spend their budget, so a
+	// path that cannot be written fails at once.
+	var csvFile *os.File
+	if *csvPath != "" {
+		if csvFile, err = os.Create(*csvPath); err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Printf("hyperspace: %d scenarios (4096 masks x 25 client counts x 2 malicious)\n", space.Size())
 	fmt.Printf("budget: %d tests per strategy, measurement window %v (virtual), %d workers\n\n", *tests, *measure, *workers)
@@ -52,13 +59,11 @@ func main() {
 			core.WithExplorer(ex), core.WithBudget(*tests), core.WithWorkers(*workers),
 			core.WithObserver(progress(label)))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig2:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		results, err := eng.RunAll(context.Background())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig2:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return results
 	}
@@ -66,8 +71,7 @@ func main() {
 	start := time.Now()
 	ctrl, err := core.NewController(core.ControllerConfig{Seed: *seed, SeedTests: 10}, target.Plugins()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig2:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	avdResults := campaign("AVD", ctrl)
 	fmt.Println()
@@ -92,21 +96,14 @@ func main() {
 	mt, ml = meanTail(rndResults)
 	fmt.Printf("  random: throughput %8.0f req/s, latency %v\n", mt, ml.Round(time.Millisecond))
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig2:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		err = trace.WriteCampaignCSV(f, "avd", avdResults)
+	if csvFile != nil {
+		err := trace.WriteCampaignCSV(csvFile, "avd", avdResults)
 		if err == nil {
 			// The random campaign follows without a second header.
-			err = trace.WriteCampaignRows(f, "random", rndResults)
+			err = trace.WriteCampaignRows(csvFile, "random", rndResults)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig2:", err)
-			os.Exit(1)
+		if err = errors.Join(err, csvFile.Close()); err != nil {
+			fatal(fmt.Errorf("csv: %w", err))
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
 	}
@@ -132,4 +129,9 @@ func meanTail(results []core.Result) (float64, time.Duration) {
 		l += r.AvgLatency
 	}
 	return t / float64(len(tail)), l / time.Duration(len(tail))
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fig2:", err)
+	os.Exit(1)
 }

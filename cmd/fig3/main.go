@@ -8,6 +8,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,25 +41,20 @@ func main() {
 
 	clientCounts, err := parseInts(*clientsCS)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig3:", err)
-		os.Exit(1)
+		fatal(err)
+	}
+	if *maskStep < 1 {
+		fatal(fmt.Errorf("-maskstep %d must be at least 1", *maskStep))
 	}
 	w := cluster.DefaultWorkload()
 	w.Measure = *measure
 	runner, err := cluster.NewRunner(w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig3:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fig3:", err)
-		os.Exit(1)
-	}
-
-	// Pre-warm baselines so parallel workers do not duplicate them.
-	for _, cc := range clientCounts {
-		runner.Baseline(cc)
+		fatal(err)
 	}
 
 	var scs []scenario.Scenario
@@ -65,17 +62,37 @@ func main() {
 	for coord := *maskMin; coord < *maskMax; coord += *maskStep {
 		coords++
 		for _, cc := range clientCounts {
-			scs = append(scs, space.New(map[string]int64{
+			vals := map[string]int64{
 				plugin.DimMACMask:          coord,
 				plugin.DimCorrectClients:   cc,
 				plugin.DimMaliciousClients: 1,
-			}))
+			}
+			if err := checkGrid(space, vals); err != nil {
+				fatal(err)
+			}
+			scs = append(scs, space.New(vals))
+		}
+	}
+	// The output file opens before the sweep spends its time, so a path
+	// that cannot be written fails at once.
+	var csvFile *os.File
+	if *csvPath != "" {
+		if csvFile, err = os.Create(*csvPath); err != nil {
+			fatal(err)
 		}
 	}
 	fmt.Printf("exhaustively exploring %d scenarios (%d mask coords x %d client counts) on %d workers\n",
 		len(scs), coords, len(clientCounts), *workers)
 	start := time.Now()
-	results := core.Sweep(scs, runner, *workers, "exhaustive")
+	eng, err := core.NewEngine(runner, core.WithExplorer(core.NewListExplorer(scs)),
+		core.WithBudget(len(scs)), core.WithWorkers(*workers))
+	if err != nil {
+		fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("swept in %v (wall)\n\n", time.Since(start).Round(time.Second))
 
 	cells := make([]trace.HeatCell, len(results))
@@ -98,19 +115,29 @@ func main() {
 		fmt.Printf("  at coordinates: %s\n", summarizeRuns(darkCols, *maskStep))
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig3:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := trace.WriteHeatCSV(f, cells); err != nil {
-			fmt.Fprintln(os.Stderr, "fig3:", err)
-			os.Exit(1)
+	if csvFile != nil {
+		err := trace.WriteHeatCSV(csvFile, cells)
+		if err = errors.Join(err, csvFile.Close()); err != nil {
+			fatal(fmt.Errorf("csv: %w", err))
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fig3:", err)
+	os.Exit(1)
+}
+
+// checkGrid refuses a value the space would clamp onto its grid, which
+// would silently run a scenario other than the one asked for.
+func checkGrid(space *scenario.Space, vals map[string]int64) error {
+	for _, d := range space.Dimensions() {
+		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
+			return fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v)
+		}
+	}
+	return nil
 }
 
 func parseInts(cs string) ([]int64, error) {

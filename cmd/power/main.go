@@ -66,26 +66,22 @@ func main() {
 	for _, level := range levels {
 		target, err := cluster.NewTarget(w, level.plugins()...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "power:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		total, found := 0, 0
 		for seed := 1; seed <= *seeds; seed++ {
 			ctrl, err := core.NewController(core.ControllerConfig{Seed: int64(seed), SeedTests: 8}, target.Plugins()...)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "power:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			eng, err := core.NewEngine(target,
 				core.WithExplorer(ctrl), core.WithBudget(*budget), core.WithWorkers(*workers))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "power:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			results, err := eng.RunAll(context.Background())
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "power:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			if n := core.TestsToImpact(results, *thresh); n > 0 {
 				total += n
@@ -99,4 +95,9 @@ func main() {
 	}
 	fmt.Println("\nfewer tests-to-find at higher power levels = less effort for an")
 	fmt.Println("equally-capable real attacker; use this ordering to prioritize fixes (§4).")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "power:", err)
+	os.Exit(1)
 }

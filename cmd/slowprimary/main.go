@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"avd/internal/core"
 	"avd/internal/pbft"
 	"avd/internal/plugin"
+	"avd/internal/scenario"
 )
 
 func main() {
@@ -47,6 +49,20 @@ func main() {
 		{"slow primary + colluder, per-request timers", pbft.PerRequestTimer, true, true},
 	}
 
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.SlowPrimary{})
+	if err != nil {
+		fatal(err)
+	}
+	base := map[string]int64{
+		plugin.DimMACMask:          0,
+		plugin.DimCorrectClients:   *clients,
+		plugin.DimMaliciousClients: 1,
+		plugin.DimSlowIntervalMS:   int64((*timer) * 9 / 10 / time.Millisecond),
+	}
+	if err := checkGrid(space, base); err != nil {
+		fatal(err)
+	}
+
 	fmt.Printf("deployment: 4 replicas (f=1), %d correct clients; view-change timer %v; window %v\n",
 		*clients, *timer, *window)
 	fmt.Printf("slow primary executes one request per %v (0.9 x timer period)\n\n", (*timer)*9/10)
@@ -67,20 +83,9 @@ func main() {
 		w.Malicious.RetryCap = 2 * time.Second
 		runner, err := cluster.NewRunner(w)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "slowprimary:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.SlowPrimary{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slowprimary:", err)
-			os.Exit(1)
-		}
-		vals := map[string]int64{
-			plugin.DimMACMask:          0,
-			plugin.DimCorrectClients:   *clients,
-			plugin.DimMaliciousClients: 1,
-			plugin.DimSlowIntervalMS:   int64((*timer) * 9 / 10 / time.Millisecond),
-		}
+		vals := maps.Clone(base)
 		if r.slow {
 			vals[plugin.DimSlowPrimary] = 1
 		}
@@ -98,4 +103,20 @@ func main() {
 
 	fmt.Println("\npaper §6: single timer + slow primary -> 0.2 req/s; with collusion -> 0 useful req/s;")
 	fmt.Println("Aardvark avoids this class of bug by enforcing minimum primary throughput.")
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "slowprimary:", err)
+	os.Exit(1)
+}
+
+// checkGrid refuses a value the space would clamp onto its grid, which
+// would silently run a scenario other than the one asked for.
+func checkGrid(space *scenario.Space, vals map[string]int64) error {
+	for _, d := range space.Dimensions() {
+		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
+			return fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v)
+		}
+	}
+	return nil
 }

@@ -115,6 +115,24 @@ func TestManifestRecordsEffectiveWorkers(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkloadsFingerprint: both shipped workloads are trees of
+// scalar structs core.FingerprintConfig can encode (it panics on anything
+// else), and the measure window a -measure flag sets is part of them.
+func TestDefaultWorkloadsFingerprint(t *testing.T) {
+	pbft, raft := cluster.DefaultWorkload(), raftsim.DefaultWorkload()
+	fps := []string{core.FingerprintConfig(pbft), core.FingerprintConfig(raft)}
+	pbft.Measure++
+	raft.Measure++
+	fps = append(fps, core.FingerprintConfig(pbft), core.FingerprintConfig(raft))
+	seen := map[string]bool{}
+	for _, fp := range fps {
+		if seen[fp] {
+			t.Fatalf("fingerprints collide: %v", fps)
+		}
+		seen[fp] = true
+	}
+}
+
 // TestParseShard: -shard is k/K exactly — two plain decimal numbers with
 // 0 <= k < K — or empty for an unsharded run; a sign, a space or anything
 // after K is an error, not something to stop reading at.

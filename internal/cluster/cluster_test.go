@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -319,7 +320,15 @@ func TestParallelSweepSafe(t *testing.T) {
 			}))
 		}
 	}
-	results := core.Sweep(scs, r, 8, "exhaustive")
+	eng, err := core.NewEngine(r, core.WithExplorer(core.NewListExplorer(scs)),
+		core.WithBudget(len(scs)), core.WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(scs) {
 		t.Fatalf("sweep returned %d results for %d scenarios", len(results), len(scs))
 	}

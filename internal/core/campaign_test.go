@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"avd/internal/scenario"
@@ -34,82 +33,16 @@ func campaignFingerprint(results []Result) []string {
 	return keys
 }
 
-// TestParallelCampaignOneWorkerMatchesCampaign is the determinism
-// contract: a single worker must reproduce the serial campaign
-// bit-for-bit, results AND explorer feedback sequence.
-func TestParallelCampaignOneWorkerMatchesCampaign(t *testing.T) {
-	mk := func() Explorer {
-		c, err := NewController(ControllerConfig{Seed: 42, SeedTests: 6}, twoDimPlugins()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	serial := Campaign(mk(), pureRunner(), 80)
-	parallel := ParallelCampaign(mk(), pureRunner(), 80, 1)
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	a, b := campaignFingerprint(serial), campaignFingerprint(parallel)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("workers=1 diverged from Campaign at %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	for i := range serial {
-		if serial[i].Impact != parallel[i].Impact {
-			t.Fatalf("impact diverged at %d", i)
-		}
-	}
-}
-
-// TestParallelCampaignDeterministicAcrossRuns: a fixed (seed, workers)
-// pair must reproduce itself exactly, however goroutines interleave.
-func TestParallelCampaignDeterministicAcrossRuns(t *testing.T) {
-	for _, workers := range []int{2, 4, runtime.NumCPU()} {
-		run := func() []string {
-			c, err := NewController(ControllerConfig{Seed: 7, SeedTests: 6}, twoDimPlugins()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return campaignFingerprint(ParallelCampaign(c, pureRunner(), 60, workers))
-		}
-		a, b := run(), run()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
-			}
-		}
-	}
-}
-
+// TestParallelCampaignRespectsBudget: a budget that is not a multiple of
+// the worker count ends on a short batch, exactly on budget.
 func TestParallelCampaignRespectsBudget(t *testing.T) {
 	c, err := NewController(ControllerConfig{Seed: 3, SeedTests: 4}, twoDimPlugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ParallelCampaign(c, pureRunner(), 37, 8)
+	results := runEngine(t, c, pureRunner(), 37, 8)
 	if len(results) != 37 {
 		t.Fatalf("campaign ran %d tests, budget 37", len(results))
-	}
-}
-
-func TestParallelCampaignObserverInDispatchOrder(t *testing.T) {
-	c, err := NewController(ControllerConfig{Seed: 5, SeedTests: 4}, twoDimPlugins()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var iters []int
-	results := ParallelCampaignWithObserver(c, pureRunner(), 20, 4, func(i int, _ Result) {
-		iters = append(iters, i)
-	})
-	if len(iters) != len(results) {
-		t.Fatalf("observer saw %d of %d tests", len(iters), len(results))
-	}
-	for i, it := range iters {
-		if it != i+1 {
-			t.Fatalf("observer out of order: %v", iters)
-		}
 	}
 }
 
@@ -119,7 +52,7 @@ func TestParallelCampaignNoRepeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := ParallelCampaign(c, pureRunner(), 200, 8)
+	results := runEngine(t, c, pureRunner(), 200, 8)
 	seen := make(map[scenario.CompactKey]bool, len(results))
 	for _, r := range results {
 		k := r.Scenario.Compact()

@@ -522,6 +522,12 @@ func NewExhaustiveExplorer(space *scenario.Space) *ExhaustiveExplorer {
 	return e
 }
 
+// NewListExplorer returns an explorer visiting the given scenarios once,
+// in order — a sweep over a hand-picked grid such as Figure 3's.
+func NewListExplorer(scs []scenario.Scenario) *ExhaustiveExplorer {
+	return &ExhaustiveExplorer{scenarios: scs}
+}
+
 var _ Explorer = (*ExhaustiveExplorer)(nil)
 
 // Remaining returns how many scenarios are left.

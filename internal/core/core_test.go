@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -73,7 +74,7 @@ func TestControllerRequiresPlugins(t *testing.T) {
 func TestControllerNeverRepeatsScenarios(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 3, SeedTests: 5})
 	runner := &peakRunner{peak: 2000, width: 50}
-	results := Campaign(c, runner, 300)
+	results := runEngine(t, c, runner, 300, 1)
 	seen := make(map[string]bool, len(results))
 	for _, r := range results {
 		key := r.Scenario.Key()
@@ -93,7 +94,7 @@ func TestControllerBeatsRandomOnStructuredSpace(t *testing.T) {
 		seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 		for _, seed := range seeds {
 			runner := &peakRunner{peak: 1234, width: 60}
-			results := Campaign(mk(seed), runner, budget)
+			results := runEngine(t, mk(seed), runner, budget, 1)
 			n := TestsToImpact(results, 0.95)
 			if n == 0 {
 				n = budget * 2 // never found: penalize
@@ -194,7 +195,7 @@ func TestPluginFitnessGainShiftsSelection(t *testing.T) {
 		impact := float64(x) / 1023 // only x matters
 		return Result{Scenario: sc, Impact: impact}
 	})
-	Campaign(c, runner, 250)
+	runEngine(t, c, runner, 250, 1)
 	w := c.PluginWeights()
 	if w["good"] <= w["bad"] {
 		t.Errorf("fitness weighting did not favor the useful plugin: good=%.4f bad=%.4f", w["good"], w["bad"])
@@ -208,7 +209,7 @@ func TestDisablePluginFitnessSamplesUniformly(t *testing.T) {
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		return Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 1023}
 	})
-	results := Campaign(c, runner, 300)
+	results := runEngine(t, c, runner, 300, 1)
 	counts := map[string]int{}
 	for _, r := range results {
 		counts[r.Generator]++
@@ -226,7 +227,7 @@ func TestDisablePluginFitnessSamplesUniformly(t *testing.T) {
 func TestTopSetBounded(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 2, TopSetSize: 5})
 	runner := &peakRunner{peak: 500, width: 100}
-	Campaign(c, runner, 100)
+	runEngine(t, c, runner, 100, 1)
 	if len(c.Top()) > 5 {
 		t.Errorf("|Π| = %d exceeds configured 5", len(c.Top()))
 	}
@@ -241,7 +242,7 @@ func TestTopSetBounded(t *testing.T) {
 func TestMaxImpactTracksMu(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 2})
 	runner := &peakRunner{peak: 500, width: 100}
-	results := Campaign(c, runner, 60)
+	results := runEngine(t, c, runner, 60, 1)
 	want := 0.0
 	for _, r := range results {
 		if r.Impact > want {
@@ -303,7 +304,7 @@ func TestExhaustiveExplorerCoversSpace(t *testing.T) {
 func TestCampaignRespectsBudget(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 1})
 	runner := &peakRunner{peak: 10, width: 5}
-	results := Campaign(c, runner, 25)
+	results := runEngine(t, c, runner, 25, 1)
 	if len(results) != 25 {
 		t.Errorf("campaign ran %d tests, budget 25", len(results))
 	}
@@ -312,17 +313,29 @@ func TestCampaignRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestCampaignWithObserver: a serial campaign's observer sees every test
+// with consecutive 1-based iterations.
 func TestCampaignWithObserver(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 1})
 	var iters []int
-	CampaignWithObserver(c, &peakRunner{peak: 10, width: 5}, 10, func(i int, _ Result) {
-		iters = append(iters, i)
-	})
+	eng, err := NewEngine(fakeTarget{Runner: &peakRunner{peak: 10, width: 5}},
+		WithExplorer(c), WithBudget(10), WithObserver(func(i int, _ Result) {
+			iters = append(iters, i)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if len(iters) != 10 || iters[0] != 1 || iters[9] != 10 {
 		t.Errorf("observer iterations = %v", iters)
 	}
 }
 
+// TestSweepMatchesSequential: a list explorer swept by eight workers
+// yields, in list order and labelled "exhaustive", exactly what one
+// worker yields.
 func TestSweepMatchesSequential(t *testing.T) {
 	space := scenario.MustNewSpace(scenario.Dimension{Name: "x", Min: 0, Max: 199, Step: 1})
 	var scs []scenario.Scenario
@@ -330,14 +343,14 @@ func TestSweepMatchesSequential(t *testing.T) {
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		return Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0))}
 	})
-	seq := Sweep(scs, runner, 1, "exhaustive")
-	par := Sweep(scs, runner, 8, "exhaustive")
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
+	seq := runEngine(t, NewListExplorer(scs), runner, len(scs), 1)
+	par := runEngine(t, NewListExplorer(scs), runner, len(scs), 8)
+	if len(seq) != len(scs) || len(par) != len(scs) {
+		t.Fatalf("swept %d and %d of %d scenarios", len(seq), len(par), len(scs))
 	}
 	for i := range seq {
-		if seq[i].Impact != par[i].Impact || seq[i].Scenario.Key() != par[i].Scenario.Key() {
-			t.Fatalf("parallel sweep diverged at %d", i)
+		if seq[i].Impact != par[i].Impact || par[i].Scenario.Key() != scs[i].Key() || par[i].Generator != "exhaustive" {
+			t.Fatalf("parallel sweep diverged at %d: %+v vs %+v", i, seq[i], par[i])
 		}
 	}
 }
@@ -369,7 +382,7 @@ func TestTestsToImpact(t *testing.T) {
 func TestControllerDeterministicGivenSeed(t *testing.T) {
 	run := func() []string {
 		c := newTestController(t, ControllerConfig{Seed: 77, SeedTests: 5})
-		results := Campaign(c, &peakRunner{peak: 321, width: 40}, 60)
+		results := runEngine(t, c, &peakRunner{peak: 321, width: 40}, 60, 1)
 		keys := make([]string, len(results))
 		for i, r := range results {
 			keys[i] = r.Scenario.Key()

@@ -167,12 +167,13 @@ func WithDurable(d *DurableCheckpoint) EngineOption {
 	}
 }
 
-// Engine is the protocol-agnostic campaign driver: it connects one
-// Explorer to one Target and streams executed Results as they complete.
-// It owns the scheduling that Campaign/ParallelCampaign/Sweep used to
-// hard-wire — serial or parallel workers, dispatch-order feedback,
-// context cancellation, checkpoint/resume — behind one construction
-// path:
+// Engine is the protocol-agnostic campaign driver and the one campaign
+// loop: the paper's worker loop (take a scenario from Ψ, run it, score
+// it, feed the result back), run by one or more workers. It connects one
+// Explorer to one Target and streams executed Results as they complete,
+// owning the scheduling — serial or parallel workers, dispatch-order
+// feedback, context cancellation, checkpoint/resume — behind one
+// construction path:
 //
 //	eng, _ := core.NewEngine(target, core.WithSeed(1), core.WithBudget(125))
 //	for res := range eng.Run(ctx) {

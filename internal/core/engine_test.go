@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,41 @@ func newFakeTarget() Target {
 	return fakeTarget{Runner: pureRunner(), plugins: twoDimPlugins()}
 }
 
+// serialLoop is the paper's worker loop written out (Algorithm 1): take a
+// scenario from Ψ, run it, feed the result back, until the budget is spent
+// or the explorer runs dry. It is the reference the Engine's single-worker
+// path must reproduce exactly.
+func serialLoop(ex Explorer, runner Runner, budget int) []Result {
+	var results []Result
+	for len(results) < budget {
+		sc, generator, ok := ex.Next()
+		if !ok {
+			break
+		}
+		res := runner.Run(sc)
+		res.Generator = generator
+		ex.Record(res)
+		results = append(results, res)
+	}
+	return results
+}
+
+// runEngine runs a campaign of ex against runner on an Engine with the
+// given workers and returns its results.
+func runEngine(tb testing.TB, ex Explorer, runner Runner, budget, workers int) []Result {
+	tb.Helper()
+	eng, err := NewEngine(fakeTarget{Runner: runner},
+		WithExplorer(ex), WithBudget(budget), WithWorkers(workers))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results, err := eng.RunAll(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
+}
+
 func newEngineController(t *testing.T, seed int64) Explorer {
 	t.Helper()
 	c, err := NewController(ControllerConfig{Seed: seed, SeedTests: 6}, twoDimPlugins()...)
@@ -33,10 +69,10 @@ func newEngineController(t *testing.T, seed int64) Explorer {
 }
 
 // TestEngineWorkers1MatchesCampaign: the engine's serial path must
-// reproduce the legacy Campaign bit-for-bit — results, generators, and
-// explorer feedback sequence.
+// reproduce the paper's serial loop bit-for-bit — results, generators,
+// impacts and explorer feedback sequence.
 func TestEngineWorkers1MatchesCampaign(t *testing.T) {
-	legacy := Campaign(newEngineController(t, 42), pureRunner(), 80)
+	want := serialLoop(newEngineController(t, 42), pureRunner(), 80)
 
 	eng, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 42)), WithBudget(80), WithWorkers(1))
 	if err != nil {
@@ -46,22 +82,27 @@ func TestEngineWorkers1MatchesCampaign(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if len(results) != len(legacy) {
-		t.Fatalf("engine ran %d tests, Campaign ran %d", len(results), len(legacy))
+	if len(results) != len(want) {
+		t.Fatalf("engine ran %d tests, the serial loop ran %d", len(results), len(want))
 	}
-	a, b := campaignFingerprint(legacy), campaignFingerprint(results)
+	a, b := campaignFingerprint(want), campaignFingerprint(results)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("engine workers=1 diverged from Campaign at %d: %s vs %s", i, a[i], b[i])
+			t.Fatalf("engine workers=1 diverged from the serial loop at %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+	for i := range want {
+		if want[i].Impact != results[i].Impact {
+			t.Fatalf("engine workers=1 impact diverged at %d", i)
 		}
 	}
 }
 
 // TestEngineStreamingDeterministic: a fixed (seed, workers) pair must
-// reproduce itself through the streaming path, and match the legacy
-// ParallelCampaign scheduling exactly.
+// reproduce itself through the streaming path, however goroutines
+// interleave.
 func TestEngineStreamingDeterministic(t *testing.T) {
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 4, runtime.NumCPU()} {
 		run := func() []string {
 			eng, err := NewEngine(newFakeTarget(),
 				WithExplorer(newEngineController(t, 7)), WithBudget(60), WithWorkers(workers))
@@ -81,12 +122,6 @@ func TestEngineStreamingDeterministic(t *testing.T) {
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("workers=%d streaming nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
-			}
-		}
-		legacy := campaignFingerprint(ParallelCampaign(newEngineController(t, 7), pureRunner(), 60, workers))
-		for i := range a {
-			if a[i] != legacy[i] {
-				t.Fatalf("workers=%d engine diverged from ParallelCampaign at %d: %s vs %s", workers, i, a[i], legacy[i])
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func TestGeneticRequiresPlugins(t *testing.T) {
 
 func TestGeneticNeverRepeats(t *testing.T) {
 	g := newTestGenetic(t, GeneticConfig{Seed: 1})
-	results := Campaign(g, &peakRunner{peak: 2000, width: 100}, 200)
+	results := runEngine(t, g, &peakRunner{peak: 2000, width: 100}, 200, 1)
 	seen := make(map[string]bool)
 	for _, r := range results {
 		key := r.Scenario.Key()
@@ -42,7 +42,7 @@ func TestGeneticNeverRepeats(t *testing.T) {
 func TestGeneticConvergesOnPeak(t *testing.T) {
 	g := newTestGenetic(t, GeneticConfig{Seed: 2, Population: 16})
 	runner := &peakRunner{peak: 1234, width: 120}
-	results := Campaign(g, runner, 250)
+	results := runEngine(t, g, runner, 250, 1)
 	best := BestSoFar(results)[len(results)-1]
 	if best.Impact < 0.95 {
 		t.Errorf("GA best impact %.3f after 250 tests on a smooth peak", best.Impact)
@@ -68,7 +68,7 @@ func TestGeneticConvergesOnPeak(t *testing.T) {
 
 func TestGeneticGenerationsAdvance(t *testing.T) {
 	g := newTestGenetic(t, GeneticConfig{Seed: 3, Population: 8})
-	Campaign(g, &peakRunner{peak: 100, width: 50}, 40)
+	runEngine(t, g, &peakRunner{peak: 100, width: 50}, 40, 1)
 	if g.Generation() < 3 {
 		t.Errorf("generation = %d after 40 tests with population 8, want >= 3", g.Generation())
 	}
@@ -76,7 +76,7 @@ func TestGeneticGenerationsAdvance(t *testing.T) {
 
 func TestGeneticGeneratorLabels(t *testing.T) {
 	g := newTestGenetic(t, GeneticConfig{Seed: 4, Population: 8})
-	results := Campaign(g, &peakRunner{peak: 100, width: 50}, 20)
+	results := runEngine(t, g, &peakRunner{peak: 100, width: 50}, 20, 1)
 	for _, r := range results {
 		if !strings.HasPrefix(r.Generator, "ga:gen") {
 			t.Fatalf("generator = %q", r.Generator)
@@ -94,7 +94,7 @@ func TestGeneticCrossoverMixesDimensions(t *testing.T) {
 		y := 1 - float64(sc.GetOr("y", 0))/1000
 		return Result{Scenario: sc, Impact: (x + y) / 2}
 	})
-	results := Campaign(g, runner, 300)
+	results := runEngine(t, g, runner, 300, 1)
 	best := BestSoFar(results)[len(results)-1]
 	if best.Impact < 0.9 {
 		t.Errorf("GA with crossover reached only %.3f on a separable objective", best.Impact)
@@ -104,7 +104,7 @@ func TestGeneticCrossoverMixesDimensions(t *testing.T) {
 func TestGeneticDeterministic(t *testing.T) {
 	run := func() []string {
 		g := newTestGenetic(t, GeneticConfig{Seed: 11, Population: 8})
-		results := Campaign(g, &peakRunner{peak: 500, width: 80}, 60)
+		results := runEngine(t, g, &peakRunner{peak: 500, width: 80}, 60, 1)
 		keys := make([]string, len(results))
 		for i, r := range results {
 			keys[i] = r.Scenario.Key()
@@ -127,7 +127,7 @@ func TestGeneticDeterministic(t *testing.T) {
 func TestGeneticExhaustsSmallSpace(t *testing.T) {
 	p := &gridPlugin{name: "tiny", dim: scenario.Dimension{Name: "x", Min: 0, Max: 999, Step: 1}}
 	g := newTestGenetic(t, GeneticConfig{Seed: 7, Population: 8}, p)
-	results := Campaign(g, &peakRunner{peak: 500, width: 100}, 2000)
+	results := runEngine(t, g, &peakRunner{peak: 500, width: 100}, 2000, 1)
 	if len(results) != 1000 {
 		t.Fatalf("GA executed %d of 1000 scenarios before reporting exhaustion", len(results))
 	}

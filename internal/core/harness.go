@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"slices"
 	"time"
 
@@ -41,8 +39,8 @@ type HarnessSpec[K comparable, D any] struct {
 	// Plugins are the target's testing-tool plugins; their composed
 	// dimensions form the hyperspace an Engine explores by default.
 	Plugins []Plugin
-	// Config is the target's workload. Its %+v rendering (a tree of flat
-	// scalar structs renders deterministically) is the ConfigFingerprint.
+	// Config is the target's workload, a tree of scalar structs;
+	// FingerprintConfig of it is the ConfigFingerprint.
 	Config any
 	// ClientsDim names the dimension holding the correct-client count.
 	// Impact is relative to the attack-free throughput of the same count,
@@ -106,9 +104,7 @@ func (h *Harness[K, D, R]) Plugins() []Plugin { return slices.Clone(h.spec.Plugi
 // (different measure window, step budget, cluster shape) fails fast
 // instead of replaying a different system.
 func (h *Harness[K, D, R]) ConfigFingerprint() string {
-	f := fnv.New64a()
-	fmt.Fprintf(f, "%+v", h.spec.Config)
-	return fmt.Sprintf("%016x", f.Sum64())
+	return FingerprintConfig(h.spec.Config)
 }
 
 // Run implements Runner: a cold run, on a deployment built for this test

@@ -3,8 +3,11 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"avd/internal/scenario"
@@ -60,6 +63,49 @@ func SpaceSignature(space *scenario.Space) string {
 // a drifted workload fails fast instead of replaying garbage.
 type ConfigFingerprinter interface {
 	ConfigFingerprint() string
+}
+
+// configEncoding names the format FingerprintConfig hashes; a change to
+// the format changes the name, and so every fingerprint, once.
+const configEncoding = "config/v1"
+
+// FingerprintConfig is the canonical identity of a workload: the FNV-64a
+// hash of every non-zero scalar leaf of cfg, written as path=value in
+// declaration order (e.g. PBFT.BatchSize=64). A zero field writes
+// nothing, so adding or deleting a field that every campaign leaves at
+// zero leaves every fingerprint — and every saved manifest — valid.
+// Paths are field names only, never type names. A pointer, map, slice,
+// interface, array, channel or function leaf panics: the workload must be
+// a tree of plain scalar structs, whose values are the whole of its
+// meaning.
+func FingerprintConfig(cfg any) string {
+	h := fnv.New64a()
+	fmt.Fprintln(h, configEncoding)
+	encodeConfig(h, "", reflect.ValueOf(cfg))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+func encodeConfig(w io.Writer, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			encodeConfig(w, name, v.Field(i))
+		}
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.String:
+		// %#v writes the raw value (a Duration in nanoseconds, a string
+		// quoted), not what a String method makes of it.
+		if !v.IsZero() {
+			fmt.Fprintf(w, "%s=%#v\n", path, v)
+		}
+	default:
+		panic(fmt.Sprintf("core: FingerprintConfig: %s is a %s, not a scalar", path, v.Kind()))
+	}
 }
 
 // Validate compares a resume's manifest (m) against the one on disk

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testManifest() Manifest {
@@ -80,5 +81,79 @@ func TestManifestCorrupt(t *testing.T) {
 	}
 	if _, err := LoadManifest(path); err == nil || errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("corrupt manifest: got %v, want parse error", err)
+	}
+}
+
+// TestFingerprintConfigSkipsZeroFields: a workload type that differs from
+// another only by a field left at zero — the shape of a deleted knob —
+// fingerprints the same, so deleting such a field keeps every saved
+// manifest resumable. Changing any non-zero field, at any depth, moves
+// the fingerprint.
+func TestFingerprintConfigSkipsZeroFields(t *testing.T) {
+	type protocol struct {
+		N        int
+		Timeout  time.Duration
+		ExecCost time.Duration
+	}
+	type before struct {
+		Protocol protocol
+		Seed     int64
+		Ratio    float64
+		Binary   bool
+		Name     string
+		Budget   uint64
+	}
+	type protocolAfter struct {
+		N       int
+		Timeout time.Duration
+	}
+	type after struct {
+		Protocol protocolAfter
+		Seed     int64
+		Ratio    float64
+		Name     string
+		Budget   uint64
+	}
+	old := before{Protocol: protocol{N: 4, Timeout: time.Second}, Seed: 1, Ratio: 0.5, Name: "pbft", Budget: 7}
+	fp := FingerprintConfig(old)
+	if got := FingerprintConfig(after{Protocol: protocolAfter{N: 4, Timeout: time.Second}, Seed: 1, Ratio: 0.5, Name: "pbft", Budget: 7}); got != fp {
+		t.Errorf("dropping two zero fields moved the fingerprint: %s vs %s", got, fp)
+	}
+	for name, mutate := range map[string]func(*before){
+		"nested int":      func(c *before) { c.Protocol.N = 7 },
+		"nested duration": func(c *before) { c.Protocol.Timeout = 2 * time.Second },
+		"zero to set":     func(c *before) { c.Protocol.ExecCost = time.Millisecond },
+		"set to zero":     func(c *before) { c.Seed = 0 },
+		"float":           func(c *before) { c.Ratio = 0.25 },
+		"bool":            func(c *before) { c.Binary = true },
+		"string":          func(c *before) { c.Name = "raft" },
+		"uint":            func(c *before) { c.Budget = 8 },
+	} {
+		c := old
+		mutate(&c)
+		if FingerprintConfig(c) == fp {
+			t.Errorf("%s: changing a field left the fingerprint at %s", name, fp)
+		}
+	}
+}
+
+// TestFingerprintConfigRefusesReferences: a pointer, map, slice or
+// interface leaf has no canonical value, so it panics instead of hashing
+// an address or an iteration order.
+func TestFingerprintConfigRefusesReferences(t *testing.T) {
+	for name, cfg := range map[string]any{
+		"pointer":   struct{ P *int }{},
+		"map":       struct{ M map[string]int }{},
+		"slice":     struct{ S []int }{},
+		"interface": struct{ I any }{},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s leaf: FingerprintConfig did not panic", name)
+				}
+			}()
+			FingerprintConfig(cfg)
+		}()
 	}
 }

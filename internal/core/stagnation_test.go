@@ -15,7 +15,7 @@ func TestStagnationTriggersProbes(t *testing.T) {
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		return Result{Scenario: sc, Impact: 0.5}
 	})
-	results := Campaign(c, runner, 60)
+	results := runEngine(t, c, runner, 60, 1)
 	probes := 0
 	for _, r := range results[10:] {
 		if r.Generator == "probe" {
@@ -37,7 +37,7 @@ func TestStagnationDisabled(t *testing.T) {
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		return Result{Scenario: sc, Impact: 0.5}
 	})
-	results := Campaign(c, runner, 60)
+	results := runEngine(t, c, runner, 60, 1)
 	for _, r := range results {
 		if r.Generator == "probe" {
 			t.Fatal("probe generated with diversification disabled")
@@ -53,7 +53,7 @@ func TestImprovementResetsStagnation(t *testing.T) {
 		n += 0.001 // strictly improving impact
 		return Result{Scenario: sc, Impact: n}
 	})
-	results := Campaign(c, runner, 40)
+	results := runEngine(t, c, runner, 40, 1)
 	for _, r := range results {
 		if r.Generator == "probe" {
 			t.Fatal("probe generated while every test improved µ")

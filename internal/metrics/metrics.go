@@ -1,21 +1,17 @@
-// Package metrics provides the measurement primitives AVD uses to compute
-// attack impact: latency statistics and time-binned throughput series for
-// the requests completed by correct clients.
+// Package metrics provides the two measurement primitives the harness
+// needs outside simulated time: the latency percentile of a finished
+// sample buffer, and a wall-clock stopwatch for campaign phase telemetry.
 package metrics
 
 import (
-	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
 // PercentileInPlace computes the nearest-rank percentile of samples,
-// sorting them in place — the hot-path variant for callers that are
-// done with the sample buffer (the per-test latency tails in the
-// cluster and raftsim harnesses). Latency.Percentile is the copying
-// variant for live accumulators.
+// sorting them in place — for callers that are done with the sample
+// buffer (the per-test latency tails in the cluster and raftsim
+// harnesses). It returns 0 for no samples.
 func PercentileInPlace(samples []time.Duration, p float64) time.Duration {
 	if len(samples) == 0 {
 		return 0
@@ -26,156 +22,6 @@ func PercentileInPlace(samples []time.Duration, p float64) time.Duration {
 		rank = len(samples) - 1
 	}
 	return samples[rank]
-}
-
-// Latency accumulates request latency observations. The zero value is
-// ready to use.
-type Latency struct {
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	samples []time.Duration
-}
-
-// Observe records one latency sample.
-func (l *Latency) Observe(d time.Duration) {
-	if l.count == 0 || d < l.min {
-		l.min = d
-	}
-	if d > l.max {
-		l.max = d
-	}
-	l.count++
-	l.sum += d
-	l.samples = append(l.samples, d)
-}
-
-// Count returns the number of samples.
-func (l *Latency) Count() uint64 { return l.count }
-
-// Mean returns the average latency, or 0 with no samples.
-func (l *Latency) Mean() time.Duration {
-	if l.count == 0 {
-		return 0
-	}
-	return l.sum / time.Duration(l.count)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (l *Latency) Min() time.Duration { return l.min }
-
-// Max returns the largest sample.
-func (l *Latency) Max() time.Duration { return l.max }
-
-// Percentile returns the p-th percentile (0 < p <= 100) by nearest-rank,
-// or 0 with no samples. It sorts a copy; call sparingly on hot paths.
-func (l *Latency) Percentile(p float64) time.Duration {
-	if l.count == 0 || p <= 0 {
-		return 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	cp := make([]time.Duration, len(l.samples))
-	copy(cp, l.samples)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
-}
-
-// Merge folds other into l.
-func (l *Latency) Merge(other *Latency) {
-	if other.count == 0 {
-		return
-	}
-	if l.count == 0 || other.min < l.min {
-		l.min = other.min
-	}
-	if other.max > l.max {
-		l.max = other.max
-	}
-	l.count += other.count
-	l.sum += other.sum
-	l.samples = append(l.samples, other.samples...)
-}
-
-// String summarizes the distribution.
-func (l *Latency) String() string {
-	return fmt.Sprintf("n=%d mean=%v min=%v max=%v", l.count, l.Mean(), l.min, l.max)
-}
-
-// Series counts events into fixed-width virtual-time bins, yielding a
-// throughput-over-time curve (used to detect sustained collapse, e.g.
-// Figure 3's "throughput smaller than 500 requests/second" predicate).
-type Series struct {
-	binWidth time.Duration
-	bins     []uint64
-}
-
-// NewSeries returns a series with the given bin width (must be > 0).
-func NewSeries(binWidth time.Duration) *Series {
-	if binWidth <= 0 {
-		panic("metrics: bin width must be positive")
-	}
-	return &Series{binWidth: binWidth}
-}
-
-// Record counts one event at virtual time offset t from the measurement
-// start. Negative offsets are ignored.
-func (s *Series) Record(t time.Duration) {
-	if t < 0 {
-		return
-	}
-	bin := int(t / s.binWidth)
-	for len(s.bins) <= bin {
-		s.bins = append(s.bins, 0)
-	}
-	s.bins[bin]++
-}
-
-// Bins returns a copy of the per-bin counts.
-func (s *Series) Bins() []uint64 {
-	cp := make([]uint64, len(s.bins))
-	copy(cp, s.bins)
-	return cp
-}
-
-// BinWidth returns the configured bin width.
-func (s *Series) BinWidth() time.Duration { return s.binWidth }
-
-// Rate returns the per-second event rate of bin i, or 0 out of range.
-func (s *Series) Rate(i int) float64 {
-	if i < 0 || i >= len(s.bins) {
-		return 0
-	}
-	return float64(s.bins[i]) / s.binWidth.Seconds()
-}
-
-// Total returns the total event count.
-func (s *Series) Total() uint64 {
-	var t uint64
-	for _, b := range s.bins {
-		t += b
-	}
-	return t
-}
-
-// Throughput summarizes request completions over a measurement window.
-type Throughput struct {
-	Completed uint64
-	Window    time.Duration
-}
-
-// PerSecond returns completed requests per second (0 for an empty window).
-func (t Throughput) PerSecond() float64 {
-	if t.Window <= 0 {
-		return 0
-	}
-	return float64(t.Completed) / t.Window.Seconds()
 }
 
 // Stopwatch measures host wall-clock phase durations for campaign

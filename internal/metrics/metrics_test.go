@@ -1,133 +1,40 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
-func TestLatencyZeroValue(t *testing.T) {
-	var l Latency
-	if l.Count() != 0 || l.Mean() != 0 || l.Min() != 0 || l.Max() != 0 {
-		t.Error("zero-value Latency is not empty")
-	}
-	if l.Percentile(99) != 0 {
-		t.Error("percentile of empty distribution should be 0")
-	}
-}
-
-func TestLatencyStats(t *testing.T) {
-	var l Latency
-	for _, d := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond} {
-		l.Observe(d)
-	}
-	if l.Count() != 3 {
-		t.Errorf("Count = %d", l.Count())
-	}
-	if l.Mean() != 20*time.Millisecond {
-		t.Errorf("Mean = %v, want 20ms", l.Mean())
-	}
-	if l.Min() != 10*time.Millisecond || l.Max() != 30*time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", l.Min(), l.Max())
-	}
-}
-
+// TestLatencyPercentile pins PercentileInPlace's nearest rank at the edges
+// — no samples, one sample, p = 0 and p = 100 — and that it leaves the
+// buffer sorted.
 func TestLatencyPercentile(t *testing.T) {
-	var l Latency
-	for i := 1; i <= 100; i++ {
-		l.Observe(time.Duration(i) * time.Millisecond)
+	ms := func(vals ...int) []time.Duration {
+		out := make([]time.Duration, len(vals))
+		for i, v := range vals {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
 	}
-	tests := []struct {
-		p    float64
-		want time.Duration
+	for _, tt := range []struct {
+		name    string
+		samples []time.Duration
+		p       float64
+		want    time.Duration
 	}{
-		{50, 50 * time.Millisecond},
-		{99, 99 * time.Millisecond},
-		{100, 100 * time.Millisecond},
-		{1, 1 * time.Millisecond},
-		{150, 100 * time.Millisecond}, // clamped
-	}
-	for _, tt := range tests {
-		if got := l.Percentile(tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
+		{"empty", nil, 99, 0},
+		{"one sample", ms(7), 50, 7 * time.Millisecond},
+		{"one sample p100", ms(7), 100, 7 * time.Millisecond},
+		{"p0 is the minimum", ms(30, 10, 20), 0, 10 * time.Millisecond},
+		{"p50", ms(40, 10, 30, 20), 50, 30 * time.Millisecond},
+		{"p100 is the maximum", ms(30, 10, 20), 100, 30 * time.Millisecond},
+	} {
+		if got := PercentileInPlace(tt.samples, tt.p); got != tt.want {
+			t.Errorf("%s: PercentileInPlace(%v, %v) = %v, want %v", tt.name, tt.samples, tt.p, got, tt.want)
 		}
-	}
-}
-
-func TestLatencyMerge(t *testing.T) {
-	var a, b Latency
-	a.Observe(10 * time.Millisecond)
-	b.Observe(30 * time.Millisecond)
-	a.Merge(&b)
-	if a.Count() != 2 || a.Mean() != 20*time.Millisecond {
-		t.Errorf("after merge: count=%d mean=%v", a.Count(), a.Mean())
-	}
-	var empty Latency
-	a.Merge(&empty) // merging empty must not disturb min
-	if a.Min() != 10*time.Millisecond {
-		t.Errorf("Min corrupted by empty merge: %v", a.Min())
-	}
-}
-
-func TestSeriesBinning(t *testing.T) {
-	s := NewSeries(100 * time.Millisecond)
-	s.Record(0)
-	s.Record(50 * time.Millisecond)
-	s.Record(100 * time.Millisecond)
-	s.Record(250 * time.Millisecond)
-	s.Record(-time.Millisecond) // ignored
-	bins := s.Bins()
-	want := []uint64{2, 1, 1}
-	if len(bins) != len(want) {
-		t.Fatalf("bins = %v, want %v", bins, want)
-	}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
+		if !slices.IsSorted(tt.samples) {
+			t.Errorf("%s: samples left unsorted: %v", tt.name, tt.samples)
 		}
-	}
-	if s.Total() != 4 {
-		t.Errorf("Total = %d, want 4", s.Total())
-	}
-}
-
-func TestSeriesRate(t *testing.T) {
-	s := NewSeries(500 * time.Millisecond)
-	for i := 0; i < 10; i++ {
-		s.Record(time.Duration(i) * 10 * time.Millisecond)
-	}
-	if got := s.Rate(0); got != 20 {
-		t.Errorf("Rate(0) = %v, want 20/s", got)
-	}
-	if s.Rate(5) != 0 || s.Rate(-1) != 0 {
-		t.Error("out-of-range rate should be 0")
-	}
-}
-
-func TestSeriesRejectsBadBinWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSeries(0) did not panic")
-		}
-	}()
-	NewSeries(0)
-}
-
-func TestThroughputPerSecond(t *testing.T) {
-	tp := Throughput{Completed: 500, Window: 2 * time.Second}
-	if got := tp.PerSecond(); got != 250 {
-		t.Errorf("PerSecond = %v, want 250", got)
-	}
-	if (Throughput{Completed: 5}).PerSecond() != 0 {
-		t.Error("zero window should yield 0 rate")
-	}
-}
-
-func TestBinsReturnsCopy(t *testing.T) {
-	s := NewSeries(time.Second)
-	s.Record(0)
-	bins := s.Bins()
-	bins[0] = 999
-	if s.Bins()[0] != 1 {
-		t.Error("Bins() exposed internal storage")
 	}
 }

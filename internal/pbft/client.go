@@ -25,9 +25,6 @@ type ClientConfig struct {
 	Retry time.Duration
 	// RetryCap bounds the exponential retransmission backoff.
 	RetryCap time.Duration
-	// ThinkTime separates a reply from the next request (closed loop
-	// when zero).
-	ThinkTime time.Duration
 	// Broadcast makes every first transmission go to all replicas
 	// instead of just the primary. The colluding client of the
 	// slow-primary attack uses this to seed the backups' request timers.
@@ -310,16 +307,9 @@ func (c *Client) complete() {
 	// re-arms the pending timer in place; Stop takes no seq, so leaving it to
 	// that Reset moves no key. If onComplete stops the client, Client.Stop
 	// has stopped the timer.
-	if c.ccfg.ThinkTime > 0 {
-		c.retryTimer.Stop()
-	}
 	latency := c.eng.Now().Sub(c.sentAt)
 	if c.onComplete != nil {
 		c.onComplete(c.seq, latency)
 	}
-	if c.ccfg.ThinkTime > 0 {
-		c.eng.Schedule(c.ccfg.ThinkTime, c.issueNext)
-	} else {
-		c.issueNext()
-	}
+	c.issueNext()
 }

@@ -58,8 +58,6 @@ type Config struct {
 	NewViewTimeout time.Duration
 	// TimerMode selects SingleTimer (buggy) or PerRequestTimer (spec).
 	TimerMode TimerMode
-	// ExecTime is the simulated execution cost per batch.
-	ExecTime time.Duration
 	// QuorumBug injects a quorum-miscounting defect for oracle
 	// validation: replicas treat F matching prepares (instead of 2F) and
 	// F+1 matching commits (instead of 2F+1) as certificates. Combined
@@ -84,7 +82,6 @@ func DefaultConfig() Config {
 		ViewChangeTimeout:  5 * time.Second,
 		NewViewTimeout:     2 * time.Second,
 		TimerMode:          SingleTimer,
-		ExecTime:           0,
 	}
 }
 

@@ -429,39 +429,31 @@ func TestReplicaStatsAccumulate(t *testing.T) {
 
 // TestClientRetryTimerExits: a closed-loop client that completes a request
 // leaves the pending retry timer to the next request's Reset, so every exit
-// that sends no next request from the same callback has to stop it: think
-// time, Client.Stop with a request in flight, and a Stop from inside the
+// that sends no next request from the same callback has to stop it:
+// Client.Stop with a request in flight, and a Stop from inside the
 // completion observer. At each the timer is inactive, Engine.Pending is
-// exactly what it was when complete() stopped the timer first thing, and no
-// retry ever fires — the retry timeout is shorter than the think time, and
-// onRetry would retransmit a request that has completed but not been
-// followed.
+// exact, and no retry ever fires — onRetry would retransmit a request that
+// has completed but not been followed.
 func TestClientRetryTimerExits(t *testing.T) {
 	ccfg := ClientConfig{Retry: 20 * time.Millisecond, RetryCap: 40 * time.Millisecond}
 	for _, tc := range []struct {
 		name    string
-		think   time.Duration
 		exit    func(tb *testbed, c *Client) // runs inside onComplete
 		drive   func(tb *testbed, c *Client) // from Start to the exit
 		pending int
 	}{
-		{"think-time", 50 * time.Millisecond,
-			func(tb *testbed, c *Client) { tb.eng.Stop() },
-			func(tb *testbed, c *Client) { tb.eng.Run() }, 3},
-		{"stop-mid-request", 0,
+		{"stop-mid-request",
 			func(tb *testbed, c *Client) { t.Error("the stopped client completed a request") },
 			func(tb *testbed, c *Client) { tb.run(time.Millisecond); c.Stop() }, 1},
-		{"stop-in-oncomplete", 0,
+		{"stop-in-oncomplete",
 			func(tb *testbed, c *Client) { c.Stop(); tb.eng.Stop() },
 			func(tb *testbed, c *Client) { tb.eng.Run() }, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tb := newTestbed(t, testbedOpts{})
-			cfg := ccfg
-			cfg.ThinkTime = tc.think
 			var c *Client
 			exit := tc.exit
-			c = tb.addClient(cfg, WithOnComplete(func(uint64, time.Duration) {
+			c = tb.addClient(ccfg, WithOnComplete(func(uint64, time.Duration) {
 				if exit != nil {
 					exit(tb, c)
 					exit = nil
@@ -481,28 +473,5 @@ func TestClientRetryTimerExits(t *testing.T) {
 				t.Errorf("%d retransmissions, want none", got)
 			}
 		})
-	}
-}
-
-// TestExecTimeDelaysReplies: with a simulated execution cost every reply
-// leaves its replica ExecTime late — from a copy the timer holds by value,
-// not from the arena — and requests still complete, just slower.
-func TestExecTimeDelaysReplies(t *testing.T) {
-	completed := func(execTime time.Duration) uint64 {
-		cfg := DefaultConfig()
-		cfg.ExecTime = execTime
-		tb := newTestbed(t, testbedOpts{cfg: cfg})
-		c := tb.addClient(ClientConfig{Retry: time.Second, RetryCap: time.Second})
-		c.Start()
-		tb.run(200 * time.Millisecond)
-		tb.assertSafety()
-		if st := c.Stats(); st.BadReplies != 0 || st.Retransmissions != 0 {
-			t.Errorf("ExecTime %v: %d bad replies, %d retransmissions", execTime, st.BadReplies, st.Retransmissions)
-		}
-		return c.Stats().Completed
-	}
-	prompt, late := completed(0), completed(5*time.Millisecond)
-	if late == 0 || late >= prompt {
-		t.Errorf("completed %d requests with a 5 ms execution cost, %d with none", late, prompt)
 	}
 }

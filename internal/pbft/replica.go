@@ -477,9 +477,8 @@ func (r *Replica) setLastReply(a simnet.Addr) *Reply {
 	return &s.Reply
 }
 
-// resendReply sends a reply kept by value — a table entry being
-// retransmitted, or one ExecTime delayed — as a fresh copy its delivery
-// owns, exactly like the first transmission (executeBatch).
+// resendReply retransmits a reply table entry as a fresh copy its
+// delivery owns, exactly like the first transmission (executeBatch).
 func (r *Replica) resendReply(last *Reply) {
 	rp := r.mem.replies.Get()
 	*rp = *last
@@ -1080,16 +1079,7 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		// stack and copied out, and a struct copy from one to the other
 		// would reload, 16 bytes at a time, what was just stored 8 at a
 		// time, which the store buffer cannot forward.
-		//
-		// A reply that waits out ExecTime waits on the heap instead: its
-		// timer closure outlives a snapshot, so every fork runs it, and an
-		// arena reply it had kept would be shared between them.
-		var reply *Reply
-		if r.cfg.ExecTime > 0 {
-			reply = new(Reply)
-		} else {
-			reply = r.mem.replies.Get()
-		}
+		reply := r.mem.replies.Get()
 		reply.View = r.view
 		reply.Replica = r.id
 		reply.Client = req.Client
@@ -1104,15 +1094,7 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		slot.Seq = req.Seq
 		slot.Result = r.stateDigest
 		slot.Tag = tag
-		if r.cfg.ExecTime > 0 {
-			r.eng.ScheduleSkewed(r.clock, r.cfg.ExecTime, func() {
-				if !r.crashed {
-					r.resendReply(reply)
-				}
-			})
-		} else {
-			r.net.SendOwned(r.Addr(), req.Client, reply)
-		}
+		r.net.SendOwned(r.Addr(), req.Client, reply)
 		r.onRequestExecuted(req.Key())
 	}
 }

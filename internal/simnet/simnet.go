@@ -283,40 +283,6 @@ func (n *Network) UnblockPair(a, b Addr) {
 	n.Unblock(b, a)
 }
 
-// Partition splits the given groups from each other: traffic within a
-// group flows, traffic between groups is blocked. It clears previous
-// pairwise blocks between listed nodes first.
-func (n *Network) Partition(groups ...[]Addr) {
-	group := make(map[Addr]int)
-	for gi, g := range groups {
-		for _, a := range g {
-			group[a] = gi
-		}
-	}
-	for _, ga := range groups {
-		for _, a := range ga {
-			for _, gb := range groups {
-				for _, b := range gb {
-					if a == b {
-						continue
-					}
-					if group[a] == group[b] {
-						n.Unblock(a, b)
-					} else {
-						n.Block(a, b)
-					}
-				}
-			}
-		}
-	}
-}
-
-// Heal removes all blocks.
-func (n *Network) Heal() {
-	n.linksDirty = true
-	clear(n.blocked)
-}
-
 // Close stops all future deliveries (messages in flight are discarded at
 // delivery time).
 func (n *Network) Close() { n.closed = true }

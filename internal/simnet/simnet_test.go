@@ -123,6 +123,9 @@ func TestBlockAndUnblock(t *testing.T) {
 	}
 }
 
+// TestPartitionGroups: a two-group partition is a BlockPair per
+// cross-group pair — traffic within a group flows, traffic across is
+// counted as Partitioned — and UnblockPair heals it.
 func TestPartitionGroups(t *testing.T) {
 	eng := sim.New(1)
 	net := New(eng, Config{})
@@ -130,19 +133,28 @@ func TestPartitionGroups(t *testing.T) {
 	for i := range recs {
 		net.Handle(Addr(i), recs[i].handler())
 	}
-	net.Partition([]Addr{0, 1}, []Addr{2, 3})
+	for _, a := range []Addr{0, 1} {
+		for _, b := range []Addr{2, 3} {
+			net.BlockPair(a, b)
+		}
+	}
 	net.Send(0, 1, "same-group")
 	net.Send(0, 2, "cross-group")
+	net.Send(3, 1, "cross-group-2")
 	net.Send(3, 2, "same-group-2")
 	eng.Run()
 	if len(recs[1].msgs) != 1 || len(recs[2].msgs) != 1 || recs[2].msgs[0] != "same-group-2" {
 		t.Errorf("partition misrouted: %v %v", recs[1].msgs, recs[2].msgs)
 	}
-	net.Heal()
+	if got := net.Stats().Partitioned; got != 2 {
+		t.Errorf("Partitioned = %d, want 2", got)
+	}
+	net.UnblockPair(0, 2)
 	net.Send(0, 2, "healed")
+	net.Send(2, 0, "healed-back")
 	eng.Run()
-	if len(recs[2].msgs) != 2 {
-		t.Error("healed partition did not deliver")
+	if len(recs[2].msgs) != 2 || len(recs[0].msgs) != 1 {
+		t.Error("healed pair did not deliver both ways")
 	}
 }
 

@@ -226,7 +226,7 @@ func BenchmarkFig2AVDParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		results := core.ParallelCampaign(ctrl, runner, 40, runtime.NumCPU())
+		results := runCampaign(b, runner, ctrl, 40, runtime.NumCPU())
 		best = core.BestSoFar(results)[len(results)-1]
 	}
 	b.ReportMetric(best.Impact, "impact")
