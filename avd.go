@@ -38,9 +38,9 @@
 //	}
 //	fmt.Printf("best attack: %s impact=%.2f\n", best.Scenario, best.Impact)
 //
-// See the examples/ directory for runnable scenarios and the cmd/
-// binaries for the experiment harnesses that regenerate the paper's
-// figures.
+// The cmd/avd binary runs campaigns from the command line, and its
+// subcommands (avd fig2, fig3, power, bigmac, slowprimary) regenerate
+// the paper's figures.
 package avd
 
 import (

@@ -1,11 +1,3 @@
-// Command fig2 regenerates Figure 2 of the paper: the evolution of the
-// average latency and average throughput of the PBFT system as induced
-// by the attacks generated by AVD's fitness-guided exploration versus
-// random exploration, over a budget of executed tests (125 in the
-// paper).
-//
-// Output: two terminal charts (latency and throughput per executed
-// test), a summary, and optionally a CSV with every executed test.
 package main
 
 import (
@@ -21,19 +13,25 @@ import (
 	"avd/internal/trace"
 )
 
-func main() {
+// fig2 regenerates Figure 2 of the paper: the evolution of the average
+// latency and average throughput of the PBFT system as induced by the
+// attacks generated by AVD's fitness-guided exploration versus random
+// exploration, over a budget of executed tests (125 in the paper).
+//
+// Output: two terminal charts (latency and throughput per executed test),
+// a summary, and optionally a CSV with every executed test.
+func fig2(args []string) {
+	fs := flag.NewFlagSet("avd fig2", flag.ExitOnError)
 	var (
-		tests   = flag.Int("tests", 125, "executed tests per strategy")
-		seed    = flag.Int64("seed", 1, "random seed for both strategies")
-		measure = flag.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
-		csvPath = flag.String("csv", "", "write per-test results to this CSV file")
-		workers = flag.Int("workers", 1, "parallel test-execution workers (1 = the serial reference; results are reproducible per seed+workers pair)")
+		tests   = fs.Int("tests", 125, "executed tests per strategy")
+		seed    = fs.Int64("seed", 1, "random seed for both strategies")
+		measure = fs.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
+		csvPath = fs.String("csv", "", "write per-test results to this CSV file")
+		workers = fs.Int("workers", 1, "parallel test-execution workers (1 = the serial reference; results are reproducible per seed+workers pair)")
 	)
-	flag.Parse()
+	parseFlags(fs, args)
 
-	w := cluster.DefaultWorkload()
-	w.Measure = *measure
-	target, err := cluster.NewTarget(w)
+	target, err := cluster.NewTarget(pbftWorkload(*measure))
 	if err != nil {
 		fatal(err)
 	}
@@ -43,18 +41,13 @@ func main() {
 	}
 	// The output file opens before the campaigns spend their budget, so a
 	// path that cannot be written fails at once.
-	var csvFile *os.File
-	if *csvPath != "" {
-		if csvFile, err = os.Create(*csvPath); err != nil {
-			fatal(err)
-		}
-	}
+	csvFile := createOutput(*csvPath)
 	fmt.Printf("hyperspace: %d scenarios (4096 masks x 25 client counts x 2 malicious)\n", space.Size())
 	fmt.Printf("budget: %d tests per strategy, measurement window %v (virtual), %d workers\n\n", *tests, *measure, *workers)
 
 	// One engine per strategy, both over the same target so the second
 	// campaign reuses the first's cached baselines.
-	campaign := func(label string, ex core.Explorer) []core.Result {
+	run := func(label string, ex core.Explorer) []core.Result {
 		eng, err := core.NewEngine(target,
 			core.WithExplorer(ex), core.WithBudget(*tests), core.WithWorkers(*workers),
 			core.WithObserver(progress(label)))
@@ -73,9 +66,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	avdResults := campaign("AVD", ctrl)
+	avdResults := run("AVD", ctrl)
 	fmt.Println()
-	rndResults := campaign("RND", core.NewRandomExplorer(space, *seed))
+	rndResults := run("RND", core.NewRandomExplorer(space, *seed))
 	fmt.Printf("\ncampaigns done in %v (wall)\n\n", time.Since(start).Round(time.Second))
 
 	names := []string{"AVD (fitness-guided)", "random"}
@@ -129,9 +122,4 @@ func meanTail(results []core.Result) (float64, time.Duration) {
 		l += r.AvgLatency
 	}
 	return t / float64(len(tail)), l / time.Duration(len(tail))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fig2:", err)
-	os.Exit(1)
 }

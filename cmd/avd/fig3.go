@@ -1,10 +1,3 @@
-// Command fig3 regenerates Figure 3 of the paper: an exhaustively
-// explored subset of the PBFT MAC-corruption hyperspace, plotted as a
-// heat map with x = the MAC corruption bitmask coordinate (in Gray code)
-// and y = the number of correct clients. Dark points are scenarios where
-// PBFT's throughput drops below 500 requests/second, exposing the
-// vertical-line structure that makes the space suitable for
-// hill-climbing.
 package main
 
 import (
@@ -25,19 +18,26 @@ import (
 	"avd/internal/trace"
 )
 
-func main() {
+// fig3 regenerates Figure 3 of the paper: an exhaustively explored subset
+// of the PBFT MAC-corruption hyperspace, plotted as a heat map with x =
+// the MAC corruption bitmask coordinate (in Gray code) and y = the number
+// of correct clients. Dark points are scenarios where PBFT's throughput
+// drops below 500 requests/second, exposing the vertical-line structure
+// that makes the space suitable for hill-climbing.
+func fig3(args []string) {
+	fs := flag.NewFlagSet("avd fig3", flag.ExitOnError)
 	var (
-		maskMin   = flag.Int64("maskmin", 0, "sweep mask coordinates starting here")
-		maskMax   = flag.Int64("maskmax", 1024, "sweep mask coordinates [maskmin, maskmax); the default window matches the paper's Figure 3 x-axis")
-		maskStep  = flag.Int64("maskstep", 1, "coordinate stride (1 = full resolution, as in the paper)")
-		clientsCS = flag.String("clients", "20,40,60,80,100", "comma-separated correct-client counts (the y axis)")
-		workers   = flag.Int("workers", runtime.NumCPU(), "parallel test workers")
-		measure   = flag.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
-		dark      = flag.Float64("dark", 500, "dark-point throughput threshold (req/s)")
-		csvPath   = flag.String("csv", "", "write raw cells to this CSV file")
-		cols      = flag.Int("cols", 128, "heat map width in character columns")
+		maskMin   = fs.Int64("maskmin", 0, "sweep mask coordinates starting here")
+		maskMax   = fs.Int64("maskmax", 1024, "sweep mask coordinates [maskmin, maskmax); the default window matches the paper's Figure 3 x-axis")
+		maskStep  = fs.Int64("maskstep", 1, "coordinate stride (1 = full resolution, as in the paper)")
+		clientsCS = fs.String("clients", "20,40,60,80,100", "comma-separated correct-client counts (the y axis)")
+		workers   = fs.Int("workers", runtime.NumCPU(), "parallel test workers")
+		measure   = fs.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
+		dark      = fs.Float64("dark", 500, "dark-point throughput threshold (req/s)")
+		csvPath   = fs.String("csv", "", "write raw cells to this CSV file")
+		cols      = fs.Int("cols", 128, "heat map width in character columns")
 	)
-	flag.Parse()
+	parseFlags(fs, args)
 
 	clientCounts, err := parseInts(*clientsCS)
 	if err != nil {
@@ -46,9 +46,10 @@ func main() {
 	if *maskStep < 1 {
 		fatal(fmt.Errorf("-maskstep %d must be at least 1", *maskStep))
 	}
-	w := cluster.DefaultWorkload()
-	w.Measure = *measure
-	runner, err := cluster.NewRunner(w)
+	if *maskMax <= *maskMin {
+		fatal(fmt.Errorf("-maskmax %d must be above -maskmin %d", *maskMax, *maskMin))
+	}
+	runner, err := cluster.NewRunner(pbftWorkload(*measure))
 	if err != nil {
 		fatal(err)
 	}
@@ -67,20 +68,13 @@ func main() {
 				plugin.DimCorrectClients:   cc,
 				plugin.DimMaliciousClients: 1,
 			}
-			if err := checkGrid(space, vals); err != nil {
-				fatal(err)
-			}
+			checkGrid(space, vals)
 			scs = append(scs, space.New(vals))
 		}
 	}
 	// The output file opens before the sweep spends its time, so a path
 	// that cannot be written fails at once.
-	var csvFile *os.File
-	if *csvPath != "" {
-		if csvFile, err = os.Create(*csvPath); err != nil {
-			fatal(err)
-		}
-	}
+	csvFile := createOutput(*csvPath)
 	fmt.Printf("exhaustively exploring %d scenarios (%d mask coords x %d client counts) on %d workers\n",
 		len(scs), coords, len(clientCounts), *workers)
 	start := time.Now()
@@ -122,22 +116,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fig3:", err)
-	os.Exit(1)
-}
-
-// checkGrid refuses a value the space would clamp onto its grid, which
-// would silently run a scenario other than the one asked for.
-func checkGrid(space *scenario.Space, vals map[string]int64) error {
-	for _, d := range space.Dimensions() {
-		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
-			return fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v)
-		}
-	}
-	return nil
 }
 
 func parseInts(cs string) ([]int64, error) {

@@ -1,4 +1,4 @@
-// Command avd runs vulnerability-discovery campaigns against a
+// Command avd runs vulnerability discovery campaigns against a
 // simulated system under test: the paper's fitness-guided controller
 // (Algorithm 1), the random baseline, a genetic explorer, or the
 // coverage-guided explorer (timeline-hash feedback over a scenario
@@ -12,6 +12,10 @@
 // flight. With -shard k/K the process runs one deterministic sub-space
 // of a K-way sharded campaign; cmd/avdd supervises a full set of shards
 // and merges their checkpoints.
+//
+// The paper's experiments are subcommands, named first:
+//
+//	avd fig2 | fig3 | power | bigmac | slowprimary [flags]
 package main
 
 import (
@@ -20,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,51 +35,90 @@ import (
 	"time"
 
 	"avd/internal/campaign"
+	"avd/internal/cluster"
 	"avd/internal/core"
+	"avd/internal/scenario"
 	"avd/internal/trace"
 )
 
-func main() {
-	var (
-		targetName = flag.String("target", "pbft", "system under test: pbft | raft")
-		strategy   = flag.String("strategy", "avd", "exploration strategy: avd | random | genetic | coverage")
-		tests      = flag.Int("tests", 125, "test budget")
-		seed       = flag.Int64("seed", 1, "random seed")
-		measure    = flag.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
-		pluginsCS  = flag.String("plugins", "", "comma-separated plugins (pbft: maccorrupt,clients,reorder,faultplan,slowprimary; raft: raftclients,leaderflap); empty = target default")
-		faultsCS   = flag.String("faults", "", "comma-separated fault-vocabulary-v2 plugins armed on top of -plugins: crash (crash-restart with optional durable-state loss), skew (per-node clock drift), oneway (asymmetric partition), corrupt, dup (per-link ModMask corruption/duplication)")
-		stepBudget = flag.Uint64("stepbudget", 2_000_000, "per-test simulation event budget; a scenario that exceeds it is reported hung instead of stalling the campaign (0 = unlimited)")
-		workers    = flag.Int("workers", 1, "parallel test-execution workers (results are reproducible per seed+workers pair)")
-		csvPath    = flag.String("csv", "", "write per-test results to this CSV file")
-		topN       = flag.Int("top", 5, "print the N best attacks found")
-		quiet      = flag.Bool("quiet", false, "suppress per-test progress output")
-		minimize   = flag.Bool("minimize", false, "delta-debug the best attack found down to a minimal fault schedule that still reproduces it")
-		minThresh  = flag.Float64("minthreshold", 0, "impact a minimized scenario must keep when no oracle was violated (0 = 90% of the original's impact)")
-		minRuns    = flag.Int("minruns", 256, "re-execution budget for -minimize")
-		stateDir   = flag.String("state", "", "durable state directory: journal progress after every batch and resume from it on restart")
-		shardSpec  = flag.String("shard", "", "run one shard of a K-way sharded campaign, as k/K (0-based); requires a deterministic shard plan shared with the supervisor")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the campaign, before the summary")
-	)
-	flag.Parse()
+// subcommands regenerate the paper's figures and §4/§6 experiments.
+var subcommands = []struct {
+	name, about string
+	run         func(args []string)
+}{
+	{"fig2", "Figure 2: AVD vs random campaign evolution", fig2},
+	{"fig3", "Figure 3: exhaustive subspace heat map", fig3},
+	{"power", "§4 attacker power vs tests-to-find", power},
+	{"bigmac", "§6 Big MAC attack on one deployment", bigmac},
+	{"slowprimary", "§6 slow-primary bug, real timers", slowprimary},
+}
 
-	shard, shards, err := campaign.ParseShard(*shardSpec)
-	if err != nil {
+func main() {
+	args := os.Args[1:]
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		runCampaign(args)
+		return
+	}
+	for _, sub := range subcommands {
+		if sub.name == args[0] {
+			sub.run(args[1:])
+			return
+		}
+	}
+	fmt.Fprintf(os.Stderr, "avd: unknown subcommand %q\n", args[0])
+	usage(os.Stderr)
+	os.Exit(2)
+}
+
+// usage says how avd is invoked and lists its subcommands.
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: avd [flags]               run one campaign")
+	fmt.Fprintln(w, "       avd <subcommand> [flags]  run one of the paper's experiments")
+	fmt.Fprintln(w, "subcommands:")
+	for _, sub := range subcommands {
+		fmt.Fprintf(w, "  %-12s %s\n", sub.name, sub.about)
+	}
+}
+
+// parseFlags parses args into fs and exits 2 on anything left over:
+// parsing stops at the first word that is not a flag, so every flag after
+// a stray word would otherwise be dropped without a sound.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args) // fs exits on a bad flag
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected arguments: %s\n", fs.Name(), strings.Join(fs.Args(), " "))
+		os.Exit(2)
+	}
+}
+
+func runCampaign(args []string) {
+	fs := flag.NewFlagSet("avd", flag.ExitOnError)
+	fs.Usage = func() {
+		usage(fs.Output())
+		fmt.Fprintln(fs.Output(), "campaign flags:")
+		fs.PrintDefaults()
+	}
+	var cfg campaign.Config
+	cfg.RegisterFlags(fs)
+	var (
+		csvPath    = fs.String("csv", "", "write per-test results to this CSV file")
+		topN       = fs.Int("top", 5, "print the N best attacks found")
+		quiet      = fs.Bool("quiet", false, "suppress per-test progress output")
+		minimize   = fs.Bool("minimize", false, "delta-debug the best attack found down to a minimal fault schedule that still reproduces it")
+		minThresh  = fs.Float64("minthreshold", 0, "impact a minimized scenario must keep when no oracle was violated (0 = 90% of the original's impact)")
+		minRuns    = fs.Int("minruns", 256, "re-execution budget for -minimize")
+		stateDir   = fs.String("state", "", "durable state directory: journal progress after every batch and resume from it on restart")
+		shardSpec  = fs.String("shard", "", "run one shard of a K-way sharded campaign, as k/K (0-based); requires a deterministic shard plan shared with the supervisor")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file after the campaign, before the summary")
+	)
+	parseFlags(fs, args)
+
+	var err error
+	if cfg.Shard, cfg.Shards, err = campaign.ParseShard(*shardSpec); err != nil {
 		fatal(err)
 	}
-	setup, err := campaign.Build(campaign.Config{
-		Target:     *targetName,
-		Strategy:   *strategy,
-		Tests:      *tests,
-		Seed:       *seed,
-		Measure:    *measure,
-		Plugins:    *pluginsCS,
-		Faults:     *faultsCS,
-		StepBudget: *stepBudget,
-		Workers:    *workers,
-		Shard:      shard,
-		Shards:     shards,
-	})
+	setup, err := campaign.Build(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -86,7 +130,7 @@ func main() {
 
 	opts := []core.EngineOption{
 		core.WithExplorer(explorer),
-		core.WithBudget(*tests),
+		core.WithBudget(cfg.Tests),
 		core.WithWorkers(setup.Manifest.Workers),
 	}
 
@@ -98,7 +142,7 @@ func main() {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 			fatal(err)
 		}
-		paths = campaign.PathsFor(*stateDir, shard, shards)
+		paths = campaign.PathsFor(*stateDir, cfg.Shard, cfg.Shards)
 		saved, err := core.LoadManifest(paths.Manifest)
 		switch {
 		case err == nil:
@@ -143,12 +187,12 @@ func main() {
 	}
 
 	shardNote := ""
-	if shards > 1 {
-		shardNote = fmt.Sprintf(" shard=%d/%d (%s)", shard, shards, setup.Plan)
+	if cfg.Shards > 1 {
+		shardNote = fmt.Sprintf(" shard=%d/%d (%s)", cfg.Shard, cfg.Shards, setup.Plan)
 	}
 	// workers is the count that runs, not the flag: -workers 0 is -workers 1.
 	fmt.Printf("target=%s strategy=%s hyperspace=%d scenarios budget=%d workers=%d%s\n",
-		target.Name(), *strategy, space.Size(), *tests, setup.Manifest.Workers, shardNote)
+		target.Name(), cfg.Strategy, space.Size(), cfg.Tests, setup.Manifest.Workers, shardNote)
 
 	// Ctrl-C (or the supervisor's drain signal) cancels the campaign; the
 	// batch in flight still completes and reaches the checkpoint, and the
@@ -181,7 +225,7 @@ func main() {
 	}
 	fmt.Printf("\n%s\n\n", wallLine(len(results), time.Since(start)))
 	if len(results) > 0 {
-		trace.SummarizeCampaign(os.Stdout, *strategy, results)
+		trace.SummarizeCampaign(os.Stdout, cfg.Strategy, results)
 		if cov, ok := explorer.(*core.CoverageExplorer); ok {
 			fmt.Printf("  corpus: %d entries kept of %d distinct behavior sets observed\n",
 				cov.Corpus().Len(), cov.Corpus().Behaviors())
@@ -206,7 +250,7 @@ func main() {
 
 	}
 	if csvFile != nil {
-		err := trace.WriteCampaignCSV(csvFile, *strategy, results)
+		err := trace.WriteCampaignCSV(csvFile, cfg.Strategy, results)
 		if err = errors.Join(err, csvFile.Close()); err != nil {
 			outputErr = errors.Join(outputErr, fmt.Errorf("csv: %w", err))
 		} else {
@@ -252,6 +296,24 @@ func createOutput(path string) *os.File {
 		fatal(err)
 	}
 	return f
+}
+
+// pbftWorkload is the paper's PBFT deployment measured over a window of
+// the given length, as the subcommands' -measure sets it.
+func pbftWorkload(measure time.Duration) cluster.Workload {
+	w := cluster.DefaultWorkload()
+	w.Measure = measure
+	return w
+}
+
+// checkGrid refuses a value the space would clamp onto its grid, which
+// would silently run a scenario other than the one asked for.
+func checkGrid(space *scenario.Space, vals map[string]int64) {
+	for _, d := range space.Dimensions() {
+		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
+			fatal(fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v))
+		}
+	}
 }
 
 // startCPUProfile starts CPU profiling into f and returns the function

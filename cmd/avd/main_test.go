@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,16 +20,42 @@ import (
 	"avd/internal/plugin"
 )
 
-// buildAvd builds the binary under test into dir.
-func buildAvd(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "avd")
-	build := exec.Command("go", "build", "-o", bin, "avd/cmd/avd")
-	build.Dir = "../.."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+// built is the binary under test, built once per package run.
+var built struct {
+	once      sync.Once
+	dir, path string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if built.dir != "" {
+		os.RemoveAll(built.dir)
 	}
-	return bin
+	os.Exit(code)
+}
+
+// buildAvd returns the binary under test, building it on first use.
+func buildAvd(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	built.once.Do(func() {
+		if built.dir, built.err = os.MkdirTemp("", "avd-test"); built.err != nil {
+			return
+		}
+		built.path = filepath.Join(built.dir, "avd")
+		build := exec.Command("go", "build", "-o", built.path, "avd/cmd/avd")
+		build.Dir = "../.."
+		if out, err := build.CombinedOutput(); err != nil {
+			built.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if built.err != nil {
+		t.Fatal(built.err)
+	}
+	return built.path
 }
 
 // TestBadShardFlagExitsBeforeState: a -shard that is not k/K exactly is
@@ -39,7 +66,7 @@ func TestBadShardFlagExitsBeforeState(t *testing.T) {
 	}
 	dir := t.TempDir()
 	state := filepath.Join(dir, "state")
-	out, err := exec.Command(buildAvd(t, dir), "-shard", "1/2/7junk", "-tests", "2", "-state", state).CombinedOutput()
+	out, err := exec.Command(buildAvd(t), "-shard", "1/2/7junk", "-tests", "2", "-state", state).CombinedOutput()
 	if err == nil {
 		t.Errorf("avd -shard 1/2/7junk exited 0:\n%s", out)
 	}
@@ -84,7 +111,7 @@ func TestResumeAcrossShardPlansRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := exec.Command(buildAvd(t, dir), "-shard", "0/2", "-tests", "4", "-measure", "300ms", "-state", state, "-quiet").CombinedOutput()
+	out, err := exec.Command(buildAvd(t), "-shard", "0/2", "-tests", "4", "-measure", "300ms", "-state", state, "-quiet").CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "shard axis: resuming with correct_clients, campaign was started with mac_mask") {
 		t.Errorf("resume over the other plan's state: err %v, want a refusal naming the shard axis:\n%s", err, out)
 	}
@@ -104,7 +131,7 @@ func TestResumeWithChangedMeasureRefused(t *testing.T) {
 		t.Skip("builds the binary and runs a real campaign")
 	}
 	dir := t.TempDir()
-	bin, state := buildAvd(t, dir), filepath.Join(dir, "state")
+	bin, state := buildAvd(t), filepath.Join(dir, "state")
 	run := func(measure string) ([]byte, error) {
 		return exec.Command(bin, "-tests", "2", "-measure", measure, "-state", state, "-quiet").CombinedOutput()
 	}
@@ -131,7 +158,7 @@ func TestProfileFlags(t *testing.T) {
 		t.Skip("builds the binary and runs a real campaign")
 	}
 	dir := t.TempDir()
-	bin := buildAvd(t, dir)
+	bin := buildAvd(t)
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	run := exec.Command(bin, "-tests", "12", "-seed", "3", "-quiet", "-cpuprofile", cpu, "-memprofile", mem, "-workers", "0", "-top", "0")
 	out, err := run.CombinedOutput()
@@ -164,7 +191,7 @@ func TestBadOutputPathExitsBeforeCampaign(t *testing.T) {
 		t.Skip("builds the binary")
 	}
 	dir := t.TempDir()
-	bin := buildAvd(t, dir)
+	bin := buildAvd(t)
 	bad := filepath.Join(dir, "no", "such", "dir", "out")
 	for _, flag := range []string{"-csv", "-memprofile", "-cpuprofile"} {
 		state := filepath.Join(dir, "state"+flag)
@@ -189,7 +216,7 @@ func TestInterruptedMinimizeSkipsMinimization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs a real campaign")
 	}
-	run := exec.Command(buildAvd(t, t.TempDir()), "-tests", "400", "-seed", "3", "-minimize")
+	run := exec.Command(buildAvd(t), "-tests", "400", "-seed", "3", "-minimize")
 	stdout, err := run.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

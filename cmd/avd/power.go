@@ -1,16 +1,9 @@
-// Command power quantifies the "power of an attacker" idea of §4: the
-// number of tests AVD needs to find a vulnerability is a rule-of-thumb
-// for how hard a real attacker with the same capabilities would have to
-// work. We grant the controller successively more power — more tools,
-// i.e. more plugins and hyperspace dimensions — and report the tests
-// needed to reach a damaging attack at each level, averaged over seeds.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"avd/internal/cluster"
@@ -18,15 +11,28 @@ import (
 	"avd/internal/plugin"
 )
 
-func main() {
+// power quantifies the "power of an attacker" idea of §4: the number of
+// tests AVD needs to find a vulnerability is a rule-of-thumb for how hard
+// a real attacker with the same capabilities would have to work. We grant
+// the controller successively more power — more tools, i.e. more plugins
+// and hyperspace dimensions — and report the tests needed to reach a
+// damaging attack at each level, averaged over seeds.
+func power(args []string) {
+	fs := flag.NewFlagSet("avd power", flag.ExitOnError)
 	var (
-		budget  = flag.Int("budget", 80, "test budget per campaign")
-		seeds   = flag.Int("seeds", 5, "seeds to average over")
-		measure = flag.Duration("measure", time.Second, "virtual measurement window per test")
-		thresh  = flag.Float64("impact", 0.9, "impact threshold counting as 'vulnerability found'")
-		workers = flag.Int("workers", 1, "parallel test-execution workers per campaign (results are reproducible per seed+workers pair)")
+		budget  = fs.Int("budget", 80, "test budget per campaign")
+		seeds   = fs.Int("seeds", 5, "seeds to average over")
+		measure = fs.Duration("measure", time.Second, "virtual measurement window per test")
+		thresh  = fs.Float64("impact", 0.9, "impact threshold counting as 'vulnerability found'")
+		workers = fs.Int("workers", 1, "parallel test-execution workers per campaign (results are reproducible per seed+workers pair)")
 	)
-	flag.Parse()
+	parseFlags(fs, args)
+	if *budget < 1 {
+		fatal(fmt.Errorf("-budget %d must be at least 1", *budget))
+	}
+	if *seeds < 1 {
+		fatal(fmt.Errorf("-seeds %d must be at least 1", *seeds))
+	}
 
 	levels := []struct {
 		name    string
@@ -59,8 +65,7 @@ func main() {
 		},
 	}
 
-	w := cluster.DefaultWorkload()
-	w.Measure = *measure
+	w := pbftWorkload(*measure)
 	fmt.Printf("attacker power vs. tests-to-find (impact >= %.2f), %d seeds x %d tests\n\n", *thresh, *seeds, *budget)
 	fmt.Printf("%-32s %14s %10s  %s\n", "power level", "tests-to-find", "found", "attacker position")
 	for _, level := range levels {
@@ -95,9 +100,4 @@ func main() {
 	}
 	fmt.Println("\nfewer tests-to-find at higher power levels = less effort for an")
 	fmt.Println("equally-capable real attacker; use this ordering to prioritize fixes (§4).")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "power:", err)
-	os.Exit(1)
 }

@@ -1,39 +1,37 @@
-// Command slowprimary reproduces the previously undocumented PBFT bug
-// that AVD discovered (§6): the implementation keeps a single
-// view-change timer per replica instead of one per request, so a
-// malicious primary that executes one client request per timer period
-// (5 seconds by default) is never suspected — diminishing PBFT
-// throughput to 0.2 requests/second. If a malicious client cooperates
-// with the primary, the primary can ignore correct clients entirely,
-// and the useful throughput drops to 0.
-//
-// The experiment uses the paper's real 5-second timer (the system is
-// nearly idle, so simulation cost is negligible) and compares the buggy
-// single-timer implementation with the spec-compliant per-request
-// timers that fix the bug.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"maps"
-	"os"
 	"time"
 
 	"avd/internal/cluster"
 	"avd/internal/core"
 	"avd/internal/pbft"
 	"avd/internal/plugin"
-	"avd/internal/scenario"
 )
 
-func main() {
+// slowprimary reproduces the previously undocumented PBFT bug that AVD
+// discovered (§6): the implementation keeps a single view-change timer per
+// replica instead of one per request, so a malicious primary that executes
+// one client request per timer period (5 seconds by default) is never
+// suspected — diminishing PBFT throughput to 0.2 requests/second. If a
+// malicious client cooperates with the primary, the primary can ignore
+// correct clients entirely, and the useful throughput drops to 0.
+//
+// The experiment uses the paper's real 5-second timer (the system is
+// nearly idle, so simulation cost is negligible) and compares the buggy
+// single-timer implementation with the spec-compliant per-request timers
+// that fix the bug.
+func slowprimary(args []string) {
+	fs := flag.NewFlagSet("avd slowprimary", flag.ExitOnError)
 	var (
-		clients = flag.Int64("clients", 20, "correct clients in the deployment")
-		window  = flag.Duration("measure", 60*time.Second, "virtual measurement window")
-		timer   = flag.Duration("timer", 5*time.Second, "view-change timer period (paper default 5s)")
+		clients = fs.Int64("clients", 20, "correct clients in the deployment")
+		window  = fs.Duration("measure", 60*time.Second, "virtual measurement window")
+		timer   = fs.Duration("timer", 5*time.Second, "view-change timer period (paper default 5s)")
 	)
-	flag.Parse()
+	parseFlags(fs, args)
 
 	type row struct {
 		name    string
@@ -59,9 +57,7 @@ func main() {
 		plugin.DimMaliciousClients: 1,
 		plugin.DimSlowIntervalMS:   int64((*timer) * 9 / 10 / time.Millisecond),
 	}
-	if err := checkGrid(space, base); err != nil {
-		fatal(err)
-	}
+	checkGrid(space, base)
 
 	fmt.Printf("deployment: 4 replicas (f=1), %d correct clients; view-change timer %v; window %v\n",
 		*clients, *timer, *window)
@@ -69,8 +65,7 @@ func main() {
 	fmt.Printf("%-46s %14s %14s %8s %s\n", "configuration", "useful req/s", "avg latency", "views", "verdict")
 
 	for _, r := range rows {
-		w := cluster.DefaultWorkload()
-		w.Measure = *window
+		w := pbftWorkload(*window)
 		w.Warmup = 2 * time.Second
 		w.PBFT.ViewChangeTimeout = *timer
 		w.PBFT.NewViewTimeout = *timer / 2
@@ -103,20 +98,4 @@ func main() {
 
 	fmt.Println("\npaper §6: single timer + slow primary -> 0.2 req/s; with collusion -> 0 useful req/s;")
 	fmt.Println("Aardvark avoids this class of bug by enforcing minimum primary throughput.")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "slowprimary:", err)
-	os.Exit(1)
-}
-
-// checkGrid refuses a value the space would clamp onto its grid, which
-// would silently run a scenario other than the one asked for.
-func checkGrid(space *scenario.Space, vals map[string]int64) error {
-	for _, d := range space.Dimensions() {
-		if v, ok := vals[d.Name]; ok && d.Clamp(v) != v {
-			return fmt.Errorf("%s must be on %d..%d step %d, not %d", d.Name, d.Min, d.Max, d.Step, v)
-		}
-	}
-	return nil
 }

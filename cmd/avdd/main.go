@@ -1,4 +1,4 @@
-// Command avdd supervises a K-way sharded vulnerability-discovery
+// Command avdd supervises a K-way sharded vulnerability discovery
 // campaign: it launches one cmd/avd worker per shard (each exploring a
 // deterministic sub-space and journaling to its own durable checkpoint
 // under -state), restarts crashed or hung workers with exponential
@@ -27,7 +27,6 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -39,19 +38,12 @@ import (
 )
 
 func main() {
+	var cfg campaign.Config
+	cfg.RegisterFlags(flag.CommandLine)
 	var (
 		workerBin  = flag.String("worker", "", "path to the cmd/avd worker binary (required)")
 		shards     = flag.Int("shards", 2, "number of shards K; each runs one strided sub-space")
 		stateDir   = flag.String("state", "", "campaign state directory shared by all shards (required)")
-		targetName = flag.String("target", "pbft", "system under test: pbft | raft")
-		strategy   = flag.String("strategy", "avd", "exploration strategy: avd | random | genetic | coverage")
-		tests      = flag.Int("tests", 125, "test budget per shard")
-		seed       = flag.Int64("seed", 1, "random seed (every shard derives its own deterministic stream)")
-		measure    = flag.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
-		pluginsCS  = flag.String("plugins", "", "comma-separated plugins forwarded to the workers")
-		faultsCS   = flag.String("faults", "", "comma-separated fault plugins forwarded to the workers")
-		stepBudget = flag.Uint64("stepbudget", 2_000_000, "per-test simulation event budget forwarded to the workers")
-		workers    = flag.Int("workers", 1, "parallel test-execution workers per shard")
 		retries    = flag.Int("retries", 5, "restarts per shard before marking it failed")
 		backoff    = flag.Duration("backoff", 250*time.Millisecond, "initial restart backoff (doubles per attempt)")
 		backoffMax = flag.Duration("backoffmax", 10*time.Second, "restart backoff cap")
@@ -62,6 +54,12 @@ func main() {
 		csvPath    = flag.String("csv", "", "write merged per-test results to this CSV file")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// Parsing stops at the first word that is not a flag; the flags
+		// after it would otherwise be dropped without a sound.
+		fmt.Fprintln(os.Stderr, "avdd: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 	if *workerBin == "" || *stateDir == "" {
 		fmt.Fprintln(os.Stderr, "avdd: -worker and -state are required")
 		os.Exit(2)
@@ -80,51 +78,22 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := campaign.Config{
-		Target:     *targetName,
-		Strategy:   *strategy,
-		Tests:      *tests,
-		Seed:       *seed,
-		Measure:    *measure,
-		Plugins:    *pluginsCS,
-		Faults:     *faultsCS,
-		StepBudget: *stepBudget,
-		Workers:    *workers,
-		Shards:     *shards,
-	}
+	cfg.Shards = *shards
 	// The supervisor derives the same plan the workers will: Build is a
 	// pure function of the flags.
-	probe := cfg
-	probe.Shard, probe.Shards = 0, *shards
-	setup, err := campaign.Build(probe)
+	setup, err := campaign.Build(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	if *shards > 1 {
 		fmt.Printf("avdd: %s over %s, budget %d x %d shards\n",
-			setup.Plan, setup.Manifest.Target, *tests, *shards)
+			setup.Plan, setup.Manifest.Target, cfg.Tests, *shards)
 	}
 
 	sup, err := supervise.New(supervise.Config{
 		Shards: *shards,
 		Command: func(k int) *exec.Cmd {
-			args := []string{
-				"-target", *targetName,
-				"-strategy", *strategy,
-				"-tests", strconv.Itoa(*tests),
-				"-seed", strconv.FormatInt(*seed, 10),
-				"-measure", measure.String(),
-				"-stepbudget", strconv.FormatUint(*stepBudget, 10),
-				"-workers", strconv.Itoa(*workers),
-				"-state", *stateDir,
-				"-quiet",
-			}
-			if *pluginsCS != "" {
-				args = append(args, "-plugins", *pluginsCS)
-			}
-			if *faultsCS != "" {
-				args = append(args, "-faults", *faultsCS)
-			}
+			args := append(cfg.Args(), "-state", *stateDir, "-quiet")
 			if *shards > 1 {
 				args = append(args, "-shard", fmt.Sprintf("%d/%d", k, *shards))
 			}
@@ -214,7 +183,7 @@ func main() {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "shards %d/%d complete, %d merged results\n", survivors, *shards, len(merged))
-	trace.SummarizeCampaign(&sb, *strategy, merged)
+	trace.SummarizeCampaign(&sb, cfg.Strategy, merged)
 	if *shards > 1 {
 		shardImpactLines(&sb, perShard)
 	}
@@ -227,7 +196,7 @@ func main() {
 		fmt.Printf("avdd: wrote %s\n", *summaryOut)
 	}
 	if csvFile != nil {
-		err := trace.WriteCampaignCSV(csvFile, *strategy, merged)
+		err := trace.WriteCampaignCSV(csvFile, cfg.Strategy, merged)
 		if err = errors.Join(err, csvFile.Close()); err != nil {
 			fatal(fmt.Errorf("csv: %w", err))
 		}

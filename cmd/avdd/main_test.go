@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -48,6 +49,27 @@ func TestBadCSVPathExitsBeforeWorkers(t *testing.T) {
 	}
 	if _, err := os.Stat(state); !os.IsNotExist(err) {
 		t.Errorf("the refused run left a state directory behind (stat: %v)\n%s", err, out)
+	}
+}
+
+// TestStrayArgumentRefused: flag parsing stops at the first word that is
+// not a flag, and the flags after it used to be dropped without a word —
+// this ran a PBFT campaign. Leftover arguments now exit 2, named, before a
+// worker starts or the state directory exists.
+func TestStrayArgumentRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	avd, avdd := buildBinaries(t)
+	state := filepath.Join(t.TempDir(), "state")
+	out, err := exec.Command(avdd, "-worker", avd, "-state", state, "-shards", "1", "-tests", "1",
+		"-measure", "100ms", "stray", "-target", "raft").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "stray -target raft") {
+		t.Errorf("avdd with a stray word: %v, want exit status 2 naming it:\n%s", err, out)
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("the refused run left a state directory behind (stat: %v)", err)
 	}
 }
 

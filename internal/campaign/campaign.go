@@ -1,4 +1,4 @@
-// Package campaign assembles vulnerability-discovery campaigns from
+// Package campaign assembles vulnerability discovery campaigns from
 // flag-level configuration: target construction, plugin/fault parsing,
 // explorer selection, shard planning and manifest stamping. It is the
 // shared core of cmd/avd (one campaign process, possibly one shard of a
@@ -8,6 +8,7 @@
 package campaign
 
 import (
+	"flag"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -34,6 +35,34 @@ type Config struct {
 	Workers    int           // parallel test-execution workers; below 1 runs as 1, which is what Build records
 	Shard      int           // 0-based shard index
 	Shards     int           // K; <= 1 means unsharded
+}
+
+// RegisterFlags defines the campaign flags, -target through -workers, on
+// fs; parsing fs fills c. Shard and Shards are not among them: avd takes
+// one shard as -shard k/K, and avdd the shard count as -shards.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.Target, "target", "pbft", "system under test: pbft | raft")
+	fs.StringVar(&c.Strategy, "strategy", "avd", "exploration strategy: avd | random | genetic | coverage")
+	fs.IntVar(&c.Tests, "tests", 125, "test budget (per shard when sharded)")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed (every shard derives its own deterministic stream)")
+	fs.DurationVar(&c.Measure, "measure", 1500*time.Millisecond, "virtual measurement window per test")
+	fs.StringVar(&c.Plugins, "plugins", "", "comma-separated plugins (pbft: maccorrupt,clients,reorder,faultplan,slowprimary; raft: raftclients,leaderflap); empty = target default")
+	fs.StringVar(&c.Faults, "faults", "", "comma-separated fault-vocabulary-v2 plugins armed on top of -plugins: crash (crash-restart with optional durable-state loss), skew (per-node clock drift), oneway (asymmetric partition), corrupt, dup (per-link ModMask corruption/duplication)")
+	fs.Uint64Var(&c.StepBudget, "stepbudget", 2_000_000, "per-test simulation event budget; a scenario that exceeds it is reported hung instead of stalling the campaign (0 = unlimited)")
+	fs.IntVar(&c.Workers, "workers", 1, "parallel test-execution workers (results are reproducible per seed+workers pair)")
+}
+
+// Args renders c's campaign flags as the arguments RegisterFlags parses
+// back into c: what a supervisor hands each worker. Every registered flag
+// is rendered, so a flag added there reaches the workers too.
+func (c Config) Args() []string {
+	var bound Config
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	bound.RegisterFlags(fs)
+	bound = c // the flags read bound's fields, so they now render c
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+	return args
 }
 
 // Setup is a fully assembled campaign, ready to hand to core.NewEngine.

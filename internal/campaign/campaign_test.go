@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -159,6 +160,44 @@ func TestParseShard(t *testing.T) {
 		shard, shards, err := ParseShard(tc.in)
 		if (err == nil) != tc.ok || shard != tc.shard || shards != tc.shards {
 			t.Errorf("ParseShard(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, shard, shards, err, tc.shard, tc.shards, tc.ok)
+		}
+	}
+}
+
+// TestArgsRoundTrip: the arguments avdd hands a worker parse back into the
+// supervisor's Config, with every field at its flag default and with every
+// field moved off it. The shard travels as -shard k/K instead, so Shard
+// and Shards are the only fields Args may leave out: a field added to
+// Config without a flag fails here.
+func TestArgsRoundTrip(t *testing.T) {
+	var defaults Config
+	defaults.RegisterFlags(flag.NewFlagSet("defaults", flag.ContinueOnError))
+	moved := defaults
+	v := reflect.ValueOf(&moved).Elem()
+	for i := range v.NumField() {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case name == "Shard" || name == "Shards":
+			continue
+		case f.Kind() == reflect.String:
+			f.SetString("x-" + name + ", with space")
+		case f.CanInt():
+			f.SetInt(f.Int() + 7001 + int64(i))
+		case f.CanUint():
+			f.SetUint(f.Uint() + 7001 + uint64(i))
+		default:
+			t.Fatalf("Config.%s is a %s: give it a value here", name, f.Kind())
+		}
+	}
+	for _, want := range []Config{defaults, moved} {
+		var got Config
+		fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+		got.RegisterFlags(fs)
+		if err := fs.Parse(want.Args()); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%q parsed back into\n%+v, want\n%+v", want.Args(), got, want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // deployment (500 ms view-change timer instead of 5 s) so that a
 // measurement window of a few virtual seconds spans several
 // timer/view-change cycles; EXPERIMENTS.md discusses the scaling. The
-// slow-primary experiment (cmd/slowprimary) uses the paper's real 5 s
+// slow-primary experiment (avd slowprimary) uses the paper's real 5 s
 // timer, where the 0.2 req/s result emerges exactly.
 type Workload struct {
 	// PBFT is the protocol configuration shared by all replicas.

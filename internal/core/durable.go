@@ -92,12 +92,30 @@ func (ri RecoveryInfo) String() string {
 // magic) fails with a *CheckpointError of kind CheckpointGarbage rather
 // than being silently overwritten.
 func OpenDurable(path string, space *scenario.Space) (*DurableCheckpoint, RecoveryInfo, error) {
+	ck, info, err := readSnapshot(path, space)
+	if err != nil {
+		return nil, info, err
+	}
+	journalPath := path + ".journal"
+	journal, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, info, fmt.Errorf("core: durable journal %s: %w", journalPath, err)
+	}
+	if err := recoverJournal(journal, space, ck, &info); err != nil {
+		journal.Close()
+		return nil, info, err
+	}
+	return &DurableCheckpoint{ck: ck, space: space, path: path, journal: journal, count: ck.Len()}, info, nil
+}
+
+// readSnapshot loads the snapshot at path into a fresh checkpoint; an
+// absent snapshot is fresh state.
+func readSnapshot(path string, space *scenario.Space) (*Checkpoint, RecoveryInfo, error) {
 	var info RecoveryInfo
 	if space == nil {
 		return nil, info, fmt.Errorf("core: durable checkpoint needs a space")
 	}
 	ck := NewCheckpoint()
-
 	// Snapshot: atomically renamed into place, so it is either absent or
 	// complete. A torn tail can still appear if the snapshot was copied
 	// or the filesystem lied about durability; recover the valid prefix
@@ -121,78 +139,35 @@ func OpenDurable(path string, space *scenario.Space) (*DurableCheckpoint, Recove
 	default:
 		return nil, info, fmt.Errorf("core: durable snapshot %s: %w", path, err)
 	}
-
-	journalPath := path + ".journal"
-	journal, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: durable journal %s: %w", journalPath, err)
-	}
-	if err := recoverJournal(journal, space, ck, &info); err != nil {
-		journal.Close()
-		return nil, info, err
-	}
-	return &DurableCheckpoint{ck: ck, space: space, path: path, journal: journal, count: ck.Len()}, info, nil
+	return ck, info, nil
 }
 
-// recoverJournal replays journal frames into ck, truncating a torn tail
-// back to the last valid frame. On return the file offset is at the end
-// of the valid prefix, ready for appends.
-func recoverJournal(f *os.File, space *scenario.Space, ck *Checkpoint, info *RecoveryInfo) error {
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fmt.Errorf("core: durable journal: %w", err)
-	}
-	if size == 0 {
-		// Fresh journal: stamp the magic.
-		if _, err := f.Write([]byte(journalMagic)); err != nil {
-			return fmt.Errorf("core: durable journal: %w", err)
-		}
-		return f.Sync()
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("core: durable journal: %w", err)
-	}
-	magic := make([]byte, len(journalMagic))
-	if n, err := io.ReadFull(f, magic); err != nil || string(magic) != journalMagic {
-		if err == nil {
-			return &CheckpointError{Kind: CheckpointGarbage, Line: 1,
-				Err: fmt.Errorf("journal magic %q, want %q", magic, journalMagic)}
-		}
-		// Shorter than the magic itself: a creation cut short before the
-		// stamp landed. Rewrite it as fresh.
-		if err := f.Truncate(0); err != nil {
-			return fmt.Errorf("core: durable journal: %w", err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("core: durable journal: %w", err)
-		}
-		info.TornTail = true
-		info.TruncatedBytes += int64(n)
-		if _, err := f.Write([]byte(journalMagic)); err != nil {
-			return fmt.Errorf("core: durable journal: %w", err)
-		}
-		return f.Sync()
-	}
+// frameHeader is a journal frame's [len][crc32][start] prefix.
+const frameHeader = 12
 
-	valid := int64(len(journalMagic))
-	var header [12]byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			if err == io.EOF {
-				return nil // clean end
-			}
-			break // torn header
-		}
+// readJournal replays the frames of journal bytes data into ck and
+// returns the length of their valid prefix; the bytes after it are a torn
+// tail, counted in info. Data shorter than the magic is a creation cut
+// short before the stamp landed, with a valid prefix of 0.
+func readJournal(data []byte, space *scenario.Space, ck *Checkpoint, info *RecoveryInfo) (int, error) {
+	valid := 0
+	switch {
+	case len(data) < len(journalMagic):
+	case string(data[:len(journalMagic)]) != journalMagic:
+		return 0, &CheckpointError{Kind: CheckpointGarbage, Line: 1,
+			Err: fmt.Errorf("journal magic %q, want %q", data[:len(journalMagic)], journalMagic)}
+	default:
+		valid = len(journalMagic)
+	}
+	for valid > 0 && len(data)-valid >= frameHeader {
+		header := data[valid : valid+frameHeader]
 		length := binary.BigEndian.Uint32(header[:4])
 		sum := binary.BigEndian.Uint32(header[4:8])
 		start := binary.BigEndian.Uint32(header[8:])
-		if length == 0 || length > maxFrameBytes {
-			break // nonsense length: tail damage
+		if length == 0 || length > maxFrameBytes || uint64(len(data)-valid-frameHeader) < uint64(length) {
+			break // nonsense length or torn payload: tail damage
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
+		payload := data[valid+frameHeader : valid+frameHeader+int(length)]
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // torn or bit-rotted frame
 		}
@@ -201,7 +176,7 @@ func recoverJournal(f *os.File, space *scenario.Space, ck *Checkpoint, info *Rec
 			// The CRC vouches for the bytes, so this is not a torn write:
 			// the frame was fully written yet does not parse. Refuse to
 			// guess.
-			return fmt.Errorf("core: durable journal frame %d (CRC valid): %w", info.JournalFrames+1, err)
+			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid): %w", info.JournalFrames+1, err)
 		}
 		switch {
 		case int(start) == len(ck.results):
@@ -211,21 +186,50 @@ func recoverJournal(f *os.File, space *scenario.Space, ck *Checkpoint, info *Rec
 			// Already covered by the snapshot: a crash landed between the
 			// snapshot rename and the journal reset. Skip the replay.
 		default:
-			return fmt.Errorf("core: durable journal frame %d starts at result %d, have %d (CRC valid, structural damage)",
-				info.JournalFrames+1, start, len(ck.results))
+			// The start index is outside the CRC, so a flipped bit there
+			// reads as a frame out of place: damage, not a torn write. Line
+			// counts frames here.
+			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid, structural damage): %w", info.JournalFrames+1,
+				&CheckpointError{Kind: CheckpointCorrupt, Line: info.JournalFrames + 1, Recovered: ck.Len(), Partial: ck,
+					Err: fmt.Errorf("frame starts at result %d", start)})
 		}
 		info.JournalFrames++
-		valid += int64(len(header)) + int64(length)
+		valid += frameHeader + int(length)
 	}
-	if end, err := f.Seek(0, io.SeekEnd); err == nil && end > valid {
+	if len(data) > valid {
 		info.TornTail = true
-		info.TruncatedBytes += end - valid
+		info.TruncatedBytes += int64(len(data) - valid)
 	}
-	if err := f.Truncate(valid); err != nil {
+	return valid, nil
+}
+
+// recoverJournal replays journal frames into ck and truncates a torn tail
+// back to the last valid frame, restamping the magic when nothing valid
+// is left. On return the file offset is at the end of the valid prefix,
+// ready for appends.
+func recoverJournal(f *os.File, space *scenario.Space, ck *Checkpoint, info *RecoveryInfo) error {
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return fmt.Errorf("core: durable journal: %w", err)
+	}
+	valid, err := readJournal(data, space, ck, info)
+	if err != nil {
+		return err
+	}
+	if valid > 0 && valid == len(data) {
+		return nil // clean end; ReadAll left the offset there
+	}
+	if err := f.Truncate(int64(valid)); err != nil {
 		return fmt.Errorf("core: durable journal truncate: %w", err)
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		return fmt.Errorf("core: durable journal: %w", err)
+	}
+	if valid == 0 {
+		// Fresh, or a creation cut short: stamp the magic.
+		if _, err := f.Write([]byte(journalMagic)); err != nil {
+			return fmt.Errorf("core: durable journal: %w", err)
+		}
 	}
 	return f.Sync()
 }
@@ -259,7 +263,7 @@ func (d *DurableCheckpoint) Append(batch []Result) error {
 		return fmt.Errorf("core: durable append: %w", err)
 	}
 	payload := buf.Bytes()
-	var header [12]byte
+	var header [frameHeader]byte
 	binary.BigEndian.PutUint32(header[:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(header[4:8], crc32.ChecksumIEEE(payload))
 	binary.BigEndian.PutUint32(header[8:], uint32(d.count))
@@ -367,81 +371,19 @@ func syncDir(dir string) {
 // supervisor's merge step reads finished shards this way. A torn journal
 // tail is tolerated and reported in the RecoveryInfo.
 func ReadDurableResults(path string, space *scenario.Space) ([]Result, RecoveryInfo, error) {
-	var info RecoveryInfo
-	if space == nil {
-		return nil, info, fmt.Errorf("core: durable checkpoint needs a space")
+	ck, info, err := readSnapshot(path, space)
+	if err != nil {
+		return nil, info, err
 	}
-	ck := NewCheckpoint()
-	data, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		snap, derr := DecodeCheckpoint(bytes.NewReader(data), space)
-		if derr != nil {
-			ckErr, ok := derr.(*CheckpointError)
-			if !ok || ckErr.Kind != CheckpointTornTail {
-				return nil, info, fmt.Errorf("core: durable snapshot %s: %w", path, derr)
-			}
-			snap = ckErr.Partial
-			info.TornTail = true
-		}
-		ck.results = append(ck.results, snap.results...)
-		info.SnapshotResults = len(ck.results)
-	case os.IsNotExist(err):
-	default:
-		return nil, info, fmt.Errorf("core: durable snapshot %s: %w", path, err)
-	}
-	jdata, err := os.ReadFile(path + ".journal")
+	data, err := os.ReadFile(path + ".journal")
 	if err != nil {
 		if os.IsNotExist(err) {
 			return ck.results, info, nil
 		}
 		return nil, info, fmt.Errorf("core: durable journal: %w", err)
 	}
-	if len(jdata) < len(journalMagic) {
-		info.TornTail = info.TornTail || len(jdata) > 0
-		return ck.results, info, nil
-	}
-	if string(jdata[:len(journalMagic)]) != journalMagic {
-		return nil, info, &CheckpointError{Kind: CheckpointGarbage, Line: 1,
-			Err: fmt.Errorf("journal magic %q, want %q", jdata[:len(journalMagic)], journalMagic)}
-	}
-	rest := jdata[len(journalMagic):]
-	for len(rest) > 0 {
-		if len(rest) < 12 {
-			info.TornTail = true
-			info.TruncatedBytes += int64(len(rest))
-			break
-		}
-		length := binary.BigEndian.Uint32(rest[:4])
-		sum := binary.BigEndian.Uint32(rest[4:8])
-		start := binary.BigEndian.Uint32(rest[8:12])
-		if length == 0 || length > maxFrameBytes || int64(len(rest)-12) < int64(length) {
-			info.TornTail = true
-			info.TruncatedBytes += int64(len(rest))
-			break
-		}
-		payload := rest[12 : 12+length]
-		if crc32.ChecksumIEEE(payload) != sum {
-			info.TornTail = true
-			info.TruncatedBytes += int64(len(rest))
-			break
-		}
-		batch, derr := DecodeCheckpoint(bytes.NewReader(payload), space)
-		if derr != nil {
-			return nil, info, fmt.Errorf("core: durable journal frame %d (CRC valid): %w", info.JournalFrames+1, derr)
-		}
-		switch {
-		case int(start) == len(ck.results):
-			ck.results = append(ck.results, batch.results...)
-			info.JournalResults += batch.Len()
-		case int(start)+batch.Len() <= len(ck.results):
-			// Covered by the snapshot already; see recoverJournal.
-		default:
-			return nil, info, fmt.Errorf("core: durable journal frame %d starts at result %d, have %d (CRC valid, structural damage)",
-				info.JournalFrames+1, start, len(ck.results))
-		}
-		info.JournalFrames++
-		rest = rest[12+length:]
+	if _, err := readJournal(data, space, ck, &info); err != nil {
+		return nil, info, err
 	}
 	return ck.results, info, nil
 }
