@@ -215,6 +215,10 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 // Workload returns the runner's workload.
 func (r *Runner) Workload() Workload { return r.w }
 
+// Pool returns the slab pool every deployment of the runner leases its
+// window memory from.
+func (r *Runner) Pool() *slab.Pool { return &r.pool }
+
 // dropWindow drops sends from one address for call numbers in
 // [start, start+length) — the FaultPlan plugin's network fault.
 type dropWindow struct {

@@ -91,7 +91,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		d.byzIdx = 0
 	}
 	d.net = simnet.New(d.eng, w.Net)
-	d.net.SetReleaser(arena.Release)
+	d.net.SetOwner(arena)
 
 	// Protocol oracles observe every replica's executions: no two
 	// replicas may commit different batches at one sequence number
@@ -136,7 +136,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		PickVictim: d.pickCrashVictim,
 		Crash:      func(node int, keepDurable bool) bool { return d.replicas[node].Crash(keepDurable) },
 		Restart:    func(node int) { d.replicas[node].Restart() },
-		Corrupt:    corruptPayload,
+		Corrupt:    pbft.Corrupt,
 	}
 	for _, rpl := range d.replicas {
 		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: rpl.Addr(), Clock: rpl.Clock()})
@@ -311,35 +311,6 @@ func (d *deployment) pickCrashVictim(strikes uint64) int {
 		}
 	}
 	return -1
-}
-
-// corruptPayload is the PBFT target's simnet.Corrupter: it garbles a
-// protocol message into a new value (payloads are pooled and shared, so
-// corruption must never mutate in place). Flipping the digest a vote or
-// proposal speaks for desynchronizes it from its authenticator, so the
-// receiver rejects it — modelling bit rot that PBFT's MACs catch, which
-// selectively erases agreement votes from the schedule. Client traffic is
-// left alone (it has its own MAC-corruption tool).
-func corruptPayload(from, to simnet.Addr, payload any) any {
-	switch m := payload.(type) {
-	case *pbft.PrePrepare:
-		c := *m
-		c.Digest ^= 1
-		return &c
-	case *pbft.Prepare:
-		c := *m
-		c.Digest ^= 1
-		return &c
-	case *pbft.Commit:
-		c := *m
-		c.Digest ^= 1
-		return &c
-	case *pbft.Checkpoint:
-		c := *m
-		c.Digest ^= 1
-		return &c
-	}
-	return nil
 }
 
 // Measure runs the given measurement window and collects the scenario

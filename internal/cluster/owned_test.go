@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"avd/internal/core"
+	"avd/internal/graycode"
 	"avd/internal/oracle"
 	"avd/internal/plugin"
 	"avd/internal/slab"
@@ -133,5 +134,100 @@ func TestRunOnFromCaptureThenFork(t *testing.T) {
 	assertSameTrace(t, "fork after running on", wantTrace, trace)
 	if !reflect.DeepEqual(wantRes, res) || !reflect.DeepEqual(wantRep, rep) {
 		t.Errorf("fork after running on differs from cold:\ncold: %+v %+v\nfork: %+v %+v", wantRes, wantRep, res, rep)
+	}
+}
+
+// sharedWorkload captures its masters with commit votes and replies in
+// flight (requireVotesInFlight), and its window is long enough for the
+// view-change timers to fire.
+func sharedWorkload() Workload {
+	w := DefaultWorkload()
+	w.Warmup = 104250 * time.Microsecond
+	w.Measure = 1500 * time.Millisecond
+	return w
+}
+
+// requireVotesInFlight runs a just-captured deployment on for less than
+// one network latency: a batch that executes in that time was committed
+// by votes already in flight at the capture.
+func requireVotesInFlight(t *testing.T, d *deployment) {
+	t.Helper()
+	executed := func() (n uint64) {
+		for _, rp := range d.replicas {
+			n += rp.Stats().BatchesExecuted
+		}
+		return n
+	}
+	before := executed()
+	d.eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
+	if executed() == before {
+		t.Fatal("no vote was in flight at the capture: the test would prove nothing, pick another warm-up")
+	}
+}
+
+// TestSharedPayloadsForkedEqualsCold: requests, votes, pre-prepares and
+// their authenticators go back to the arena when their last holder drops
+// them (DESIGN.md §15), and with the pool poisoned a release too many
+// shows as a diverging trace or as the slab's put-twice panic. Each case
+// forked three times equals its cold run: a master captured with votes
+// and replies in flight, whose every fork delivers them again; a MAC-mask
+// attack whose poisoned batches heal through retransmissions and whose
+// view changes re-propose prepared batches; crashes with state loss,
+// which free the whole log; dup and corrupt faults on one replica's links,
+// which add a holder and swap a payload for a copy; and a slow primary
+// colluding with the malicious client, whose single-request batches are
+// cut from the pending buffer.
+func TestSharedPayloadsForkedEqualsCold(t *testing.T) {
+	slab.SetPoison(true)
+	defer slab.SetPoison(false)
+	w := sharedWorkload()
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewCrashRestart(), plugin.NewNetFaults(4), &plugin.SlowPrimary{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := newRunner(t, w).newDeployment(masterKey{correct: 250, malicious: 1})
+	probe.Capture()
+	requireVotesInFlight(t, probe)
+	for _, tc := range []struct {
+		name  string
+		point map[string]int64
+		// exercised reports whether the cold run did what the case is for.
+		exercised func(Report) bool
+	}{
+		{"unarmed, votes in flight at the capture",
+			map[string]int64{plugin.DimCorrectClients: 250},
+			func(rep Report) bool { return rep.CorrectCompleted > 0 }},
+		{"MAC mask: healing, retransmissions, view changes",
+			map[string]int64{plugin.DimCorrectClients: 30, plugin.DimMACMask: int64(graycode.Decode(0xBBB))},
+			func(rep Report) bool {
+				return rep.Retransmissions > 0 && rep.RejectedBatches > 0 && rep.ViewsInstalled > 0
+			}},
+		{"crash with state loss",
+			map[string]int64{plugin.DimCorrectClients: 30, plugin.DimCrashIntervalMS: 60, plugin.DimCrashDownMS: 30, plugin.DimCrashLose: 1},
+			func(rep Report) bool { return rep.Crashes > 0 }},
+		{"dup and corrupt on one replica's links",
+			map[string]int64{plugin.DimCorrectClients: 30, plugin.DimDupMask: 0xFF, plugin.DimCorruptMask: 0x3C, plugin.DimNetFaultFrom: 1},
+			func(rep Report) bool { return rep.CorrectCompleted > 0 }},
+		{"slow primary colluding",
+			map[string]int64{plugin.DimCorrectClients: 30, plugin.DimSlowPrimary: 1, plugin.DimCollude: 1, plugin.DimSlowIntervalMS: 400},
+			func(rep Report) bool { return rep.MaliciousCompleted > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRunner(t, w)
+			point := map[string]int64{plugin.DimMaliciousClients: 1}
+			maps.Copy(point, tc.point)
+			sc := space.New(point)
+			coldRes, coldRep, coldTrace := r.RunTraced(sc)
+			if !tc.exercised(coldRep) {
+				t.Fatalf("the cold run does not exercise the case: %+v", coldRep)
+			}
+			for fork := 0; fork < 3; fork++ {
+				res, rep, trace := r.RunTracedFork(sc)
+				assertSameTrace(t, tc.name, coldTrace, trace)
+				if !reflect.DeepEqual(coldRes, res) || !reflect.DeepEqual(coldRep, rep) {
+					t.Errorf("fork %d differs from cold:\ncold: %+v %+v\nfork: %+v %+v", fork, coldRes, coldRep, res, rep)
+				}
+			}
+		})
 	}
 }

@@ -44,7 +44,9 @@ type HarnessSpec[K comparable, D any] struct {
 	Config any
 	// ClientsDim names the dimension holding the correct-client count.
 	// Impact is relative to the attack-free throughput of the same count,
-	// so baselines are measured and memoized per value of it.
+	// so baselines are measured and memoized per value of it, each on the
+	// master Key gives a scenario that sets this dimension alone — which
+	// need not be a master any attack run uses (see measureBaseline).
 	ClientsDim string
 	// Key is the structural identity of the deployment a scenario runs
 	// on — everything that shapes the warm-up. Fault parameters are not
@@ -253,9 +255,16 @@ func (h *Harness[K, D, R]) Baseline(clients int64) float64 {
 	return h.baselines.Get(clients, h.measureBaseline)
 }
 
-// measureBaseline forks the very master attack runs of the count use and
+// measureBaseline forks the master of the count's baseline population —
+// the scenario that sets ClientsDim alone, so every other structural axis
+// takes what Key makes of its absence (one malicious client on PBFT) — and
 // arms nothing: faults arm at measurement start, so the warmed capture is
-// already fault-neutral and a baseline never pays a build of its own.
+// already fault-neutral. Attack runs of that population share the master;
+// when none has run, the baseline builds it, and its whole cost is the
+// baseline phase's. On pbft-fig2 three of the 37 masters exist only for a
+// baseline (34 attack populations over 22 correct counts), and the
+// benchmark's harness.masters_built, which counts attack populations, does
+// not see them.
 func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	start := metrics.StartWatch()
 	defer func() { h.phases.AddBaseline(start.Elapsed()) }()

@@ -203,11 +203,18 @@ func (c *Client) issueNext() {
 	req := c.buildRequest(false)
 	c.curDigest = req.Digest()
 	if c.ccfg.Broadcast {
-		c.net.Broadcast(c.addr, c.replicaAddrs(), req)
+		c.broadcast(req)
 	} else {
-		c.net.Send(c.addr, simnet.Addr(c.pcfg.PrimaryOf(c.view)), req)
+		c.mem.share(&req.holders, 1)
+		c.net.SendOwned(c.addr, simnet.Addr(c.pcfg.PrimaryOf(c.view)), req)
 	}
 	c.armRetry()
+}
+
+// broadcast sends req to every replica; its deliveries are its holders.
+func (c *Client) broadcast(req *Request) {
+	c.mem.share(&req.holders, len(c.allAddrs))
+	c.net.BroadcastOwned(c.addr, c.replicaAddrs(), req)
 }
 
 // buildRequest assembles the request with a freshly generated
@@ -254,8 +261,7 @@ func (c *Client) onRetry(seq uint64) {
 		return
 	}
 	c.stats.Retransmissions++
-	req := c.buildRequest(true)
-	c.net.Broadcast(c.addr, c.replicaAddrs(), req)
+	c.broadcast(c.buildRequest(true))
 	c.curRetry *= 2
 	if c.curRetry > c.ccfg.RetryCap {
 		c.curRetry = c.ccfg.RetryCap

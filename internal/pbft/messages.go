@@ -20,6 +20,7 @@ import (
 
 	"avd/internal/mac"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Request is a client request. Auth holds one MAC entry per replica,
@@ -36,6 +37,7 @@ type Request struct {
 	// Retransmission marks a client retransmission (broadcast to all
 	// replicas after a timeout).
 	Retransmission bool
+	holders        slab.Holders // see Arena
 	// dig caches Digest(): batch digests, MAC checks and the execution
 	// fold each rehash the same immutable body roughly ten times per
 	// request otherwise. Zero means "not computed yet" (the digest is a
@@ -72,7 +74,8 @@ type Reply struct {
 	Seq     uint64
 	Result  uint64
 	// Tag authenticates the reply under the replica-client pairwise key.
-	Tag mac.Tag
+	Tag     mac.Tag
+	holders slab.Holders // see Arena
 }
 
 // replyDigest is the digest covered by a reply's MAC.
@@ -91,7 +94,8 @@ type PrePrepare struct {
 	Digest uint64
 	// Auth authenticates the pre-prepare from the primary, entry i for
 	// replica i.
-	Auth mac.Authenticator
+	Auth    mac.Authenticator
+	holders slab.Holders // see Arena
 }
 
 // Prepare is a backup's agreement vote for (View, SeqNo, Digest).
@@ -101,6 +105,7 @@ type Prepare struct {
 	Digest  uint64
 	Replica int
 	Auth    mac.Authenticator
+	holders slab.Holders // see Arena
 }
 
 // Commit is a replica's commit vote for (View, SeqNo, Digest).
@@ -110,6 +115,7 @@ type Commit struct {
 	Digest  uint64
 	Replica int
 	Auth    mac.Authenticator
+	holders slab.Holders // see Arena
 }
 
 // Checkpoint announces a replica's state digest at a checkpoint sequence
@@ -156,6 +162,41 @@ type NewView struct {
 type ForwardedRequest struct {
 	Request *Request
 	Replica int
+	holders slab.Holders // see Arena
+}
+
+// Corrupt is the PBFT target's simnet.Corrupter: it garbles a protocol
+// message into a new value (payloads are shared, so corruption must never
+// mutate in place). The copy counts no holders; the delivery it rides owns
+// nothing, so the original's hold stays taken and the batch and
+// authenticator the copy shares with it stay alive. Flipping the digest a
+// vote or proposal speaks for desynchronizes it from its authenticator, so
+// the receiver rejects it — modelling bit rot that PBFT's MACs catch,
+// which selectively erases agreement votes from the schedule. Client
+// traffic is left alone (it has its own MAC-corruption tool).
+func Corrupt(from, to simnet.Addr, payload any) any {
+	switch m := payload.(type) {
+	case *PrePrepare:
+		c := *m
+		c.Digest ^= 1
+		c.holders = slab.Holders{}
+		return &c
+	case *Prepare:
+		c := *m
+		c.Digest ^= 1
+		c.holders = slab.Holders{}
+		return &c
+	case *Commit:
+		c := *m
+		c.Digest ^= 1
+		c.holders = slab.Holders{}
+		return &c
+	case *Checkpoint:
+		c := *m
+		c.Digest ^= 1
+		return &c
+	}
+	return nil
 }
 
 // nullRequestOp marks null requests used to fill sequence gaps during

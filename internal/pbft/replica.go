@@ -84,7 +84,8 @@ type ReplicaStats struct {
 	Restarts          uint64 // injected restarts after a crash fault
 }
 
-// logEntry tracks one sequence number's agreement state.
+// logEntry tracks one sequence number's agreement state. It holds its
+// pre-prepare (see Arena), whose batch is always the entry's batch.
 type logEntry struct {
 	view       uint64
 	digest     uint64
@@ -109,16 +110,17 @@ type logEntry struct {
 func (e *logEntry) poisoned() bool { return len(e.badIdx) > 0 }
 
 // reset clears agreement state when the entry is superseded by a higher
-// view's pre-prepare.
-func (e *logEntry) reset(view uint64) {
-	e.resetKeepVotes(view)
+// view's pre-prepare, dropping its hold on the pre-prepare it had.
+func (e *logEntry) reset(mem *Arena, view uint64) {
+	e.resetKeepVotes(mem, view)
 	e.prepares.mask = 0
 	e.commits.mask = 0
 }
 
 // resetKeepVotes is reset minus the vote sets: same-view votes buffered
 // before the pre-prepare arrived survive (see acceptPrePrepare).
-func (e *logEntry) resetKeepVotes(view uint64) {
+func (e *logEntry) resetKeepVotes(mem *Arena, view uint64) {
+	mem.dropPrePrepare(e.prePrepare)
 	e.view = view
 	e.digest = 0
 	e.batch = nil
@@ -136,8 +138,9 @@ type seqIdx struct {
 }
 
 // forwarded tracks a request received directly from a client: the copy
-// itself and whether any received copy carried a MAC this replica could
-// verify (used for healing and for surviving re-proposals).
+// itself, which the record holds, and whether any received copy carried a
+// MAC this replica could verify (used for healing and for surviving
+// re-proposals).
 type forwarded struct {
 	req      *Request
 	verified bool
@@ -410,12 +413,20 @@ func (r *Replica) newEntry() *logEntry {
 	}
 }
 
-// freeEntry clears an entry dropped from the log and returns it to the
-// pool.
+// freeEntry clears an entry dropped from the log, dropping its hold on its
+// pre-prepare, and returns it to the pool.
 func (r *Replica) freeEntry(e *logEntry) {
-	e.reset(0)
+	e.reset(r.mem, 0)
 	e.executed = false
 	r.entryFree = append(r.entryFree, e)
+}
+
+// recycleEntry is freeEntry for Restore, which runs after the arena's
+// rewind: the window that held the pre-prepare is gone, and nothing may
+// touch what it carved.
+func (r *Replica) recycleEntry(e *logEntry) {
+	e.prePrepare = nil
+	r.freeEntry(e)
 }
 
 // newCkptSet hands out a checkpoint vote set from the pool.
@@ -482,6 +493,7 @@ func (r *Replica) setLastReply(a simnet.Addr) *Reply {
 func (r *Replica) resendReply(last *Reply) {
 	rp := r.mem.replies.Get()
 	*rp = *last
+	r.mem.share(&rp.holders, 1)
 	r.net.SendOwned(r.Addr(), last.Client, rp)
 }
 
@@ -567,8 +579,12 @@ func (r *Replica) Restart() {
 	r.crashed = false
 	r.crashReason = ""
 	r.stats.Restarts++
-	r.pending = nil
+	r.dropPending()
 	clear(r.admitted)
+	//avdlint:allow restart wipe: dropping a hold is commutative, and released messages are fully reset on reuse
+	for _, fw := range r.pendingForwarded {
+		r.mem.dropRequest(fw.req)
+	}
 	clear(r.pendingForwarded)
 	clear(r.pendingBad)
 	clear(r.viewChanges)
@@ -630,20 +646,33 @@ func (r *Replica) onDirectRequest(req *Request) {
 	if !ok {
 		fw = r.mem.forwarded.Get()
 		fw.req, fw.verified = req, false
+		r.mem.holdRequest(req)
 		r.pendingForwarded[key] = fw
 		r.stats.ForwardedRequests++
 	}
 	if valid {
 		fw.verified = true
-		fw.req = req
+		if fw.req != req {
+			r.mem.holdRequest(req)
+			r.mem.dropRequest(fw.req)
+			fw.req = req
+		}
 		r.healPoisoned(key)
 	}
 	if !r.inViewChange {
-		fm := r.mem.fwdMsgs.Get()
-		fm.Request, fm.Replica = req, r.id
-		r.net.Send(r.Addr(), simnet.Addr(r.cfg.PrimaryOf(r.view)), fm)
+		r.forward(req, r.cfg.PrimaryOf(r.view))
 		r.armRequestTimer(key)
 	}
+}
+
+// forward relays a client request to the primary in a ForwardedRequest,
+// which holds the request until its delivery has run.
+func (r *Replica) forward(req *Request, primary int) {
+	fm := r.mem.fwdMsgs.Get()
+	fm.Request, fm.Replica = req, r.id
+	r.mem.share(&fm.holders, 1)
+	r.mem.holdRequest(req)
+	r.net.SendOwned(r.Addr(), simnet.Addr(primary), fm)
 }
 
 // healPoisoned resolves poisoned log slots waiting on a valid copy of the
@@ -672,11 +701,8 @@ func (r *Replica) healPoisoned(key RequestKey) {
 		if r.inViewChange || entry.view != r.view || entry.prePrepare == nil {
 			continue
 		}
-		prep := r.mem.prepares.Get()
-		*prep = Prepare{View: entry.view, SeqNo: si.seq, Digest: entry.digest, Replica: r.id}
-		prep.Auth = r.authFor(fnv3(prep.View, prep.SeqNo, prep.Digest))
 		entry.prepares.set(r.id, entry.digest)
-		r.net.Broadcast(r.Addr(), r.replicaAddrs(), prep)
+		r.sendPrepare(entry.view, si.seq, entry.digest)
 		r.checkPrepared(si.seq, entry)
 		r.checkCommitted(si.seq, entry)
 	}
@@ -740,12 +766,22 @@ func (r *Replica) admit(req *Request) {
 	r.appendPending(req)
 }
 
-// appendPending buffers a request for the next batch. Proposed batches
-// are resliced prefixes of the buffer that escape into the log, so the
-// buffer lives in the arena with them: it grows a thousand-odd slots at a
-// time and the whole trail is rewound with the window.
+// appendPending buffers a request for the next batch; the buffer holds
+// it, and the pre-prepare that proposes it takes the hold over. Proposed
+// batches are resliced prefixes of the buffer that escape into the log,
+// so the buffer lives in the arena with them: it grows a thousand-odd
+// slots at a time and the whole trail is rewound with the window.
 func (r *Replica) appendPending(req *Request) {
+	r.mem.holdRequest(req)
 	r.pending = r.mem.batches.Append(r.pending, req)
+}
+
+// dropPending discards the buffered requests.
+func (r *Replica) dropPending() {
+	for _, req := range r.pending {
+		r.mem.dropRequest(req)
+	}
+	r.pending = nil
 }
 
 // proposeBatch emits a pre-prepare for the currently buffered requests.
@@ -772,10 +808,20 @@ func (r *Replica) proposeBatch() {
 	}
 }
 
-// sendPrePrepare broadcasts and locally accepts a pre-prepare.
+// sendPrePrepare broadcasts and locally accepts a pre-prepare, which takes
+// over the pending buffer's holds on the batch's requests.
 func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 	if r.byz != nil && r.byz.Equivocate {
 		r.sendEquivocalPrePrepare(seq, batch)
+		return
+	}
+	r.stats.BatchesProposed++
+	entry := r.getEntry(seq)
+	if entry.prePrepare != nil && entry.view == r.view {
+		// Already proposed at this seq in this view.
+		for _, req := range batch {
+			r.mem.dropRequest(req)
+		}
 		return
 	}
 	digest := BatchDigest(batch)
@@ -787,17 +833,20 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 		Digest: digest,
 		Auth:   r.authFor(fnv3(r.view, seq, digest)),
 	}
-	r.stats.BatchesProposed++
-	entry := r.getEntry(seq)
-	if entry.prePrepare != nil && entry.view == r.view {
-		return // already proposed at this seq in this view
-	}
-	entry.reset(r.view)
-	entry.digest = digest
-	entry.batch = batch
-	entry.prePrepare = pp
-	r.net.Broadcast(r.Addr(), r.replicaAddrs(), pp)
+	r.mem.share(&pp.holders, r.cfg.N-1)
+	r.setPrePrepare(entry, r.view, pp)
+	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), pp)
 	r.checkPrepared(seq, entry)
+}
+
+// setPrePrepare supersedes the entry's agreement state with view's
+// pre-prepare pp, which the entry holds from now on.
+func (r *Replica) setPrePrepare(entry *logEntry, view uint64, pp *PrePrepare) {
+	entry.reset(r.mem, view)
+	entry.digest = pp.Digest
+	entry.batch = pp.Batch
+	entry.prePrepare = pp
+	r.mem.holdPrePrepare(pp)
 }
 
 // sendEquivocalPrePrepare is the equivocating primary's proposal path:
@@ -805,7 +854,9 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 // client payloads, different digest) plus this replica's commit vote for
 // it, everyone else — and the local log — gets the true batch. The
 // extra commit vote is what lets the variant reach the (buggy,
-// Config.QuorumBug) F+1 commit quorum at the victim.
+// Config.QuorumBug) F+1 commit quorum at the victim. Both proposals are
+// heap objects nothing counts, so the pending buffer's holds on the
+// batch's requests are never dropped.
 func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 	victim := -1
 	for i := 0; i < r.cfg.N; i++ {
@@ -836,10 +887,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 	if entry.prePrepare != nil && entry.view == r.view {
 		return // already proposed at this seq in this view
 	}
-	entry.reset(r.view)
-	entry.digest = digest
-	entry.batch = batch
-	entry.prePrepare = pp
+	r.setPrePrepare(entry, r.view, pp)
 	for _, to := range r.replicaAddrs() {
 		if int(to) == r.id {
 			continue
@@ -897,13 +945,20 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 		r.checkCommitted(pp.SeqNo, entry)
 		return
 	}
-	prep := r.mem.prepares.Get()
-	*prep = Prepare{View: pp.View, SeqNo: pp.SeqNo, Digest: pp.Digest, Replica: r.id}
-	prep.Auth = r.authFor(fnv3(prep.View, prep.SeqNo, prep.Digest))
 	entry.prepares.set(r.id, pp.Digest)
-	r.net.Broadcast(r.Addr(), r.replicaAddrs(), prep)
+	r.sendPrepare(pp.View, pp.SeqNo, pp.Digest)
 	r.checkPrepared(pp.SeqNo, entry)
 	r.checkCommitted(pp.SeqNo, entry)
+}
+
+// sendPrepare broadcasts this replica's prepare vote; its deliveries are
+// its holders.
+func (r *Replica) sendPrepare(view, seq, digest uint64) {
+	prep := r.mem.prepares.Get()
+	*prep = Prepare{View: view, SeqNo: seq, Digest: digest, Replica: r.id}
+	prep.Auth = r.authFor(fnv3(view, seq, digest))
+	r.mem.share(&prep.holders, r.cfg.N-1)
+	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), prep)
 }
 
 // acceptPrePrepare verifies the batch's client MACs and stores the entry.
@@ -917,13 +972,14 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 // quorum.
 func (r *Replica) acceptPrePrepare(pp *PrePrepare, entry *logEntry) bool {
 	if entry.view == pp.View {
-		entry.resetKeepVotes(pp.View)
+		entry.resetKeepVotes(r.mem, pp.View)
 	} else {
-		entry.reset(pp.View)
+		entry.reset(r.mem, pp.View)
 	}
 	entry.digest = pp.Digest
 	entry.prePrepare = pp
 	entry.batch = pp.Batch
+	r.mem.holdPrePrepare(pp)
 	for i, req := range pp.Batch {
 		if r.verifyClientMAC(req) {
 			continue
@@ -983,8 +1039,9 @@ func (r *Replica) checkPrepared(seq uint64, entry *logEntry) {
 	c := r.mem.commits.Get()
 	*c = Commit{View: entry.view, SeqNo: seq, Digest: entry.digest, Replica: r.id}
 	c.Auth = r.authFor(fnv3(c.View, c.SeqNo, c.Digest))
+	r.mem.share(&c.holders, r.cfg.N-1)
 	entry.commits.set(r.id, entry.digest)
-	r.net.Broadcast(r.Addr(), r.replicaAddrs(), c)
+	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), c)
 	r.checkCommitted(seq, entry)
 }
 
@@ -1087,6 +1144,7 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		reply.Result = r.stateDigest
 		tag := mac.Sum(r.clientKey(req.Client), reply.digest())
 		reply.Tag = tag
+		r.mem.share(&reply.holders, 1)
 		slot := r.setLastReply(req.Client)
 		slot.View = r.view
 		slot.Replica = r.id
@@ -1123,10 +1181,12 @@ func (r *Replica) onRequestExecuted(key RequestKey) {
 	if len(r.pendingForwarded) == 0 {
 		return
 	}
-	if _, wasPending := r.pendingForwarded[key]; !wasPending {
+	fw, wasPending := r.pendingForwarded[key]
+	if !wasPending {
 		return
 	}
 	delete(r.pendingForwarded, key)
+	r.mem.dropRequest(fw.req)
 	switch r.cfg.TimerMode {
 	case SingleTimer:
 		// The bug: executing ANY directly-received request resets the
@@ -1256,6 +1316,8 @@ func (r *Replica) onSlowTick() {
 		if r.seqCounter+1 <= r.lowWater+r.cfg.WindowSize {
 			r.seqCounter++
 			r.sendPrePrepare(r.seqCounter, []*Request{req})
+		} else {
+			r.mem.dropRequest(req)
 		}
 	}
 	r.armSlowTimer()

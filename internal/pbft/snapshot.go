@@ -195,7 +195,7 @@ func (r *Replica) Restore(s *ReplicaState) {
 	r.lowWater = s.lowWater
 	//avdlint:allow restore drain: freed entries are fully reset on reuse, so drain order is not observable
 	for seq, e := range r.log {
-		r.freeEntry(e)
+		r.recycleEntry(e)
 		delete(r.log, seq)
 	}
 	for _, es := range s.log {

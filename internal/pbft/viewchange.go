@@ -3,8 +3,6 @@ package pbft
 import (
 	"math/bits"
 	"sort"
-
-	"avd/internal/simnet"
 )
 
 // startViewChange abandons the current view and campaigns for target.
@@ -35,7 +33,7 @@ func (r *Replica) startViewChange(target uint64) {
 	r.pendingView = target
 	r.batchTimer.Stop()
 	r.stopAllRequestTimers()
-	r.pending = nil
+	r.dropPending()
 	clear(r.admitted) // dropped pending work may be re-admitted in the new view
 
 	vc := &ViewChange{
@@ -58,7 +56,9 @@ func (r *Replica) startViewChange(target uint64) {
 }
 
 // preparedProofs collects certificates for batches prepared above the low
-// watermark.
+// watermark. A proof holds its pre-prepare for good: the view change that
+// carries it is a heap object, and the new view's re-proposals share the
+// pre-prepare's batch.
 func (r *Replica) preparedProofs() []PreparedProof {
 	var proofs []PreparedProof
 	//avdlint:allow per-entry proof assembly reads only that entry; proofs are sorted by SeqNo before use
@@ -77,6 +77,7 @@ func (r *Replica) preparedProofs() []PreparedProof {
 			}
 			prepares = append(prepares, &Prepare{View: e.view, SeqNo: seq, Digest: d, Replica: rep})
 		}
+		r.mem.holdPrePrepare(e.prePrepare)
 		proofs = append(proofs, PreparedProof{PrePrepare: e.prePrepare, Prepares: prepares})
 	}
 	sort.Slice(proofs, func(i, j int) bool {
@@ -250,10 +251,7 @@ func (r *Replica) installNewView(target, minS uint64, reproposals []*PrePrepare)
 		if !r.reproposalVerifies(pp) {
 			return
 		}
-		entry.reset(target)
-		entry.digest = pp.Digest
-		entry.batch = pp.Batch
-		entry.prePrepare = pp
+		r.setPrePrepare(entry, target, pp)
 		r.net.Broadcast(r.Addr(), r.replicaAddrs(), pp)
 		r.checkPrepared(pp.SeqNo, entry)
 	}
@@ -311,14 +309,9 @@ func (r *Replica) onNewView(from int, nv *NewView) {
 		if !r.reproposalVerifies(pp) {
 			return
 		}
-		entry.reset(nv.View)
-		entry.digest = pp.Digest
-		entry.batch = pp.Batch
-		entry.prePrepare = pp
-		prep := &Prepare{View: nv.View, SeqNo: pp.SeqNo, Digest: pp.Digest, Replica: r.id}
-		prep.Auth = r.authFor(fnv3(prep.View, prep.SeqNo, prep.Digest))
+		r.setPrePrepare(entry, nv.View, pp)
 		entry.prepares.set(r.id, pp.Digest)
-		r.net.Broadcast(r.Addr(), r.replicaAddrs(), prep)
+		r.sendPrepare(nv.View, pp.SeqNo, pp.Digest)
 		r.checkPrepared(pp.SeqNo, entry)
 	}
 }
@@ -381,12 +374,13 @@ func (r *Replica) enterView(target uint64) {
 		fw := r.pendingForwarded[key]
 		if last := r.lastReplyFor(fw.req.Client); last != nil && last.Seq >= fw.req.Seq {
 			delete(r.pendingForwarded, key)
+			r.mem.dropRequest(fw.req)
 			continue
 		}
 		if primary == r.id {
 			r.primaryAdmit(fw.req)
 		} else {
-			r.net.Send(r.Addr(), simnet.Addr(primary), &ForwardedRequest{Request: fw.req, Replica: r.id})
+			r.forward(fw.req, primary)
 			r.armRequestTimer(key)
 		}
 	}

@@ -154,6 +154,7 @@ func (c *Client) issueNext() {
 func (c *Client) send() {
 	req := c.mem.requests.Get()
 	*req = ClientRequest{Client: c.addr, Seq: c.seq}
+	c.mem.share(&req.holders)
 	c.net.SendOwned(c.addr, simnet.Addr(c.target), req)
 	c.armRetry()
 }

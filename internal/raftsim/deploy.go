@@ -76,7 +76,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
 	d.win = core.Window{Name: "raftsim", Eng: d.eng, Mem: d.mem}
 	arena := NewArena(d.mem)
-	d.net.SetReleaser(arena.Release)
+	d.net.SetOwner(arena)
 
 	d.nodes = make([]*Node, 0, w.Raft.N)
 	for i := 0; i < w.Raft.N; i++ {
@@ -103,7 +103,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 			return true
 		},
 		Restart: func(node int) { d.nodes[node].Restart() },
-		Corrupt: corruptPayload,
+		Corrupt: arena.Corrupt,
 	}
 	for _, n := range d.nodes {
 		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: simnet.Addr(n.ID()), Clock: n.Clock()})

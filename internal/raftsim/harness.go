@@ -216,37 +216,6 @@ func (d *deployment) pickCrashVictim(strikes uint64) int {
 	return -1
 }
 
-// corruptPayload is the raft target's simnet.Corrupter: it garbles a
-// protocol message into a new value (payloads are shared and must never
-// be mutated in place). Corruptions perturb protocol claims — log-state
-// advertisements, consistency-check coordinates, vote/ack verdicts —
-// rather than forging identities, modelling bit rot the transport failed
-// to catch. Client traffic is left alone (it has its own fault tools).
-func corruptPayload(from, to simnet.Addr, payload any) any {
-	switch m := payload.(type) {
-	case *RequestVote:
-		c := *m
-		c.LastLogIndex ^= 1
-		c.LastLogTerm ^= 1
-		return &c
-	case *RequestVoteReply:
-		c := *m
-		c.Granted = false
-		return &c
-	case *AppendEntries:
-		c := *m
-		c.PrevLogIndex ^= 1
-		c.PrevLogTerm ^= 1
-		return &c
-	case *AppendEntriesReply:
-		c := *m
-		c.Success = false
-		c.MatchIndex = 0
-		return &c
-	}
-	return nil
-}
-
 // EntryDigest is the committed-value identity the oracles compare across
 // nodes: a hash of everything that makes two log entries "the same
 // command" — term, issuing client, and client sequence number.

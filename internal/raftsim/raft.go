@@ -21,6 +21,7 @@ import (
 
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // Config is the Raft protocol configuration shared by all nodes.
@@ -138,41 +139,47 @@ type RequestVoteReply struct {
 	Term    uint64
 	From    int
 	Granted bool
+	holders slab.Holders // see Arena
 }
 
 // AppendEntries replicates log entries and doubles as the heartbeat
 // (Raft §5.3).
 type AppendEntries struct {
 	Term         uint64
-	Leader       int
 	PrevLogIndex uint64
 	PrevLogTerm  uint64
 	Entries      []Entry
 	LeaderCommit uint64
+	// Leader is a node id; 32 bits leave room for the count in the word.
+	Leader  int32
+	holders slab.Holders // see Arena
 }
 
 // AppendEntriesReply answers an AppendEntries.
 type AppendEntriesReply struct {
 	Term       uint64
 	From       int
-	Success    bool
 	MatchIndex uint64
+	Success    bool
+	holders    slab.Holders // see Arena
 }
 
 // ClientRequest is a client's closed-loop request addressed to the node
 // it believes is the leader.
 type ClientRequest struct {
-	Client simnet.Addr
-	Seq    uint64
+	Client  simnet.Addr
+	Seq     uint64
+	holders slab.Holders // see Arena
 }
 
 // ClientReply answers a ClientRequest: OK once the entry is committed
 // and applied, or a redirect carrying the replier's leader hint
 // (Leader < 0 when unknown).
 type ClientReply struct {
-	Seq    uint64
-	OK     bool
-	Leader int
+	Seq     uint64
+	Leader  int
+	OK      bool
+	holders slab.Holders // see Arena
 }
 
 // --- Node -------------------------------------------------------------------
@@ -535,11 +542,12 @@ func (n *Node) sendAppend(peer int) {
 	// store buffer cannot forward (EXPERIMENTS.md, PR 24 and 25).
 	ae := n.mem.appends.Get()
 	ae.Term = n.term
-	ae.Leader = n.id
+	ae.Leader = int32(n.id)
 	ae.PrevLogIndex = prevIdx
 	ae.PrevLogTerm = prevTerm
 	ae.Entries = entries
 	ae.LeaderCommit = n.commit
+	n.mem.share(&ae.holders)
 	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(peer), ae)
 }
 
@@ -578,6 +586,7 @@ func (n *Node) onRequestVote(m *RequestVote) {
 	}
 	rep := n.mem.voteReplies.Get()
 	*rep = RequestVoteReply{Term: n.term, From: n.id, Granted: granted}
+	n.mem.share(&rep.holders)
 	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(m.Candidate), rep)
 }
 
@@ -600,16 +609,16 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 		n.stepDown(m.Term)
 	}
 	if m.Term < n.term {
-		n.sendAppendReply(m.Leader, false, 0)
+		n.sendAppendReply(int(m.Leader), false, 0)
 		return
 	}
-	n.leader = m.Leader
+	n.leader = int(m.Leader)
 	n.resetElectionTimer()
 	// Consistency check.
 	if m.PrevLogIndex > 0 {
 		if uint64(len(n.log)) < m.PrevLogIndex || n.log[m.PrevLogIndex-1].Term != m.PrevLogTerm {
 			n.stats.AppendsRejected++
-			n.sendAppendReply(m.Leader, false, 0)
+			n.sendAppendReply(int(m.Leader), false, 0)
 			return
 		}
 	}
@@ -635,7 +644,7 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 		}
 		n.applyCommitted()
 	}
-	n.sendAppendReply(m.Leader, true, idx)
+	n.sendAppendReply(int(m.Leader), true, idx)
 }
 
 // truncate cuts the log to its first keep entries: in place above the
@@ -652,6 +661,7 @@ func (n *Node) truncate(keep uint64) {
 func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
 	rep := n.mem.appendReplies.Get()
 	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx}
+	n.mem.share(&rep.holders)
 	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(leader), rep)
 }
 
@@ -659,6 +669,7 @@ func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
 func (n *Node) sendClientReply(client simnet.Addr, seq uint64, ok bool, leaderHint int) {
 	rep := n.mem.replies.Get()
 	*rep = ClientReply{Seq: seq, OK: ok, Leader: leaderHint}
+	n.mem.share(&rep.holders)
 	n.net.SendOwned(simnet.Addr(n.id), client, rep)
 }
 

@@ -378,8 +378,8 @@ type Stream struct {
 	fn  func(arg any, meta uint64)
 }
 
-// Owned is the bit of a delivery's meta word that marks it as holding the
-// only reference to its arg. Snapshot clears it in every pending delivery,
+// Owned is the bit of a delivery's meta word that marks it as holding one
+// of its arg's holder counts. Snapshot clears it in every pending delivery,
 // the live one and the captured one alike: whatever is in flight at a
 // capture is delivered again by every fork, so no delivery of it owns it.
 // The engine reads no other bit of meta.

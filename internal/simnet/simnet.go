@@ -105,8 +105,8 @@ type Network struct {
 	// deployment profiles.
 	//avdlint:derived deployment wiring: Register runs during cluster build, before the first snapshot
 	handlers []Handler
-	//avdlint:derived deployment wiring: SetReleaser runs during cluster build, before the first snapshot
-	release      Releaser
+	//avdlint:derived deployment wiring: SetOwner runs during cluster build, before the first snapshot
+	owner        Owner
 	interceptors []Interceptor
 	linkLatency  map[linkKey]time.Duration
 	blocked      map[linkKey]bool
@@ -151,21 +151,31 @@ const (
 // Corrupter rewrites a payload into a garbled variant. It must return a
 // new value — payload objects are shared with the sender and with every
 // fork that delivers them again, so mutating in place would corrupt the
-// past. Returning nil declines (the message is delivered untouched and not
-// counted).
+// past — unless the delivery being sent is the payload's only holder
+// (slab.Arena.Sole): then it may garble the payload in place and return
+// it, and the delivery still owns it. Returning nil declines (the message
+// is delivered untouched and not counted).
 type Corrupter func(from, to Addr, payload any) any
 
-// Releaser takes back a payload sent with SendOwned once its delivery has
-// run and the handler has returned: nothing references it any more. It is
-// called for nothing else — a payload that is dropped, duplicated,
-// corrupted, in flight at a snapshot or discarded by a restore is left to
-// whoever reclaims the sender's memory wholesale.
-type Releaser func(payload any)
+// Owner is the deployment's side of payload ownership (DESIGN.md §15). A
+// payload sent with SendOwned or BroadcastOwned carries a holder count the
+// sender started at the number of deliveries it sends plus whatever the
+// sender keeps; each such delivery holds one count. Hold adds the count
+// of a duplicate the network injects, and Release drops a delivery's
+// count once its recipient's handler has returned — the one place the
+// network gives a count back. A delivery that is dropped, partitioned,
+// unhandled, swapped for another payload or discarded by a restore gives
+// nothing back: its count stays taken until the sender's memory is
+// reclaimed wholesale.
+type Owner interface {
+	Hold(payload any)
+	Release(payload any)
+}
 
 // meta packs what a delivery needs besides its payload into the word the
 // engine carries with it: from in the low 32 bits, to in the next 31, and
-// sim.Owned on top when the delivery holds the only reference to the
-// payload. Addresses are handler indices, so to always fits.
+// sim.Owned on top when the delivery holds one of the payload's counts
+// (see Owner). Addresses are handler indices, so to always fits.
 func meta(from, to Addr) uint64 { return uint64(uint32(from)) | uint64(to)<<32 }
 
 // linkFaults is the armed per-link fault state: a victim link selector
@@ -238,9 +248,9 @@ func (n *Network) Handle(addr Addr, h Handler) {
 	n.handlers[addr] = h
 }
 
-// SetReleaser registers the function that takes back SendOwned payloads;
-// without one SendOwned is Send.
-func (n *Network) SetReleaser(r Releaser) { n.release = r }
+// SetOwner registers the deployment's Owner; without one SendOwned is
+// Send and BroadcastOwned is Broadcast.
+func (n *Network) SetOwner(o Owner) { n.owner = o }
 
 // AddInterceptor appends an interceptor to the chain.
 func (n *Network) AddInterceptor(i Interceptor) {
@@ -294,11 +304,12 @@ func (n *Network) Stats() Stats { return n.stats }
 // latency plus jitter plus any interceptor-added delay. Send never blocks.
 func (n *Network) Send(from, to Addr, payload any) { n.send(from, to, payload, false) }
 
-// SendOwned is Send for a payload (a pointer) that the caller references
-// nowhere else and to is its only recipient: the delivery owns it, and the
-// Releaser gets it back right after to's handler has returned.
+// SendOwned is Send for a counted payload (a pointer) whose count includes
+// this delivery: the delivery holds it, and the Owner gets the count back
+// right after to's handler has returned. A payload nothing else holds is
+// the count-of-one case.
 func (n *Network) SendOwned(from, to Addr, payload any) {
-	n.send(from, to, payload, n.release != nil)
+	n.send(from, to, payload, n.owner != nil)
 }
 
 func (n *Network) send(from, to Addr, payload any, owned bool) {
@@ -325,8 +336,8 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 				return
 			}
 		}
-		// A payload an interceptor (or, below, the corrupter) swapped, or
-		// a second copy of it, leaves the delivery owning nothing.
+		// A payload an interceptor (or, below, the corrupter) swapped for
+		// another leaves the delivery owning nothing.
 		if v.Payload != payload {
 			payload, m = v.Payload, m&^sim.Owned
 		}
@@ -338,12 +349,14 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 	if n.lf.armed && n.lf.matches(from, to) {
 		if dec := n.lf.corrupt.Check(); dec.Action == faultinject.ActCorrupt && n.lf.corrupter != nil {
 			if p := n.lf.corrupter(from, to, payload); p != nil {
-				payload, m = p, m&^sim.Owned
+				if p != payload {
+					payload, m = p, m&^sim.Owned
+				}
 				n.stats.Corrupted++
 			}
 		}
 		if dec := n.lf.dup.Check(); dec.Action != faultinject.ActNone {
-			duplicate, m = true, m&^sim.Owned
+			duplicate = true
 		}
 	}
 	if n.cfg.DropRate > 0 && n.eng.Rand().Float64() < n.cfg.DropRate {
@@ -365,7 +378,11 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 		// The duplicate rides the same latency and is queued after the
 		// original (same at, later seq), so it arrives immediately behind
 		// it — the classic at-least-once delivery fault.
+		// An owned original makes an owned duplicate: one holder more.
 		n.stats.Duplicated++
+		if m&sim.Owned != 0 {
+			n.owner.Hold(payload)
+		}
 		n.deliveries.Schedule(d, payload, m)
 	}
 }
@@ -447,11 +464,22 @@ func (n *Network) Restore(s *NetSnapshot) {
 
 // Broadcast sends payload from->each address in tos (skipping from).
 func (n *Network) Broadcast(from Addr, tos []Addr, payload any) {
+	n.broadcast(from, tos, payload, false)
+}
+
+// BroadcastOwned is Broadcast with every delivery sent as by SendOwned:
+// the payload's count includes one holder per address in tos other than
+// from.
+func (n *Network) BroadcastOwned(from Addr, tos []Addr, payload any) {
+	n.broadcast(from, tos, payload, n.owner != nil)
+}
+
+func (n *Network) broadcast(from Addr, tos []Addr, payload any, owned bool) {
 	for _, to := range tos {
 		if to == from {
 			continue
 		}
-		n.Send(from, to, payload)
+		n.send(from, to, payload, owned)
 	}
 }
 
@@ -481,8 +509,8 @@ func (n *Network) deliver(payload any, m uint64) {
 		h(from, payload)
 		return
 	}
-	// The one place a payload is released: its only recipient's handler
-	// has returned.
+	// The one place a delivery gives its count back: its recipient's
+	// handler has returned.
 	h(from, payload)
-	n.release(payload)
+	n.owner.Release(payload)
 }

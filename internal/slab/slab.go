@@ -4,10 +4,11 @@
 // authenticator vectors — are carved out of fixed-size chunks; everything
 // a measurement window carves becomes unreachable the moment the
 // deployment rolls back to its post-warm-up snapshot, so a rewind reuses
-// the memory instead of handing it to the garbage collector. Most objects
-// are never individually freed; one whose only reference is known to be
-// gone (a message whose delivery has run) goes back through Slab.Put
-// and is the next one Get hands out.
+// the memory instead of handing it to the garbage collector. An object
+// that several holders share — a message and the deliveries and log
+// entries that keep it — carries a Holders count; the holder that drops
+// the last count hands it back through Slab.Put, and it is the next one
+// Get hands out.
 //
 // Ownership is split at the capture mark. Chunks a deployment filled
 // before Arena.Capture hold objects its snapshot may still point to: they
@@ -25,6 +26,7 @@
 package slab
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,14 +41,14 @@ const chunkBytes = 32 << 10
 
 // WindowCeiling bounds the bytes one Arena may lease between two rewinds.
 // Every message of a window is a fixed-size object — Raft's AppendEntries
-// alias the leader's log instead of copying it, and a message with one
-// recipient goes back through Put when it is delivered — so a window
-// leases in proportion to the events it executes: the largest measured
-// are 16 MB on PBFT (250 clients) and 65 MB on Raft (a duplicated-ack
-// storm, whose duplicates nothing releases, run to the 2M-event step
-// budget; DESIGN.md §15 has the table). The ceiling is the backstop
-// behind that budget: a deployment that leaks past it is stopped through
-// the Arena's stop callback and costs one hung test, not the process.
+// alias the leader's log instead of copying it, and a message goes back
+// through Put when its last holder drops it — so a window leases what it
+// holds at once: the largest measured are 2.8 MB on PBFT (250 clients)
+// and 31 MB on Raft (a duplicated-ack storm's backlog of queued
+// deliveries at the 2M-event step budget; DESIGN.md §15 has the table).
+// The ceiling is the backstop behind that budget: a deployment that leaks
+// past it is stopped through the Arena's stop callback and costs one hung
+// test, not the process.
 const WindowCeiling = 128 << 20
 
 // collectEvery is how many bytes of warm-up chunks a pool's arenas may
@@ -76,6 +78,8 @@ type Pool struct {
 	mu     sync.Mutex
 	lists  map[any]any // chunkKey[T]{} or scratchKey[T]{} -> *freeList[T]
 	leased int         // chunks out on lease (handed out, not yet returned or adopted)
+	held   int         // chunks the pool is responsible for: leased plus free
+	high   int         // the largest held has been
 	forgot int         // bytes captures forgot since the last collection (see collectEvery)
 }
 
@@ -85,6 +89,14 @@ func (p *Pool) Leased() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.leased
+}
+
+// HighWater reports the most chunks the pool has held at once, leased and
+// free together: the pool's share of a process's peak memory.
+func (p *Pool) HighWater() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.high
 }
 
 // chunkKey and scratchKey key a pool's two kinds of free list per element
@@ -125,6 +137,10 @@ type Arena struct {
 	slabs []rewinder
 	marks []Mark
 	owned int // chunks still held right after the last Capture
+	// epoch tells the objects a window carved from those the last Capture
+	// kept (see Holders): it starts at 1, so a zero Holders never matches,
+	// and every Capture moves it on.
+	epoch uint16
 
 	window   int // bytes leased since the last Capture or Rewind
 	overflow bool
@@ -146,7 +162,7 @@ func NewArena(pool *Pool, stop func()) *Arena {
 	if pool == nil {
 		pool = new(Pool)
 	}
-	return &Arena{pool: pool, stop: stop}
+	return &Arena{pool: pool, stop: stop, epoch: 1}
 }
 
 // Capture fixes the rewind point of every slab at its current position
@@ -169,6 +185,7 @@ func (a *Arena) Capture() {
 	p := a.pool
 	p.mu.Lock()
 	p.leased -= adopted
+	p.held -= adopted
 	p.forgot += forgot
 	collect := p.forgot >= collectEvery
 	if collect {
@@ -179,6 +196,13 @@ func (a *Arena) Capture() {
 		runtime.GC()
 	}
 	a.window, a.overflow = 0, false
+	a.epoch++
+	if a.epoch == poisonEpoch {
+		a.epoch++
+	}
+	if a.epoch == 0 {
+		a.epoch = 1
+	}
 }
 
 // Rewind rolls every slab back to its captured mark (to empty when the
@@ -265,6 +289,9 @@ func (b *bump[T]) grow(n int) {
 		c = b.free.chunks[k-1]
 		b.free.chunks[k-1] = nil
 		b.free.chunks = b.free.chunks[:k-1]
+	} else {
+		p.held++
+		p.high = max(p.high, p.held)
 	}
 	p.mu.Unlock()
 	if c == nil {
@@ -298,6 +325,8 @@ func (b *bump[T]) Rewind(m Mark) {
 					poisonChunk(c)
 				}
 				b.free.chunks = append(b.free.chunks, c)
+			} else {
+				p.held--
 			}
 			above[i] = nil
 		}
@@ -411,28 +440,133 @@ func (s *Slab[T]) adopt() (adopted, forgot int) {
 	return s.bump.adopt()
 }
 
+// Holders is the holder count of an object several holders share: the
+// deliveries in flight that carry it and whatever the protocol keeps it in
+// (DESIGN.md §15). Share starts it, Hold and Drop move it, and the holder
+// whose Drop reports the last one puts the object back.
+//
+// An object whose count was not started in the arena's current epoch is
+// never counted: Hold and Drop leave it alone. That covers the zero value
+// (an object built on the heap) and every object carved before the last
+// Capture, which the snapshot references and every fork reads again — a
+// window may neither release one nor write its count, or the next fork
+// would start from different memory than the cold run.
+//
+// It is four bytes, so that it fits the padding of most messages: a
+// window of a duplicated-ack storm holds hundreds of thousands of them.
+// The epoch wraps after 65,534 captures of one arena, which would count an
+// object from that long ago again; a deployment captures once.
+type Holders struct {
+	n     uint16
+	epoch uint16
+}
+
+// poisonEpoch is what Holders.epoch reads after SetPoison filled it; no
+// arena's epoch takes that value.
+const poisonEpoch = 0xA5A5
+
+// Share starts the count of an object just carved from one of a's slabs
+// at n holders. Objects are handed out dirty: a call site that fills one
+// field by field calls Share like every other.
+func (a *Arena) Share(h *Holders, n int) { h.n, h.epoch = uint16(n), a.epoch }
+
+// Hold adds a holder.
+func (a *Arena) Hold(h *Holders) {
+	if !a.counts(h) {
+		return
+	}
+	if h.n == math.MaxUint16 {
+		panic("slab: holder count overflow")
+	}
+	h.n++
+}
+
+// Drop removes a holder and reports whether it was the last: the caller
+// then puts the object back, and holds no pointer to it afterwards.
+func (a *Arena) Drop(h *Holders) bool {
+	if !a.counts(h) {
+		return false
+	}
+	if h.n == 0 {
+		panic("slab: Drop of an object nobody holds")
+	}
+	h.n--
+	return h.n == 0
+}
+
+// Sole reports whether the caller's is the only hold on a counted object:
+// nothing else reads it, so the caller may change it in place.
+func (a *Arena) Sole(h *Holders) bool { return a.counts(h) && h.n == 1 }
+
+// counts reports whether h was started in the current epoch. Under
+// SetPoison a count read from an object that was put back panics.
+func (a *Arena) counts(h *Holders) bool {
+	if h.epoch == a.epoch {
+		return true
+	}
+	if h.epoch == poisonEpoch && poison.Load() {
+		panic("slab: holder count of an object that was already put back")
+	}
+	return false
+}
+
 // Span hands out windows of n contiguous elements (authenticator
 // vectors, request batches).
-type Span[T any] struct{ bump[T] }
+type Span[T any] struct {
+	bump[T]
+	// freed holds the windows Put handed back, last in first out, under
+	// the same rule as Slab.freed.
+	freed [][]T
+}
 
 // NewSpan creates a span allocator of T in the arena.
 func NewSpan[T any](a *Arena) *Span[T] {
-	s := &Span[T]{newBump[T](a)}
+	s := &Span[T]{bump: newBump[T](a)}
 	a.slabs = append(a.slabs, s)
 	return s
 }
 
 // Get returns a dirty window of exactly n elements (len == cap == n). A
-// window never straddles chunks: when n does not fit the rest of the
+// window handed back through Put goes out again first when it has length
+// n. A window never straddles chunks: when n does not fit the rest of the
 // current chunk the rest is skipped, and n beyond the fixed chunk length
 // gets a chunk of its own.
 func (s *Span[T]) Get(n int) []T {
+	if k := len(s.freed); k > 0 && len(s.freed[k-1]) == n {
+		w := s.freed[k-1]
+		s.freed = s.freed[:k-1]
+		return w
+	}
 	if s.off+n > len(s.cur) {
 		s.grow(n)
 	}
 	w := s.cur[s.off : s.off+n : s.off+n]
 	s.off += n
 	return w
+}
+
+// Put hands back a window Get returned since the arena's last Capture or
+// Rewind, on the terms of Slab.Put. It serves a span whose windows all
+// have one length (authenticator vectors): Get reuses only the window Put
+// last, and only for a request of its length.
+func (s *Span[T]) Put(w []T) {
+	if poison.Load() && poisonChunk(w) {
+		panic("slab: Put of a window that was already put back")
+	}
+	s.freed = append(s.freed, w)
+}
+
+// Rewind is bump.Rewind with the free list emptied first.
+func (s *Span[T]) Rewind(m Mark) {
+	s.freed = s.freed[:0]
+	s.bump.Rewind(m)
+}
+
+// adopt is Slab.adopt for windows.
+func (s *Span[T]) adopt() (adopted, forgot int) {
+	clear(s.freed[:cap(s.freed)])
+	s.freed = s.freed[:0]
+	return s.bump.adopt()
 }
 
 // Append is append(buf, v) for a buffer that lives in the span: a full
