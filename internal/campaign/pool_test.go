@@ -14,12 +14,14 @@ import (
 // in process: 100 tests of the avd strategy from seed 1, 1.5 s windows,
 // the 2M-event step budget. The pool is fully resident at the campaign's
 // peak, so this is the pool's exact share of that workload's peak RSS:
-// 2.5 MB. It was 486 (15.2 MB) while requests, votes, pre-prepares and
+// 2.1 MB. It was 486 (15.2 MB) while requests, votes, pre-prepares and
 // their authenticators stayed carved until the rewind; they now go back to
-// the arena when their last holder drops them. A change that moves it changed
-// what a window sends, what a message costs or which messages go back;
-// update the figure only with that explanation.
-const fig2PoolHighWater = 79
+// the arena when their last holder drops them. It was 79 (2.5 MB) while
+// authenticators were tag vectors carved from a span of their own and a
+// request was 64 bytes instead of 56 (mac.Auth). A change that moves it
+// changed what a window sends, what a message costs or which messages go
+// back; update the figure only with that explanation.
+const fig2PoolHighWater = 67
 
 // TestFig2PoolHighWater is the exact guard on the campaign-level memory
 // claim (CI's perf-smoke runs it by name).

@@ -7,7 +7,6 @@ import (
 	"avd/internal/core"
 	"avd/internal/faultinject"
 	"avd/internal/graycode"
-	"avd/internal/mac"
 	"avd/internal/oracle"
 	"avd/internal/pbft"
 	"avd/internal/plugin"
@@ -29,7 +28,6 @@ type deployment struct {
 	w         Workload
 	eng       *sim.Engine
 	net       *simnet.Network
-	keyring   *mac.Keyring
 	oracles   *oracle.Set
 	cov       *oracle.CoverageChecker // rides oracles; measure reads its digest
 	replicas  []*pbft.Replica
@@ -78,7 +76,6 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		w:       w,
 		eng:     sim.New(w.Seed),
 		net:     nil,
-		keyring: mac.NewKeyring(uint64(w.Seed)),
 		oracles: oracle.NewSet(oracle.NewAgreementIn(&r.pool, "pbft"), cov),
 		cov:     cov,
 		byz:     &pbft.ByzantineBehavior{},
@@ -124,7 +121,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 			// (a correct replica) until a scenario arms them.
 			opts = append(opts, pbft.WithByzantine(d.byz))
 		}
-		rep, err := pbft.NewReplica(i, w.PBFT, d.net, d.keyring, opts...)
+		rep, err := pbft.NewReplica(i, w.PBFT, d.net, opts...)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: replica construction: %v", err)) // config was validated
 		}
@@ -148,7 +145,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	nextAddr := simnet.Addr(w.PBFT.N)
 	d.clients = make([]*pbft.Client, 0, correctClients)
 	for i := int64(0); i < correctClients; i++ {
-		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.net, d.keyring,
+		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.net,
 			pbft.WithOnComplete(onComplete), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: client construction: %v", err))
@@ -162,7 +159,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	// boot, exactly like an instrumented binary would).
 	d.malicious = make([]*pbft.Client, 0, nMalicious)
 	for i := int64(0); i < nMalicious; i++ {
-		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.net, d.keyring,
+		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.net,
 			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: malicious client construction: %v", err))

@@ -92,18 +92,20 @@ func TestForkedBigMACAllocs(t *testing.T) {
 
 // windowLeaseChunks is what the unarmed 1.5 s window of the largest
 // default population, 250 correct clients and one malicious, leases from
-// the pool: 2.1 MB of 32 KB chunks. It was 1,260 (39 MB) while every
+// the pool: 1.8 MB of 32 KB chunks. It was 1,260 (39 MB) while every
 // message stayed carved until the rewind and 480 (15 MB) while only
 // replies went back to the arena. Every message now goes back when its
 // last holder drops it — a delivery, the pending buffer, a log entry, a
 // forwarded-request record — and the log's holders let go at each stable
 // checkpoint, so the window carves about what two checkpoint intervals
 // hold at once: 42 chunks of pending-buffer trail (proposed batches are
-// prefixes of it, so it is never handed back before the rewind), 16 of
-// requests, 8 of authenticator vectors and 1 of replies. A change that
-// moves it changed what the window sends, what a message costs or which
-// messages go back; update the figure only with that explanation.
-const windowLeaseChunks = 67
+// prefixes of it, so it is never handed back before the rewind), 14 of
+// requests and 1 of replies. It was 67 while authenticators were tag
+// vectors: 8 chunks of them, and 16 of requests, which were 64 bytes
+// before their authenticator became a 16-byte verdict mask (mac.Auth). A
+// change that moves it changed what the window sends, what a message costs
+// or which messages go back; update the figure only with that explanation.
+const windowLeaseChunks = 57
 
 // TestWindowLease is the exact guard on window memory, the twin of
 // raftsim's TestStormWindowLease (CI's perf-smoke runs both by name).

@@ -113,3 +113,77 @@ func TestKeyringSeedSeparation(t *testing.T) {
 		t.Error("different seeds produced the same pairwise key")
 	}
 }
+
+// tagVerdict is the tag arithmetic an Auth stands for: sender computes n
+// entries over digest, the entries in corrupt are corrupted, and receiver
+// verifies its entry as coming from claimed over digest, flipped in bit 0
+// when changed (a corrupter's copy, pbft.Corrupt).
+func tagVerdict(kr *Keyring, sender, claimed, receiver, n int, corrupt, digest uint64, changed bool) bool {
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = kr.Pairwise(sender, i)
+	}
+	a := NewAuthenticator(keys, digest)
+	for i := range a {
+		if corrupt&(1<<uint(i)) != 0 {
+			a[i] = Corrupt(a[i])
+		}
+	}
+	if changed {
+		digest ^= 1
+	}
+	return a.VerifyEntry(receiver, kr.Pairwise(claimed, receiver), digest)
+}
+
+// authVerdict is the same authenticator as an Auth.
+func authVerdict(sender, claimed, receiver, n int, corrupt uint64, changed bool) bool {
+	a := Sign(sender, n)
+	for i := 0; i < n; i++ {
+		if corrupt&(1<<uint(i)) != 0 {
+			a = a.Corrupt(i)
+		}
+	}
+	if changed {
+		a = a.Garble()
+	}
+	return a.Verifies(receiver, claimed)
+}
+
+// FuzzVerdictMatchesTags: an Auth's verdict equals the tag arithmetic's for
+// every sender, claimed sender, receiver entry (in range or not), entry
+// count, corruption mask and covered-digest change.
+func FuzzVerdictMatchesTags(f *testing.F) {
+	// The Big MAC mask: entries 1-3 of N = 4 corrupt, the primary's clean.
+	for r := 0; r < 4; r++ {
+		f.Add(uint16(9), uint16(9), int8(r), uint8(4), uint64(0xEEE), uint64(42), false)
+	}
+	f.Add(uint16(9), uint16(9), int8(4), uint8(4), uint64(0), uint64(42), false)  // out-of-range entry
+	f.Add(uint16(9), uint16(9), int8(-1), uint8(4), uint64(0), uint64(42), false) // negative entry
+	f.Add(uint16(9), uint16(8), int8(0), uint8(4), uint64(0), uint64(42), false)  // wrong sender
+	f.Add(uint16(2), uint16(2), int8(2), uint8(4), uint64(0), uint64(42), false)  // a replica's own entry
+	f.Add(uint16(1), uint16(1), int8(0), uint8(4), uint64(0), uint64(42), true)   // corrupter's copy
+	f.Add(uint16(0), uint16(0), int8(0), uint8(0), uint64(0), uint64(0), false)   // the zero value
+	f.Add(uint16(70), uint16(70), int8(63), uint8(64), uint64(1<<62), uint64(7), false)
+	kr := NewKeyring(5)
+	f.Fuzz(func(t *testing.T, sender, claimed uint16, receiver int8, n uint8, corrupt, digest uint64, changed bool) {
+		entries := int(n % 65)
+		want := tagVerdict(kr, int(sender), int(claimed), int(receiver), entries, corrupt, digest, changed)
+		if got := authVerdict(int(sender), int(claimed), int(receiver), entries, corrupt, changed); got != want {
+			t.Fatalf("sender %d, claimed %d, entry %d of %d, corrupt %#x, changed %v: Auth says %v, tags say %v",
+				sender, claimed, receiver, entries, corrupt, changed, got, want)
+		}
+	})
+}
+
+// TestZeroAuthVerifiesNothing: the zero value — an unsigned message —
+// verifies no entry for any sender, sender 0 included (its from field).
+func TestZeroAuthVerifiesNothing(t *testing.T) {
+	var a Auth
+	for i := -1; i < 65; i++ {
+		for from := 0; from < 8; from++ {
+			if a.Verifies(i, from) || a.Garble().Verifies(i, from) {
+				t.Fatalf("the zero Auth verified entry %d from sender %d", i, from)
+			}
+		}
+	}
+}

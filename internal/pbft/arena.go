@@ -1,19 +1,16 @@
 package pbft
 
-import (
-	"avd/internal/mac"
-	"avd/internal/slab"
-)
+import "avd/internal/slab"
 
 // Arena is the message memory of one PBFT deployment: every request,
-// reply, vote, proposal, forwarded-request record and authenticator
-// vector its replicas and clients build is carved from these slabs (see
-// package slab). A full-throughput deployment used to allocate one heap
-// object per reply per replica, which made the allocator and the garbage
-// collector the top sites of a campaign profile; and one arena for the
-// whole deployment, rather than a set of slabs per replica and per
-// client, keeps the partly filled chunks a warm master retains to one
-// per message type instead of two per client.
+// reply, vote, proposal and forwarded-request record its replicas and
+// clients build is carved from these slabs (see package slab). A
+// full-throughput deployment used to allocate one heap object per reply
+// per replica, which made the allocator and the garbage collector the top
+// sites of a campaign profile; and one arena for the whole deployment,
+// rather than a set of slabs per replica and per client, keeps the partly
+// filled chunks a warm master retains to one per message type instead of
+// two per client.
 //
 // Messages several holders share carry a slab.Holders count, and the
 // holder that drops the last count puts the message back (DESIGN.md §15):
@@ -26,11 +23,10 @@ import (
 //     changes are heap objects nobody releases);
 //   - Prepare, Commit, ForwardedRequest, Reply: their deliveries.
 //
-// A message goes back with its authenticator vector, and a pre-prepare
-// drops its batch's requests. Holders let go at the protocol's own
-// garbage-collection points: a stable checkpoint (advanceWatermark), a
-// crash with state loss, a view change's discard, a request's execution,
-// and the end of a delivery.
+// A pre-prepare that goes back drops its batch's requests. Holders let go
+// at the protocol's own garbage-collection points: a stable checkpoint
+// (advanceWatermark), a crash with state loss, a view change's discard, a
+// request's execution, and the end of a delivery.
 //
 // The deployment harness owns the capture/rewind cycle through the
 // slab.Arena the slabs were created from; replicas and clients only
@@ -44,7 +40,6 @@ type Arena struct {
 	prePrepares *slab.Slab[PrePrepare]
 	forwarded   *slab.Slab[forwarded]
 	fwdMsgs     *slab.Slab[ForwardedRequest]
-	tags        *slab.Span[mac.Tag]
 	// batches backs the primaries' pending-request buffers, whose
 	// prefixes become the batches log entries and pre-prepares carry.
 	batches *slab.Span[*Request]
@@ -61,7 +56,6 @@ func NewArena(mem *slab.Arena) *Arena {
 		prePrepares: slab.New[PrePrepare](mem),
 		forwarded:   slab.New[forwarded](mem),
 		fwdMsgs:     slab.New[ForwardedRequest](mem),
-		tags:        slab.NewSpan[mac.Tag](mem),
 		batches:     slab.NewSpan[*Request](mem),
 	}
 }
@@ -105,12 +99,10 @@ func (a *Arena) Release(payload any) {
 		a.dropPrePrepare(m)
 	case *Prepare:
 		if a.mem.Drop(&m.holders) {
-			a.tags.Put(m.Auth)
 			a.prepares.Put(m)
 		}
 	case *Commit:
 		if a.mem.Drop(&m.holders) {
-			a.tags.Put(m.Auth)
 			a.commits.Put(m)
 		}
 	case *ForwardedRequest:
@@ -130,7 +122,6 @@ func (a *Arena) holdRequest(req *Request) { a.mem.Hold(&req.holders) }
 
 func (a *Arena) dropRequest(req *Request) {
 	if a.mem.Drop(&req.holders) {
-		a.tags.Put(req.Auth)
 		a.requests.Put(req)
 	}
 }
@@ -146,7 +137,6 @@ func (a *Arena) dropPrePrepare(pp *PrePrepare) {
 	for _, req := range pp.Batch {
 		a.dropRequest(req)
 	}
-	a.tags.Put(pp.Auth)
 	a.prePrepares.Put(pp)
 }
 

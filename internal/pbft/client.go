@@ -45,30 +45,27 @@ type ClientStats struct {
 	Issued          uint64
 	Completed       uint64
 	Retransmissions uint64
-	BadReplies      uint64 // replies whose MAC failed verification
 }
 
 // Client is a closed-loop PBFT client: it keeps exactly one request
 // outstanding and issues the next one as soon as the current one
-// completes (f+1 matching, authenticated replies).
+// completes (f+1 matching replies).
 type Client struct {
-	addr    simnet.Addr
-	pcfg    Config
-	ccfg    ClientConfig
-	eng     *sim.Engine
-	net     *simnet.Network
-	keyring *mac.Keyring
-	inj     *faultinject.Injector
+	addr simnet.Addr
+	pcfg Config
+	ccfg ClientConfig
+	eng  *sim.Engine
+	net  *simnet.Network
+	inj  *faultinject.Injector
 	// macPoint is the resolved generateMAC injection-point handle (the
 	// per-call map lookup showed up in campaign profiles).
 	macPoint *faultinject.Point
 
-	running   bool
-	view      uint64 // best known view, learned from replies
-	seq       uint64
-	curDone   bool // current request already completed (guards late replies)
-	curDigest uint64
-	sentAt    sim.Time
+	running bool
+	view    uint64 // best known view, learned from replies
+	seq     uint64
+	curDone bool // current request already completed (guards late replies)
+	sentAt  sim.Time
 	// replies records the current request's per-replica results densely:
 	// a presence mask plus one slot per replica id (the map this used to
 	// be was a per-reply hot path).
@@ -79,12 +76,10 @@ type Client struct {
 	retryFor   uint64 // request seq the retry timer was armed for
 	retryFn    func() // pre-bound retry callback (no per-arm closure)
 	allAddrs   []simnet.Addr
-	authKeys   []mac.Key // pairwise key per replica, derived once
 
-	// mem is the deployment's message arena (arena.go): requests and
-	// their authenticator vectors are built once per transmission, shared
-	// by pointer and carved from it. A client built without
-	// WithClientArena gets a private one.
+	// mem is the deployment's message arena (arena.go): requests are
+	// built once per transmission, shared by pointer and carved from it.
+	// A client built without WithClientArena gets a private one.
 	mem *Arena
 
 	// onComplete, when set, observes every completed request.
@@ -115,7 +110,7 @@ func WithOnComplete(fn func(seq uint64, latency time.Duration)) ClientOption {
 
 // NewClient creates a client at addr (which must not collide with the
 // replica addresses 0..N-1) and registers it on the network.
-func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Network, keyring *mac.Keyring, opts ...ClientOption) (*Client, error) {
+func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Network, opts ...ClientOption) (*Client, error) {
 	if err := pcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -134,7 +129,6 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 		ccfg:    ccfg,
 		eng:     net.Engine(),
 		net:     net,
-		keyring: keyring,
 		inj:     faultinject.NewInjector(faultinject.Plan{}),
 		replies: make([]uint64, pcfg.N),
 	}
@@ -147,10 +141,8 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 	c.retryFn = func() { c.onRetry(c.retryFor) }
 	c.macPoint = c.inj.Point(PointGenerateMAC)
 	c.allAddrs = make([]simnet.Addr, pcfg.N)
-	c.authKeys = make([]mac.Key, pcfg.N)
 	for i := range c.allAddrs {
 		c.allAddrs[i] = simnet.Addr(i)
-		c.authKeys[i] = keyring.Pairwise(int(addr), i)
 	}
 	net.Handle(addr, c.onMessage)
 	return c, nil
@@ -201,7 +193,6 @@ func (c *Client) issueNext() {
 	c.sentAt = c.eng.Now()
 	c.stats.Issued++
 	req := c.buildRequest(false)
-	c.curDigest = req.Digest()
 	if c.ccfg.Broadcast {
 		c.broadcast(req)
 	} else {
@@ -218,35 +209,27 @@ func (c *Client) broadcast(req *Request) {
 }
 
 // buildRequest assembles the request with a freshly generated
-// authenticator. Retransmissions regenerate all MACs, consuming new
-// generateMAC call numbers — which is why a mask can corrupt a first
+// authenticator: one generateMAC call per replica's entry, each of which
+// the injection point may corrupt. Retransmissions regenerate all MACs,
+// consuming new call numbers — which is why a mask can corrupt a first
 // transmission but leave its retransmission intact (the undocumented-bug
 // dynamics of §6).
 func (c *Client) buildRequest(retransmission bool) *Request {
+	auth := mac.Sign(int(c.addr), c.pcfg.N)
+	for i := 0; i < c.pcfg.N; i++ {
+		if c.macPoint.Check().Action == faultinject.ActCorrupt {
+			auth = auth.Corrupt(i)
+		}
+	}
 	req := c.mem.requests.Get()
 	*req = Request{
 		Client:         c.addr,
 		Seq:            c.seq,
 		Op:             uint64(c.seq)<<16 | uint64(c.addr)&0xffff,
+		Auth:           auth,
 		Retransmission: retransmission,
 	}
-	digest := req.Digest()
-	auth := c.mem.tags.Get(c.pcfg.N)
-	for i := range auth {
-		auth[i] = c.generateMAC(i, digest)
-	}
-	req.Auth = auth
 	return req
-}
-
-// generateMAC computes the authenticator entry for one replica, routing
-// through the instrumented injection point.
-func (c *Client) generateMAC(replica int, digest uint64) mac.Tag {
-	tag := mac.Sum(c.authKeys[replica], digest)
-	if d := c.macPoint.Check(); d.Action == faultinject.ActCorrupt {
-		tag = mac.Corrupt(tag)
-	}
-	return tag
 }
 
 func (c *Client) replicaAddrs() []simnet.Addr { return c.allAddrs }
@@ -275,14 +258,6 @@ func (c *Client) onMessage(from simnet.Addr, payload any) {
 		return
 	}
 	if reply.Seq != c.seq || reply.Client != c.addr || c.curDone {
-		return
-	}
-	// Pairwise keys are symmetric, so the cached per-replica key vector
-	// verifies replies too (the derivation showed up per-reply in
-	// campaign profiles).
-	if reply.Replica < 0 || reply.Replica >= len(c.authKeys) ||
-		!mac.Verify(c.authKeys[reply.Replica], reply.digest(), reply.Tag) {
-		c.stats.BadReplies++
 		return
 	}
 	if reply.View > c.view {

@@ -2,7 +2,7 @@
 // Liskov, OSDI'99) over the simulated network, faithfully reproducing the
 // two implementation behaviors the paper's evaluation depends on:
 //
-//   - MAC authenticator vectors on client requests, verified per receiver,
+//   - MAC authenticators on client requests, verified per receiver,
 //     which make partial-corruption (Big MAC) attacks possible, and
 //   - the client-request view-change timer at replicas, implemented either
 //     per the spec (one timer per request) or as in the original codebase
@@ -25,27 +25,28 @@ import (
 
 // Request is a client request. Auth holds one MAC entry per replica,
 // computed with the pairwise client-replica key; each replica verifies
-// only its own entry.
+// only its own entry. It holds no pointers, nor do Reply, Prepare, Commit
+// and Checkpoint, so the collector never scans their slab chunks.
 type Request struct {
 	Client simnet.Addr
 	// Seq is the client-local request number (PBFT's timestamp).
 	Seq uint64
 	// Op is the opaque operation identifier.
 	Op uint64
-	// Auth is the MAC authenticator vector, entry i for replica i.
-	Auth mac.Authenticator
+	// Auth is the MAC authenticator, entry i for replica i.
+	Auth mac.Auth
 	// Retransmission marks a client retransmission (broadcast to all
 	// replicas after a timeout).
 	Retransmission bool
 	holders        slab.Holders // see Arena
-	// dig caches Digest(): batch digests, MAC checks and the execution
-	// fold each rehash the same immutable body roughly ten times per
-	// request otherwise. Zero means "not computed yet" (the digest is a
-	// folded FNV state, which is never zero in practice).
+	// dig caches Digest(): batch digests and the execution fold each
+	// rehash the same immutable body several times per request otherwise.
+	// Zero means "not computed yet" (the digest is a folded FNV state,
+	// which is never zero in practice).
 	dig uint64
 }
 
-// Digest returns the request digest covered by the authenticator.
+// Digest returns the request digest, which the authenticator covers.
 func (r *Request) Digest() uint64 {
 	if r.dig == 0 {
 		r.dig = fnv3(uint64(r.Client), r.Seq, r.Op)
@@ -73,14 +74,7 @@ type Reply struct {
 	Client  simnet.Addr
 	Seq     uint64
 	Result  uint64
-	// Tag authenticates the reply under the replica-client pairwise key.
-	Tag     mac.Tag
 	holders slab.Holders // see Arena
-}
-
-// replyDigest is the digest covered by a reply's MAC.
-func (r *Reply) digest() uint64 {
-	return fnv3(r.View^uint64(r.Replica)<<32, r.Seq^uint64(r.Client)<<32, r.Result)
 }
 
 // PrePrepare is the primary's ordering proposal for one batch.
@@ -94,7 +88,7 @@ type PrePrepare struct {
 	Digest uint64
 	// Auth authenticates the pre-prepare from the primary, entry i for
 	// replica i.
-	Auth    mac.Authenticator
+	Auth    mac.Auth
 	holders slab.Holders // see Arena
 }
 
@@ -104,7 +98,7 @@ type Prepare struct {
 	SeqNo   uint64
 	Digest  uint64
 	Replica int
-	Auth    mac.Authenticator
+	Auth    mac.Auth
 	holders slab.Holders // see Arena
 }
 
@@ -114,7 +108,7 @@ type Commit struct {
 	SeqNo   uint64
 	Digest  uint64
 	Replica int
-	Auth    mac.Authenticator
+	Auth    mac.Auth
 	holders slab.Holders // see Arena
 }
 
@@ -124,7 +118,7 @@ type Checkpoint struct {
 	SeqNo   uint64
 	Digest  uint64
 	Replica int
-	Auth    mac.Authenticator
+	Auth    mac.Auth
 }
 
 // PreparedProof certifies that a batch prepared at a replica: the
@@ -143,7 +137,7 @@ type ViewChange struct {
 	LastStable uint64
 	Prepared   []PreparedProof
 	Replica    int
-	Auth       mac.Authenticator
+	Auth       mac.Auth
 }
 
 // NewView is the new primary's view installation message: the 2f+1 view
@@ -153,7 +147,7 @@ type NewView struct {
 	View        uint64
 	ViewChanges []*ViewChange
 	PrePrepares []*PrePrepare
-	Auth        mac.Authenticator
+	Auth        mac.Auth
 }
 
 // ForwardedRequest relays a client request from a backup to the primary
@@ -168,32 +162,37 @@ type ForwardedRequest struct {
 // Corrupt is the PBFT target's simnet.Corrupter: it garbles a protocol
 // message into a new value (payloads are shared, so corruption must never
 // mutate in place). The copy counts no holders; the delivery it rides owns
-// nothing, so the original's hold stays taken and the batch and
-// authenticator the copy shares with it stay alive. Flipping the digest a
-// vote or proposal speaks for desynchronizes it from its authenticator, so
-// the receiver rejects it — modelling bit rot that PBFT's MACs catch,
-// which selectively erases agreement votes from the schedule. Client
-// traffic is left alone (it has its own MAC-corruption tool).
+// nothing, so the original's hold stays taken and the batch the copy
+// shares with it stays alive. Flipping the digest a vote or proposal
+// speaks for changes a field its authenticator covers, so the copy's
+// authenticator is garbled and the receiver rejects it — modelling bit rot
+// that PBFT's MACs catch, which selectively erases agreement votes from
+// the schedule. Client traffic is left alone (it has its own
+// MAC-corruption tool).
 func Corrupt(from, to simnet.Addr, payload any) any {
 	switch m := payload.(type) {
 	case *PrePrepare:
 		c := *m
 		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
 		c.holders = slab.Holders{}
 		return &c
 	case *Prepare:
 		c := *m
 		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
 		c.holders = slab.Holders{}
 		return &c
 	case *Commit:
 		c := *m
 		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
 		c.holders = slab.Holders{}
 		return &c
 	case *Checkpoint:
 		c := *m
 		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
 		return &c
 	}
 	return nil
@@ -223,7 +222,7 @@ func BatchDigest(batch []*Request) uint64 {
 }
 
 // fnv3 hashes three words with word-folded FNV-1a. Digest values only
-// ever feed equality checks and MAC inputs, so the word-at-a-time fold
+// ever feed equality checks and further digests, so the word-at-a-time fold
 // (8x fewer multiplies than the byte variant) preserves behavior.
 func fnv3(a, b, c uint64) uint64 {
 	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211

@@ -149,13 +149,12 @@ type forwarded struct {
 // Replica is one PBFT replica. All methods run on the simulation
 // goroutine.
 type Replica struct {
-	id      int
-	cfg     Config
-	eng     *sim.Engine
-	clock   int // engine clock identity: every local timer schedules through it
-	net     *simnet.Network
-	keyring *mac.Keyring
-	byz     *ByzantineBehavior
+	id    int
+	cfg   Config
+	eng   *sim.Engine
+	clock int // engine clock identity: every local timer schedules through it
+	net   *simnet.Network
+	byz   *ByzantineBehavior
 
 	crashed      bool
 	crashReason  string
@@ -226,23 +225,13 @@ type Replica struct {
 	slowTickFn     func()
 	nvTimeoutFn    func()
 
-	// authKeys caches the pairwise keys this replica authenticates with
-	// (entry i for replica i); the keyring derivation is deterministic,
-	// so deriving once at construction keeps authFor allocation-light.
-	authKeys []mac.Key
 	// allAddrs caches the replica address list handed to Broadcast.
 	allAddrs []simnet.Addr
-	// clientKeys caches pairwise client keys densely by address (the
-	// derivation runs once per reply and once per MAC verification
-	// otherwise). The zero Key marks "not derived yet": pairwise keys are
-	// folded FNV states, for which zero does not occur in practice.
-	//avdlint:derived pairwise-key cache: entries re-derive deterministically from (replica, client) identity
-	clientKeys []mac.Key
 
-	// mem is the deployment's message arena (arena.go): replies, votes,
-	// proposals and authenticator vectors built on the agreement hot path
-	// are carved from it. The deployment captures and rewinds it; a
-	// replica built without WithArena gets a private one.
+	// mem is the deployment's message arena (arena.go): replies, votes and
+	// proposals built on the agreement hot path are carved from it. The
+	// deployment captures and rewinds it; a replica built without
+	// WithArena gets a private one.
 	mem *Arena
 
 	// commitObserver, when set, observes every batch execution: the
@@ -298,7 +287,7 @@ func WithViewObserver(fn func(node int, view uint64)) ReplicaOption {
 
 // NewReplica creates replica id and registers it on the network at
 // address Addr(id).
-func NewReplica(id int, cfg Config, net *simnet.Network, keyring *mac.Keyring, opts ...ReplicaOption) (*Replica, error) {
+func NewReplica(id int, cfg Config, net *simnet.Network, opts ...ReplicaOption) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -310,7 +299,6 @@ func NewReplica(id int, cfg Config, net *simnet.Network, keyring *mac.Keyring, o
 		cfg:                  cfg,
 		eng:                  net.Engine(),
 		net:                  net,
-		keyring:              keyring,
 		log:                  make(map[uint64]*logEntry),
 		pendingForwarded:     make(map[RequestKey]*forwarded),
 		reqTimers:            make(map[RequestKey]sim.Timer),
@@ -327,10 +315,8 @@ func NewReplica(id int, cfg Config, net *simnet.Network, keyring *mac.Keyring, o
 		r.mem = newPrivateArena()
 	}
 	r.clock = r.eng.RegisterClock()
-	r.authKeys = make([]mac.Key, cfg.N)
 	r.allAddrs = make([]simnet.Addr, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		r.authKeys[i] = keyring.Pairwise(id, i)
 		r.allAddrs[i] = simnet.Addr(i)
 	}
 	r.proposeBatchFn = r.proposeBatch
@@ -388,16 +374,10 @@ func (r *Replica) isSlowPrimary() bool {
 
 func (r *Replica) replicaAddrs() []simnet.Addr { return r.allAddrs }
 
-// authFor builds a replica-to-replica authenticator covering digest. The
-// vector is carved from the arena's tag span: one bump per authenticator
-// instead of one heap object.
-func (r *Replica) authFor(digest uint64) mac.Authenticator {
-	a := mac.Authenticator(r.mem.tags.Get(r.cfg.N))
-	for i, k := range r.authKeys {
-		a[i] = mac.Sum(k, digest)
-	}
-	return a
-}
+// auth is this replica's authenticator for a message to every replica.
+// It takes no digest: a covered field never changes after signing, so
+// only who signed decides a verdict (see package mac).
+func (r *Replica) auth() mac.Auth { return mac.Sign(r.id, r.cfg.N) }
 
 // newEntry hands out a log entry from the pool, vote-set backing
 // included.
@@ -442,24 +422,6 @@ func (r *Replica) newCkptSet() *voteSet {
 
 func (r *Replica) freeCkptSet(v *voteSet) { r.ckptFree = append(r.ckptFree, v) }
 
-// clientKey returns the pairwise key shared with a client, deriving and
-// caching it on first use.
-func (r *Replica) clientKey(a simnet.Addr) mac.Key {
-	if int(a) >= 0 && int(a) < len(r.clientKeys) {
-		if k := r.clientKeys[a]; k != 0 {
-			return k
-		}
-	}
-	k := r.keyring.Pairwise(r.id, int(a))
-	if int(a) >= 0 {
-		for int(a) >= len(r.clientKeys) {
-			r.clientKeys = append(r.clientKeys, 0)
-		}
-		r.clientKeys[a] = k
-	}
-	return k
-}
-
 // lastReply is one slot of the dense last-reply table; sent tells a reply
 // from a slot the table only grew past.
 type lastReply struct {
@@ -498,16 +460,11 @@ func (r *Replica) resendReply(last *Reply) {
 }
 
 // verifyPeer checks our entry of a peer replica's authenticator.
-func (r *Replica) verifyPeer(peer int, auth mac.Authenticator, digest uint64) bool {
-	return auth.VerifyEntry(r.id, r.keyring.Pairwise(peer, r.id), digest)
-}
+func (r *Replica) verifyPeer(peer int, auth mac.Auth) bool { return auth.Verifies(r.id, peer) }
 
 // verifyClientMAC checks our entry of a client request's authenticator.
 func (r *Replica) verifyClientMAC(req *Request) bool {
-	if req.IsNull() {
-		return true
-	}
-	return req.Auth.VerifyEntry(r.id, r.clientKey(req.Client), req.Digest())
+	return req.IsNull() || req.Auth.Verifies(r.id, int(req.Client))
 }
 
 func (r *Replica) crash(reason string) {
@@ -831,7 +788,7 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 		SeqNo:  seq,
 		Batch:  batch,
 		Digest: digest,
-		Auth:   r.authFor(fnv3(r.view, seq, digest)),
+		Auth:   r.auth(),
 	}
 	r.mem.share(&pp.holders, r.cfg.N-1)
 	r.setPrePrepare(entry, r.view, pp)
@@ -872,7 +829,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 		SeqNo:  seq,
 		Batch:  altBatch,
 		Digest: altDigest,
-		Auth:   r.authFor(fnv3(r.view, seq, altDigest)),
+		Auth:   r.auth(),
 	}
 	digest := BatchDigest(batch)
 	pp := &PrePrepare{
@@ -880,7 +837,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 		SeqNo:  seq,
 		Batch:  batch,
 		Digest: digest,
-		Auth:   r.authFor(fnv3(r.view, seq, digest)),
+		Auth:   r.auth(),
 	}
 	r.stats.BatchesProposed++
 	entry := r.getEntry(seq)
@@ -895,7 +852,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 		if int(to) == victim {
 			r.net.Send(r.Addr(), to, altPP)
 			altC := &Commit{View: r.view, SeqNo: seq, Digest: altDigest, Replica: r.id}
-			altC.Auth = r.authFor(fnv3(altC.View, altC.SeqNo, altC.Digest))
+			altC.Auth = r.auth()
 			r.net.Send(r.Addr(), to, altC)
 		} else {
 			r.net.Send(r.Addr(), to, pp)
@@ -925,7 +882,7 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	if pp.SeqNo <= r.lowWater || pp.SeqNo > r.lowWater+r.cfg.WindowSize {
 		return
 	}
-	if !r.verifyPeer(from, pp.Auth, fnv3(pp.View, pp.SeqNo, pp.Digest)) {
+	if !r.verifyPeer(from, pp.Auth) {
 		return
 	}
 	if BatchDigest(pp.Batch) != pp.Digest {
@@ -956,7 +913,7 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 func (r *Replica) sendPrepare(view, seq, digest uint64) {
 	prep := r.mem.prepares.Get()
 	*prep = Prepare{View: view, SeqNo: seq, Digest: digest, Replica: r.id}
-	prep.Auth = r.authFor(fnv3(view, seq, digest))
+	prep.Auth = r.auth()
 	r.mem.share(&prep.holders, r.cfg.N-1)
 	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), prep)
 }
@@ -1011,7 +968,7 @@ func (r *Replica) onPrepare(p *Prepare) {
 	if p.Replica == r.cfg.PrimaryOf(p.View) {
 		return // the primary's pre-prepare is its prepare
 	}
-	if !r.verifyPeer(p.Replica, p.Auth, fnv3(p.View, p.SeqNo, p.Digest)) {
+	if !r.verifyPeer(p.Replica, p.Auth) {
 		return
 	}
 	entry := r.getEntry(p.SeqNo)
@@ -1038,7 +995,7 @@ func (r *Replica) checkPrepared(seq uint64, entry *logEntry) {
 	entry.prepared = true
 	c := r.mem.commits.Get()
 	*c = Commit{View: entry.view, SeqNo: seq, Digest: entry.digest, Replica: r.id}
-	c.Auth = r.authFor(fnv3(c.View, c.SeqNo, c.Digest))
+	c.Auth = r.auth()
 	r.mem.share(&c.holders, r.cfg.N-1)
 	entry.commits.set(r.id, entry.digest)
 	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), c)
@@ -1052,7 +1009,7 @@ func (r *Replica) onCommit(c *Commit) {
 	if c.SeqNo <= r.lowWater || c.SeqNo > r.lowWater+r.cfg.WindowSize {
 		return
 	}
-	if !r.verifyPeer(c.Replica, c.Auth, fnv3(c.View, c.SeqNo, c.Digest)) {
+	if !r.verifyPeer(c.Replica, c.Auth) {
 		return
 	}
 	entry := r.getEntry(c.SeqNo)
@@ -1142,8 +1099,6 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		reply.Client = req.Client
 		reply.Seq = req.Seq
 		reply.Result = r.stateDigest
-		tag := mac.Sum(r.clientKey(req.Client), reply.digest())
-		reply.Tag = tag
 		r.mem.share(&reply.holders, 1)
 		slot := r.setLastReply(req.Client)
 		slot.View = r.view
@@ -1151,7 +1106,6 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		slot.Client = req.Client
 		slot.Seq = req.Seq
 		slot.Result = r.stateDigest
-		slot.Tag = tag
 		r.net.SendOwned(r.Addr(), req.Client, reply)
 		r.onRequestExecuted(req.Key())
 	}
@@ -1225,13 +1179,13 @@ func (r *Replica) stopAllRequestTimers() {
 
 func (r *Replica) emitCheckpoint(seq uint64) {
 	cp := &Checkpoint{SeqNo: seq, Digest: r.stateDigest, Replica: r.id}
-	cp.Auth = r.authFor(fnv3(cp.SeqNo, cp.Digest, uint64(cp.Replica)))
+	cp.Auth = r.auth()
 	r.recordCheckpoint(cp)
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), cp)
 }
 
 func (r *Replica) onCheckpoint(cp *Checkpoint) {
-	if !r.verifyPeer(cp.Replica, cp.Auth, fnv3(cp.SeqNo, cp.Digest, uint64(cp.Replica))) {
+	if !r.verifyPeer(cp.Replica, cp.Auth) {
 		return
 	}
 	r.recordCheckpoint(cp)

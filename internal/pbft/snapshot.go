@@ -287,7 +287,6 @@ type ClientState struct {
 	view       uint64
 	seq        uint64
 	curDone    bool
-	curDigest  uint64
 	sentAt     sim.Time
 	replies    []uint64
 	repMask    uint64
@@ -308,7 +307,6 @@ func (c *Client) Snapshot() *ClientState {
 		view:       c.view,
 		seq:        c.seq,
 		curDone:    c.curDone,
-		curDigest:  c.curDigest,
 		sentAt:     c.sentAt,
 		replies:    append([]uint64(nil), c.replies...),
 		repMask:    c.repMask,
@@ -328,7 +326,6 @@ func (c *Client) Restore(s *ClientState) {
 	c.view = s.view
 	c.seq = s.seq
 	c.curDone = s.curDone
-	c.curDigest = s.curDigest
 	c.sentAt = s.sentAt
 	copy(c.replies, s.replies)
 	c.repMask = s.repMask

@@ -42,7 +42,7 @@ func (r *Replica) startViewChange(target uint64) {
 		Prepared:   r.preparedProofs(),
 		Replica:    r.id,
 	}
-	vc.Auth = r.authFor(fnv3(vc.NewView, vc.LastStable, uint64(vc.Replica)))
+	vc.Auth = r.auth()
 	r.recordViewChange(vc)
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), vc)
 
@@ -90,7 +90,7 @@ func (r *Replica) onViewChange(vc *ViewChange) {
 	if r.crashed || vc.NewView <= r.view {
 		return
 	}
-	if !r.verifyPeer(vc.Replica, vc.Auth, fnv3(vc.NewView, vc.LastStable, uint64(vc.Replica))) {
+	if !r.verifyPeer(vc.Replica, vc.Auth) {
 		return
 	}
 	r.recordViewChange(vc)
@@ -166,7 +166,7 @@ func (r *Replica) maybeAssembleNewView(target uint64) {
 		return nv.ViewChanges[i].Replica < nv.ViewChanges[j].Replica
 	})
 	nv.PrePrepares = reproposals
-	nv.Auth = r.authFor(fnv3(nv.View, minS, uint64(len(reproposals))))
+	nv.Auth = r.auth()
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), nv)
 	r.installNewView(target, minS, reproposals)
 }
@@ -238,7 +238,7 @@ func (r *Replica) installNewView(target, minS uint64, reproposals []*PrePrepare)
 	}
 	for _, pp := range reproposals {
 		pp.View = target
-		pp.Auth = r.authFor(fnv3(pp.View, pp.SeqNo, pp.Digest))
+		pp.Auth = r.auth()
 		if pp.SeqNo > r.seqCounter {
 			r.seqCounter = pp.SeqNo
 		}

@@ -1,14 +1,13 @@
 // Package slab is the rewindable bump allocator behind snapshot/fork
 // execution (DESIGN.md §15). Protocol objects that are built once and
-// shared by pointer — requests, replies, votes, append batches,
-// authenticator vectors — are carved out of fixed-size chunks; everything
-// a measurement window carves becomes unreachable the moment the
-// deployment rolls back to its post-warm-up snapshot, so a rewind reuses
-// the memory instead of handing it to the garbage collector. An object
-// that several holders share — a message and the deliveries and log
-// entries that keep it — carries a Holders count; the holder that drops
-// the last count hands it back through Slab.Put, and it is the next one
-// Get hands out.
+// shared by pointer — requests, replies, votes, appends, request batches
+// — are carved out of fixed-size chunks; everything a measurement window
+// carves becomes unreachable the moment the deployment rolls back to its
+// post-warm-up snapshot, so a rewind reuses the memory instead of handing
+// it to the garbage collector. An object that several holders share — a
+// message and the deliveries and log entries that keep it — carries a
+// Holders count; the holder that drops the last count hands it back
+// through Slab.Put, and it is the next one Get hands out.
 //
 // Ownership is split at the capture mark. Chunks a deployment filled
 // before Arena.Capture hold objects its snapshot may still point to: they
@@ -510,14 +509,8 @@ func (a *Arena) counts(h *Holders) bool {
 	return false
 }
 
-// Span hands out windows of n contiguous elements (authenticator
-// vectors, request batches).
-type Span[T any] struct {
-	bump[T]
-	// freed holds the windows Put handed back, last in first out, under
-	// the same rule as Slab.freed.
-	freed [][]T
-}
+// Span hands out windows of n contiguous elements (request batches).
+type Span[T any] struct{ bump[T] }
 
 // NewSpan creates a span allocator of T in the arena.
 func NewSpan[T any](a *Arena) *Span[T] {
@@ -527,46 +520,16 @@ func NewSpan[T any](a *Arena) *Span[T] {
 }
 
 // Get returns a dirty window of exactly n elements (len == cap == n). A
-// window handed back through Put goes out again first when it has length
-// n. A window never straddles chunks: when n does not fit the rest of the
+// window never straddles chunks: when n does not fit the rest of the
 // current chunk the rest is skipped, and n beyond the fixed chunk length
 // gets a chunk of its own.
 func (s *Span[T]) Get(n int) []T {
-	if k := len(s.freed); k > 0 && len(s.freed[k-1]) == n {
-		w := s.freed[k-1]
-		s.freed = s.freed[:k-1]
-		return w
-	}
 	if s.off+n > len(s.cur) {
 		s.grow(n)
 	}
 	w := s.cur[s.off : s.off+n : s.off+n]
 	s.off += n
 	return w
-}
-
-// Put hands back a window Get returned since the arena's last Capture or
-// Rewind, on the terms of Slab.Put. It serves a span whose windows all
-// have one length (authenticator vectors): Get reuses only the window Put
-// last, and only for a request of its length.
-func (s *Span[T]) Put(w []T) {
-	if poison.Load() && poisonChunk(w) {
-		panic("slab: Put of a window that was already put back")
-	}
-	s.freed = append(s.freed, w)
-}
-
-// Rewind is bump.Rewind with the free list emptied first.
-func (s *Span[T]) Rewind(m Mark) {
-	s.freed = s.freed[:0]
-	s.bump.Rewind(m)
-}
-
-// adopt is Slab.adopt for windows.
-func (s *Span[T]) adopt() (adopted, forgot int) {
-	clear(s.freed[:cap(s.freed)])
-	s.freed = s.freed[:0]
-	return s.bump.adopt()
 }
 
 // Append is append(buf, v) for a buffer that lives in the span: a full
