@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -290,58 +289,6 @@ func TestDropWindowScenarioRuns(t *testing.T) {
 	}
 }
 
-func TestRunnerDeterministic(t *testing.T) {
-	sc := paperSpace(t).New(map[string]int64{
-		plugin.DimMACMask:          1234,
-		plugin.DimCorrectClients:   40,
-		plugin.DimMaliciousClients: 2,
-	})
-	r1 := newRunner(t, fastWorkload())
-	r2 := newRunner(t, fastWorkload())
-	a := r1.Run(sc)
-	b := r2.Run(sc)
-	if a.Throughput != b.Throughput || a.Impact != b.Impact || a.AvgLatency != b.AvgLatency {
-		t.Errorf("nondeterministic runner: (%v,%v,%v) vs (%v,%v,%v)",
-			a.Throughput, a.Impact, a.AvgLatency, b.Throughput, b.Impact, b.AvgLatency)
-	}
-}
-
-func TestParallelSweepSafe(t *testing.T) {
-	// Exercises the runner's baseline cache under concurrency (-race).
-	r := newRunner(t, fastWorkload())
-	space := paperSpace(t)
-	var scs []scenario.Scenario
-	for _, coord := range []int64{0, 100, 500, 900, 1500, 2500, 3000, 4000} {
-		for _, clients := range []int64{10, 20} {
-			scs = append(scs, space.New(map[string]int64{
-				plugin.DimMACMask:          coord,
-				plugin.DimCorrectClients:   clients,
-				plugin.DimMaliciousClients: 1,
-			}))
-		}
-	}
-	eng, err := core.NewEngine(r, core.WithExplorer(core.NewListExplorer(scs)),
-		core.WithBudget(len(scs)), core.WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := eng.RunAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(scs) {
-		t.Fatalf("sweep returned %d results for %d scenarios", len(results), len(scs))
-	}
-	for i, res := range results {
-		if res.Scenario.Key() != scs[i].Key() {
-			t.Fatalf("sweep result order broken at %d", i)
-		}
-		if res.BaselineThroughput <= 0 {
-			t.Fatalf("missing baseline for %s", res.Scenario.Key())
-		}
-	}
-}
-
 func TestBinaryMaskAblationChangesEncoding(t *testing.T) {
 	wGray := fastWorkload()
 	wBin := fastWorkload()
@@ -398,34 +345,5 @@ func TestReportFieldsPopulated(t *testing.T) {
 	}
 	if rep.P99Latency == 0 && rep.CorrectCompleted > 0 {
 		t.Error("P99 latency missing despite completions")
-	}
-}
-
-// TestStructuralMarkerMatchesMasterKey: scenario.Dimension.Structural is
-// a promise about populationOf — over every plugin the PBFT target
-// accepts, moving a structural axis changes the master key and moving any
-// other axis does not. core.PlanShards relies on it to give every
-// population to one shard.
-func TestStructuralMarkerMatchesMasterKey(t *testing.T) {
-	space, err := core.Space(
-		plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}, plugin.NewFaultPlan(), &plugin.SlowPrimary{},
-		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := space.New(nil)
-	structural := 0
-	for _, d := range space.Dimensions() {
-		moved := populationOf(base.With(d.Name, d.Value(1))) != populationOf(base)
-		if moved != d.Structural {
-			t.Errorf("%s: Structural=%v, moving it changes the master key: %v", d.Name, d.Structural, moved)
-		}
-		if d.Structural {
-			structural++
-		}
-	}
-	if structural != 2 {
-		t.Errorf("%d structural axes, want correct_clients and malicious_clients", structural)
 	}
 }

@@ -115,14 +115,6 @@ func (c *ForkCache[K, D]) DropAll() {
 	c.mu.Unlock()
 }
 
-// FreeLen reports the number of cached deployments for key (test and
-// diagnostics hook).
-func (c *ForkCache[K, D]) FreeLen(key K) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.free[key])
-}
-
 // Each calls fn for every parked deployment (test and diagnostics hook).
 // fn runs under the cache lock and must not call back into the cache.
 func (c *ForkCache[K, D]) Each(fn func(K, D)) {

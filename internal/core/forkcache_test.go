@@ -34,7 +34,9 @@ func TestForkCacheCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Release("k", i)
 	}
-	if n := c.FreeLen("k"); n != 2 {
+	n := 0
+	c.Each(func(string, int) { n++ })
+	if n != 2 {
 		t.Fatalf("free list holds %d deployments after 5 releases with cap 2; want 2", n)
 	}
 	// Released deployments beyond the cap are dropped, not queued: the

@@ -1,89 +1,17 @@
-package core
+package core_test
 
 // The generic Harness, exercised through the toy register target
 // (toyregister_test.go) alone: everything asserted here holds for any
-// system that implements the Deployment contract.
+// system that implements the Deployment contract. What every target owes
+// the harness is the contract suite, internal/core/targettest.
 
 import (
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"avd/internal/scenario"
-	"avd/internal/slab"
 )
-
-func regSpec() HarnessSpec[int64, *regDeployment] {
-	return HarnessSpec[int64, *regDeployment]{Measure: 200 * time.Millisecond, LatencyRef: 50 * time.Millisecond}
-}
-
-func regScenario(t *testing.T, target *regTarget, clients, lagMS int64) scenario.Scenario {
-	t.Helper()
-	space, err := Space(target.Plugins()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return space.New(map[string]int64{dimRegClients: clients, dimRegLagMS: lagMS})
-}
-
-// TestHarnessColdEqualsEveryFork: a cold run, the first fork of a fresh
-// master and the tenth fork of a master that ran other scenarios in
-// between are the same run — Result, report and oracle-event trace.
-func TestHarnessColdEqualsEveryFork(t *testing.T) {
-	target := newRegTarget(regSpec())
-	sc := regScenario(t, target, 4, 2)
-	other := regScenario(t, target, 4, 4)
-	coldRes, coldRep, coldTrace := target.RunTraced(sc)
-	if coldRes.Impact <= 0 || coldRep.Completed == 0 || len(coldTrace) == 0 {
-		t.Fatalf("toy attack measured nothing: %+v %+v, %d events", coldRes, coldRep, len(coldTrace))
-	}
-	if coldRep.PrimaryVersion < coldRep.BackupVersion || len(coldRes.Violations) != 0 {
-		t.Fatalf("toy register broke its own protocol: %+v %+v", coldRes, coldRep)
-	}
-	for fork := 1; fork <= 10; fork++ {
-		res, rep, trace := target.RunTracedFork(sc)
-		if !reflect.DeepEqual(coldRes, res) || !reflect.DeepEqual(coldRep, rep) || !reflect.DeepEqual(coldTrace, trace) {
-			t.Fatalf("fork %d differs from the cold run:\ncold: %+v %+v\nfork: %+v %+v", fork, coldRes, coldRep, res, rep)
-		}
-		target.RunFork(other)
-	}
-	if got := target.RunForkWorker(sc, 3); !reflect.DeepEqual(coldRes, got) {
-		t.Errorf("RunForkWorker differs from RunFork: %+v", got)
-	}
-}
-
-// TestHarnessWindowCeilingCostsOneTest: a deployment whose window leaks
-// past slab.WindowCeiling is stopped and reported like an exhausted step
-// budget — Result.Hung plus an Error naming the ceiling — on the same
-// event cold and forked (a restore carves nothing, so both windows lease
-// identically); park hands every lease back, and the master's next fork
-// is healthy. No shipped scenario reaches the ceiling any more, so the
-// toy leaks on purpose.
-func TestHarnessWindowCeilingCostsOneTest(t *testing.T) {
-	target := newRegTarget(regSpec())
-	sc := regScenario(t, target, 4, 1)
-	healthy := target.RunFork(sc)
-	if healthy.Errored() {
-		t.Fatalf("toy run degraded before it leaked: %+v", healthy)
-	}
-	target.leak = slab.WindowCeiling / 16
-	cold := target.Run(sc)
-	if !cold.Hung || !strings.Contains(cold.Error, "window-memory ceiling") {
-		t.Fatalf("leaking window was not cut at the ceiling: %+v", cold)
-	}
-	if fork := target.RunFork(sc); !reflect.DeepEqual(cold, fork) {
-		t.Errorf("ceiling verdict differs between cold and fork:\ncold: %+v\nfork: %+v", cold, fork)
-	}
-	if got := target.pool.Leased(); got != 0 {
-		t.Errorf("%d chunks still on lease after the hung tests parked", got)
-	}
-	target.leak = 0
-	if again := target.RunFork(sc); !reflect.DeepEqual(healthy, again) {
-		t.Errorf("the ceiling leaked into the next fork:\nbefore: %+v\nafter:  %+v", healthy, again)
-	}
-}
 
 // TestHarnessBaselineMemoisedPerCount: one unarmed window per client
 // count, however many runs, populations and Baseline calls share it.
@@ -92,7 +20,7 @@ func TestHarnessBaselineMemoisedPerCount(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, clients := range []int64{2, 6} {
 			for lag := int64(0); lag <= 2; lag++ {
-				res := target.RunFork(regScenario(t, target, clients, lag))
+				res := target.RunFork(regScenario(t, clients, lag))
 				if res.BaselineThroughput != target.Baseline(clients) || res.BaselineThroughput <= 0 {
 					t.Fatalf("clients=%d: result carries baseline %v, harness says %v", clients, res.BaselineThroughput, target.Baseline(clients))
 				}
@@ -115,7 +43,7 @@ func TestHarnessBaselineMemoisedPerCount(t *testing.T) {
 // unprepared one does.
 func TestHarnessPrepareIdempotentAndNeutral(t *testing.T) {
 	prepared, plain := newRegTarget(regSpec()), newRegTarget(regSpec())
-	scs := []scenario.Scenario{regScenario(t, plain, 2, 1), regScenario(t, plain, 8, 3), regScenario(t, plain, 2, 4)}
+	scs := []scenario.Scenario{regScenario(t, 2, 1), regScenario(t, 8, 3), regScenario(t, 2, 4)}
 	for round := 0; round < 3; round++ {
 		for _, sc := range scs {
 			prepared.Prepare(sc)
@@ -145,21 +73,21 @@ func TestHarnessFlushMasters(t *testing.T) {
 	target := newRegTarget(regSpec())
 	counts := []int64{2, 4, 6, 8}
 	for _, clients := range counts {
-		target.RunFork(regScenario(t, target, clients, 1))
+		target.RunFork(regScenario(t, clients, 1))
 	}
-	parked := 0
-	target.EachMaster(func(int64, *regDeployment) { parked++ })
-	if parked != len(counts) {
-		t.Fatalf("%d masters parked after runs on %d populations", parked, len(counts))
+	parked := func() (n int) {
+		target.EachMaster(func(int64, *regDeployment) { n++ })
+		return n
 	}
-	want := target.RunFork(regScenario(t, target, 4, 1))
+	if n := parked(); n != len(counts) {
+		t.Fatalf("%d masters parked after runs on %d populations", n, len(counts))
+	}
+	want := target.RunFork(regScenario(t, 4, 1))
 	target.FlushMasters()
-	for _, clients := range counts {
-		if n := target.masters.FreeLen(clients); n != 0 {
-			t.Errorf("FlushMasters left %d masters under key %d", n, clients)
-		}
+	if n := parked(); n != 0 {
+		t.Errorf("FlushMasters left %d masters parked", n)
 	}
-	if got := target.RunFork(regScenario(t, target, 4, 1)); !reflect.DeepEqual(want, got) {
+	if got := target.RunFork(regScenario(t, 4, 1)); !reflect.DeepEqual(want, got) {
 		t.Errorf("run after flush differs: %+v vs %+v", got, want)
 	}
 	if got := target.builds.Load(); got != int64(len(counts))+1 {
@@ -187,7 +115,7 @@ func TestHarnessPhaseBuckets(t *testing.T) {
 	if p.WarmupSeconds != 0 || p.ForkSeconds != 0 || p.RunSeconds != 0 || p.AnalyzeSeconds != 0 {
 		t.Errorf("baseline leaked into other phases: %+v", p)
 	}
-	target.RunFork(regScenario(t, target, 4, 2))
+	target.RunFork(regScenario(t, 4, 2))
 	after := target.Phases()
 	if after.RunSeconds < window.Seconds() || after.ForkSeconds <= 0 || after.AnalyzeSeconds <= 0 {
 		t.Errorf("attack run on a warm master: %+v", after)
@@ -197,7 +125,7 @@ func TestHarnessPhaseBuckets(t *testing.T) {
 	}
 
 	target = newTarget()
-	target.RunFork(regScenario(t, target, 4, 2))
+	target.RunFork(regScenario(t, 4, 2))
 	p = target.Phases()
 	if p.WarmupSeconds < build.Seconds() || p.WarmupSeconds >= (build+window).Seconds() {
 		t.Errorf("attack run that built its master: warm-up %.3fs, want [%.3f, %.3f)", p.WarmupSeconds, build.Seconds(), (build + window).Seconds())
@@ -218,7 +146,7 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	unbudgeted := newRegTarget(spec)
 	spec.StepBudget = 50
 	budgeted := newRegTarget(spec)
-	sc := regScenario(t, budgeted, 4, 0)
+	sc := regScenario(t, 4, 0)
 	res := budgeted.RunFork(sc)
 	if !res.Hung || res.Error == "" {
 		t.Fatalf("50-event budget did not cut the attack window: %+v", res)
@@ -236,44 +164,5 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	forkRes, forkRep := budgeted.Execute(sc, false, true)
 	if !reflect.DeepEqual(coldRes, forkRes) || !reflect.DeepEqual(coldRep, forkRep) {
 		t.Errorf("unarmed cold run differs from unarmed fork:\ncold: %+v %+v\nfork: %+v %+v", coldRes, coldRep, forkRes, forkRep)
-	}
-}
-
-// TestHarnessConcurrentForks: eight callers forking the same and
-// different populations at once get exactly the serial results (under
-// -race this is the harness's race test).
-func TestHarnessConcurrentForks(t *testing.T) {
-	target := newRegTarget(regSpec())
-	scs := []scenario.Scenario{
-		regScenario(t, target, 2, 1), regScenario(t, target, 2, 3),
-		regScenario(t, target, 6, 0), regScenario(t, target, 8, 4),
-	}
-	want := make([]Result, len(scs))
-	serial := newRegTarget(regSpec())
-	for i, sc := range scs {
-		want[i] = serial.RunFork(sc)
-	}
-	const callers = 8
-	got := make([][]Result, callers)
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for round := 0; round < 5; round++ {
-				for i := range scs {
-					target.Prepare(scs[(i+c)%len(scs)])
-					got[c] = append(got[c], target.RunFork(scs[(i+c)%len(scs)]))
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	for c := range got {
-		for n, res := range got[c] {
-			if i := (n%len(scs) + c) % len(scs); !reflect.DeepEqual(want[i], res) {
-				t.Fatalf("caller %d run %d of %s diverged from the serial result:\nwant %+v\ngot  %+v", c, n, scs[i].Key(), want[i], res)
-			}
-		}
 	}
 }

@@ -1,17 +1,22 @@
-package core
+package core_test
 
 // A toy third system under test: a primary-backup register over
 // sim/simnet. It exists to show what a target has to supply for the
 // generic Harness — a deployment, a key function and a plugin list — and
-// to let harness_test.go exercise the harness with no PBFT or Raft in
-// the loop. Closed-loop clients write to the primary, the primary
-// replicates each write to the backup, and acknowledges the client once
-// the backup has; the one fault tool delays the replication link.
+// to run the target contract (internal/core/targettest) and the harness
+// tests with no PBFT or Raft in the loop. Closed-loop clients write to the
+// primary, the primary replicates each write to the backup, and
+// acknowledges the client once the backup has; the fault tools delay the
+// replication link and leak window memory.
 
 import (
+	"math/rand"
 	"sync/atomic"
+	"testing"
 	"time"
 
+	"avd/internal/core"
+	"avd/internal/core/targettest"
 	"avd/internal/oracle"
 	"avd/internal/scenario"
 	"avd/internal/sim"
@@ -22,10 +27,38 @@ import (
 const (
 	dimRegClients = "reg_clients" // closed-loop writers
 	dimRegLagMS   = "reg_lag_ms"  // extra primary->backup latency (0 = off)
+	dimRegLeakMB  = "reg_leak_mb" // window memory the primary leaks per write (0 = off)
 
 	regPrimary simnet.Addr = 0
 	regBackup  simnet.Addr = 1
+
+	regLatency = 500 * time.Microsecond
+	// regWarmup captures a quarter-round before the acknowledgements of
+	// every client's tenth write land, so they are in flight.
+	regWarmup = 19750 * time.Microsecond
 )
+
+// regAxis is a plugin over one of the toy's axes; it mutates by jumping
+// anywhere on it.
+type regAxis struct{ scenario.Dimension }
+
+func (p regAxis) Name() string                     { return p.Dimension.Name }
+func (p regAxis) Dimensions() []scenario.Dimension { return []scenario.Dimension{p.Dimension} }
+func (p regAxis) Mutate(parent scenario.Scenario, _ float64, rng *rand.Rand) scenario.Scenario {
+	return parent.With(p.Dimension.Name, p.Value(rng.Int63n(p.Count())))
+}
+
+// regLeakMB is a sixteenth of the window-memory ceiling: a leaking window
+// crosses it on its seventeenth write.
+const regLeakMB = slab.WindowCeiling >> 24
+
+var (
+	regClients = regAxis{scenario.Dimension{Name: dimRegClients, Min: 2, Max: 8, Step: 2, Structural: true}}
+	regLag     = regAxis{scenario.Dimension{Name: dimRegLagMS, Min: 0, Max: 10, Step: 1}}
+	regLeak    = regAxis{scenario.Dimension{Name: dimRegLeakMB, Min: 0, Max: regLeakMB, Step: regLeakMB}}
+)
+
+func regKey(sc scenario.Scenario) int64 { return sc.GetOr(dimRegClients, 4) }
 
 type regWrite struct { // client -> primary -> backup
 	client simnet.Addr
@@ -75,36 +108,29 @@ type regReport struct {
 // regTarget is what the toy keeps outside the harness: the pool its
 // deployments lease from, and counters the harness tests read.
 type regTarget struct {
-	*Harness[int64, *regDeployment, regReport]
+	*core.Harness[int64, *regDeployment, regReport]
 	pool   slab.Pool
 	builds atomic.Int64
 	// buildDelay and measureDelay make the phase timers observable.
 	buildDelay, measureDelay time.Duration
-	// leak is a defect switched on by a test: the bytes the primary
-	// carves from the window arena, and never uses, per write it
-	// replicates during an attack window.
-	leak int
 	// What Measure was asked for: unarmed windows run, and the latest
 	// unarmed window and attack budget.
 	baselineWindows, lastBaselineWindow atomic.Int64
 	lastAttackBudget                    atomic.Uint64
 }
 
-func newRegTarget(spec HarnessSpec[int64, *regDeployment]) *regTarget {
+func newRegTarget(spec core.HarnessSpec[int64, *regDeployment]) *regTarget {
 	t := &regTarget{}
 	spec.Name = "register"
-	spec.Plugins = []Plugin{
-		&gridPlugin{name: "clients", dim: scenario.Dimension{Name: dimRegClients, Min: 2, Max: 8, Step: 2}},
-		&gridPlugin{name: "lag", dim: scenario.Dimension{Name: dimRegLagMS, Min: 0, Max: 4, Step: 1}},
-	}
+	spec.Plugins = []core.Plugin{regClients, regLag}
 	spec.ClientsDim = dimRegClients
-	spec.Key = func(sc scenario.Scenario) int64 { return sc.GetOr(dimRegClients, defaultClients) }
+	spec.Key = regKey
 	spec.Build = t.newDeployment
-	t.Harness = NewHarness[int64, *regDeployment, regReport](spec)
+	t.Harness = core.NewHarness[int64, *regDeployment, regReport](spec)
 	return t
 }
 
-var _ Target = (*regTarget)(nil)
+var _ core.Target = (*regTarget)(nil)
 
 type regDeployment struct {
 	t       *regTarget
@@ -115,8 +141,9 @@ type regDeployment struct {
 	nodes   [2]regNode
 	clients []*regClient
 	mem     *slab.Arena
-	junk    *slab.Span[byte] // what regTarget.leak leaks into
-	win     Window
+	junk    *slab.Span[byte] // what the leak axis leaks into
+	leak    int
+	win     core.Window
 	attack  bool
 	snap    *regSnapshot
 }
@@ -135,10 +162,10 @@ func (t *regTarget) newDeployment(clients int64) *regDeployment {
 	cov := oracle.NewCoverage()
 	d := &regDeployment{t: t, eng: sim.New(1), cov: cov}
 	d.oracles = oracle.NewSet(oracle.NewAgreementIn(&t.pool, "register"), cov)
-	d.net = simnet.New(d.eng, simnet.Config{BaseLatency: 500 * time.Microsecond})
+	d.net = simnet.New(d.eng, simnet.Config{BaseLatency: regLatency})
 	d.mem = slab.NewArena(&t.pool, d.eng.Stop)
 	d.junk = slab.NewSpan[byte](d.mem)
-	d.win = Window{Name: "register", Eng: d.eng, Mem: d.mem}
+	d.win = core.Window{Name: "register", Eng: d.eng, Mem: d.mem}
 	d.net.Handle(regPrimary, d.primary)
 	d.net.Handle(regBackup, d.backup)
 	for i := int64(0); i < clients; i++ {
@@ -147,7 +174,7 @@ func (t *regTarget) newDeployment(clients int64) *regDeployment {
 		d.clients = append(d.clients, c)
 		c.write()
 	}
-	d.eng.RunFor(20 * time.Millisecond)
+	d.eng.RunFor(regWarmup)
 	return d
 }
 
@@ -161,8 +188,8 @@ func (d *regDeployment) primary(from simnet.Addr, payload any) {
 	switch m := payload.(type) {
 	case *regWrite:
 		d.apply(0, m)
-		if d.attack && d.t.leak > 0 {
-			d.junk.Get(d.t.leak)
+		if d.leak > 0 {
+			d.junk.Get(d.leak)
 		}
 		d.net.Send(regPrimary, regBackup, m)
 	case *regAck:
@@ -194,6 +221,7 @@ func (d *regDeployment) Restore() {
 	for i, c := range d.clients {
 		*c = d.snap.clients[i]
 	}
+	d.leak = 0
 	d.win.Reset()
 }
 
@@ -205,12 +233,16 @@ func (d *regDeployment) park() {
 func (d *regDeployment) Arm(sc scenario.Scenario, attack bool, extra ...oracle.Checker) {
 	d.oracles.Attach(extra...)
 	d.attack = attack
-	if lag := sc.GetOr(dimRegLagMS, 0); attack && lag > 0 {
+	if !attack {
+		return
+	}
+	if lag := sc.GetOr(dimRegLagMS, 0); lag > 0 {
 		d.net.SetLinkLatency(regPrimary, regBackup, time.Duration(lag)*time.Millisecond)
 	}
+	d.leak = int(sc.GetOr(dimRegLeakMB, 0)) << 20
 }
 
-func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, stepBudget uint64) (Result, regReport) {
+func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, stepBudget uint64) (core.Result, regReport) {
 	time.Sleep(d.t.measureDelay)
 	if d.attack {
 		d.t.lastAttackBudget.Store(stepBudget)
@@ -218,7 +250,7 @@ func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, step
 		d.t.baselineWindows.Add(1)
 		d.t.lastBaselineWindow.Store(int64(window))
 	}
-	res, p99 := MeasureWindow(&d.win, d.clients, sc, window, stepBudget)
+	res, p99 := core.MeasureWindow(&d.win, d.clients, sc, window, stepBudget)
 	rep := regReport{
 		Completed: d.win.Completed(), P99Latency: p99,
 		PrimaryVersion: d.nodes[0].version, BackupVersion: d.nodes[1].version,
@@ -227,4 +259,115 @@ func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, step
 	res.Violations = d.oracles.Finish()
 	d.park()
 	return res, rep
+}
+
+// The target contract on the toy, one check per test: it is what proves
+// the suite protocol-neutral. The toy's messages are heap objects, so it
+// makes no claim that a run/restore cycle allocates nothing.
+
+func TestHarnessColdEqualsEveryFork(t *testing.T)              { regContract(t).ForkedEqualsCold(t, "register") }
+func TestHarnessRunOnFromCaptureThenFork(t *testing.T)         { regContract(t).RunOnFromCapture(t) }
+func TestHarnessBaselineForkedEqualsCold(t *testing.T)         { regContract(t).Baseline(t, "register") }
+func TestHarnessQueueHooksNeutral(t *testing.T)                { regContract(t).QueueHooks(t, "register") }
+func TestHarnessQueueHooksNeutralCampaign(t *testing.T)        { regContract(t).QueueHooksCampaign(t) }
+func TestHarnessWindowCeilingCostsOneTest(t *testing.T)        { regContract(t).Hung(t) }
+func TestHarnessParkedMastersHoldNoLeases(t *testing.T)        { regContract(t).Retention(t, "register") }
+func TestHarnessWindowDispatchCounts(t *testing.T)             { regContract(t).Pin(t, "lagged window") }
+func TestHarnessRunnerDeterministic(t *testing.T)              { regContract(t).Deterministic(t, "register") }
+func TestHarnessConcurrentForks(t *testing.T)                  { regContract(t).ConcurrentForks(t, "register") }
+func TestHarnessParallelCampaignDeterminism(t *testing.T)      { regContract(t).CampaignDeterministic(t) }
+func TestHarnessStructuralMarkerMatchesMasterKey(t *testing.T) { regContract(t).StructuralKey(t) }
+func FuzzForkEqualsCold(f *testing.F)                          { targettest.FuzzForkEqualsCold(f, regContract(f)) }
+
+func regSpec() core.HarnessSpec[int64, *regDeployment] {
+	return core.HarnessSpec[int64, *regDeployment]{Measure: 200 * time.Millisecond, LatencyRef: 50 * time.Millisecond}
+}
+
+func regSpace(tb testing.TB, plugins ...core.Plugin) *scenario.Space {
+	tb.Helper()
+	space, err := core.Space(plugins...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return space
+}
+
+func regScenario(tb testing.TB, clients, lagMS int64) scenario.Scenario {
+	return regSpace(tb, regClients, regLag).New(map[string]int64{dimRegClients: clients, dimRegLagMS: lagMS})
+}
+
+type regWorkload = core.HarnessSpec[int64, *regDeployment]
+
+func regContract(tb testing.TB) targettest.Internals[regWorkload, int64, *regDeployment, regReport] {
+	at := func(clients, lagMS int64) scenario.Scenario { return regScenario(tb, clients, lagMS) }
+	spec := regSpec()
+	budgeted := regSpec()
+	budgeted.StepBudget = 100_000
+	target := func(_ testing.TB, spec regWorkload) targettest.Target[int64, *regDeployment, regReport] {
+		t := newRegTarget(spec)
+		return targettest.Target[int64, *regDeployment, regReport]{
+			Harness: t.Harness, Pool: &t.pool, Measure: spec.Measure,
+			Build: func(sc scenario.Scenario) *regDeployment { return t.newDeployment(regKey(sc)) },
+		}
+	}
+	return targettest.Internals[regWorkload, int64, *regDeployment, regReport]{
+		Spec: targettest.Spec[regWorkload, regReport]{
+			New: func(tb testing.TB, spec regWorkload) targettest.Runner[regReport] { return target(tb, spec).Harness },
+			Groups: []targettest.Group[regWorkload, regReport]{{
+				Name: "register", W: spec,
+				Cases: []targettest.Case[regReport]{
+					{Name: "lag, writes in flight at the capture", Scenario: at(4, 2), Exercised: func(res core.Result, rep regReport) bool {
+						return res.Impact > 0 && rep.Completed > 0 && rep.PrimaryVersion >= rep.BackupVersion && len(res.Violations) == 0
+					}},
+					{Name: "longer lag", Scenario: at(4, 4)},
+					{Name: "two clients", Scenario: at(2, 1)},
+					{Name: "eight clients", Scenario: at(8, 3)},
+					{Name: "unarmed", Scenario: at(6, 0)},
+				},
+			}},
+			// No shipped scenario reaches the window-memory ceiling any more, so
+			// the toy leaks on purpose: a window that crosses it is stopped and
+			// reported like an exhausted step budget, on the same event cold and
+			// forked (a restore carves nothing, so both windows lease alike).
+			Storm: targettest.Storm[regWorkload]{
+				W: spec,
+				Scenario: regSpace(tb, regClients, regLag, regLeak).New(map[string]int64{
+					dimRegClients: 4, dimRegLagMS: 1, dimRegLeakMB: regLeakMB,
+				}),
+				Error: "window-memory ceiling",
+				Calm:  at(4, 1),
+			},
+			Campaign: budgeted,
+		},
+		Target:     target,
+		Window:     func(d *regDeployment) *core.Window { return &d.win },
+		Key:        regKey,
+		Space:      regSpace(tb, regClients, regLag),
+		Structural: []string{dimRegClients},
+		// A write acknowledged within one latency of the capture was in
+		// flight at it.
+		InFlight: map[string]func(*regDeployment) bool{
+			"register": func(d *regDeployment) bool {
+				writes := func() (n uint64) {
+					for _, c := range d.clients {
+						n += c.seq
+					}
+					return n
+				}
+				before := writes()
+				d.eng.RunFor(regLatency - time.Nanosecond)
+				return writes() > before
+			},
+		},
+		Pins: []targettest.Pin[regWorkload, *regDeployment]{
+			// Four writers over a 2 ms lag move in lock step, so each of a
+			// write's four deliveries rides one train with the other writers'.
+			{Name: "lagged window", W: spec, Scenario: at(4, 2), Armed: true, Window: spec.Measure,
+				Executed: 916, Dispatches: 229},
+		},
+		Fuzz: spec,
+		FuzzSeeds: []targettest.FuzzSeed{
+			{Point: map[string]int64{dimRegLagMS: 3}, Pops: []byte{0, 3}, Order: 0b110, EagerResets: true},
+		},
+	}
 }

@@ -47,8 +47,10 @@ func TestRepoSelfCheck(t *testing.T) {
 // span of DESIGN.md, pkg a package of this module and Ident exported,
 // names something in the tree — a declaration, a field or method of the
 // type (promoted ones count: `cluster.Runner.Baseline` is core.Harness's),
-// or a test function. A document that outlives the code it describes
-// fails here (ROADMAP item 9).
+// or a test function — and every bare `TestX`, `FuzzX` or `BenchmarkX`
+// span (up to a `/` naming a subtest) names a test function in some
+// _test.go file of the module. A document that outlives the code it
+// describes fails here (ROADMAP item 9).
 func TestDesignIdentifiersExist(t *testing.T) {
 	prog := loadRepo(t)
 	doc, err := os.ReadFile(filepath.Join(prog.Root, "DESIGN.md"))
@@ -59,11 +61,25 @@ func TestDesignIdentifiersExist(t *testing.T) {
 	for _, p := range prog.Pkgs {
 		byName[p.Types.Name()] = append(byName[p.Types.Name()], p)
 	}
+	tests := make(map[string]bool)
+	for _, dir := range testDirs(t, prog.Root) {
+		for _, name := range testFuncs(t, dir) {
+			tests[name] = true
+		}
+	}
 	fences := regexp.MustCompile("(?s)```.*?```")
 	spans := regexp.MustCompile("`([^`]+)`")
 	ref := regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
-	checked := 0
+	bare := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)\w*`)
+	checked, checkedTests := 0, 0
 	for _, span := range spans.FindAllStringSubmatch(fences.ReplaceAllString(string(doc), ""), -1) {
+		if name := bare.FindString(span[1]); name != "" {
+			checkedTests++
+			if !tests[name] {
+				t.Errorf("DESIGN.md names `%s`, which no _test.go file declares", name)
+			}
+			continue
+		}
 		m := ref.FindStringSubmatch(span[1])
 		if m == nil || len(byName[m[1]]) == 0 {
 			continue // not a reference, or to the standard library
@@ -73,8 +89,8 @@ func TestDesignIdentifiersExist(t *testing.T) {
 			t.Errorf("DESIGN.md names `%s`, which is not in the tree", m[0])
 		}
 	}
-	if checked < 80 {
-		t.Errorf("only %d references checked: the scan no longer finds them", checked)
+	if checked < 80 || checkedTests < 20 {
+		t.Errorf("only %d references and %d test names checked: the scan no longer finds them", checked, checkedTests)
 	}
 }
 
@@ -102,4 +118,53 @@ func declaresTest(dir, name string) bool {
 		src, err := os.ReadFile(f)
 		return err == nil && strings.Contains(string(src), "\nfunc "+name+"(")
 	})
+}
+
+var testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+
+// testFuncs lists the test, fuzz, benchmark and example functions the
+// _test.go files of dir declare.
+func testFuncs(tb testing.TB, dir string) []string {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// testDirs lists root and every directory under it that holds Go files,
+// the way `go test root/...` walks it.
+func testDirs(tb testing.TB, root string) []string {
+	tb.Helper()
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if gos, _ := filepath.Glob(filepath.Join(path, "*.go")); len(gos) > 0 {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dirs
 }

@@ -42,15 +42,15 @@ func goldenWorkload() (Workload, map[string]int64) {
 
 // goldenSpace allows a single-client deployment, below the plugin
 // space's 5-client floor.
-func goldenSpace(t *testing.T) *scenario.Space {
-	t.Helper()
+func goldenSpace(tb testing.TB) *scenario.Space {
+	tb.Helper()
 	space, err := scenario.NewSpace(
 		scenario.Dimension{Name: DimClients, Min: 1, Max: 50, Step: 1},
 		scenario.Dimension{Name: DimFlapIntervalMS, Min: 0, Max: 1000, Step: 50},
 		scenario.Dimension{Name: DimFlapDownMS, Min: 0, Max: 400, Step: 25},
 	)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return space
 }

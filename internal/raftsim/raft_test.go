@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"avd/internal/core"
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
@@ -155,30 +154,6 @@ func TestLeaderFlapDegradesThroughput(t *testing.T) {
 	}
 }
 
-// TestRunnerDeterministic: a test is a pure function of (workload,
-// scenario).
-func TestRunnerDeterministic(t *testing.T) {
-	space := testSpace(t)
-	sc := space.New(map[string]int64{
-		DimClients:        15,
-		DimFlapIntervalMS: 200,
-		DimFlapDownMS:     200,
-	})
-	run := func() (float64, float64, uint64) {
-		r, err := NewRunner(DefaultWorkload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, rep := r.RunReport(sc)
-		return res.Impact, res.Throughput, rep.ElectionsStarted
-	}
-	i1, t1, e1 := run()
-	i2, t2, e2 := run()
-	if i1 != i2 || t1 != t2 || e1 != e2 {
-		t.Fatalf("nondeterministic: (%.4f,%.0f,%d) vs (%.4f,%.0f,%d)", i1, t1, e1, i2, t2, e2)
-	}
-}
-
 // TestApplyDedup: retransmitted requests must not double-apply; the
 // applied-entries count can never exceed the clients' completed count
 // plus in-flight requests.
@@ -198,34 +173,5 @@ func TestApplyDedup(t *testing.T) {
 	}
 	if rep.Retransmissions == 0 {
 		t.Fatal("5% drop rate caused no retransmissions; dedup untested")
-	}
-}
-
-// TestStructuralMarkerMatchesMasterKey: scenario.Dimension.Structural is
-// a promise about populationOf — over every plugin the Raft target
-// accepts, moving a structural axis changes the master key and moving any
-// other axis does not. core.PlanShards relies on it to give every
-// population to one shard.
-func TestStructuralMarkerMatchesMasterKey(t *testing.T) {
-	space, err := core.Space(
-		NewClientsPlugin(), NewLeaderFlapPlugin(),
-		NewCrashRestartPlugin(), NewClockSkewPlugin(), NewOneWayPlugin(), NewNetFaultsPlugin(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := space.New(nil)
-	structural := 0
-	for _, d := range space.Dimensions() {
-		moved := populationOf(base.With(d.Name, d.Value(1))) != populationOf(base)
-		if moved != d.Structural {
-			t.Errorf("%s: Structural=%v, moving it changes the master key: %v", d.Name, d.Structural, moved)
-		}
-		if d.Structural {
-			structural++
-		}
-	}
-	if structural != 1 {
-		t.Errorf("%d structural axes, want raft_clients alone", structural)
 	}
 }

@@ -290,12 +290,12 @@ func TestTruncationCopiesOncePerEpoch(t *testing.T) {
 
 // allFaultsSpace is the hyperspace `avd -target raft -faults
 // crash,skew,oneway,corrupt,dup` explores.
-func allFaultsSpace(t *testing.T) *scenario.Space {
-	t.Helper()
+func allFaultsSpace(tb testing.TB) *scenario.Space {
+	tb.Helper()
 	space, err := core.Space(NewClientsPlugin(), NewLeaderFlapPlugin(), NewCrashRestartPlugin(),
 		NewClockSkewPlugin(), NewOneWayPlugin(), NewNetFaultsPlugin())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return space
 }
@@ -434,172 +434,4 @@ func entriesDigest(entries []Entry) uint64 {
 		h = h*1099511628211 ^ EntryDigest(e)
 	}
 	return h
-}
-
-// stormLeaseChunks is what the window of the leader-flap storm below
-// leases from the pool, in 32 KB chunks. Every message is a fixed-size
-// object and every one with a single recipient goes back to its slab when
-// its delivery has run, so the window carves what it has in flight at
-// once plus the broadcast RequestVotes, and all of that but one chunk fits
-// in the chunks the capture kept: 1 chunk, against 100 (3,276,752 bytes)
-// while every message stayed carved until the rewind and 683 (22,375,832
-// bytes) while AppendEntries copied their entries. A change that moves it
-// changed what the window sends, what a message costs or which messages
-// go back; update the figure only with that explanation.
-const stormLeaseChunks = 1
-
-// TestStormWindowLease is the exact guard on window memory (CI's
-// perf-smoke runs it by name): the benchmark's storm probe — 50 clients,
-// the leader isolated for 200 ms every 300 ms, a 1.5 s window — leases
-// exactly stormLeaseChunks.
-func TestStormWindowLease(t *testing.T) {
-	w := DefaultWorkload()
-	w.Measure = 1500 * time.Millisecond
-	r, err := NewRunner(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.newDeployment(50)
-	d.Capture()
-	d.Restore()
-	d.Arm(testSpace(t).New(map[string]int64{DimClients: 50, DimFlapIntervalMS: 300, DimFlapDownMS: 200}), true)
-	d.eng.RunFor(w.Measure)
-	if got := d.mem.Held() - d.mem.Owned(); got != stormLeaseChunks {
-		t.Errorf("the storm window leased %d chunks (%d KB), want exactly %d", got, got*32, stormLeaseChunks)
-	}
-}
-
-// faultStormLeaseChunks is what the window of TestStormHungSameWithSplitTrains'
-// corrupt+dup ack storm leases when it runs to the 2M-event step budget
-// of a default campaign, in 32 KB chunks: 15 MB. It was 1,704 (53 MB)
-// while a duplicated delivery un-owned its payload and a corrupted one
-// was a heap copy that left its original carved. A duplicate now adds a
-// holder, and a single-recipient message, which its delivery holds alone,
-// is garbled in place and still goes back when delivered, so what is left
-// is the storm's backlog: its queue grows faster than it drains, and at
-// the budget some 290,000 deliveries are still queued, each holding its
-// append or its ack. A change that moves it changed what
-// the window sends, what a message costs or which messages go back;
-// update the figure only with that explanation.
-const faultStormLeaseChunks = 480
-
-// TestFaultStormWindowLease is the exact guard on window memory under
-// link faults (CI's perf-smoke runs it by name).
-func TestFaultStormWindowLease(t *testing.T) {
-	w := DefaultWorkload()
-	w.Measure = 1500 * time.Millisecond
-	r, err := NewRunner(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := r.newDeployment(10)
-	d.Capture()
-	d.Restore()
-	d.Arm(allFaultsSpace(t).New(map[string]int64{
-		DimClients: 10, plugin.DimCorruptMask: 0xA5, plugin.DimDupMask: 0x3C,
-	}), true)
-	d.eng.SetStepBudget(2_000_000)
-	d.eng.RunFor(w.Measure)
-	if !d.eng.BudgetExceeded() {
-		t.Fatal("the storm did not run to the step budget: the test would pin a smaller window")
-	}
-	if got := d.mem.Held() - d.mem.Owned(); got != faultStormLeaseChunks {
-		t.Errorf("the storm window leased %d chunks (%d KB), want exactly %d", got, got*32, faultStormLeaseChunks)
-	}
-}
-
-// TestWindowDispatchCounts is the exact guard on queue work, the twin of
-// cluster's (CI's perf-smoke runs both by name): the armed window of the
-// golden leader-flap pair and of the storm probe above run exactly this
-// many callbacks from exactly this many queue events. A node's fan-out
-// to its peers and the replies that come back at one instant each ride
-// one sim.Stream train; election and heartbeat timers do not, so the
-// ratio is smaller than PBFT's. Executed moves only if the window sends
-// or arms something else; Dispatches moves if a change schedules
-// anything for the delivery instant between two sends and silently stops
-// trains forming. Update either figure only with that explanation.
-//
-// Resets and Requeues (fields three and four of ROADMAP 1(a)'s Cost
-// record) pin the lazy path of the election, heartbeat and client retry
-// timers: every AppendEntries received and every client request sent
-// re-arms one through Engine.Reset, and Resets counts the calls that moved
-// no queue node, Requeues the nodes the re-arms cost after all — stale ones
-// the dispatcher re-keyed plus moves to an earlier instant. Resets falling
-// or Requeues climbing means timers stopped being re-armed in place.
-func TestWindowDispatchCounts(t *testing.T) {
-	golden, goldenPoint := goldenWorkload()
-	storm := DefaultWorkload()
-	storm.Measure = 1500 * time.Millisecond
-	for _, tc := range []struct {
-		name                 string
-		w                    Workload
-		sc                   scenario.Scenario
-		executed, dispatches uint64
-		resets, requeues     uint64
-	}{
-		{"golden", golden, goldenSpace(t).New(goldenPoint), 658, 262, 307, 48},
-		{"storm", storm, testSpace(t).New(map[string]int64{DimClients: 50, DimFlapIntervalMS: 300, DimFlapDownMS: 200}), 76_416, 1_080, 37_816, 413},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, err := NewRunner(tc.w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := r.newDeployment(tc.sc.GetOr(DimClients, 0))
-			d.Capture()
-			d.Restore()
-			d.Arm(tc.sc, true)
-			executed, dispatches := d.eng.Executed(), d.eng.Dispatches()
-			resets, requeues := d.eng.Resets(), d.eng.Requeues()
-			d.eng.RunFor(tc.w.Measure)
-			executed, dispatches = d.eng.Executed()-executed, d.eng.Dispatches()-dispatches
-			if executed != tc.executed || dispatches != tc.dispatches {
-				t.Errorf("the window ran %d callbacks from %d queue events, want exactly %d from %d",
-					executed, dispatches, tc.executed, tc.dispatches)
-			}
-			resets, requeues = d.eng.Resets()-resets, d.eng.Requeues()-requeues
-			if resets != tc.resets || requeues != tc.requeues {
-				t.Errorf("the window re-armed %d timers in place and re-queued %d, want exactly %d and %d",
-					resets, requeues, tc.resets, tc.requeues)
-			}
-		})
-	}
-}
-
-// TestStormHungSameWithSplitTrains: a corrupt+dup ack storm runs into
-// CI's 300,000-event step budget in the middle of a train. The verdict
-// and the engine's callback count must be what they are when every
-// delivery is a queue event of its own (sim.SetSplitTrains): a delivery
-// that rides a train still costs the budget one step. And what they are
-// when every timer re-arm is a Stop and a Schedule (sim.SetEagerResets):
-// a stale node re-queued on the way costs it none.
-func TestStormHungSameWithSplitTrains(t *testing.T) {
-	run := func() (core.Result, uint64) {
-		w := DefaultWorkload()
-		w.Measure = 800 * time.Millisecond
-		w.StepBudget = 300_000
-		r, err := NewRunner(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := r.RunFork(allFaultsSpace(t).New(map[string]int64{
-			DimClients: 10, plugin.DimCorruptMask: 0xA5, plugin.DimDupMask: 0x3C,
-		}))
-		var executed uint64
-		r.EachMaster(func(_ int64, d *deployment) { executed = d.eng.Executed() })
-		return res, executed
-	}
-	shipped, shippedExecuted := run()
-	if !shipped.Hung {
-		t.Fatalf("the storm did not exhaust the step budget: %+v", shipped)
-	}
-	for name, set := range map[string]func(bool){"split trains": sim.SetSplitTrains, "eager resets": sim.SetEagerResets} {
-		set(true)
-		hooked, hookedExecuted := run()
-		set(false)
-		if !reflect.DeepEqual(hooked, shipped) || hookedExecuted != shippedExecuted {
-			t.Errorf("verdict differs with %s:\nhooked:  %d callbacks, %+v\nshipped: %d callbacks, %+v",
-				name, hookedExecuted, hooked, shippedExecuted, shipped)
-		}
-	}
 }
