@@ -223,13 +223,14 @@ func pbftContract(tb testing.TB) contract {
 			// What one forked test costs the collector once its master and
 			// its baseline exist: the Big MAC attack (all-backup corruption,
 			// 30 correct clients, one malicious) over a 1.5 s window allocates
-			// 21 objects — arming the fault plan, the replicas' pre-prepare
-			// bookkeeping as the attack lands, the run's report; the window's
-			// messages come from the pool. Lower the pin when a change removes
-			// an allocation; raise it only with the reason the new one cannot
-			// live in the deployment or its arena. Cold runs (build + warm-up +
-			// capture) are not pinned: no campaign takes that path per test.
-			{Name: "Big MAC fork", W: fullWindow, Scenario: bigMAC, ForkAllocs: 21},
+			// 21 objects, 952 bytes (970 under -race) — arming the fault plan,
+			// the replicas' pre-prepare bookkeeping as the attack lands, the
+			// run's report; the window's messages come from the pool. Lower
+			// the pins when a change removes an allocation; raise them only
+			// with the reason the new one cannot live in the deployment or its
+			// arena. Cold runs (build + warm-up + capture) are not pinned: no
+			// campaign takes that path per test.
+			{Name: "Big MAC fork", W: fullWindow, Scenario: bigMAC, ForkAllocs: 21, ForkBytes: 1 << 10},
 		},
 		Fuzz: windows(200*time.Millisecond, 1500*time.Millisecond, 100_000), // long enough for view changes
 		FuzzSeeds: []targettest.FuzzSeed{

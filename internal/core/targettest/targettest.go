@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -133,8 +134,9 @@ type Storm[W any] struct {
 // Dispatches its callbacks and queue events; Resets and Requeues the
 // timer re-arms that moved no queue node and the nodes re-arms cost,
 // counted from the build rather than the window's start when SinceBuild
-// is set. ForkAllocs bounds what a forked run of Scenario allocates once
-// its master and baseline exist. A zero figure is not pinned.
+// is set. ForkAllocs and ForkBytes bound the objects and bytes a forked
+// run of Scenario allocates once its master and baseline exist. A zero
+// figure is not pinned.
 type Pin[W, D any] struct {
 	Name                                   string
 	W                                      W
@@ -146,6 +148,7 @@ type Pin[W, D any] struct {
 	Executed, Dispatches, Resets, Requeues uint64
 	SinceBuild                             bool
 	ForkAllocs                             float64
+	ForkBytes                              uint64
 	// Check is a target extra, run on the deployment after the window.
 	Check func(tb testing.TB, d D)
 }
@@ -618,21 +621,27 @@ func (s Internals[W, K, D, R]) RestoreAllocFree(t *testing.T, group string) {
 }
 
 // Pin holds the pinned figures of the named pin to their exact values
-// (ForkAllocs to its bound).
+// (ForkAllocs and ForkBytes to their bounds).
 func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 	i := slices.IndexFunc(s.Pins, func(p Pin[W, D]) bool { return p.Name == name })
 	if i < 0 {
 		t.Fatalf("no pin %q", name)
 	}
 	p := s.Pins[i]
-	if p.ForkAllocs > 0 {
+	if p.ForkAllocs > 0 || p.ForkBytes > 0 {
 		tg := s.Target(t, p.W)
-		tg.RunFork(p.Scenario) // builds, warms and captures the master, and measures the baseline
-		if allocs := testing.AllocsPerRun(20, func() { tg.RunFork(p.Scenario) }); allocs > p.ForkAllocs {
+		fork := func() { tg.RunFork(p.Scenario) }
+		fork() // builds, warms and captures the master, and measures the baseline
+		allocs, bytes := testing.AllocsPerRun(20, fork), bytesPerRun(20, fork)
+		t.Logf("a forked run allocates %.0f objects, %d bytes", allocs, bytes)
+		if p.ForkAllocs > 0 && allocs > p.ForkAllocs {
 			t.Errorf("a forked run allocates %.0f objects, pinned at %.0f", allocs, p.ForkAllocs)
 		}
+		if p.ForkBytes > 0 && bytes > p.ForkBytes {
+			t.Errorf("a forked run allocates %d bytes, pinned at %d", bytes, p.ForkBytes)
+		}
 	}
-	if p.Lease == 0 && p.Executed == 0 && p.Dispatches == 0 && p.Resets == 0 && p.Requeues == 0 {
+	if p.Lease == 0 && p.Executed == 0 && p.Dispatches == 0 && p.Resets == 0 && p.Requeues == 0 && p.Check == nil {
 		return
 	}
 	d := s.Target(t, p.W).Build(p.Scenario)
@@ -668,6 +677,22 @@ func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 	if p.Check != nil {
 		p.Check(t, d)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun in bytes: the average growth of
+// runtime.MemStats.TotalAlloc over runs calls of f, after one more to
+// warm up, on one thread.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return (ms.TotalAlloc - before) / uint64(runs)
 }
 
 // StructuralKey: an axis of Space is Structural iff moving it changes the

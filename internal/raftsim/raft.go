@@ -246,6 +246,9 @@ type Node struct {
 	// sub-slices of the log, so a message in flight may read indices up
 	// to shared, and they are never overwritten in place (truncate).
 	shared uint64
+	// retired holds the log arrays truncate replaced this run: messages in
+	// flight may still read them, so they go back to the pool at Park.
+	retired [][]Entry //avdlint:ephemeral run-scoped: Park returns the arrays and Snapshot drops the warm-up's, which the captured messages alias
 
 	// votes is the ballot box for the node's current candidacy, a dense
 	// presence mask over node ids (Config.Validate bounds N at 64).
@@ -648,11 +651,15 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 }
 
 // truncate cuts the log to its first keep entries: in place above the
-// aliasing high-water mark; below it the kept prefix moves to an array no
-// message has seen — one copy per step-down, not one per truncation.
+// aliasing high-water mark; below it the kept prefix moves to a buffer
+// borrowed from the pool that no message has seen, and the array it
+// leaves, which messages in flight may still read, is retired until Park.
+// Only appends a node sent as leader raise the mark, and the copy starts
+// unshared, so a node copies at most once per term it led.
 func (n *Node) truncate(keep uint64) {
 	if keep < n.shared {
-		n.log, n.shared = append(make([]Entry, 0, cap(n.log)), n.log[:keep]...), 0
+		n.retired = append(n.retired, n.log)
+		n.log, n.shared = append(slab.Borrow[Entry](n.mem.pool), n.log[:keep]...), 0
 	}
 	n.log = n.log[:keep]
 }

@@ -41,7 +41,9 @@ type NodeState struct {
 // Snapshot captures the node's complete mutable state and parks the
 // node. The capture keeps the log array itself: messages in flight now —
 // delivered again after every Restore — alias it (Node.shared), so
-// nothing may write to it again. Each Restore runs on a copy.
+// nothing may write to it again. Each Restore runs on a copy. The arrays
+// the warm-up retired may be aliased the same way, so they are dropped,
+// not returned: the collector takes each when its last message is gone.
 func (n *Node) Snapshot() *NodeState {
 	s := &NodeState{
 		crashed:        n.crashed,
@@ -63,19 +65,31 @@ func (n *Node) Snapshot() *NodeState {
 		stats:          n.stats,
 	}
 	n.log, n.shared = nil, 0
+	n.dropRetired()
 	return s
 }
 
 // Park ends a run: the log's backing array — grown all window long, and
-// rebuilt from the snapshot by the next Restore anyway — goes to the
-// Runner's scratch stock, so a parked master does not retain one
-// high-water log per node. Only the window's messages can alias it (the
-// captured array stays with Snapshot), and they die with the window.
+// rebuilt from the snapshot by the next Restore anyway — and the arrays
+// truncate retired go to the Runner's scratch stock, so a parked master
+// retains no log the window made. Only the window's messages can alias
+// them (the captured array stays with Snapshot), and they die with the
+// window.
 func (n *Node) Park() {
+	for _, r := range n.retired {
+		slab.Return(n.mem.pool, r)
+	}
+	n.dropRetired()
 	if n.log != nil {
 		slab.Return(n.mem.pool, n.log)
 		n.log = nil
 	}
+}
+
+// dropRetired empties the retired list without keeping its arrays alive.
+func (n *Node) dropRetired() {
+	clear(n.retired)
+	n.retired = n.retired[:0]
 }
 
 // Restore rolls a parked node back to the captured state.

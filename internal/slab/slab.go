@@ -21,11 +21,18 @@
 //
 // Objects are handed out dirty. Every call site fully initializes what it
 // gets, which is also what makes the pool determinism-neutral: no object
-// can observe which chunk backs it or who used that chunk before.
+// can observe which chunk backs it or who used that chunk before. What a
+// rewind takes back points at nothing, though: when T holds pointers the
+// rewind zeroes every object carved after the mark, in the chunks it
+// returns and in the tail of the chunk it keeps, or a window's objects
+// would keep what they pointed at — a Raft window's logs — alive for as
+// long as the pool or the parked master lives. Pointer-free chunks are
+// left as they are.
 package slab
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -43,8 +50,9 @@ const chunkBytes = 32 << 10
 // alias the leader's log instead of copying it, and a message goes back
 // through Put when its last holder drops it — so a window leases what it
 // holds at once: the largest measured are 2.8 MB on PBFT (250 clients)
-// and 31 MB on Raft (a duplicated-ack storm's backlog of queued
-// deliveries at the 2M-event step budget; DESIGN.md §15 has the table).
+// and 15 MB on Raft (480 chunks: a corrupt+dup ack storm's backlog of
+// queued deliveries at the 2M-event step budget, pinned by raftsim's
+// TestFaultStormWindowLease; DESIGN.md §15 has the table).
 // The ceiling is the backstop behind that budget: a deployment that leaks
 // past it is stopped through the Arena's stop callback and costs one hung
 // test, not the process.
@@ -264,6 +272,9 @@ type bump[T any] struct {
 	cur      []T // chunks[len(chunks)-1], nil when empty
 	off      int // next free slot in cur
 	leased   int // chunks[len(chunks)-leased:] are on lease from the pool
+	// scrub is set when T holds pointers: a rewind zeroes what it takes
+	// back, so a pooled chunk and the tail of the kept one point at nothing.
+	scrub bool
 }
 
 func newBump[T any](a *Arena) bump[T] {
@@ -272,7 +283,27 @@ func newBump[T any](a *Arena) bump[T] {
 	if size := int(unsafe.Sizeof(zero)); size > 0 && chunkBytes/size > 1 {
 		n = chunkBytes / size
 	}
-	return bump[T]{arena: a, free: listFor[T](a.pool, chunkKey[T]{}), chunkLen: n}
+	return bump[T]{arena: a, free: listFor[T](a.pool, chunkKey[T]{}), chunkLen: n,
+		scrub: hasPointers(reflect.TypeFor[T]())}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // grow makes a fresh chunk of at least n elements current: a pooled
@@ -309,9 +340,13 @@ func (b *bump[T]) Mark() Mark { return Mark{chunks: len(b.chunks), off: b.off} }
 // Rewind rolls the allocation position back to m and returns the chunks
 // above it to the pool (oversize chunks go to the garbage collector).
 // Objects carved after m must be unreachable, or at least never read
-// again; objects carved before it are untouched. m must not precede the
-// arena's last Capture: the chunks below that are no longer the pool's.
+// again; when T holds pointers they are zeroed. Objects carved before m
+// are untouched. m must not precede the arena's last Capture: the chunks
+// below that are no longer the pool's.
 func (b *bump[T]) Rewind(m Mark) {
+	if b.scrub {
+		b.zeroAbove(m)
+	}
 	if above := b.chunks[m.chunks:]; len(above) > 0 {
 		fill := poison.Load()
 		p := b.arena.pool
@@ -337,6 +372,29 @@ func (b *bump[T]) Rewind(m Mark) {
 		b.cur = b.chunks[m.chunks-1]
 	}
 	b.off = m.off
+}
+
+// zeroAbove zeroes every element carved after m: the tail of m's chunk
+// and the carved part of each pooled chunk above it. A chunk comes from
+// the pool or from make zeroed (poisoned, under SetPoison) and is carved
+// from its start, so zeroing what was carved keeps every pooled chunk
+// free of pointers; an oversize chunk is left to the collector.
+func (b *bump[T]) zeroAbove(m Mark) {
+	if m.chunks == len(b.chunks) {
+		clear(b.cur[m.off:b.off])
+		return
+	}
+	if m.chunks > 0 {
+		clear(b.chunks[m.chunks-1][m.off:])
+	}
+	for _, c := range b.chunks[m.chunks : len(b.chunks)-1] {
+		if len(c) == b.chunkLen {
+			clear(c)
+		}
+	}
+	if len(b.cur) == b.chunkLen {
+		clear(b.cur[:b.off])
+	}
 }
 
 // adopt takes every held chunk off lease and forgets all but the current
@@ -427,16 +485,23 @@ func (s *Slab[T]) Put(p *T) {
 
 // Rewind is bump.Rewind with the free list emptied first.
 func (s *Slab[T]) Rewind(m Mark) {
-	s.freed = s.freed[:0]
+	s.dropFreed()
 	s.bump.Rewind(m)
 }
 
-// adopt also drops every pointer the free list ever held, popped ones
-// included: they are all that could keep a forgotten chunk alive.
+// adopt is bump.adopt with the free list emptied first.
 func (s *Slab[T]) adopt() (adopted, forgot int) {
+	s.dropFreed()
+	return s.bump.adopt()
+}
+
+// dropFreed empties the free list and drops every pointer it ever held,
+// popped ones included: they point into chunks a rewind returns and a
+// capture forgets, and a pointer left in the backing array would keep
+// such a chunk alive.
+func (s *Slab[T]) dropFreed() {
 	clear(s.freed[:cap(s.freed)])
 	s.freed = s.freed[:0]
-	return s.bump.adopt()
 }
 
 // Holders is the holder count of an object several holders share: the

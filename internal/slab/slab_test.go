@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+	"weak"
 )
 
 type obj struct {
@@ -291,9 +292,15 @@ func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	first := s.Get()
 	s.Put(s.Get())
 	s.Put(first)
+	s.Get() // popped: its pointer is still in the list's backing array
 	a.Rewind()
 	if len(s.freed) != 0 {
 		t.Fatalf("free list holds %d objects after a rewind", len(s.freed))
+	}
+	for i, p := range s.freed[:cap(s.freed)] {
+		if p != nil {
+			t.Fatalf("rewind left pointer %d of the free list's backing array set", i)
+		}
 	}
 	if got := s.Get(); got != first {
 		t.Fatalf("first Get after the rewind is %p, want the rewound slot %p", got, first)
@@ -313,6 +320,62 @@ func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	}
 	if got := s.Get(); got == below || got == first {
 		t.Fatal("Get after a capture handed out an object from below the mark")
+	}
+}
+
+// TestRewindDropsWindowPointers: a heap object that only objects carved
+// after the mark point at is garbage once the window is rewound, wherever
+// those objects sat: in the tail of the chunk the capture kept, in a chunk
+// the rewind returned to the pool, or in an oversize chunk.
+func TestRewindDropsWindowPointers(t *testing.T) {
+	type ref struct{ p *[8]uint64 }
+	var p Pool
+	a := NewArena(&p, nil)
+	s, span := New[ref](a), NewSpan[ref](a)
+	s.Get().p = nil
+	a.Capture()
+	where := []string{"the kept chunk's tail", "a pooled chunk", "an oversize chunk"}
+	var targets []weak.Pointer[[8]uint64]
+	point := func(o *ref) {
+		o.p = new([8]uint64)
+		targets = append(targets, weak.Make(o.p))
+	}
+	point(s.Get())
+	for range s.chunkLen {
+		s.Get().p = nil
+	}
+	point(s.Get())
+	point(&span.Get(2 * span.chunkLen)[0])
+	if p.Leased() != 2 {
+		t.Fatalf("the window leased %d chunks, want a pooled and an oversize one", p.Leased())
+	}
+	a.Rewind()
+	runtime.GC()
+	for i, w := range targets {
+		if w.Value() != nil {
+			t.Errorf("an object pointed at from %s survived the rewind", where[i])
+		}
+	}
+	runtime.KeepAlive(a) // and through it the slabs and the pool
+}
+
+// TestRewindLeavesPointerFreeMemory: a rewind zeroes nothing of a T
+// without pointers — the collector never scans it — so the kept chunk's
+// tail and the pooled chunk hand their old contents out again.
+func TestRewindLeavesPointerFreeMemory(t *testing.T) {
+	type plain struct{ a, b uint64 }
+	a := NewArena(nil, nil)
+	s := New[plain](a)
+	*s.Get() = plain{a: 1}
+	a.Capture()
+	for i := range s.chunkLen + 1 {
+		*s.Get() = plain{a: 2, b: uint64(i)}
+	}
+	a.Rewind()
+	for i := range s.chunkLen + 1 {
+		if got := *s.Get(); got != (plain{a: 2, b: uint64(i)}) {
+			t.Fatalf("object %d after the rewind reads %+v, want what the window wrote", i, got)
+		}
 	}
 }
 
