@@ -147,7 +147,7 @@ type Pin[W, D any] struct {
 	Lease                                  int
 	Executed, Dispatches, Resets, Requeues uint64
 	SinceBuild                             bool
-	ForkAllocs                             float64
+	ForkAllocs                             uint64
 	ForkBytes                              uint64
 	// Check is a target extra, run on the deployment after the window.
 	Check func(tb testing.TB, d D)
@@ -632,10 +632,10 @@ func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 		tg := s.Target(t, p.W)
 		fork := func() { tg.RunFork(p.Scenario) }
 		fork() // builds, warms and captures the master, and measures the baseline
-		allocs, bytes := testing.AllocsPerRun(20, fork), bytesPerRun(20, fork)
-		t.Logf("a forked run allocates %.0f objects, %d bytes", allocs, bytes)
+		allocs, bytes := allocsPerRun(20, fork)
+		t.Logf("a forked run allocates %d objects, %d bytes", allocs, bytes)
 		if p.ForkAllocs > 0 && allocs > p.ForkAllocs {
-			t.Errorf("a forked run allocates %.0f objects, pinned at %.0f", allocs, p.ForkAllocs)
+			t.Errorf("a forked run allocates %d objects, pinned at %d", allocs, p.ForkAllocs)
 		}
 		if p.ForkBytes > 0 && bytes > p.ForkBytes {
 			t.Errorf("a forked run allocates %d bytes, pinned at %d", bytes, p.ForkBytes)
@@ -679,20 +679,19 @@ func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 	}
 }
 
-// bytesPerRun is testing.AllocsPerRun in bytes: the average growth of
-// runtime.MemStats.TotalAlloc over runs calls of f, after one more to
-// warm up, on one thread.
-func bytesPerRun(runs int, f func()) uint64 {
+// allocsPerRun is testing.AllocsPerRun in objects and bytes: the average
+// growth of runtime.MemStats.Mallocs and TotalAlloc over runs calls of f,
+// after one more to warm up, on one thread.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for range runs {
 		f()
 	}
-	runtime.ReadMemStats(&ms)
-	return (ms.TotalAlloc - before) / uint64(runs)
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // StructuralKey: an axis of Space is Structural iff moving it changes the

@@ -247,8 +247,8 @@ type Node struct {
 	// to shared, and they are never overwritten in place (truncate).
 	shared uint64
 	// retired holds the log arrays truncate replaced this run: messages in
-	// flight may still read them, so they go back to the pool at Park.
-	retired [][]Entry //avdlint:ephemeral run-scoped: Park returns the arrays and Snapshot drops the warm-up's, which the captured messages alias
+	// flight may still read them, so they are let go at Park.
+	retired [][]Entry //avdlint:ephemeral run-scoped: Park stocks the first array and drops the rest, and Snapshot drops the warm-up's, which the captured messages alias
 
 	// votes is the ballot box for the node's current candidacy, a dense
 	// presence mask over node ids (Config.Validate bounds N at 64).

@@ -288,6 +288,32 @@ func TestTruncationCopiesOncePerEpoch(t *testing.T) {
 	})
 }
 
+// TestParkStocksOneRetiredArray: however many times a window truncates a
+// node's log below the aliasing mark, Park stocks the log and one retired
+// array and leaves the rest to the collector, so a truncation storm does
+// not grow the Runner's scratch stock for the life of the process.
+func TestParkStocksOneRetiredArray(t *testing.T) {
+	n := newTappedLeader(t).lead
+	for client := 10; client < 20; client++ {
+		n.onClientRequest(&ClientRequest{Client: simnet.Addr(client), Seq: 1})
+	}
+	pool := n.mem.pool
+	n.log = append(slab.Borrow[Entry](pool), n.log...) // as Restore leaves it
+	for range 3 {
+		n.shared = uint64(len(n.log)) // as if the node had just sent it all
+		n.truncate(n.shared - 1)
+	}
+	if len(n.retired) != 3 {
+		t.Fatalf("three truncations below the mark retired %d arrays", len(n.retired))
+	}
+	n.Park()
+	for i, want := range []bool{true, true, false} {
+		if got := slab.Borrow[Entry](pool) != nil; got != want {
+			t.Fatalf("Borrow %d after Park got a stocked buffer: %v, want %v (the log and one retired array)", i, got, want)
+		}
+	}
+}
+
 // allFaultsSpace is the hyperspace `avd -target raft -faults
 // crash,skew,oneway,corrupt,dup` explores.
 func allFaultsSpace(tb testing.TB) *scenario.Space {

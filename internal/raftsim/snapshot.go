@@ -42,8 +42,9 @@ type NodeState struct {
 // node. The capture keeps the log array itself: messages in flight now —
 // delivered again after every Restore — alias it (Node.shared), so
 // nothing may write to it again. Each Restore runs on a copy. The arrays
-// the warm-up retired may be aliased the same way, so they are dropped,
-// not returned: the collector takes each when its last message is gone.
+// the warm-up retired may be aliased the same way, so they are not
+// stocked: their Borrows are settled, and the collector takes each array
+// when its last message is gone.
 func (n *Node) Snapshot() *NodeState {
 	s := &NodeState{
 		crashed:        n.crashed,
@@ -65,29 +66,37 @@ func (n *Node) Snapshot() *NodeState {
 		stats:          n.stats,
 	}
 	n.log, n.shared = nil, 0
-	n.dropRetired()
+	n.dropRetired(0)
 	return s
 }
 
 // Park ends a run: the log's backing array — grown all window long, and
-// rebuilt from the snapshot by the next Restore anyway — and the arrays
-// truncate retired go to the Runner's scratch stock, so a parked master
-// retains no log the window made. Only the window's messages can alias
-// them (the captured array stays with Snapshot), and they die with the
-// window.
+// rebuilt from the snapshot by the next Restore anyway — and the first
+// array truncate retired go back to the Runner's scratch stock, so a parked
+// master retains no log the window made. Only the window's messages can
+// alias them (the captured array stays with Snapshot), and they die with
+// the window. The other retired arrays go to the collector: stocking
+// them all would keep the most any one window of a truncation storm ever
+// retired for the life of the process, while one per node covers the
+// step-downs of an ordinary window.
 func (n *Node) Park() {
-	for _, r := range n.retired {
-		slab.Return(n.mem.pool, r)
-	}
-	n.dropRetired()
+	n.dropRetired(1)
 	if n.log != nil {
 		slab.Return(n.mem.pool, n.log)
 		n.log = nil
 	}
 }
 
-// dropRetired empties the retired list without keeping its arrays alive.
-func (n *Node) dropRetired() {
+// dropRetired empties the retired list without keeping its arrays alive:
+// the first keep of them go to the scratch stock, and the Borrows of the
+// rest are settled with nothing stocked.
+func (n *Node) dropRetired(keep int) {
+	for i, r := range n.retired {
+		if i >= keep {
+			r = nil
+		}
+		slab.Return(n.mem.pool, r)
+	}
 	clear(n.retired)
 	n.retired = n.retired[:0]
 }

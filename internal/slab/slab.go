@@ -22,17 +22,15 @@
 // Objects are handed out dirty. Every call site fully initializes what it
 // gets, which is also what makes the pool determinism-neutral: no object
 // can observe which chunk backs it or who used that chunk before. What a
-// rewind takes back points at nothing, though: when T holds pointers the
-// rewind zeroes every object carved after the mark, in the chunks it
-// returns and in the tail of the chunk it keeps, or a window's objects
-// would keep what they pointed at — a Raft window's logs — alive for as
-// long as the pool or the parked master lives. Pointer-free chunks are
-// left as they are.
+// rewind takes back points at nothing, though: the rewind zeroes every
+// object carved after the mark, in the chunks it returns and in the tail
+// of the chunk it keeps, or a window's objects would keep what they
+// pointed at — a Raft window's logs — alive for as long as the pool or the
+// parked master lives.
 package slab
 
 import (
 	"math"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -272,9 +270,6 @@ type bump[T any] struct {
 	cur      []T // chunks[len(chunks)-1], nil when empty
 	off      int // next free slot in cur
 	leased   int // chunks[len(chunks)-leased:] are on lease from the pool
-	// scrub is set when T holds pointers: a rewind zeroes what it takes
-	// back, so a pooled chunk and the tail of the kept one point at nothing.
-	scrub bool
 }
 
 func newBump[T any](a *Arena) bump[T] {
@@ -283,27 +278,7 @@ func newBump[T any](a *Arena) bump[T] {
 	if size := int(unsafe.Sizeof(zero)); size > 0 && chunkBytes/size > 1 {
 		n = chunkBytes / size
 	}
-	return bump[T]{arena: a, free: listFor[T](a.pool, chunkKey[T]{}), chunkLen: n,
-		scrub: hasPointers(reflect.TypeFor[T]())}
-}
-
-// hasPointers reports whether a value of type t holds a pointer the
-// garbage collector follows.
-func hasPointers(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
-		reflect.Interface, reflect.Slice, reflect.String:
-		return true
-	case reflect.Array:
-		return t.Len() > 0 && hasPointers(t.Elem())
-	case reflect.Struct:
-		for i := range t.NumField() {
-			if hasPointers(t.Field(i).Type) {
-				return true
-			}
-		}
-	}
-	return false
+	return bump[T]{arena: a, free: listFor[T](a.pool, chunkKey[T]{}), chunkLen: n}
 }
 
 // grow makes a fresh chunk of at least n elements current: a pooled
@@ -340,13 +315,11 @@ func (b *bump[T]) Mark() Mark { return Mark{chunks: len(b.chunks), off: b.off} }
 // Rewind rolls the allocation position back to m and returns the chunks
 // above it to the pool (oversize chunks go to the garbage collector).
 // Objects carved after m must be unreachable, or at least never read
-// again; when T holds pointers they are zeroed. Objects carved before m
-// are untouched. m must not precede the arena's last Capture: the chunks
-// below that are no longer the pool's.
+// again; they are zeroed. Objects carved before m are untouched. m must
+// not precede the arena's last Capture: the chunks below that are no
+// longer the pool's.
 func (b *bump[T]) Rewind(m Mark) {
-	if b.scrub {
-		b.zeroAbove(m)
-	}
+	b.zeroAbove(m)
 	if above := b.chunks[m.chunks:]; len(above) > 0 {
 		fill := poison.Load()
 		p := b.arena.pool
@@ -635,7 +608,9 @@ func Borrow[T any](p *Pool) []T {
 
 // Return stocks a scratch buffer for the next Borrow. A Return that
 // matches no Borrow — a buffer its owner grew itself during warm-up — is
-// dropped, so the stock never exceeds the buffers out at one time.
+// dropped, so the stock never exceeds the buffers out at one time. A nil
+// buf settles a Borrow and stocks nothing: the borrowed buffer is left to
+// the collector.
 func Return[T any](p *Pool, buf []T) {
 	l := listFor[T](p, scratchKey[T]{})
 	p.mu.Lock()

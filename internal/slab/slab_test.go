@@ -359,26 +359,6 @@ func TestRewindDropsWindowPointers(t *testing.T) {
 	runtime.KeepAlive(a) // and through it the slabs and the pool
 }
 
-// TestRewindLeavesPointerFreeMemory: a rewind zeroes nothing of a T
-// without pointers — the collector never scans it — so the kept chunk's
-// tail and the pooled chunk hand their old contents out again.
-func TestRewindLeavesPointerFreeMemory(t *testing.T) {
-	type plain struct{ a, b uint64 }
-	a := NewArena(nil, nil)
-	s := New[plain](a)
-	*s.Get() = plain{a: 1}
-	a.Capture()
-	for i := range s.chunkLen + 1 {
-		*s.Get() = plain{a: 2, b: uint64(i)}
-	}
-	a.Rewind()
-	for i := range s.chunkLen + 1 {
-		if got := *s.Get(); got != (plain{a: 2, b: uint64(i)}) {
-			t.Fatalf("object %d after the rewind reads %+v, want what the window wrote", i, got)
-		}
-	}
-}
-
 // TestSpanAppend: a buffer grown through Append keeps its contents, and
 // everything it left behind is rewound with the window.
 func TestSpanAppend(t *testing.T) {
@@ -420,8 +400,15 @@ func TestScratchStockIsBounded(t *testing.T) {
 	}
 	Return(&p, got)
 	Return(&p, make([]int, 0, 64))
-	if l := listFor[int](&p, scratchKey[int]{}); len(l.chunks) != 1 {
+	l := listFor[int](&p, scratchKey[int]{})
+	if len(l.chunks) != 1 {
 		t.Fatalf("stock holds %d buffers with one ever out, want 1", len(l.chunks))
+	}
+	Borrow[int](&p)
+	Return[int](&p, nil) // settles the Borrow, leaving its buffer to the collector
+	Return(&p, make([]int, 0, 64))
+	if len(l.chunks) != 0 {
+		t.Fatalf("stock holds %d buffers after a nil Return settled the only Borrow, want 0", len(l.chunks))
 	}
 }
 
