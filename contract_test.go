@@ -176,8 +176,8 @@ func raftContract(tb testing.TB) targettest.Spec[raftsim.Workload, raftsim.Repor
 
 	return targettest.Spec[raftsim.Workload, raftsim.Report]{
 		New: func(tb testing.TB, w raftsim.Workload) targettest.Runner[raftsim.Report] {
-			r, err := raftsim.NewTarget(w, raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin(), raftsim.NewCrashRestartPlugin(),
-				raftsim.NewClockSkewPlugin(), raftsim.NewOneWayPlugin(), raftsim.NewNetFaultsPlugin())
+			r, err := raftsim.NewTarget(w, raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
+				plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
 			if err != nil {
 				tb.Fatal(err)
 			}

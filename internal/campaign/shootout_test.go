@@ -47,7 +47,7 @@ var shootoutDefects = []struct {
 		w.Measure = 600 * time.Millisecond
 		w.Raft.DoubleVoteBug = true
 		return raftsim.NewTarget(w, raftsim.NewClientsPlugin(),
-			raftsim.NewLeaderFlapPlugin(), raftsim.NewCrashRestartPlugin())
+			raftsim.NewLeaderFlapPlugin(), plugin.NewCrashRestart())
 	}, func(r core.Result) bool { return r.Violated("raft/election-safety") }},
 	{"raft_election_storm", 250, func() (core.Target, error) {
 		return raftsim.NewTarget(raftsim.DefaultWorkload())

@@ -16,7 +16,6 @@ import (
 	"avd/internal/plugin"
 	"avd/internal/scenario"
 	"avd/internal/simnet"
-	"avd/internal/slab"
 )
 
 // Workload fixes everything about a test that is not a hyperspace
@@ -143,10 +142,6 @@ type Report struct {
 type Runner struct {
 	*core.Harness[masterKey, *deployment, Report]
 	w Workload
-
-	// pool lends every deployment the message memory of its measurement
-	// window; it comes back when the run parks (DESIGN.md §15).
-	pool slab.Pool
 }
 
 // Target is the Runner under the name the core.Target seam knows it by.
@@ -214,10 +209,6 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 
 // Workload returns the runner's workload.
 func (r *Runner) Workload() Workload { return r.w }
-
-// Pool returns the slab pool every deployment of the runner leases its
-// window memory from.
-func (r *Runner) Pool() *slab.Pool { return &r.pool }
 
 // dropWindow drops sends from one address for call numbers in
 // [start, start+length) — the FaultPlan plugin's network fault.

@@ -34,6 +34,13 @@ func TestSharedPayloadsForkedEqualsCold(t *testing.T) {
 	pbftContract(t).ForkedEqualsCold(t, "shared payloads")
 }
 
+// TestAllOffMeasuresBaseline: with every axis at its minimum, nothing
+// arms, so the run measures its baseline exactly.
+func TestAllOffMeasuresBaseline(t *testing.T) {
+	w := DefaultWorkload()
+	pbftContract(t).AllOff(t, w, w.LatencyRef, 10, 50, 250)
+}
+
 func TestRunOnFromCaptureThenFork(t *testing.T)         { pbftContract(t).RunOnFromCapture(t) }
 func TestStormHungSameWithSplitTrains(t *testing.T)     { pbftContract(t).Hung(t) }
 func TestParkedMastersHoldNoLeases(t *testing.T)        { pbftContract(t).Retention(t, "populations") }
@@ -55,7 +62,7 @@ func contractTarget(tb testing.TB, w Workload) targettest.Target[masterKey, *dep
 		tb.Fatal(err)
 	}
 	return targettest.Target[masterKey, *deployment, Report]{
-		Harness: r.Harness, Pool: &r.pool, Measure: w.Measure,
+		Harness: r.Harness, Measure: w.Measure,
 		Build: func(sc scenario.Scenario) *deployment { return r.newDeployment(populationOf(sc)) },
 	}
 }
@@ -147,14 +154,14 @@ func pbftContract(tb testing.TB) contract {
 			},
 		},
 		Target:     contractTarget,
-		Window:     func(d *deployment) *core.Window { return &d.win },
+		Window:     func(d *deployment) *core.Rig { return d.Rig },
 		Key:        func(sc scenario.Scenario) masterKey { return populationOf(sc) },
 		Space:      space,
 		Structural: []string{c, m},
 		InFlight: map[string]func(*deployment) bool{
 			"owned replies": func(d *deployment) bool {
 				before := completed(d.clients)
-				d.eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
+				d.Eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
 				return completed(d.clients) > before
 			},
 			// A batch that executes within one latency of the capture was
@@ -167,7 +174,7 @@ func pbftContract(tb testing.TB) contract {
 					return n
 				}
 				before := executed()
-				d.eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
+				d.Eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
 				return executed() > before
 			},
 		},
@@ -216,7 +223,7 @@ func pbftContract(tb testing.TB) contract {
 						st := c.Stats()
 						arms += st.Issued + st.Retransmissions
 					}
-					if resets := d.eng.Resets(); resets*10 < arms*9 {
+					if resets := d.Eng.Resets(); resets*10 < arms*9 {
 						tb.Errorf("%d of %d retry-timer arms moved no queue node, want at least nine in ten", resets, arms)
 					}
 				}},

@@ -11,9 +11,7 @@ import (
 	"avd/internal/pbft"
 	"avd/internal/plugin"
 	"avd/internal/scenario"
-	"avd/internal/sim"
 	"avd/internal/simnet"
-	"avd/internal/slab"
 )
 
 // deployment is one instantiated PBFT cluster bound to its own engine.
@@ -25,70 +23,36 @@ import (
 // time and not safe for concurrent use; the Runner's master cache hands
 // each worker its own.
 type deployment struct {
+	*core.Rig
 	w         Workload
-	eng       *sim.Engine
-	net       *simnet.Network
-	oracles   *oracle.Set
-	cov       *oracle.CoverageChecker // rides oracles; measure reads its digest
 	replicas  []*pbft.Replica
 	byz       *pbft.ByzantineBehavior // attached to replica byzIdx, zero = inert
 	byzIdx    int                     // which replica carries byz (Workload.ByzantineReplica, clamped)
 	clients   []*pbft.Client
 	malicious []*pbft.Client
 
-	// mem accounts for the message arena every replica and client carves
-	// from: capture adopts the warm-up prefix, park hands the window's
-	// chunks back to the Runner's pool (DESIGN.md §15).
-	mem *slab.Arena
-
-	// win counts the correct clients' completions inside the window.
-	win core.Window
 	// faults addresses the replicas for the fault-vocabulary-v2 axes.
 	faults plugin.FaultSite
-
-	// snap is the post-warmup capture every run restores from.
-	snap *deploymentSnapshot
 }
 
 var _ core.Deployment[Report] = (*deployment)(nil)
-
-// deploymentSnapshot pairs the engine/network captures with every
-// replica's and client's own state capture.
-type deploymentSnapshot struct {
-	eng       *sim.Snapshot
-	net       *simnet.NetSnapshot
-	oracles   []any
-	replicas  []*pbft.ReplicaState
-	clients   []*pbft.ClientState
-	malicious []*pbft.ClientState
-}
 
 // newDeployment builds, starts and warms up a fault-neutral deployment
 // with the given client population.
 func (r *Runner) newDeployment(key masterKey) *deployment {
 	w := r.w
 	correctClients, nMalicious := key.correct, key.malicious
-	// The coverage checker is part of the base oracle set: it is
-	// Rewindable, so snapshot/fork execution rolls its timeline fold back
-	// with the invariant checkers and forked digests equal cold ones.
-	cov := oracle.NewCoverage()
 	d := &deployment{
-		w:       w,
-		eng:     sim.New(w.Seed),
-		net:     nil,
-		oracles: oracle.NewSet(oracle.NewAgreementIn(&r.pool, "pbft"), cov),
-		cov:     cov,
-		byz:     &pbft.ByzantineBehavior{},
-		byzIdx:  w.ByzantineReplica,
+		Rig:    core.NewRig("cluster", r.Pool(), w.Seed, w.Net, oracle.NewAgreementIn(r.Pool(), "pbft")),
+		w:      w,
+		byz:    &pbft.ByzantineBehavior{},
+		byzIdx: w.ByzantineReplica,
 	}
-	d.mem = slab.NewArena(&r.pool, d.eng.Stop)
-	d.win = core.Window{Name: "cluster", Eng: d.eng, Mem: d.mem}
-	arena := pbft.NewArena(d.mem)
+	arena := pbft.NewArena(d.Mem)
 	if d.byzIdx < 0 || d.byzIdx >= w.PBFT.N {
 		d.byzIdx = 0
 	}
-	d.net = simnet.New(d.eng, w.Net)
-	d.net.SetOwner(arena)
+	d.Net.SetOwner(arena)
 
 	// Protocol oracles observe every replica's executions: no two
 	// replicas may commit different batches at one sequence number
@@ -103,7 +67,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	// construction off the per-replica closure tax.
 	viewObs := pbft.WithViewObserver(func(node int, view uint64) {
 		if w.PBFT.PrimaryOf(view) == node {
-			d.oracles.Observe(oracle.Event{Kind: oracle.EventLeader, Node: node, Term: view})
+			d.Oracles.Observe(oracle.Event{Kind: oracle.EventLeader, Node: node, Term: view})
 		}
 	})
 	for i := 0; i < w.PBFT.N; i++ {
@@ -111,25 +75,28 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		opts := []pbft.ReplicaOption{
 			pbft.WithCrashOnBadReproposal(w.CrashOnBadReproposal),
 			pbft.WithCommitObserver(func(seq, digest uint64) {
-				d.oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: seq, Digest: digest})
+				d.Oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: seq, Digest: digest})
 			}),
 			viewObs,
 			pbft.WithArena(arena),
 		}
 		if i == d.byzIdx {
 			// The potential Byzantine replica: behavior fields stay zero
-			// (a correct replica) until a scenario arms them.
+			// (a correct replica) until a scenario arms them, and every
+			// restore zeroes them again.
 			opts = append(opts, pbft.WithByzantine(d.byz))
+			d.Keep(func() func() { return func() { *d.byz = pbft.ByzantineBehavior{} } })
 		}
-		rep, err := pbft.NewReplica(i, w.PBFT, d.net, opts...)
+		rep, err := pbft.NewReplica(i, w.PBFT, d.Net, opts...)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: replica construction: %v", err)) // config was validated
 		}
 		d.replicas = append(d.replicas, rep)
+		d.Keep(func() func() { s := rep.Snapshot(); return func() { rep.Restore(s) } })
 	}
 
 	d.faults = plugin.FaultSite{
-		Eng: d.eng, Net: d.net, Obs: d.oracles,
+		Eng: d.Eng, Net: d.Net, Obs: d.Oracles,
 		PickVictim: d.pickCrashVictim,
 		Crash:      func(node int, keepDurable bool) bool { return d.replicas[node].Crash(keepDurable) },
 		Restart:    func(node int) { d.replicas[node].Restart() },
@@ -139,19 +106,20 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: rpl.Addr(), Clock: rpl.Clock()})
 	}
 
-	onComplete := d.win.OnComplete
+	onComplete := d.OnComplete
 
 	// Correct clients.
 	nextAddr := simnet.Addr(w.PBFT.N)
 	d.clients = make([]*pbft.Client, 0, correctClients)
 	for i := int64(0); i < correctClients; i++ {
-		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.net,
+		c, err := pbft.NewClient(nextAddr, w.PBFT, w.Correct, d.Net,
 			pbft.WithOnComplete(onComplete), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: client construction: %v", err))
 		}
 		nextAddr++
 		d.clients = append(d.clients, c)
+		d.Keep(func() func() { s := c.Snapshot(); return func() { c.Restore(s) } })
 	}
 
 	// Malicious clients: correct-behaving until a scenario arms its MAC
@@ -159,13 +127,25 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	// boot, exactly like an instrumented binary would).
 	d.malicious = make([]*pbft.Client, 0, nMalicious)
 	for i := int64(0); i < nMalicious; i++ {
-		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.net,
+		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.Net,
 			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})), pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: malicious client construction: %v", err))
 		}
 		nextAddr++
 		d.malicious = append(d.malicious, m)
+		// The plan and broadcast flag are arm-time settings, not snapshot
+		// state: a master serves attack forks and baseline forks alike, so
+		// a restore disarms them, and a fork that arms nothing gets a
+		// client as benign as the post-warmup original.
+		d.Keep(func() func() {
+			s := m.Snapshot()
+			return func() {
+				m.Restore(s)
+				m.SetPlan(faultinject.NewPlan())
+				m.SetBroadcast(false)
+			}
+		})
 	}
 
 	for _, c := range d.clients {
@@ -174,71 +154,14 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	for _, m := range d.malicious {
 		m.Start()
 	}
-	d.eng.RunFor(w.Warmup)
+	d.Eng.RunFor(w.Warmup)
 	return d
-}
-
-// Capture takes the post-warmup snapshot every run restores from.
-func (d *deployment) Capture() {
-	s := &deploymentSnapshot{
-		eng:     d.eng.Snapshot(),
-		net:     d.net.Snapshot(),
-		oracles: d.oracles.Snapshot(),
-	}
-	for _, rep := range d.replicas {
-		s.replicas = append(s.replicas, rep.Snapshot())
-	}
-	for _, c := range d.clients {
-		s.clients = append(s.clients, c.Snapshot())
-	}
-	for _, m := range d.malicious {
-		s.malicious = append(s.malicious, m.Snapshot())
-	}
-	d.mem.Capture()
-	d.snap = s
-}
-
-// Restore rolls the whole deployment back to the post-warmup snapshot.
-func (d *deployment) Restore() {
-	s := d.snap
-	d.park()
-	d.eng.Restore(s.eng)
-	d.net.Restore(s.net)
-	d.oracles.Restore(s.oracles) // also detaches per-run checkers
-	for i, rep := range d.replicas {
-		rep.Restore(s.replicas[i])
-	}
-	for i, c := range d.clients {
-		c.Restore(s.clients[i])
-	}
-	for i, m := range d.malicious {
-		m.Restore(s.malicious[i])
-		// Disarm: the plan and broadcast flag are arm-time settings, not
-		// snapshot state — a master now serves attack forks and baseline
-		// forks alike, so a fork that arms nothing must get a client as
-		// benign as the post-warmup original.
-		m.SetPlan(faultinject.NewPlan())
-		m.SetBroadcast(false)
-	}
-	*d.byz = pbft.ByzantineBehavior{}
-	d.win.Reset()
-}
-
-// park ends a run: the window's message memory and the oracle tables go
-// back to the Runner's pool, so a parked master retains only what its
-// snapshot references and the next fork — of this master or any other —
-// carves the same chunks. Nothing reads the window's objects afterwards:
-// the result is already extracted, and Restore overwrites every pointer
-// to them. park is idempotent, and only Restore may follow it.
-func (d *deployment) park() {
-	d.mem.Rewind()
-	d.oracles.Park()
 }
 
 // Arm activates the scenario's faults and per-run checkers at measurement
 // start; withFaults=false strips every malicious element (baseline).
 func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
-	d.oracles.Attach(extra...)
+	d.Oracles.Attach(extra...)
 	if !withFaults {
 		return
 	}
@@ -259,7 +182,7 @@ func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 
 	// Network-level tools.
 	if reorderPct > 0 && reorderDelay > 0 {
-		d.net.AddInterceptor(simnet.NewReorderer(w.Seed+7, float64(reorderPct)/100, reorderDelay))
+		d.Net.AddInterceptor(simnet.NewReorderer(w.Seed+7, float64(reorderPct)/100, reorderDelay))
 	}
 
 	// Client-level tools: MAC corruption per the mask, plus collusion.
@@ -281,7 +204,7 @@ func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.
 		}
 	}
 	if dropLen > 0 && len(d.malicious) > 0 {
-		d.net.AddInterceptor(newDropWindow(d.malicious[0].Addr(), uint64(dropCall), uint64(dropLen)))
+		d.Net.AddInterceptor(newDropWindow(d.malicious[0].Addr(), uint64(dropCall), uint64(dropLen)))
 	}
 	d.replicas[d.byzIdx].ApplyByzantine()
 
@@ -313,8 +236,8 @@ func (d *deployment) pickCrashVictim(strikes uint64) int {
 // Measure runs the given measurement window and collects the scenario
 // outcome.
 func (d *deployment) Measure(sc scenario.Scenario, window time.Duration, stepBudget uint64) (core.Result, Report) {
-	res, p99 := core.MeasureWindow(&d.win, d.clients, sc, window, stepBudget)
-	rep := Report{CorrectCompleted: d.win.Completed(), P99Latency: p99}
+	res, p99 := core.MeasureWindow(d.Rig, d.clients, sc, window, stepBudget)
+	rep := Report{CorrectCompleted: d.Completed(), P99Latency: p99}
 	for _, c := range d.clients {
 		rep.Retransmissions += c.Stats().Retransmissions
 	}
@@ -340,8 +263,6 @@ func (d *deployment) Measure(sc scenario.Scenario, window time.Duration, stepBud
 	res.ViewChanges = rep.ViewsInstalled
 	res.InjectedCrashes = rep.Crashes
 	res.Restarts = rep.Restarts
-	res.Coverage = d.cov.Digest()
-	res.Violations = d.oracles.Finish()
-	d.park()
+	d.Finish(&res)
 	return res, rep
 }

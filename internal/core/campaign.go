@@ -6,11 +6,11 @@ import "avd/internal/scenario"
 // iteration and its result.
 type CampaignObserver func(iteration int, res Result)
 
-// Warmer is an optional Target refinement: before dispatching a batch of
-// scenarios to concurrent workers, the Engine offers the target a look at
-// the batch so shared derived state (e.g. per-client-count baseline
-// measurements in cluster.Runner) can be computed once up front instead
-// of redundantly inside several workers.
+// Warmer is a retired capability: every target that had it is a Preparer,
+// whose prefetch readies baselines too, so the engine no longer looks for
+// it, and Harness.Warm only measures a batch's missing baselines. The
+// interface remains only because benchmark/ still names it (ROADMAP item
+// 2 has the removal note).
 type Warmer interface {
 	Warm(batch []scenario.Scenario)
 }

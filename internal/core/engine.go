@@ -353,7 +353,6 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		replay = e.cfg.checkpoint.snapshot()
 	}
 
-	warmer, _ := e.target.(Warmer)
 	// Snapshot/fork execution: when the target declares the capability,
 	// every test forks from a warm per-population snapshot instead of
 	// cold-building the deployment (identical results, enforced by test).
@@ -416,28 +415,24 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 			}
 		}
 		live := batch[replayed:]
-		if len(live) > 0 && workers > 1 {
-			if preparer != nil {
-				// Fire-and-forget: workers start measuring immediately
-				// while the populations they need next warm up behind
-				// them. Baselines singleflight; masters prepared here
-				// serve checkouts from this batch's tail and every later
-				// batch (an Acquire never stalls on a prefetch — on a
-				// cold cache it builds its own).
-				for _, sc := range live {
-					prepWG.Add(1)
-					//avdlint:allow prefetch pool: Prepare is observably idempotent (memoized masters and baselines)
-					go func(sc scenario.Scenario) {
-						defer prepWG.Done()
-						// A panicking prefetch must not take the process
-						// down: the run that needs the master hits the
-						// same panic under safeRun and records it.
-						defer func() { _ = recover() }()
-						preparer.Prepare(sc)
-					}(sc)
-				}
-			} else if warmer != nil {
-				warmer.Warm(live)
+		if preparer != nil && workers > 1 {
+			// Fire-and-forget: workers start measuring immediately while
+			// the populations they need next warm up behind them.
+			// Baselines singleflight; masters prepared here serve
+			// checkouts from this batch's tail and every later batch (an
+			// Acquire never stalls on a prefetch — on a cold cache it
+			// builds its own).
+			for _, sc := range live {
+				prepWG.Add(1)
+				//avdlint:allow prefetch pool: Prepare is observably idempotent (memoized masters and baselines)
+				go func(sc scenario.Scenario) {
+					defer prepWG.Done()
+					// A panicking prefetch must not take the process
+					// down: the run that needs the master hits the same
+					// panic under safeRun and records it.
+					defer func() { _ = recover() }()
+					preparer.Prepare(sc)
+				}(sc)
 			}
 		}
 		if len(live) == 1 {

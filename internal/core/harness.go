@@ -7,6 +7,7 @@ import (
 	"avd/internal/metrics"
 	"avd/internal/oracle"
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 // Deployment is what the Harness needs from one instantiated system under
@@ -14,7 +15,8 @@ import (
 // (HarnessSpec.Build returns one). The harness never looks inside it, just
 // as the paper's controller never looks inside the victim. A deployment
 // runs one test at a time; the harness's master pool hands every
-// concurrent run its own.
+// concurrent run its own. A deployment embeds a Rig, whose Capture and
+// Restore it promotes.
 type Deployment[R any] interface {
 	// Capture takes the post-warm-up snapshot every run starts from. The
 	// harness calls it once, right after Build.
@@ -77,17 +79,20 @@ const defaultClients = 10
 // Harness executes scenarios against one system under test (DESIGN.md
 // §8). It owns what is the same for every target: the pool of warm master
 // deployments, one per structural key, that every test forks from; the
-// attack-free baselines, memoized per client count; impact scoring; the
-// campaign phase timers; and the report/traced variants of a run. A
-// target supplies a HarnessSpec and a Deployment and, by embedding the
-// harness, is a Target with every execution capability the Engine
-// detects. Harness is safe for concurrent use by parallel campaign
-// workers.
+// slab pool they lease window memory from; the attack-free baselines,
+// memoized per client count; impact scoring; the campaign phase timers;
+// and the report/traced variants of a run. A target supplies a
+// HarnessSpec and a Deployment and, by embedding the harness, is a Target
+// with every execution capability the Engine detects. Harness is safe
+// for concurrent use by parallel campaign workers.
 type Harness[K comparable, D Deployment[R], R any] struct {
 	spec      HarnessSpec[K, D]
 	masters   ForkCache[K, D]
 	baselines BaselineCache
 	phases    PhaseTimes
+	// pool lends every deployment the message memory of its measurement
+	// window; it comes back when the run parks (DESIGN.md §15).
+	pool slab.Pool
 }
 
 // NewHarness returns a harness over the spec.
@@ -97,6 +102,10 @@ func NewHarness[K comparable, D Deployment[R], R any](spec HarnessSpec[K, D]) *H
 
 // Name implements Target.
 func (h *Harness[K, D, R]) Name() string { return h.spec.Name }
+
+// Pool returns the slab pool every deployment of the harness leases its
+// window memory from.
+func (h *Harness[K, D, R]) Pool() *slab.Pool { return &h.pool }
 
 // Plugins implements Target.
 func (h *Harness[K, D, R]) Plugins() []Plugin { return slices.Clone(h.spec.Plugins) }
@@ -275,9 +284,8 @@ func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	return res.Throughput
 }
 
-// Warm implements Warmer: measure a batch's missing baselines
-// concurrently, so parallel workers neither duplicate them nor serialize
-// behind one another.
+// Warm implements the retired Warmer, which benchmark/ still names:
+// measure a batch's missing baselines concurrently.
 func (h *Harness[K, D, R]) Warm(batch []scenario.Scenario) {
 	counts := make([]int64, len(batch))
 	for i, sc := range batch {

@@ -1,0 +1,188 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"avd/internal/metrics"
+	"avd/internal/oracle"
+	"avd/internal/scenario"
+	"avd/internal/sim"
+	"avd/internal/simnet"
+	"avd/internal/slab"
+)
+
+// Rig is the deployment lifecycle every target shares (DESIGN.md §8): the
+// engine, network, oracles and message arena a deployment runs on, the
+// capture every run restores from, park, and the measurement window's
+// bookkeeping. A deployment embeds one, so Capture and Restore are the
+// Rig's. It registers its protocol state with Keep and whatever else park
+// hands back with OnPark, points its correct clients' completion
+// callbacks at OnComplete, and measures with MeasureWindow and Finish.
+type Rig struct {
+	Eng *sim.Engine
+	Net *simnet.Network
+	// Oracles are the target's checkers plus a coverage checker; all are
+	// Rewindable, so forked verdicts and digests equal cold ones.
+	Oracles *oracle.Set
+	// Mem is the message arena the deployment carves from: Capture adopts
+	// the warm-up prefix, park hands the window's chunks back to the pool
+	// (DESIGN.md §15), and the pool lends the latency tail for one window.
+	Mem *slab.Arena
+
+	name  string // prefixes the error of a hung test
+	cov   *oracle.CoverageChecker
+	keeps []func() func()
+	parks []func()
+
+	// The capture: engine, network and oracles, and the restore of every
+	// kept part.
+	eng      *sim.Snapshot
+	net      *simnet.NetSnapshot
+	oracles  []any
+	restores []func()
+
+	// The window: completions and latencies count only while it is open.
+	measuring bool
+	completed uint64
+	latSum    time.Duration
+	latN      uint64
+	latTail   []time.Duration
+}
+
+// NewRig returns a rig on a fresh engine seeded with seed, a network
+// configured by cfg and an arena leasing from pool; checkers are the
+// target's protocol oracles.
+func NewRig(name string, pool *slab.Pool, seed int64, cfg simnet.Config, checkers ...oracle.Checker) *Rig {
+	r := &Rig{name: name, Eng: sim.New(seed), cov: oracle.NewCoverage()}
+	r.Net = simnet.New(r.Eng, cfg)
+	r.Oracles = oracle.NewSet(append(checkers, r.cov)...)
+	r.Mem = slab.NewArena(pool, r.Eng.Stop)
+	return r
+}
+
+// Keep registers protocol state with the capture: Capture calls capture,
+// and every Restore calls the restore it returned, which also disarms
+// whatever a run armed on that part.
+func (r *Rig) Keep(capture func() (restore func())) { r.keeps = append(r.keeps, capture) }
+
+// OnPark registers what park hands back besides the window's memory and
+// the oracle tables.
+func (r *Rig) OnPark(fn func()) { r.parks = append(r.parks, fn) }
+
+// Capture implements Deployment.
+func (r *Rig) Capture() {
+	r.eng, r.net, r.oracles = r.Eng.Snapshot(), r.Net.Snapshot(), r.Oracles.Snapshot()
+	for _, capture := range r.keeps {
+		r.restores = append(r.restores, capture())
+	}
+	r.Mem.Capture()
+}
+
+// Restore implements Deployment.
+func (r *Rig) Restore() {
+	r.park()
+	r.Eng.Restore(r.eng)
+	r.Net.Restore(r.net)
+	r.Oracles.Restore(r.oracles) // also detaches per-run checkers
+	for _, restore := range r.restores {
+		restore()
+	}
+	r.measuring, r.completed, r.latSum, r.latN = false, 0, 0, 0
+}
+
+// park ends a run: the window's message memory, what OnPark registered
+// and the oracle tables go back to the pool, so a parked master retains
+// only what its capture references and the next fork — of this master or
+// any other — carves the same chunks. Nothing reads the window's objects
+// afterwards: the result is already extracted, and Restore overwrites
+// every pointer to them. park is idempotent, and only Restore may follow
+// it.
+func (r *Rig) park() {
+	r.Mem.Rewind()
+	for _, fn := range r.parks {
+		fn()
+	}
+	r.Oracles.Park()
+}
+
+// Finish ends Measure: it sets the result's coverage digest and oracle
+// verdicts, then parks.
+func (r *Rig) Finish(res *Result) {
+	res.Coverage = r.cov.Digest()
+	res.Violations = r.Oracles.Finish()
+	r.park()
+}
+
+// OnComplete observes one correct-client completion.
+func (r *Rig) OnComplete(seq uint64, latency time.Duration) {
+	if !r.measuring {
+		return
+	}
+	r.completed++
+	r.latSum += latency
+	r.latN++
+	r.latTail = append(r.latTail, latency)
+}
+
+// Completed returns the completions counted since the last Restore.
+func (r *Rig) Completed() uint64 { return r.completed }
+
+// MeasureWindow runs one measurement window of the rig — at most
+// stepBudget events when that is positive — and returns the window's
+// throughput and latency as a Result, plus the P99 latency. A window cut
+// short by the step budget or the window-memory ceiling degrades to
+// Result.Hung. clients are the correct clients whose requests still in
+// flight at window end are censored into the latency average.
+func MeasureWindow[C interface{ Outstanding() (sim.Time, bool) }](r *Rig, clients []C, sc scenario.Scenario, window time.Duration, stepBudget uint64) (Result, time.Duration) {
+	r.latTail = slab.Borrow[time.Duration](r.Mem.Pool())
+
+	r.measuring = true
+	if stepBudget > 0 {
+		r.Eng.SetStepBudget(stepBudget)
+	}
+	r.Eng.RunFor(window)
+	hung := r.Eng.BudgetExceeded()
+	if stepBudget > 0 {
+		r.Eng.SetStepBudget(0)
+	}
+	// The arena stops the engine when the window's message memory runs
+	// away; like the step budget, that ends dispatch but not the window.
+	overflowed := r.Mem.Overflowed()
+	if overflowed {
+		r.Eng.Resume()
+	}
+	r.measuring = false
+
+	// Censored latency: a request still stuck at window end (e.g. the
+	// whole system crashed) contributes its elapsed wait, so that total
+	// collapse shows up as high average latency rather than as a rosy
+	// average over the few requests that did complete.
+	end := r.Eng.Now()
+	for _, c := range clients {
+		if sentAt, ok := c.Outstanding(); ok {
+			if waited := end.Sub(sentAt); waited > 0 {
+				r.latSum += waited
+				r.latN++
+				r.latTail = append(r.latTail, waited)
+			}
+		}
+	}
+
+	res := Result{Scenario: sc}
+	res.Throughput = float64(r.completed) / window.Seconds()
+	if r.latN > 0 {
+		res.AvgLatency = r.latSum / time.Duration(r.latN)
+	}
+	if hung {
+		res.Hung = true
+		res.Error = fmt.Sprintf("%s: scenario exceeded the %d-event step budget (runaway event storm)", r.name, stepBudget)
+	} else if overflowed {
+		res.Hung = true
+		res.Error = fmt.Sprintf("%s: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", r.name, slab.WindowCeiling>>20)
+	}
+	p99 := metrics.PercentileInPlace(r.latTail, 99)
+	slab.Return(r.Mem.Pool(), r.latTail)
+	r.latTail = nil
+	return res, p99
+}

@@ -64,13 +64,13 @@ type Spec[W, R any] struct {
 }
 
 // Internals is a Spec and what the checks that reach into a deployment
-// need besides: its target's pool, memory and engine, its master key.
+// need besides: its memory and engine, its master key.
 type Internals[W any, K comparable, D core.Deployment[R], R any] struct {
 	Spec[W, R]
 	// Target builds a fresh target for a workload, with its internals.
 	Target func(tb testing.TB, w W) Target[K, D, R]
-	// Window is a deployment's measurement window: its engine and arena.
-	Window func(d D) *core.Window
+	// Window is a deployment's rig: its engine and arena.
+	Window func(d D) *core.Rig
 	// Key is the target's master key (core.HarnessSpec.Key).
 	Key func(sc scenario.Scenario) K
 	// Space holds every axis the target arms; Structural names, in order,
@@ -94,8 +94,6 @@ type Internals[W any, K comparable, D core.Deployment[R], R any] struct {
 // Target is one instance of a system under test, with its internals.
 type Target[K comparable, D core.Deployment[R], R any] struct {
 	*core.Harness[K, D, R]
-	// Pool is the slab pool the target's deployments lease from.
-	Pool *slab.Pool
 	// Build builds and warms up, without capturing, the deployment sc
 	// runs on.
 	Build func(sc scenario.Scenario) D
@@ -534,6 +532,37 @@ func (s Internals[W, K, D, R]) Baseline(t *testing.T, group string) {
 	}
 }
 
+// AllOff: the scenario with every axis of Space at its minimum arms
+// nothing, under any plugin. At each of the client counts, values of the
+// first Structural axis, its cold run on a target for w measures exactly
+// its baseline, reports no violation, is not hung, and scores the latency
+// term alone: Impact is 0.2·min(AvgLatency/latencyRef, 1), bit for bit.
+// That is not 0, because the latency term is absolute, not relative to
+// the baseline.
+func (s Internals[W, K, D, R]) AllOff(t *testing.T, w W, latencyRef time.Duration, clients ...int64) {
+	if len(clients) < 2 {
+		t.Fatal("AllOff covers at least two populations")
+	}
+	tg := s.New(t, w)
+	for _, n := range clients {
+		sc := s.Space.New(map[string]int64{s.Structural[0]: n})
+		if got := sc.GetOr(s.Structural[0], 0); got != n {
+			t.Fatalf("%d clients is not a value of %s (clamped to %d)", n, s.Structural[0], got)
+		}
+		res := tg.Run(sc)
+		t.Logf("%d clients: impact %v, average latency %v", n, res.Impact, res.AvgLatency)
+		if res.Errored() || len(res.Violations) > 0 {
+			t.Errorf("%d clients: the all-off run misbehaved: %+v", n, res)
+		}
+		if res.BaselineThroughput <= 0 || res.Throughput != res.BaselineThroughput {
+			t.Errorf("%d clients: throughput %v, baseline %v: an axis arms something at its minimum", n, res.Throughput, res.BaselineThroughput)
+		}
+		if want := 0.2 * min(float64(res.AvgLatency)/float64(latencyRef), 1); res.Impact != want {
+			t.Errorf("%d clients: impact %v, want the latency term alone, %v", n, res.Impact, want)
+		}
+	}
+}
+
 // Hung is Spec.Hung, and besides: the storm's window memory goes back to
 // the pool, and with either queue hook on an unscored storm ends on the
 // same callback with the same verdict (a delivery riding a train still
@@ -542,7 +571,7 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 	st := s.Storm
 	tg := s.Target(t, st.W)
 	s.hung(t, tg.Harness, func() {
-		if n := tg.Pool.Leased(); n != 0 {
+		if n := tg.Pool().Leased(); n != 0 {
 			t.Errorf("%d chunks still on lease after the hung tests parked", n)
 		}
 		// An unscored run leaves the master's engine at the storm's last event.
@@ -580,7 +609,7 @@ func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 		}
 	}
 	tg.Run(g.Cases[0].Scenario)
-	if n := tg.Pool.Leased(); n != 0 {
+	if n := tg.Pool().Leased(); n != 0 {
 		t.Errorf("%d chunks still on lease with every master parked", n)
 	}
 	parked := make(map[K]bool)

@@ -2,7 +2,8 @@ package core_test
 
 // A toy third system under test: a primary-backup register over
 // sim/simnet. It exists to show what a target has to supply for the
-// generic Harness — a deployment, a key function and a plugin list — and
+// generic Harness — a deployment on a core.Rig with the state it keeps, a
+// key function and a plugin list — and
 // to run the target contract (internal/core/targettest) and the harness
 // tests with no PBFT or Raft in the loop. Closed-loop clients write to the
 // primary, the primary replicates each write to the backup, and
@@ -32,7 +33,8 @@ const (
 	regPrimary simnet.Addr = 0
 	regBackup  simnet.Addr = 1
 
-	regLatency = 500 * time.Microsecond
+	regLatency    = 500 * time.Microsecond
+	regLatencyRef = 50 * time.Millisecond
 	// regWarmup captures a quarter-round before the acknowledgements of
 	// every client's tenth write land, so they are in flight.
 	regWarmup = 19750 * time.Microsecond
@@ -86,13 +88,13 @@ func (c *regClient) Outstanding() (sim.Time, bool) { return c.sentAt, c.seq > 0 
 
 func (c *regClient) write() {
 	c.seq++
-	c.sentAt = c.d.eng.Now()
-	c.d.net.Send(c.addr, regPrimary, &regWrite{client: c.addr, seq: c.seq})
+	c.sentAt = c.d.Eng.Now()
+	c.d.Net.Send(c.addr, regPrimary, &regWrite{client: c.addr, seq: c.seq})
 }
 
 func (c *regClient) handle(_ simnet.Addr, payload any) {
 	if ack := payload.(*regAck); ack.seq == c.seq {
-		c.onComplete(c.seq, c.d.eng.Now().Sub(c.sentAt))
+		c.onComplete(c.seq, c.d.Eng.Now().Sub(c.sentAt))
 		c.write()
 	}
 }
@@ -105,11 +107,10 @@ type regReport struct {
 	P99Latency     time.Duration
 }
 
-// regTarget is what the toy keeps outside the harness: the pool its
-// deployments lease from, and counters the harness tests read.
+// regTarget is what the toy keeps outside the harness: counters the
+// harness tests read.
 type regTarget struct {
 	*core.Harness[int64, *regDeployment, regReport]
-	pool   slab.Pool
 	builds atomic.Int64
 	// buildDelay and measureDelay make the phase timers observable.
 	buildDelay, measureDelay time.Duration
@@ -133,55 +134,39 @@ func newRegTarget(spec core.HarnessSpec[int64, *regDeployment]) *regTarget {
 var _ core.Target = (*regTarget)(nil)
 
 type regDeployment struct {
+	*core.Rig
 	t       *regTarget
-	eng     *sim.Engine
-	net     *simnet.Network
-	oracles *oracle.Set
-	cov     *oracle.CoverageChecker
 	nodes   [2]regNode
 	clients []*regClient
-	mem     *slab.Arena
 	junk    *slab.Span[byte] // what the leak axis leaks into
 	leak    int
-	win     core.Window
 	attack  bool
-	snap    *regSnapshot
-}
-
-type regSnapshot struct {
-	eng     *sim.Snapshot
-	net     *simnet.NetSnapshot
-	oracles []any
-	nodes   [2]regNode
-	clients []regClient
 }
 
 func (t *regTarget) newDeployment(clients int64) *regDeployment {
 	t.builds.Add(1)
 	time.Sleep(t.buildDelay)
-	cov := oracle.NewCoverage()
-	d := &regDeployment{t: t, eng: sim.New(1), cov: cov}
-	d.oracles = oracle.NewSet(oracle.NewAgreementIn(&t.pool, "register"), cov)
-	d.net = simnet.New(d.eng, simnet.Config{BaseLatency: regLatency})
-	d.mem = slab.NewArena(&t.pool, d.eng.Stop)
-	d.junk = slab.NewSpan[byte](d.mem)
-	d.win = core.Window{Name: "register", Eng: d.eng, Mem: d.mem}
-	d.net.Handle(regPrimary, d.primary)
-	d.net.Handle(regBackup, d.backup)
+	d := &regDeployment{t: t, Rig: core.NewRig("register", t.Pool(), 1, simnet.Config{BaseLatency: regLatency},
+		oracle.NewAgreementIn(t.Pool(), "register"))}
+	d.junk = slab.NewSpan[byte](d.Mem)
+	d.Net.Handle(regPrimary, d.primary)
+	d.Net.Handle(regBackup, d.backup)
+	d.Keep(func() func() { nodes := d.nodes; return func() { d.nodes, d.leak = nodes, 0 } }) // and disarms the leak
 	for i := int64(0); i < clients; i++ {
-		c := &regClient{addr: regBackup + 1 + simnet.Addr(i), d: d, onComplete: d.win.OnComplete}
-		d.net.Handle(c.addr, c.handle)
+		c := &regClient{addr: regBackup + 1 + simnet.Addr(i), d: d, onComplete: d.OnComplete}
+		d.Net.Handle(c.addr, c.handle)
 		d.clients = append(d.clients, c)
+		d.Keep(func() func() { s := *c; return func() { *c = s } })
 		c.write()
 	}
-	d.eng.RunFor(regWarmup)
+	d.Eng.RunFor(regWarmup)
 	return d
 }
 
 func (d *regDeployment) apply(node int, w *regWrite) {
 	d.nodes[node].value = *w
 	d.nodes[node].version++
-	d.oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: d.nodes[node].version, Digest: uint64(w.client)<<32 | w.seq})
+	d.Oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: d.nodes[node].version, Digest: uint64(w.client)<<32 | w.seq})
 }
 
 func (d *regDeployment) primary(from simnet.Addr, payload any) {
@@ -191,53 +176,26 @@ func (d *regDeployment) primary(from simnet.Addr, payload any) {
 		if d.leak > 0 {
 			d.junk.Get(d.leak)
 		}
-		d.net.Send(regPrimary, regBackup, m)
+		d.Net.Send(regPrimary, regBackup, m)
 	case *regAck:
-		d.net.Send(regPrimary, m.client, m)
+		d.Net.Send(regPrimary, m.client, m)
 	}
 }
 
 func (d *regDeployment) backup(_ simnet.Addr, payload any) {
 	w := payload.(*regWrite)
 	d.apply(1, w)
-	d.net.Send(regBackup, regPrimary, (*regAck)(w))
-}
-
-func (d *regDeployment) Capture() {
-	s := &regSnapshot{eng: d.eng.Snapshot(), net: d.net.Snapshot(), oracles: d.oracles.Snapshot(), nodes: d.nodes}
-	for _, c := range d.clients {
-		s.clients = append(s.clients, *c)
-	}
-	d.mem.Capture()
-	d.snap = s
-}
-
-func (d *regDeployment) Restore() {
-	d.park()
-	d.eng.Restore(d.snap.eng)
-	d.net.Restore(d.snap.net)
-	d.oracles.Restore(d.snap.oracles)
-	d.nodes = d.snap.nodes
-	for i, c := range d.clients {
-		*c = d.snap.clients[i]
-	}
-	d.leak = 0
-	d.win.Reset()
-}
-
-func (d *regDeployment) park() {
-	d.mem.Rewind()
-	d.oracles.Park()
+	d.Net.Send(regBackup, regPrimary, (*regAck)(w))
 }
 
 func (d *regDeployment) Arm(sc scenario.Scenario, attack bool, extra ...oracle.Checker) {
-	d.oracles.Attach(extra...)
+	d.Oracles.Attach(extra...)
 	d.attack = attack
 	if !attack {
 		return
 	}
 	if lag := sc.GetOr(dimRegLagMS, 0); lag > 0 {
-		d.net.SetLinkLatency(regPrimary, regBackup, time.Duration(lag)*time.Millisecond)
+		d.Net.SetLinkLatency(regPrimary, regBackup, time.Duration(lag)*time.Millisecond)
 	}
 	d.leak = int(sc.GetOr(dimRegLeakMB, 0)) << 20
 }
@@ -250,14 +208,12 @@ func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, step
 		d.t.baselineWindows.Add(1)
 		d.t.lastBaselineWindow.Store(int64(window))
 	}
-	res, p99 := core.MeasureWindow(&d.win, d.clients, sc, window, stepBudget)
+	res, p99 := core.MeasureWindow(d.Rig, d.clients, sc, window, stepBudget)
 	rep := regReport{
-		Completed: d.win.Completed(), P99Latency: p99,
+		Completed: d.Completed(), P99Latency: p99,
 		PrimaryVersion: d.nodes[0].version, BackupVersion: d.nodes[1].version,
 	}
-	res.Coverage = d.cov.Digest()
-	res.Violations = d.oracles.Finish()
-	d.park()
+	d.Finish(&res)
 	return res, rep
 }
 
@@ -265,10 +221,13 @@ func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, step
 // the suite protocol-neutral. The toy's messages are heap objects, so it
 // makes no claim that a run/restore cycle allocates nothing.
 
-func TestHarnessColdEqualsEveryFork(t *testing.T)              { regContract(t).ForkedEqualsCold(t, "register") }
-func TestHarnessRunOnFromCaptureThenFork(t *testing.T)         { regContract(t).RunOnFromCapture(t) }
-func TestHarnessBaselineForkedEqualsCold(t *testing.T)         { regContract(t).Baseline(t, "register") }
-func TestHarnessQueueHooksNeutral(t *testing.T)                { regContract(t).QueueHooks(t, "register") }
+func TestHarnessColdEqualsEveryFork(t *testing.T)      { regContract(t).ForkedEqualsCold(t, "register") }
+func TestHarnessRunOnFromCaptureThenFork(t *testing.T) { regContract(t).RunOnFromCapture(t) }
+func TestHarnessBaselineForkedEqualsCold(t *testing.T) { regContract(t).Baseline(t, "register") }
+func TestHarnessQueueHooksNeutral(t *testing.T)        { regContract(t).QueueHooks(t, "register") }
+func TestHarnessAllOffMeasuresBaseline(t *testing.T) {
+	regContract(t).AllOff(t, regSpec(), regLatencyRef, 2, 8)
+}
 func TestHarnessQueueHooksNeutralCampaign(t *testing.T)        { regContract(t).QueueHooksCampaign(t) }
 func TestHarnessWindowCeilingCostsOneTest(t *testing.T)        { regContract(t).Hung(t) }
 func TestHarnessParkedMastersHoldNoLeases(t *testing.T)        { regContract(t).Retention(t, "register") }
@@ -280,7 +239,7 @@ func TestHarnessStructuralMarkerMatchesMasterKey(t *testing.T) { regContract(t).
 func FuzzForkEqualsCold(f *testing.F)                          { targettest.FuzzForkEqualsCold(f, regContract(f)) }
 
 func regSpec() core.HarnessSpec[int64, *regDeployment] {
-	return core.HarnessSpec[int64, *regDeployment]{Measure: 200 * time.Millisecond, LatencyRef: 50 * time.Millisecond}
+	return core.HarnessSpec[int64, *regDeployment]{Measure: 200 * time.Millisecond, LatencyRef: regLatencyRef}
 }
 
 func regSpace(tb testing.TB, plugins ...core.Plugin) *scenario.Space {
@@ -306,7 +265,7 @@ func regContract(tb testing.TB) targettest.Internals[regWorkload, int64, *regDep
 	target := func(_ testing.TB, spec regWorkload) targettest.Target[int64, *regDeployment, regReport] {
 		t := newRegTarget(spec)
 		return targettest.Target[int64, *regDeployment, regReport]{
-			Harness: t.Harness, Pool: &t.pool, Measure: spec.Measure,
+			Harness: t.Harness, Measure: spec.Measure,
 			Build: func(sc scenario.Scenario) *regDeployment { return t.newDeployment(regKey(sc)) },
 		}
 	}
@@ -340,7 +299,7 @@ func regContract(tb testing.TB) targettest.Internals[regWorkload, int64, *regDep
 			Campaign: budgeted,
 		},
 		Target:     target,
-		Window:     func(d *regDeployment) *core.Window { return &d.win },
+		Window:     func(d *regDeployment) *core.Rig { return d.Rig },
 		Key:        regKey,
 		Space:      regSpace(tb, regClients, regLag),
 		Structural: []string{dimRegClients},
@@ -355,7 +314,7 @@ func regContract(tb testing.TB) targettest.Internals[regWorkload, int64, *regDep
 					return n
 				}
 				before := writes()
-				d.eng.RunFor(regLatency - time.Nanosecond)
+				d.Eng.RunFor(regLatency - time.Nanosecond)
 				return writes() > before
 			},
 		},

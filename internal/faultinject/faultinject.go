@@ -306,9 +306,3 @@ func (in *Injector) CheckN(point string) (Decision, uint64) {
 
 // Calls returns how many times the point has been consulted.
 func (in *Injector) Calls(point string) uint64 { return in.point(point).calls }
-
-// Disabled is a shared injector with an empty plan, for correct nodes.
-// It still counts calls, so do not share it across nodes whose call
-// numbering matters; correct nodes never inject, making sharing unsafe
-// only for diagnostics. Prefer NewInjector(Plan{}) per node when counting.
-func Disabled() *Injector { return NewInjector(Plan{}) }

@@ -28,6 +28,13 @@ func TestOwnedMessagesForkedEqualsCold(t *testing.T) {
 	raftContract(t).ForkedEqualsCold(t, "owned messages")
 }
 
+// TestAllOffMeasuresBaseline: with every axis at its minimum, nothing
+// arms, so the run measures its baseline exactly.
+func TestAllOffMeasuresBaseline(t *testing.T) {
+	w := DefaultWorkload()
+	raftContract(t).AllOff(t, w, w.LatencyRef, 5, 10, 50)
+}
+
 func TestRunOnFromCaptureThenFork(t *testing.T)     { raftContract(t).RunOnFromCapture(t) }
 func TestStormHungSameWithSplitTrains(t *testing.T) { raftContract(t).Hung(t) }
 func TestParkedMastersHoldNoLeases(t *testing.T)    { raftContract(t).Retention(t, "populations") }
@@ -54,13 +61,13 @@ func FuzzForkEqualsCold(f *testing.F)                   { targettest.FuzzForkEqu
 // contractTarget is the Raft target over the hyperspace `avd -target raft
 // -faults crash,skew,oneway,corrupt,dup` explores.
 func contractTarget(tb testing.TB, w Workload) targettest.Target[int64, *deployment, Report] {
-	r, err := NewTarget(w, NewClientsPlugin(), NewLeaderFlapPlugin(), NewCrashRestartPlugin(),
-		NewClockSkewPlugin(), NewOneWayPlugin(), NewNetFaultsPlugin())
+	r, err := NewTarget(w, NewClientsPlugin(), NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
+		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return targettest.Target[int64, *deployment, Report]{
-		Harness: r.Harness, Pool: &r.pool, Measure: w.Measure,
+		Harness: r.Harness, Measure: w.Measure,
 		Build: func(sc scenario.Scenario) *deployment { return r.newDeployment(populationOf(sc)) },
 	}
 }
@@ -120,7 +127,7 @@ func raftContract(tb testing.TB) contract {
 			},
 		},
 		Target:     contractTarget,
-		Window:     func(d *deployment) *core.Window { return &d.win },
+		Window:     func(d *deployment) *core.Rig { return d.Rig },
 		Key:        populationOf,
 		Space:      space,
 		Structural: []string{c},
@@ -135,7 +142,7 @@ func raftContract(tb testing.TB) contract {
 					return n
 				}
 				before := completed()
-				d.eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
+				d.Eng.RunFor(d.w.Net.BaseLatency - time.Nanosecond)
 				return completed() > before
 			},
 		},

@@ -8,7 +8,6 @@ import (
 	"avd/internal/scenario"
 	"avd/internal/sim"
 	"avd/internal/simnet"
-	"avd/internal/slab"
 )
 
 // Workload fixes everything about a Raft test that is not a hyperspace
@@ -82,10 +81,6 @@ type Report struct {
 type Runner struct {
 	*core.Harness[int64, *deployment, Report]
 	w Workload
-
-	// pool lends every deployment the message memory of its measurement
-	// window; it comes back when the run parks (DESIGN.md §15).
-	pool slab.Pool
 }
 
 // Target is the Runner under the name the core.Target seam knows it by.

@@ -99,20 +99,3 @@ func (p *LeaderFlap) Mutate(parent scenario.Scenario, distance float64, rng *ran
 	}
 	return out
 }
-
-// NewCrashRestartPlugin returns the shared crash-restart plugin with its
-// default axis bounds (interval 0..1000 ms step 50, down 0..400 ms step
-// 25).
-func NewCrashRestartPlugin() *plugin.CrashRestart { return plugin.NewCrashRestart() }
-
-// NewClockSkewPlugin returns the shared clock-skew plugin sized to the
-// default 5-node cluster (up to 50% drift in 100-permille steps).
-func NewClockSkewPlugin() *plugin.ClockSkew { return plugin.NewClockSkew(5) }
-
-// NewOneWayPlugin returns the shared asymmetric-partition plugin sized to
-// the default 5-node cluster.
-func NewOneWayPlugin() *plugin.OneWay { return plugin.NewOneWay(5) }
-
-// NewNetFaultsPlugin returns the shared corruption/duplication plugin
-// sized to the default 5-node cluster.
-func NewNetFaultsPlugin() *plugin.NetFaults { return plugin.NewNetFaults(5) }

@@ -318,8 +318,8 @@ func TestParkStocksOneRetiredArray(t *testing.T) {
 // crash,skew,oneway,corrupt,dup` explores.
 func allFaultsSpace(tb testing.TB) *scenario.Space {
 	tb.Helper()
-	space, err := core.Space(NewClientsPlugin(), NewLeaderFlapPlugin(), NewCrashRestartPlugin(),
-		NewClockSkewPlugin(), NewOneWayPlugin(), NewNetFaultsPlugin())
+	space, err := core.Space(NewClientsPlugin(), NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
+		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestInFlightEntriesSurviveForks(t *testing.T) {
 	// address keys what it carried when it left.
 	sent := make(map[*AppendEntries]uint64)
 	inFlight, landed := 0, 0
-	d.net.AddInterceptor(simnet.InterceptorFunc(func(m *simnet.Message) simnet.Verdict {
+	d.Net.AddInterceptor(simnet.InterceptorFunc(func(m *simnet.Message) simnet.Verdict {
 		if ae, ok := m.Payload.(*AppendEntries); ok && len(ae.Entries) > 0 {
 			sent[ae] = entriesDigest(ae.Entries)
 			inFlight++
@@ -398,12 +398,12 @@ func TestInFlightEntriesSurviveForks(t *testing.T) {
 		return simnet.VerdictDeliver
 	}))
 	for _, n := range d.nodes {
-		d.net.Handle(simnet.Addr(n.ID()), func(from simnet.Addr, payload any) {
+		d.Net.Handle(simnet.Addr(n.ID()), func(from simnet.Addr, payload any) {
 			if ae, ok := payload.(*AppendEntries); ok && len(ae.Entries) > 0 {
 				inFlight--
 				landed++
 				if got := entriesDigest(ae.Entries); got != sent[ae] {
-					t.Errorf("t=%v: AppendEntries %d->%d after index %d changed in flight", d.eng.Now(), ae.Leader, n.ID(), ae.PrevLogIndex)
+					t.Errorf("t=%v: AppendEntries %d->%d after index %d changed in flight", d.Eng.Now(), ae.Leader, n.ID(), ae.PrevLogIndex)
 				}
 			}
 			n.onMessage(from, payload)
@@ -412,12 +412,12 @@ func TestInFlightEntriesSurviveForks(t *testing.T) {
 	// runToSend advances the deployment to an instant at which the leader
 	// has entries in flight, and returns it.
 	runToSend := func(warm time.Duration) *Node {
-		d.eng.RunFor(warm)
+		d.Eng.RunFor(warm)
 		for step := 0; inFlight == 0; step++ {
 			if step == 100 {
 				t.Fatal("no AppendEntries in flight; the test would check nothing")
 			}
-			d.eng.RunFor(100 * time.Microsecond)
+			d.Eng.RunFor(100 * time.Microsecond)
 		}
 		return d.nodes[currentLeader(d.nodes)]
 	}
@@ -444,7 +444,7 @@ func TestInFlightEntriesSurviveForks(t *testing.T) {
 				d.Restore()
 				inFlight = captured
 				strike.hit(runToSend(after))
-				d.eng.RunFor(5 * time.Millisecond)
+				d.Eng.RunFor(5 * time.Millisecond)
 				if landed-before < captured {
 					t.Fatalf("%s %v into the fork: %d AppendEntries carrying entries landed, fewer than the %d captured in flight", strike.name, after, landed-before, captured)
 				}

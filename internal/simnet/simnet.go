@@ -215,9 +215,6 @@ func (n *Network) ArmLinkFaults(from, to Addr, plan faultinject.Plan, c Corrupte
 	}
 }
 
-// DisarmLinkFaults removes armed link faults.
-func (n *Network) DisarmLinkFaults() { n.lf = linkFaults{} }
-
 // New returns a network running on eng with the given config.
 func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.DropRate < 0 {
