@@ -48,6 +48,7 @@ func TestPBFTRestoreAllocFree(t *testing.T)             { pbftContract(t).Restor
 func TestWindowLease(t *testing.T)                      { pbftContract(t).Pin(t, "window lease") }
 func TestWindowDispatchCounts(t *testing.T)             { pbftContract(t).Pin(t, "window dispatch counts") }
 func TestForkedBigMACAllocs(t *testing.T)               { pbftContract(t).Pin(t, "Big MAC fork") }
+func TestForkedViewChangeAllocs(t *testing.T)           { pbftContract(t).Pin(t, "view-change fork") }
 func TestRunnerDeterministic(t *testing.T)              { pbftContract(t).Deterministic(t, "populations") }
 func TestParallelSweepSafe(t *testing.T)                { pbftContract(t).ConcurrentForks(t, "populations") }
 func TestStructuralMarkerMatchesMasterKey(t *testing.T) { pbftContract(t).StructuralKey(t) }
@@ -96,6 +97,9 @@ func pbftContract(tb testing.TB) contract {
 	fullWindow := windows(300*time.Millisecond, 1500*time.Millisecond, 0)
 	bigMAC := at(pt{plugin.DimMACMask: int64(graycode.Decode(0xEEE)), c: 30, m: 1})
 	largest := at(pt{c: 250, m: 1})
+	// The view-0 primary's outbound links cut: every view it leads
+	// stalls, and the backups change views until one installs.
+	primaryMuted := at(pt{plugin.DimOneWayVictim: 1, plugin.DimOneWayDir: 1, c: 100, m: 1})
 
 	return contract{
 		Spec: targettest.Spec[Workload, Report]{
@@ -238,6 +242,34 @@ func pbftContract(tb testing.TB) contract {
 			// arena. Cold runs (build + warm-up + capture) are not pinned: no
 			// campaign takes that path per test.
 			{Name: "Big MAC fork", W: fullWindow, Scenario: bigMAC, ForkAllocs: 21, ForkBytes: 1 << 10},
+			// The same for a window of view changes: the view-0 primary's
+			// outbound links cut (a oneway fault), 100 correct clients and one
+			// malicious, the benchmark's 2M-event step budget. The replicas
+			// install 8 views between them. A forked run allocates 14 objects,
+			// 544 bytes: eight checkpoints (heap messages nothing counts), the
+			// report's final views, arming the fault plan and the baseline
+			// lookup. About one test run in five reads 872 bytes, when a
+			// replica's pending-forwarded map outgrows its table once inside
+			// the twenty measured runs. It was 2,198 objects, 145,989 bytes
+			// while view changes, their prepared proofs, new views and
+			// re-proposals were heap objects; they come from the arena's
+			// view-change slabs and spans now, and the join, assembly and
+			// install bookkeeping keeps replica scratch. The same armed window
+			// leases 22 chunks, 704 KB, half a percent of slab.WindowCeiling:
+			// 13 of agreement traffic (as unfaulted) and 9 of view-change
+			// memory, one per slab or span and a second of proof prepares. The
+			// rules of the Big MAC pin apply to all three figures.
+			{Name: "view-change fork", W: windows(300*time.Millisecond, 1500*time.Millisecond, 2_000_000), Scenario: primaryMuted,
+				Armed: true, Window: 1500 * time.Millisecond, Lease: 22, ForkAllocs: 14, ForkBytes: 1 << 10,
+				Check: func(tb testing.TB, d *deployment) {
+					var views uint64
+					for _, rp := range d.replicas {
+						views += rp.Stats().ViewsInstalled
+					}
+					if views != 8 {
+						tb.Errorf("the replicas installed %d views, want 8: the pin would be of another window", views)
+					}
+				}},
 		},
 		Fuzz: windows(200*time.Millisecond, 1500*time.Millisecond, 100_000), // long enough for view changes
 		FuzzSeeds: []targettest.FuzzSeed{

@@ -19,14 +19,23 @@ import "avd/internal/slab"
 //     pre-prepare whose batch carries it, a backup's pendingForwarded
 //     record and each ForwardedRequest relaying it;
 //   - PrePrepare: each delivery and each log entry holding it, and a
-//     view change that carries it as a prepared proof (for good: view
-//     changes are heap objects nobody releases);
+//     view change that carries it as a prepared proof (for good: nothing
+//     counts a view change, so nothing drops that hold before the
+//     rewind);
 //   - Prepare, Commit, ForwardedRequest, Reply: their deliveries.
 //
 // A pre-prepare that goes back drops its batch's requests. Holders let go
 // at the protocol's own garbage-collection points: a stable checkpoint
 // (advanceWatermark), a crash with state loss, a view change's discard, a
 // request's execution, and the end of a delivery.
+//
+// What a view change builds counts no holders and is never put back: view
+// changes, their prepared proofs and the proofs' certificates, new views
+// and their re-proposals come from slabs and spans of their own, which no
+// Put reaches, and stay carved until the rewind. A view change is rare
+// next to the agreement traffic, and everything it builds is referenced
+// from the replicas' view-change records and from other view-change
+// messages for as long as the view lasts.
 //
 // The deployment harness owns the capture/rewind cycle through the
 // slab.Arena the slabs were created from; replicas and clients only
@@ -43,6 +52,20 @@ type Arena struct {
 	// batches backs the primaries' pending-request buffers, whose
 	// prefixes become the batches log entries and pre-prepares carry.
 	batches *slab.Span[*Request]
+
+	// View-change memory (viewchange.go), uncounted and never put back.
+	viewChanges *slab.Slab[ViewChange]
+	newViews    *slab.Slab[NewView]
+	proofs      *slab.Span[PreparedProof]
+	proofVotes  *slab.Span[Prepare]
+	proofPtrs   *slab.Span[*Prepare]
+	vcPtrs      *slab.Span[*ViewChange]
+	reproposals *slab.Span[PrePrepare]
+	ppPtrs      *slab.Span[*PrePrepare]
+	// nullBatch is the one-request batch a new view fills a sequence gap
+	// with. Its null request counts no holders and nothing writes either,
+	// so every gap of the deployment shares them.
+	nullBatch []*Request
 }
 
 // NewArena creates the deployment's message slabs in mem.
@@ -57,7 +80,24 @@ func NewArena(mem *slab.Arena) *Arena {
 		forwarded:   slab.New[forwarded](mem),
 		fwdMsgs:     slab.New[ForwardedRequest](mem),
 		batches:     slab.NewSpan[*Request](mem),
+		viewChanges: slab.New[ViewChange](mem),
+		newViews:    slab.New[NewView](mem),
+		proofs:      slab.NewSpan[PreparedProof](mem),
+		proofVotes:  slab.NewSpan[Prepare](mem),
+		proofPtrs:   slab.NewSpan[*Prepare](mem),
+		vcPtrs:      slab.NewSpan[*ViewChange](mem),
+		reproposals: slab.NewSpan[PrePrepare](mem),
+		ppPtrs:      slab.NewSpan[*PrePrepare](mem),
+		nullBatch:   []*Request{nullRequest()},
 	}
+}
+
+// nullRequest is a NullRequest with its digest cached, so that sharing it
+// writes nothing.
+func nullRequest() *Request {
+	req := NullRequest()
+	req.Digest()
+	return req
 }
 
 // share starts a message's count at n holders.

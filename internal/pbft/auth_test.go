@@ -138,7 +138,8 @@ func verdictKinds() []verdictKind {
 				return vc, vc, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				return r.viewChanges[1][msg.(*ViewChange).Replica] != nil
+				set := r.viewChanges[1]
+				return set != nil && set.by[msg.(*ViewChange).Replica] != nil
 			},
 		},
 	}
@@ -225,12 +226,11 @@ func TestNewViewFillsGapWithNullRequest(t *testing.T) {
 	clean := func(seq uint64) *Request {
 		return &Request{Client: verdictClient, Seq: seq, Op: seq, Auth: mac.Sign(verdictClient, 4)}
 	}
-	byReplica := map[int]*ViewChange{
-		0: {NewView: 1, Replica: 0, Prepared: []PreparedProof{proof(1, clean(1)), proof(3, clean(3))}},
-		1: {NewView: 1, Replica: 1},
-		2: {NewView: 1, Replica: 2},
-	}
-	minS, out := r.computeNewViewSets(byReplica)
+	set := r.newVCSet()
+	set.add(&ViewChange{NewView: 1, Replica: 0, Prepared: []PreparedProof{proof(1, clean(1)), proof(3, clean(3))}})
+	set.add(&ViewChange{NewView: 1, Replica: 1})
+	set.add(&ViewChange{NewView: 1, Replica: 2})
+	minS, out := r.computeNewViewSets(set)
 	if minS != 0 || len(out) != 3 {
 		t.Fatalf("min-s %d with %d re-proposals, want 0 and 3", minS, len(out))
 	}

@@ -204,10 +204,24 @@ type Replica struct {
 	ckptFree    []*voteSet
 	stateDigest uint64
 
-	// View change state: target view -> replica -> message.
-	viewChanges  map[uint64]map[int]*ViewChange
+	// View change state: target view -> the view changes received for it
+	// (pooled via vcFree).
+	viewChanges map[uint64]*vcSet
+	//avdlint:derived free list: Restore rebuilds it from the sets the snapshot's view changes no longer reference
+	vcFree       []*vcSet
 	newViewTimer sim.Timer
 	nvTimeout    time.Duration
+
+	// Scratch of the view-change path (viewchange.go), dead between
+	// calls: sequence numbers (preparedProofs' prepared entries,
+	// enterView's dropped ones), enterView's re-forwarded request keys,
+	// and computeNewViewSets' highest-view proof per sequence number.
+	//avdlint:ephemeral call-scoped scratch, refilled from empty by every use
+	seqs []uint64
+	//avdlint:ephemeral call-scoped scratch, refilled from empty by every use
+	keys []RequestKey
+	//avdlint:ephemeral call-scoped scratch, emptied after every use
+	best map[uint64]*PrePrepare
 
 	// CrashOnBadReproposal models the implementation fragility the paper
 	// triggered ("PBFT will perform a view change and crash", §6): the
@@ -304,7 +318,8 @@ func NewReplica(id int, cfg Config, net *simnet.Network, opts ...ReplicaOption) 
 		reqTimers:            make(map[RequestKey]sim.Timer),
 		pendingBad:           make(map[RequestKey][]seqIdx),
 		checkpoints:          make(map[uint64]*voteSet),
-		viewChanges:          make(map[uint64]map[int]*ViewChange),
+		viewChanges:          make(map[uint64]*vcSet),
+		best:                 make(map[uint64]*PrePrepare),
 		nvTimeout:            cfg.NewViewTimeout,
 		crashOnBadReproposal: true,
 	}
@@ -544,7 +559,7 @@ func (r *Replica) Restart() {
 	}
 	clear(r.pendingForwarded)
 	clear(r.pendingBad)
-	clear(r.viewChanges)
+	r.dropViewChanges()
 	r.inViewChange = false
 	r.pendingView = 0
 	r.nvTimeout = r.cfg.NewViewTimeout

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"time"
 
 	"avd/internal/faultinject"
@@ -16,11 +17,11 @@ import (
 // engine revalidates the arena generations they reference.
 //
 // Restore is the per-fork hot path and is allocation-free in the steady
-// state: log entries and checkpoint vote sets come from the replica's
-// pools, vote sets copy as mask+slice, and the dense lastReply table
-// copies in place. Only view-change state and poisoned-slot bookkeeping
-// — both empty in a fault-neutral post-warmup capture — fall back to
-// allocating copies.
+// state: log entries, checkpoint vote sets and view-change sets come from
+// the replica's pools, vote sets copy as mask+slice, and the dense
+// lastReply table copies in place. Only poisoned-slot bookkeeping — empty
+// in a fault-neutral post-warmup capture — falls back to allocating
+// copies.
 
 // voteSnap is the captured form of a voteSet.
 type voteSnap struct {
@@ -96,7 +97,7 @@ type ReplicaState struct {
 	checkpoints map[uint64]voteSnap
 	stateDigest uint64
 
-	viewChanges  map[uint64]map[int]*ViewChange
+	viewChanges  map[uint64]vcSet
 	newViewTimer sim.Timer
 	nvTimeout    time.Duration
 
@@ -129,7 +130,7 @@ func (r *Replica) Snapshot() *ReplicaState {
 		pendingBad:       make(map[RequestKey][]seqIdx, len(r.pendingBad)),
 		checkpoints:      make(map[uint64]voteSnap, len(r.checkpoints)),
 		stateDigest:      r.stateDigest,
-		viewChanges:      make(map[uint64]map[int]*ViewChange, len(r.viewChanges)),
+		viewChanges:      make(map[uint64]vcSet, len(r.viewChanges)),
 		newViewTimer:     r.newViewTimer,
 		nvTimeout:        r.nvTimeout,
 		stats:            r.stats,
@@ -171,12 +172,8 @@ func (r *Replica) Snapshot() *ReplicaState {
 		s.checkpoints[seq] = snapVotes(by)
 	}
 	//avdlint:allow capture: each iteration writes only its own view key from a fresh copy
-	for view, by := range r.viewChanges {
-		cp := make(map[int]*ViewChange, len(by))
-		for k, v := range by {
-			cp[k] = v
-		}
-		s.viewChanges[view] = cp
+	for view, set := range r.viewChanges {
+		s.viewChanges[view] = vcSet{mask: set.mask, by: slices.Clone(set.by)}
 	}
 	return s
 }
@@ -194,10 +191,15 @@ func (r *Replica) Restore(s *ReplicaState) {
 	r.lastExec = s.lastExec
 	r.lowWater = s.lowWater
 	//avdlint:allow restore drain: freed entries are fully reset on reuse, so drain order is not observable
-	for seq, e := range r.log {
+	for _, e := range r.log {
 		r.recycleEntry(e)
-		delete(r.log, seq)
 	}
+	// One clear rather than a delete per key: deletes leave tombstones,
+	// and a table whose tombstones run out of room grows — a fresh
+	// allocation every few windows of a log that checkpoints and view
+	// changes churn. Cleared, every window starts from an empty table
+	// with the capacity the largest one needed.
+	clear(r.log)
 	for _, es := range s.log {
 		e := r.newEntry()
 		e.view = es.view
@@ -248,14 +250,13 @@ func (r *Replica) Restore(s *ReplicaState) {
 		by.restoreInto(cs)
 		r.checkpoints[seq] = cs
 	}
-	clear(r.viewChanges)
-	//avdlint:allow restore refill: each iteration writes only its own view key from a fresh copy
+	r.dropViewChanges()
+	//avdlint:allow restore refill: pooled view-change sets are fully overwritten per key before use
 	for view, by := range s.viewChanges {
-		cp := make(map[int]*ViewChange, len(by))
-		for k, v := range by {
-			cp[k] = v
-		}
-		r.viewChanges[view] = cp
+		set := r.newVCSet()
+		set.mask = by.mask
+		copy(set.by, by.by)
+		r.viewChanges[view] = set
 	}
 	r.newViewTimer = s.newViewTimer
 	r.nvTimeout = s.nvTimeout

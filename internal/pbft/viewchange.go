@@ -1,9 +1,50 @@
 package pbft
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 )
+
+// vcSet is the view changes a replica holds for one target view: a
+// presence bitmask over replica ids plus one slot per replica, as voteSet
+// is for votes. Replica ids are < 64 (Config.Validate).
+type vcSet struct {
+	mask uint64
+	by   []*ViewChange // indexed by replica id, len N
+}
+
+func (s *vcSet) add(vc *ViewChange) {
+	s.mask |= 1 << uint(vc.Replica)
+	s.by[vc.Replica] = vc
+}
+
+// newVCSet hands out an empty view-change set from the pool.
+func (r *Replica) newVCSet() *vcSet {
+	if n := len(r.vcFree); n > 0 {
+		s := r.vcFree[n-1]
+		r.vcFree = r.vcFree[:n-1]
+		return s
+	}
+	return &vcSet{by: make([]*ViewChange, r.cfg.N)}
+}
+
+// freeVCSet empties s, so that the pool points at no message, and pools
+// it.
+func (r *Replica) freeVCSet(s *vcSet) {
+	s.mask = 0
+	clear(s.by)
+	r.vcFree = append(r.vcFree, s)
+}
+
+// dropViewChanges discards every view-change set.
+func (r *Replica) dropViewChanges() {
+	//avdlint:allow drain: pooled view-change sets are fully reset on reuse, so drain order is not observable
+	for _, set := range r.viewChanges {
+		r.freeVCSet(set)
+	}
+	clear(r.viewChanges)
+}
 
 // startViewChange abandons the current view and campaigns for target.
 func (r *Replica) startViewChange(target uint64) {
@@ -36,13 +77,14 @@ func (r *Replica) startViewChange(target uint64) {
 	r.dropPending()
 	clear(r.admitted) // dropped pending work may be re-admitted in the new view
 
-	vc := &ViewChange{
+	vc := r.mem.viewChanges.Get()
+	*vc = ViewChange{
 		NewView:    target,
 		LastStable: r.lowWater,
 		Prepared:   r.preparedProofs(),
 		Replica:    r.id,
+		Auth:       r.auth(),
 	}
-	vc.Auth = r.auth()
 	r.recordViewChange(vc)
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), vc)
 
@@ -56,34 +98,55 @@ func (r *Replica) startViewChange(target uint64) {
 }
 
 // preparedProofs collects certificates for batches prepared above the low
-// watermark. A proof holds its pre-prepare for good: the view change that
-// carries it is a heap object, and the new view's re-proposals share the
-// pre-prepare's batch.
+// watermark, in sequence order. The proofs, their prepares and the
+// prepares' pointer slices are three windows carved in one go, so the
+// chunks they lease do not depend on map order. A proof holds its
+// pre-prepare for good: nothing counts the view change that carries it,
+// and the new view's re-proposals share the pre-prepare's batch.
 func (r *Replica) preparedProofs() []PreparedProof {
-	var proofs []PreparedProof
-	//avdlint:allow per-entry proof assembly reads only that entry; proofs are sorted by SeqNo before use
+	seqs, votes := r.seqs[:0], 0
+	//avdlint:allow collection only: the sequence numbers are sorted before use and the vote total is a sum
 	for seq, e := range r.log {
 		if seq <= r.lowWater || !e.prepared {
 			continue
 		}
-		var prepares []*Prepare
-		m := e.prepares.mask
-		for m != 0 {
-			rep := bits.TrailingZeros64(m)
-			m &= m - 1
-			d := e.prepares.digests[rep]
-			if d != e.digest || rep == r.id && r.cfg.PrimaryOf(e.view) == r.id {
-				continue
-			}
-			prepares = append(prepares, &Prepare{View: e.view, SeqNo: seq, Digest: d, Replica: rep})
+		seqs = append(seqs, seq)
+		votes += bits.OnesCount64(r.certificate(e))
+	}
+	slices.Sort(seqs)
+	r.seqs = seqs
+	proofs := r.mem.proofs.Get(len(seqs))
+	prepares := r.mem.proofVotes.Get(votes)
+	ptrs := r.mem.proofPtrs.Get(votes)
+	next := 0
+	for i, seq := range seqs {
+		e := r.log[seq]
+		first := next
+		for m := r.certificate(e); m != 0; m &= m - 1 {
+			p := &prepares[next]
+			*p = Prepare{View: e.view, SeqNo: seq, Digest: e.digest, Replica: bits.TrailingZeros64(m)}
+			ptrs[next] = p
+			next++
 		}
 		r.mem.holdPrePrepare(e.prePrepare)
-		proofs = append(proofs, PreparedProof{PrePrepare: e.prePrepare, Prepares: prepares})
+		proofs[i] = PreparedProof{PrePrepare: e.prePrepare, Prepares: ptrs[first:next:next]}
 	}
-	sort.Slice(proofs, func(i, j int) bool {
-		return proofs[i].PrePrepare.SeqNo < proofs[j].PrePrepare.SeqNo
-	})
 	return proofs
+}
+
+// certificate is the replicas whose prepares for e a proof carries: those
+// matching e's digest, less this replica's own when it proposed e.
+func (r *Replica) certificate(e *logEntry) uint64 {
+	m := uint64(0)
+	for v := e.prepares.mask; v != 0; v &= v - 1 {
+		if rep := bits.TrailingZeros64(v); e.prepares.digests[rep] == e.digest {
+			m |= 1 << uint(rep)
+		}
+	}
+	if r.cfg.PrimaryOf(e.view) == r.id {
+		m &^= 1 << uint(r.id)
+	}
+	return m
 }
 
 func (r *Replica) onViewChange(vc *ViewChange) {
@@ -105,42 +168,37 @@ func (r *Replica) onViewChange(vc *ViewChange) {
 }
 
 func (r *Replica) recordViewChange(vc *ViewChange) {
-	byReplica, ok := r.viewChanges[vc.NewView]
+	set, ok := r.viewChanges[vc.NewView]
 	if !ok {
-		byReplica = make(map[int]*ViewChange)
-		r.viewChanges[vc.NewView] = byReplica
+		set = r.newVCSet()
+		r.viewChanges[vc.NewView] = set
 	}
-	byReplica[vc.Replica] = vc
+	set.add(vc)
 }
 
-// maybeJoinViewChange applies PBFT's f+1 join rule.
+// maybeJoinViewChange applies PBFT's f+1 join rule: join the smallest view
+// above current with f+1 distinct campaigners across all views >= it. The
+// campaigners of a view include those of every larger one, so only the
+// smallest view above current can qualify, and it does when the replicas
+// campaigning above current number f+1.
 func (r *Replica) maybeJoinViewChange() {
 	current := r.view
 	if r.inViewChange {
 		current = r.pendingView
 	}
-	// Find the smallest view above current with f+1 distinct campaigners
-	// across all views >= it.
-	var views []uint64
-	for v := range r.viewChanges {
-		if v > current {
-			views = append(views, v)
+	var smallest, campaigners uint64
+	//avdlint:allow a minimum and a union: both order-independent
+	for v, set := range r.viewChanges {
+		if v <= current {
+			continue
 		}
+		if smallest == 0 || v < smallest {
+			smallest = v
+		}
+		campaigners |= set.mask
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-	for _, v := range views {
-		campaigners := make(map[int]bool)
-		for v2, by := range r.viewChanges {
-			if v2 >= v {
-				for rep := range by {
-					campaigners[rep] = true
-				}
-			}
-		}
-		if len(campaigners) >= r.cfg.F+1 {
-			r.startViewChange(v)
-			return
-		}
+	if bits.OnesCount64(campaigners) >= r.cfg.F+1 {
+		r.startViewChange(smallest)
 	}
 }
 
@@ -150,23 +208,20 @@ func (r *Replica) maybeAssembleNewView(target uint64) {
 	if r.crashed || r.cfg.PrimaryOf(target) != r.id || target <= r.view {
 		return
 	}
-	byReplica := r.viewChanges[target]
-	if len(byReplica) < r.cfg.Quorum() {
+	set := r.viewChanges[target]
+	if set == nil || bits.OnesCount64(set.mask) < r.cfg.Quorum() {
 		return
 	}
-	if _, ok := byReplica[r.id]; !ok {
+	if set.mask&(1<<uint(r.id)) == 0 {
 		return // must include our own view change
 	}
-	minS, reproposals := r.computeNewViewSets(byReplica)
-	nv := &NewView{View: target}
-	for _, vc := range byReplica {
-		nv.ViewChanges = append(nv.ViewChanges, vc)
+	minS, reproposals := r.computeNewViewSets(set)
+	vcs := r.mem.vcPtrs.Get(bits.OnesCount64(set.mask))
+	for i, m := 0, set.mask; m != 0; i, m = i+1, m&(m-1) {
+		vcs[i] = set.by[bits.TrailingZeros64(m)]
 	}
-	sort.Slice(nv.ViewChanges, func(i, j int) bool {
-		return nv.ViewChanges[i].Replica < nv.ViewChanges[j].Replica
-	})
-	nv.PrePrepares = reproposals
-	nv.Auth = r.auth()
+	nv := r.mem.newViews.Get()
+	*nv = NewView{View: target, ViewChanges: vcs, PrePrepares: reproposals, Auth: r.auth()}
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), nv)
 	r.installNewView(target, minS, reproposals)
 }
@@ -175,22 +230,17 @@ func (r *Replica) maybeAssembleNewView(target uint64) {
 // sequence number between the highest stable checkpoint and the highest
 // prepared batch across the quorum, re-propose the prepared batch (from
 // the highest view) or fill the gap with a null request.
-func (r *Replica) computeNewViewSets(byReplica map[int]*ViewChange) (uint64, []*PrePrepare) {
+func (r *Replica) computeNewViewSets(set *vcSet) (uint64, []*PrePrepare) {
 	var minS, maxS uint64
-	best := make(map[uint64]*PrePrepare) // seq -> highest-view prepared pre-prepare
+	best := r.best // seq -> highest-view prepared pre-prepare
 	// Iterate in replica-id order. With a Byzantine primary equivocating
 	// inside a view, a quorum can hold two prepared proofs for the same
 	// (seq, view) with different digests; the strict View comparison below
-	// then keeps whichever proof the iteration saw first, so map order
-	// would decide which batch the new view re-proposes — cold and forked
-	// runs of the same scenario could install different histories.
-	reps := make([]int, 0, len(byReplica))
-	for rep := range byReplica {
-		reps = append(reps, rep)
-	}
-	sort.Ints(reps)
-	for _, rep := range reps {
-		vc := byReplica[rep]
+	// then keeps whichever proof the iteration saw first, so any other
+	// order would decide which batch the new view re-proposes — cold and
+	// forked runs of the same scenario could install different histories.
+	for m := set.mask; m != 0; m &= m - 1 {
+		vc := set.by[bits.TrailingZeros64(m)]
 		if vc.LastStable > minS {
 			minS = vc.LastStable
 		}
@@ -210,20 +260,21 @@ func (r *Replica) computeNewViewSets(byReplica map[int]*ViewChange) (uint64, []*
 	if maxS < minS {
 		maxS = minS
 	}
-	var out []*PrePrepare
-	for seq := minS + 1; seq <= maxS; seq++ {
-		if pp, ok := best[seq]; ok {
-			out = append(out, &PrePrepare{
-				View:   0, // rewritten by installNewView / onNewView
-				SeqNo:  seq,
-				Batch:  pp.Batch,
-				Digest: pp.Digest,
-			})
-			continue
+	n := int(maxS - minS)
+	pps, out := r.mem.reproposals.Get(n), r.mem.ppPtrs.Get(n)
+	for i := range out {
+		seq := minS + 1 + uint64(i)
+		// View is rewritten by installNewView / onNewView.
+		pp := &pps[i]
+		if prepared, ok := best[seq]; ok {
+			*pp = PrePrepare{SeqNo: seq, Batch: prepared.Batch, Digest: prepared.Digest}
+		} else {
+			batch := r.mem.nullBatch
+			*pp = PrePrepare{SeqNo: seq, Batch: batch, Digest: BatchDigest(batch)}
 		}
-		batch := []*Request{NullRequest()}
-		out = append(out, &PrePrepare{SeqNo: seq, Batch: batch, Digest: BatchDigest(batch)})
+		out[i] = pp
 	}
+	clear(best)
 	return minS, out
 }
 
@@ -328,8 +379,10 @@ func (r *Replica) enterView(target uint64) {
 		r.viewObserver(r.id, target)
 	}
 	// Discard obsolete view-change state.
-	for v := range r.viewChanges {
+	//avdlint:allow discard: pooled view-change sets are fully reset on reuse, so drain order is not observable
+	for v, set := range r.viewChanges {
 		if v <= target {
+			r.freeVCSet(set)
 			delete(r.viewChanges, v)
 		}
 	}
@@ -339,14 +392,15 @@ func (r *Replica) enterView(target uint64) {
 	// the entry pool recycles LIFO, so the order entries are freed decides
 	// which backing objects later allocations receive, and replayed forks
 	// must hand them out identically.
-	drop := make([]uint64, 0, len(r.log))
+	drop := r.seqs[:0]
 	for seq, e := range r.log {
 		if e.executed || e.view >= target {
 			continue
 		}
 		drop = append(drop, seq)
 	}
-	sort.Slice(drop, func(i, j int) bool { return drop[i] < drop[j] })
+	slices.Sort(drop)
+	r.seqs = drop
 	for _, seq := range drop {
 		r.freeEntry(r.log[seq])
 		delete(r.log, seq)
@@ -360,16 +414,14 @@ func (r *Replica) enterView(target uint64) {
 	// composition and network scheduling, and map order would make runs
 	// diverge.
 	primary := r.cfg.PrimaryOf(target)
-	keys := make([]RequestKey, 0, len(r.pendingForwarded))
+	keys := r.keys[:0]
 	for key := range r.pendingForwarded {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Client != keys[j].Client {
-			return keys[i].Client < keys[j].Client
-		}
-		return keys[i].Seq < keys[j].Seq
+	slices.SortFunc(keys, func(a, b RequestKey) int {
+		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq))
 	})
+	r.keys = keys
 	for _, key := range keys {
 		fw := r.pendingForwarded[key]
 		if last := r.lastReplyFor(fw.req.Client); last != nil && last.Seq >= fw.req.Seq {

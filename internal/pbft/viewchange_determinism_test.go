@@ -7,9 +7,11 @@ import "testing"
 // computeNewViewSets: with a Byzantine primary equivocating inside the
 // abandoned view, a quorum can hold two prepared proofs for the same
 // (seq, view) with different digests. The strict View tie-break then
-// keeps whichever proof iteration saw first, so before the sorted
-// replica-order fix the re-proposal set — and therefore the history the
-// new view installs — depended on Go's randomized map order.
+// keeps whichever proof iteration saw first, so before the replica-order
+// fix the re-proposal set — and therefore the history the new view
+// installs — depended on Go's randomized map order (the view changes of
+// one view were a map by replica then; they are a set iterated in
+// replica order now, and the order they arrive in must not matter).
 func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 	tb := newTestbed(t, testbedOpts{})
 	r := tb.replicas[0]
@@ -19,7 +21,7 @@ func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 		digestA = uint64(0xAAAA) // prepared at replica 1
 		digestB = uint64(0xBBBB) // prepared at replica 2, same seq and view
 	)
-	build := func() map[int]*ViewChange {
+	build := func(round int) *vcSet {
 		mkVC := func(rep int, digest uint64) *ViewChange {
 			return &ViewChange{
 				NewView: 1,
@@ -30,14 +32,15 @@ func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 				}},
 			}
 		}
-		return map[int]*ViewChange{
-			0: {NewView: 1, Replica: 0},
-			1: mkVC(1, digestA),
-			2: mkVC(2, digestB),
+		vcs := []*ViewChange{{NewView: 1, Replica: 0}, mkVC(1, digestA), mkVC(2, digestB)}
+		set := &vcSet{by: make([]*ViewChange, r.cfg.N)}
+		for i := range vcs {
+			set.add(vcs[(i+round)%len(vcs)])
 		}
+		return set
 	}
 
-	minS, first := r.computeNewViewSets(build())
+	minS, first := r.computeNewViewSets(build(0))
 	if minS != 0 {
 		t.Fatalf("minS = %d, want 0", minS)
 	}
@@ -50,11 +53,10 @@ func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 		t.Fatalf("equivocation tie-break chose digest %#x, want replica 1's %#x", got, digestA)
 	}
 
-	// Rebuild the map fresh each round so Go's per-map iteration order
-	// randomization gets every chance to reorder the quorum; the output
-	// must not move.
+	// Rebuild the set each round, adding the quorum's view changes in
+	// another order; the output must not move.
 	for round := 0; round < 64; round++ {
-		_, out := r.computeNewViewSets(build())
+		_, out := r.computeNewViewSets(build(round))
 		if len(out) != len(first) {
 			t.Fatalf("round %d: re-proposal count %d != %d", round, len(out), len(first))
 		}

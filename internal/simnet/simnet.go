@@ -110,8 +110,15 @@ type Network struct {
 	interceptors []Interceptor
 	linkLatency  map[linkKey]time.Duration
 	blocked      map[linkKey]bool
-	stats        Stats
-	closed       bool
+	// blockedEnds counts, by address, the blocked links leaving and
+	// entering it. A send or delivery looks its link up in blocked only
+	// when its sender has a blocked link out and its receiver one in, so
+	// every client's traffic, and under a one-way partition all but the
+	// victim's side of it, never hashes a linkKey.
+	//avdlint:derived Block, Unblock and Restore keep it the count of blocked's keys
+	blockedEnds []linkEnds
+	stats       Stats
+	closed      bool
 
 	// Dirty tracking for delta Restore, mirroring sim.Engine: track is
 	// the snapshot deltas are recorded against and linksDirty records
@@ -135,6 +142,9 @@ type Network struct {
 }
 
 type linkKey struct{ from, to Addr }
+
+// linkEnds counts the blocked links out of and into one address.
+type linkEnds struct{ out, in int32 }
 
 // AnyAddr wildcards one side of a link-fault victim selector.
 const AnyAddr Addr = -1
@@ -269,13 +279,35 @@ func (n *Network) SetLinkLatency(from, to Addr, d time.Duration) {
 // Block severs the directed link from->to until Unblock.
 func (n *Network) Block(from, to Addr) {
 	n.linksDirty = true
-	n.blocked[linkKey{from, to}] = true
+	if k := (linkKey{from, to}); !n.blocked[k] {
+		n.blocked[k] = true
+		n.countEnds(k, 1)
+	}
 }
 
 // Unblock restores the directed link from->to.
 func (n *Network) Unblock(from, to Addr) {
 	n.linksDirty = true
-	delete(n.blocked, linkKey{from, to})
+	if k := (linkKey{from, to}); n.blocked[k] {
+		delete(n.blocked, k)
+		n.countEnds(k, -1)
+	}
+}
+
+// countEnds adds d to the blocked-link counts of k's two ends.
+func (n *Network) countEnds(k linkKey, d int32) {
+	for int(max(k.from, k.to)) >= len(n.blockedEnds) {
+		n.blockedEnds = append(n.blockedEnds, linkEnds{})
+	}
+	n.blockedEnds[k.from].out += d
+	n.blockedEnds[k.to].in += d
+}
+
+// isBlocked reports whether the directed link from->to is severed.
+func (n *Network) isBlocked(from, to Addr) bool {
+	ends := n.blockedEnds
+	return uint(from) < uint(len(ends)) && uint(to) < uint(len(ends)) && ends[from].out > 0 && ends[to].in > 0 &&
+		n.blocked[linkKey{from, to}]
 }
 
 // BlockPair severs both directions between a and b.
@@ -314,7 +346,7 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 		return
 	}
 	n.stats.Sent++
-	if len(n.blocked) > 0 && n.blocked[linkKey{from, to}] {
+	if n.isBlocked(from, to) {
 		n.stats.Partitioned++
 		return
 	}
@@ -443,8 +475,11 @@ func (n *Network) Restore(s *NetSnapshot) {
 	}
 	if s != n.track || n.linksDirty {
 		clear(n.blocked)
-		for k, v := range s.blocked {
-			n.blocked[k] = v
+		clear(n.blockedEnds)
+		//avdlint:allow restore refill: each key sets its own entry and adds to two counts, which commutes
+		for k := range s.blocked {
+			n.blocked[k] = true
+			n.countEnds(k, 1)
 		}
 		clear(n.linkLatency)
 		for k, v := range s.linkLatency {
@@ -487,7 +522,7 @@ func (n *Network) deliver(payload any, m uint64) {
 	from, to := Addr(int32(m)), Addr(m<<1>>33)
 	// Re-check the partition at delivery time: messages in flight when a
 	// partition forms are lost, matching the usual fail-stop link model.
-	if len(n.blocked) > 0 && n.blocked[linkKey{from, to}] {
+	if n.isBlocked(from, to) {
 		n.stats.Partitioned++
 		return
 	}

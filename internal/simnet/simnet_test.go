@@ -123,6 +123,43 @@ func TestBlockAndUnblock(t *testing.T) {
 	}
 }
 
+// TestBlockedLinksFollowRestore: a restore brings back the snapshot's
+// partition exactly — links blocked after the snapshot flow again, links
+// unblocked after it are cut again — and blocking a link twice still takes
+// one Unblock to heal it.
+func TestBlockedLinksFollowRestore(t *testing.T) {
+	eng := sim.New(1)
+	net := New(eng, Config{})
+	recs := make([]recorder, 3)
+	for i := range recs {
+		net.Handle(Addr(i), recs[i].handler())
+	}
+	delivered := func(from, to Addr) bool {
+		before := len(recs[to].msgs)
+		net.Send(from, to, "probe")
+		eng.Run()
+		return len(recs[to].msgs) > before
+	}
+	net.Block(0, 1)
+	net.Block(0, 1)
+	snap := net.Snapshot()
+	net.Unblock(0, 1)
+	if !delivered(0, 1) {
+		t.Fatal("a link blocked twice stayed cut after one Unblock")
+	}
+	net.Block(1, 2)
+	net.Block(2, 0)
+	net.Restore(snap)
+	for _, l := range []struct {
+		from, to Addr
+		cut      bool
+	}{{0, 1, true}, {1, 0, false}, {1, 2, false}, {2, 0, false}, {0, 2, false}} {
+		if got := !delivered(l.from, l.to); got != l.cut {
+			t.Errorf("link %d->%d cut: %v after the restore, want %v", l.from, l.to, got, l.cut)
+		}
+	}
+}
+
 // TestPartitionGroups: a two-group partition is a BlockPair per
 // cross-group pair — traffic within a group flows, traffic across is
 // counted as Partitioned — and UnblockPair heals it.
