@@ -5,36 +5,38 @@ import (
 	"testing"
 	"time"
 
-	"avd"
+	"avd/internal/cluster"
+	"avd/internal/core"
+	"avd/internal/raftsim"
 )
 
 // newSmallPBFTTarget keeps engine acceptance tests fast: short windows,
 // tiny client populations.
-func newSmallPBFTTarget(t *testing.T) avd.Target {
+func newSmallPBFTTarget(t *testing.T) core.Target {
 	t.Helper()
-	w := avd.DefaultWorkload()
+	w := cluster.DefaultWorkload()
 	w.Warmup = 100 * time.Millisecond
 	w.Measure = 300 * time.Millisecond
-	target, err := avd.NewPBFTTarget(w)
+	target, err := cluster.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return target
 }
 
-func newSmallRaftTarget(t *testing.T) avd.Target {
+func newSmallRaftTarget(t *testing.T) core.Target {
 	t.Helper()
-	w := avd.DefaultRaftWorkload()
+	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	w.Measure = 500 * time.Millisecond
-	target, err := avd.NewRaftTarget(w)
+	target, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return target
 }
 
-func fingerprint(results []avd.Result) []string {
+func fingerprint(results []core.Result) []string {
 	out := make([]string, 0, 2*len(results))
 	for _, r := range results {
 		out = append(out, r.Scenario.Key(), r.Generator)
@@ -49,7 +51,7 @@ func fingerprint(results []avd.Result) []string {
 func TestEngineCrossTargetDeterminism(t *testing.T) {
 	targets := []struct {
 		name string
-		mk   func(t *testing.T) avd.Target
+		mk   func(t *testing.T) core.Target
 	}{
 		{"pbft", newSmallPBFTTarget},
 		{"raft", newSmallRaftTarget},
@@ -58,12 +60,12 @@ func TestEngineCrossTargetDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() []string {
 				target := tc.mk(t)
-				ctrl, err := avd.NewController(avd.ControllerConfig{Seed: 11, SeedTests: 5}, target.Plugins()...)
+				ctrl, err := core.NewController(core.ControllerConfig{Seed: 11, SeedTests: 5}, target.Plugins()...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := avd.NewEngine(target,
-					avd.WithExplorer(ctrl), avd.WithBudget(14), avd.WithWorkers(2))
+				eng, err := core.NewEngine(target,
+					core.WithExplorer(ctrl), core.WithBudget(14), core.WithWorkers(2))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,13 +91,13 @@ func TestEngineCrossTargetDeterminism(t *testing.T) {
 // TestEngineCrossTargetGenetic: the alternative metaheuristic also runs
 // unmodified against both targets.
 func TestEngineCrossTargetGenetic(t *testing.T) {
-	for _, mk := range []func(t *testing.T) avd.Target{newSmallPBFTTarget, newSmallRaftTarget} {
+	for _, mk := range []func(t *testing.T) core.Target{newSmallPBFTTarget, newSmallRaftTarget} {
 		target := mk(t)
-		ga, err := avd.NewGenetic(avd.GeneticConfig{Seed: 5, Population: 6}, target.Plugins()...)
+		ga, err := core.NewGenetic(core.GeneticConfig{Seed: 5, Population: 6}, target.Plugins()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := avd.NewEngine(target, avd.WithExplorer(ga), avd.WithBudget(12))
+		eng, err := core.NewEngine(target, core.WithExplorer(ga), core.WithBudget(12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,13 +120,13 @@ func TestEngineCrossTargetGenetic(t *testing.T) {
 // stops the stream promptly with partial results.
 func TestEngineCancellationMidCampaign(t *testing.T) {
 	target := newSmallRaftTarget(t)
-	eng, err := avd.NewEngine(target, avd.WithSeed(3), avd.WithBudget(500), avd.WithWorkers(2))
+	eng, err := core.NewEngine(target, core.WithSeed(3), core.WithBudget(500), core.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var partial []avd.Result
+	var partial []core.Result
 	for res := range eng.Run(ctx) {
 		partial = append(partial, res)
 		if len(partial) == 4 {
@@ -144,7 +146,7 @@ func TestEngineCancellationMidCampaign(t *testing.T) {
 // within a small budget.
 func TestEngineRaftFindsElectionStorm(t *testing.T) {
 	target := newSmallRaftTarget(t)
-	eng, err := avd.NewEngine(target, avd.WithSeed(9), avd.WithBudget(40))
+	eng, err := core.NewEngine(target, core.WithSeed(9), core.WithBudget(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +154,11 @@ func TestEngineRaftFindsElectionStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := avd.BestSoFar(results)[len(results)-1]
+	best := core.BestSoFar(results)[len(results)-1]
 	if best.Impact < 0.5 {
 		t.Fatalf("40-test campaign found best impact %.3f; want an election storm (>= 0.5)", best.Impact)
 	}
-	if best.Scenario.GetOr(avd.DimFlapDownMS, 0) == 0 {
+	if best.Scenario.GetOr(raftsim.DimFlapDownMS, 0) == 0 {
 		t.Fatalf("best attack %s does not use the leader flap", best.Scenario)
 	}
 }

@@ -5,21 +5,24 @@ import (
 	"testing"
 	"time"
 
-	"avd"
+	"avd/internal/cluster"
+	"avd/internal/core"
+	"avd/internal/plugin"
+	"avd/internal/scenario"
 )
 
 // funcTarget serves a RunnerFunc through the Target seam an Engine
 // drives.
-type funcTarget struct{ avd.RunnerFunc }
+type funcTarget struct{ core.RunnerFunc }
 
-func (funcTarget) Name() string          { return "func" }
-func (funcTarget) Plugins() []avd.Plugin { return nil }
+func (funcTarget) Name() string           { return "func" }
+func (funcTarget) Plugins() []core.Plugin { return nil }
 
 // runCampaign drives ex against target on an Engine with the given
 // workers and returns its results.
-func runCampaign(tb testing.TB, target avd.Target, ex avd.Explorer, budget, workers int) []avd.Result {
+func runCampaign(tb testing.TB, target core.Target, ex core.Explorer, budget, workers int) []core.Result {
 	tb.Helper()
-	eng, err := avd.NewEngine(target, avd.WithExplorer(ex), avd.WithBudget(budget), avd.WithWorkers(workers))
+	eng, err := core.NewEngine(target, core.WithExplorer(ex), core.WithBudget(budget), core.WithWorkers(workers))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -30,20 +33,19 @@ func runCampaign(tb testing.TB, target avd.Target, ex avd.Explorer, budget, work
 	return results
 }
 
-// TestPublicAPIEndToEnd exercises the facade the way a downstream user
-// would: build a runner, compose plugins, run a short campaign, inspect
-// results.
+// TestPublicAPIEndToEnd drives the engine API the way cmd/avd does:
+// build a runner, compose plugins, run a short campaign, inspect results.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	w := avd.DefaultWorkload()
+	w := cluster.DefaultWorkload()
 	w.Measure = 500 * time.Millisecond
-	runner, err := avd.NewPBFTRunner(w)
+	runner, err := cluster.NewRunner(w)
 	if err != nil {
-		t.Fatalf("NewPBFTRunner: %v", err)
+		t.Fatalf("cluster.NewRunner: %v", err)
 	}
-	ctrl, err := avd.NewController(avd.ControllerConfig{Seed: 1, SeedTests: 4},
-		avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
+	ctrl, err := core.NewController(core.ControllerConfig{Seed: 1, SeedTests: 4},
+		plugin.NewMACCorrupt(), plugin.NewClients())
 	if err != nil {
-		t.Fatalf("NewController: %v", err)
+		t.Fatalf("core.NewController: %v", err)
 	}
 	results := runCampaign(t, runner, ctrl, 8, 1)
 	if len(results) != 8 {
@@ -57,16 +59,16 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			t.Fatal("result without baseline")
 		}
 	}
-	best := avd.BestSoFar(results)
+	best := core.BestSoFar(results)
 	if len(best) != len(results) {
 		t.Fatal("BestSoFar length mismatch")
 	}
 }
 
-// TestPublicAPISpaceSize checks that the composed paper hyperspace is
-// exposed correctly through the facade.
+// TestPublicAPISpaceSize checks the paper hyperspace core.Space composes
+// from the MAC-corruption and deployment-shape plugins.
 func TestPublicAPISpaceSize(t *testing.T) {
-	space, err := avd.SpaceOf(avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,25 +77,24 @@ func TestPublicAPISpaceSize(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExplorers checks the baseline explorers through the
-// facade.
+// TestPublicAPIExplorers checks the baseline explorers on an Engine.
 func TestPublicAPIExplorers(t *testing.T) {
-	space, err := avd.NewSpace(avd.Dimension{Name: "x", Min: 0, Max: 9, Step: 1})
+	space, err := scenario.NewSpace(scenario.Dimension{Name: "x", Min: 0, Max: 9, Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := funcTarget{func(sc avd.Scenario) avd.Result {
-		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 9}
+	runner := funcTarget{func(sc scenario.Scenario) core.Result {
+		return core.Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 9}
 	}}
-	random := runCampaign(t, runner, avd.NewRandomExplorer(space, 1), 5, 1)
+	random := runCampaign(t, runner, core.NewRandomExplorer(space, 1), 5, 1)
 	if len(random) != 5 {
 		t.Errorf("random campaign ran %d tests", len(random))
 	}
-	exhaustive := runCampaign(t, runner, avd.NewExhaustiveExplorer(space), 100, 1)
+	exhaustive := runCampaign(t, runner, core.NewExhaustiveExplorer(space), 100, 1)
 	if len(exhaustive) != 10 {
 		t.Errorf("exhaustive campaign ran %d tests, want all 10", len(exhaustive))
 	}
-	if n := avd.TestsToImpact(exhaustive, 1.0); n != 10 {
+	if n := core.TestsToImpact(exhaustive, 1.0); n != 10 {
 		t.Errorf("TestsToImpact = %d, want 10", n)
 	}
 }
@@ -103,24 +104,24 @@ func TestPublicAPIExplorers(t *testing.T) {
 // paper's serial loop (cold runs, fed back one at a time) exactly, and a
 // multi-worker run reproduces itself.
 func TestPublicAPIParallelCampaign(t *testing.T) {
-	w := avd.DefaultWorkload()
+	w := cluster.DefaultWorkload()
 	w.Measure = 300 * time.Millisecond
-	newRunner := func() *avd.PBFTRunner {
-		runner, err := avd.NewPBFTRunner(w)
+	newRunner := func() *cluster.Runner {
+		runner, err := cluster.NewRunner(w)
 		if err != nil {
-			t.Fatalf("NewPBFTRunner: %v", err)
+			t.Fatalf("cluster.NewRunner: %v", err)
 		}
 		return runner
 	}
-	newCtrl := func() *avd.Controller {
-		ctrl, err := avd.NewController(avd.ControllerConfig{Seed: 3, SeedTests: 4},
-			avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
+	newCtrl := func() *core.Controller {
+		ctrl, err := core.NewController(core.ControllerConfig{Seed: 3, SeedTests: 4},
+			plugin.NewMACCorrupt(), plugin.NewClients())
 		if err != nil {
-			t.Fatalf("NewController: %v", err)
+			t.Fatalf("core.NewController: %v", err)
 		}
 		return ctrl
 	}
-	same := func(label string, x, y []avd.Result) {
+	same := func(label string, x, y []core.Result) {
 		t.Helper()
 		if len(x) != 8 || len(y) != 8 {
 			t.Fatalf("%s: ran %d and %d tests, want 8", label, len(x), len(y))
@@ -133,7 +134,7 @@ func TestPublicAPIParallelCampaign(t *testing.T) {
 		}
 	}
 
-	var serial []avd.Result
+	var serial []core.Result
 	ctrl, runner := newCtrl(), newRunner()
 	for len(serial) < 8 {
 		sc, _, ok := ctrl.Next()
@@ -148,37 +149,37 @@ func TestPublicAPIParallelCampaign(t *testing.T) {
 	same("workers=4 across runs", runCampaign(t, newRunner(), newCtrl(), 8, 4), runCampaign(t, newRunner(), newCtrl(), 8, 4))
 }
 
-// TestPublicAPIGenetic exercises the genetic explorer via the facade.
+// TestPublicAPIGenetic exercises the genetic explorer on an Engine.
 func TestPublicAPIGenetic(t *testing.T) {
-	ga, err := avd.NewGenetic(avd.GeneticConfig{Seed: 1, Population: 6},
-		avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
+	ga, err := core.NewGenetic(core.GeneticConfig{Seed: 1, Population: 6},
+		plugin.NewMACCorrupt(), plugin.NewClients())
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := funcTarget{func(sc avd.Scenario) avd.Result {
-		return avd.Result{Scenario: sc, Impact: float64(sc.GetOr(avd.DimMACMask, 0)) / 4095}
+	runner := funcTarget{func(sc scenario.Scenario) core.Result {
+		return core.Result{Scenario: sc, Impact: float64(sc.GetOr(plugin.DimMACMask, 0)) / 4095}
 	}}
 	results := runCampaign(t, runner, ga, 30, 1)
 	if len(results) != 30 {
 		t.Fatalf("GA campaign ran %d tests, want 30", len(results))
 	}
-	best := avd.BestSoFar(results)[len(results)-1]
+	best := core.BestSoFar(results)[len(results)-1]
 	if best.Impact <= 0 {
 		t.Error("GA made no progress on a trivial objective")
 	}
 }
 
-// TestPublicAPISweep checks parallel exhaustive sweeps through the
-// facade: eight workers, results in grid order.
+// TestPublicAPISweep checks parallel exhaustive sweeps on an Engine:
+// eight workers, results in grid order.
 func TestPublicAPISweep(t *testing.T) {
-	space, err := avd.NewSpace(avd.Dimension{Name: "x", Min: 0, Max: 31, Step: 1})
+	space, err := scenario.NewSpace(scenario.Dimension{Name: "x", Min: 0, Max: 31, Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := funcTarget{func(sc avd.Scenario) avd.Result {
-		return avd.Result{Scenario: sc, Impact: 0.5}
+	runner := funcTarget{func(sc scenario.Scenario) core.Result {
+		return core.Result{Scenario: sc, Impact: 0.5}
 	}}
-	results := runCampaign(t, runner, avd.NewExhaustiveExplorer(space), 100, 8)
+	results := runCampaign(t, runner, core.NewExhaustiveExplorer(space), 100, 8)
 	if len(results) != 32 {
 		t.Fatalf("sweep returned %d results", len(results))
 	}

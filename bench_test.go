@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"avd"
 	"avd/internal/cluster"
 	"avd/internal/core"
 	"avd/internal/graycode"
@@ -417,26 +416,4 @@ func scenarioName(clients int64) string {
 	default:
 		return "clients250"
 	}
-}
-
-// BenchmarkPublicAPICampaign exercises the facade end to end, as a
-// downstream user would (also keeps the avd package itself benchmarked).
-func BenchmarkPublicAPICampaign(b *testing.B) {
-	w := avd.DefaultWorkload()
-	w.Measure = 500 * time.Millisecond
-	runner, err := avd.NewPBFTRunner(w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var best avd.Result
-	for i := 0; i < b.N; i++ {
-		ctrl, err := avd.NewController(avd.ControllerConfig{Seed: int64(i + 1), SeedTests: 5},
-			avd.NewMACCorruptPlugin(), avd.NewClientsPlugin())
-		if err != nil {
-			b.Fatal(err)
-		}
-		results := runCampaign(b, runner, ctrl, 15, 1)
-		best = avd.BestSoFar(results)[len(results)-1]
-	}
-	b.ReportMetric(best.Impact, "impact")
 }

@@ -113,6 +113,11 @@ func runCampaign(args []string) {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file after the campaign, before the summary")
 	)
 	parseFlags(fs, args)
+	if *minRuns < 1 {
+		// core.Minimize would read a non-positive budget as its default.
+		fmt.Fprintf(fs.Output(), "avd: -minruns %d must be at least 1\n", *minRuns)
+		os.Exit(2)
+	}
 
 	var err error
 	if cfg.Shard, cfg.Shards, err = campaign.ParseShard(*shardSpec); err != nil {

@@ -75,6 +75,24 @@ func TestBadShardFlagExitsBeforeState(t *testing.T) {
 	}
 }
 
+// TestMinrunsBelowOneRefused: -minimize -minruns 0 (or a negative value)
+// fell back to core.Minimize's default budget of 256 and re-ran the best
+// attack 26 times instead of refusing; it now exits 2 naming the flag
+// before the campaign starts.
+func TestMinrunsBelowOneRefused(t *testing.T) {
+	bin := buildAvd(t)
+	for _, runs := range []string{"0", "-1"} {
+		out, err := exec.Command(bin, "-minimize", "-minruns", runs, "-tests", "2", "-measure", "100ms", "-quiet").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-minruns "+runs) {
+			t.Errorf("avd -minruns %s: %v, want exit status 2 naming -minruns:\n%s", runs, err, out)
+		}
+		if strings.Contains(string(out), "budget=") {
+			t.Errorf("avd -minruns %s started its campaign:\n%s", runs, out)
+		}
+	}
+}
+
 // TestResumeAcrossShardPlansRefused: a state directory written when the
 // shard plan strode the largest axis (mac_mask) holds another sub-space's
 // results. A -shard 0/2 resume over it exits non-zero naming the shard

@@ -64,6 +64,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "avdd: -worker and -state are required")
 		os.Exit(2)
 	}
+	cfg.Shards = *shards
+	// The supervisor derives the same plan the workers will: Build is a
+	// pure function of the flags, so flags no worker could run with (a
+	// -tests below 1, say) fail here once instead of in every restart.
+	setup, err := campaign.Build(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	// -csv opens before any worker runs (and before the state directory
 	// exists), so a path that cannot be written fails at once.
 	var csvFile *os.File
@@ -75,14 +83,6 @@ func main() {
 		csvFile = f
 	}
 	if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-		fatal(err)
-	}
-
-	cfg.Shards = *shards
-	// The supervisor derives the same plan the workers will: Build is a
-	// pure function of the flags.
-	setup, err := campaign.Build(cfg)
-	if err != nil {
 		fatal(err)
 	}
 	if *shards > 1 {

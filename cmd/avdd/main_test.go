@@ -73,6 +73,29 @@ func TestStrayArgumentRefused(t *testing.T) {
 	}
 }
 
+// TestZeroTestsRefusedBeforeWorkers: every worker exited 1 on the
+// engine's "budget 0 must be positive" and the supervisor restarted each
+// until its retries ran out (six starts per shard). -tests below 1 is now
+// refused once, naming the flag, before a worker starts or the state
+// directory exists.
+func TestZeroTestsRefusedBeforeWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	avd, avdd := buildBinaries(t)
+	for _, tests := range []string{"0", "-2"} {
+		state := filepath.Join(t.TempDir(), "state")
+		out, err := exec.Command(avdd, "-worker", avd, "-state", state, "-shards", "2", "-tests", tests,
+			"-retries", "1", "-backoff", "1ms").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-tests "+tests) {
+			t.Errorf("avdd -tests %s: %v, want a non-zero exit naming -tests:\n%s", tests, err, out)
+		}
+		if _, err := os.Stat(state); !os.IsNotExist(err) {
+			t.Errorf("avdd -tests %s started workers: the state directory exists (stat: %v)\n%s", tests, err, out)
+		}
+	}
+}
+
 // TestKillStormBitIdentical is the tentpole's proof: a supervised
 // sharded campaign whose workers are SIGKILLed mid-run must produce a
 // merged campaign — results, violations, coverage digests, test counts

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -107,6 +108,9 @@ func ParseShard(s string) (shard, shards int, err error) {
 // pure function of the plugin set, so every process handed the same
 // flags — each worker and the supervisor — derives the same plan.
 func Build(cfg Config) (*Setup, error) {
+	if cfg.Tests < 1 {
+		return nil, fmt.Errorf("campaign: -tests %d must be at least 1", cfg.Tests)
+	}
 	// The manifest records the campaign that runs: -workers 0 and -workers 1
 	// execute the same tests in the same order and must resume each other.
 	cfg.Workers = max(cfg.Workers, 1)
@@ -230,14 +234,26 @@ func BuildExplorer(strategy string, seed int64, space *scenario.Space, plugins [
 	}
 }
 
+// names splits a comma-separated -faults or -plugins list into its
+// names, first occurrence only: a name given twice arms its plugin once.
+func names(cs string) []string {
+	var out []string
+	for _, name := range strings.Split(cs, ",") {
+		if name = strings.TrimSpace(name); name != "" && !slices.Contains(out, name) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // ParseFaults maps -faults names to the shared fault-vocabulary-v2
 // plugins, sized to the target cluster. "corrupt" and "dup" are two axes
 // of the same netfaults plugin, so naming either (or both) arms it once.
 func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 	var out []core.Plugin
 	netFaults := false
-	for _, name := range strings.Split(cs, ",") {
-		switch strings.TrimSpace(name) {
+	for _, name := range names(cs) {
+		switch name {
 		case "crash":
 			out = append(out, plugin.NewCrashRestart())
 		case "skew":
@@ -246,7 +262,6 @@ func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 			out = append(out, plugin.NewOneWay(nodes))
 		case "corrupt", "dup":
 			netFaults = true
-		case "":
 		default:
 			return nil, fmt.Errorf("campaign: unknown fault %q (want crash, skew, oneway, corrupt or dup)", name)
 		}
@@ -260,8 +275,8 @@ func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 // ParsePBFTPlugins maps -plugins names for the PBFT target.
 func ParsePBFTPlugins(cs string) ([]core.Plugin, error) {
 	var out []core.Plugin
-	for _, name := range strings.Split(cs, ",") {
-		switch strings.TrimSpace(name) {
+	for _, name := range names(cs) {
+		switch name {
 		case "maccorrupt":
 			out = append(out, plugin.NewMACCorrupt())
 		case "clients":
@@ -272,7 +287,6 @@ func ParsePBFTPlugins(cs string) ([]core.Plugin, error) {
 			out = append(out, plugin.NewFaultPlan())
 		case "slowprimary":
 			out = append(out, &plugin.SlowPrimary{})
-		case "":
 		default:
 			return nil, fmt.Errorf("campaign: unknown pbft plugin %q", name)
 		}
@@ -283,13 +297,12 @@ func ParsePBFTPlugins(cs string) ([]core.Plugin, error) {
 // ParseRaftPlugins maps -plugins names for the Raft target.
 func ParseRaftPlugins(cs string) ([]core.Plugin, error) {
 	var out []core.Plugin
-	for _, name := range strings.Split(cs, ",") {
-		switch strings.TrimSpace(name) {
+	for _, name := range names(cs) {
+		switch name {
 		case "raftclients":
 			out = append(out, raftsim.NewClientsPlugin())
 		case "leaderflap":
 			out = append(out, raftsim.NewLeaderFlapPlugin())
-		case "":
 		default:
 			return nil, fmt.Errorf("campaign: unknown raft plugin %q", name)
 		}

@@ -222,6 +222,8 @@ func TestBuildErrors(t *testing.T) {
 		"unknown fault":          {func(c *Config) { c.Faults = "crash,gamma-ray" }, `unknown fault "gamma-ray"`},
 		"unknown plugin":         {func(c *Config) { c.Plugins = "clients,raftclients" }, `unknown pbft plugin "raftclients"`},
 		"shards beyond any axis": {func(c *Config) { c.Shards = 4097 }, `cannot split 4097 ways: largest axis "mac_mask" has only 4096 values`},
+		"no tests":               {func(c *Config) { c.Tests = 0 }, `-tests 0 must be at least 1`},
+		"negative tests":         {func(c *Config) { c.Tests = -3 }, `-tests -3 must be at least 1`},
 	} {
 		cfg := cliConfig("pbft", 10, 0, 1)
 		tc.edit(&cfg)
@@ -234,6 +236,44 @@ func TestBuildErrors(t *testing.T) {
 	setup, err := Build(cliConfig("pbft", 10, 31, 32))
 	if err != nil || setup.Plan.Axis != plugin.DimMACMask {
 		t.Errorf("-shard 31/32: plan %s, err %v; want the mac_mask fallback", setup.Plan, err)
+	}
+}
+
+// TestRepeatedNamesArmOnce: a -faults or -plugins name given twice used
+// to add its plugin twice and fail on the duplicate dimension without
+// naming the flag ("-faults crash,crash": scenario: duplicate dimension
+// "crash_interval_ms"). A repeated name now arms its plugin once, the way
+// "corrupt,dup" arms netfaults once.
+func TestRepeatedNamesArmOnce(t *testing.T) {
+	for _, tc := range []struct {
+		target, plugins, faults string
+		same                    Config
+	}{
+		{"pbft", "", "crash,crash", Config{Faults: "crash"}},
+		{"pbft", "", "skew, oneway,skew,,oneway", Config{Faults: "skew,oneway"}},
+		{"pbft", "", "corrupt,dup,corrupt,dup", Config{Faults: "corrupt"}},
+		{"pbft", "maccorrupt,clients,maccorrupt", "", Config{Plugins: "maccorrupt,clients"}},
+		{"pbft", "reorder,slowprimary,reorder,slowprimary", "crash,skew,crash", Config{Plugins: "reorder,slowprimary", Faults: "crash,skew"}},
+		{"raft", "leaderflap,raftclients,leaderflap", "", Config{Plugins: "leaderflap,raftclients"}},
+		{"raft", "", "crash,oneway,crash", Config{Faults: "crash,oneway"}},
+	} {
+		cfg := cliConfig(tc.target, 10, 0, 1)
+		cfg.Plugins, cfg.Faults = tc.plugins, tc.faults
+		want := cliConfig(tc.target, 10, 0, 1)
+		want.Plugins, want.Faults = tc.same.Plugins, tc.same.Faults
+		got, err := Build(cfg)
+		if err != nil {
+			t.Errorf("%s -plugins %q -faults %q: %v", tc.target, tc.plugins, tc.faults, err)
+			continue
+		}
+		once, err := Build(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Manifest.Space != once.Manifest.Space {
+			t.Errorf("%s -plugins %q -faults %q explores\n%s\nwant the space of -plugins %q -faults %q:\n%s",
+				tc.target, tc.plugins, tc.faults, got.Manifest.Space, want.Plugins, want.Faults, once.Manifest.Space)
+		}
 	}
 }
 

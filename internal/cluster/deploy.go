@@ -123,21 +123,21 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	}
 
 	// Malicious clients: correct-behaving until a scenario arms its MAC
-	// corruption plan (their injector still counts generateMAC calls from
-	// boot, exactly like an instrumented binary would).
+	// corruption plan (they still count generateMAC calls from boot,
+	// exactly like an instrumented binary would).
 	d.malicious = make([]*pbft.Client, 0, nMalicious)
 	for i := int64(0); i < nMalicious; i++ {
 		m, err := pbft.NewClient(nextAddr, w.PBFT, w.Malicious, d.Net,
-			pbft.WithInjector(faultinject.NewInjector(faultinject.Plan{})), pbft.WithClientArena(arena))
+			pbft.WithClientArena(arena))
 		if err != nil {
 			panic(fmt.Sprintf("cluster: malicious client construction: %v", err))
 		}
 		nextAddr++
 		d.malicious = append(d.malicious, m)
-		// The plan and broadcast flag are arm-time settings, not snapshot
-		// state: a master serves attack forks and baseline forks alike, so
-		// a restore disarms them, and a fork that arms nothing gets a
-		// client as benign as the post-warmup original.
+		// The plan and broadcast flag are arm-time settings: a master
+		// serves attack forks and baseline forks alike, so a restore
+		// disarms them, and a fork that arms nothing gets a client as
+		// benign as the post-warmup original.
 		d.Keep(func() func() {
 			s := m.Snapshot()
 			return func() {

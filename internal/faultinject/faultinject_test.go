@@ -1,64 +1,99 @@
 package faultinject
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-func TestEmptyPlanNeverInjects(t *testing.T) {
-	in := NewInjector(Plan{})
-	for i := 0; i < 100; i++ {
-		if d := in.Check("any.point"); d.Action != ActNone {
-			t.Fatalf("empty plan injected %v at call %d", d.Action, i)
+func corrupt(point string, mask, period uint64) Rule {
+	return Rule{Point: point, Trigger: ModMask{Mask: mask, Period: period}, Decision: Decision{Action: ActCorrupt}}
+}
+
+// hits arms a fresh counter with plan on point and returns the call
+// numbers among the first n that the schedule hits.
+func hits(plan Plan, point string, n uint64) []uint64 {
+	var c Counter
+	c.Arm(plan, point)
+	var got []uint64
+	for call := uint64(0); call < n; call++ {
+		if c.Check() {
+			got = append(got, call)
 		}
 	}
-	if got := in.Calls("any.point"); got != 100 {
-		t.Errorf("Calls = %d, want 100", got)
+	return got
+}
+
+func sameCalls(t *testing.T, what string, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s hit calls %v, want %v", what, got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s hit calls %v, want %v", what, got, want)
+		}
+	}
+}
+
+func TestEmptyPlanNeverInjects(t *testing.T) {
+	var c Counter
+	c.Arm(Plan{}, "any.point")
+	for i := 0; i < 100; i++ {
+		if c.Check() {
+			t.Fatalf("empty plan injected at call %d", i)
+		}
+	}
+	if c.calls != 100 {
+		t.Errorf("calls = %d, want 100", c.calls)
+	}
+	var unarmed Counter
+	if unarmed.Check() {
+		t.Error("the zero Counter injected")
 	}
 }
 
 func TestCallNumbering(t *testing.T) {
-	in := NewInjector(NewPlan(Rule{
-		Point:    "p",
-		Trigger:  CallSet{3: true, 5: true},
-		Decision: Decision{Action: ActDrop},
-	}))
-	var hits []uint64
-	for i := 0; i < 8; i++ {
-		d, call := in.CheckN("p")
-		if uint64(i) != call {
-			t.Fatalf("call number = %d at iteration %d", call, i)
-		}
-		if d.Action == ActDrop {
-			hits = append(hits, call)
-		}
-	}
-	if len(hits) != 2 || hits[0] != 3 || hits[1] != 5 {
-		t.Errorf("drop fired at calls %v, want [3 5]", hits)
-	}
+	sameCalls(t, "bits 3 and 5 of an 8-call mask",
+		hits(NewPlan(corrupt("p", 1<<3|1<<5, 8)), "p", 16), []uint64{3, 5, 11, 13})
 }
 
 func TestPointsAreIndependent(t *testing.T) {
-	in := NewInjector(NewPlan(Rule{Point: "a", Trigger: CallSet{0: true}, Decision: Decision{Action: ActCorrupt}}))
-	if d := in.Check("b"); d.Action != ActNone {
+	plan := NewPlan(corrupt("a", 1, 4))
+	var a, b Counter
+	a.Arm(plan, "a")
+	b.Arm(plan, "b")
+	if b.Check() {
 		t.Error("rule on point a fired on point b")
 	}
-	if d := in.Check("a"); d.Action != ActCorrupt {
+	if !a.Check() {
 		t.Error("rule on point a did not fire on call 0")
 	}
-	if in.Calls("a") != 1 || in.Calls("b") != 1 {
-		t.Errorf("counters mixed across points: a=%d b=%d", in.Calls("a"), in.Calls("b"))
+	if a.calls != 1 || b.calls != 1 {
+		t.Errorf("counters mixed across points: a=%d b=%d", a.calls, b.calls)
 	}
 }
 
+// TestFirstMatchingRuleWins: a point's rules are consulted in plan order
+// and the first whose trigger matches decides the call, whatever the
+// periods of the rules after it.
 func TestFirstMatchingRuleWins(t *testing.T) {
-	in := NewInjector(NewPlan(
-		Rule{Point: "p", Trigger: Always{}, Decision: Decision{Action: ActCorrupt}},
-		Rule{Point: "p", Trigger: Always{}, Decision: Decision{Action: ActDrop}},
-	))
-	if d := in.Check("p"); d.Action != ActCorrupt {
-		t.Errorf("got %v, want the first rule's corrupt", d.Action)
-	}
+	plan := NewPlan(
+		Rule{Point: "p", Trigger: ModMask{Mask: 0b01, Period: 2}, Decision: Decision{Action: ActNone}},
+		corrupt("p", 0b111, 3),
+		corrupt("q", 1, 1),
+	)
+	// Even calls match the ActNone rule first; odd ones fall to the
+	// every-call corrupt rule.
+	sameCalls(t, "a none rule ahead of a corrupt one", hits(plan, "p", 8), []uint64{1, 3, 5, 7})
+	plan = NewPlan(corrupt("p", 1<<1, 4), corrupt("p", 1<<0, 3))
+	sameCalls(t, "two corrupt rules", hits(plan, "p", 13), []uint64{0, 1, 3, 5, 6, 9, 12})
+}
+
+func TestArmPanicsPastSixtyFourCalls(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("rules repeating every 72 calls armed without a panic")
+		}
+	}()
+	var c Counter
+	c.Arm(NewPlan(corrupt("p", 1, 8), corrupt("p", 1, 9)), "p")
 }
 
 func TestModMaskTrigger(t *testing.T) {
@@ -87,95 +122,53 @@ func TestModMaskZeroPeriod(t *testing.T) {
 	if trig.Match(0) {
 		t.Error("zero-period ModMask must never match")
 	}
+	if got := hits(NewPlan(corrupt("p", 0xFFF, 0)), "p", 10); len(got) != 0 {
+		t.Errorf("zero-period rule hit calls %v", got)
+	}
 }
 
+// TestEveryNth: a one-bit mask selects every n-th call from an offset,
+// the schedule the link-fault tests arm.
 func TestEveryNth(t *testing.T) {
-	trig := EveryNth{N: 3, Offset: 1}
-	var hits []uint64
-	for call := uint64(0); call < 10; call++ {
-		if trig.Match(call) {
-			hits = append(hits, call)
-		}
-	}
-	want := []uint64{1, 4, 7}
-	if len(hits) != len(want) {
-		t.Fatalf("hits = %v, want %v", hits, want)
-	}
-	for i := range want {
-		if hits[i] != want[i] {
-			t.Fatalf("hits = %v, want %v", hits, want)
-		}
-	}
-	if (EveryNth{N: 0}).Match(5) {
-		t.Error("EveryNth with N=0 must never match")
-	}
+	sameCalls(t, "every third call from 1", hits(NewPlan(corrupt("p", 1<<1, 3)), "p", 9), []uint64{1, 4, 7})
 }
 
-func TestAfter(t *testing.T) {
-	trig := After{N: 5}
-	if trig.Match(4) {
-		t.Error("After(5) matched call 4")
-	}
-	if !trig.Match(5) {
-		t.Error("After(5) did not match call 5")
-	}
-}
-
+// TestAlwaysNever: a full mask hits every call, a zero mask none.
 func TestAlwaysNever(t *testing.T) {
-	if !(Always{}).Match(12345) {
-		t.Error("Always did not match")
+	if got := hits(NewPlan(corrupt("p", 0xF, 4)), "p", 50); len(got) != 50 {
+		t.Errorf("full mask hit %d of 50 calls", len(got))
 	}
-	if (Never{}).Match(0) {
-		t.Error("Never matched")
+	if got := hits(NewPlan(corrupt("p", 0, 12)), "p", 50); len(got) != 0 {
+		t.Errorf("zero mask hit calls %v", got)
 	}
 }
 
-func TestDecisionFields(t *testing.T) {
-	in := NewInjector(NewPlan(Rule{
-		Point:    "p",
-		Trigger:  Always{},
-		Decision: Decision{Action: ActDelay, Delay: 42 * time.Millisecond},
-	}))
-	d := in.Check("p")
-	if d.Action != ActDelay || d.Delay != 42*time.Millisecond {
-		t.Errorf("decision = %+v", d)
+// TestAfter: a counter armed after n calls keeps numbering from n, so a
+// re-armed schedule sees the same call numbers as one armed at boot.
+func TestAfter(t *testing.T) {
+	var c Counter
+	for i := 0; i < 5; i++ {
+		c.Check()
+	}
+	c.Arm(NewPlan(corrupt("p", 1<<1, 4)), "p")
+	var got []uint64
+	for call := uint64(5); call < 14; call++ {
+		if c.Check() {
+			got = append(got, call)
+		}
+	}
+	sameCalls(t, "a schedule armed after five calls", got, []uint64{5, 9, 13})
+	c.Arm(Plan{}, "p")
+	if c.Check() || c.calls != 15 {
+		t.Errorf("disarming fired or lost the count: calls=%d", c.calls)
 	}
 }
 
 func TestPlanIsImmutableCopy(t *testing.T) {
-	rules := []Rule{{Point: "p", Trigger: Always{}, Decision: Decision{Action: ActDrop}}}
+	rules := []Rule{corrupt("p", 1, 1)}
 	p := NewPlan(rules...)
 	rules[0].Point = "mutated"
-	got := p.Rules()
-	if got[0].Point != "p" {
+	if got := hits(p, "p", 3); len(got) != 3 {
 		t.Error("NewPlan did not copy its rule slice")
-	}
-	got[0].Point = "mutated-again"
-	if p.Rules()[0].Point != "p" {
-		t.Error("Rules() did not return a copy")
-	}
-}
-
-func TestActionString(t *testing.T) {
-	for a, want := range map[Action]string{
-		ActNone: "none", ActCorrupt: "corrupt", ActDrop: "drop",
-		ActDelay: "delay", ActError: "error", Action(99): "action(99)",
-	} {
-		if a.String() != want {
-			t.Errorf("Action(%d).String() = %q, want %q", int(a), a.String(), want)
-		}
-	}
-}
-
-func TestTriggerStrings(t *testing.T) {
-	if s := (CallSet{2: true, 1: true}).String(); s != "calls{1,2}" {
-		t.Errorf("CallSet.String() = %q", s)
-	}
-	if s := (ModMask{Mask: 0xABC, Period: 12}).String(); s != "modmask(0xabc mod 12)" {
-		t.Errorf("ModMask.String() = %q", s)
-	}
-	plan := NewPlan(Rule{Point: "p", Trigger: Always{}, Decision: Decision{Action: ActDrop}})
-	if plan.String() == "" || NewPlan().String() != "plan{}" {
-		t.Error("plan String() formatting broken")
 	}
 }

@@ -6,16 +6,6 @@ import (
 	"strings"
 )
 
-// A CodecSink is one serialization surface a struct's fields must all
-// reach: the function named by Func plus everything it transitively
-// calls inside its own package.
-type CodecSink struct {
-	// Name labels the sink in diagnostics ("csv writer", "summary", ...).
-	Name string
-	// Func is "<pkg-path>.<Func>" or "<pkg-path>.<Type>.<Method>".
-	Func string
-}
-
 // A CodecSpec binds a struct to the sinks every one of its fields must
 // flow through.
 type CodecSpec struct {

@@ -56,10 +56,9 @@ type Client struct {
 	ccfg ClientConfig
 	eng  *sim.Engine
 	net  *simnet.Network
-	inj  *faultinject.Injector
-	// macPoint is the resolved generateMAC injection-point handle (the
-	// per-call map lookup showed up in campaign profiles).
-	macPoint *faultinject.Point
+	// mac counts generateMAC calls from boot and holds the armed
+	// corruption schedule (SetPlan).
+	mac faultinject.Counter
 
 	running bool
 	view    uint64 // best known view, learned from replies
@@ -90,12 +89,6 @@ type Client struct {
 
 // ClientOption customizes client construction.
 type ClientOption func(*Client)
-
-// WithInjector routes the client's MAC generation through a fault
-// injector; malicious clients get a ModMask plan here.
-func WithInjector(in *faultinject.Injector) ClientOption {
-	return func(c *Client) { c.inj = in }
-}
 
 // WithClientArena makes the client carve its requests from the
 // deployment's shared arena instead of a private one.
@@ -129,7 +122,6 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 		ccfg:    ccfg,
 		eng:     net.Engine(),
 		net:     net,
-		inj:     faultinject.NewInjector(faultinject.Plan{}),
 		replies: make([]uint64, pcfg.N),
 	}
 	for _, opt := range opts {
@@ -139,7 +131,6 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 		c.mem = newPrivateArena()
 	}
 	c.retryFn = func() { c.onRetry(c.retryFor) }
-	c.macPoint = c.inj.Point(PointGenerateMAC)
 	c.allAddrs = make([]simnet.Addr, pcfg.N)
 	for i := range c.allAddrs {
 		c.allAddrs[i] = simnet.Addr(i)
@@ -217,7 +208,7 @@ func (c *Client) broadcast(req *Request) {
 func (c *Client) buildRequest(retransmission bool) *Request {
 	auth := mac.Sign(int(c.addr), c.pcfg.N)
 	for i := 0; i < c.pcfg.N; i++ {
-		if c.macPoint.Check().Action == faultinject.ActCorrupt {
+		if c.mac.Check() {
 			auth = auth.Corrupt(i)
 		}
 	}

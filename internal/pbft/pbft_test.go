@@ -74,7 +74,9 @@ func (tb *testbed) maliciousClient(mask uint64, ccfg ClientConfig) *Client {
 		Trigger:  faultinject.ModMask{Mask: mask, Period: 12},
 		Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
 	})
-	return tb.addClient(ccfg, WithInjector(faultinject.NewInjector(plan)))
+	c := tb.addClient(ccfg)
+	c.SetPlan(plan)
+	return c
 }
 
 func (tb *testbed) run(d time.Duration) { tb.eng.RunFor(d) }

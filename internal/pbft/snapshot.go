@@ -295,13 +295,12 @@ type ClientState struct {
 	curRetry   time.Duration
 	retryFor   uint64
 	broadcast  bool
-	counters   map[string]uint64
+	mac        faultinject.Counter
 	stats      ClientStats
 }
 
 // Snapshot captures the client's complete mutable state, including its
-// fault injector's call counters (the injection plan itself is armed per
-// run by the harness and not captured).
+// generateMAC call counter and the schedule armed on it.
 func (c *Client) Snapshot() *ClientState {
 	s := &ClientState{
 		running:    c.running,
@@ -315,7 +314,7 @@ func (c *Client) Snapshot() *ClientState {
 		curRetry:   c.curRetry,
 		retryFor:   c.retryFor,
 		broadcast:  c.ccfg.Broadcast,
-		counters:   c.inj.CounterSnapshot(),
+		mac:        c.mac,
 		stats:      c.stats,
 	}
 	return s
@@ -334,13 +333,13 @@ func (c *Client) Restore(s *ClientState) {
 	c.curRetry = s.curRetry
 	c.retryFor = s.retryFor
 	c.ccfg.Broadcast = s.broadcast
-	c.inj.RestoreCounters(s.counters)
+	c.mac = s.mac
 	c.stats = s.stats
 }
 
-// SetPlan arms a fault-injection plan on the client's injector, keeping
-// the call counters that have been advancing since deployment boot.
-func (c *Client) SetPlan(plan faultinject.Plan) { c.inj.SetPlan(plan) }
+// SetPlan arms the plan's rules on PointGenerateMAC, keeping the call
+// count that has been advancing since deployment boot.
+func (c *Client) SetPlan(plan faultinject.Plan) { c.mac.Arm(plan, PointGenerateMAC) }
 
 // SetBroadcast toggles first-transmission broadcast (the colluding
 // client of the slow-primary attack); harnesses arm it per run at

@@ -20,7 +20,7 @@ func xorCorrupter(from, to Addr, payload any) any {
 func corruptEvery(n uint64) faultinject.Rule {
 	return faultinject.Rule{
 		Point:    PointLinkCorrupt,
-		Trigger:  faultinject.EveryNth{N: n},
+		Trigger:  faultinject.ModMask{Mask: 1, Period: n},
 		Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
 	}
 }
@@ -28,7 +28,7 @@ func corruptEvery(n uint64) faultinject.Rule {
 func dupEvery(n, offset uint64) faultinject.Rule {
 	return faultinject.Rule{
 		Point:    PointLinkDup,
-		Trigger:  faultinject.EveryNth{N: n, Offset: offset},
+		Trigger:  faultinject.ModMask{Mask: 1 << offset, Period: n},
 		Decision: faultinject.Decision{Action: faultinject.ActCorrupt},
 	}
 }

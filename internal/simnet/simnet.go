@@ -150,9 +150,9 @@ type linkEnds struct{ out, in int32 }
 const AnyAddr Addr = -1
 
 // Injection points consulted per matching send by armed link faults. A
-// rule on PointLinkCorrupt whose decision is ActCorrupt garbles the
-// payload through the armed Corrupter; any firing rule on PointLinkDup
-// injects a duplicate delivery.
+// call PointLinkCorrupt's schedule hits garbles the payload through the
+// armed Corrupter; a call PointLinkDup's schedule hits injects a
+// duplicate delivery.
 const (
 	PointLinkCorrupt = "link.corrupt"
 	PointLinkDup     = "link.dup"
@@ -189,15 +189,13 @@ type Owner interface {
 func meta(from, to Addr) uint64 { return uint64(uint32(from)) | uint64(to)<<32 }
 
 // linkFaults is the armed per-link fault state: a victim link selector
-// (AnyAddr wildcards), a faultinject plan consulted through resolved
-// point handles, and the corrupter that knows the target's payload types.
+// (AnyAddr wildcards), the corrupt and dup call counters held by value,
+// and the corrupter that knows the target's payload types.
 type linkFaults struct {
-	armed     bool
-	from, to  Addr
-	corrupter Corrupter
-	inj       *faultinject.Injector
-	corrupt   *faultinject.Point
-	dup       *faultinject.Point
+	armed        bool
+	from, to     Addr
+	corrupter    Corrupter
+	corrupt, dup faultinject.Counter
 }
 
 func (lf *linkFaults) matches(from, to Addr) bool {
@@ -213,16 +211,9 @@ func (lf *linkFaults) matches(from, to Addr) bool {
 // restarts call numbering; Restore rolls faults back to their state at
 // snapshot time.
 func (n *Network) ArmLinkFaults(from, to Addr, plan faultinject.Plan, c Corrupter) {
-	inj := faultinject.NewInjector(plan)
-	n.lf = linkFaults{
-		armed:     true,
-		from:      from,
-		to:        to,
-		corrupter: c,
-		inj:       inj,
-		corrupt:   inj.Point(PointLinkCorrupt),
-		dup:       inj.Point(PointLinkDup),
-	}
+	n.lf = linkFaults{armed: true, from: from, to: to, corrupter: c}
+	n.lf.corrupt.Arm(plan, PointLinkCorrupt)
+	n.lf.dup.Arm(plan, PointLinkDup)
 }
 
 // New returns a network running on eng with the given config.
@@ -376,7 +367,7 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 	// message increments Corrupted and Dropped once each.
 	duplicate := false
 	if n.lf.armed && n.lf.matches(from, to) {
-		if dec := n.lf.corrupt.Check(); dec.Action == faultinject.ActCorrupt && n.lf.corrupter != nil {
+		if n.lf.corrupt.Check() && n.lf.corrupter != nil {
 			if p := n.lf.corrupter(from, to, payload); p != nil {
 				if p != payload {
 					payload, m = p, m&^sim.Owned
@@ -384,9 +375,7 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 				n.stats.Corrupted++
 			}
 		}
-		if dec := n.lf.dup.Check(); dec.Action != faultinject.ActNone {
-			duplicate = true
-		}
+		duplicate = n.lf.dup.Check()
 	}
 	if n.cfg.DropRate > 0 && n.eng.Rand().Float64() < n.cfg.DropRate {
 		n.stats.Dropped++
@@ -428,11 +417,9 @@ type NetSnapshot struct {
 	linkLatency  map[linkKey]time.Duration
 	interceptors int
 	closed       bool
-	// Link-fault state: the struct copy shares the injector pointer, so
-	// the per-point call counters are captured separately and rolled back
-	// through it on Restore.
-	lf      linkFaults
-	lfCalls map[string]uint64
+	// lf is the link-fault state; its call counters are values, so the
+	// struct copy captures them.
+	lf linkFaults
 }
 
 // Snapshot captures the network state (excluding the handler table,
@@ -447,9 +434,6 @@ func (n *Network) Snapshot() *NetSnapshot {
 		interceptors: len(n.interceptors),
 		closed:       n.closed,
 		lf:           n.lf,
-	}
-	if n.lf.inj != nil {
-		s.lfCalls = n.lf.inj.CounterSnapshot()
 	}
 	for k, v := range n.blocked {
 		s.blocked[k] = v
@@ -470,9 +454,6 @@ func (n *Network) Restore(s *NetSnapshot) {
 	n.stats = s.stats
 	n.closed = s.closed
 	n.lf = s.lf
-	if n.lf.inj != nil {
-		n.lf.inj.RestoreCounters(s.lfCalls)
-	}
 	if s != n.track || n.linksDirty {
 		clear(n.blocked)
 		clear(n.blockedEnds)

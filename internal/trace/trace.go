@@ -13,7 +13,6 @@ import (
 
 	"avd/internal/core"
 	"avd/internal/oracle"
-	"avd/internal/plugin"
 )
 
 // WriteCampaignCSV writes the header and one row per executed test:
@@ -399,15 +398,4 @@ func SummarizeCampaign(w io.Writer, label string, results []core.Result) {
 		fmt.Fprintf(w, "  coverage: %d distinct behavior sets over %d timelines\n",
 			len(behaviors), len(timelines))
 	}
-}
-
-// FormatScenarioMask renders the effective bitmask of a scenario's
-// mac_mask coordinate for reports.
-func FormatScenarioMask(r core.Result, gray bool) string {
-	coord := r.Scenario.GetOr(plugin.DimMACMask, 0)
-	mask := uint64(coord)
-	if gray {
-		mask = uint64(coord) ^ (uint64(coord) >> 1)
-	}
-	return fmt.Sprintf("coord=%d mask=%#03x", coord, mask)
 }

@@ -260,15 +260,3 @@ func TestSummarizeCampaign(t *testing.T) {
 		t.Error("empty campaign summary missing")
 	}
 }
-
-func TestFormatScenarioMask(t *testing.T) {
-	res := sampleResults(t)[0] // coord 5
-	gray := FormatScenarioMask(res, true)
-	if !strings.Contains(gray, "coord=5") || !strings.Contains(gray, "0x007") {
-		t.Errorf("gray format = %q (Encode(5)=7)", gray)
-	}
-	bin := FormatScenarioMask(res, false)
-	if !strings.Contains(bin, "0x005") {
-		t.Errorf("binary format = %q", bin)
-	}
-}

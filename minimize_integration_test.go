@@ -4,7 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"avd"
+	"avd/internal/core"
+	"avd/internal/raftsim"
 )
 
 // TestMinimizeRaftStorm is the acceptance test for scenario
@@ -13,24 +14,24 @@ import (
 // (impact at the threshold), and the whole reduction is deterministic —
 // two minimizations from the same original are identical.
 func TestMinimizeRaftStorm(t *testing.T) {
-	w := avd.DefaultRaftWorkload()
+	w := raftsim.DefaultWorkload()
 	w.Warmup = 300 * time.Millisecond
 	// Faults arm at measurement start (snapshot/fork execution
 	// semantics), so the window must be long enough for the storm to
 	// develop from a healthy steady state.
 	w.Measure = 1500 * time.Millisecond
-	target, err := avd.NewRaftTarget(w)
+	target, err := raftsim.NewTarget(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := avd.SpaceOf(target.Plugins()...)
+	space, err := core.Space(target.Plugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	storm := space.New(map[string]int64{
-		avd.DimRaftClients:    50,
-		avd.DimFlapIntervalMS: 100,
-		avd.DimFlapDownMS:     400,
+		raftsim.DimClients:        50,
+		raftsim.DimFlapIntervalMS: 100,
+		raftsim.DimFlapDownMS:     400,
 	})
 	original := target.Run(storm)
 	// With fault-free warmup (snapshot/fork semantics) the flap attack
@@ -40,7 +41,7 @@ func TestMinimizeRaftStorm(t *testing.T) {
 		t.Fatalf("storm scenario impact %.3f; want a real storm to minimize", original.Impact)
 	}
 
-	m1, err := avd.Minimize(target, original, avd.MinimizeConfig{})
+	m1, err := core.Minimize(target, original, core.MinimizeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +58,12 @@ func TestMinimizeRaftStorm(t *testing.T) {
 	}
 	// The minimal storm must still be a flap attack: dropping the attack
 	// dimensions entirely cannot reproduce an election storm.
-	if m1.Minimal.Scenario.GetOr(avd.DimFlapIntervalMS, 0) == 0 ||
-		m1.Minimal.Scenario.GetOr(avd.DimFlapDownMS, 0) == 0 {
+	if m1.Minimal.Scenario.GetOr(raftsim.DimFlapIntervalMS, 0) == 0 ||
+		m1.Minimal.Scenario.GetOr(raftsim.DimFlapDownMS, 0) == 0 {
 		t.Fatalf("minimal scenario %s lost the attack entirely", m1.Minimal.Scenario)
 	}
 
-	m2, err := avd.Minimize(target, original, avd.MinimizeConfig{})
+	m2, err := core.Minimize(target, original, core.MinimizeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"avd"
+	"avd/internal/cluster"
+	"avd/internal/core"
+	"avd/internal/plugin"
+	"avd/internal/raftsim"
+	"avd/internal/scenario"
 )
 
 // TestEnginePBFTAgreementViolationDetected drives an injected agreement
@@ -14,21 +18,21 @@ import (
 // checks the Result carries the structured violation. Without the
 // injected defects the same deployment must stay violation-free.
 func TestEnginePBFTAgreementViolationDetected(t *testing.T) {
-	run := func(inject bool) avd.Result {
-		w := avd.DefaultWorkload()
+	run := func(inject bool) core.Result {
+		w := cluster.DefaultWorkload()
 		w.Warmup = 100 * time.Millisecond
 		w.Measure = 300 * time.Millisecond
 		w.PBFT.QuorumBug = inject
 		w.Equivocate = inject
-		target, err := avd.NewPBFTTarget(w)
+		target, err := cluster.NewTarget(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		space, err := avd.NewSpace(avd.Dimension{Name: avd.DimCorrectClients, Min: 5, Max: 5, Step: 1})
+		space, err := scenario.NewSpace(scenario.Dimension{Name: plugin.DimCorrectClients, Min: 5, Max: 5, Step: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := avd.NewEngine(target, avd.WithExplorer(avd.NewExhaustiveExplorer(space)), avd.WithBudget(1))
+		eng, err := core.NewEngine(target, core.WithExplorer(core.NewExhaustiveExplorer(space)), core.WithBudget(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +61,8 @@ func TestEnginePBFTAgreementViolationDetected(t *testing.T) {
 // and the election-safety oracle reports it on the engine's Result. The
 // same deployment without the defect stays violation-free.
 func TestEngineRaftElectionSafetyViolationDetected(t *testing.T) {
-	run := func(inject bool) avd.Result {
-		w := avd.DefaultRaftWorkload()
+	run := func(inject bool) core.Result {
+		w := raftsim.DefaultWorkload()
 		w.Warmup = 300 * time.Millisecond
 		// Faults arm at measurement start; give the flap-driven election
 		// churn several strike cycles to hit a split vote.
@@ -69,19 +73,19 @@ func TestEngineRaftElectionSafetyViolationDetected(t *testing.T) {
 		w.Raft.ElectionTimeoutMin = 150 * time.Millisecond
 		w.Raft.ElectionTimeoutMax = 155 * time.Millisecond
 		w.Raft.DoubleVoteBug = inject
-		target, err := avd.NewRaftTarget(w)
+		target, err := raftsim.NewTarget(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		space, err := avd.NewSpace(
-			avd.Dimension{Name: avd.DimRaftClients, Min: 5, Max: 5, Step: 1},
-			avd.Dimension{Name: avd.DimFlapIntervalMS, Min: 100, Max: 100, Step: 1},
-			avd.Dimension{Name: avd.DimFlapDownMS, Min: 200, Max: 200, Step: 1},
+		space, err := scenario.NewSpace(
+			scenario.Dimension{Name: raftsim.DimClients, Min: 5, Max: 5, Step: 1},
+			scenario.Dimension{Name: raftsim.DimFlapIntervalMS, Min: 100, Max: 100, Step: 1},
+			scenario.Dimension{Name: raftsim.DimFlapDownMS, Min: 200, Max: 200, Step: 1},
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := avd.NewEngine(target, avd.WithExplorer(avd.NewExhaustiveExplorer(space)), avd.WithBudget(1))
+		eng, err := core.NewEngine(target, core.WithExplorer(core.NewExhaustiveExplorer(space)), core.WithBudget(1))
 		if err != nil {
 			t.Fatal(err)
 		}
