@@ -247,11 +247,11 @@ func names(cs string) []string {
 }
 
 // ParseFaults maps -faults names to the shared fault-vocabulary-v2
-// plugins, sized to the target cluster. "corrupt" and "dup" are two axes
-// of the same netfaults plugin, so naming either (or both) arms it once.
+// plugins, sized to the target cluster. "corrupt" and "dup" are the two
+// mask axes of the netfaults plugin, which exposes the named ones only.
 func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 	var out []core.Plugin
-	netFaults := false
+	netFaults := &plugin.NetFaults{Nodes: nodes}
 	for _, name := range names(cs) {
 		switch name {
 		case "crash":
@@ -260,14 +260,16 @@ func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 			out = append(out, plugin.NewClockSkew(nodes))
 		case "oneway":
 			out = append(out, plugin.NewOneWay(nodes))
-		case "corrupt", "dup":
-			netFaults = true
+		case "corrupt":
+			netFaults.Corrupt = true
+		case "dup":
+			netFaults.Dup = true
 		default:
 			return nil, fmt.Errorf("campaign: unknown fault %q (want crash, skew, oneway, corrupt or dup)", name)
 		}
 	}
-	if netFaults {
-		out = append(out, plugin.NewNetFaults(nodes))
+	if netFaults.Corrupt || netFaults.Dup {
+		out = append(out, netFaults)
 	}
 	return out, nil
 }

@@ -242,8 +242,7 @@ func TestBuildErrors(t *testing.T) {
 // TestRepeatedNamesArmOnce: a -faults or -plugins name given twice used
 // to add its plugin twice and fail on the duplicate dimension without
 // naming the flag ("-faults crash,crash": scenario: duplicate dimension
-// "crash_interval_ms"). A repeated name now arms its plugin once, the way
-// "corrupt,dup" arms netfaults once.
+// "crash_interval_ms"). A repeated name now arms its plugin once.
 func TestRepeatedNamesArmOnce(t *testing.T) {
 	for _, tc := range []struct {
 		target, plugins, faults string
@@ -251,7 +250,7 @@ func TestRepeatedNamesArmOnce(t *testing.T) {
 	}{
 		{"pbft", "", "crash,crash", Config{Faults: "crash"}},
 		{"pbft", "", "skew, oneway,skew,,oneway", Config{Faults: "skew,oneway"}},
-		{"pbft", "", "corrupt,dup,corrupt,dup", Config{Faults: "corrupt"}},
+		{"pbft", "", "corrupt,dup,corrupt,dup", Config{Faults: "dup,corrupt"}},
 		{"pbft", "maccorrupt,clients,maccorrupt", "", Config{Plugins: "maccorrupt,clients"}},
 		{"pbft", "reorder,slowprimary,reorder,slowprimary", "crash,skew,crash", Config{Plugins: "reorder,slowprimary", Faults: "crash,skew"}},
 		{"raft", "leaderflap,raftclients,leaderflap", "", Config{Plugins: "leaderflap,raftclients"}},
@@ -273,6 +272,60 @@ func TestRepeatedNamesArmOnce(t *testing.T) {
 		if got.Manifest.Space != once.Manifest.Space {
 			t.Errorf("%s -plugins %q -faults %q explores\n%s\nwant the space of -plugins %q -faults %q:\n%s",
 				tc.target, tc.plugins, tc.faults, got.Manifest.Space, want.Plugins, want.Faults, once.Manifest.Space)
+		}
+	}
+}
+
+// TestFaultNamesSelectMaskAxes: "-faults corrupt" used to arm duplication
+// too, and "-faults dup" corruption, because either name armed the whole
+// netfaults plugin. Each name now exposes its own mask axis only, and no
+// mutation touches the other; naming both is the full plugin, axis for
+// axis and random draw for random draw.
+func TestFaultNamesSelectMaskAxes(t *testing.T) {
+	for _, tc := range []struct {
+		faults       string
+		corrupt, dup bool
+	}{
+		{"corrupt", true, false},
+		{"dup", false, true},
+		{"corrupt,dup", true, true},
+	} {
+		for _, target := range []string{"pbft", "raft"} {
+			cfg := cliConfig(target, 10, 0, 1)
+			cfg.Faults = tc.faults
+			setup, err := Build(cfg)
+			if err != nil {
+				t.Fatalf("%s -faults %s: %v", target, tc.faults, err)
+			}
+			_, corrupt := setup.Space.Dim(plugin.DimCorruptMask)
+			_, dup := setup.Space.Dim(plugin.DimDupMask)
+			if corrupt != tc.corrupt || dup != tc.dup {
+				t.Errorf("%s -faults %s: %s axis %t, %s axis %t; want %t, %t",
+					target, tc.faults, plugin.DimCorruptMask, corrupt, plugin.DimDupMask, dup, tc.corrupt, tc.dup)
+			}
+			nf := setup.Target.Plugins()[len(setup.Target.Plugins())-1]
+			full := plugin.NewNetFaults(nf.(*plugin.NetFaults).Nodes)
+			if tc.corrupt && tc.dup && !reflect.DeepEqual(nf.Dimensions(), full.Dimensions()) {
+				t.Errorf("%s -faults %s: dimensions %v, the full plugin's %v", target, tc.faults, nf.Dimensions(), full.Dimensions())
+			}
+			rng, fullRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			sc := setup.Space.New(nil)
+			for i := 0; i < 200; i++ {
+				distance := float64(i%10) / 10
+				next := nf.Mutate(sc, distance, rng)
+				if v := next.GetOr(plugin.DimCorruptMask, 0); !tc.corrupt && v != 0 {
+					t.Fatalf("%s -faults %s: a mutation set %s=%d", target, tc.faults, plugin.DimCorruptMask, v)
+				}
+				if v := next.GetOr(plugin.DimDupMask, 0); !tc.dup && v != 0 {
+					t.Fatalf("%s -faults %s: a mutation set %s=%d", target, tc.faults, plugin.DimDupMask, v)
+				}
+				if tc.corrupt && tc.dup {
+					if want := full.Mutate(sc, distance, fullRNG); next.Key() != want.Key() {
+						t.Fatalf("%s -faults %s: mutation %d is %s, the full plugin's %s", target, tc.faults, i, next.Key(), want.Key())
+					}
+				}
+				sc = next
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"avd/internal/raftsim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/shootout.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens of the tests that run (shootout.golden, fig2.golden)")
 
 // shootoutDefects are three scenario-rare defect recipes (0.5-2% of
 // uniformly drawn scenarios; EXPERIMENTS.md "Coverage-guided
@@ -104,8 +104,14 @@ func TestStrategyShootout(t *testing.T) {
 	for _, defect := range got {
 		lines = append(lines, defect...)
 	}
+	checkGolden(t, "shootout.golden", lines)
+}
 
-	path := filepath.Join("testdata", "shootout.golden")
+// checkGolden compares lines, each "<row> <column> <count>...", with
+// testdata/<name> cell by cell, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, lines []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -118,12 +124,12 @@ func TestStrategyShootout(t *testing.T) {
 	}
 	want := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(want) != len(lines) {
-		t.Fatalf("%s has %d lines, the shootout %d", path, len(want), len(lines))
+		t.Fatalf("%s has %d lines, the test %d", path, len(want), len(lines))
 	}
 	for i, line := range lines {
 		g, w := strings.Fields(line), strings.Fields(want[i])
 		if len(w) != len(g) || w[0] != g[0] || w[1] != g[1] {
-			t.Fatalf("%s line %d is %q, the shootout's is %q", path, i+1, want[i], line)
+			t.Fatalf("%s line %d is %q, the test's is %q", path, i+1, want[i], line)
 		}
 		for cell := 2; cell < len(g); cell++ {
 			if g[cell] != w[cell] {

@@ -43,7 +43,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	w := r.w
 	correctClients, nMalicious := key.correct, key.malicious
 	d := &deployment{
-		Rig:    core.NewRig("cluster", r.Pool(), w.Seed, w.Net, oracle.NewAgreementIn(r.Pool(), "pbft")),
+		Rig:    core.NewRig("cluster", r.Pool(), w.Seed, w.Net, "pbft"),
 		w:      w,
 		byz:    &pbft.ByzantineBehavior{},
 		byzIdx: w.ByzantineReplica,
@@ -54,7 +54,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	}
 	d.Net.SetOwner(arena)
 
-	// Protocol oracles observe every replica's executions: no two
+	// The oracle observes every replica's executions: no two
 	// replicas may commit different batches at one sequence number
 	// (agreement), and no replica may overwrite its own committed
 	// history (durability).
@@ -67,7 +67,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	// construction off the per-replica closure tax.
 	viewObs := pbft.WithViewObserver(func(node int, view uint64) {
 		if w.PBFT.PrimaryOf(view) == node {
-			d.Oracles.Observe(oracle.Event{Kind: oracle.EventLeader, Node: node, Term: view})
+			d.Oracle.Observe(oracle.Event{Kind: oracle.EventLeader, Node: node, Term: view})
 		}
 	})
 	for i := 0; i < w.PBFT.N; i++ {
@@ -75,7 +75,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		opts := []pbft.ReplicaOption{
 			pbft.WithCrashOnBadReproposal(w.CrashOnBadReproposal),
 			pbft.WithCommitObserver(func(seq, digest uint64) {
-				d.Oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: seq, Digest: digest})
+				d.Oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: seq, Digest: digest})
 			}),
 			viewObs,
 			pbft.WithArena(arena),
@@ -96,7 +96,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	}
 
 	d.faults = plugin.FaultSite{
-		Eng: d.Eng, Net: d.Net, Obs: d.Oracles,
+		Eng: d.Eng, Net: d.Net, Obs: d.Oracle,
 		PickVictim: d.pickCrashVictim,
 		Crash:      func(node int, keepDurable bool) bool { return d.replicas[node].Crash(keepDurable) },
 		Restart:    func(node int) { d.replicas[node].Restart() },
@@ -158,10 +158,9 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 	return d
 }
 
-// Arm activates the scenario's faults and per-run checkers at measurement
-// start; withFaults=false strips every malicious element (baseline).
-func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
-	d.Oracles.Attach(extra...)
+// Arm activates the scenario's faults at measurement start;
+// withFaults=false strips every malicious element (baseline).
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool) {
 	if !withFaults {
 		return
 	}

@@ -25,9 +25,12 @@ type Deployment[R any] interface {
 	// back) and rolls the deployment back to the captured state with
 	// every fault disarmed.
 	Restore()
-	// Arm attaches the per-run checkers and, when attack is set, activates
-	// the scenario's faults. An unarmed run is the attack-free baseline.
-	Arm(sc scenario.Scenario, attack bool, extra ...oracle.Checker)
+	// Trace records the oracle events of the next window into rec (nil
+	// records nothing); the next Restore stops it.
+	Trace(rec *oracle.Recorder)
+	// Arm activates the scenario's faults when attack is set. An unarmed
+	// run is the attack-free baseline.
+	Arm(sc scenario.Scenario, attack bool)
 	// Measure runs one measurement window under the given event budget
 	// (0 = unlimited), collects the outcome with its target-specific
 	// report R, and hands the window's memory back.
@@ -144,17 +147,17 @@ func (h *Harness[K, D, R]) RunForkWorker(sc scenario.Scenario, _ int) Result {
 // RunReport executes the scenario cold and returns both the impact
 // result and the target's detailed report.
 func (h *Harness[K, D, R]) RunReport(sc scenario.Scenario) (Result, R) {
-	return h.runScored(sc, false)
+	return h.runScored(sc, false, nil)
 }
 
 // RunForkReport is RunReport through the snapshot/fork path.
 func (h *Harness[K, D, R]) RunForkReport(sc scenario.Scenario) (Result, R) {
-	return h.runScored(sc, true)
+	return h.runScored(sc, true, nil)
 }
 
-// RunTraced executes the scenario cold with a trace recorder attached
-// for the measurement window and returns the oracle-event stream
-// alongside the result, in deterministic simulation order.
+// RunTraced executes the scenario cold with the measurement window
+// traced and returns the oracle-event stream alongside the result, in
+// deterministic simulation order.
 func (h *Harness[K, D, R]) RunTraced(sc scenario.Scenario) (Result, R, []oracle.Event) {
 	rec := oracle.NewRecorder()
 	res, rep := h.runScored(sc, false, rec)
@@ -169,8 +172,10 @@ func (h *Harness[K, D, R]) RunTracedFork(sc scenario.Scenario) (Result, R, []ora
 	return res, rep, rec.Events()
 }
 
-func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, pooled bool, extra ...oracle.Checker) (Result, R) {
-	res, rep := h.Execute(sc, true, pooled, extra...)
+// runScored is an attack run, scored, its window traced into rec when rec
+// is not nil.
+func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, pooled bool, rec *oracle.Recorder) (Result, R) {
+	res, rep := h.execute(sc, true, pooled, rec)
 	return h.score(sc, res), rep
 }
 
@@ -180,18 +185,22 @@ func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, pooled bool, extra ..
 // pooled checks the population's master out of the pool (building it when
 // none is free) and returns it afterwards; otherwise the run gets a
 // master of its own and drops it.
-func (h *Harness[K, D, R]) Execute(sc scenario.Scenario, attack, pooled bool, extra ...oracle.Checker) (Result, R) {
+func (h *Harness[K, D, R]) Execute(sc scenario.Scenario, attack, pooled bool) (Result, R) {
+	return h.execute(sc, attack, pooled, nil)
+}
+
+func (h *Harness[K, D, R]) execute(sc scenario.Scenario, attack, pooled bool, rec *oracle.Recorder) (Result, R) {
 	key := h.spec.Key(sc)
 	// A baseline's whole cost, including a master build it triggers, is
 	// the baseline phase's (measureBaseline times it); only attack runs
 	// accrue to the other phases.
 	build := func() D { return h.buildMaster(key, attack) }
 	if !pooled {
-		return h.forkRun(build(), sc, attack, extra...)
+		return h.forkRun(build(), sc, attack, rec)
 	}
 	d := h.masters.Acquire(key, build)
 	defer h.masters.Release(key, d)
-	return h.forkRun(d, sc, attack, extra...)
+	return h.forkRun(d, sc, attack, rec)
 }
 
 // buildMaster builds, warms up and captures the master for a key.
@@ -209,14 +218,15 @@ func (h *Harness[K, D, R]) buildMaster(key K, accrue bool) D {
 
 // forkRun rewinds a checked-out master to its capture, arms the scenario
 // and measures: the one execution path of every run.
-func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, extra ...oracle.Checker) (Result, R) {
+func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, rec *oracle.Recorder) (Result, R) {
 	budget := h.spec.StepBudget
 	if !attack {
 		budget = 0
 	}
 	forkStart := metrics.StartWatch()
 	d.Restore()
-	d.Arm(sc, attack, extra...)
+	d.Trace(rec)
+	d.Arm(sc, attack)
 	if attack {
 		h.phases.AddFork(forkStart.Elapsed())
 	}

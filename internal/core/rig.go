@@ -13,7 +13,7 @@ import (
 )
 
 // Rig is the deployment lifecycle every target shares (DESIGN.md §8): the
-// engine, network, oracles and message arena a deployment runs on, the
+// engine, network, oracle and message arena a deployment runs on, the
 // capture every run restores from, park, and the measurement window's
 // bookkeeping. A deployment embeds one, so Capture and Restore are the
 // Rig's. It registers its protocol state with Keep and whatever else park
@@ -22,24 +22,24 @@ import (
 type Rig struct {
 	Eng *sim.Engine
 	Net *simnet.Network
-	// Oracles are the target's checkers plus a coverage checker; all are
-	// Rewindable, so forked verdicts and digests equal cold ones.
-	Oracles *oracle.Set
+	// Oracle is the reference model every protocol event goes through; it
+	// rewinds with the capture, so forked verdicts and digests equal cold
+	// ones.
+	Oracle *oracle.Model
 	// Mem is the message arena the deployment carves from: Capture adopts
 	// the warm-up prefix, park hands the window's chunks back to the pool
 	// (DESIGN.md §15), and the pool lends the latency tail for one window.
 	Mem *slab.Arena
 
 	name  string // prefixes the error of a hung test
-	cov   *oracle.CoverageChecker
 	keeps []func() func()
 	parks []func()
 
-	// The capture: engine, network and oracles, and the restore of every
+	// The capture: engine, network and oracle, and the restore of every
 	// kept part.
 	eng      *sim.Snapshot
 	net      *simnet.NetSnapshot
-	oracles  []any
+	oracle   oracle.State
 	restores []func()
 
 	// The window: completions and latencies count only while it is open.
@@ -51,12 +51,11 @@ type Rig struct {
 }
 
 // NewRig returns a rig on a fresh engine seeded with seed, a network
-// configured by cfg and an arena leasing from pool; checkers are the
-// target's protocol oracles.
-func NewRig(name string, pool *slab.Pool, seed int64, cfg simnet.Config, checkers ...oracle.Checker) *Rig {
-	r := &Rig{name: name, Eng: sim.New(seed), cov: oracle.NewCoverage()}
+// configured by cfg, an arena leasing from pool, and an oracle naming its
+// invariants "<prefix>/…".
+func NewRig(name string, pool *slab.Pool, seed int64, cfg simnet.Config, prefix string) *Rig {
+	r := &Rig{name: name, Eng: sim.New(seed), Oracle: oracle.New(pool, prefix)}
 	r.Net = simnet.New(r.Eng, cfg)
-	r.Oracles = oracle.NewSet(append(checkers, r.cov)...)
 	r.Mem = slab.NewArena(pool, r.Eng.Stop)
 	return r
 }
@@ -67,12 +66,12 @@ func NewRig(name string, pool *slab.Pool, seed int64, cfg simnet.Config, checker
 func (r *Rig) Keep(capture func() (restore func())) { r.keeps = append(r.keeps, capture) }
 
 // OnPark registers what park hands back besides the window's memory and
-// the oracle tables.
+// the oracle's tables.
 func (r *Rig) OnPark(fn func()) { r.parks = append(r.parks, fn) }
 
 // Capture implements Deployment.
 func (r *Rig) Capture() {
-	r.eng, r.net, r.oracles = r.Eng.Snapshot(), r.Net.Snapshot(), r.Oracles.Snapshot()
+	r.eng, r.net, r.oracle = r.Eng.Snapshot(), r.Net.Snapshot(), r.Oracle.Snapshot()
 	for _, capture := range r.keeps {
 		r.restores = append(r.restores, capture())
 	}
@@ -84,7 +83,7 @@ func (r *Rig) Restore() {
 	r.park()
 	r.Eng.Restore(r.eng)
 	r.Net.Restore(r.net)
-	r.Oracles.Restore(r.oracles) // also detaches per-run checkers
+	r.Oracle.Restore(r.oracle) // also ends a trace
 	for _, restore := range r.restores {
 		restore()
 	}
@@ -92,7 +91,7 @@ func (r *Rig) Restore() {
 }
 
 // park ends a run: the window's message memory, what OnPark registered
-// and the oracle tables go back to the pool, so a parked master retains
+// and the oracle's tables go back to the pool, so a parked master retains
 // only what its capture references and the next fork — of this master or
 // any other — carves the same chunks. Nothing reads the window's objects
 // afterwards: the result is already extracted, and Restore overwrites
@@ -103,14 +102,17 @@ func (r *Rig) park() {
 	for _, fn := range r.parks {
 		fn()
 	}
-	r.Oracles.Park()
+	r.Oracle.Park()
 }
+
+// Trace implements Deployment: the oracle records the next window's
+// events into rec, until the next Restore.
+func (r *Rig) Trace(rec *oracle.Recorder) { r.Oracle.Trace(rec) }
 
 // Finish ends Measure: it sets the result's coverage digest and oracle
 // verdicts, then parks.
 func (r *Rig) Finish(res *Result) {
-	res.Coverage = r.cov.Digest()
-	res.Violations = r.Oracles.Finish()
+	res.Violations, res.Coverage = r.Oracle.Finish()
 	r.park()
 }
 

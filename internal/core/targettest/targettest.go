@@ -488,7 +488,8 @@ func (s Internals[W, K, D, R]) RunOnFromCapture(t *testing.T) {
 			fork := func(d D) traced[R] {
 				rec := oracle.NewRecorder()
 				d.Restore()
-				d.Arm(sc, true, rec)
+				d.Trace(rec)
+				d.Arm(sc, true)
 				res, rep := d.Measure(sc, tg.Measure, 0)
 				return traced[R]{res, rep, rec.Events()}
 			}

@@ -146,8 +146,7 @@ type regDeployment struct {
 func (t *regTarget) newDeployment(clients int64) *regDeployment {
 	t.builds.Add(1)
 	time.Sleep(t.buildDelay)
-	d := &regDeployment{t: t, Rig: core.NewRig("register", t.Pool(), 1, simnet.Config{BaseLatency: regLatency},
-		oracle.NewAgreementIn(t.Pool(), "register"))}
+	d := &regDeployment{t: t, Rig: core.NewRig("register", t.Pool(), 1, simnet.Config{BaseLatency: regLatency}, "register")}
 	d.junk = slab.NewSpan[byte](d.Mem)
 	d.Net.Handle(regPrimary, d.primary)
 	d.Net.Handle(regBackup, d.backup)
@@ -166,7 +165,7 @@ func (t *regTarget) newDeployment(clients int64) *regDeployment {
 func (d *regDeployment) apply(node int, w *regWrite) {
 	d.nodes[node].value = *w
 	d.nodes[node].version++
-	d.Oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: d.nodes[node].version, Digest: uint64(w.client)<<32 | w.seq})
+	d.Oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: d.nodes[node].version, Digest: uint64(w.client)<<32 | w.seq})
 }
 
 func (d *regDeployment) primary(from simnet.Addr, payload any) {
@@ -188,8 +187,7 @@ func (d *regDeployment) backup(_ simnet.Addr, payload any) {
 	d.Net.Send(regBackup, regPrimary, (*regAck)(w))
 }
 
-func (d *regDeployment) Arm(sc scenario.Scenario, attack bool, extra ...oracle.Checker) {
-	d.Oracles.Attach(extra...)
+func (d *regDeployment) Arm(sc scenario.Scenario, attack bool) {
 	d.attack = attack
 	if !attack {
 		return

@@ -19,13 +19,12 @@ type methodPair struct {
 
 var snapshotPairs = []methodPair{
 	{capture: "Snapshot", restore: "Restore"},
-	{capture: "SnapshotState", restore: "RestoreState"},
 	{capture: "Crash", restore: "Restart", union: true},
 }
 
 // NewSnapCover builds the snapshot-completeness analyzer. For every
-// struct type that has a Snapshot/Restore (or SnapshotState/RestoreState,
-// or Crash/Restart) method pair, each field must be
+// struct type that has a Snapshot/Restore (or Crash/Restart) method pair,
+// each field must be
 //
 //   - referenced in both methods (transitively through same-package
 //     helpers), so forks roll it back — or referenced in either for the

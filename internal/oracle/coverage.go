@@ -103,19 +103,13 @@ func covAbstractID(ev Event) uint32 {
 	return k<<covNodeBits | n
 }
 
-// CoverageChecker folds a run's event stream into its Coverage digest.
-// It reports no violations — it rides the oracle Set because the Set is
-// the one seam every event already flows through, on the cold path and
-// the forked path alike — and it is Rewindable, so snapshot/fork
-// execution rolls its observation state back with the rest of the
-// deployment and forked digests equal cold ones bit for bit.
-//
-// Like the shipped invariant checkers it indexes dense structures
-// instead of hashing into maps: the transition set is a lazily grown
-// bitmap and per-node commit counts are a slice, so the steady-state
-// Observe cost is a few indexed loads with zero allocation (the alloc
-// guard in perf_test.go covers it).
-type CoverageChecker struct {
+// fold is a Model's coverage state: it folds the event stream into the
+// run's Coverage digest. Like the invariant tables it indexes dense
+// structures instead of hashing into maps: the transition set is a bitmap
+// and per-node commit counts are a slice, both allocated at their full
+// clamped size up front — 8 KB for the bitmap, one word per clampable node
+// — so observe never grows them and costs a few indexed loads.
+type fold struct {
 	timeline  uint64
 	behaviors uint64 // XOR of covFeature hashes of the distinct transitions
 	count     uint32 // distinct transitions folded into behaviors
@@ -125,27 +119,15 @@ type CoverageChecker struct {
 	maxTerm   uint64
 }
 
-// NewCoverage returns an empty coverage checker. The dense structures
-// are allocated at their full clamped size up front — 8 KB for the
-// transition bitmap, one word per clampable node — so Observe never
-// grows them: construction costs a fixed three allocations and the
-// steady state costs zero.
-func NewCoverage() *CoverageChecker {
-	return &CoverageChecker{
+func newFold() fold {
+	return fold{
 		timeline: covOffset64,
 		edges:    make([]uint64, covMaxID*covMaxID/64),
 		commits:  make([]uint64, covMaxNode),
 	}
 }
 
-var _ Checker = (*CoverageChecker)(nil)
-var _ Rewindable = (*CoverageChecker)(nil)
-
-// Name implements Checker.
-func (c *CoverageChecker) Name() string { return "coverage" }
-
-// Observe implements Checker.
-func (c *CoverageChecker) Observe(ev Event) {
+func (c *fold) observe(ev Event) {
 	// Order-sensitive fold: mix the event's fields into one fingerprint
 	// (distinct odd multipliers keep the fields from cancelling), then
 	// xor-multiply it into the running hash. Any reordering, insertion
@@ -161,9 +143,6 @@ func (c *CoverageChecker) Observe(ev Event) {
 	if c.prev != 0 {
 		edge := (c.prev-1)*covMaxID + id
 		word, bit := edge>>6, edge&63
-		for int(word) >= len(c.edges) {
-			c.edges = append(c.edges, 0)
-		}
 		if c.edges[word]&(1<<bit) == 0 {
 			c.edges[word] |= 1 << bit
 			c.behaviors ^= covFeature(1, uint64(c.prev-1), uint64(id))
@@ -174,32 +153,17 @@ func (c *CoverageChecker) Observe(ev Event) {
 
 	switch ev.Kind {
 	case EventCommit:
-		n := 0
-		if ev.Node > 0 {
-			n = ev.Node
-			if n >= covMaxNode {
-				n = covMaxNode - 1
-			}
-		}
-		for n >= len(c.commits) {
-			c.commits = append(c.commits, 0)
-		}
-		c.commits[n]++
+		c.commits[min(max(ev.Node, 0), covMaxNode-1)]++
 	case EventLeader:
-		if ev.Term > c.maxTerm {
-			c.maxTerm = ev.Term
-		}
+		c.maxTerm = max(c.maxTerm, ev.Term)
 	}
 }
 
-// Finish implements Checker; coverage is feedback, not an invariant.
-func (c *CoverageChecker) Finish() []Violation { return nil }
-
-// Digest returns the run's coverage so far. The end-of-run bucket
+// digest returns the run's coverage so far. The end-of-run bucket
 // features (log2 of per-node commit counts, log2 of the maximum term)
-// are folded here rather than per event, so Observe never inserts a
+// are folded here rather than per event, so observe never inserts a
 // feature for every count increment.
-func (c *CoverageChecker) Digest() Coverage {
+func (c *fold) digest() Coverage {
 	b, n := c.behaviors, c.count
 	for node, cnt := range c.commits {
 		if cnt == 0 {
@@ -213,40 +177,4 @@ func (c *CoverageChecker) Digest() Coverage {
 		n++
 	}
 	return Coverage{Timeline: c.timeline, Behaviors: b, BehaviorCount: n}
-}
-
-// coverageState is the Rewindable capture of a CoverageChecker.
-type coverageState struct {
-	timeline  uint64
-	behaviors uint64
-	count     uint32
-	prev      uint32
-	edges     []uint64
-	commits   []uint64
-	maxTerm   uint64
-}
-
-// SnapshotState implements Rewindable.
-func (c *CoverageChecker) SnapshotState() any {
-	return &coverageState{
-		timeline:  c.timeline,
-		behaviors: c.behaviors,
-		count:     c.count,
-		prev:      c.prev,
-		edges:     append([]uint64(nil), c.edges...),
-		commits:   append([]uint64(nil), c.commits...),
-		maxTerm:   c.maxTerm,
-	}
-}
-
-// RestoreState implements Rewindable.
-func (c *CoverageChecker) RestoreState(v any) {
-	st := v.(*coverageState)
-	c.timeline = st.timeline
-	c.behaviors = st.behaviors
-	c.count = st.count
-	c.prev = st.prev
-	c.edges = append(c.edges[:0], st.edges...)
-	c.commits = append(c.commits[:0], st.commits...)
-	c.maxTerm = st.maxTerm
 }

@@ -3,22 +3,23 @@
 // scenario hurts the correct nodes, but not *which safety property*
 // broke: a throughput collapse and an agreement violation score alike.
 // Model-guided fuzzing of distributed systems (Gulcan et al., Meng &
-// Roychoudhury; see PAPERS.md) shows that explicit protocol oracles are
-// what make a degraded run actionable, so this package defines a small
-// observation vocabulary — commit, leadership — that both shipped
-// targets emit during execution, and Checkers that fold the per-run
-// event stream into structured Violations.
+// Roychoudhury; see PAPERS.md) checks every run against one abstract
+// model of the protocol, so this package defines a small observation
+// vocabulary — commit, leadership, crash, restart — that every shipped
+// target emits during execution, and one Model, the spec-level replicated
+// log, that folds a run's event stream into structured Violations and its
+// coverage digest.
 //
-// A Checker instance observes exactly one run: the deployment harness
-// creates fresh checkers per test (runs execute concurrently under
-// parallel engines), feeds them events from the simulation goroutine,
-// and asks Finish for the violations once the run ends. Violations
-// travel on core.Result, so explorers, checkpoints and the minimizer all
-// see which invariants a scenario provably breaks.
+// A deployment owns one Model for its lifetime and rewinds it with the
+// rest of its state before every run (DESIGN.md §8). Events arrive on the
+// simulation goroutine; Finish hands back the verdicts once the run ends.
+// Violations travel on core.Result, so explorers, checkpoints and the
+// minimizer all see which invariants a scenario provably breaks.
 package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"avd/internal/slab"
@@ -108,185 +109,46 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Invariant, v.Detail)
 }
 
-// Checker observes one run's event stream and reports the invariants it
-// saw broken. Implementations are not safe for concurrent use and must
-// not be reused across runs; Observe is called on the simulation
-// goroutine in event order, Finish once after the run ends.
-type Checker interface {
-	// Name identifies the checker in reports.
-	Name() string
-	// Observe folds one event into the checker's state.
-	Observe(ev Event)
-	// Finish flushes end-of-run checks and returns the violations found,
-	// in a deterministic order.
-	Finish() []Violation
-}
-
-// Rewindable is implemented by checkers that can take part in
-// snapshot/fork execution (DESIGN.md §8): SnapshotState captures the
-// checker's observation state at the warm point and RestoreState rolls
-// it back, so a forked run's Finish sees exactly what a cold run's
-// would. The state value is opaque to callers and owned by the checker.
-type Rewindable interface {
-	SnapshotState() any
-	RestoreState(st any)
-}
-
-// Set fans one event stream out to several checkers and concatenates
-// their findings in registration order. A Set is bound to one deployment
-// but — via Snapshot/Restore and per-run Attach — serves many runs when
-// the deployment executes forks from a warm snapshot.
-type Set struct {
-	checkers []Checker
-	base     int // checkers[:base] are deployment-bound; the rest per-run
-}
-
-// NewSet builds a set over the given checkers (nils are skipped).
-func NewSet(checkers ...Checker) *Set {
-	s := &Set{}
-	for _, c := range checkers {
-		if c != nil {
-			s.checkers = append(s.checkers, c)
-		}
-	}
-	s.base = len(s.checkers)
-	return s
-}
-
-// Observe feeds one event to every checker.
-func (s *Set) Observe(ev Event) {
-	for _, c := range s.checkers {
-		c.Observe(ev)
-	}
-}
-
-// Finish collects every checker's violations in registration order.
-func (s *Set) Finish() []Violation {
-	var out []Violation
-	for _, c := range s.checkers {
-		out = append(out, c.Finish()...)
-	}
-	return out
-}
-
-// Attach adds per-run checkers (e.g. a trace Recorder for one forked
-// run). Detach removes them again; the deployment-bound base set is
-// untouched.
-func (s *Set) Attach(extra ...Checker) {
-	for _, c := range extra {
-		if c != nil {
-			s.checkers = append(s.checkers, c)
-		}
-	}
-}
-
-// Detach removes every checker added by Attach.
-func (s *Set) Detach() {
-	for i := s.base; i < len(s.checkers); i++ {
-		s.checkers[i] = nil
-	}
-	s.checkers = s.checkers[:s.base]
-}
-
-// Snapshot captures the state of every base checker. It returns nil
-// entries for checkers that do not implement Rewindable; Restore skips
-// those (their post-fork state is then undefined — fork-capable
-// harnesses use rewindable checkers only).
-func (s *Set) Snapshot() []any {
-	out := make([]any, s.base)
-	for i, c := range s.checkers[:s.base] {
-		if r, ok := c.(Rewindable); ok {
-			out[i] = r.SnapshotState()
-		}
-	}
-	return out
-}
-
-// Restore rolls every base checker back to the paired Snapshot and
-// detaches any per-run checkers.
-func (s *Set) Restore(st []any) {
-	s.Detach()
-	for i, c := range s.checkers[:s.base] {
-		if st[i] == nil {
-			continue
-		}
-		c.(Rewindable).RestoreState(st[i])
-	}
-}
-
-// Park ends a run for the base checkers that hold run-sized tables: they
-// hand the tables to their scratch pool, since the next Restore rebuilds
-// them from the snapshot anyway.
-func (s *Set) Park() {
-	for _, c := range s.checkers[:s.base] {
-		if p, ok := c.(interface{ Park() }); ok {
-			p.Park()
-		}
-	}
-}
-
-// violationAgg aggregates repeated trips of one invariant: first witness
-// wins the Detail, later trips only bump the count. Runs that break
-// nothing never touch it, so it stays a small ordered slice.
-type violationAgg struct {
-	found []Violation
-}
-
-func newViolationAgg() violationAgg { return violationAgg{} }
-
-func (a *violationAgg) trip(invariant, detail string) {
-	for i := range a.found {
-		if a.found[i].Invariant == invariant {
-			a.found[i].Count++
-			return
-		}
-	}
-	a.found = append(a.found, Violation{Invariant: invariant, Detail: detail, Count: 1})
-}
-
-func (a *violationAgg) violations() []Violation {
-	out := make([]Violation, 0, len(a.found))
-	return append(out, a.found...)
-}
-
-// snapshot/restore support the fork path; the slice is tiny (one entry
-// per distinct invariant tripped).
-func (a *violationAgg) snapshot() []Violation { return append([]Violation(nil), a.found...) }
-func (a *violationAgg) restore(st []Violation) {
-	a.found = append(a.found[:0], st...)
-}
-
-// Agreement checks the safety core shared by both shipped protocols:
-// once any node commits a value at a log position, no node — including
-// itself — may commit a different value there.
+// Model is the spec-level model of a replicated log every target is
+// checked against, one per deployment. It keeps
 //
-//   - "<prefix>/agreement": two distinct nodes committed different
-//     digests at the same sequence number. For PBFT this is the paper's
-//     agreement property (no two correct replicas execute different
-//     batches at a sequence number); for Raft it is the Log Matching /
-//     State Machine Safety corollary over applied entries.
-//   - "<prefix>/durability": one node re-committed a different digest at
-//     a position it had already committed — a committed request was lost
-//     and overwritten in that node's history.
+//   - the first commit per log position: a different value committed
+//     there by another node is "<prefix>/agreement" (PBFT's agreement
+//     property; Raft's Log Matching / State Machine Safety corollary over
+//     applied entries);
+//   - each node's applied log: a node committing a different value at a
+//     position it already committed is "<prefix>/durability" — a
+//     committed entry was lost and overwritten in its history;
+//   - the first leader per term: a second node leading that term is
+//     "<prefix>/election-safety" (Raft §5.2). PBFT reports a view's
+//     leadership only from the view's primary, so it never trips there;
+//   - the coverage fold of the whole stream (coverage.go).
 //
-// Sequence numbers and node ids are small and dense in both shipped
-// protocols (seqs start at 1 and advance with execution), so the
-// checkers index flat slices instead of hashing into maps: observing a
-// commit is two indexed loads in the steady state, with zero allocation
-// once the slices have grown to the run's high-water mark (the alloc
-// guard in perf_test.go enforces this).
-type Agreement struct {
+// Log positions, terms and node ids are small and dense in every shipped
+// protocol, so the tables are flat slices rather than maps: observing an
+// event is a few indexed loads, with zero allocation once the slices have
+// grown to the run's high-water mark (perf_test.go's alloc guard).
+type Model struct {
 	prefix string
-	// first commit seen per seq: digest and the node that made it
-	// (node < 0 when the slot is empty).
-	commits []commitCell
-	// perNode tracks each node's own committed digests by seq, catching
-	// local overwrites even after a cross-node conflict already tripped.
-	perNode [][]digestCell
-	agg     violationAgg
-	// pool stocks the tables between runs (Park): they grow with the
+	// pool stocks the log tables between runs (Park): they grow with the
 	// window's sequence numbers, and a parked deployment needs none.
 	pool *slab.Pool
+	//avdlint:ephemeral one window's trace: Trace sets it, Restore drops it
+	rec *Recorder
+	st  State
+}
+
+// State is a Model's run state: the one a run folds events into, and the
+// copy Snapshot takes for Restore.
+type State struct {
+	commits []commitCell   // the first commit per seq
+	applied [][]digestCell // each node's applied log, by seq
+	leaders []int32        // the first leader per term; -1 = none yet
+	// found holds each tripped invariant once: election safety first, then
+	// the log invariants in first-trip order — the order checkpoint
+	// journals hold.
+	found []Violation
+	cov   fold
 }
 
 type commitCell struct {
@@ -300,191 +162,158 @@ type digestCell struct {
 	set    bool
 }
 
-// NewAgreement returns an agreement checker whose violations are named
-// "<prefix>/agreement" and "<prefix>/durability".
-func NewAgreement(prefix string) *Agreement {
-	return NewAgreementIn(new(slab.Pool), prefix)
+const electionSafety = "/election-safety"
+
+// New returns an empty model whose violations are named "<prefix>/…", its
+// parked tables stocked in pool — the one the deployments of a harness
+// share.
+func New(pool *slab.Pool, prefix string) *Model {
+	return &Model{prefix: prefix, pool: pool, st: State{cov: newFold()}}
 }
 
-// NewAgreementIn is NewAgreement with the parked tables stocked in pool —
-// the one the deployments of a harness Runner share — instead of a
-// private pool.
-func NewAgreementIn(pool *slab.Pool, prefix string) *Agreement {
-	return &Agreement{prefix: prefix, agg: newViolationAgg(), pool: pool}
-}
+// Trace records every event the model observes into rec until the next
+// Restore.
+func (m *Model) Trace(rec *Recorder) { m.rec = rec }
 
-// Park hands the tables to the pool; only RestoreState may follow. The
-// order mirrors RestoreState's borrows, so under one worker every table
-// gets its own backing array back.
-func (c *Agreement) Park() {
-	for i := len(c.perNode) - 1; i >= 0; i-- {
-		slab.Return(c.pool, c.perNode[i])
-		c.perNode[i] = nil
+// Observe folds one event into the model.
+func (m *Model) Observe(ev Event) {
+	if m.rec != nil {
+		m.rec.events = append(m.rec.events, ev)
 	}
-	c.perNode = c.perNode[:0]
-	if c.commits != nil {
-		slab.Return(c.pool, c.commits)
-		c.commits = nil
+	m.st.cov.observe(ev)
+	switch ev.Kind {
+	case EventCommit:
+		m.commit(ev)
+	case EventLeader:
+		m.lead(ev)
 	}
 }
 
-var _ Checker = (*Agreement)(nil)
-var _ Rewindable = (*Agreement)(nil)
-
-// Name implements Checker.
-func (c *Agreement) Name() string { return c.prefix + "/agreement" }
-
-// Observe implements Checker.
-func (c *Agreement) Observe(ev Event) {
-	if ev.Kind != EventCommit {
-		return
-	}
+func (m *Model) commit(ev Event) {
 	seq := int(ev.Seq)
-	for ev.Node >= len(c.perNode) {
-		c.perNode = append(c.perNode, nil)
+	for ev.Node >= len(m.st.applied) {
+		m.st.applied = append(m.st.applied, nil)
 	}
-	mine := c.perNode[ev.Node]
+	mine := m.st.applied[ev.Node]
 	for seq >= len(mine) {
 		mine = append(mine, digestCell{})
 	}
-	c.perNode[ev.Node] = mine
+	m.st.applied[ev.Node] = mine
 	if prev := mine[seq]; prev.set && prev.digest != ev.Digest {
-		c.agg.trip(c.prefix+"/durability", fmt.Sprintf(
+		m.trip("/durability", fmt.Sprintf(
 			"node %d overwrote its committed entry at seq %d: digest %#x replaced %#x",
 			ev.Node, ev.Seq, ev.Digest, prev.digest))
 	}
 	mine[seq] = digestCell{digest: ev.Digest, set: true}
-	for seq >= len(c.commits) {
-		c.commits = append(c.commits, commitCell{})
+	for seq >= len(m.st.commits) {
+		m.st.commits = append(m.st.commits, commitCell{})
 	}
-	w := c.commits[seq]
+	w := m.st.commits[seq]
 	if !w.set {
-		c.commits[seq] = commitCell{digest: ev.Digest, node: int32(ev.Node), set: true}
+		m.st.commits[seq] = commitCell{digest: ev.Digest, node: int32(ev.Node), set: true}
 		return
 	}
 	if w.digest != ev.Digest && int(w.node) != ev.Node {
-		c.agg.trip(c.prefix+"/agreement", fmt.Sprintf(
+		m.trip("/agreement", fmt.Sprintf(
 			"nodes %d and %d committed different values at seq %d: %#x vs %#x",
 			w.node, ev.Node, ev.Seq, w.digest, ev.Digest))
 	}
 }
 
-// Finish implements Checker.
-func (c *Agreement) Finish() []Violation { return c.agg.violations() }
-
-// agreementState is the Rewindable capture of an Agreement checker.
-type agreementState struct {
-	commits []commitCell
-	perNode [][]digestCell
-	agg     []Violation
-}
-
-// SnapshotState implements Rewindable.
-func (c *Agreement) SnapshotState() any {
-	st := &agreementState{
-		commits: append([]commitCell(nil), c.commits...),
-		perNode: make([][]digestCell, len(c.perNode)),
-		agg:     c.agg.snapshot(),
-	}
-	for i, mine := range c.perNode {
-		st.perNode[i] = append([]digestCell(nil), mine...)
-	}
-	return st
-}
-
-// RestoreState implements Rewindable.
-func (c *Agreement) RestoreState(v any) {
-	st := v.(*agreementState)
-	c.Park()
-	c.commits = append(slab.Borrow[commitCell](c.pool), st.commits...)
-	for _, mine := range st.perNode {
-		c.perNode = append(c.perNode, append(slab.Borrow[digestCell](c.pool), mine...))
-	}
-	c.agg.restore(st.agg)
-}
-
-// ElectionSafety checks Raft's Election Safety property: at most one
-// node assumes leadership in any given term (§5.2 of the Raft paper).
-type ElectionSafety struct {
-	prefix  string
-	leaders []int32 // term -> first node that led it (-1 = none yet)
-	agg     violationAgg
-}
-
-// NewElectionSafety returns an election-safety checker whose violation
-// is named "<prefix>/election-safety".
-func NewElectionSafety(prefix string) *ElectionSafety {
-	return &ElectionSafety{prefix: prefix, agg: newViolationAgg()}
-}
-
-var _ Checker = (*ElectionSafety)(nil)
-var _ Rewindable = (*ElectionSafety)(nil)
-
-// Name implements Checker.
-func (c *ElectionSafety) Name() string { return c.prefix + "/election-safety" }
-
-// Observe implements Checker.
-func (c *ElectionSafety) Observe(ev Event) {
-	if ev.Kind != EventLeader {
-		return
-	}
+func (m *Model) lead(ev Event) {
 	term := int(ev.Term)
-	for term >= len(c.leaders) {
-		c.leaders = append(c.leaders, -1)
+	for term >= len(m.st.leaders) {
+		m.st.leaders = append(m.st.leaders, -1)
 	}
-	first := c.leaders[term]
+	first := m.st.leaders[term]
 	if first < 0 {
-		c.leaders[term] = int32(ev.Node)
+		m.st.leaders[term] = int32(ev.Node)
 		return
 	}
 	if int(first) != ev.Node {
-		c.agg.trip(c.prefix+"/election-safety", fmt.Sprintf(
-			"nodes %d and %d both led term %d", first, ev.Node, ev.Term))
+		m.trip(electionSafety, fmt.Sprintf("nodes %d and %d both led term %d", first, ev.Node, ev.Term))
 	}
 }
 
-// Finish implements Checker.
-func (c *ElectionSafety) Finish() []Violation { return c.agg.violations() }
-
-// electionState is the Rewindable capture of an ElectionSafety checker.
-type electionState struct {
-	leaders []int32
-	agg     []Violation
+// trip records one breach of an invariant: its first witness is the
+// Detail, later ones only count.
+func (m *Model) trip(suffix, detail string) {
+	invariant := m.prefix + suffix
+	for i := range m.st.found {
+		if m.st.found[i].Invariant == invariant {
+			m.st.found[i].Count++
+			return
+		}
+	}
+	at := len(m.st.found)
+	if suffix == electionSafety {
+		at = 0
+	}
+	m.st.found = slices.Insert(m.st.found, at, Violation{Invariant: invariant, Detail: detail, Count: 1})
 }
 
-// SnapshotState implements Rewindable.
-func (c *ElectionSafety) SnapshotState() any {
-	return &electionState{leaders: append([]int32(nil), c.leaders...), agg: c.agg.snapshot()}
+// Finish returns the run's violations, nil when it broke nothing, and its
+// coverage digest.
+func (m *Model) Finish() ([]Violation, Coverage) {
+	return append([]Violation(nil), m.st.found...), m.st.cov.digest()
 }
 
-// RestoreState implements Rewindable.
-func (c *ElectionSafety) RestoreState(v any) {
-	st := v.(*electionState)
-	c.leaders = append(c.leaders[:0], st.leaders...)
-	c.agg.restore(st.agg)
+// Snapshot copies the run state for Restore.
+func (m *Model) Snapshot() State {
+	s := m.st
+	s.commits = slices.Clone(s.commits)
+	s.applied = make([][]digestCell, len(m.st.applied))
+	for i, log := range m.st.applied {
+		s.applied[i] = slices.Clone(log)
+	}
+	s.leaders = slices.Clone(s.leaders)
+	s.found = slices.Clone(s.found)
+	s.cov.edges, s.cov.commits = slices.Clone(s.cov.edges), slices.Clone(s.cov.commits)
+	return s
 }
 
-// Recorder captures the raw event stream of a run. It never reports
-// violations; it exists for golden-trace regression tests (a fixed
-// (seed, scenario) pair must reproduce its event trace bit-for-bit) and
-// for debugging minimized witnesses.
+// Restore rolls the model back to a Snapshot and ends any trace. The log
+// tables are borrowed from the pool; the rest is copied in place.
+func (m *Model) Restore(s State) {
+	m.Park()
+	m.rec = nil
+	m.st.commits = append(slab.Borrow[commitCell](m.pool), s.commits...)
+	for _, log := range s.applied {
+		m.st.applied = append(m.st.applied, append(slab.Borrow[digestCell](m.pool), log...))
+	}
+	m.st.leaders = append(m.st.leaders[:0], s.leaders...)
+	m.st.found = append(m.st.found[:0], s.found...)
+	edges, commits := append(m.st.cov.edges[:0], s.cov.edges...), append(m.st.cov.commits[:0], s.cov.commits...)
+	m.st.cov = s.cov
+	m.st.cov.edges, m.st.cov.commits = edges, commits
+}
+
+// Park ends a run: the log tables go back to the pool, since the next
+// Restore rebuilds them from the snapshot; only Restore may follow. The
+// order mirrors Restore's borrows, so under one worker every table gets
+// its own backing array back.
+func (m *Model) Park() {
+	for i := len(m.st.applied) - 1; i >= 0; i-- {
+		slab.Return(m.pool, m.st.applied[i])
+		m.st.applied[i] = nil
+	}
+	m.st.applied = m.st.applied[:0]
+	if m.st.commits != nil {
+		slab.Return(m.pool, m.st.commits)
+		m.st.commits = nil
+	}
+}
+
+// Recorder holds the raw event stream of one traced window (Model.Trace),
+// for golden-trace regression tests — a fixed (seed, scenario) pair must
+// reproduce its event trace bit for bit — and for debugging minimized
+// witnesses.
 type Recorder struct {
 	events []Event
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
-
-var _ Checker = (*Recorder)(nil)
-
-// Name implements Checker.
-func (r *Recorder) Name() string { return "recorder" }
-
-// Observe implements Checker.
-func (r *Recorder) Observe(ev Event) { r.events = append(r.events, ev) }
-
-// Finish implements Checker; a recorder has no invariants.
-func (r *Recorder) Finish() []Violation { return nil }
 
 // Events returns the recorded stream in observation order.
 func (r *Recorder) Events() []Event { return r.events }

@@ -3,113 +3,154 @@ package oracle
 import (
 	"reflect"
 	"testing"
+
+	"avd/internal/slab"
 )
+
+// verdictCase is one event stream and the exact violations a Model under
+// prefix must finish with.
+type verdictCase struct {
+	name   string
+	prefix string
+	events []Event
+	want   []Violation
+}
+
+func newModel(prefix string) *Model { return New(new(slab.Pool), prefix) }
+
+func checkVerdicts(t *testing.T, cases []verdictCase) {
+	t.Helper()
+	for _, tc := range cases {
+		m := newModel(tc.prefix)
+		for _, ev := range tc.events {
+			m.Observe(ev)
+		}
+		if got, _ := m.Finish(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\ngot  %v\nwant %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+func commit(node int, seq, digest uint64) Event {
+	return Event{Kind: EventCommit, Node: node, Seq: seq, Digest: digest}
+}
+
+func leader(node int, term uint64) Event { return Event{Kind: EventLeader, Node: node, Term: term} }
 
 // TestAgreementClean: a consistent commit history — every node the same
 // digest per seq, repeats included — raises nothing.
 func TestAgreementClean(t *testing.T) {
-	c := NewAgreement("pbft")
+	var agreed []Event
 	for seq := uint64(1); seq <= 5; seq++ {
 		for node := 0; node < 4; node++ {
-			c.Observe(Event{Kind: EventCommit, Node: node, Seq: seq, Digest: 100 + seq})
+			agreed = append(agreed, commit(node, seq, 100+seq))
 		}
 	}
-	// A late duplicate of an already-committed entry is not a violation.
-	c.Observe(Event{Kind: EventCommit, Node: 2, Seq: 3, Digest: 103})
-	if got := c.Finish(); len(got) != 0 {
-		t.Fatalf("clean history produced violations: %v", got)
-	}
+	checkVerdicts(t, []verdictCase{
+		{name: "every node commits the same digests", prefix: "pbft", events: agreed},
+		{name: "a late duplicate of a committed entry", prefix: "pbft",
+			events: append(agreed, commit(2, 3, 103))},
+		{name: "leaders of distinct terms", prefix: "pbft",
+			events: append([]Event{leader(0, 0), leader(1, 1)}, agreed...)},
+	})
 }
 
 // TestAgreementCrossNodeConflict: two nodes committing different digests
 // at one seq is the agreement violation, reported once with a count.
 func TestAgreementCrossNodeConflict(t *testing.T) {
-	c := NewAgreement("pbft")
-	c.Observe(Event{Kind: EventCommit, Node: 0, Seq: 7, Digest: 0xa})
-	c.Observe(Event{Kind: EventCommit, Node: 1, Seq: 7, Digest: 0xb})
-	c.Observe(Event{Kind: EventCommit, Node: 2, Seq: 7, Digest: 0xc})
-	got := c.Finish()
-	if len(got) != 1 {
-		t.Fatalf("want 1 aggregated violation, got %v", got)
-	}
-	v := got[0]
-	if v.Invariant != "pbft/agreement" {
-		t.Fatalf("invariant = %q", v.Invariant)
-	}
-	if v.Count != 2 {
-		t.Fatalf("count = %d, want 2 (nodes 1 and 2 each conflict with node 0)", v.Count)
-	}
-	if !Violated(got, "pbft/agreement") || Violated(got, "pbft/durability") {
-		t.Fatalf("Violated() misreports: %v", got)
-	}
+	checkVerdicts(t, []verdictCase{
+		{name: "nodes 1 and 2 each conflict with node 0", prefix: "pbft",
+			events: []Event{commit(0, 7, 0xa), commit(1, 7, 0xb), commit(2, 7, 0xc)},
+			want: []Violation{{Invariant: "pbft/agreement",
+				Detail: "nodes 0 and 1 committed different values at seq 7: 0xa vs 0xb", Count: 2}}},
+		{name: "a node's second value is its own durability breach, not agreement", prefix: "pbft",
+			events: []Event{commit(0, 7, 0xa), commit(0, 7, 0xb)},
+			want: []Violation{{Invariant: "pbft/durability",
+				Detail: "node 0 overwrote its committed entry at seq 7: digest 0xb replaced 0xa", Count: 1}}},
+	})
 }
 
 // TestAgreementDurability: one node overwriting its own committed entry
 // is the durability violation, distinct from cross-node agreement.
 func TestAgreementDurability(t *testing.T) {
-	c := NewAgreement("raft")
-	c.Observe(Event{Kind: EventCommit, Node: 3, Seq: 2, Digest: 0x1})
-	c.Observe(Event{Kind: EventCommit, Node: 3, Seq: 2, Digest: 0x2})
-	got := c.Finish()
-	if len(got) != 1 || got[0].Invariant != "raft/durability" {
-		t.Fatalf("want raft/durability, got %v", got)
-	}
+	checkVerdicts(t, []verdictCase{
+		{name: "overwrite", prefix: "raft",
+			events: []Event{commit(3, 2, 0x1), commit(3, 2, 0x2), commit(3, 2, 0x3)},
+			want: []Violation{{Invariant: "raft/durability",
+				Detail: "node 3 overwrote its committed entry at seq 2: digest 0x2 replaced 0x1", Count: 2}}},
+		{name: "overwrite after an agreement trip, in first-trip order", prefix: "raft",
+			events: []Event{commit(0, 4, 0x1), commit(1, 4, 0x2), commit(1, 4, 0x1)},
+			want: []Violation{
+				{Invariant: "raft/agreement", Detail: "nodes 0 and 1 committed different values at seq 4: 0x1 vs 0x2", Count: 1},
+				{Invariant: "raft/durability", Detail: "node 1 overwrote its committed entry at seq 4: digest 0x1 replaced 0x2", Count: 1},
+			}},
+	})
 }
 
 // TestElectionSafety: one leader per term is fine (repeated claims by the
-// same node included); a second node leading the same term trips.
+// same node included); a second node leading the same term trips, and
+// commits do not confuse the check.
 func TestElectionSafety(t *testing.T) {
-	c := NewElectionSafety("raft")
-	c.Observe(Event{Kind: EventLeader, Node: 0, Term: 1})
-	c.Observe(Event{Kind: EventLeader, Node: 0, Term: 1})
-	c.Observe(Event{Kind: EventLeader, Node: 1, Term: 2})
-	if got := c.Finish(); len(got) != 0 {
-		t.Fatalf("legal leadership history produced violations: %v", got)
-	}
-
-	c = NewElectionSafety("raft")
-	c.Observe(Event{Kind: EventLeader, Node: 0, Term: 5})
-	c.Observe(Event{Kind: EventLeader, Node: 2, Term: 5})
-	got := c.Finish()
-	if len(got) != 1 || got[0].Invariant != "raft/election-safety" {
-		t.Fatalf("want raft/election-safety, got %v", got)
-	}
-	// Commit events must not confuse the checker.
-	c.Observe(Event{Kind: EventCommit, Node: 9, Seq: 1, Term: 5, Digest: 1})
+	checkVerdicts(t, []verdictCase{
+		{name: "legal leadership history", prefix: "raft",
+			events: []Event{leader(0, 1), leader(0, 1), leader(1, 2), commit(9, 1, 1)}},
+		{name: "two leaders of term 5", prefix: "raft",
+			events: []Event{leader(0, 5), leader(2, 5), commit(9, 1, 1), leader(1, 5)},
+			want:   []Violation{{Invariant: "raft/election-safety", Detail: "nodes 0 and 2 both led term 5", Count: 2}}},
+	})
 }
 
-// TestSetFansOut: a Set feeds every checker and concatenates findings in
-// registration order.
-func TestSetFansOut(t *testing.T) {
-	set := NewSet(NewElectionSafety("raft"), nil, NewAgreement("raft"))
-	set.Observe(Event{Kind: EventLeader, Node: 0, Term: 3})
-	set.Observe(Event{Kind: EventLeader, Node: 1, Term: 3})
-	set.Observe(Event{Kind: EventCommit, Node: 0, Seq: 1, Digest: 0xaa})
-	set.Observe(Event{Kind: EventCommit, Node: 1, Seq: 1, Digest: 0xbb})
-	got := Names(set.Finish())
-	want := []string{"raft/agreement", "raft/election-safety"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("violated invariants = %v, want %v", got, want)
+// TestModelFinishOrder: Finish lists election safety first and the log
+// invariants after it in first-trip order, whatever order they tripped
+// in — the order checkpoint journals hold — with the first witness's
+// Detail and every trip's Count.
+func TestModelFinishOrder(t *testing.T) {
+	checkVerdicts(t, []verdictCase{
+		{name: "agreement trips before election safety", prefix: "raft",
+			events: []Event{
+				leader(0, 3), commit(0, 1, 0xaa), commit(1, 1, 0xbb),
+				leader(1, 3), commit(2, 1, 0xcc), commit(1, 1, 0xdd), leader(2, 3),
+			},
+			want: []Violation{
+				{Invariant: "raft/election-safety", Detail: "nodes 0 and 1 both led term 3", Count: 2},
+				{Invariant: "raft/agreement", Detail: "nodes 0 and 1 committed different values at seq 1: 0xaa vs 0xbb", Count: 3},
+				{Invariant: "raft/durability", Detail: "node 1 overwrote its committed entry at seq 1: digest 0xdd replaced 0xbb", Count: 1},
+			}},
+		{name: "durability trips before agreement", prefix: "register",
+			events: []Event{commit(1, 2, 0x1), commit(1, 2, 0x2), commit(0, 2, 0x3)},
+			want: []Violation{
+				{Invariant: "register/durability", Detail: "node 1 overwrote its committed entry at seq 2: digest 0x2 replaced 0x1", Count: 1},
+				{Invariant: "register/agreement", Detail: "nodes 1 and 0 committed different values at seq 2: 0x1 vs 0x3", Count: 1},
+			}},
+	})
+	m := newModel("raft")
+	m.Observe(leader(0, 1))
+	m.Observe(leader(1, 1))
+	got, _ := m.Finish()
+	if want := []string{"raft/election-safety"}; !reflect.DeepEqual(Names(got), want) || !Violated(got, want[0]) || Violated(got, "raft/agreement") {
+		t.Errorf("Names/Violated misreport %v", got)
 	}
 }
 
-// TestRecorder: the recorder preserves the stream verbatim and reports
-// no violations.
+// TestRecorder: a traced model records the stream verbatim, up to the
+// next Restore, and the events format as fixture lines.
 func TestRecorder(t *testing.T) {
-	r := NewRecorder()
+	m := newModel("raft")
+	snap := m.Snapshot()
+	rec := NewRecorder()
+	m.Trace(rec)
 	evs := []Event{
 		{Kind: EventLeader, Node: 1, Term: 1},
 		{Kind: EventCommit, Node: 1, Seq: 1, Term: 1, Digest: 42},
 		{Kind: EventCommit, Node: 0, Seq: 1, Term: 1, Digest: 42},
 	}
 	for _, ev := range evs {
-		r.Observe(ev)
+		m.Observe(ev)
 	}
-	if v := r.Finish(); v != nil {
-		t.Fatalf("recorder reported violations: %v", v)
-	}
-	if !reflect.DeepEqual(r.Events(), evs) {
-		t.Fatalf("recorded %v, want %v", r.Events(), evs)
+	m.Restore(snap)
+	m.Observe(Event{Kind: EventCrash, Node: 2})
+	if !reflect.DeepEqual(rec.Events(), evs) {
+		t.Fatalf("recorded %v, want %v", rec.Events(), evs)
 	}
 	if s := evs[0].String(); s != "leader node=1 term=1" {
 		t.Fatalf("leader event formats as %q", s)

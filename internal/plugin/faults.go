@@ -23,7 +23,7 @@ type FaultNode struct {
 type FaultSite struct {
 	Eng   *sim.Engine
 	Net   *simnet.Network
-	Obs   *oracle.Set // receives crash/restart markers for the coverage timeline
+	Obs   *oracle.Model // receives crash/restart markers for the coverage timeline
 	Nodes []FaultNode
 
 	// PickVictim chooses the node the crash-restart attacker strikes next,

@@ -453,11 +453,14 @@ func (p *OneWay) Mutate(parent scenario.Scenario, distance float64, rng *rand.Ra
 type NetFaults struct {
 	// Nodes bounds the sender-selector axis (the cluster size).
 	Nodes int64
+	// Corrupt and Dup select the mask axes the plugin exposes; an absent
+	// axis reads as mask 0, which arms nothing.
+	Corrupt, Dup bool
 }
 
 // NewNetFaults returns the plugin for an n-node cluster with 8-bit
 // corruption and duplication masks.
-func NewNetFaults(nodes int64) *NetFaults { return &NetFaults{Nodes: nodes} }
+func NewNetFaults(nodes int64) *NetFaults { return &NetFaults{Nodes: nodes, Corrupt: true, Dup: true} }
 
 var _ core.Plugin = (*NetFaults)(nil)
 
@@ -466,15 +469,19 @@ func (p *NetFaults) Name() string { return "netfaults" }
 
 // Dimensions implements core.Plugin.
 func (p *NetFaults) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimCorruptMask, Min: 0, Max: 255, Step: 1},
-		{Name: DimDupMask, Min: 0, Max: 255, Step: 1},
-		{Name: DimNetFaultFrom, Min: 0, Max: p.Nodes, Step: 1},
+	var dims []scenario.Dimension
+	if p.Corrupt {
+		dims = append(dims, scenario.Dimension{Name: DimCorruptMask, Min: 0, Max: 255, Step: 1})
 	}
+	if p.Dup {
+		dims = append(dims, scenario.Dimension{Name: DimDupMask, Min: 0, Max: 255, Step: 1})
+	}
+	return append(dims, scenario.Dimension{Name: DimNetFaultFrom, Min: 0, Max: p.Nodes, Step: 1})
 }
 
 // Mutate implements core.Plugin: like the MAC-corruption plugin, small
-// distances flip few mask bits, large distances rewrite the masks.
+// distances flip few mask bits, large distances rewrite the masks. The
+// duplication mask flips every time when it is the only mask.
 func (p *NetFaults) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
 	flip := func(mask int64) int64 {
 		nbits := 1 + int(distance*3)
@@ -483,8 +490,11 @@ func (p *NetFaults) Mutate(parent scenario.Scenario, distance float64, rng *rand
 		}
 		return mask
 	}
-	out := parent.With(DimCorruptMask, flip(parent.GetOr(DimCorruptMask, 0)))
-	if distance > 0.5 || rng.Float64() < 0.25 {
+	out := parent
+	if p.Corrupt {
+		out = out.With(DimCorruptMask, flip(out.GetOr(DimCorruptMask, 0)))
+	}
+	if p.Dup && (!p.Corrupt || distance > 0.5 || rng.Float64() < 0.25) {
 		out = out.With(DimDupMask, flip(out.GetOr(DimDupMask, 0)))
 	}
 	if rng.Float64() < 0.2 {

@@ -34,9 +34,8 @@ var _ core.Deployment[Report] = (*deployment)(nil)
 func (r *Runner) newDeployment(clients int64) *deployment {
 	w := r.w
 	d := &deployment{
-		Rig: core.NewRig("raftsim", r.Pool(), w.Seed, w.Net,
-			oracle.NewElectionSafety("raft"), oracle.NewAgreementIn(r.Pool(), "raft")),
-		w: w,
+		Rig: core.NewRig("raftsim", r.Pool(), w.Seed, w.Net, "raft"),
+		w:   w,
 	}
 	arena := NewArena(d.Mem)
 	d.Net.SetOwner(arena)
@@ -46,10 +45,10 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 		id := i
 		n, err := NewNode(i, w.Raft, d.Net,
 			WithLeadObserver(func(term uint64) {
-				d.Oracles.Observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
+				d.Oracle.Observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
 			}),
 			WithApplyObserver(func(index uint64, e Entry) {
-				d.Oracles.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
+				d.Oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
 			}),
 			WithArena(arena))
 		if err != nil {
@@ -63,7 +62,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	}
 
 	d.faults = plugin.FaultSite{
-		Eng: d.Eng, Net: d.Net, Obs: d.Oracles,
+		Eng: d.Eng, Net: d.Net, Obs: d.Oracle,
 		PickVictim: d.pickCrashVictim,
 		Crash: func(node int, keepDurable bool) bool {
 			d.nodes[node].Crash(keepDurable)
@@ -99,13 +98,11 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 	return d
 }
 
-// Arm activates the scenario's attackers and per-run checkers at
-// measurement start; withFaults=false strips the attackers (baseline).
-// The Raft protocol oracles — election safety, log-matching agreement
-// over applied entries, committed-entry durability — always observe the
-// run; extra checkers (e.g. a trace Recorder) join for the window.
-func (d *deployment) Arm(sc scenario.Scenario, withFaults bool, extra ...oracle.Checker) {
-	d.Oracles.Attach(extra...)
+// Arm activates the scenario's attackers at measurement start;
+// withFaults=false strips the attackers (baseline). The oracle — election
+// safety, log-matching agreement over applied entries, committed-entry
+// durability — observes every run.
+func (d *deployment) Arm(sc scenario.Scenario, withFaults bool) {
 	if !withFaults {
 		return
 	}

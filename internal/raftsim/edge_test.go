@@ -7,40 +7,30 @@ import (
 	"avd/internal/oracle"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
-// edgeCluster builds an N-node cluster with oracle checkers attached to
-// every node, ready to Start.
+// edgeCluster builds an N-node cluster whose every node feeds one oracle
+// model, ready to Start.
 type edgeCluster struct {
-	eng      *sim.Engine
-	net      *simnet.Network
-	nodes    []*Node
-	checkers []oracle.Checker
+	eng    *sim.Engine
+	net    *simnet.Network
+	nodes  []*Node
+	oracle *oracle.Model
 }
 
 func newEdgeCluster(t *testing.T, cfg Config, seed int64) *edgeCluster {
 	t.Helper()
-	c := &edgeCluster{
-		eng: sim.New(seed),
-		checkers: []oracle.Checker{
-			oracle.NewElectionSafety("raft"),
-			oracle.NewAgreement("raft"),
-		},
-	}
+	c := &edgeCluster{eng: sim.New(seed), oracle: oracle.New(new(slab.Pool), "raft")}
 	c.net = simnet.New(c.eng, simnet.Config{BaseLatency: 500 * time.Microsecond})
-	observe := func(ev oracle.Event) {
-		for _, ch := range c.checkers {
-			ch.Observe(ev)
-		}
-	}
 	for i := 0; i < cfg.N; i++ {
 		id := i
 		n, err := NewNode(i, cfg, c.net,
 			WithLeadObserver(func(term uint64) {
-				observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
+				c.oracle.Observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
 			}),
 			WithApplyObserver(func(index uint64, e Entry) {
-				observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
+				c.oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
 			}))
 		if err != nil {
 			t.Fatal(err)
@@ -58,11 +48,8 @@ func (c *edgeCluster) start() {
 
 func (c *edgeCluster) violations(t *testing.T) []oracle.Violation {
 	t.Helper()
-	var out []oracle.Violation
-	for _, ch := range c.checkers {
-		out = append(out, ch.Finish()...)
-	}
-	return out
+	v, _ := c.oracle.Finish()
+	return v
 }
 
 // isolate severs every link between node id and its peers (both

@@ -14,6 +14,7 @@ import (
 	"avd/internal/plugin"
 	"avd/internal/sim"
 	"avd/internal/simnet"
+	"avd/internal/slab"
 )
 
 // fanoutNet is the traffic shape the campaign workloads have, with the
@@ -181,34 +182,36 @@ func TestTimerResetAllocFree(t *testing.T) {
 // the steady state (slices grown to the run's high-water mark) observing
 // a commit or leadership event must not allocate.
 func BenchmarkSnapshotOracleObserve(b *testing.B) {
-	set := oracle.NewSet(oracle.NewAgreement("raft"), oracle.NewElectionSafety("raft"), oracle.NewCoverage())
+	model := oracle.New(new(slab.Pool), "raft")
 	for seq := uint64(1); seq <= 4096; seq++ {
 		for node := 0; node < 5; node++ {
-			set.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: seq, Digest: seq * 31})
+			model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: seq, Digest: seq * 31})
 		}
 	}
-	set.Observe(oracle.Event{Kind: oracle.EventLeader, Node: 1, Term: 64})
+	model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: 1, Term: 64})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq := uint64(i%4096 + 1)
-		set.Observe(oracle.Event{Kind: oracle.EventCommit, Node: i % 5, Seq: seq, Digest: seq * 31})
-		set.Observe(oracle.Event{Kind: oracle.EventLeader, Node: i % 5, Term: uint64(i % 64)})
+		model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: i % 5, Seq: seq, Digest: seq * 31})
+		model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: i % 64 % 5, Term: uint64(i % 64)})
 	}
 }
 
 // TestOracleObserveAllocFree is the hard assert behind the benchmark.
 func TestOracleObserveAllocFree(t *testing.T) {
-	set := oracle.NewSet(oracle.NewAgreement("pbft"), oracle.NewCoverage())
+	model := oracle.New(new(slab.Pool), "pbft")
 	for seq := uint64(1); seq <= 1024; seq++ {
 		for node := 0; node < 4; node++ {
-			set.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: seq, Digest: seq})
+			model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: seq, Digest: seq})
 		}
 	}
+	model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: 0, Term: 256})
 	seq := uint64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		seq = seq%1024 + 1
-		set.Observe(oracle.Event{Kind: oracle.EventCommit, Node: int(seq) % 4, Seq: seq, Digest: seq})
+		model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: int(seq) % 4, Seq: seq, Digest: seq})
+		model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: int(seq % 256 % 4), Term: seq % 256})
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state oracle Observe allocates %.1f objects per event, want 0", allocs)
