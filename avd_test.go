@@ -149,26 +149,6 @@ func TestPublicAPIParallelCampaign(t *testing.T) {
 	same("workers=4 across runs", runCampaign(t, newRunner(), newCtrl(), 8, 4), runCampaign(t, newRunner(), newCtrl(), 8, 4))
 }
 
-// TestPublicAPIGenetic exercises the genetic explorer on an Engine.
-func TestPublicAPIGenetic(t *testing.T) {
-	ga, err := core.NewGenetic(core.GeneticConfig{Seed: 1, Population: 6},
-		plugin.NewMACCorrupt(), plugin.NewClients())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := funcTarget{func(sc scenario.Scenario) core.Result {
-		return core.Result{Scenario: sc, Impact: float64(sc.GetOr(plugin.DimMACMask, 0)) / 4095}
-	}}
-	results := runCampaign(t, runner, ga, 30, 1)
-	if len(results) != 30 {
-		t.Fatalf("GA campaign ran %d tests, want 30", len(results))
-	}
-	best := core.BestSoFar(results)[len(results)-1]
-	if best.Impact <= 0 {
-		t.Error("GA made no progress on a trivial objective")
-	}
-}
-
 // TestPublicAPISweep checks parallel exhaustive sweeps on an Engine:
 // eight workers, results in grid order.
 func TestPublicAPISweep(t *testing.T) {

@@ -363,31 +363,6 @@ func BenchmarkAblationCrashModel(b *testing.B) {
 	b.ReportMetric(without.Throughput, "nocrash_rps")
 }
 
-// BenchmarkAblationGeneticVsHillClimb (A6) compares the paper's
-// hill-climbing controller with the genetic-algorithm alternative it
-// cites (§3), on equal budgets.
-func BenchmarkAblationGeneticVsHillClimb(b *testing.B) {
-	runner := benchRunner(b, benchWorkload())
-	plugins := []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
-	var hill, genetic float64
-	for i := 0; i < b.N; i++ {
-		ctrl, err := core.NewController(core.ControllerConfig{Seed: int64(i + 1), SeedTests: 8}, plugins...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r1 := runCampaign(b, runner, ctrl, 40, 1)
-		hill = core.BestSoFar(r1)[len(r1)-1].Impact
-		ga, err := core.NewGenetic(core.GeneticConfig{Seed: int64(i + 1), Population: 10}, plugins...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2 := runCampaign(b, runner, ga, 40, 1)
-		genetic = core.BestSoFar(r2)[len(r2)-1].Impact
-	}
-	b.ReportMetric(hill, "impact_hillclimb")
-	b.ReportMetric(genetic, "impact_genetic")
-}
-
 // --- Substrate scale ---------------------------------------------------------------
 
 // BenchmarkPBFTBaseline measures attack-free PBFT throughput at the

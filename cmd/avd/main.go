@@ -1,10 +1,10 @@
 // Command avd runs vulnerability discovery campaigns against a
 // simulated system under test: the paper's fitness-guided controller
-// (Algorithm 1), the random baseline, a genetic explorer, or the
-// coverage-guided explorer (timeline-hash feedback over a scenario
-// corpus), over any combination of the target's testing-tool plugins. The engine is
-// protocol-agnostic — the same search drives the PBFT deployment (the
-// paper's case study) or the Raft cluster (-target raft).
+// (Algorithm 1, with a novelty archive of behaviorally new scenarios) or
+// the random baseline, over any combination of the target's
+// testing-tool plugins. The engine is protocol-agnostic — the same
+// search drives the PBFT deployment (the paper's case study) or the Raft
+// cluster (-target raft).
 //
 // With -state the campaign is crash-safe: progress is journaled to a
 // durable checkpoint after every batch and the process resumes from it
@@ -119,13 +119,14 @@ func runCampaign(args []string) {
 		os.Exit(2)
 	}
 
+	// Both are pure functions of the flags: an error is a usage error.
 	var err error
 	if cfg.Shard, cfg.Shards, err = campaign.ParseShard(*shardSpec); err != nil {
-		fatal(err)
+		usageError(err)
 	}
 	setup, err := campaign.Build(cfg)
 	if err != nil {
-		fatal(err)
+		usageError(err)
 	}
 	target, space, explorer := setup.Target, setup.Space, setup.Explorer
 
@@ -231,9 +232,9 @@ func runCampaign(args []string) {
 	fmt.Printf("\n%s\n\n", wallLine(len(results), time.Since(start)))
 	if len(results) > 0 {
 		trace.SummarizeCampaign(os.Stdout, cfg.Strategy, results)
-		if cov, ok := explorer.(*core.CoverageExplorer); ok {
+		if ctrl, ok := explorer.(*core.Controller); ok {
 			fmt.Printf("  corpus: %d entries kept of %d distinct behavior sets observed\n",
-				cov.Corpus().Len(), cov.Corpus().Behaviors())
+				ctrl.Corpus().Len(), ctrl.Corpus().Behaviors())
 		}
 
 		best := topAttacks(results, *topN)
@@ -358,6 +359,13 @@ func writeHeapProfile(f *os.File) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "avd:", err)
 	os.Exit(1)
+}
+
+// usageError reports flags no campaign can run with and exits 2, as the
+// flag package does for a flag it cannot parse.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "avd:", err)
+	os.Exit(2)
 }
 
 // errorSuffix flags tests that degraded instead of completing: a hung

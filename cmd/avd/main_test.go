@@ -93,6 +93,30 @@ func TestMinrunsBelowOneRefused(t *testing.T) {
 	}
 }
 
+// TestBuildErrorsExitTwo: flags no campaign can be built from are a
+// usage error, exit status 2 like a flag that does not parse, and the
+// message names what the flag may be. They used to exit 1, the status of
+// a campaign that failed while it ran.
+func TestBuildErrorsExitTwo(t *testing.T) {
+	bin := buildAvd(t)
+	for _, tc := range []struct{ args, want []string }{
+		{[]string{"-strategy", "genetic"}, []string{`unknown strategy "genetic"`, "avd, random or coverage"}},
+		{[]string{"-target", "paxos"}, []string{`unknown target "paxos"`}},
+		{[]string{"-tests", "0"}, []string{"-tests 0"}},
+	} {
+		out, err := exec.Command(bin, append(tc.args, "-measure", "100ms", "-quiet")...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("avd %s: %v, want exit status 2:\n%s", strings.Join(tc.args, " "), err, out)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("avd %s: output does not name %q:\n%s", strings.Join(tc.args, " "), want, out)
+			}
+		}
+	}
+}
+
 // TestResumeAcrossShardPlansRefused: a state directory written when the
 // shard plan strode the largest axis (mac_mask) holds another sub-space's
 // results. A -shard 0/2 resume over it exits non-zero naming the shard

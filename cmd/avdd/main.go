@@ -70,7 +70,8 @@ func main() {
 	// -tests below 1, say) fail here once instead of in every restart.
 	setup, err := campaign.Build(cfg)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "avdd:", err)
+		os.Exit(2)
 	}
 	// -csv opens before any worker runs (and before the state directory
 	// exists), so a path that cannot be written fails at once.

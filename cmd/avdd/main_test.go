@@ -96,6 +96,25 @@ func TestZeroTestsRefusedBeforeWorkers(t *testing.T) {
 	}
 }
 
+// TestRetiredStrategyRefused: a flag Build rejects is a usage error, exit
+// status 2 like avdd's own, before a worker starts or the state
+// directory exists; it used to exit 1.
+func TestRetiredStrategyRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	avd, avdd := buildBinaries(t)
+	state := filepath.Join(t.TempDir(), "state")
+	out, err := exec.Command(avdd, "-worker", avd, "-state", state, "-strategy", "genetic").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "avd, random or coverage") {
+		t.Errorf("avdd -strategy genetic: %v, want exit status 2 naming the strategies:\n%s", err, out)
+	}
+	if _, err := os.Stat(state); !os.IsNotExist(err) {
+		t.Errorf("the refused run left a state directory behind (stat: %v)", err)
+	}
+}
+
 // TestKillStormBitIdentical is the tentpole's proof: a supervised
 // sharded campaign whose workers are SIGKILLed mid-run must produce a
 // merged campaign — results, violations, coverage digests, test counts

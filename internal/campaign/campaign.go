@@ -26,7 +26,7 @@ import (
 // Config mirrors the campaign flags both binaries accept.
 type Config struct {
 	Target     string        // pbft | raft
-	Strategy   string        // avd | random | genetic | coverage
+	Strategy   string        // avd | random | coverage (an alias of avd)
 	Tests      int           // per-process test budget
 	Seed       int64         // explorer seed
 	Measure    time.Duration // virtual measurement window per test
@@ -43,7 +43,7 @@ type Config struct {
 // one shard as -shard k/K, and avdd the shard count as -shards.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Target, "target", "pbft", "system under test: pbft | raft")
-	fs.StringVar(&c.Strategy, "strategy", "avd", "exploration strategy: avd | random | genetic | coverage")
+	fs.StringVar(&c.Strategy, "strategy", "avd", "exploration strategy: avd | random | coverage (coverage is avd under its older name)")
 	fs.IntVar(&c.Tests, "tests", 125, "test budget (per shard when sharded)")
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed (every shard derives its own deterministic stream)")
 	fs.DurationVar(&c.Measure, "measure", 1500*time.Millisecond, "virtual measurement window per test")
@@ -218,19 +218,16 @@ func newTarget(cfg Config, plugins []core.Plugin) (core.Target, error) {
 }
 
 // BuildExplorer constructs the named exploration strategy over a plugin
-// set and its composed space.
+// set and its composed space. "coverage" names the Controller too: its
+// novelty archive is the coverage-guided search that name once chose.
 func BuildExplorer(strategy string, seed int64, space *scenario.Space, plugins []core.Plugin) (core.Explorer, error) {
 	switch strategy {
-	case "avd":
+	case "avd", "coverage":
 		return core.NewController(core.ControllerConfig{Seed: seed, SeedTests: 10}, plugins...)
 	case "random":
 		return core.NewRandomExplorer(space, seed), nil
-	case "genetic":
-		return core.NewGenetic(core.GeneticConfig{Seed: seed}, plugins...)
-	case "coverage":
-		return core.NewCoverageExplorer(core.CoverageConfig{Seed: seed}, plugins...)
 	default:
-		return nil, fmt.Errorf("campaign: unknown strategy %q (want avd, random, genetic or coverage)", strategy)
+		return nil, fmt.Errorf("campaign: unknown strategy %q (want avd, random or coverage)", strategy)
 	}
 }
 

@@ -34,7 +34,7 @@ type harnessTarget interface {
 // set the CLIs accept, Build succeeds and hands back a full harness.
 func TestBuildTargetsAreFullHarnesses(t *testing.T) {
 	for _, target := range []string{"pbft", "raft"} {
-		for _, strategy := range []string{"avd", "random", "genetic", "coverage"} {
+		for _, strategy := range []string{"avd", "random", "coverage"} {
 			for _, faults := range []string{"", "crash", "skew,oneway", "corrupt,dup", "crash,skew,oneway,corrupt,dup"} {
 				setup, err := Build(Config{
 					Target: target, Strategy: strategy, Faults: faults,
@@ -219,6 +219,7 @@ func TestBuildErrors(t *testing.T) {
 	}{
 		"unknown target":         {func(c *Config) { c.Target = "paxos" }, `unknown target "paxos"`},
 		"unknown strategy":       {func(c *Config) { c.Strategy = "annealing" }, `unknown strategy "annealing"`},
+		"retired strategy":       {func(c *Config) { c.Strategy = "genetic" }, `unknown strategy "genetic" (want avd, random or coverage)`},
 		"unknown fault":          {func(c *Config) { c.Faults = "crash,gamma-ray" }, `unknown fault "gamma-ray"`},
 		"unknown plugin":         {func(c *Config) { c.Plugins = "clients,raftclients" }, `unknown pbft plugin "raftclients"`},
 		"shards beyond any axis": {func(c *Config) { c.Shards = 4097 }, `cannot split 4097 ways: largest axis "mac_mask" has only 4096 values`},
@@ -346,6 +347,9 @@ func masterKeys[K comparable, D any](each func(func(K, D))) map[string]bool {
 // masters that measure the baseline of a two-attacker test). Striding
 // mac_mask, as the plan did before it knew which axes are structural, the
 // PBFT pair built 65 masters and tested on 53, the raft pair 18 and 18.
+// The PBFT pair built 44 and tested on 39 while a stalled avd search drew
+// uniform random probes; its novelty-archive mutants stay closer to the
+// populations already built.
 func TestShardsPartitionPopulations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four real campaigns")
@@ -357,7 +361,7 @@ func TestShardsPartitionPopulations(t *testing.T) {
 		masters, tested int
 		keys            func(core.Target) map[string]bool
 	}{
-		{"pbft", 70, []string{plugin.DimCorrectClients, plugin.DimMaliciousClients}, 44, 39,
+		{"pbft", 70, []string{plugin.DimCorrectClients, plugin.DimMaliciousClients}, 41, 33,
 			func(t core.Target) map[string]bool { return masterKeys(t.(*cluster.Runner).EachMaster) }},
 		{"raft", 40, []string{raftsim.DimClients}, 10, 10,
 			func(t core.Target) map[string]bool { return masterKeys(t.(*raftsim.Runner).EachMaster) }},

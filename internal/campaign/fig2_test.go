@@ -21,13 +21,11 @@ import (
 //	go test ./internal/campaign -run TestPaperFigure2 -update
 func TestPaperFigure2(t *testing.T) {
 	if testing.Short() {
-		t.Skip("50 campaigns, ~1 min")
+		t.Skip("30 campaigns, ~40 s")
 	}
 	rows := []struct{ name, target, strategy string }{
 		{"pbft", "pbft", "avd"},
 		{"pbft", "pbft", "random"},
-		{"pbft", "pbft", "genetic"},
-		{"pbft", "pbft", "coverage"},
 		{"raft_leader_flap", "raft", "avd"},
 	}
 	lines := make([]string, len(rows))

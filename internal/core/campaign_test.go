@@ -3,21 +3,43 @@ package core
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
+	"avd/internal/oracle"
 	"avd/internal/scenario"
 )
 
 // pureRunner is a deterministic, concurrency-safe scenario scorer over
 // two dimensions; impact depends on both so feedback trajectories are
-// sensitive to ordering mistakes.
+// sensitive to ordering mistakes. Its coverage digest buckets x and y, so
+// the Controller's novelty archive admits entries and, once µ stalls,
+// schedules their mutants: a resume that rebuilt the archive wrongly
+// proposes differently.
 func pureRunner() Runner {
 	return RunnerFunc(func(sc scenario.Scenario) Result {
 		x := sc.GetOr("x", 0)
 		y := sc.GetOr("y", 0)
 		impact := float64((x*31+y*17)%1000) / 1000
-		return Result{Scenario: sc, Impact: impact, Throughput: 1000 * (1 - impact), BaselineThroughput: 1000}
+		bucket := x/128*4 + y/16
+		return Result{Scenario: sc, Impact: impact, Throughput: 1000 * (1 - impact), BaselineThroughput: 1000,
+			Coverage: oracle.Coverage{
+				Timeline:      uint64(x<<6|y) + 1,
+				Behaviors:     uint64(bucket) + 1,
+				BehaviorCount: uint32(bucket%5) + 1,
+			}}
 	})
+}
+
+// archiveTurns counts the results the novelty archive proposed.
+func archiveTurns(results []Result) int {
+	n := 0
+	for _, r := range results {
+		if strings.HasPrefix(r.Generator, "archive:") {
+			n++
+		}
+	}
+	return n
 }
 
 func twoDimPlugins() []Plugin {

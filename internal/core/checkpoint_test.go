@@ -176,9 +176,9 @@ func TestCheckpointDecodeErrors(t *testing.T) {
 // TestCheckpointEncodeReplayResume: the full durability path — run a
 // campaign partway, encode the checkpoint, decode it in a "fresh
 // process", and resume: the stitched campaign must equal an
-// uninterrupted one bit-for-bit.
+// uninterrupted one bit-for-bit, the novelty archive included.
 func TestCheckpointEncodeReplayResume(t *testing.T) {
-	const budget = 40
+	const budget = 80
 	space, err := Space(twoDimPlugins()...)
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +193,9 @@ func TestCheckpointEncodeReplayResume(t *testing.T) {
 	}()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if archiveTurns(uninterrupted[15:]) == 0 {
+		t.Fatal("the novelty archive proposed nothing after the resume point")
 	}
 
 	// First "process": run 15 tests, then encode.

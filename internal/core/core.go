@@ -12,7 +12,9 @@
 //	mutateDistance = 1 − parent.impact/µ
 //
 // and asks the plugin to mutate the parent by that distance. Children
-// already in Ω or Ψ are discarded.
+// already in Ω or Ψ are discarded. Every result whose behavior digest is
+// new to the campaign also joins a novelty archive (Corpus); once µ
+// stalls, every other proposal mutates an archive entry instead of Π.
 package core
 
 import (
@@ -156,9 +158,9 @@ type Explorer interface {
 
 // firstUnseen scans space in grid order for the first point whose
 // compact key is not in seen; ok is false only when every point has been
-// proposed. Explorers use it as the deterministic last resort once
-// rejection sampling keeps colliding, so they honor the Explorer
-// contract of reporting exhaustion only when the space is truly drained.
+// proposed. The Controller uses it as the deterministic last resort once
+// rejection sampling keeps colliding, so it honors the Explorer contract
+// of reporting exhaustion only when the space is truly drained.
 func firstUnseen(space *scenario.Space, seen map[scenario.CompactKey]bool) (scenario.Scenario, bool) {
 	var out scenario.Scenario
 	found := false
@@ -200,10 +202,10 @@ type ControllerConfig struct {
 	MaxGenerationRetries int
 	// StagnationWindow triggers diversification: after this many
 	// executed tests without µ improving, every other generated
-	// scenario is a fresh random probe (hill climbing with restarts —
-	// the "random shots" of the battleships analogy resume when
-	// exploitation stalls). Zero uses the default 12; negative disables
-	// diversification.
+	// scenario mutates a novelty-archive entry instead of a Π parent (a
+	// random probe while the archive is empty), so the search leaves an
+	// impact plateau along behavior it has not yet exploited. Zero uses
+	// the default 12; negative disables diversification.
 	StagnationWindow int
 }
 
@@ -243,8 +245,8 @@ type pendingMeta struct {
 	parentImpact float64
 }
 
-// Controller is the AVD test controller (Algorithm 1). It is not safe
-// for concurrent use.
+// Controller is the AVD test controller (Algorithm 1) with a novelty
+// archive (DESIGN.md §12). It is not safe for concurrent use.
 type Controller struct {
 	cfg     ControllerConfig
 	space   *scenario.Space
@@ -258,9 +260,10 @@ type Controller struct {
 	maxSeen  float64                             // µ
 	stats    []pluginStat
 	executed int
+	archive  *Corpus // results whose Behaviors digest was new to the campaign
 
 	// Diversification state: when exploitation stops improving µ, every
-	// other generated scenario becomes a random probe.
+	// other generated scenario mutates an archive entry.
 	lastImprovement int
 	probeToggle     bool
 }
@@ -283,38 +286,20 @@ func NewController(cfg ControllerConfig, plugins ...Plugin) (*Controller, error)
 		history: make(map[scenario.CompactKey]bool),
 		meta:    make(map[scenario.CompactKey]pendingMeta),
 		stats:   make([]pluginStat, len(plugins)),
+		archive: NewCorpus(),
 	}, nil
 }
 
 var _ Explorer = (*Controller)(nil)
 
-// SpaceOf returns the controller's composed hyperspace.
-func (c *Controller) SpaceOf() *scenario.Space { return c.space }
-
-// MaxImpact returns µ, the best impact observed so far.
-func (c *Controller) MaxImpact() float64 { return c.maxSeen }
-
-// Top returns a copy of Π.
-func (c *Controller) Top() []Result {
-	cp := make([]Result, len(c.top))
-	copy(cp, c.top)
-	return cp
-}
-
-// PluginWeights reports the current plugin sampling weights (for
-// inspection and tests).
-func (c *Controller) PluginWeights() map[string]float64 {
-	w := make(map[string]float64, len(c.plugins))
-	for i, p := range c.plugins {
-		w[p.Name()] = c.stats[i].weight()
-	}
-	return w
-}
+// Corpus returns the controller's novelty archive, for reporting.
+func (c *Controller) Corpus() *Corpus { return c.archive }
 
 // Next implements Explorer: it drains Ψ, refilling it via Algorithm 1
-// when empty.
+// when empty. Like RandomExplorer, it reports ok=false only once every
+// point of the space has been proposed.
 func (c *Controller) Next() (scenario.Scenario, string, bool) {
-	for attempt := 0; len(c.queue) == 0 && attempt < 4; attempt++ {
+	if len(c.queue) == 0 {
 		c.generate()
 	}
 	if len(c.queue) == 0 {
@@ -326,19 +311,24 @@ func (c *Controller) Next() (scenario.Scenario, string, bool) {
 	return sc, m.generator, true
 }
 
-// generate enqueues one new scenario (Algorithm 1 lines 1-7).
+// generate enqueues one new scenario (Algorithm 1 lines 1-7), or none
+// once the space is drained.
 func (c *Controller) generate() {
+	if uint64(len(c.history)) >= c.space.Size() {
+		return
+	}
 	// Bootstrap phase: random shots to learn the board.
 	if len(c.top) == 0 || c.executed < c.cfg.SeedTests {
 		c.enqueueRandom("seed")
 		return
 	}
-	// Diversification: exploitation has stagnated, alternate in global
-	// random probes so the search cannot sit on a local plateau forever.
+	// Diversification: exploitation has stagnated, so every other
+	// proposal follows novel behavior instead of impact and the search
+	// cannot sit on a local plateau forever.
 	if c.cfg.StagnationWindow > 0 && c.executed-c.lastImprovement > c.cfg.StagnationWindow {
 		c.probeToggle = !c.probeToggle
 		if c.probeToggle {
-			c.enqueueRandom("probe")
+			c.enqueueNovel()
 			return
 		}
 	}
@@ -347,35 +337,61 @@ func (c *Controller) generate() {
 		pluginIdx := c.samplePlugin()                                          // line 2
 		distance := 1 - parent.Impact/c.maxImpactSafe()                        // line 3
 		child := c.plugins[pluginIdx].Mutate(parent.Scenario, distance, c.rng) // line 4
-		key := child.Compact()
-		if c.history[key] { // line 5: not in Ω (which also covers Ψ and Π)
-			continue
+		m := pendingMeta{generator: "mutate:" + c.plugins[pluginIdx].Name(), pluginIdx: pluginIdx, parentImpact: parent.Impact}
+		if c.enqueue(child, m) { // lines 5-6: not in Ω (which also covers Ψ and Π)
+			return
 		}
-		c.history[key] = true
-		c.queue = append(c.queue, child) // line 6
-		c.meta[key] = pendingMeta{
-			generator:    "mutate:" + c.plugins[pluginIdx].Name(),
-			pluginIdx:    pluginIdx,
-			parentImpact: parent.Impact,
-		}
-		return
 	}
 	// The neighborhood of Π is exhausted; fall back to a random probe.
 	c.enqueueRandom("random")
 }
 
-func (c *Controller) enqueueRandom(generator string) {
-	for attempt := 0; attempt < c.cfg.MaxGenerationRetries*8; attempt++ {
-		sc := c.space.Random(c.rng)
-		key := sc.Compact()
-		if c.history[key] {
-			continue
+// enqueueNovel mutates an archive entry drawn by energy (Corpus.Pick),
+// or falls back to a random probe while the archive is empty or its
+// neighborhood keeps colliding. A fresh entry gets small steps around
+// the behavior it found; one drawn many times drifts further out. The
+// plugin is drawn uniformly and its child trains no fitness: the parent
+// was not chosen by impact, so the child's gain over it says nothing
+// about the plugin.
+func (c *Controller) enqueueNovel() {
+	for attempt := 0; c.archive.Len() > 0 && attempt < c.cfg.MaxGenerationRetries; attempt++ {
+		parent := c.archive.Pick(c.rng)
+		p := c.plugins[c.rng.Intn(len(c.plugins))]
+		distance := 0.1 + 0.2*c.rng.Float64() + 0.05*float64(min(parent.Picks, 8))
+		child := p.Mutate(parent.Result.Scenario, distance, c.rng)
+		if c.enqueue(child, pendingMeta{generator: "archive:" + p.Name(), pluginIdx: -1}) {
+			return
 		}
-		c.history[key] = true
-		c.queue = append(c.queue, sc)
-		c.meta[key] = pendingMeta{generator: generator, pluginIdx: -1}
-		return
 	}
+	c.enqueueRandom("probe")
+}
+
+// enqueueRandom proposes an unseen uniform-random point, scanning the
+// grid once rejection sampling keeps colliding (the space is then
+// nearly drained), so a proposal exists until every point has one.
+func (c *Controller) enqueueRandom(generator string) {
+	m := pendingMeta{generator: generator, pluginIdx: -1}
+	for attempt := 0; attempt < c.cfg.MaxGenerationRetries*8; attempt++ {
+		if c.enqueue(c.space.Random(c.rng), m) {
+			return
+		}
+	}
+	if sc, ok := firstUnseen(c.space, c.history); ok {
+		c.enqueue(sc, m)
+	}
+}
+
+// enqueue appends sc to Ψ unless it is already in Ω (Algorithm 1 lines
+// 5-6) and reports whether it did.
+func (c *Controller) enqueue(sc scenario.Scenario, m pendingMeta) bool {
+	key := sc.Compact()
+	if c.history[key] {
+		return false
+	}
+	c.history[key] = true
+	c.queue = append(c.queue, sc)
+	c.meta[key] = m
+	return true
 }
 
 func (c *Controller) maxImpactSafe() float64 {
@@ -427,10 +443,15 @@ func (c *Controller) samplePlugin() int {
 	return len(c.plugins) - 1
 }
 
-// Record implements Explorer: it folds an executed result into Π, µ and
-// the plugin fitness statistics.
+// Record implements Explorer: it folds an executed result into Π, µ,
+// the plugin fitness statistics and the novelty archive.
 func (c *Controller) Record(res Result) {
 	c.executed++
+	if res.Error == "" || res.Hung {
+		// A run that panicked measured nothing; a hung one (an event
+		// storm) still showed behavior.
+		c.archive.Add(res)
+	}
 	key := res.Scenario.Compact()
 	if m, ok := c.meta[key]; ok {
 		delete(c.meta, key)
@@ -529,9 +550,6 @@ func NewListExplorer(scs []scenario.Scenario) *ExhaustiveExplorer {
 }
 
 var _ Explorer = (*ExhaustiveExplorer)(nil)
-
-// Remaining returns how many scenarios are left.
-func (e *ExhaustiveExplorer) Remaining() int { return len(e.scenarios) - e.next }
 
 // Next implements Explorer.
 func (e *ExhaustiveExplorer) Next() (scenario.Scenario, string, bool) {

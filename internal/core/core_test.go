@@ -120,7 +120,7 @@ func TestMutateDistanceShrinksForGoodParents(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 9, SeedTests: 1, TopSetSize: 1})
 	peak := int64(2048)
 	// Feed a synthetic near-perfect parent.
-	sc := c.SpaceOf().New(map[string]int64{"x": peak})
+	sc := c.space.New(map[string]int64{"x": peak})
 	c.history[sc.Compact()] = true
 	c.Record(Result{Scenario: sc, Impact: 0.99})
 	c.executed = 50 // past the seeding phase
@@ -152,8 +152,8 @@ func TestMutateDistanceShrinksForGoodParents(t *testing.T) {
 func TestMutateDistanceLargeForPoorParents(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 10, SeedTests: 1, TopSetSize: 2})
 	// µ set by a good scenario; a poor parent also in Π.
-	good := c.SpaceOf().New(map[string]int64{"x": 100})
-	poor := c.SpaceOf().New(map[string]int64{"x": 3000})
+	good := c.space.New(map[string]int64{"x": 100})
+	poor := c.space.New(map[string]int64{"x": 3000})
 	c.history[good.Compact()] = true
 	c.history[poor.Compact()] = true
 	c.Record(Result{Scenario: good, Impact: 1.0})
@@ -196,9 +196,8 @@ func TestPluginFitnessGainShiftsSelection(t *testing.T) {
 		return Result{Scenario: sc, Impact: impact}
 	})
 	runEngine(t, c, runner, 250, 1)
-	w := c.PluginWeights()
-	if w["good"] <= w["bad"] {
-		t.Errorf("fitness weighting did not favor the useful plugin: good=%.4f bad=%.4f", w["good"], w["bad"])
+	if w := c.stats; w[0].weight() <= w[1].weight() {
+		t.Errorf("fitness weighting did not favor the useful plugin: good=%.4f bad=%.4f", w[0].weight(), w[1].weight())
 	}
 }
 
@@ -228,10 +227,10 @@ func TestTopSetBounded(t *testing.T) {
 	c := newTestController(t, ControllerConfig{Seed: 2, TopSetSize: 5})
 	runner := &peakRunner{peak: 500, width: 100}
 	runEngine(t, c, runner, 100, 1)
-	if len(c.Top()) > 5 {
-		t.Errorf("|Π| = %d exceeds configured 5", len(c.Top()))
+	top := c.top
+	if len(top) > 5 {
+		t.Errorf("|Π| = %d exceeds configured 5", len(top))
 	}
-	top := c.Top()
 	for i := 1; i < len(top); i++ {
 		if top[i].Impact > top[i-1].Impact {
 			t.Error("Π not sorted by impact descending")
@@ -249,7 +248,7 @@ func TestMaxImpactTracksMu(t *testing.T) {
 			want = r.Impact
 		}
 	}
-	if got := c.MaxImpact(); got != want {
+	if got := c.maxSeen; got != want {
 		t.Errorf("µ = %v, want %v", got, want)
 	}
 }
@@ -282,9 +281,6 @@ func TestExhaustiveExplorerCoversSpace(t *testing.T) {
 		scenario.Dimension{Name: "y", Min: 0, Max: 4, Step: 1},
 	)
 	ex := NewExhaustiveExplorer(space)
-	if ex.Remaining() != 50 {
-		t.Fatalf("Remaining = %d, want 50", ex.Remaining())
-	}
 	seen := make(map[string]bool)
 	for {
 		sc, _, ok := ex.Next()

@@ -29,8 +29,8 @@ func (e *CorpusEntry) weight() float64 {
 	return e.Energy * e.Energy / (1 + float64(e.Picks)/8)
 }
 
-// Corpus is the archive of coverage-guided exploration (DESIGN.md §12):
-// a run joins it when its behavior digest was never observed before in
+// Corpus is the Controller's novelty archive (DESIGN.md §12): a run
+// joins it when its behavior digest was never observed before in
 // the campaign, deduplicated by scenario identity via CompactKey.
 // Admission is the novelty test of greybox fuzzing — "keep an input iff
 // it reached new coverage" — transplanted to distributed-system
@@ -45,7 +45,6 @@ type Corpus struct {
 	entries    []CorpusEntry
 	byScenario map[scenario.CompactKey]bool
 	behaviors  map[uint64]bool // Behaviors digests observed campaign-wide
-	timelines  map[uint64]bool // Timeline digests observed campaign-wide
 }
 
 // NewCorpus returns an empty corpus.
@@ -53,7 +52,6 @@ func NewCorpus() *Corpus {
 	return &Corpus{
 		byScenario: make(map[scenario.CompactKey]bool),
 		behaviors:  make(map[uint64]bool),
-		timelines:  make(map[uint64]bool),
 	}
 }
 
@@ -63,15 +61,6 @@ func (c *Corpus) Len() int { return len(c.entries) }
 // Behaviors returns how many distinct behavior digests the campaign has
 // observed (admitted or not).
 func (c *Corpus) Behaviors() int { return len(c.behaviors) }
-
-// Timelines returns how many distinct exact timelines the campaign has
-// observed.
-func (c *Corpus) Timelines() int { return len(c.timelines) }
-
-// Entries returns a copy of the retained entries in admission order.
-func (c *Corpus) Entries() []CorpusEntry {
-	return append([]CorpusEntry(nil), c.entries...)
-}
 
 // Add folds one executed result into the campaign's coverage memory and
 // reports whether the scenario was admitted: its behavior digest must be
@@ -85,7 +74,6 @@ func (c *Corpus) Add(res Result) bool {
 	}
 	novel := !c.behaviors[cov.Behaviors]
 	c.behaviors[cov.Behaviors] = true
-	c.timelines[cov.Timeline] = true
 	if !novel {
 		return false
 	}
@@ -127,30 +115,10 @@ func corpusEnergy(res Result) float64 {
 	return e
 }
 
-// Best returns the entry with the highest current weight and charges a
-// pick to it, or nil for an empty corpus. This is the exploitation arm
-// of the explorer's schedule: repeatedly mutating the most promising
-// entry hill-climbs whatever its energy rewards (view churn, impact,
-// violations), while the pick decay rotates the crown among the top
-// entries instead of letting one monopolize the budget.
-func (c *Corpus) Best() *CorpusEntry {
-	if len(c.entries) == 0 {
-		return nil
-	}
-	best := &c.entries[0]
-	for i := 1; i < len(c.entries); i++ {
-		if c.entries[i].weight() > best.weight() {
-			best = &c.entries[i]
-		}
-	}
-	best.Picks++
-	return best
-}
-
 // Pick draws a mutation parent weighted by current energy (decayed by
 // prior picks) and charges the draw to the entry. It returns nil when
 // the corpus is empty. The returned pointer stays valid until the next
-// Add or Minimize.
+// Add.
 func (c *Corpus) Pick(rng *rand.Rand) *CorpusEntry {
 	if len(c.entries) == 0 {
 		return nil
@@ -170,47 +138,4 @@ func (c *Corpus) Pick(rng *rand.Rand) *CorpusEntry {
 	}
 	pick.Picks++
 	return pick
-}
-
-// Minimize shrinks the corpus in place, reusing the campaign minimizer:
-// each entry whose run proved a violation or measured positive impact is
-// delta-debugged to its minimal reproduction (Minimize re-runs reduced
-// variants through the runner), and entries whose minimal form no longer
-// contributes a distinct behavior digest are dropped. The campaign-wide
-// coverage memory is untouched — minimization compresses the archive, it
-// does not forget what was observed. Returns the re-executions spent.
-func (c *Corpus) Minimize(runner Runner, cfg MinimizeConfig) (int, error) {
-	runs := 0
-	kept := c.entries[:0]
-	seen := make(map[uint64]bool, len(c.entries))
-	for i := range c.entries {
-		e := c.entries[i]
-		if len(e.Result.Violations) > 0 || e.Result.Impact > 0 {
-			m, err := Minimize(runner, e.Result, cfg)
-			if err != nil {
-				c.entries = append(kept, c.entries[i:]...)
-				c.reindex()
-				return runs, err
-			}
-			runs += m.Runs
-			e.Result = m.Minimal
-		}
-		if seen[e.Result.Coverage.Behaviors] {
-			continue // an earlier minimal entry already covers this behavior set
-		}
-		seen[e.Result.Coverage.Behaviors] = true
-		kept = append(kept, e)
-	}
-	c.entries = kept
-	c.reindex()
-	return runs, nil
-}
-
-// reindex rebuilds the scenario-dedup index after entries were replaced
-// by their minimal forms.
-func (c *Corpus) reindex() {
-	c.byScenario = make(map[scenario.CompactKey]bool, len(c.entries))
-	for i := range c.entries {
-		c.byScenario[c.entries[i].Result.Scenario.Compact()] = true
-	}
 }

@@ -29,13 +29,14 @@ func engineSpace(t *testing.T) *scenario.Space {
 
 // TestDurableResume: a campaign journaled to a durable checkpoint,
 // killed (simulated by just dropping the handle) and resumed must be
-// bit-identical to an uninterrupted run of the same seed.
+// bit-identical to an uninterrupted run of the same seed, with the
+// Controller's novelty archive proposing after the resume point.
 func TestDurableResume(t *testing.T) {
 	space := engineSpace(t)
 	path := durablePath(t)
 
 	// Uninterrupted reference.
-	ref, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(40), WithWorkers(2))
+	ref, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(80), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +44,15 @@ func TestDurableResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if archiveTurns(refResults[15:]) == 0 {
+		t.Fatal("the novelty archive proposed nothing after the resume point")
+	}
 	refFP, err := FingerprintResults(refResults)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// First leg: 15 of the 40 tests, then the process "dies" without
+	// First leg: 15 of the 80 tests, then the process "dies" without
 	// Close — the journal alone must carry the progress.
 	d1, info, err := OpenDurable(path, space)
 	if err != nil {
@@ -77,7 +81,7 @@ func TestDurableResume(t *testing.T) {
 	if info.JournalResults == 0 {
 		t.Fatalf("expected journal frames to carry the un-snapshotted results: %s", info)
 	}
-	leg2, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(40), WithWorkers(2), WithDurable(d2))
+	leg2, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(80), WithWorkers(2), WithDurable(d2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +105,7 @@ func TestDurableResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 40 || info.JournalFrames != 0 || info.TornTail {
+	if len(results) != 80 || info.JournalFrames != 0 || info.TornTail {
 		t.Fatalf("after Close: %d results, %s", len(results), info)
 	}
 }
@@ -272,7 +276,7 @@ func TestDecodeCheckpointTypedErrors(t *testing.T) {
 
 	var ckErr *CheckpointError
 	t.Run("torn tail", func(t *testing.T) {
-		torn := full[:len(full)-10] // cut inside the last r line
+		torn := full[:strings.LastIndex(full, "\nr ")+10] // cut inside the last r line
 		_, err := DecodeCheckpoint(strings.NewReader(torn), space)
 		if !errors.As(err, &ckErr) || ckErr.Kind != CheckpointTornTail {
 			t.Fatalf("got %v, want CheckpointTornTail", err)

@@ -122,8 +122,8 @@ func WithBudget(n int) EngineOption {
 }
 
 // WithExplorer drives the campaign with an explicit explorer (a
-// Controller, Genetic, RandomExplorer, ExhaustiveExplorer, ...) instead
-// of the default Controller built over the target's plugins.
+// Controller, RandomExplorer or ExhaustiveExplorer) instead of the
+// default Controller built over the target's plugins.
 func WithExplorer(ex Explorer) EngineOption {
 	return func(c *engineConfig) { c.explorer = ex }
 }

@@ -70,9 +70,12 @@ func newEngineController(t *testing.T, seed int64) Explorer {
 
 // TestEngineWorkers1MatchesCampaign: the engine's serial path must
 // reproduce the paper's serial loop bit-for-bit — results, generators,
-// impacts and explorer feedback sequence.
+// impacts and explorer feedback sequence, archive proposals included.
 func TestEngineWorkers1MatchesCampaign(t *testing.T) {
 	want := serialLoop(newEngineController(t, 42), pureRunner(), 80)
+	if archiveTurns(want) == 0 {
+		t.Fatal("the novelty archive proposed nothing")
+	}
 
 	eng, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 42)), WithBudget(80), WithWorkers(1))
 	if err != nil {

@@ -316,18 +316,13 @@ func (s Spec[W, R]) QueueHooks(t *testing.T, group string) {
 }
 
 // QueueHooksCampaign: with either queue hook on, a 30-test all-faults
-// coverage campaign comes back result for result as shipped.
+// campaign comes back result for result as shipped.
 func (s Spec[W, R]) QueueHooksCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three 30-test campaigns")
 	}
 	campaign := func() []core.Result {
-		tg := s.New(t, s.Campaign)
-		explorer, err := core.NewCoverageExplorer(core.CoverageConfig{Seed: 1}, tg.Plugins()...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return runAll(t, tg, 30, core.WithExplorer(explorer))
+		return runAll(t, s.New(t, s.Campaign), 30, core.WithSeed(1))
 	}
 	want := campaign()
 	hung := 0

@@ -4,9 +4,9 @@
 //
 // Its purpose in this repository is architectural: the paper's
 // controller is system-agnostic, and raftsim proves the core.Target seam
-// is real — the same Controller/Genetic explorers that find the Big MAC
-// attack against PBFT find election-storm scenarios against Raft without
-// a single line of search code changing. The attack surface exposed here
+// is real — the same Controller that finds the Big MAC attack against
+// PBFT finds election-storm scenarios against Raft without a single line
+// of search code changing. The attack surface exposed here
 // is a network-level attacker who can periodically isolate the current
 // leader (the LeaderFlap plugin): flapping the leader at the right
 // cadence keeps the cluster in perpetual elections, collapsing the
