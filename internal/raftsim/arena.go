@@ -105,7 +105,10 @@ func (a *Arena) Release(payload any) {
 // message. Corruptions perturb protocol claims — log-state
 // advertisements, consistency-check coordinates, vote/ack verdicts —
 // rather than forging identities, modelling bit rot the transport failed
-// to catch. Client traffic is left alone (it has its own fault tools).
+// to catch. Client traffic is left alone (it has its own fault tools). An
+// append reply's verdict flips to a reject and it keeps its PrevLogIndex
+// and LastLogIndex, so a garbled ack rejects the very append it answers
+// (DESIGN.md §10 has what the leader makes of such a reject).
 //
 // A message whose one delivery is its only holder (a fresh single-
 // recipient message, the common case) is garbled in place and stays

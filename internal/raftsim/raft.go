@@ -155,13 +155,18 @@ type AppendEntries struct {
 	holders slab.Holders // see Arena
 }
 
-// AppendEntriesReply answers an AppendEntries.
+// AppendEntriesReply answers an AppendEntries. MatchIndex is, on success,
+// the last index the append verified; PrevLogIndex is the append's, the
+// index a reject rejects; LastLogIndex is the follower's log length, the
+// hint where its log ends.
 type AppendEntriesReply struct {
-	Term       uint64
-	From       int
-	MatchIndex uint64
-	Success    bool
-	holders    slab.Holders // see Arena
+	Term         uint64
+	From         int
+	MatchIndex   uint64
+	PrevLogIndex uint64
+	LastLogIndex uint64
+	Success      bool
+	holders      slab.Holders // see Arena
 }
 
 // ClientRequest is a client's closed-loop request addressed to the node
@@ -255,6 +260,11 @@ type Node struct {
 	votes      uint64
 	nextIndex  []uint64
 	matchIndex []uint64
+	// replicating is a leader's progress state per follower, a presence
+	// mask like votes: set, the follower is in replicate (nextIndex runs
+	// ahead of what it acked, one batch in flight); clear, in probe
+	// (nextIndex waits for an ack or a heartbeat).
+	replicating uint64
 	// termStart is where the log's trailing run of current-term entries
 	// begins, fixed on taking office: advanceCommit commits from it up.
 	termStart uint64
@@ -405,6 +415,7 @@ func (n *Node) Restart() {
 	n.role = follower
 	n.leader = -1
 	n.votes = 0
+	n.replicating = 0
 	n.commit = 0
 	n.applied = 0
 	for i := range n.nextIndex {
@@ -495,6 +506,7 @@ func (n *Node) becomeLeader() {
 		n.nextIndex[i] = lastIdx + 1
 		n.matchIndex[i] = 0
 	}
+	n.replicating = 0 // every follower starts in probe
 	n.matchIndex[n.id] = lastIdx
 	n.termStart = lastIdx + 1
 	for n.termStart > 1 && n.log[n.termStart-2].Term == n.term {
@@ -514,20 +526,26 @@ func (n *Node) onHeartbeat() {
 }
 
 // broadcastAppend sends each follower the entries from its nextIndex
-// (empty when caught up: a pure heartbeat).
+// (empty when caught up: a pure heartbeat). A follower in replicate with
+// entries unacknowledged gets them again from matchIndex+1: the batch or
+// its ack was lost.
 func (n *Node) broadcastAppend() {
 	for peer := 0; peer < n.cfg.N; peer++ {
 		if peer != n.id {
+			if n.replicating&(1<<uint(peer)) != 0 {
+				n.nextIndex[peer] = n.matchIndex[peer] + 1
+			}
 			n.sendAppend(peer)
 		}
 	}
 }
 
+// sendAppend sends peer the entries from its nextIndex on. In replicate
+// nextIndex moves past them at once, so the next batch waits for their ack
+// (onAppendEntriesReply); in probe it stays, and the entries go again with
+// the next reply or heartbeat.
 func (n *Node) sendAppend(peer int) {
-	next := n.nextIndex[peer]
-	if next < 1 {
-		next = 1
-	}
+	next := max(n.nextIndex[peer], 1)
 	prevIdx := next - 1
 	var prevTerm uint64
 	if prevIdx > 0 {
@@ -538,6 +556,9 @@ func (n *Node) sendAppend(peer int) {
 		// Alias, don't copy: indices up to last are now read-only (shared).
 		entries = n.log[prevIdx:last:last]
 		n.shared = last
+		if n.replicating&(1<<uint(peer)) != 0 {
+			n.nextIndex[peer] = last + 1
+		}
 	}
 	// Field by field, not a literal: AppendEntries is eight words, over the
 	// four the compiler keeps in registers, so a literal is built on the
@@ -612,7 +633,7 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 		n.stepDown(m.Term)
 	}
 	if m.Term < n.term {
-		n.sendAppendReply(int(m.Leader), false, 0)
+		n.sendAppendReply(m, false, 0)
 		return
 	}
 	n.leader = int(m.Leader)
@@ -621,7 +642,7 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 	if m.PrevLogIndex > 0 {
 		if uint64(len(n.log)) < m.PrevLogIndex || n.log[m.PrevLogIndex-1].Term != m.PrevLogTerm {
 			n.stats.AppendsRejected++
-			n.sendAppendReply(int(m.Leader), false, 0)
+			n.sendAppendReply(m, false, 0)
 			return
 		}
 	}
@@ -638,16 +659,13 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 			n.log = append(n.log, e)
 		}
 	}
-	if m.LeaderCommit > n.commit {
-		last := uint64(len(n.log))
-		if m.LeaderCommit < last {
-			n.commit = m.LeaderCommit
-		} else {
-			n.commit = last
-		}
+	// Commit no further than the append verified (Raft Figure 2: "index of
+	// last new entry"): a stale tail past idx may not match the leader's.
+	if c := min(m.LeaderCommit, idx); c > n.commit {
+		n.commit = c
 		n.applyCommitted()
 	}
-	n.sendAppendReply(int(m.Leader), true, idx)
+	n.sendAppendReply(m, true, idx)
 }
 
 // truncate cuts the log to its first keep entries: in place above the
@@ -659,17 +677,18 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 func (n *Node) truncate(keep uint64) {
 	if keep < n.shared {
 		n.retired = append(n.retired, n.log)
-		n.log, n.shared = append(slab.Borrow[Entry](n.mem.pool), n.log[:keep]...), 0
+		n.log, n.shared = append(slab.BorrowLargest[Entry](n.mem.pool), n.log[:keep]...), 0
 	}
 	n.log = n.log[:keep]
 }
 
-// sendAppendReply answers an AppendEntries from the reply slab.
-func (n *Node) sendAppendReply(leader int, success bool, matchIdx uint64) {
+// sendAppendReply answers m from the reply slab.
+func (n *Node) sendAppendReply(m *AppendEntries, success bool, matchIdx uint64) {
 	rep := n.mem.appendReplies.Get()
-	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx}
+	*rep = AppendEntriesReply{Term: n.term, From: n.id, Success: success, MatchIndex: matchIdx,
+		PrevLogIndex: m.PrevLogIndex, LastLogIndex: uint64(len(n.log))}
 	n.mem.share(&rep.holders)
-	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(leader), rep)
+	n.net.SendOwned(simnet.Addr(n.id), simnet.Addr(m.Leader), rep)
 }
 
 // sendClientReply answers a ClientRequest from the reply slab.
@@ -688,11 +707,33 @@ func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {
 	if n.role != leader || m.Term != n.term {
 		return
 	}
+	p, bit := m.From, uint64(1)<<uint(m.From)
+	match, next := n.matchIndex[p], n.nextIndex[p]
 	if !m.Success {
-		if n.nextIndex[m.From] > 1 {
-			n.nextIndex[m.From]--
+		probe := n.replicating&bit == 0
+		if m.PrevLogIndex <= match {
+			// Not a conflict: the follower acked that index. The exchange
+			// was lost or garbled (or the follower lost its state), so the
+			// leader replicates from matchIndex+1: in replicate it rewinds,
+			// and the next request, ack or heartbeat sends; in probe it
+			// moves to replicate and sends once. A copy a dup fault
+			// delivers finds the follower in replicate and only rewinds.
+			n.nextIndex[p] = match + 1
+			if probe {
+				n.replicating |= bit
+				n.sendAppend(p)
+			}
+			return
 		}
-		n.sendAppend(m.From)
+		if probe && m.PrevLogIndex != next-1 {
+			return // an older probe's, as etcd's Progress.MaybeDecrTo tells
+		}
+		// A conflict: probe back to where the logs can match. nextIndex
+		// moves to at most the rejected index, so a copy of this reject is
+		// stale.
+		n.nextIndex[p] = max(min(m.PrevLogIndex, m.LastLogIndex+1), match+1)
+		n.replicating &^= bit
+		n.sendAppend(p)
 		return
 	}
 	if m.MatchIndex > uint64(len(n.log)) {
@@ -701,10 +742,21 @@ func (n *Node) onAppendEntriesReply(m *AppendEntriesReply) {
 		n.stats.AcksRefused++
 		return
 	}
-	if m.MatchIndex > n.matchIndex[m.From] {
-		n.matchIndex[m.From] = m.MatchIndex
-		n.nextIndex[m.From] = m.MatchIndex + 1
+	if m.MatchIndex < match {
+		return // an older append's
+	}
+	if m.MatchIndex > match {
+		match = m.MatchIndex
+		n.matchIndex[p] = match
 		n.advanceCommit()
+	}
+	if n.replicating&bit == 0 || next <= match {
+		n.replicating |= bit
+		n.nextIndex[p] = match + 1
+	}
+	// The ack that empties the pipe sends the next batch.
+	if n.nextIndex[p] == match+1 && uint64(len(n.log)) > match {
+		n.sendAppend(p)
 	}
 }
 
@@ -766,15 +818,22 @@ func (n *Node) onClientRequest(m *ClientRequest) {
 		n.sendClientReply(m.Client, m.Seq, true, n.id)
 		return
 	}
-	// Already in flight: the apply path will answer.
-	if m.Seq <= seqAt(n.pending, m.Client) {
-		return
+	// A retransmission of a request in flight says its entry has not
+	// committed yet; the apply path will answer it.
+	if m.Seq > seqAt(n.pending, m.Client) {
+		seqPut(&n.pending, m.Client, m.Seq)
+		n.log = append(n.log, Entry{Term: n.term, Client: m.Client, Seq: m.Seq})
+		n.matchIndex[n.id] = uint64(len(n.log))
+		// A single-node cluster is its own majority: without peers there are
+		// no AppendEntriesReply callbacks to drive the commit index forward.
+		n.advanceCommit()
 	}
-	seqPut(&n.pending, m.Client, m.Seq)
-	n.log = append(n.log, Entry{Term: n.term, Client: m.Client, Seq: m.Seq})
-	n.matchIndex[n.id] = uint64(len(n.log))
-	// A single-node cluster is its own majority: without peers there are
-	// no AppendEntriesReply callbacks to drive the commit index forward.
-	n.advanceCommit()
-	n.broadcastAppend()
+	// Either way, followers in replicate with nothing in flight get what
+	// they lack. Those with a batch in flight get it with the next; those
+	// in probe, with the next reply or heartbeat.
+	for peer := 0; peer < n.cfg.N; peer++ {
+		if peer != n.id && n.replicating&(1<<uint(peer)) != 0 && n.nextIndex[peer] == n.matchIndex[peer]+1 {
+			n.sendAppend(peer)
+		}
+	}
 }

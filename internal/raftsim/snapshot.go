@@ -16,18 +16,19 @@ import (
 
 // NodeState is a restorable capture of one Raft node.
 type NodeState struct {
-	crashed    bool
-	role       role
-	term       uint64
-	votedFor   int
-	leader     int
-	log        []Entry
-	commit     uint64
-	applied    uint64
-	votes      uint64
-	nextIndex  []uint64
-	matchIndex []uint64
-	termStart  uint64
+	crashed     bool
+	role        role
+	term        uint64
+	votedFor    int
+	leader      int
+	log         []Entry
+	commit      uint64
+	applied     uint64
+	votes       uint64
+	replicating uint64
+	nextIndex   []uint64
+	matchIndex  []uint64
+	termStart   uint64
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
@@ -56,6 +57,7 @@ func (n *Node) Snapshot() *NodeState {
 		commit:         n.commit,
 		applied:        n.applied,
 		votes:          n.votes,
+		replicating:    n.replicating,
 		nextIndex:      append([]uint64(nil), n.nextIndex...),
 		matchIndex:     append([]uint64(nil), n.matchIndex...),
 		termStart:      n.termStart,
@@ -108,11 +110,12 @@ func (n *Node) Restore(s *NodeState) {
 	n.term = s.term
 	n.votedFor = s.votedFor
 	n.leader = s.leader
-	n.log = append(slab.Borrow[Entry](n.mem.pool), s.log...)
+	n.log = append(slab.BorrowLargest[Entry](n.mem.pool), s.log...)
 	n.shared = 0 // a copy no message has seen
 	n.commit = s.commit
 	n.applied = s.applied
 	n.votes = s.votes
+	n.replicating = s.replicating
 	n.nextIndex = append(n.nextIndex[:0], s.nextIndex...)
 	n.matchIndex = append(n.matchIndex[:0], s.matchIndex...)
 	n.termStart = s.termStart

@@ -49,8 +49,8 @@ const chunkBytes = 32 << 10
 // through Put when its last holder drops it — so a window leases what it
 // holds at once: the largest measured are 2.8 MB on PBFT (250 clients)
 // and 15 MB on Raft (480 chunks: a corrupt+dup ack storm's backlog of
-// queued deliveries at the 2M-event step budget, pinned by raftsim's
-// TestFaultStormWindowLease; DESIGN.md §15 has the table).
+// queued deliveries at the 2M-event step budget, before the Raft leader
+// kept one batch in flight per follower; DESIGN.md §15 has the table).
 // The ceiling is the backstop behind that budget: a deployment that leaks
 // past it is stopped through the Arena's stop callback and costs one hung
 // test, not the process.
@@ -490,7 +490,7 @@ func (s *Slab[T]) dropFreed() {
 // would start from different memory than the cold run.
 //
 // It is four bytes, so that it fits the padding of most messages: a
-// window of a duplicated-ack storm holds hundreds of thousands of them.
+// window of a duplicated-ack storm held hundreds of thousands of them.
 // The epoch wraps after 65,534 captures of one arena, which would count an
 // object from that long ago again; a deployment captures once.
 type Holders struct {
@@ -591,7 +591,16 @@ func (s *Span[T]) Append(buf []T, v T) []T {
 // next run: latency samples, oracle tables, replicated logs. One set of
 // buffers per concurrent run ends up serving every deployment of the
 // Runner.
-func Borrow[T any](p *Pool) []T {
+func Borrow[T any](p *Pool) []T { return borrow[T](p, false) }
+
+// BorrowLargest is Borrow handing out the stocked buffer of the largest
+// capacity instead of the last one returned, for a borrower whose buffers
+// grow all run long: a smaller one would be regrown, and its outgrown
+// arrays left to the collector. Raft logs borrow this way; the stocks
+// other borrowers keep stay last-in first-out.
+func BorrowLargest[T any](p *Pool) []T { return borrow[T](p, true) }
+
+func borrow[T any](p *Pool, largest bool) []T {
 	l := listFor[T](p, scratchKey[T]{})
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -599,6 +608,13 @@ func Borrow[T any](p *Pool) []T {
 	k := len(l.chunks) - 1
 	if k < 0 {
 		return nil
+	}
+	if largest {
+		for i, c := range l.chunks[:k] {
+			if cap(c) > cap(l.chunks[k]) {
+				l.chunks[i], l.chunks[k] = l.chunks[k], c
+			}
+		}
 	}
 	buf := l.chunks[k]
 	l.chunks[k] = nil

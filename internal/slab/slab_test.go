@@ -412,6 +412,31 @@ func TestScratchStockIsBounded(t *testing.T) {
 	}
 }
 
+// TestBorrowLargest: BorrowLargest hands out the stocked buffer of the
+// largest capacity, wherever it sits in the stock; Borrow still gets the
+// last Return back.
+func TestBorrowLargest(t *testing.T) {
+	var p Pool
+	for range 3 {
+		Borrow[int](&p)
+	}
+	for _, c := range []int{16, 64, 32} {
+		Return(&p, make([]int, 0, c))
+	}
+	if got := BorrowLargest[int](&p); cap(got) != 64 {
+		t.Fatalf("BorrowLargest gave cap %d from a stock of 16, 64 and 32, want 64", cap(got))
+	}
+	if got := Borrow[int](&p); cap(got) != 32 && cap(got) != 16 {
+		t.Fatalf("Borrow gave cap %d, want one of the two left", cap(got))
+	}
+	if got := BorrowLargest[int](&p); got == nil {
+		t.Fatal("BorrowLargest found the stock empty with one buffer left")
+	}
+	if got := BorrowLargest[int](&p); got != nil {
+		t.Fatalf("BorrowLargest gave cap %d from an empty stock, want nil", cap(got))
+	}
+}
+
 // TestConcurrentArenas: arenas on separate goroutines share one pool (run
 // under -race); every arena sees only its own writes.
 func TestConcurrentArenas(t *testing.T) {
