@@ -46,7 +46,7 @@ func fingerprint(results []core.Result) []string {
 
 // TestEngineCrossTargetDeterminism is the acceptance contract of the
 // Target seam: the same Controller explorer, unmodified, drives both
-// the PBFT and the Raft system under test through Engine.Run, and each
+// the PBFT and the Raft system under test through Engine.RunAll, and each
 // (seed, workers) campaign reproduces itself bit-for-bit.
 func TestEngineCrossTargetDeterminism(t *testing.T) {
 	targets := []struct {
@@ -116,27 +116,31 @@ func TestEngineCrossTargetArchive(t *testing.T) {
 }
 
 // TestEngineCancellationMidCampaign: canceling a real-target campaign
-// stops the stream promptly with partial results.
+// from its observer stops it after the batch in flight, with the partial
+// results.
 func TestEngineCancellationMidCampaign(t *testing.T) {
 	target := newSmallRaftTarget(t)
-	eng, err := core.NewEngine(target, core.WithSeed(3), core.WithBudget(500), core.WithWorkers(2))
+	ctrl, err := core.NewController(core.ControllerConfig{Seed: 3}, target.Plugins()...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var partial []core.Result
-	for res := range eng.Run(ctx) {
-		partial = append(partial, res)
-		if len(partial) == 4 {
-			cancel()
-		}
+	eng, err := core.NewEngine(target, core.WithExplorer(ctrl), core.WithBudget(500), core.WithWorkers(2),
+		core.WithObserver(func(i int, _ core.Result) {
+			if i == 3 {
+				cancel()
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := eng.Err(); err != context.Canceled {
-		t.Fatalf("Err() = %v, want context.Canceled", err)
+	partial, err := eng.RunAll(ctx)
+	if err != context.Canceled {
+		t.Fatalf("RunAll error = %v, want context.Canceled", err)
 	}
-	if len(partial) < 4 || len(partial) > 10 {
-		t.Fatalf("cancellation at test 4 yielded %d results", len(partial))
+	if len(partial) != 4 {
+		t.Fatalf("cancellation at test 3 of two-test batches yielded %d results, want 4", len(partial))
 	}
 }
 
@@ -145,7 +149,11 @@ func TestEngineCancellationMidCampaign(t *testing.T) {
 // within a small budget.
 func TestEngineRaftFindsElectionStorm(t *testing.T) {
 	target := newSmallRaftTarget(t)
-	eng, err := core.NewEngine(target, core.WithSeed(9), core.WithBudget(40))
+	ctrl, err := core.NewController(core.ControllerConfig{Seed: 9}, target.Plugins()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(target, core.WithExplorer(ctrl), core.WithBudget(40))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,9 @@ func BenchmarkFig3Subspace(b *testing.B) {
 // --- R1/R4: the Big MAC attack ------------------------------------------------
 
 // BenchmarkBigMACAttack measures the archetypal Big MAC scenario (mask
-// 0xEEE: every backup entry corrupt, primary valid) at 30 clients.
+// 0xEEE: every backup entry corrupt, primary valid) at 30 clients. Every
+// run forks the population's warm master, so after the first iteration
+// (build, warm-up, baseline) an iteration times one forked window.
 func BenchmarkBigMACAttack(b *testing.B) {
 	runner := benchRunner(b, benchWorkload())
 	sc := paperSpace(b).New(map[string]int64{
@@ -153,7 +155,8 @@ func BenchmarkBigMACAttack(b *testing.B) {
 }
 
 // BenchmarkSingleClientKills250Nodes is the abstract's headline: one
-// malicious client versus a deployment with 250 correct clients.
+// malicious client versus a deployment with 250 correct clients. As in
+// BenchmarkBigMACAttack, iterations after the first time a fork.
 func BenchmarkSingleClientKills250Nodes(b *testing.B) {
 	runner := benchRunner(b, benchWorkload())
 	sc := paperSpace(b).New(map[string]int64{

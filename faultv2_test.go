@@ -61,7 +61,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 		plugin.DimCrashDownMS:     25,
 		plugin.DimCrashLose:       1,
 	})
-	res, rep := r.RunForkReport(lossy)
+	res, rep := r.RunReport(lossy)
 	if !oracle.Violated(res.Violations, "raft/election-safety") {
 		t.Fatalf("state-losing crash-restart schedule did not break election safety: violations=%v report=%+v",
 			oracle.Names(res.Violations), rep)
@@ -78,7 +78,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 	// follower remembers its vote, and the invariant holds. The state
 	// loss — not the crash — is the vulnerability.
 	durable := lossy.With(plugin.DimCrashLose, 0)
-	dres, drep := r.RunForkReport(durable)
+	dres, drep := r.RunReport(durable)
 	if oracle.Violated(dres.Violations, "raft/election-safety") {
 		t.Fatalf("durable crash-restart broke election safety: violations=%v", oracle.Names(dres.Violations))
 	}
@@ -107,7 +107,7 @@ func TestCrashRestartStateLossBreaksElectionSafety(t *testing.T) {
 			raftsim.DimFlapIntervalMS: p[0],
 			raftsim.DimFlapDownMS:     p[1],
 		})
-		fres, _ := r.RunForkReport(sc)
+		fres, _ := r.RunReport(sc)
 		if oracle.Violated(fres.Violations, "raft/election-safety") {
 			t.Fatalf("old-vocabulary flap scenario %s also breaks election safety; the crash fault adds nothing",
 				sc.Key())

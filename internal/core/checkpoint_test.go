@@ -202,16 +202,17 @@ func TestCheckpointEncodeReplayResume(t *testing.T) {
 	ck := NewCheckpoint()
 	ctx, cancel := context.WithCancel(context.Background())
 	eng1, err := NewEngine(newFakeTarget(),
-		WithExplorer(newEngineController(t, 33)), WithBudget(budget), WithCheckpoint(ck))
+		WithExplorer(newEngineController(t, 33)), WithBudget(budget), WithCheckpoint(ck),
+		WithObserver(func(i int, _ Result) {
+			if i == 15 {
+				cancel()
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := 0
-	for range eng1.Run(ctx) {
-		streamed++
-		if streamed == 15 {
-			cancel()
-		}
+	if _, err := eng1.RunAll(ctx); err != context.Canceled {
+		t.Fatalf("interrupted run error = %v, want context.Canceled", err)
 	}
 	cancel()
 	var buf bytes.Buffer

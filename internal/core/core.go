@@ -96,27 +96,15 @@ type RunnerFunc func(sc scenario.Scenario) Result
 // Run implements Runner.
 func (f RunnerFunc) Run(sc scenario.Scenario) Result { return f(sc) }
 
-// Snapshotter is the snapshot/fork capability (DESIGN.md §8): a Runner
-// that can execute scenarios by forking a warm, post-warmup deployment
-// snapshot instead of cold-building the system for every test. RunFork
-// must be deterministic and indistinguishable from Run — same trace,
-// same metrics, same oracle verdicts — and, like Run, safe for
-// concurrent use. An Engine detects the capability on its Target and
-// switches to fork-per-test execution automatically; targets that do not
-// implement it transparently keep cold runs.
-type Snapshotter interface {
-	// RunFork executes the scenario from a warm snapshot.
-	RunFork(sc scenario.Scenario) Result
-}
-
-// WorkerSnapshotter is a retired capability: per-worker master arenas
-// are gone, the engine no longer looks for it, and Harness.RunForkWorker
-// just calls RunFork. The interface remains only because benchmark/
-// still names it (ROADMAP item 2 has the removal note).
+// WorkerSnapshotter is a retired capability: every test forks through
+// Target.Run, the engine looks for nothing else, and Harness.RunFork and
+// Harness.RunForkWorker just call Run. The interface remains only because
+// benchmark/ still names it (ROADMAP item 2 has the removal note).
 type WorkerSnapshotter interface {
-	Snapshotter
-	// RunForkWorker executes the scenario exactly as RunFork does; worker
-	// is ignored.
+	// RunFork executes the scenario exactly as Run does.
+	RunFork(sc scenario.Scenario) Result
+	// RunForkWorker executes the scenario exactly as Run does; worker is
+	// ignored.
 	RunForkWorker(sc scenario.Scenario, worker int) Result
 }
 
@@ -197,9 +185,6 @@ type ControllerConfig struct {
 	// plugin selection (line 2 of Algorithm 1), sampling plugins
 	// uniformly instead; used by the A3 ablation.
 	DisablePluginFitness bool
-	// MaxGenerationRetries bounds the attempts to generate an unseen
-	// child before falling back to a random scenario (default 16).
-	MaxGenerationRetries int
 	// StagnationWindow triggers diversification: after this many
 	// executed tests without µ improving, every other generated
 	// scenario mutates a novelty-archive entry instead of a Π parent (a
@@ -216,13 +201,14 @@ func (c *ControllerConfig) applyDefaults() {
 	if c.SeedTests <= 0 {
 		c.SeedTests = 10
 	}
-	if c.MaxGenerationRetries <= 0 {
-		c.MaxGenerationRetries = 16
-	}
 	if c.StagnationWindow == 0 {
 		c.StagnationWindow = 12
 	}
 }
+
+// maxGenerationRetries bounds the attempts to generate an unseen child
+// before falling back to a random scenario.
+const maxGenerationRetries = 16
 
 // pluginStat tracks one plugin's historical benefit: how often it was
 // selected and how much impact its mutations gained over their parents.
@@ -332,7 +318,7 @@ func (c *Controller) generate() {
 			return
 		}
 	}
-	for attempt := 0; attempt < c.cfg.MaxGenerationRetries; attempt++ {
+	for attempt := 0; attempt < maxGenerationRetries; attempt++ {
 		parent := c.sampleParent()                                             // line 1
 		pluginIdx := c.samplePlugin()                                          // line 2
 		distance := 1 - parent.Impact/c.maxImpactSafe()                        // line 3
@@ -354,7 +340,7 @@ func (c *Controller) generate() {
 // was not chosen by impact, so the child's gain over it says nothing
 // about the plugin.
 func (c *Controller) enqueueNovel() {
-	for attempt := 0; c.archive.Len() > 0 && attempt < c.cfg.MaxGenerationRetries; attempt++ {
+	for attempt := 0; c.archive.Len() > 0 && attempt < maxGenerationRetries; attempt++ {
 		parent := c.archive.Pick(c.rng)
 		p := c.plugins[c.rng.Intn(len(c.plugins))]
 		distance := 0.1 + 0.2*c.rng.Float64() + 0.05*float64(min(parent.Picks, 8))
@@ -371,7 +357,7 @@ func (c *Controller) enqueueNovel() {
 // nearly drained), so a proposal exists until every point has one.
 func (c *Controller) enqueueRandom(generator string) {
 	m := pendingMeta{generator: generator, pluginIdx: -1}
-	for attempt := 0; attempt < c.cfg.MaxGenerationRetries*8; attempt++ {
+	for attempt := 0; attempt < maxGenerationRetries*8; attempt++ {
 		if c.enqueue(c.space.Random(c.rng), m) {
 			return
 		}

@@ -24,9 +24,8 @@ type Target interface {
 	Runner
 	// Name identifies the system under test in reports and benchmarks.
 	Name() string
-	// Plugins returns the target's default testing-tool plugins; their
-	// composed dimensions form the default hyperspace an Engine explores
-	// when no explicit explorer is configured.
+	// Plugins returns the target's testing-tool plugins; their composed
+	// dimensions form the hyperspace a campaign's explorer searches.
 	Plugins() []Plugin
 }
 
@@ -36,7 +35,7 @@ type Target interface {
 // fresh explorer — proposal by proposal, result by result — rebuilds the
 // explorer's exact internal state without any explorer-specific
 // serialization. An Engine configured with WithCheckpoint appends each
-// executed result and, on Run, replays whatever the checkpoint already
+// executed result and, on RunAll, replays whatever the checkpoint already
 // holds before executing new tests, so an interrupted campaign resumed
 // from its checkpoint is bit-for-bit identical to an uninterrupted one.
 //
@@ -91,7 +90,6 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	workers    int
-	seed       int64
 	budget     int
 	explorer   Explorer
 	observer   CampaignObserver
@@ -107,13 +105,6 @@ func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
 
-// WithSeed sets the seed of the engine's default explorer (the AVD
-// Controller over the target's plugins). It has no effect when
-// WithExplorer supplies an explorer, which carries its own seed.
-func WithSeed(seed int64) EngineOption {
-	return func(c *engineConfig) { c.seed = seed }
-}
-
 // WithBudget caps the number of executed tests (replayed checkpoint
 // results count toward it). The default is 125, the paper's Figure-2
 // campaign size.
@@ -121,15 +112,14 @@ func WithBudget(n int) EngineOption {
 	return func(c *engineConfig) { c.budget = n }
 }
 
-// WithExplorer drives the campaign with an explicit explorer (a
-// Controller, RandomExplorer or ExhaustiveExplorer) instead of the
-// default Controller built over the target's plugins.
+// WithExplorer drives the campaign with ex (a Controller, RandomExplorer
+// or ExhaustiveExplorer). An engine needs one.
 func WithExplorer(ex Explorer) EngineOption {
 	return func(c *engineConfig) { c.explorer = ex }
 }
 
 // WithObserver registers a per-test callback, invoked in dispatch order
-// from the engine's coordinator goroutine with the 1-based iteration
+// on the goroutine that called RunAll, with the 1-based iteration
 // (counting replayed checkpoint results). Replayed results are not
 // re-observed.
 func WithObserver(obs CampaignObserver) EngineOption {
@@ -149,7 +139,7 @@ func WithCheckpoint(ck *Checkpoint) EngineOption {
 
 // WithCheckpointSink registers a durability hook called with each newly
 // executed batch right after it reaches the in-memory checkpoint and
-// before its results are fed back or emitted. A sink that returns an
+// before its results are fed back or returned. A sink that returns an
 // error stops the campaign — an engine that promised durability must not
 // keep executing tests it can no longer make durable. Replayed results
 // never reach the sink (they are already durable).
@@ -170,35 +160,30 @@ func WithDurable(d *DurableCheckpoint) EngineOption {
 // Engine is the protocol-agnostic campaign driver and the one campaign
 // loop: the paper's worker loop (take a scenario from Ψ, run it, score
 // it, feed the result back), run by one or more workers. It connects one
-// Explorer to one Target and streams executed Results as they complete,
-// owning the scheduling — serial or parallel workers, dispatch-order
-// feedback, context cancellation, checkpoint/resume — behind one
-// construction path:
+// Explorer to one Target and owns the scheduling — serial or parallel
+// workers, dispatch-order feedback, context cancellation,
+// checkpoint/resume — behind one construction path:
 //
-//	eng, _ := core.NewEngine(target, core.WithSeed(1), core.WithBudget(125))
-//	for res := range eng.Run(ctx) {
-//	    ...
-//	}
+//	eng, _ := core.NewEngine(target, core.WithExplorer(ctrl), core.WithBudget(125))
+//	results, err := eng.RunAll(ctx)
 //
-// An Engine runs one campaign: Run may be called once.
+// An Engine runs one campaign: RunAll may be called once.
 type Engine struct {
 	target Target
 	cfg    engineConfig
-	ex     Explorer
 
 	mu      sync.Mutex
 	started bool
 	err     error
 }
 
-// NewEngine builds an engine over the target, applying options. Without
-// WithExplorer, the engine constructs the paper's Controller over the
-// target's plugins, seeded by WithSeed.
+// NewEngine builds an engine over the target, applying options; one of
+// them must be WithExplorer.
 func NewEngine(target Target, opts ...EngineOption) (*Engine, error) {
 	if target == nil {
 		return nil, fmt.Errorf("core: engine needs a target")
 	}
-	cfg := engineConfig{workers: 1, seed: 1, budget: 125}
+	cfg := engineConfig{workers: 1, budget: 125}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -208,123 +193,46 @@ func NewEngine(target Target, opts ...EngineOption) (*Engine, error) {
 	if cfg.budget < 1 {
 		return nil, fmt.Errorf("core: engine budget %d must be positive", cfg.budget)
 	}
-	ex := cfg.explorer
-	if ex == nil {
-		ctrl, err := NewController(ControllerConfig{Seed: cfg.seed}, target.Plugins()...)
-		if err != nil {
-			return nil, fmt.Errorf("core: engine default explorer: %w", err)
-		}
-		ex = ctrl
+	if cfg.explorer == nil {
+		return nil, fmt.Errorf("core: engine needs an explorer (WithExplorer)")
 	}
-	return &Engine{target: target, cfg: cfg, ex: ex}, nil
+	return &Engine{target: target, cfg: cfg}, nil
 }
 
-// Target returns the system under test.
-func (e *Engine) Target() Target { return e.target }
-
-// Explorer returns the explorer driving the campaign.
-func (e *Engine) Explorer() Explorer { return e.ex }
-
-// Err reports why the campaign ended, once the Run channel has closed:
+// RunAll drives the campaign on the calling goroutine and returns the
+// newly executed results in dispatch order plus why the campaign ended:
 // nil on natural completion (budget exhausted or explorer drained), the
 // context's error on cancellation, or a replay error when the attached
 // checkpoint does not match the explorer's deterministic proposal
-// sequence.
-func (e *Engine) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-func (e *Engine) setErr(err error) {
-	e.mu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.mu.Unlock()
-}
-
-// Run starts the campaign and returns a channel on which every newly
-// executed Result is streamed in dispatch order. The channel is closed
-// when the budget is exhausted, the explorer runs out of proposals, or
-// ctx is canceled; Err explains which once the channel closes. On
-// cancellation the batch in flight finishes executing (and reaches the
-// checkpoint) but the engine dispatches no further tests, so callers get
-// their partial results promptly.
+// sequence. On cancellation the batch in flight finishes executing, and
+// reaches the checkpoint and the returned results alike, but the engine
+// dispatches no further tests.
 //
-// Run may be called once per Engine; later calls return an
-// already-closed channel and leave the first campaign (and its Err)
-// untouched.
-func (e *Engine) Run(ctx context.Context) <-chan Result {
-	out := make(chan Result, e.cfg.workers)
-	if !e.begin() {
-		close(out)
-		return out
-	}
-	//avdlint:allow result pump: forwards finished Results to the caller; simulation state stays on the workers
-	go func() {
-		defer close(out)
-		e.drive(ctx, func(res Result) bool {
-			select {
-			case out <- res:
-				return true
-			case <-ctx.Done():
-				// The consumer is gone; the driver keeps feeding the
-				// explorer and the checkpoint so a resumed campaign sees
-				// a complete batch, but stops emitting.
-				e.setErr(ctx.Err())
-				return false
-			}
-		})
-	}()
-	return out
-}
-
-// RunAll drives the campaign to completion and returns the collected new
-// results plus the campaign's terminal error (nil, cancellation, or
-// replay mismatch). On cancellation the partial results are still
-// returned.
-//
-// With a single worker RunAll runs the whole campaign inline on the
-// calling goroutine — no coordinator goroutine, no channel hop per
-// result — so workers=1 costs exactly what the serial campaign costs.
+// RunAll may be called once per Engine; later calls execute nothing and
+// return the first campaign's error.
 func (e *Engine) RunAll(ctx context.Context) ([]Result, error) {
-	if e.cfg.workers == 1 {
-		if !e.begin() {
-			return nil, e.Err()
-		}
-		var results []Result
-		e.drive(ctx, func(res Result) bool {
-			results = append(results, res)
-			return true
-		})
-		return results, e.Err()
-	}
-	var results []Result
-	for res := range e.Run(ctx) {
-		results = append(results, res)
-	}
-	return results, e.Err()
-}
-
-// begin claims the engine's single campaign; false when already run.
-func (e *Engine) begin() bool {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
-		return false
+		err := e.err
+		e.mu.Unlock()
+		return nil, err
 	}
 	e.started = true
-	return true
+	e.mu.Unlock()
+	results, err := e.drive(ctx)
+	e.mu.Lock()
+	e.err = err
+	e.mu.Unlock()
+	return results, err
 }
 
 // safeRun executes one test, converting a panic inside the target into
 // an error-carrying Result instead of tearing down the campaign: the
 // poisoned scenario degrades to Result.Error (with the panic value and
-// stack) while the stream, the checkpoint, and the explorer's feedback
+// stack) while the results, the checkpoint, and the explorer's feedback
 // sequence continue undisturbed. A panicked run keeps its scenario so
 // checkpoint replay still verifies the proposal sequence.
-func safeRun(run func(scenario.Scenario) Result, sc scenario.Scenario) (res Result) {
+func safeRun(target Runner, sc scenario.Scenario) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{
@@ -333,13 +241,12 @@ func safeRun(run func(scenario.Scenario) Result, sc scenario.Scenario) (res Resu
 			}
 		}
 	}()
-	return run(sc)
+	return target.Run(sc)
 }
 
-// drive executes the campaign, handing each newly executed result to
-// emit in dispatch order. emit returns false to stop emitting (the
-// in-flight batch still finishes its bookkeeping).
-func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
+// drive executes the campaign and returns its newly executed results
+// in dispatch order with the reason it ended.
+func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 
 	// The replay prefix: results a previous (interrupted) campaign
 	// already executed. Replay must flow through the very same batch
@@ -353,13 +260,6 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		replay = e.cfg.checkpoint.snapshot()
 	}
 
-	// Snapshot/fork execution: when the target declares the capability,
-	// every test forks from a warm per-population snapshot instead of
-	// cold-building the deployment (identical results, enforced by test).
-	runFn := e.target.Run
-	if s, ok := e.target.(Snapshotter); ok {
-		runFn = s.RunFork
-	}
 	// Pipelined prefetch (DESIGN.md §8): a Preparer target gets its
 	// per-population masters and baselines built concurrently with the
 	// batch's measurements instead of serially ahead of them. Prepare is
@@ -373,18 +273,18 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		workers = e.cfg.budget
 	}
 	executed := 0
+	var out []Result
 	batch := make([]scenario.Scenario, 0, workers)
 	generators := make([]string, 0, workers)
 	results := make([]Result, workers)
 
 	for executed < e.cfg.budget {
 		if executed >= len(replay) && ctx.Err() != nil {
-			e.setErr(ctx.Err())
-			return
+			return out, ctx.Err()
 		}
 		batch, generators = batch[:0], generators[:0]
 		for len(batch) < workers && executed+len(batch) < e.cfg.budget {
-			sc, generator, ok := e.ex.Next()
+			sc, generator, ok := e.cfg.explorer.Next()
 			if !ok {
 				break
 			}
@@ -393,25 +293,18 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 		}
 		if len(batch) == 0 {
 			if executed < len(replay) {
-				e.setErr(fmt.Errorf("core: checkpoint replay: explorer exhausted after %d of %d saved results", executed, len(replay)))
+				return out, fmt.Errorf("core: checkpoint replay: explorer exhausted after %d of %d saved results", executed, len(replay))
 			}
-			return
+			return out, nil
 		}
 		// Split the batch into the replayed prefix (results come from the
 		// checkpoint) and the live tail (results come from the target).
-		replayed := len(replay) - executed
-		if replayed < 0 {
-			replayed = 0
-		}
-		if replayed > len(batch) {
-			replayed = len(batch)
-		}
+		replayed := min(max(len(replay)-executed, 0), len(batch))
 		for i := 0; i < replayed; i++ {
 			saved := replay[executed+i]
 			if batch[i].Compact() != saved.Scenario.Compact() {
-				e.setErr(fmt.Errorf("core: checkpoint replay diverged at result %d: explorer proposed %s, checkpoint holds %s (explorer config, seed or workers differ from the checkpointed run)",
-					executed+i+1, batch[i].Key(), saved.Scenario.Key()))
-				return
+				return out, fmt.Errorf("core: checkpoint replay diverged at result %d: explorer proposed %s, checkpoint holds %s (explorer config, seed or workers differ from the checkpointed run)",
+					executed+i+1, batch[i].Key(), saved.Scenario.Key())
 			}
 		}
 		live := batch[replayed:]
@@ -436,7 +329,7 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 			}
 		}
 		if len(live) == 1 {
-			results[replayed] = safeRun(runFn, live[0])
+			results[replayed] = safeRun(e.target, live[0])
 		} else if len(live) > 1 {
 			var wg sync.WaitGroup
 			for i := range live {
@@ -444,51 +337,40 @@ func (e *Engine) drive(ctx context.Context, emit func(Result) bool) {
 				//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
 				go func(i int) {
 					defer wg.Done()
-					results[replayed+i] = safeRun(runFn, live[i])
+					results[replayed+i] = safeRun(e.target, live[i])
 				}(i)
 			}
 			wg.Wait()
 		}
 		// Results and their violations are delivered in batch: one
-		// checkpoint lock per batch, then the in-order feedback/emit
-		// loop.
-		for i := range live {
-			results[replayed+i].Generator = generators[replayed+i]
+		// checkpoint lock per batch, then the in-order feedback loop.
+		fresh := results[replayed : replayed+len(live)]
+		for i := range fresh {
+			fresh[i].Generator = generators[replayed+i]
 		}
-		if e.cfg.checkpoint != nil && len(live) > 0 {
-			e.cfg.checkpoint.appendBatch(results[replayed : replayed+len(live)])
+		if e.cfg.checkpoint != nil && len(fresh) > 0 {
+			e.cfg.checkpoint.appendBatch(fresh)
 		}
-		if e.cfg.sink != nil && len(live) > 0 {
-			if err := e.cfg.sink(results[replayed : replayed+len(live)]); err != nil {
-				e.setErr(fmt.Errorf("core: checkpoint sink: %w", err))
-				return
+		if e.cfg.sink != nil && len(fresh) > 0 {
+			if err := e.cfg.sink(fresh); err != nil {
+				return out, fmt.Errorf("core: checkpoint sink: %w", err)
 			}
 		}
-		canceled := false
 		for i := range batch {
-			var res Result
+			res := results[i]
 			if i < replayed {
 				res = replay[executed]
-			} else {
-				res = results[i]
 			}
-			e.ex.Record(res)
+			e.cfg.explorer.Record(res)
 			executed++
 			if i < replayed {
-				continue // already checkpointed, observed and consumed
+				continue // already checkpointed, observed and returned
 			}
 			if e.cfg.observer != nil {
 				e.cfg.observer(executed, res)
 			}
-			if canceled {
-				continue // keep bookkeeping consistent, stop emitting
-			}
-			if !emit(res) {
-				canceled = true
-			}
-		}
-		if canceled {
-			return
+			out = append(out, res)
 		}
 	}
+	return out, nil
 }

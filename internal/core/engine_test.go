@@ -101,79 +101,82 @@ func TestEngineWorkers1MatchesCampaign(t *testing.T) {
 	}
 }
 
-// TestEngineStreamingDeterministic: a fixed (seed, workers) pair must
-// reproduce itself through the streaming path, however goroutines
-// interleave.
-func TestEngineStreamingDeterministic(t *testing.T) {
+// TestEngineParallelDeterministic: a fixed (seed, workers) pair must
+// reproduce itself, however the batch's goroutines interleave.
+func TestEngineParallelDeterministic(t *testing.T) {
 	for _, workers := range []int{2, 4, runtime.NumCPU()} {
 		run := func() []string {
-			eng, err := NewEngine(newFakeTarget(),
-				WithExplorer(newEngineController(t, 7)), WithBudget(60), WithWorkers(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var results []Result
-			for res := range eng.Run(context.Background()) {
-				results = append(results, res)
-			}
-			if err := eng.Err(); err != nil {
-				t.Fatal(err)
-			}
-			return campaignFingerprint(results)
+			return campaignFingerprint(runEngine(t, newEngineController(t, 7), pureRunner(), 60, workers))
 		}
 		a, b := run(), run()
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("workers=%d streaming nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
+				t.Fatalf("workers=%d nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
 			}
 		}
 	}
 }
 
-// TestEngineCancellation: canceling mid-campaign closes the stream with
-// the partial results executed so far, dispatching at most the batch in
-// flight beyond the cancellation point. Gating runs on a token channel
-// (instead of sleeps and elapsed-time bounds) keeps the test exact and
-// wall-clock free: the execution count proves promptness.
+// TestEngineCancellation: canceling mid-campaign returns the results
+// executed so far with context.Canceled: the batch in flight finishes,
+// and no further batch is dispatched. The count of target calls proves
+// promptness without a clock.
 func TestEngineCancellation(t *testing.T) {
 	const workers = 4
 	var executed atomic.Int64
-	// Two full batches' worth of tokens: the third batch blocks until
-	// the consumer has canceled and closed the channel.
-	tokens := make(chan struct{}, 2*workers)
-	for i := 0; i < 2*workers; i++ {
-		tokens <- struct{}{}
-	}
-	gated := RunnerFunc(func(sc scenario.Scenario) Result {
+	counted := RunnerFunc(func(sc scenario.Scenario) Result {
 		executed.Add(1)
-		<-tokens
 		return pureRunner().Run(sc)
 	})
-	eng, err := NewEngine(fakeTarget{Runner: gated, plugins: twoDimPlugins()},
-		WithExplorer(newEngineController(t, 11)), WithBudget(10_000), WithWorkers(workers))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng, err := NewEngine(fakeTarget{Runner: counted, plugins: twoDimPlugins()},
+		WithExplorer(newEngineController(t, 11)), WithBudget(10_000), WithWorkers(workers),
+		WithObserver(func(i int, _ Result) {
+			if i == 2*workers-1 { // inside the second batch
+				cancel()
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var partial []Result
-	for res := range eng.Run(ctx) {
-		partial = append(partial, res)
-		if len(partial) == 2*workers {
-			cancel()
-			close(tokens) // release the blocked in-flight batch
+	partial, err := eng.RunAll(ctx)
+	if err != context.Canceled {
+		t.Fatalf("RunAll error = %v, want context.Canceled", err)
+	}
+	if len(partial) != 2*workers {
+		t.Fatalf("got %d partial results, want the %d of the two batches dispatched", len(partial), 2*workers)
+	}
+	if n := executed.Load(); n != 2*workers {
+		t.Fatalf("engine executed %d tests after cancellation in the second batch of %d", n, workers)
+	}
+}
+
+// TestRunAllCancelKeepsExecutedResults: a parallel campaign canceled from
+// its observer returns every result it executed, the ones its checkpoint
+// holds, whatever the seed.
+func TestRunAllCancelKeepsExecutedResults(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		ck := NewCheckpoint()
+		ctx, cancel := context.WithCancel(context.Background())
+		eng, err := NewEngine(newFakeTarget(),
+			WithExplorer(newEngineController(t, seed)), WithBudget(200), WithWorkers(8), WithCheckpoint(ck),
+			WithObserver(func(i int, _ Result) {
+				if i == 3 {
+					cancel()
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if eng.Err() != context.Canceled {
-		t.Fatalf("Err() = %v, want context.Canceled", eng.Err())
-	}
-	if len(partial) < 2*workers || len(partial) > 4*workers {
-		t.Fatalf("got %d partial results, want between %d and %d", len(partial), 2*workers, 4*workers)
-	}
-	// Prompt cancellation means no new batch after the one in flight: a
-	// budget of 10,000 must stop within three batches.
-	if n := executed.Load(); n > 3*workers {
-		t.Fatalf("engine executed %d tests after cancellation at %d", n, 2*workers)
+		results, err := eng.RunAll(ctx)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("seed %d: RunAll error = %v, want context.Canceled", seed, err)
+		}
+		if len(results) != ck.Len() {
+			t.Errorf("seed %d: RunAll returned %d results, its checkpoint holds %d", seed, len(results), ck.Len())
+		}
 	}
 }
 
@@ -198,20 +201,19 @@ func TestEngineCheckpointResume(t *testing.T) {
 		ck := NewCheckpoint()
 		ctx, cancel := context.WithCancel(context.Background())
 		eng1, err := NewEngine(newFakeTarget(),
-			WithExplorer(newEngineController(t, 21)), WithBudget(budget), WithWorkers(workers), WithCheckpoint(ck))
+			WithExplorer(newEngineController(t, 21)), WithBudget(budget), WithWorkers(workers), WithCheckpoint(ck),
+			WithObserver(func(i int, _ Result) {
+				if i == 25 {
+					cancel()
+				}
+			}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed := 0
-		for range eng1.Run(ctx) {
-			streamed++
-			if streamed == 25 {
-				cancel()
-			}
-		}
+		_, err = eng1.RunAll(ctx)
 		cancel()
-		if eng1.Err() != context.Canceled {
-			t.Fatalf("workers=%d interrupted run Err() = %v", workers, eng1.Err())
+		if err != context.Canceled {
+			t.Fatalf("workers=%d interrupted run error = %v", workers, err)
 		}
 		done := ck.Len()
 		if done < 25 || done >= budget {
@@ -273,28 +275,11 @@ func TestEngineCheckpointMismatch(t *testing.T) {
 	}
 }
 
-// TestEngineDefaultExplorer: without WithExplorer the engine builds a
-// Controller over the target's own plugins, seeded by WithSeed.
-func TestEngineDefaultExplorer(t *testing.T) {
-	run := func() []string {
-		eng, err := NewEngine(newFakeTarget(), WithSeed(5), WithBudget(30))
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := eng.RunAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return campaignFingerprint(results)
-	}
-	a, b := run(), run()
-	if len(a) != 2*30 {
-		t.Fatalf("default-explorer engine ran %d entries, want 60", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("default explorer nondeterministic at %d", i)
-		}
+// TestEngineRequiresExplorer: there is no default explorer; an engine
+// without WithExplorer is refused.
+func TestEngineRequiresExplorer(t *testing.T) {
+	if _, err := NewEngine(newFakeTarget(), WithBudget(30)); err == nil {
+		t.Fatal("NewEngine without WithExplorer succeeded")
 	}
 }
 
@@ -322,27 +307,31 @@ func TestEngineObserverOrder(t *testing.T) {
 	}
 }
 
-// TestEngineSingleUse: a second Run returns a closed channel without
-// executing anything, and must not poison the completed first
-// campaign's Err.
+// TestEngineSingleUse: a second RunAll executes nothing and returns the
+// completed first campaign's error.
 func TestEngineSingleUse(t *testing.T) {
-	eng, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 2)), WithBudget(5))
+	var executed atomic.Int64
+	counted := RunnerFunc(func(sc scenario.Scenario) Result {
+		executed.Add(1)
+		return pureRunner().Run(sc)
+	})
+	eng, err := NewEngine(fakeTarget{Runner: counted}, WithExplorer(newEngineController(t, 2)), WithBudget(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.RunAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	again := eng.Run(context.Background())
-	if _, open := <-again; open {
-		t.Fatal("reused engine emitted a result")
+	again, err := eng.RunAll(context.Background())
+	if len(again) != 0 || executed.Load() != 5 {
+		t.Fatalf("reused engine ran the campaign again: %d results, %d executions", len(again), executed.Load())
 	}
-	if err := eng.Err(); err != nil {
-		t.Fatalf("reuse poisoned the completed campaign's Err: %v", err)
+	if err != nil {
+		t.Fatalf("reuse poisoned the completed campaign's error: %v", err)
 	}
 }
 
-// TestEngineExhaustedExplorer: the stream ends cleanly when the explorer
+// TestEngineExhaustedExplorer: the campaign ends cleanly when the explorer
 // drains before the budget.
 func TestEngineExhaustedExplorer(t *testing.T) {
 	space := scenario.MustNewSpace(scenario.Dimension{Name: "x", Min: 0, Max: 9, Step: 1})
@@ -359,7 +348,7 @@ func TestEngineExhaustedExplorer(t *testing.T) {
 	}
 }
 
-// poisonedPrepTarget is a fork-capable Preparer whose master build
+// poisonedPrepTarget is a forking Preparer whose master build
 // panics for one population (x%5 == 3): the prefetch goroutine hits the
 // panic first, the run that needs the master hits it again.
 type poisonedPrepTarget struct {
@@ -381,11 +370,11 @@ func (t *poisonedPrepTarget) Prepare(sc scenario.Scenario) {
 	t.masters.Prepare(key, t.build(key))
 }
 
-func (t *poisonedPrepTarget) RunFork(sc scenario.Scenario) Result {
+func (t *poisonedPrepTarget) Run(sc scenario.Scenario) Result {
 	key := sc.GetOr("x", 0) % 5
 	d := t.masters.Acquire(key, t.build(key))
 	defer t.masters.Release(key, d)
-	return t.Run(sc)
+	return t.Runner.Run(sc)
 }
 
 // TestEnginePrefetchPanicDegrades: a target panic inside the engine's

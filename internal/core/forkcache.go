@@ -5,10 +5,9 @@ import (
 	"sync"
 )
 
-// ForkCache is the master-deployment checkout that fork-capable
-// harnesses share (DESIGN.md §8): warm deployments keyed by
-// structural identity, checked out exclusively by one worker at a time
-// and returned after the forked run. It is the snapshot-era sibling of
+// ForkCache is the harness's master-deployment checkout (DESIGN.md §8):
+// warm deployments keyed by structural identity, checked out exclusively
+// by one worker at a time and returned after the forked run. It is the snapshot-era sibling of
 // BaselineCache — harness infrastructure hoisted here so the PBFT and
 // Raft targets cannot drift apart. The zero value is ready to use.
 //
@@ -106,7 +105,7 @@ func (c *ForkCache[K, D]) Prepare(key K, build func() D) {
 // DropAll discards every cached deployment. Callers use it to retire
 // masters that will not be checked out again — a parked warm deployment
 // is pure GC scan-set weight (the PR 5 lesson: dead masters measurably
-// slow every cold run that allocates alongside them; benchmark/ flushes
+// slow every master build that allocates alongside them; benchmark/ flushes
 // between its set-up passes for exactly this reason). Subsequent Acquires
 // simply rebuild.
 func (c *ForkCache[K, D]) DropAll() {

@@ -42,7 +42,7 @@ type HarnessSpec[K comparable, D any] struct {
 	// Name identifies the system under test in reports and benchmarks.
 	Name string
 	// Plugins are the target's testing-tool plugins; their composed
-	// dimensions form the hyperspace an Engine explores by default.
+	// dimensions form the hyperspace a campaign's explorer searches.
 	Plugins []Plugin
 	// Config is the target's workload, a tree of scalar structs;
 	// FingerprintConfig of it is the ConfigFingerprint.
@@ -86,8 +86,8 @@ const defaultClients = 10
 // memoized per client count; impact scoring; the campaign phase timers;
 // and the report/traced variants of a run. A target supplies a
 // HarnessSpec and a Deployment and, by embedding the harness, is a Target
-// with every execution capability the Engine detects. Harness is safe
-// for concurrent use by parallel campaign workers.
+// and a Preparer. Harness is safe for concurrent use by parallel campaign
+// workers.
 type Harness[K comparable, D Deployment[R], R any] struct {
 	spec      HarnessSpec[K, D]
 	masters   ForkCache[K, D]
@@ -121,84 +121,63 @@ func (h *Harness[K, D, R]) ConfigFingerprint() string {
 	return FingerprintConfig(h.spec.Config)
 }
 
-// Run implements Runner: a cold run, on a deployment built for this test
-// alone. It takes exactly the steps of a forked run's first fork, so
-// forked == cold holds by construction there, and by test for reused
-// masters.
+// Run implements Runner: it forks the scenario's population, checking
+// its warm master out of the pool (building, warming and capturing one
+// when none is free), and scores the window against the baseline.
 func (h *Harness[K, D, R]) Run(sc scenario.Scenario) Result {
 	res, _ := h.RunReport(sc)
 	return res
 }
 
-// RunFork implements Snapshotter: execute the scenario by forking the
-// warm master of its population. Identical to Run — trace, metrics,
-// oracle verdicts — at a fraction of the cost.
-func (h *Harness[K, D, R]) RunFork(sc scenario.Scenario) Result {
-	res, _ := h.RunForkReport(sc)
-	return res
-}
+// RunFork is Run, for benchmark/, which still names it.
+func (h *Harness[K, D, R]) RunFork(sc scenario.Scenario) Result { return h.Run(sc) }
 
-// RunForkWorker implements WorkerSnapshotter, which the benchmark still
-// names: the pool is the one checkout for every worker count.
-func (h *Harness[K, D, R]) RunForkWorker(sc scenario.Scenario, _ int) Result {
-	return h.RunFork(sc)
-}
+// RunForkWorker is Run, for benchmark/'s WorkerSnapshotter.
+func (h *Harness[K, D, R]) RunForkWorker(sc scenario.Scenario, _ int) Result { return h.Run(sc) }
 
-// RunReport executes the scenario cold and returns both the impact
-// result and the target's detailed report.
+// RunReport is Run with the target's detailed report.
 func (h *Harness[K, D, R]) RunReport(sc scenario.Scenario) (Result, R) {
-	return h.runScored(sc, false, nil)
+	return h.runScored(sc, nil)
 }
 
-// RunForkReport is RunReport through the snapshot/fork path.
-func (h *Harness[K, D, R]) RunForkReport(sc scenario.Scenario) (Result, R) {
-	return h.runScored(sc, true, nil)
-}
+// RunForkReport is RunReport, for benchmark/, which still names it.
+func (h *Harness[K, D, R]) RunForkReport(sc scenario.Scenario) (Result, R) { return h.RunReport(sc) }
 
-// RunTraced executes the scenario cold with the measurement window
-// traced and returns the oracle-event stream alongside the result, in
-// deterministic simulation order.
+// RunTraced is RunReport with the measurement window traced: it returns
+// the oracle-event stream alongside the result, in deterministic
+// simulation order.
 func (h *Harness[K, D, R]) RunTraced(sc scenario.Scenario) (Result, R, []oracle.Event) {
 	rec := oracle.NewRecorder()
-	res, rep := h.runScored(sc, false, rec)
+	res, rep := h.runScored(sc, rec)
 	return res, rep, rec.Events()
 }
 
-// RunTracedFork is RunTraced through the snapshot/fork path; the
-// determinism tests compare its stream against RunTraced's.
+// RunTracedFork is RunTraced, for benchmark/, which still names it.
 func (h *Harness[K, D, R]) RunTracedFork(sc scenario.Scenario) (Result, R, []oracle.Event) {
-	rec := oracle.NewRecorder()
-	res, rep := h.runScored(sc, true, rec)
-	return res, rep, rec.Events()
+	return h.RunTraced(sc)
 }
 
 // runScored is an attack run, scored, its window traced into rec when rec
 // is not nil.
-func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, pooled bool, rec *oracle.Recorder) (Result, R) {
-	res, rep := h.execute(sc, true, pooled, rec)
+func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, rec *oracle.Recorder) (Result, R) {
+	res, rep := h.execute(sc, true, rec)
 	return h.score(sc, res), rep
 }
 
-// Execute runs the scenario once, unscored. An attack run arms the
+// Execute runs the scenario once, unscored, on its population's master,
+// checked out of the pool and returned afterwards. An attack run arms the
 // scenario's faults and measures the full window under the step budget;
 // an attack-free run arms nothing and measures the baseline window.
-// pooled checks the population's master out of the pool (building it when
-// none is free) and returns it afterwards; otherwise the run gets a
-// master of its own and drops it.
-func (h *Harness[K, D, R]) Execute(sc scenario.Scenario, attack, pooled bool) (Result, R) {
-	return h.execute(sc, attack, pooled, nil)
+func (h *Harness[K, D, R]) Execute(sc scenario.Scenario, attack bool) (Result, R) {
+	return h.execute(sc, attack, nil)
 }
 
-func (h *Harness[K, D, R]) execute(sc scenario.Scenario, attack, pooled bool, rec *oracle.Recorder) (Result, R) {
+func (h *Harness[K, D, R]) execute(sc scenario.Scenario, attack bool, rec *oracle.Recorder) (Result, R) {
 	key := h.spec.Key(sc)
 	// A baseline's whole cost, including a master build it triggers, is
 	// the baseline phase's (measureBaseline times it); only attack runs
 	// accrue to the other phases.
-	build := func() D { return h.buildMaster(key, attack) }
-	if !pooled {
-		return h.forkRun(build(), sc, attack, rec)
-	}
-	d := h.masters.Acquire(key, build)
+	d := h.masters.Acquire(key, func() D { return h.buildMaster(key, attack) })
 	defer h.masters.Release(key, d)
 	return h.forkRun(d, sc, attack, rec)
 }
@@ -217,7 +196,10 @@ func (h *Harness[K, D, R]) buildMaster(key K, accrue bool) D {
 }
 
 // forkRun rewinds a checked-out master to its capture, arms the scenario
-// and measures: the one execution path of every run.
+// and measures: the one execution path of every run. A master's first
+// run takes exactly the steps of every later one (build, capture,
+// restore, arm, measure), so a fork of a reused master equals the first
+// run of a fresh one, by test (internal/core/targettest).
 func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, rec *oracle.Recorder) (Result, R) {
 	budget := h.spec.StepBudget
 	if !attack {
@@ -290,7 +272,7 @@ func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	empty := scenario.MustNewSpace(scenario.Dimension{
 		Name: h.spec.ClientsDim, Min: clients, Max: clients, Step: 1,
 	}).New(nil)
-	res, _ := h.Execute(empty, false, true)
+	res, _ := h.Execute(empty, false)
 	return res.Throughput
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"avd/internal/core"
 	"avd/internal/scenario"
 )
 
@@ -20,7 +21,7 @@ func TestHarnessBaselineMemoisedPerCount(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, clients := range []int64{2, 6} {
 			for lag := int64(0); lag <= 2; lag++ {
-				res := target.RunFork(regScenario(t, clients, lag))
+				res := target.Run(regScenario(t, clients, lag))
 				if res.BaselineThroughput != target.Baseline(clients) || res.BaselineThroughput <= 0 {
 					t.Fatalf("clients=%d: result carries baseline %v, harness says %v", clients, res.BaselineThroughput, target.Baseline(clients))
 				}
@@ -56,8 +57,8 @@ func TestHarnessPrepareIdempotentAndNeutral(t *testing.T) {
 		t.Errorf("Prepare measured %d baselines for 2 client counts", got)
 	}
 	for _, sc := range scs {
-		wantRes, wantRep := plain.RunForkReport(sc)
-		gotRes, gotRep := prepared.RunForkReport(sc)
+		wantRes, wantRep := plain.RunReport(sc)
+		gotRes, gotRep := prepared.RunReport(sc)
 		if !reflect.DeepEqual(wantRes, gotRes) || !reflect.DeepEqual(wantRep, gotRep) {
 			t.Errorf("%s: prepared harness differs:\nplain:    %+v %+v\nprepared: %+v %+v", sc.Key(), wantRes, wantRep, gotRes, gotRep)
 		}
@@ -73,7 +74,7 @@ func TestHarnessFlushMasters(t *testing.T) {
 	target := newRegTarget(regSpec())
 	counts := []int64{2, 4, 6, 8}
 	for _, clients := range counts {
-		target.RunFork(regScenario(t, clients, 1))
+		target.Run(regScenario(t, clients, 1))
 	}
 	parked := func() (n int) {
 		target.EachMaster(func(int64, *regDeployment) { n++ })
@@ -82,12 +83,12 @@ func TestHarnessFlushMasters(t *testing.T) {
 	if n := parked(); n != len(counts) {
 		t.Fatalf("%d masters parked after runs on %d populations", n, len(counts))
 	}
-	want := target.RunFork(regScenario(t, 4, 1))
+	want := target.Run(regScenario(t, 4, 1))
 	target.FlushMasters()
 	if n := parked(); n != 0 {
 		t.Errorf("FlushMasters left %d masters parked", n)
 	}
-	if got := target.RunFork(regScenario(t, 4, 1)); !reflect.DeepEqual(want, got) {
+	if got := target.Run(regScenario(t, 4, 1)); !reflect.DeepEqual(want, got) {
 		t.Errorf("run after flush differs: %+v vs %+v", got, want)
 	}
 	if got := target.builds.Load(); got != int64(len(counts))+1 {
@@ -115,7 +116,7 @@ func TestHarnessPhaseBuckets(t *testing.T) {
 	if p.WarmupSeconds != 0 || p.ForkSeconds != 0 || p.RunSeconds != 0 || p.AnalyzeSeconds != 0 {
 		t.Errorf("baseline leaked into other phases: %+v", p)
 	}
-	target.RunFork(regScenario(t, 4, 2))
+	target.Run(regScenario(t, 4, 2))
 	after := target.Phases()
 	if after.RunSeconds < window.Seconds() || after.ForkSeconds <= 0 || after.AnalyzeSeconds <= 0 {
 		t.Errorf("attack run on a warm master: %+v", after)
@@ -125,7 +126,7 @@ func TestHarnessPhaseBuckets(t *testing.T) {
 	}
 
 	target = newTarget()
-	target.RunFork(regScenario(t, 4, 2))
+	target.Run(regScenario(t, 4, 2))
 	p = target.Phases()
 	if p.WarmupSeconds < build.Seconds() || p.WarmupSeconds >= (build+window).Seconds() {
 		t.Errorf("attack run that built its master: warm-up %.3fs, want [%.3f, %.3f)", p.WarmupSeconds, build.Seconds(), (build + window).Seconds())
@@ -147,7 +148,7 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	spec.StepBudget = 50
 	budgeted := newRegTarget(spec)
 	sc := regScenario(t, 4, 0)
-	res := budgeted.RunFork(sc)
+	res := budgeted.Run(sc)
 	if !res.Hung || res.Error == "" {
 		t.Fatalf("50-event budget did not cut the attack window: %+v", res)
 	}
@@ -160,9 +161,45 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	if got := time.Duration(budgeted.lastBaselineWindow.Load()); got != spec.Measure {
 		t.Errorf("baseline window %v, want Measure %v", got, spec.Measure)
 	}
-	coldRes, coldRep := budgeted.Execute(sc, false, false)
-	forkRes, forkRep := budgeted.Execute(sc, false, true)
-	if !reflect.DeepEqual(coldRes, forkRes) || !reflect.DeepEqual(coldRep, forkRep) {
-		t.Errorf("unarmed cold run differs from unarmed fork:\ncold: %+v %+v\nfork: %+v %+v", coldRes, coldRep, forkRes, forkRep)
+	firstRes, firstRep := newRegTarget(spec).Execute(sc, false)
+	forkRes, forkRep := budgeted.Execute(sc, false)
+	if !reflect.DeepEqual(firstRes, forkRes) || !reflect.DeepEqual(firstRep, forkRep) {
+		t.Errorf("unarmed run on a fresh target differs from an unarmed fork:\nfresh: %+v %+v\nfork:  %+v %+v", firstRes, firstRep, forkRes, forkRep)
+	}
+}
+
+// TestHarnessMinimizeReusesMasters: minimizing a campaign's worst result
+// forks the campaign's warm masters — every probe lands on a population
+// the campaign ran, so none builds another.
+func TestHarnessMinimizeReusesMasters(t *testing.T) {
+	target := newRegTarget(regSpec())
+	space := regSpace(t, regClients, regLag)
+	eng, err := core.NewEngine(target, core.WithExplorer(core.NewExhaustiveExplorer(space)), core.WithBudget(int(space.Size())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := results[0]
+	for _, res := range results {
+		if res.Impact > worst.Impact {
+			worst = res
+		}
+	}
+	built := target.builds.Load()
+	if built != int64(regClients.Count()) {
+		t.Fatalf("the campaign built %d masters for %d populations", built, regClients.Count())
+	}
+	m, err := core.Minimize(target, worst, core.MinimizeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Runs == 0 {
+		t.Fatalf("minimizing %s probed nothing", worst.Scenario.Key())
+	}
+	if got := target.builds.Load() - built; got != 0 {
+		t.Errorf("%d probes of minimization built %d masters; want none", m.Runs, got)
 	}
 }

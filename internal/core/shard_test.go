@@ -246,7 +246,11 @@ func shardCampaigns(t *testing.T, plugins []Plugin, k int) (full *scenario.Space
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(fakeTarget{Runner: run, plugins: wrapped}, WithSeed(9), WithBudget(20))
+		ctrl, err := NewController(ControllerConfig{Seed: 9}, wrapped...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewEngine(fakeTarget{Runner: run, plugins: wrapped}, WithExplorer(ctrl), WithBudget(20))
 		if err != nil {
 			t.Fatal(err)
 		}

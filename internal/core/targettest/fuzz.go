@@ -18,11 +18,12 @@ const fuzzForks = 6
 const fuzzPopulationIndex = 6
 
 // FuzzForkEqualsCold is the fuzzed form of forked == cold (DESIGN.md §8,
-// §15): a random scenario of Internals.Space runs cold for each of two or
-// three client populations on one target, and then forks in a random
-// interleaving across those populations, over a poisoned slab pool and
-// with the queue hooks fuzzed too. Every fork must equal its population's
-// cold run: Result, report and oracle trace.
+// §15): a random scenario of Internals.Space runs cold — the first run of
+// a fresh target — for each of two or three client populations, and then
+// forks on one more target in a random interleaving across those
+// populations, over a poisoned slab pool and with the queue hooks fuzzed
+// too. Every fork must equal its population's cold run: Result, report
+// and oracle trace.
 func FuzzForkEqualsCold[W any, K comparable, D core.Deployment[R], R any](f *testing.F, spec Internals[W, K, D, R]) {
 	for _, seed := range spec.FuzzSeeds {
 		f.Add(fuzzAxes(spec.Space, seed.Point), seed.Pops, seed.Order, seed.SplitTrains, seed.EagerResets)
@@ -38,16 +39,16 @@ func FuzzForkEqualsCold[W any, K comparable, D core.Deployment[R], R any](f *tes
 		n := 2 + int(order%2)
 		order /= 2
 		scs := fuzzScenarios(spec.Space, axes, pops, n)
-		tg := spec.New(t, spec.Fuzz)
 		cold := make([]traced[R], n)
 		for p, sc := range scs {
-			res, rep, trace := tg.RunTraced(sc)
+			res, rep, trace := spec.New(t, spec.Fuzz).RunTraced(sc)
 			cold[p] = traced[R]{res, rep, trace}
 		}
+		tg := spec.New(t, spec.Fuzz)
 		for i := range fuzzForks {
 			p := int(order % uint32(n))
 			order /= uint32(n)
-			res, rep, trace := tg.RunTracedFork(scs[p])
+			res, rep, trace := tg.RunTraced(scs[p])
 			if msg := diff(fmt.Sprintf("fork %d of %s", i, scs[p].Key()), cold[p], traced[R]{res, rep, trace}); msg != "" {
 				t.Fatal(msg)
 			}

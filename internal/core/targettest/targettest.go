@@ -1,10 +1,11 @@
 // Package targettest is the contract a system under test owes
 // core.Harness (DESIGN.md §8), written once and run by every target:
-// forked == cold over a poisoned pool, messages in flight at the capture,
-// unarmed baselines, queue-hook neutrality, runaway windows, retention,
-// exact window pins, determinism and the structural marker. Each check is
-// a method; a target's tests call them one per test, so every test still
-// names the property it holds the target to.
+// forked == cold (a fork of a reused master equals the first run of a
+// population on a fresh target) over a poisoned pool, messages in flight
+// at the capture, unarmed baselines, queue-hook neutrality, runaway
+// windows, retention, exact window pins, determinism and the structural
+// marker. Each check is a method; a target's tests call them one per
+// test, so every test still names the property it holds the target to.
 //
 // The package is test code: only _test.go files import it, and it imports
 // core and the packages under it, never a target, so the targets' tests
@@ -36,10 +37,8 @@ import (
 // core.Harness's run methods, which a target's exported runner promotes.
 type Runner[R any] interface {
 	core.Target
-	RunFork(sc scenario.Scenario) core.Result
 	RunReport(sc scenario.Scenario) (core.Result, R)
 	RunTraced(sc scenario.Scenario) (core.Result, R, []oracle.Event)
-	RunTracedFork(sc scenario.Scenario) (core.Result, R, []oracle.Event)
 	Prepare(sc scenario.Scenario)
 }
 
@@ -109,7 +108,7 @@ type Group[W, R any] struct {
 }
 
 // Case is one scenario. Exercised, when set, reports whether the cold
-// run did what the case is there for.
+// run (the first on a fresh target) did what the case is there for.
 type Case[R any] struct {
 	Name      string
 	Scenario  scenario.Scenario
@@ -237,12 +236,12 @@ func forkOrder(n int) []int {
 	return order
 }
 
-// coldThenForks runs every case of g cold on a fresh target, then forks
-// each three times in an interleaved order, and holds every run to want
-// (to the cold runs when want is nil). It returns the cold runs and, per
-// case, what went wrong with its runs.
+// coldThenForks runs every case of g cold, as the first run of a fresh
+// target of its own (cases may share a population), then forks each three
+// times in an interleaved order on one more target, and holds every run
+// to want (to the cold runs when want is nil). It returns the cold runs
+// and, per case, what went wrong with its runs.
 func (s Spec[W, R]) coldThenForks(tb testing.TB, g Group[W, R], want []traced[R]) ([]traced[R], [][]string) {
-	tg := s.New(tb, g.W)
 	cold := make([]traced[R], len(g.Cases))
 	failed := make([][]string, len(g.Cases))
 	fail := func(i int, msg string) {
@@ -251,7 +250,7 @@ func (s Spec[W, R]) coldThenForks(tb testing.TB, g Group[W, R], want []traced[R]
 		}
 	}
 	for i, c := range g.Cases {
-		res, rep, trace := tg.RunTraced(c.Scenario)
+		res, rep, trace := s.New(tb, g.W).RunTraced(c.Scenario)
 		cold[i] = traced[R]{res, rep, trace}
 		if len(trace) == 0 || res.Coverage.IsZero() {
 			fail(i, fmt.Sprintf("the cold run traced %d events with coverage %+v", len(trace), res.Coverage))
@@ -266,10 +265,11 @@ func (s Spec[W, R]) coldThenForks(tb testing.TB, g Group[W, R], want []traced[R]
 	if want == nil {
 		want = cold
 	}
+	tg := s.New(tb, g.W)
 	forks := make([]int, len(g.Cases))
 	for _, i := range forkOrder(len(g.Cases)) {
 		forks[i]++
-		res, rep, trace := tg.RunTracedFork(g.Cases[i].Scenario)
+		res, rep, trace := tg.RunTraced(g.Cases[i].Scenario)
 		fail(i, diff(fmt.Sprintf("fork %d", forks[i]), want[i], traced[R]{res, rep, trace}))
 	}
 	return cold, failed
@@ -322,7 +322,7 @@ func (s Spec[W, R]) QueueHooksCampaign(t *testing.T) {
 		t.Skip("runs three 30-test campaigns")
 	}
 	campaign := func() []core.Result {
-		return runAll(t, s.New(t, s.Campaign), 30, core.WithSeed(1))
+		return runAll(t, s.New(t, s.Campaign), 1, 30)
 	}
 	want := campaign()
 	hung := 0
@@ -345,10 +345,15 @@ func (s Spec[W, R]) QueueHooksCampaign(t *testing.T) {
 	}
 }
 
-// runAll runs a campaign of n tests to the end.
-func runAll(tb testing.TB, target core.Target, n int, opts ...core.EngineOption) []core.Result {
+// runAll runs a campaign of n tests to the end, the Controller seeded by
+// seed exploring the target's plugins.
+func runAll(tb testing.TB, target core.Target, seed int64, n int, opts ...core.EngineOption) []core.Result {
 	tb.Helper()
-	eng, err := core.NewEngine(target, append(opts, core.WithBudget(n))...)
+	ctrl, err := core.NewController(core.ControllerConfig{Seed: seed}, target.Plugins()...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng, err := core.NewEngine(target, append(opts, core.WithExplorer(ctrl), core.WithBudget(n))...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -362,29 +367,29 @@ func runAll(tb testing.TB, target core.Target, n int, opts ...core.EngineOption)
 	return results
 }
 
-// Hung: the storm degrades to Hung on the same event cold and forked, and
-// the next fork is healthy.
+// Hung: the storm degrades to Hung on the same event cold (on a fresh
+// target) and forked, and the next fork is healthy.
 func (s Spec[W, R]) Hung(t *testing.T) { s.hung(t, s.New(t, s.Storm.W), nil) }
 
-// hung is Hung on tg, with more checks run between the storm and the
-// healthy fork after it.
-func (s Spec[W, R]) hung(t *testing.T, tg Runner[R], more func()) {
+// hung is Hung, forking on tg, with more checks run between the storm and
+// the healthy fork after it.
+func (s Spec[W, R]) hung(t *testing.T, tg core.Target, more func()) {
 	st := s.Storm
-	healthy := tg.RunFork(st.Calm)
+	healthy := tg.Run(st.Calm)
 	if healthy.Errored() {
 		t.Fatalf("the calm scenario degraded: %+v", healthy)
 	}
-	cold := tg.Run(st.Scenario)
+	cold := s.New(t, st.W).Run(st.Scenario)
 	if !cold.Hung || !strings.Contains(cold.Error, st.Error) {
 		t.Fatalf("the storm did not degrade to hung with %q: %+v", st.Error, cold)
 	}
-	if fork := tg.RunFork(st.Scenario); !reflect.DeepEqual(cold, fork) {
+	if fork := tg.Run(st.Scenario); !reflect.DeepEqual(cold, fork) {
 		t.Errorf("the hung verdict differs between cold and fork:\ncold: %+v\nfork: %+v", cold, fork)
 	}
 	if more != nil {
 		more()
 	}
-	if again := tg.RunFork(st.Calm); !reflect.DeepEqual(healthy, again) {
+	if again := tg.Run(st.Calm); !reflect.DeepEqual(healthy, again) {
 		t.Errorf("the storm leaked into the next fork:\nbefore: %+v\nafter:  %+v", healthy, again)
 	}
 }
@@ -413,7 +418,7 @@ func (s Spec[W, R]) ConcurrentForks(t *testing.T, group string) {
 	serial := s.New(t, g.W)
 	want := make([]core.Result, len(scs))
 	for i, sc := range scs {
-		want[i] = serial.RunFork(sc)
+		want[i] = serial.Run(sc)
 	}
 	tg := s.New(t, g.W)
 	const callers = 8
@@ -426,7 +431,7 @@ func (s Spec[W, R]) ConcurrentForks(t *testing.T, group string) {
 			for i := range 2 * len(scs) {
 				sc := scs[(i+c)%len(scs)]
 				tg.Prepare(sc)
-				got[c] = append(got[c], tg.RunFork(sc))
+				got[c] = append(got[c], tg.Run(sc))
 			}
 		}()
 	}
@@ -449,7 +454,7 @@ func (s Spec[W, R]) ConcurrentForks(t *testing.T, group string) {
 // path's race test.
 func (s Spec[W, R]) CampaignDeterministic(t *testing.T) {
 	campaign := func() string {
-		results := runAll(t, s.New(t, s.Campaign), 12, core.WithSeed(7), core.WithWorkers(4))
+		results := runAll(t, s.New(t, s.Campaign), 7, 12, core.WithWorkers(4))
 		for _, res := range results {
 			if res.BaselineThroughput <= 0 {
 				t.Errorf("no baseline for %s", res.Scenario.Key())
@@ -507,20 +512,20 @@ func (s Internals[W, K, D, R]) RunOnFromCapture(t *testing.T) {
 }
 
 // Baseline: an unarmed run of each population of the group is the same
-// cold, forked and re-forked, the cold and forked paths on separate
-// targets.
+// cold (the first run of a fresh target of its own), forked and
+// re-forked, the forks on one more target.
 func (s Internals[W, K, D, R]) Baseline(t *testing.T, group string) {
 	g := s.Group(t, group)
-	cold, forked := s.Target(t, g.W), s.Target(t, g.W)
+	forked := s.Target(t, g.W)
 	seen := make(map[K]bool)
 	for _, c := range g.Cases {
 		if seen[s.Key(c.Scenario)] {
 			continue
 		}
 		seen[s.Key(c.Scenario)] = true
-		coldRes, coldRep := cold.Execute(c.Scenario, false, false)
+		coldRes, coldRep := s.Target(t, g.W).Execute(c.Scenario, false)
 		for fork := 1; fork <= 2; fork++ {
-			res, rep := forked.Execute(c.Scenario, false, true)
+			res, rep := forked.Execute(c.Scenario, false)
 			if !reflect.DeepEqual(coldRes, res) || !reflect.DeepEqual(coldRep, rep) {
 				t.Errorf("%s: unarmed fork %d differs from the unarmed cold run:\ncold: %+v %+v\nfork: %+v %+v", c.Name, fork, coldRes, coldRep, res, rep)
 			}
@@ -530,7 +535,7 @@ func (s Internals[W, K, D, R]) Baseline(t *testing.T, group string) {
 
 // AllOff: the scenario with every axis of Space at its minimum arms
 // nothing, under any plugin. At each of the client counts, values of the
-// first Structural axis, its cold run on a target for w measures exactly
+// first Structural axis, its run on a target for w measures exactly
 // its baseline, reports no violation, is not hung, and scores the latency
 // term alone: Impact is 0.2·min(AvgLatency/latencyRef, 1), bit for bit.
 // That is not 0, because the latency term is absolute, not relative to
@@ -572,7 +577,7 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 		}
 		// An unscored run leaves the master's engine at the storm's last event.
 		unscored := func() (core.Result, uint64) {
-			res, _ := tg.Execute(st.Scenario, true, true)
+			res, _ := tg.Execute(st.Scenario, true)
 			var executed uint64
 			tg.EachMaster(func(k K, d D) {
 				if k == s.Key(st.Scenario) {
@@ -592,8 +597,8 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 	})
 }
 
-// Retention: after forks interleaved across the populations of the group,
-// the baselines they trigger and a cold run, nothing is on lease and
+// Retention: after forks interleaved across the populations of the group
+// and the baselines they trigger, nothing is on lease and
 // every parked master holds exactly the chunks its capture kept
 // (DESIGN.md §15), and whatever Parked checks.
 func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
@@ -601,10 +606,9 @@ func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 	tg := s.Target(t, g.W)
 	for range 2 {
 		for _, c := range g.Cases {
-			tg.RunFork(c.Scenario)
+			tg.Run(c.Scenario)
 		}
 	}
-	tg.Run(g.Cases[0].Scenario)
 	if n := tg.Pool().Leased(); n != 0 {
 		t.Errorf("%d chunks still on lease with every master parked", n)
 	}
@@ -655,7 +659,7 @@ func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 	p := s.Pins[i]
 	if p.ForkAllocs > 0 || p.ForkBytes > 0 {
 		tg := s.Target(t, p.W)
-		fork := func() { tg.RunFork(p.Scenario) }
+		fork := func() { tg.Run(p.Scenario) }
 		fork() // builds, warms and captures the master, and measures the baseline
 		allocs, bytes := allocsPerRun(20, fork)
 		t.Logf("a forked run allocates %d objects, %d bytes", allocs, bytes)

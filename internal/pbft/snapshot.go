@@ -267,9 +267,9 @@ func (r *Replica) Restore(s *ReplicaState) {
 // ApplyByzantine (re-)activates the replica's ByzantineBehavior after
 // its fields were changed by the deployment harness: it fills in the
 // slow-proposal interval default and starts the pacing timer when the
-// replica is currently a slow primary. Snapshot/fork harnesses call this
-// at measurement start — on the cold path and the forked path alike — so
-// attacks arm identically in both.
+// replica is currently a slow primary. The harness calls this at
+// measurement start — on a master's first run and on every later fork
+// alike — so attacks arm identically in both.
 func (r *Replica) ApplyByzantine() {
 	if r.byz == nil {
 		return

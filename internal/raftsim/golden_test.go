@@ -110,9 +110,9 @@ func TestGoldenTracePoisonedForks(t *testing.T) {
 	sc := space.New(point)
 	for round := 0; round < 2; round++ {
 		for _, clients := range []int64{3, 7} {
-			r.RunFork(space.New(map[string]int64{DimClients: clients, DimFlapIntervalMS: 200, DimFlapDownMS: 100}))
+			r.Run(space.New(map[string]int64{DimClients: clients, DimFlapIntervalMS: 200, DimFlapDownMS: 100}))
 		}
-		_, _, events := r.RunTracedFork(sc)
+		_, _, events := r.RunTraced(sc)
 		checkGolden(t, sc, events)
 	}
 }

@@ -457,11 +457,11 @@ func TestCorruptedAckIsRefused(t *testing.T) {
 		plugin.DimCrashIntervalMS: 550, plugin.DimCrashDownMS: 125, plugin.DimCrashLose: 1,
 		plugin.DimOneWayVictim: 1, plugin.DimCorruptMask: 196, plugin.DimDupMask: 7,
 	})
-	cold, coldRep := r.RunReport(sc)
+	cold, coldRep := r.RunReport(sc) // the first run of the fresh runner builds the master
 	if cold.Errored() {
 		t.Fatalf("the corrupted exchange still costs the test its verdict: %+v", cold)
 	}
-	fork, forkRep := r.RunForkReport(sc)
+	fork, forkRep := r.RunReport(sc) // the second forks it
 	if !reflect.DeepEqual(cold, fork) || coldRep != forkRep {
 		t.Errorf("verdict differs between cold and fork:\ncold: %+v %+v\nfork: %+v %+v", cold, coldRep, fork, forkRep)
 	}
@@ -557,7 +557,7 @@ func TestInFlightEntriesSurviveForks(t *testing.T) {
 				if landed-before < captured {
 					t.Fatalf("%s %v into the fork: %d AppendEntries carrying entries landed, fewer than the %d captured in flight", strike.name, after, landed-before, captured)
 				}
-				r.RunFork(testSpace(t).New(map[string]int64{DimClients: 5, DimFlapIntervalMS: 200, DimFlapDownMS: 100}))
+				r.Run(testSpace(t).New(map[string]int64{DimClients: 5, DimFlapIntervalMS: 200, DimFlapDownMS: 100}))
 			}
 		}
 	}
