@@ -272,19 +272,18 @@ func BenchmarkSlowPrimaryCollusion(b *testing.B) {
 // --- Ablations ---------------------------------------------------------------------
 
 // BenchmarkAblationGrayVsBinary (A1) compares mutation locality under
-// Gray vs plain binary mask encoding: the fraction of one-step mutations
-// that change exactly one effective mask bit.
+// the two mask encodings cluster.Workload.BinaryMask picks between, Gray
+// and plain binary: the fraction of one-step mutations that change
+// exactly one armed mask bit.
 func BenchmarkAblationGrayVsBinary(b *testing.B) {
 	var grayLocal, binLocal float64
 	for i := 0; i < b.N; i++ {
 		grayLocal, binLocal = 0, 0
-		for coord := int64(0); coord < 4095; coord++ {
-			g := plugin.NewMACCorrupt()
-			if graycode.HammingDistance(g.Mask(coord), g.Mask(coord+1)) == 1 {
+		for coord := uint64(0); coord < 4095; coord++ {
+			if graycode.HammingDistance(graycode.Encode(coord), graycode.Encode(coord+1)) == 1 {
 				grayLocal++
 			}
-			bin := &plugin.MACCorrupt{Bits: 12, Binary: true}
-			if graycode.HammingDistance(bin.Mask(coord), bin.Mask(coord+1)) == 1 {
+			if graycode.HammingDistance(coord, coord+1) == 1 {
 				binLocal++
 			}
 		}

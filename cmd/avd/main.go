@@ -167,7 +167,7 @@ func runCampaign(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		if info.Resumed() > 0 || info.TornTail {
+		if info.Results > 0 || info.TornTail {
 			fmt.Printf("resumed from %s: %s\n", paths.Checkpoint, info)
 		}
 		opts = append(opts, core.WithDurable(durable))
@@ -213,7 +213,7 @@ func runCampaign(args []string) {
 	results, runErr := eng.RunAll(ctx)
 	stop()
 	// An output that fails from here on is reported and turns the exit
-	// status, but the checkpoint is still folded and the summary printed.
+	// status, but the journal is still closed and the summary printed.
 	outputErr := stopCPUProfile()
 	outputErr = errors.Join(outputErr, writeHeapProfile(memFile))
 	interrupted := false
@@ -222,8 +222,6 @@ func runCampaign(args []string) {
 		fmt.Fprintf(os.Stderr, "avd: campaign ended early: %v\n", runErr)
 	}
 	if durable != nil {
-		// Fold the journal into a final snapshot so the next process (or
-		// the supervisor's merge) starts from one clean file.
 		if err := durable.Close(); err != nil {
 			fatal(err)
 		}

@@ -165,6 +165,54 @@ func TestResumeAcrossShardPlansRefused(t *testing.T) {
 	}
 }
 
+// TestSnapshotLayoutStateRefused: a state directory of the older
+// snapshot-plus-journal layout keeps its results in a text snapshot at
+// the checkpoint path and leaves the journal holding just its magic. A
+// resume exits 1 naming the snapshot, before the campaign starts, and
+// leaves both files as they were.
+func TestSnapshotLayoutStateRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	state := filepath.Join(t.TempDir(), "state")
+	cfg := campaign.Config{Target: "pbft", Strategy: "avd", Tests: 2, Seed: 1,
+		Measure: 300 * time.Millisecond, StepBudget: 2_000_000, Workers: 1}
+	setup, err := campaign.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := campaign.PathsFor(state, 0, 1)
+	files := map[string]string{
+		paths.Checkpoint:              "avd-checkpoint v1\nr 0 17 0x1p-03 0x1.f4p+09 0x1.f4p+09 1234 0 2 \"seed\"\n",
+		paths.Checkpoint + ".journal": "avdjrnl1",
+	}
+	if err := os.MkdirAll(state, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteManifest(paths.Manifest, setup.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	for file, data := range files {
+		if err := os.WriteFile(file, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out, err := exec.Command(buildAvd(t), append(cfg.Args(), "-state", state, "-quiet")...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), paths.Checkpoint+" exists") {
+		t.Errorf("resume over a snapshot: %v, want exit status 1 naming %s:\n%s", err, paths.Checkpoint, out)
+	}
+	if strings.Contains(string(out), "budget=") {
+		t.Errorf("the refused resume started its campaign:\n%s", out)
+	}
+	for file, data := range files {
+		if got, err := os.ReadFile(file); err != nil || string(got) != data {
+			t.Errorf("the refused resume changed %s: %q, %v", filepath.Base(file), got, err)
+		}
+	}
+}
+
 // TestResumeWithChangedMeasureRefused: the manifest's config fingerprint
 // covers the workload, so a resume with another -measure exits 1 naming
 // config, and a resume with the same flags is accepted.
@@ -227,7 +275,7 @@ func TestProfileFlags(t *testing.T) {
 // TestBadOutputPathExitsBeforeCampaign: an output file that cannot be
 // created is refused before the first test runs and before the state
 // directory exists — not after the whole budget (-csv), and not in place
-// of the checkpoint's final fold (-memprofile).
+// of the checkpoint's close (-memprofile).
 func TestBadOutputPathExitsBeforeCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")

@@ -195,3 +195,29 @@ func TestShardImpactLines(t *testing.T) {
 		t.Errorf("per-shard lines:\n%swant:\n%s", sb.String(), want)
 	}
 }
+
+// TestCompletedShardWithoutJournalRefused: a worker that exits 0 without
+// journaling anything completes its shard with no durable state. The
+// merge used to read the missing journal as zero results and print a
+// short summary; it now exits 1 naming the shard and the journal.
+func TestCompletedShardWithoutJournalRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	_, avdd := buildBinaries(t)
+	dir := t.TempDir()
+	worker := filepath.Join(dir, "worker")
+	if err := os.WriteFile(worker, []byte("#!/bin/sh\nexit 0\n"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "state")
+	out, err := exec.Command(avdd, "-worker", worker, "-shards", "2", "-state", state, "-tests", "2").CombinedOutput()
+	var exit *exec.ExitError
+	journal := filepath.Join(state, "shard-0-of-2.ckpt.journal")
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "shard 0: ") || !strings.Contains(string(out), journal) {
+		t.Errorf("avdd over a journal-less shard: %v, want exit status 1 naming shard 0 and %s:\n%s", err, journal, out)
+	}
+	if strings.Contains(string(out), "campaign fingerprint") {
+		t.Errorf("avdd merged the journal-less shards:\n%s", out)
+	}
+}

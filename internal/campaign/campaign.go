@@ -314,7 +314,7 @@ func ParseRaftPlugins(cs string) ([]core.Plugin, error) {
 // use the same layout with K=1, so a single-process -state run and a
 // 1-shard supervised run share files.
 type StatePaths struct {
-	Checkpoint string // durable snapshot (journal lives at .journal)
+	Checkpoint string // durable checkpoint root; only Checkpoint+".journal" is written
 	Manifest   string // pinned configuration
 	Heartbeat  string // liveness file the worker touches per batch
 }

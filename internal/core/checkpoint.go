@@ -83,25 +83,15 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// CheckpointErrorKind classifies why checkpoint input failed to decode,
-// so callers can distinguish a recoverable torn tail (a process died
-// mid-write; the valid prefix is intact) from a file that was never a
-// checkpoint at all.
+// CheckpointErrorKind classifies why checkpoint input failed to decode:
+// a file that was never a checkpoint, or one damaged past its header.
 type CheckpointErrorKind int
 
 const (
 	// CheckpointGarbage: the input does not start with the checkpoint
-	// header — it is not (and never was) a checkpoint. Nothing is
-	// recoverable.
+	// header — it is not (and never was) a checkpoint.
 	CheckpointGarbage CheckpointErrorKind = iota
-	// CheckpointTornTail: the header and a prefix of complete records
-	// decoded, then the final line of the input failed to parse — the
-	// signature of a write cut short by a crash. Partial holds the
-	// recovered prefix.
-	CheckpointTornTail
-	// CheckpointCorrupt: a record in the middle of the file is malformed
-	// while later lines exist — damage, not a torn write. Partial holds
-	// the prefix decoded before the corruption.
+	// CheckpointCorrupt: a record after the header is malformed.
 	CheckpointCorrupt
 )
 
@@ -110,8 +100,6 @@ func (k CheckpointErrorKind) String() string {
 	switch k {
 	case CheckpointGarbage:
 		return "garbage"
-	case CheckpointTornTail:
-		return "torn tail"
 	case CheckpointCorrupt:
 		return "corrupt"
 	default:
@@ -120,28 +108,19 @@ func (k CheckpointErrorKind) String() string {
 }
 
 // CheckpointError is the typed failure of DecodeCheckpoint: Kind says
-// what went wrong, Line locates it, Recovered counts the complete
-// results decoded before the failure, and Partial (nil only for garbage
-// input) carries that valid prefix so recovery paths — the durable
-// checkpoint's torn-tail truncation — can resume from it.
+// what went wrong and Line locates it.
 type CheckpointError struct {
-	Kind      CheckpointErrorKind
-	Line      int
-	Recovered int
-	Partial   *Checkpoint
-	Err       error
+	Kind CheckpointErrorKind
+	Line int
+	Err  error
 }
 
-// Error implements error, spelling out what is and is not recoverable.
+// Error implements error.
 func (e *CheckpointError) Error() string {
-	switch e.Kind {
-	case CheckpointGarbage:
+	if e.Kind == CheckpointGarbage {
 		return fmt.Sprintf("core: checkpoint line %d: not a checkpoint (%v)", e.Line, e.Err)
-	case CheckpointTornTail:
-		return fmt.Sprintf("core: checkpoint line %d: torn tail (%v); %d complete results recovered", e.Line, e.Err, e.Recovered)
-	default:
-		return fmt.Sprintf("core: checkpoint line %d: corrupt record (%v); %d results decoded before the damage", e.Line, e.Err, e.Recovered)
 	}
+	return fmt.Sprintf("core: checkpoint line %d: corrupt record (%v)", e.Line, e.Err)
 }
 
 // Unwrap exposes the underlying parse error.
@@ -151,15 +130,19 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 // result's scenario against space (which must be the hyperspace of the
 // campaign that wrote the checkpoint — the engine's replay verification
 // catches mismatches on resume). It never panics on malformed input; on
-// failure the returned error is a *CheckpointError distinguishing a
-// recoverable torn tail (interrupted write, valid prefix preserved in
-// Partial) from garbage or mid-file corruption.
+// failure the returned error is a *CheckpointError.
 func DecodeCheckpoint(r io.Reader, space *scenario.Space) (*Checkpoint, error) {
+	return decodeCheckpoint(r, space, 64*1024)
+}
+
+// decodeCheckpoint is DecodeCheckpoint with a first line buffer of
+// bufSize bytes; a journal frame's decode sizes it to the payload.
+func decodeCheckpoint(r io.Reader, space *scenario.Space, bufSize int) (*Checkpoint, error) {
 	if space == nil {
 		return nil, fmt.Errorf("core: decode checkpoint needs a space")
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, bufSize), 1024*1024)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, &CheckpointError{Kind: CheckpointGarbage, Line: 1, Err: err}
@@ -172,17 +155,8 @@ func DecodeCheckpoint(r io.Reader, space *scenario.Space) (*Checkpoint, error) {
 	ck := NewCheckpoint()
 	line := 1
 	var last *Result
-	// fail builds the typed error for a record failure: a torn tail when
-	// the offending line is the input's final line (the fingerprint of an
-	// interrupted append), corruption when complete lines follow it.
-	fail := func(err error) error {
-		recovered := NewCheckpoint()
-		recovered.results = append(recovered.results, ck.results...)
-		kind := CheckpointCorrupt
-		if !sc.Scan() {
-			kind = CheckpointTornTail
-		}
-		return &CheckpointError{Kind: kind, Line: line, Recovered: recovered.Len(), Partial: recovered, Err: err}
+	corrupt := func(err error) error {
+		return &CheckpointError{Kind: CheckpointCorrupt, Line: line, Err: err}
 	}
 	for sc.Scan() {
 		line++
@@ -191,10 +165,7 @@ func DecodeCheckpoint(r io.Reader, space *scenario.Space) (*Checkpoint, error) {
 		case strings.HasPrefix(text, "r "):
 			res, err := decodeResultLine(text[2:], space)
 			if err != nil {
-				if last != nil {
-					ck.append(*last)
-				}
-				return nil, fail(err)
+				return nil, corrupt(err)
 			}
 			if last != nil {
 				ck.append(*last)
@@ -202,38 +173,35 @@ func DecodeCheckpoint(r io.Reader, space *scenario.Space) (*Checkpoint, error) {
 			last = &res
 		case strings.HasPrefix(text, "e "):
 			if last == nil {
-				return nil, fail(fmt.Errorf("extension before any result"))
+				return nil, corrupt(fmt.Errorf("extension before any result"))
 			}
 			if err := decodeExtensionLine(text[2:], last); err != nil {
-				return nil, fail(err)
+				return nil, corrupt(err)
 			}
 		case strings.HasPrefix(text, "c "):
 			if last == nil {
-				return nil, fail(fmt.Errorf("coverage before any result"))
+				return nil, corrupt(fmt.Errorf("coverage before any result"))
 			}
 			if err := decodeCoverageLine(text[2:], last); err != nil {
-				return nil, fail(err)
+				return nil, corrupt(err)
 			}
 		case strings.HasPrefix(text, "v "):
 			if last == nil {
-				return nil, fail(fmt.Errorf("violation before any result"))
+				return nil, corrupt(fmt.Errorf("violation before any result"))
 			}
 			v, err := decodeViolationLine(text[2:])
 			if err != nil {
-				return nil, fail(err)
+				return nil, corrupt(err)
 			}
 			last.Violations = append(last.Violations, v)
 		case text == "":
 			// Tolerate a trailing newline.
 		default:
-			return nil, fail(fmt.Errorf("unknown record %q", text))
+			return nil, corrupt(fmt.Errorf("unknown record %q", text))
 		}
 	}
 	if err := sc.Err(); err != nil {
-		if last != nil {
-			ck.append(*last)
-		}
-		return nil, fail(err)
+		return nil, corrupt(err)
 	}
 	if last != nil {
 		ck.append(*last)

@@ -7,33 +7,28 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"avd/internal/scenario"
 )
 
 // DurableCheckpoint persists a campaign's Checkpoint across process
-// crashes (DESIGN.md §13). Two files back one logical checkpoint:
-//
-//	<path>          snapshot: a complete text-codec checkpoint, replaced
-//	                atomically (write temp, fsync, rename, fsync dir)
-//	<path>.journal  append log: an 8-byte magic followed by CRC32-framed,
-//	                length-prefixed batch records, fsynced per append
+// crashes (DESIGN.md §13) in one file, <path>.journal: an 8-byte magic
+// followed by CRC32-framed, length-prefixed batch records, fsynced per
+// append.
 //
 // Every frame is [len u32be][crc32(payload) u32be][start u32be][payload]
 // where the payload is itself a complete text-codec checkpoint holding
 // one executed batch and start is the 0-based result index the batch
-// begins at, so the framing layer needs no second codec and recovery is
-// idempotent: a frame whose results are already covered by the snapshot
-// (a crash landed between the snapshot rename and the journal reset) is
-// skipped instead of double-counted. Open recovers snapshot + journal
-// into memory; a torn final frame — short header, short payload, or CRC
-// mismatch, the fingerprints of a write cut short by SIGKILL or power
-// loss — truncates the journal back to the last valid frame instead of
-// failing the resume: the lost tail was never acknowledged, so the
-// engine simply re-executes it. Snapshot folds the journal into a fresh
-// snapshot and empties it.
+// begins at, so the framing layer needs no second codec. Open replays
+// the frames into memory; a torn final frame — short header, short
+// payload, or CRC mismatch, the fingerprints of a write cut short by
+// SIGKILL or power loss — truncates the journal back to the last valid
+// frame instead of failing the resume: the lost tail was never
+// acknowledged, so the engine simply re-executes it.
+//
+// Nothing is written at <path> itself; a file there is refused by name
+// and left as it is (refuseSnapshot).
 //
 // DurableCheckpoint is safe for concurrent use.
 const journalMagic = "avdjrnl1"
@@ -46,22 +41,18 @@ const maxFrameBytes = 64 << 20
 type DurableCheckpoint struct {
 	mu      sync.Mutex
 	ck      *Checkpoint
-	space   *scenario.Space
 	path    string
 	journal *os.File
-	count   int // results made durable so far (snapshot + journal)
+	count   int // results made durable so far
 	closed  bool
 }
 
 // RecoveryInfo reports what OpenDurable found on disk.
 type RecoveryInfo struct {
-	// SnapshotResults is the number of results loaded from the snapshot
-	// file (0 when absent).
-	SnapshotResults int
-	// JournalFrames / JournalResults count the valid journal frames
-	// replayed on top of the snapshot and the results they carried.
-	JournalFrames  int
-	JournalResults int
+	// Frames / Results count the valid journal frames replayed and the
+	// results they carried.
+	Frames  int
+	Results int
 	// TornTail is true when the journal ended in an incomplete or
 	// CRC-failing frame — an interrupted append — and the file was
 	// truncated back to its last valid frame (TruncatedBytes dropped).
@@ -69,13 +60,9 @@ type RecoveryInfo struct {
 	TruncatedBytes int64
 }
 
-// Resumed is the total number of results recovered.
-func (ri RecoveryInfo) Resumed() int { return ri.SnapshotResults + ri.JournalResults }
-
 // String summarizes the recovery for logs.
 func (ri RecoveryInfo) String() string {
-	s := fmt.Sprintf("%d results (%d snapshot + %d journal in %d frames)",
-		ri.Resumed(), ri.SnapshotResults, ri.JournalResults, ri.JournalFrames)
+	s := fmt.Sprintf("%d results in %d frames", ri.Results, ri.Frames)
 	if ri.TornTail {
 		s += fmt.Sprintf(", torn tail truncated (%d bytes)", ri.TruncatedBytes)
 	}
@@ -88,58 +75,45 @@ func (ri RecoveryInfo) String() string {
 // result, ready for WithCheckpoint replay; pair it with the engine via
 // WithDurable so newly executed batches are journaled as they complete.
 //
-// A snapshot or journal that was never a checkpoint (bad header or
-// magic) fails with a *CheckpointError of kind CheckpointGarbage rather
-// than being silently overwritten.
+// A journal that was never a checkpoint (bad magic) fails with a
+// *CheckpointError of kind CheckpointGarbage rather than being silently
+// overwritten; a file at path itself fails too, untouched.
 func OpenDurable(path string, space *scenario.Space) (*DurableCheckpoint, RecoveryInfo, error) {
-	ck, info, err := readSnapshot(path, space)
-	if err != nil {
+	var info RecoveryInfo
+	if err := refuseSnapshot(path, space); err != nil {
 		return nil, info, err
 	}
-	journalPath := path + ".journal"
-	journal, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE, 0o644)
+	journal, err := os.OpenFile(path+".journal", os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, info, fmt.Errorf("core: durable journal %s: %w", journalPath, err)
+		return nil, info, fmt.Errorf("core: durable journal: %w", err)
 	}
+	ck := NewCheckpoint()
 	if err := recoverJournal(journal, space, ck, &info); err != nil {
 		journal.Close()
 		return nil, info, err
 	}
-	return &DurableCheckpoint{ck: ck, space: space, path: path, journal: journal, count: ck.Len()}, info, nil
+	return &DurableCheckpoint{ck: ck, path: path, journal: journal, count: ck.Len()}, info, nil
 }
 
-// readSnapshot loads the snapshot at path into a fresh checkpoint; an
-// absent snapshot is fresh state.
-func readSnapshot(path string, space *scenario.Space) (*Checkpoint, RecoveryInfo, error) {
-	var info RecoveryInfo
+// refuseSnapshot fails without a space to decode frames against, and
+// when a file sits at path: that is where the older snapshot-plus-journal
+// layout folded its journal on Close, and the snapshot's results are in
+// no frame, so a resume that ignored it would silently run them again.
+// The file is neither read nor touched.
+func refuseSnapshot(path string, space *scenario.Space) error {
 	if space == nil {
-		return nil, info, fmt.Errorf("core: durable checkpoint needs a space")
+		return fmt.Errorf("core: durable checkpoint needs a space")
 	}
-	ck := NewCheckpoint()
-	// Snapshot: atomically renamed into place, so it is either absent or
-	// complete. A torn tail can still appear if the snapshot was copied
-	// or the filesystem lied about durability; recover the valid prefix
-	// like the journal does instead of refusing to resume.
-	data, err := os.ReadFile(path)
+	_, err := os.Lstat(path)
 	switch {
 	case err == nil:
-		snap, derr := DecodeCheckpoint(bytes.NewReader(data), space)
-		if derr != nil {
-			ckErr, ok := derr.(*CheckpointError)
-			if !ok || ckErr.Kind != CheckpointTornTail {
-				return nil, info, fmt.Errorf("core: durable snapshot %s: %w", path, derr)
-			}
-			snap = ckErr.Partial
-			info.TornTail = true
-		}
-		ck.results = append(ck.results, snap.results...)
-		info.SnapshotResults = len(ck.results)
+		return fmt.Errorf("core: durable checkpoint: %s exists, but results live only in %s.journal; "+
+			"it is a snapshot of the older snapshot-plus-journal layout: resume it with the build that wrote it, or use a new state directory", path, path)
 	case os.IsNotExist(err):
-		// Fresh state.
+		return nil
 	default:
-		return nil, info, fmt.Errorf("core: durable snapshot %s: %w", path, err)
+		return fmt.Errorf("core: durable checkpoint: %w", err)
 	}
-	return ck, info, nil
 }
 
 // frameHeader is a journal frame's [len][crc32][start] prefix.
@@ -171,29 +145,24 @@ func readJournal(data []byte, space *scenario.Space, ck *Checkpoint, info *Recov
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // torn or bit-rotted frame
 		}
-		batch, err := DecodeCheckpoint(bytes.NewReader(payload), space)
+		if int(start) != ck.Len() {
+			// The start index is outside the CRC, so a flipped bit there
+			// reads as a frame out of place: damage, not a torn write. Line
+			// counts frames here.
+			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid, structural damage): %w", info.Frames+1,
+				&CheckpointError{Kind: CheckpointCorrupt, Line: info.Frames + 1,
+					Err: fmt.Errorf("frame starts at result %d, %d precede it", start, ck.Len())})
+		}
+		batch, err := decodeCheckpoint(bytes.NewReader(payload), space, len(payload)+1)
 		if err != nil {
 			// The CRC vouches for the bytes, so this is not a torn write:
 			// the frame was fully written yet does not parse. Refuse to
 			// guess.
-			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid): %w", info.JournalFrames+1, err)
+			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid): %w", info.Frames+1, err)
 		}
-		switch {
-		case int(start) == len(ck.results):
-			ck.results = append(ck.results, batch.results...)
-			info.JournalResults += batch.Len()
-		case int(start)+batch.Len() <= len(ck.results):
-			// Already covered by the snapshot: a crash landed between the
-			// snapshot rename and the journal reset. Skip the replay.
-		default:
-			// The start index is outside the CRC, so a flipped bit there
-			// reads as a frame out of place: damage, not a torn write. Line
-			// counts frames here.
-			return 0, fmt.Errorf("core: durable journal frame %d (CRC valid, structural damage): %w", info.JournalFrames+1,
-				&CheckpointError{Kind: CheckpointCorrupt, Line: info.JournalFrames + 1, Recovered: ck.Len(), Partial: ck,
-					Err: fmt.Errorf("frame starts at result %d", start)})
-		}
-		info.JournalFrames++
+		ck.results = append(ck.results, batch.results...)
+		info.Results += batch.Len()
+		info.Frames++
 		valid += frameHeader + int(length)
 	}
 	if len(data) > valid {
@@ -239,7 +208,8 @@ func recoverJournal(f *os.File, space *scenario.Space, ck *Checkpoint, info *Rec
 // the replay and the journal sink).
 func (d *DurableCheckpoint) Checkpoint() *Checkpoint { return d.ck }
 
-// Path returns the snapshot path the state is rooted at.
+// Path returns the path the state is rooted at; the journal is
+// Path()+".journal".
 func (d *DurableCheckpoint) Path() string { return d.path }
 
 // Len returns the number of results currently held.
@@ -280,81 +250,17 @@ func (d *DurableCheckpoint) Append(batch []Result) error {
 	return nil
 }
 
-// Snapshot folds the full in-memory checkpoint into a fresh snapshot
-// file — write temp, fsync, rename over <path>, fsync the directory —
-// then empties the journal. A crash at any point leaves either the old
-// (snapshot, journal) pair or the new one, never a mix that loses
-// acknowledged results.
-func (d *DurableCheckpoint) Snapshot() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("core: durable checkpoint %s: snapshot after close", d.path)
-	}
-	return d.snapshotLocked()
-}
-
-func (d *DurableCheckpoint) snapshotLocked() error {
-	// The in-memory checkpoint is the snapshot's source of truth; if it
-	// lags what Append already journaled (the caller broke the
-	// WithDurable contract of memory-first, journal-second), writing it
-	// out would shrink durable state. Refuse.
-	if d.ck.Len() < d.count {
-		return fmt.Errorf("core: durable snapshot: in-memory checkpoint holds %d results but %d are journaled (append batches to the checkpoint before Append)", d.ck.Len(), d.count)
-	}
-	tmp := d.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: durable snapshot: %w", err)
-	}
-	if err := d.ck.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: durable snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: durable snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: durable snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, d.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: durable snapshot: %w", err)
-	}
-	syncDir(filepath.Dir(d.path))
-	// The journal's results now live in the snapshot; reset it to just
-	// the magic. A crash between the rename and this truncate leaves the
-	// old frames behind a newer snapshot — their start indices mark them
-	// as covered, so the next recovery skips instead of double-counting.
-	if err := d.journal.Truncate(int64(len(journalMagic))); err != nil {
-		return fmt.Errorf("core: durable snapshot: journal reset: %w", err)
-	}
-	if _, err := d.journal.Seek(int64(len(journalMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("core: durable snapshot: journal reset: %w", err)
-	}
-	d.count = d.ck.Len()
-	return d.journal.Sync()
-}
-
-// Close snapshots the final state and releases the journal. The
-// checkpoint remains readable via Checkpoint(); further Append or
-// Snapshot calls fail.
+// Close releases the journal; every appended batch is already durable.
+// The checkpoint remains readable via Checkpoint(); further Append calls
+// fail.
 func (d *DurableCheckpoint) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil
 	}
-	err := d.snapshotLocked()
 	d.closed = true
-	if cerr := d.journal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return d.journal.Close()
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is
@@ -369,19 +275,18 @@ func syncDir(dir string) {
 // ReadDurableResults loads the results of a durable checkpoint without
 // opening it for writing and without truncating anything — the
 // supervisor's merge step reads finished shards this way. A torn journal
-// tail is tolerated and reported in the RecoveryInfo.
+// tail is tolerated and reported in the RecoveryInfo; a missing journal
+// is an error, since a shard that ran wrote one.
 func ReadDurableResults(path string, space *scenario.Space) ([]Result, RecoveryInfo, error) {
-	ck, info, err := readSnapshot(path, space)
-	if err != nil {
+	var info RecoveryInfo
+	if err := refuseSnapshot(path, space); err != nil {
 		return nil, info, err
 	}
 	data, err := os.ReadFile(path + ".journal")
 	if err != nil {
-		if os.IsNotExist(err) {
-			return ck.results, info, nil
-		}
 		return nil, info, fmt.Errorf("core: durable journal: %w", err)
 	}
+	ck := NewCheckpoint()
 	if _, err := readJournal(data, space, ck, &info); err != nil {
 		return nil, info, err
 	}

@@ -58,8 +58,8 @@ func TestDurableResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Resumed() != 0 {
-		t.Fatalf("fresh durable state resumed %d results", info.Resumed())
+	if info.Results != 0 {
+		t.Fatalf("fresh durable state resumed %d results", info.Results)
 	}
 	leg1, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(15), WithWorkers(2), WithDurable(d1))
 	if err != nil {
@@ -75,11 +75,8 @@ func TestDurableResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Resumed() != 15 {
-		t.Fatalf("resumed %d results, want 15 (%s)", info.Resumed(), info)
-	}
-	if info.JournalResults == 0 {
-		t.Fatalf("expected journal frames to carry the un-snapshotted results: %s", info)
+	if info.Results != 15 {
+		t.Fatalf("resumed %d results, want 15 (%s)", info.Results, info)
 	}
 	leg2, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(80), WithWorkers(2), WithDurable(d2))
 	if err != nil {
@@ -100,13 +97,29 @@ func TestDurableResume(t *testing.T) {
 		t.Fatalf("resumed campaign fingerprint %s != uninterrupted %s", got, refFP)
 	}
 
-	// Third open: everything is in the snapshot now, journal empty.
-	results, info, err := ReadDurableResults(path, space)
+	// Third open, after a clean Close: the journal alone holds all 80
+	// results, and both readers recover them.
+	d3, info, err := OpenDurable(path, space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 80 || info.JournalFrames != 0 || info.TornTail {
-		t.Fatalf("after Close: %d results, %s", len(results), info)
+	defer d3.Close()
+	if got, _ := FingerprintResults(d3.Checkpoint().Results()); got != refFP || info.Results != 80 || info.TornTail {
+		t.Fatalf("reopen after Close: %s, fingerprint %s, want 80 results and %s", info, got, refFP)
+	}
+	results, readInfo, err := ReadDurableResults(path, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := FingerprintResults(results); got != refFP || readInfo != info {
+		t.Fatalf("ReadDurableResults after Close: %s, fingerprint %s; OpenDurable: %s, %s", readInfo, got, info, refFP)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path)+".journal" {
+		t.Fatalf("durable state wrote %v, want the journal alone", entries)
 	}
 }
 
@@ -152,8 +165,8 @@ func TestDurableTornJournalTail(t *testing.T) {
 	if !info.TornTail {
 		t.Fatalf("torn tail not detected: %s", info)
 	}
-	if info.Resumed() != 8 {
-		t.Fatalf("recovered %d results, want the 8 from intact frames (%s)", info.Resumed(), info)
+	if info.Results != 8 {
+		t.Fatalf("recovered %d results, want the 8 from intact frames (%s)", info.Results, info)
 	}
 	want := append(append([]Result{}, batches[0]...), batches[1]...)
 	wantFP, _ := FingerprintResults(want)
@@ -175,91 +188,85 @@ func TestDurableTornJournalTail(t *testing.T) {
 	}
 }
 
-// TestDurableSnapshotCrashWindow: a crash between the snapshot rename
-// and the journal reset leaves old frames behind a snapshot that
-// already contains them; recovery must skip them, not double-count.
-func TestDurableSnapshotCrashWindow(t *testing.T) {
-	space := engineSpace(t)
-	path := durablePath(t)
-	d, _, err := OpenDurable(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := pureRunner()
-	var all []Result
-	for b := 0; b < 2; b++ {
-		var batch []Result
-		for i := 0; i < 3; i++ {
-			sc := space.New(map[string]int64{"x": int64(b*3 + i), "y": int64(2 * i)})
-			batch = append(batch, run.Run(sc))
-		}
-		all = append(all, batch...)
-		// Mirror the engine's WithDurable ordering: in-memory checkpoint
-		// first, then the journal sink.
-		d.Checkpoint().appendBatch(batch)
-		if err := d.Append(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jpath := path + ".journal"
-	preSnapshot, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash window: restore the journal as it was before
-	// the reset, so its frames overlap the fresh snapshot.
-	if err := os.WriteFile(jpath, preSnapshot, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, info, err := OpenDurable(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if info.Resumed() != len(all) {
-		t.Fatalf("recovered %d results, want %d exactly once (%s)", info.Resumed(), len(all), info)
-	}
-	if info.JournalResults != 0 {
-		t.Fatalf("overlapping journal frames were replayed: %s", info)
-	}
-	wantFP, _ := FingerprintResults(all)
-	gotFP, _ := FingerprintResults(d2.Checkpoint().Results())
-	if gotFP != wantFP {
-		t.Fatalf("crash-window recovery diverged")
-	}
-}
-
-// TestDurableGarbageFiles: state files that were never checkpoints are
-// refused loudly instead of silently overwritten.
+// TestDurableGarbageFiles: state files this layout did not write are
+// refused loudly instead of silently overwritten: a journal that was
+// never one, and any file at the checkpoint path itself, where the older
+// snapshot-plus-journal layout folded the journal on Close. Its results
+// are in no frame; both readers refuse it, by name, and touch neither
+// file.
 func TestDurableGarbageFiles(t *testing.T) {
 	space := engineSpace(t)
 	path := durablePath(t)
-	if err := os.WriteFile(path, []byte("{\"not\":\"a checkpoint\"}\n"), 0o644); err != nil {
+	if err := os.WriteFile(path+".journal", []byte("NOTMAGIC plus trailing junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := OpenDurable(path, space)
 	var ckErr *CheckpointError
 	if !errors.As(err, &ckErr) || ckErr.Kind != CheckpointGarbage {
-		t.Fatalf("garbage snapshot: got %v, want CheckpointGarbage", err)
+		t.Fatalf("garbage journal: got %v, want CheckpointGarbage", err)
 	}
 
-	path2 := filepath.Join(t.TempDir(), "c2.ckpt")
-	if err := os.WriteFile(path2+".journal", []byte("NOTMAGIC plus trailing junk"), 0o644); err != nil {
+	ck := NewCheckpoint()
+	for i := 0; i < 3; i++ {
+		ck.append(pureRunner().Run(space.New(map[string]int64{"x": int64(i), "y": int64(i)})))
+	}
+	var snapshot bytes.Buffer
+	if err := ck.Encode(&snapshot); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = OpenDurable(path2, space)
-	if !errors.As(err, &ckErr) || ckErr.Kind != CheckpointGarbage {
-		t.Fatalf("garbage journal: got %v, want CheckpointGarbage", err)
+	for _, tc := range []struct {
+		name              string
+		snapshot, journal []byte // nil: no such file
+	}{
+		{"snapshot alone", snapshot.Bytes(), nil},
+		{"snapshot and emptied journal", snapshot.Bytes(), []byte(journalMagic)},
+		{"non-checkpoint file", []byte("{\"not\":\"a checkpoint\"}\n"), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := durablePath(t)
+			files := map[string][]byte{path: tc.snapshot}
+			if tc.journal != nil {
+				files[path+".journal"] = tc.journal
+			}
+			for file, data := range files {
+				if err := os.WriteFile(file, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := OpenDurable(path, space); err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("OpenDurable: %v, want a refusal naming %s", err, path)
+			}
+			if _, _, err := ReadDurableResults(path, space); err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("ReadDurableResults: %v, want a refusal naming %s", err, path)
+			}
+			entries, err := os.ReadDir(filepath.Dir(path))
+			if err != nil || len(entries) != len(files) {
+				t.Fatalf("the refusals left %v (%v), want the %d files as they were", entries, err, len(files))
+			}
+			for file, data := range files {
+				if got, err := os.ReadFile(file); err != nil || !bytes.Equal(got, data) {
+					t.Errorf("%s changed: %q, %v", filepath.Base(file), got, err)
+				}
+			}
+		})
 	}
 }
 
-// TestDecodeCheckpointTypedErrors pins the typed-error contract: torn
-// tails report the recovered prefix, garbage reports nothing usable,
-// and mid-file damage is distinguished from both.
+// TestReadDurableResultsMissingJournal: a shard with no journal never
+// ran, or lost its state. Reading it used to return no results and no
+// error, so the supervisor merged a completed shard as empty; the error
+// now names the journal.
+func TestReadDurableResultsMissingJournal(t *testing.T) {
+	path := durablePath(t)
+	results, _, err := ReadDurableResults(path, engineSpace(t))
+	if err == nil || !strings.Contains(err.Error(), path+".journal") {
+		t.Fatalf("missing journal: %d results, %v; want an error naming %s.journal", len(results), err, path)
+	}
+}
+
+// TestDecodeCheckpointTypedErrors pins the typed-error contract: input
+// that was never a checkpoint is garbage, and a damaged record after the
+// header, at the end or mid-file, is corrupt.
 func TestDecodeCheckpointTypedErrors(t *testing.T) {
 	space := engineSpace(t)
 	run := pureRunner()
@@ -276,16 +283,12 @@ func TestDecodeCheckpointTypedErrors(t *testing.T) {
 
 	var ckErr *CheckpointError
 	t.Run("torn tail", func(t *testing.T) {
-		torn := full[:strings.LastIndex(full, "\nr ")+10] // cut inside the last r line
+		// A cut final record is damage like any other: journal frames
+		// are CRC-checked whole, so no decoder recovers a prefix.
+		torn := full[:strings.LastIndex(full, "\nr ")+10]
 		_, err := DecodeCheckpoint(strings.NewReader(torn), space)
-		if !errors.As(err, &ckErr) || ckErr.Kind != CheckpointTornTail {
-			t.Fatalf("got %v, want CheckpointTornTail", err)
-		}
-		if ckErr.Recovered != 2 || ckErr.Partial == nil || ckErr.Partial.Len() != 2 {
-			t.Fatalf("recovered %d results (partial %v), want 2", ckErr.Recovered, ckErr.Partial)
-		}
-		if !strings.Contains(err.Error(), "torn tail") || !strings.Contains(err.Error(), "2 complete results") {
-			t.Fatalf("torn-tail message not actionable: %v", err)
+		if last := strings.Count(torn, "\n") + 1; !errors.As(err, &ckErr) || ckErr.Kind != CheckpointCorrupt || ckErr.Line != last {
+			t.Fatalf("got %v, want CheckpointCorrupt at line %d", err, last)
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {

@@ -119,15 +119,14 @@ func GridOf(parent scenario.Scenario, own scenario.Dimension) scenario.Dimension
 }
 
 // MACCorrupt is the MAC-corruption fault-injection plugin of §6. Its
-// single dimension is the 12-bit hyperspace coordinate; the effective
-// injector bitmask is the Gray encoding of the coordinate, so that
-// stepping the coordinate by one flips exactly one mask bit.
+// single dimension is the 12-bit hyperspace coordinate; the PBFT
+// deployment arms the Gray encoding of the coordinate as the injector
+// bitmask, so that stepping the coordinate by one flips exactly one mask
+// bit (cluster.Workload.BinaryMask arms the coordinate itself, the A1
+// ablation).
 type MACCorrupt struct {
 	// Bits is the mask width (12 in the paper). Must be in [1, 32].
 	Bits uint
-	// Binary disables the Gray encoding (coordinate used as the mask
-	// directly) — the A1 ablation.
-	Binary bool
 }
 
 // NewMACCorrupt returns the paper's 12-bit Gray-coded plugin.
@@ -146,14 +145,6 @@ func (p *MACCorrupt) Dimensions() []scenario.Dimension {
 		Max:  int64(uint64(1)<<p.Bits) - 1,
 		Step: 1,
 	}}
-}
-
-// Mask maps a coordinate value to the effective injector bitmask.
-func (p *MACCorrupt) Mask(coord int64) uint64 {
-	if p.Binary {
-		return uint64(coord)
-	}
-	return graycode.Encode(uint64(coord))
 }
 
 // Mutate implements core.Plugin: it steps the coordinate by a distance-

@@ -40,7 +40,7 @@ func TestMACCorruptSmallDistanceStaysClose(t *testing.T) {
 			t.Fatalf("distance-0 mutation jumped from 2000 to %d", c)
 		}
 		// A coordinate step of 1 flips exactly one mask bit.
-		if d := graycode.HammingDistance(p.Mask(2000), p.Mask(c)); d != 1 {
+		if d := graycode.HammingDistance(graycode.Encode(2000), graycode.Encode(uint64(c))); d != 1 {
 			t.Fatalf("neighbor masks differ in %d bits, want 1", d)
 		}
 	}
@@ -88,17 +88,19 @@ func TestMACCorruptMutationStaysInRange(t *testing.T) {
 	}
 }
 
+// TestMACCorruptBinaryAblation: the A1 ablation's two encodings of a
+// coordinate (cluster.Workload.BinaryMask picks one) differ, and only
+// the Gray one keeps the plugin's smallest mutation a one-bit change of
+// the armed mask: 2047 -> 2048 flips all twelve bits of the coordinate.
 func TestMACCorruptBinaryAblation(t *testing.T) {
-	gray := NewMACCorrupt()
-	binary := &MACCorrupt{Bits: 12, Binary: true}
-	if gray.Mask(5) == binary.Mask(5) {
+	if graycode.Encode(5) == 5 {
 		t.Error("Gray and binary encodings should differ at coordinate 5")
 	}
-	if binary.Mask(5) != 5 {
-		t.Errorf("binary mask = %d, want 5", binary.Mask(5))
+	if d := graycode.HammingDistance(graycode.Encode(2047), graycode.Encode(2048)); d != 1 {
+		t.Errorf("Gray masks of 2047 and 2048 differ in %d bits, want 1", d)
 	}
-	if gray.Mask(5) != graycode.Encode(5) {
-		t.Error("gray mask mismatch")
+	if d := graycode.HammingDistance(2047, 2048); d != 12 {
+		t.Errorf("binary masks of 2047 and 2048 differ in %d bits, want 12", d)
 	}
 }
 
