@@ -27,7 +27,7 @@ func fig2(args []string) {
 		seed    = fs.Int64("seed", 1, "random seed for both strategies")
 		measure = fs.Duration("measure", 1500*time.Millisecond, "virtual measurement window per test")
 		csvPath = fs.String("csv", "", "write per-test results to this CSV file")
-		workers = fs.Int("workers", 1, "parallel test-execution workers (1 = the serial reference; results are reproducible per seed+workers pair)")
+		workers = fs.Int("workers", 1, "feedback batch: tests proposed before their results are fed back; results are a function of seed and this value; up to GOMAXPROCS tests run at once (1 = the serial reference)")
 	)
 	parseFlags(fs, args)
 
@@ -43,7 +43,7 @@ func fig2(args []string) {
 	// path that cannot be written fails at once.
 	csvFile := createOutput(*csvPath)
 	fmt.Printf("hyperspace: %d scenarios (4096 masks x 25 client counts x 2 malicious)\n", space.Size())
-	fmt.Printf("budget: %d tests per strategy, measurement window %v (virtual), %d workers\n\n", *tests, *measure, *workers)
+	fmt.Printf("budget: %d tests per strategy, measurement window %v (virtual), feedback batch %d\n\n", *tests, *measure, *workers)
 
 	// One engine per strategy, both over the same target so the second
 	// campaign reuses the first's cached baselines.

@@ -9,9 +9,11 @@
 // With -state the campaign is crash-safe: progress is journaled to a
 // durable checkpoint after every batch and the process resumes from it
 // on restart, so a SIGKILL (or power loss) costs at most the batch in
-// flight. With -shard k/K the process runs one deterministic sub-space
-// of a K-way sharded campaign; cmd/avdd supervises a full set of shards
-// and merges their checkpoints.
+// flight. A campaign drained by SIGINT or SIGTERM exits 3, and state it
+// will not resume (drifted flags, a checkpoint it cannot read) exits 4.
+// With -shard k/K the process runs one deterministic sub-space of a K-way
+// sharded campaign; cmd/avdd supervises a full set of shards and merges
+// their checkpoints.
 //
 // The paper's experiments are subcommands, named first:
 //
@@ -38,6 +40,7 @@ import (
 	"avd/internal/cluster"
 	"avd/internal/core"
 	"avd/internal/scenario"
+	"avd/internal/supervise"
 	"avd/internal/trace"
 )
 
@@ -153,7 +156,7 @@ func runCampaign(args []string) {
 		switch {
 		case err == nil:
 			if verr := setup.Manifest.Validate(saved); verr != nil {
-				fatal(verr)
+				refuse(verr)
 			}
 		case errors.Is(err, os.ErrNotExist):
 			if werr := core.WriteManifest(paths.Manifest, setup.Manifest); werr != nil {
@@ -164,7 +167,9 @@ func runCampaign(args []string) {
 		}
 		var info core.RecoveryInfo
 		durable, info, err = core.OpenDurable(paths.Checkpoint, space)
-		if err != nil {
+		if ckErr := (*core.CheckpointError)(nil); errors.As(err, &ckErr) {
+			refuse(err)
+		} else if err != nil {
 			fatal(err)
 		}
 		if info.Results > 0 || info.TornTail {
@@ -196,7 +201,7 @@ func runCampaign(args []string) {
 	if cfg.Shards > 1 {
 		shardNote = fmt.Sprintf(" shard=%d/%d (%s)", cfg.Shard, cfg.Shards, setup.Plan)
 	}
-	// workers is the count that runs, not the flag: -workers 0 is -workers 1.
+	// workers is the batch that runs, not the flag: -workers 0 is -workers 1.
 	fmt.Printf("target=%s strategy=%s hyperspace=%d scenarios budget=%d workers=%d%s\n",
 		target.Name(), cfg.Strategy, space.Size(), cfg.Tests, setup.Manifest.Workers, shardNote)
 
@@ -267,7 +272,7 @@ func runCampaign(args []string) {
 	if interrupted {
 		// Distinguish "drained on signal, checkpoint flushed" from
 		// natural completion so a supervisor knows the shard is not done.
-		os.Exit(3)
+		os.Exit(supervise.ExitDrained)
 	}
 	if runErr != nil || outputErr != nil {
 		os.Exit(1)
@@ -357,6 +362,13 @@ func writeHeapProfile(f *os.File) error {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "avd:", err)
 	os.Exit(1)
+}
+
+// refuse reports state directory files the campaign will not resume and
+// exits supervise.ExitRefused: a restart would refuse them again.
+func refuse(err error) {
+	fmt.Fprintln(os.Stderr, "avd:", err)
+	os.Exit(supervise.ExitRefused)
 }
 
 // usageError reports flags no campaign can run with and exits 2, as the

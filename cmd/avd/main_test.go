@@ -18,6 +18,7 @@ import (
 	"avd/internal/campaign"
 	"avd/internal/core"
 	"avd/internal/plugin"
+	"avd/internal/supervise"
 )
 
 // built is the binary under test, built once per package run.
@@ -119,8 +120,9 @@ func TestBuildErrorsExitTwo(t *testing.T) {
 
 // TestResumeAcrossShardPlansRefused: a state directory written when the
 // shard plan strode the largest axis (mac_mask) holds another sub-space's
-// results. A -shard 0/2 resume over it exits non-zero naming the shard
-// axis, before it opens — let alone truncates or appends to — the journal.
+// results. A -shard 0/2 resume over it exits 4 (supervise.ExitRefused)
+// naming the shard axis, before it opens — let alone truncates or appends
+// to — the journal.
 func TestResumeAcrossShardPlansRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -154,7 +156,9 @@ func TestResumeAcrossShardPlansRefused(t *testing.T) {
 	}
 
 	out, err := exec.Command(buildAvd(t), "-shard", "0/2", "-tests", "4", "-measure", "300ms", "-state", state, "-quiet").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "shard axis: resuming with correct_clients, campaign was started with mac_mask") {
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != supervise.ExitRefused ||
+		!strings.Contains(string(out), "shard axis: resuming with correct_clients, campaign was started with mac_mask") {
 		t.Errorf("resume over the other plan's state: err %v, want a refusal naming the shard axis:\n%s", err, out)
 	}
 	if got, err := os.ReadFile(journal); err != nil || string(got) != string(results) {
@@ -168,8 +172,9 @@ func TestResumeAcrossShardPlansRefused(t *testing.T) {
 // TestSnapshotLayoutStateRefused: a state directory of the older
 // snapshot-plus-journal layout keeps its results in a text snapshot at
 // the checkpoint path and leaves the journal holding just its magic. A
-// resume exits 1 naming the snapshot, before the campaign starts, and
-// leaves both files as they were.
+// resume exits 4 (supervise.ExitRefused, so a supervisor does not retry)
+// naming the snapshot, before the campaign starts, and leaves both files
+// as they were.
 func TestSnapshotLayoutStateRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -200,8 +205,8 @@ func TestSnapshotLayoutStateRefused(t *testing.T) {
 
 	out, err := exec.Command(buildAvd(t), append(cfg.Args(), "-state", state, "-quiet")...).CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), paths.Checkpoint+" exists") {
-		t.Errorf("resume over a snapshot: %v, want exit status 1 naming %s:\n%s", err, paths.Checkpoint, out)
+	if !errors.As(err, &exit) || exit.ExitCode() != supervise.ExitRefused || !strings.Contains(string(out), paths.Checkpoint+" exists") {
+		t.Errorf("resume over a snapshot: %v, want exit status %d naming %s:\n%s", err, supervise.ExitRefused, paths.Checkpoint, out)
 	}
 	if strings.Contains(string(out), "budget=") {
 		t.Errorf("the refused resume started its campaign:\n%s", out)
@@ -214,8 +219,9 @@ func TestSnapshotLayoutStateRefused(t *testing.T) {
 }
 
 // TestResumeWithChangedMeasureRefused: the manifest's config fingerprint
-// covers the workload, so a resume with another -measure exits 1 naming
-// config, and a resume with the same flags is accepted.
+// covers the workload, so a resume with another -measure exits 4
+// (supervise.ExitRefused) naming config, and a resume with the same flags
+// is accepted.
 func TestResumeWithChangedMeasureRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs a real campaign")
@@ -230,8 +236,8 @@ func TestResumeWithChangedMeasureRefused(t *testing.T) {
 	}
 	out, err := run("300ms")
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "config: resuming with") {
-		t.Errorf("resume with -measure 300ms: err %v, want exit 1 naming config:\n%s", err, out)
+	if !errors.As(err, &exit) || exit.ExitCode() != supervise.ExitRefused || !strings.Contains(string(out), "config: resuming with") {
+		t.Errorf("resume with -measure 300ms: err %v, want exit %d naming config:\n%s", err, supervise.ExitRefused, out)
 	}
 	if out, err := run("200ms"); err != nil {
 		t.Errorf("resume with the same flags: %v\n%s", err, out)

@@ -24,7 +24,7 @@ func power(args []string) {
 		seeds   = fs.Int("seeds", 5, "seeds to average over")
 		measure = fs.Duration("measure", time.Second, "virtual measurement window per test")
 		thresh  = fs.Float64("impact", 0.9, "impact threshold counting as 'vulnerability found'")
-		workers = fs.Int("workers", 1, "parallel test-execution workers per campaign (results are reproducible per seed+workers pair)")
+		workers = fs.Int("workers", 1, "feedback batch: tests proposed before their results are fed back; results are a function of seed and this value; up to GOMAXPROCS tests run at once")
 	)
 	parseFlags(fs, args)
 	if *budget < 1 {

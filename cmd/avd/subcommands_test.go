@@ -47,7 +47,7 @@ func TestSweepMatchesGolden(t *testing.T) {
 	bin := buildAvd(t)
 	csv := filepath.Join(t.TempDir(), "grid.csv")
 	cmd := exec.Command(bin, "fig3", "-maskmin", "2784", "-maskmax", "2880", "-maskstep", "4",
-		"-clients", "10,30,60", "-measure", "300ms", "-workers", "2", "-cols", "24", "-csv", csv)
+		"-clients", "10,30,60", "-measure", "300ms", "-cols", "24", "-csv", csv)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("fig3: %v\n%s", err, out)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"avd/internal/core"
+	"avd/internal/supervise"
 )
 
 // buildBinaries compiles cmd/avd and cmd/avdd into a temp dir once per
@@ -220,4 +222,73 @@ func TestCompletedShardWithoutJournalRefused(t *testing.T) {
 	if strings.Contains(string(out), "campaign fingerprint") {
 		t.Errorf("avdd merged the journal-less shards:\n%s", out)
 	}
+}
+
+// TestRefusedStateNotRetried: a state directory its workers refuse — the
+// flags drifted, or a journal is not one — used to be restarted like a
+// crash, six starts per shard and about eight seconds of backoff. A worker
+// now exits supervise.ExitRefused and its shard fails on the first start,
+// with every state file as it was.
+func TestRefusedStateNotRetried(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries and runs real campaigns")
+	}
+	avd, avdd := buildBinaries(t)
+	for _, tc := range []struct {
+		name    string
+		refused []int // shards whose workers refuse the state
+		damage  func(t *testing.T, state string)
+		flags   []string
+	}{
+		{"drifted seed", []int{0, 1}, func(*testing.T, string) {}, []string{"-seed", "2"}},
+		{"garbage journal", []int{0}, func(t *testing.T, state string) {
+			if err := os.WriteFile(filepath.Join(state, "shard-0-of-2.ckpt.journal"), []byte("NOTMAGIC"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := filepath.Join(t.TempDir(), "state")
+			args := []string{"-worker", avd, "-shards", "2", "-state", state, "-tests", "3", "-measure", "300ms", "-retries", "5", "-backoff", "10ms"}
+			if out, err := exec.Command(avdd, args...).CombinedOutput(); err != nil {
+				t.Fatalf("first campaign: %v\n%s", err, out)
+			}
+			tc.damage(t, state)
+			before := readDir(t, state)
+			out, _ := exec.Command(avdd, append(args, tc.flags...)...).CombinedOutput()
+			for _, k := range tc.refused {
+				want := fmt.Sprintf("avdd: shard %d: FAILED: exit code %d: state refused, not retried (1 starts, 0 hung kills)\n", k, supervise.ExitRefused)
+				if !strings.Contains(string(out), want) {
+					t.Errorf("want %q in:\n%s", want, out)
+				}
+			}
+			after := readDir(t, state)
+			if len(after) != len(before) {
+				t.Errorf("state files %d before the refused run, %d after", len(before), len(after))
+			}
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Errorf("the refused run changed %s", name)
+				}
+			}
+		})
+	}
+}
+
+// readDir returns the contents of every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }

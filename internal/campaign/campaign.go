@@ -33,7 +33,7 @@ type Config struct {
 	Plugins    string        // comma-separated plugin names ("" = target default)
 	Faults     string        // comma-separated fault-vocabulary-v2 names
 	StepBudget uint64        // per-test simulation event budget
-	Workers    int           // parallel test-execution workers; below 1 runs as 1, which is what Build records
+	Workers    int           // feedback batch width; below 1 runs as 1, which is what Build records
 	Shard      int           // 0-based shard index
 	Shards     int           // K; <= 1 means unsharded
 }
@@ -50,7 +50,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Plugins, "plugins", "", "comma-separated plugins (pbft: maccorrupt,clients,reorder,faultplan,slowprimary; raft: raftclients,leaderflap); empty = target default")
 	fs.StringVar(&c.Faults, "faults", "", "comma-separated fault-vocabulary-v2 plugins armed on top of -plugins: crash (crash-restart with optional durable-state loss), skew (per-node clock drift), oneway (asymmetric partition), corrupt, dup (per-link ModMask corruption/duplication)")
 	fs.Uint64Var(&c.StepBudget, "stepbudget", 2_000_000, "per-test simulation event budget; a scenario that exceeds it is reported hung instead of stalling the campaign (0 = unlimited)")
-	fs.IntVar(&c.Workers, "workers", 1, "parallel test-execution workers (results are reproducible per seed+workers pair)")
+	fs.IntVar(&c.Workers, "workers", 1, "feedback batch: tests proposed before their results are fed back; results are a function of seed and this value; up to GOMAXPROCS tests run at once")
 }
 
 // Args renders c's campaign flags as the arguments RegisterFlags parses

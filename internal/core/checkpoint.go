@@ -107,8 +107,8 @@ func (k CheckpointErrorKind) String() string {
 	}
 }
 
-// CheckpointError is the typed failure of DecodeCheckpoint: Kind says
-// what went wrong and Line locates it.
+// CheckpointError is the typed failure of DecodeCheckpoint and of durable
+// state no resume reads: Kind says what went wrong and Line locates it.
 type CheckpointError struct {
 	Kind CheckpointErrorKind
 	Line int

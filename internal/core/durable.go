@@ -99,7 +99,7 @@ func OpenDurable(path string, space *scenario.Space) (*DurableCheckpoint, Recove
 // when a file sits at path: that is where the older snapshot-plus-journal
 // layout folded its journal on Close, and the snapshot's results are in
 // no frame, so a resume that ignored it would silently run them again.
-// The file is neither read nor touched.
+// The file is neither read nor touched; the refusal is a CheckpointGarbage.
 func refuseSnapshot(path string, space *scenario.Space) error {
 	if space == nil {
 		return fmt.Errorf("core: durable checkpoint needs a space")
@@ -107,8 +107,8 @@ func refuseSnapshot(path string, space *scenario.Space) error {
 	_, err := os.Lstat(path)
 	switch {
 	case err == nil:
-		return fmt.Errorf("core: durable checkpoint: %s exists, but results live only in %s.journal; "+
-			"it is a snapshot of the older snapshot-plus-journal layout: resume it with the build that wrote it, or use a new state directory", path, path)
+		return &CheckpointError{Kind: CheckpointGarbage, Line: 1, Err: fmt.Errorf("%s exists, but results live only in %s.journal; "+
+			"it is a snapshot of the older snapshot-plus-journal layout: resume it with the build that wrote it, or use a new state directory", path, path)}
 	case os.IsNotExist(err):
 		return nil
 	default:

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,39 +53,36 @@ func TestDurableResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// leg opens the durable state at p, checks it resumes the given count,
+	// and runs the campaign to budget with procs tests at once (0: as
+	// many as now), returning the state still open.
+	leg := func(p string, budget, procs, resumes int) *DurableCheckpoint {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d, info, err := OpenDurable(p, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Results != resumes {
+			t.Fatalf("resumed %d results, want %d (%s)", info.Results, resumes, info)
+		}
+		eng, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(budget), WithWorkers(2), WithDurable(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
 	// First leg: 15 of the 80 tests, then the process "dies" without
 	// Close — the journal alone must carry the progress.
-	d1, info, err := OpenDurable(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Results != 0 {
-		t.Fatalf("fresh durable state resumed %d results", info.Results)
-	}
-	leg1, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(15), WithWorkers(2), WithDurable(d1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leg1.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	leg(path, 15, 0, 0)
 	// No Close: simulate SIGKILL after the last batch's journal fsync.
 
 	// Second leg resumes from the journal and finishes the budget.
-	d2, info, err := OpenDurable(path, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Results != 15 {
-		t.Fatalf("resumed %d results, want 15 (%s)", info.Results, info)
-	}
-	leg2, err := NewEngine(newFakeTarget(), WithExplorer(newEngineController(t, 5)), WithBudget(80), WithWorkers(2), WithDurable(d2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leg2.RunAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	d2 := leg(path, 80, 0, 15)
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +118,16 @@ func TestDurableResume(t *testing.T) {
 	}
 	if len(entries) != 1 || entries[0].Name() != filepath.Base(path)+".journal" {
 		t.Fatalf("durable state wrote %v, want the journal alone", entries)
+	}
+
+	// Fourth leg, elastic: a journal written two tests at a time resumes
+	// one at a time. Concurrency is recorded nowhere and moves nothing.
+	elastic := durablePath(t)
+	leg(elastic, 15, 2, 0)
+	d4 := leg(elastic, 80, 1, 15)
+	defer d4.Close()
+	if got, _ := FingerprintResults(d4.Checkpoint().Results()); got != refFP {
+		t.Fatalf("resumed at GOMAXPROCS 1 after GOMAXPROCS 2: fingerprint %s, want %s", got, refFP)
 	}
 }
 

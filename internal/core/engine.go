@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"avd/internal/scenario"
 )
@@ -97,10 +99,11 @@ type engineConfig struct {
 	sink       func([]Result) error
 }
 
-// WithWorkers sets the number of concurrent test-execution workers.
-// Results and explorer feedback stay in dispatch order, so a fixed
-// (seed, workers) pair is deterministic and workers=1 reproduces the
-// serial campaign exactly. Values <= 0 are treated as 1.
+// WithWorkers sets the feedback batch: how many tests the explorer
+// proposes before it hears their results, the one parallelism parameter
+// results depend on. A campaign is a function of (seed, workers) and
+// workers=1 is the serial campaign; up to GOMAXPROCS tests of a batch run
+// at once. Values <= 0 are treated as 1.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
@@ -130,7 +133,7 @@ func WithObserver(obs CampaignObserver) EngineOption {
 // replayed into the explorer before new tests run, and every newly
 // executed result is appended to it, enabling resumption after a
 // cancellation or crash of the coordinating process. A resumed engine
-// must use the same explorer configuration (seed) and worker count as
+// must use the same explorer configuration (seed) and batch (workers) as
 // the run that filled the checkpoint; the replay verifies every
 // proposal against the saved sequence and fails loudly on divergence.
 func WithCheckpoint(ck *Checkpoint) EngineOption {
@@ -159,10 +162,10 @@ func WithDurable(d *DurableCheckpoint) EngineOption {
 
 // Engine is the protocol-agnostic campaign driver and the one campaign
 // loop: the paper's worker loop (take a scenario from Ψ, run it, score
-// it, feed the result back), run by one or more workers. It connects one
-// Explorer to one Target and owns the scheduling — serial or parallel
-// workers, dispatch-order feedback, context cancellation,
-// checkpoint/resume — behind one construction path:
+// it, feed the result back), a batch at a time. It connects one Explorer
+// to one Target and owns the scheduling — a bounded pool, dispatch-order
+// feedback, context cancellation, checkpoint/resume — behind one
+// construction path:
 //
 //	eng, _ := core.NewEngine(target, core.WithExplorer(ctrl), core.WithBudget(125))
 //	results, err := eng.RunAll(ctx)
@@ -249,12 +252,10 @@ func safeRun(target Runner, sc scenario.Scenario) (res Result) {
 func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 
 	// The replay prefix: results a previous (interrupted) campaign
-	// already executed. Replay must flow through the very same batch
-	// structure as live execution — the explorer's proposals depend on
-	// when feedback arrives, so recording saved results one-by-one would
-	// diverge from a run that recorded them a batch at a time. Resuming
-	// therefore requires the same (explorer seed, workers) pair as the
-	// checkpointed run; a mismatch is detected and reported.
+	// already executed. Replay flows through the same batches as live
+	// execution, since proposals depend on when feedback arrives, so a
+	// resume needs the checkpointed run's (seed, workers) pair; a
+	// mismatch is detected and reported.
 	var replay []Result
 	if e.cfg.checkpoint != nil {
 		replay = e.cfg.checkpoint.snapshot()
@@ -262,16 +263,11 @@ func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 
 	// Pipelined prefetch (DESIGN.md §8): a Preparer target gets its
 	// per-population masters and baselines built concurrently with the
-	// batch's measurements instead of serially ahead of them. Prepare is
-	// result-neutral by contract, so the pipeline preserves bit-for-bit
-	// determinism per (seed, workers).
+	// batch's measurements. Prepare is result-neutral by contract.
 	preparer, _ := e.target.(Preparer)
 	var prepWG sync.WaitGroup
 	defer prepWG.Wait()
-	workers := e.cfg.workers
-	if workers > e.cfg.budget {
-		workers = e.cfg.budget
-	}
+	workers := min(e.cfg.workers, e.cfg.budget)
 	executed := 0
 	var out []Result
 	batch := make([]scenario.Scenario, 0, workers)
@@ -309,7 +305,7 @@ func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 		}
 		live := batch[replayed:]
 		if preparer != nil && workers > 1 {
-			// Fire-and-forget: workers start measuring immediately while
+			// Fire-and-forget: the pool starts measuring immediately while
 			// the populations they need next warm up behind them.
 			// Baselines singleflight; masters prepared here serve
 			// checkouts from this batch's tail and every later batch (an
@@ -328,20 +324,23 @@ func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 				}(sc)
 			}
 		}
-		if len(live) == 1 {
-			results[replayed] = safeRun(e.target, live[0])
-		} else if len(live) > 1 {
-			var wg sync.WaitGroup
-			for i := range live {
-				wg.Add(1)
-				//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
-				go func(i int) {
-					defer wg.Done()
-					results[replayed+i] = safeRun(e.target, live[i])
-				}(i)
+		// One bounded pool: this goroutine and up to GOMAXPROCS-1 others
+		// take tests from a shared counter, each result to its own slot,
+		// so the machine sets the concurrency and the batch sets results.
+		var next atomic.Int64
+		run := func() {
+			for i := int(next.Add(1) - 1); i < len(live); i = int(next.Add(1) - 1) {
+				results[replayed+i] = safeRun(e.target, live[i])
 			}
-			wg.Wait()
 		}
+		var wg sync.WaitGroup
+		for range min(len(live), runtime.GOMAXPROCS(0)) - 1 {
+			wg.Add(1)
+			//avdlint:allow campaign worker pool: tests are independent and each owns a private cluster
+			go func() { defer wg.Done(); run() }()
+		}
+		run()
+		wg.Wait()
 		// Results and their violations are delivered in batch: one
 		// checkpoint lock per batch, then the in-order feedback loop.
 		fresh := results[replayed : replayed+len(live)]

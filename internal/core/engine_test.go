@@ -4,8 +4,10 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"avd/internal/scenario"
 )
@@ -102,18 +104,50 @@ func TestEngineWorkers1MatchesCampaign(t *testing.T) {
 }
 
 // TestEngineParallelDeterministic: a fixed (seed, workers) pair must
-// reproduce itself, however the batch's goroutines interleave.
+// reproduce itself, however the batch's goroutines interleave and however
+// many of them run at once (GOMAXPROCS NumCPU, again, then 1).
 func TestEngineParallelDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{2, 4, runtime.NumCPU()} {
-		run := func() []string {
-			return campaignFingerprint(runEngine(t, newEngineController(t, 7), pureRunner(), 60, workers))
-		}
-		a, b := run(), run()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("workers=%d nondeterministic at %d: %s vs %s", workers, i, a[i], b[i])
+		var want []string
+		for _, procs := range []int{runtime.NumCPU(), runtime.NumCPU(), 1} {
+			runtime.GOMAXPROCS(procs)
+			got := campaignFingerprint(runEngine(t, newEngineController(t, 7), pureRunner(), 60, workers))
+			if want == nil {
+				want = got
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d nondeterministic at %d (GOMAXPROCS %d): %s vs %s", workers, i, procs, got[i], want[i])
+				}
 			}
 		}
+	}
+}
+
+// TestEngineBoundsConcurrency: a batch of 8 at GOMAXPROCS 2 runs two tests
+// at a time, not eight: the batch sets the feedback, the machine the
+// concurrency. Each run sleeps, so an unbounded batch would overlap.
+func TestEngineBoundsConcurrency(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var mu sync.Mutex
+	running, peak := 0, 0
+	counted := RunnerFunc(func(sc scenario.Scenario) Result {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		time.Sleep(10 * time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return pureRunner().Run(sc)
+	})
+	if results := runEngine(t, newEngineController(t, 3), counted, 8, 8); len(results) != 8 {
+		t.Fatalf("got %d results, want 8", len(results))
+	}
+	if peak != 2 {
+		t.Fatalf("a batch of 8 at GOMAXPROCS 2 ran %d tests at once, want 2", peak)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // Beyond checkout, the cache supports the pipelined campaign executor:
 // Prepare builds a key's master ahead of need (at most one build per key
 // in flight, deduplicated against concurrent Acquires), and the free
-// list is capped so a campaign that shrinks its worker count mid-process
-// cannot strand an unbounded pile of warm deployments on the GC's scan
+// list is capped at the engine pool's bound, so prefetches and cold
+// checkouts cannot strand a pile of warm deployments on the GC's scan
 // list.
 type ForkCache[K comparable, D any] struct {
 	mu   sync.Mutex
@@ -26,8 +26,8 @@ type ForkCache[K comparable, D any] struct {
 }
 
 // freeCap is the per-key free-list bound: the machine's parallelism,
-// since no more than GOMAXPROCS workers can hold a key's deployment
-// checked out at once. Release drops deployments beyond it.
+// since the engine's pool runs at most GOMAXPROCS tests at once.
+// Release drops deployments beyond it.
 func freeCap() int { return runtime.GOMAXPROCS(0) }
 
 // Acquire checks out a free deployment for key, building one when none

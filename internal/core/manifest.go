@@ -25,7 +25,8 @@ type Manifest struct {
 	// Target and Strategy name the system under test and the explorer.
 	Target   string `json:"target"`
 	Strategy string `json:"strategy"`
-	// Seed, Workers and Budget are the engine's determinism triple.
+	// Seed, Workers (the feedback batch) and Budget are the determinism
+	// triple; concurrency is not, so a journal written on 2 cores resumes on 1.
 	Seed    int64 `json:"seed"`
 	Workers int   `json:"workers"`
 	Budget  int   `json:"budget"`

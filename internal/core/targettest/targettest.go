@@ -55,7 +55,7 @@ type Spec[W, R any] struct {
 	// Storm is a scenario whose window runs away.
 	Storm Storm[W]
 	// Campaign is the workload of the all-faults campaigns the queue hooks
-	// must not change and workers=4 must reproduce. CampaignHangs says at
+	// must not change and a feedback batch of 4 must reproduce. CampaignHangs says at
 	// least one test of the 30-test campaign runs into the step budget, so
 	// windows end inside a train and with stale timer nodes queued.
 	Campaign      W
@@ -448,10 +448,10 @@ func (s Spec[W, R]) ConcurrentForks(t *testing.T, group string) {
 	}
 }
 
-// CampaignDeterministic: a workers=4 campaign, its runs checking masters
-// out of one pool while the engine prefetches the next populations,
-// reproduces its fingerprint. Under -race this is the parallel fork
-// path's race test.
+// CampaignDeterministic: a campaign with feedback batch 4 (workers=4),
+// its runs checking masters out of one pool while the engine prefetches
+// the next populations, reproduces its fingerprint. Under -race this is
+// the parallel fork path's race test.
 func (s Spec[W, R]) CampaignDeterministic(t *testing.T) {
 	campaign := func() string {
 		results := runAll(t, s.New(t, s.Campaign), 7, 12, core.WithWorkers(4))

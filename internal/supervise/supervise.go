@@ -32,6 +32,13 @@ import (
 // it counts as a crash.
 const ExitDrained = 3
 
+// ExitRefused is the exit code a worker uses for "state refused": its
+// manifest does not match the flags, or its checkpoint is not one this
+// build resumes. A restart would meet the same files and refuse them
+// again, so the supervisor marks the shard failed on the first such exit,
+// without backoff. I/O errors exit 1 and are retried.
+const ExitRefused = 4
+
 // Config shapes a Supervisor.
 type Config struct {
 	// Shards is the fleet size; shard indices are 0..Shards-1.
@@ -178,10 +185,12 @@ func (s *Supervisor) runShard(ctx context.Context, k int, rep *Report) {
 			rep.Err = fmt.Sprintf("hung: no heartbeat progress for %v", s.cfg.HungAfter)
 		} else if err != nil {
 			rep.Err = err.Error()
+		} else if code == ExitRefused {
+			rep.Err = fmt.Sprintf("exit code %d: state refused, not retried", code)
 		} else {
 			rep.Err = fmt.Sprintf("exit code %d", code)
 		}
-		if attempt >= s.cfg.Retries {
+		if attempt >= s.cfg.Retries || code == ExitRefused {
 			rep.Failed = true
 			s.logf("shard %d FAILED after %d starts: %s", k, rep.Starts, rep.Err)
 			return

@@ -65,11 +65,14 @@ func TestSupervisorRestartsUntilSuccess(t *testing.T) {
 
 // TestSupervisorRetryCapDegradesGracefully: a shard that keeps crashing
 // is marked failed after its retries while the healthy shard completes
-// — the campaign degrades instead of wedging.
+// — the campaign degrades instead of wedging. A shard whose worker
+// refuses its state (ExitRefused) would refuse it on every restart, so
+// it fails on its first start.
 func TestSupervisorRetryCapDegradesGracefully(t *testing.T) {
 	s, err := New(Config{
-		Shards:     2,
-		Command:    script(`[ "$1" = "0" ]`), // shard 0 exits 0, shard 1 exits 1
+		Shards: 3,
+		// shard 0 exits 0, shard 1 exits 1, shard 2 exits ExitRefused
+		Command:    script(fmt.Sprintf(`[ "$1" = "2" ] && exit %d; [ "$1" = "0" ]`, ExitRefused)),
 		Retries:    2,
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 10 * time.Millisecond,
@@ -90,6 +93,9 @@ func TestSupervisorRetryCapDegradesGracefully(t *testing.T) {
 	}
 	if !strings.Contains(r.Err, "exit code 1") {
 		t.Fatalf("shard 1 error not actionable: %q", r.Err)
+	}
+	if r := reports[2]; !r.Failed || r.Starts != 1 || !strings.Contains(r.Err, "state refused") {
+		t.Fatalf("shard 2: want failed on its first start as refused, got %+v", r)
 	}
 }
 
