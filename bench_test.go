@@ -233,7 +233,7 @@ func slowPrimaryRun(b *testing.B, mode pbft.TimerMode, collude bool) (core.Resul
 	w.Malicious.Retry = 500 * time.Millisecond
 	w.Malicious.RetryCap = 2 * time.Second
 	runner := benchRunner(b, w)
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.SlowPrimary{})
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewSlowPrimary())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,9 +272,9 @@ func BenchmarkSlowPrimaryCollusion(b *testing.B) {
 // --- Ablations ---------------------------------------------------------------------
 
 // BenchmarkAblationGrayVsBinary (A1) compares mutation locality under
-// the two mask encodings cluster.Workload.BinaryMask picks between, Gray
-// and plain binary: the fraction of one-step mutations that change
-// exactly one armed mask bit.
+// two mask encodings, Gray (what the PBFT deployment arms) and plain
+// binary: the fraction of one-step mutations that change exactly one
+// armed mask bit.
 func BenchmarkAblationGrayVsBinary(b *testing.B) {
 	var grayLocal, binLocal float64
 	for i := 0; i < b.N; i++ {
@@ -309,7 +309,7 @@ func BenchmarkAblationTimerFix(b *testing.B) {
 // weighting of Algorithm 1 line 2 and reports the best impact found.
 func BenchmarkAblationPluginFitness(b *testing.B) {
 	runner := benchRunner(b, benchWorkload())
-	plugins := []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}}
+	plugins := []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewReorder()}
 	var withFit, without float64
 	for i := 0; i < b.N; i++ {
 		c1, err := core.NewController(core.ControllerConfig{Seed: int64(i + 1), SeedTests: 8}, plugins...)

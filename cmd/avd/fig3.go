@@ -52,7 +52,7 @@ func fig3(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients())
+	space, err := core.Space(cluster.DefaultPlugins()...)
 	if err != nil {
 		fatal(err)
 	}

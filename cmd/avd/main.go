@@ -144,7 +144,8 @@ func runCampaign(args []string) {
 	}
 
 	// Durable state: validate the manifest (refusing a resume whose flags
-	// drifted), open the checkpoint pair, and wire replay + journaling.
+	// drifted or whose manifest does not decode), open the checkpoint, and
+	// wire replay + journaling.
 	var durable *core.DurableCheckpoint
 	var paths campaign.StatePaths
 	if *stateDir != "" {
@@ -162,6 +163,8 @@ func runCampaign(args []string) {
 			if werr := core.WriteManifest(paths.Manifest, setup.Manifest); werr != nil {
 				fatal(werr)
 			}
+		case errors.Is(err, core.ErrManifestGarbage):
+			refuse(err)
 		default:
 			fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -216,6 +217,63 @@ func TestSnapshotLayoutStateRefused(t *testing.T) {
 			t.Errorf("the refused resume changed %s: %q, %v", filepath.Base(file), got, err)
 		}
 	}
+}
+
+// TestGarbageManifestRefused: a manifest that does not decode is refused
+// like a drifted one, exit 4 (supervise.ExitRefused) with the file left as
+// it was, while a manifest that cannot be read (here a directory at its
+// path) exits 1, which a supervisor may retry.
+func TestGarbageManifestRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildAvd(t)
+	for _, tc := range []struct {
+		name  string
+		plant func(path string) error
+		code  int
+	}{
+		{"garbage", func(path string) error { return os.WriteFile(path, []byte("{garbage"), 0o644) }, supervise.ExitRefused},
+		{"unreadable", func(path string) error { return os.Mkdir(path, 0o755) }, 1},
+	} {
+		state := filepath.Join(t.TempDir(), "state")
+		paths := campaign.PathsFor(state, 0, 1)
+		if err := os.MkdirAll(state, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.plant(paths.Manifest); err != nil {
+			t.Fatal(err)
+		}
+		before := readState(t, state)
+		out, err := exec.Command(bin, "-tests", "2", "-measure", "300ms", "-state", state, "-quiet").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code || !strings.Contains(string(out), paths.Manifest) {
+			t.Errorf("%s manifest: %v, want exit status %d naming %s:\n%s", tc.name, err, tc.code, paths.Manifest, out)
+		}
+		if after := readState(t, state); !maps.Equal(after, before) {
+			t.Errorf("%s manifest: the run changed the state directory: %q, was %q", tc.name, after, before)
+		}
+	}
+}
+
+// readState returns the regular files of a state directory by name.
+func readState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string)
+	for _, e := range entries {
+		if !e.IsDir() {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+	}
+	return files
 }
 
 // TestResumeWithChangedMeasureRefused: the manifest's config fingerprint

@@ -34,42 +34,27 @@ func power(args []string) {
 		fatal(fmt.Errorf("-seeds %d must be at least 1", *seeds))
 	}
 
+	mac, clients, reorder, slow := plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewReorder(), plugin.NewSlowPrimary()
 	levels := []struct {
 		name    string
 		access  string
-		plugins func() []core.Plugin
+		plugins []core.Plugin
 	}{
-		{
-			"client MAC corruption only",
-			"one compromised client, no deployment control",
-			func() []core.Plugin { return []core.Plugin{plugin.NewMACCorrupt()} },
-		},
-		{
-			"+ deployment shape",
-			"attacker also picks when to strike (load level, #accomplices)",
-			func() []core.Plugin { return []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()} },
-		},
-		{
-			"+ network reordering",
-			"attacker additionally controls part of the network",
-			func() []core.Plugin {
-				return []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}}
-			},
-		},
-		{
-			"+ compromised replica",
-			"attacker controls a server node (slow primary)",
-			func() []core.Plugin {
-				return []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}, &plugin.SlowPrimary{}}
-			},
-		},
+		{"client MAC corruption only", "one compromised client, no deployment control",
+			[]core.Plugin{mac}},
+		{"+ deployment shape", "attacker also picks when to strike (load level, #accomplices)",
+			[]core.Plugin{mac, clients}},
+		{"+ network reordering", "attacker additionally controls part of the network",
+			[]core.Plugin{mac, clients, reorder}},
+		{"+ compromised replica", "attacker controls a server node (slow primary)",
+			[]core.Plugin{mac, clients, reorder, slow}},
 	}
 
 	w := pbftWorkload(*measure)
 	fmt.Printf("attacker power vs. tests-to-find (impact >= %.2f), %d seeds x %d tests\n\n", *thresh, *seeds, *budget)
 	fmt.Printf("%-32s %14s %10s  %s\n", "power level", "tests-to-find", "found", "attacker position")
 	for _, level := range levels {
-		target, err := cluster.NewTarget(w, level.plugins()...)
+		target, err := cluster.NewTarget(w, level.plugins...)
 		if err != nil {
 			fatal(err)
 		}

@@ -47,7 +47,7 @@ func slowprimary(args []string) {
 		{"slow primary + colluder, per-request timers", pbft.PerRequestTimer, true, true},
 	}
 
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.SlowPrimary{})
+	space, err := core.Space(append(cluster.DefaultPlugins(), plugin.NewSlowPrimary())...)
 	if err != nil {
 		fatal(err)
 	}

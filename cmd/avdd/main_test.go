@@ -225,10 +225,10 @@ func TestCompletedShardWithoutJournalRefused(t *testing.T) {
 }
 
 // TestRefusedStateNotRetried: a state directory its workers refuse — the
-// flags drifted, or a journal is not one — used to be restarted like a
-// crash, six starts per shard and about eight seconds of backoff. A worker
-// now exits supervise.ExitRefused and its shard fails on the first start,
-// with every state file as it was.
+// flags drifted, or a journal or a manifest is not one — used to be
+// restarted like a crash, six starts per shard and about eight seconds of
+// backoff. A worker now exits supervise.ExitRefused and its shard fails on
+// the first start, with every state file as it was.
 func TestRefusedStateNotRetried(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and runs real campaigns")
@@ -243,6 +243,11 @@ func TestRefusedStateNotRetried(t *testing.T) {
 		{"drifted seed", []int{0, 1}, func(*testing.T, string) {}, []string{"-seed", "2"}},
 		{"garbage journal", []int{0}, func(t *testing.T, state string) {
 			if err := os.WriteFile(filepath.Join(state, "shard-0-of-2.ckpt.journal"), []byte("NOTMAGIC"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, nil},
+		{"garbage manifest", []int{1}, func(t *testing.T, state string) {
+			if err := os.WriteFile(filepath.Join(state, "shard-1-of-2.manifest.json"), []byte("{garbage"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}, nil},

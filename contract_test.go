@@ -95,8 +95,8 @@ func TestParallelCampaignDeterminism(t *testing.T) {
 // crash,skew,oneway,corrupt,dup` explores.
 func pbftContract(tb testing.TB) targettest.Spec[cluster.Workload, cluster.Report] {
 	faults := []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients(),
-		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4)}
-	space, err := core.Space(append([]core.Plugin{&plugin.Reorder{}, plugin.NewFaultPlan(), &plugin.SlowPrimary{}}, faults...)...)
+		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4, true, true)}
+	space, err := core.Space(append([]core.Plugin{plugin.NewReorder(), plugin.NewFaultPlan(), plugin.NewSlowPrimary()}, faults...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func raftContract(tb testing.TB) targettest.Spec[raftsim.Workload, raftsim.Repor
 	return targettest.Spec[raftsim.Workload, raftsim.Report]{
 		New: func(tb testing.TB, w raftsim.Workload) targettest.Runner[raftsim.Report] {
 			r, err := raftsim.NewTarget(w, raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
-				plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
+				plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5, true, true))
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -29,7 +29,7 @@ func raftFaultV2Space(tb testing.TB) *scenario.Space {
 	space, err := core.Space(
 		raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin(),
 		plugin.NewCrashRestart(), plugin.NewClockSkew(5),
-		plugin.NewOneWay(5), plugin.NewNetFaults(5),
+		plugin.NewOneWay(5), plugin.NewNetFaults(5, true, true),
 	)
 	if err != nil {
 		tb.Fatal(err)

@@ -47,7 +47,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Tests, "tests", 125, "test budget (per shard when sharded)")
 	fs.Int64Var(&c.Seed, "seed", 1, "random seed (every shard derives its own deterministic stream)")
 	fs.DurationVar(&c.Measure, "measure", 1500*time.Millisecond, "virtual measurement window per test")
-	fs.StringVar(&c.Plugins, "plugins", "", "comma-separated plugins (pbft: maccorrupt,clients,reorder,faultplan,slowprimary; raft: raftclients,leaderflap); empty = target default")
+	fs.StringVar(&c.Plugins, "plugins", "", pluginsHelp())
 	fs.StringVar(&c.Faults, "faults", "", "comma-separated fault-vocabulary-v2 plugins armed on top of -plugins: crash (crash-restart with optional durable-state loss), skew (per-node clock drift), oneway (asymmetric partition), corrupt, dup (per-link ModMask corruption/duplication)")
 	fs.Uint64Var(&c.StepBudget, "stepbudget", 2_000_000, "per-test simulation event budget; a scenario that exceeds it is reported hung instead of stalling the campaign (0 = unlimited)")
 	fs.IntVar(&c.Workers, "workers", 1, "feedback batch: tests proposed before their results are fed back; results are a function of seed and this value; up to GOMAXPROCS tests run at once")
@@ -172,31 +172,60 @@ func Build(cfg Config) (*Setup, error) {
 	return &Setup{Target: target, Space: space, FullSpace: full, Explorer: explorer, Plan: plan, Manifest: m}, nil
 }
 
+// targetPlugins is each target's -plugins vocabulary, in the order the
+// flag's help lists it, with its default plugin set and its node count
+// for fault sizing. A plugin is named by the name it reports.
+var targetPlugins = []struct {
+	target   string
+	plugins  []func() core.Plugin
+	defaults func() []core.Plugin
+	nodes    int64
+}{
+	{"pbft", []func() core.Plugin{plugin.NewMACCorrupt, plugin.NewClients, plugin.NewReorder, plugin.NewFaultPlan, plugin.NewSlowPrimary},
+		cluster.DefaultPlugins, int64(cluster.DefaultWorkload().PBFT.N)},
+	{"raft", []func() core.Plugin{raftsim.NewClientsPlugin, raftsim.NewLeaderFlapPlugin},
+		raftsim.DefaultPlugins, int64(raftsim.DefaultWorkload().Raft.N)},
+}
+
+// pluginNames lists a target's -plugins vocabulary.
+func pluginNames(plugins []func() core.Plugin) []string {
+	out := make([]string, len(plugins))
+	for i, newPlugin := range plugins {
+		out[i] = newPlugin().Name
+	}
+	return out
+}
+
+// pluginsHelp is the -plugins flag's help text, read off targetPlugins.
+func pluginsHelp() string {
+	var lists []string
+	for _, t := range targetPlugins {
+		lists = append(lists, t.target+": "+strings.Join(pluginNames(t.plugins), ","))
+	}
+	return "comma-separated plugins (" + strings.Join(lists, "; ") + "); empty = target default"
+}
+
 // basePlugins resolves the -plugins flag (or the target's default
 // attack surface) plus the target's node count for fault sizing.
 func basePlugins(target, pluginsCS string) ([]core.Plugin, int64, error) {
-	switch target {
-	case "pbft":
-		plugins, err := ParsePBFTPlugins(pluginsCS)
-		if err != nil {
-			return nil, 0, err
+	for _, t := range targetPlugins {
+		if t.target != target {
+			continue
 		}
-		if len(plugins) == 0 {
-			plugins = []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
+		var out []core.Plugin
+		for _, name := range names(pluginsCS) {
+			i := slices.Index(pluginNames(t.plugins), name)
+			if i < 0 {
+				return nil, 0, fmt.Errorf("campaign: unknown %s plugin %q (want %s)", target, name, strings.Join(pluginNames(t.plugins), ", "))
+			}
+			out = append(out, t.plugins[i]())
 		}
-		return plugins, int64(cluster.DefaultWorkload().PBFT.N), nil
-	case "raft":
-		plugins, err := ParseRaftPlugins(pluginsCS)
-		if err != nil {
-			return nil, 0, err
+		if len(out) == 0 {
+			out = t.defaults()
 		}
-		if len(plugins) == 0 {
-			plugins = []core.Plugin{raftsim.NewClientsPlugin(), raftsim.NewLeaderFlapPlugin()}
-		}
-		return plugins, int64(raftsim.DefaultWorkload().Raft.N), nil
-	default:
-		return nil, 0, fmt.Errorf("campaign: unknown target %q (want pbft or raft)", target)
+		return out, t.nodes, nil
 	}
+	return nil, 0, fmt.Errorf("campaign: unknown target %q (want pbft or raft)", target)
 }
 
 // newTarget builds the system under test around an explicit plugin set.
@@ -248,7 +277,7 @@ func names(cs string) []string {
 // mask axes of the netfaults plugin, which exposes the named ones only.
 func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 	var out []core.Plugin
-	netFaults := &plugin.NetFaults{Nodes: nodes}
+	corrupt, dup := false, false
 	for _, name := range names(cs) {
 		switch name {
 		case "crash":
@@ -258,53 +287,15 @@ func ParseFaults(cs string, nodes int64) ([]core.Plugin, error) {
 		case "oneway":
 			out = append(out, plugin.NewOneWay(nodes))
 		case "corrupt":
-			netFaults.Corrupt = true
+			corrupt = true
 		case "dup":
-			netFaults.Dup = true
+			dup = true
 		default:
 			return nil, fmt.Errorf("campaign: unknown fault %q (want crash, skew, oneway, corrupt or dup)", name)
 		}
 	}
-	if netFaults.Corrupt || netFaults.Dup {
-		out = append(out, netFaults)
-	}
-	return out, nil
-}
-
-// ParsePBFTPlugins maps -plugins names for the PBFT target.
-func ParsePBFTPlugins(cs string) ([]core.Plugin, error) {
-	var out []core.Plugin
-	for _, name := range names(cs) {
-		switch name {
-		case "maccorrupt":
-			out = append(out, plugin.NewMACCorrupt())
-		case "clients":
-			out = append(out, plugin.NewClients())
-		case "reorder":
-			out = append(out, &plugin.Reorder{})
-		case "faultplan":
-			out = append(out, plugin.NewFaultPlan())
-		case "slowprimary":
-			out = append(out, &plugin.SlowPrimary{})
-		default:
-			return nil, fmt.Errorf("campaign: unknown pbft plugin %q", name)
-		}
-	}
-	return out, nil
-}
-
-// ParseRaftPlugins maps -plugins names for the Raft target.
-func ParseRaftPlugins(cs string) ([]core.Plugin, error) {
-	var out []core.Plugin
-	for _, name := range names(cs) {
-		switch name {
-		case "raftclients":
-			out = append(out, raftsim.NewClientsPlugin())
-		case "leaderflap":
-			out = append(out, raftsim.NewLeaderFlapPlugin())
-		default:
-			return nil, fmt.Errorf("campaign: unknown raft plugin %q", name)
-		}
+	if corrupt || dup {
+		out = append(out, plugin.NewNetFaults(nodes, corrupt, dup))
 	}
 	return out, nil
 }

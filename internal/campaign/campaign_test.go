@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +211,40 @@ func cliConfig(target string, tests, shard, shards int) Config {
 	}
 }
 
+// TestPluginsHelpNamesParse: every plugin the -plugins help lists for a
+// target builds a campaign on that target with that plugin alone, and the
+// help lists both targets.
+func TestPluginsHelpNamesParse(t *testing.T) {
+	var cfg Config
+	fs := flag.NewFlagSet("avd", flag.ContinueOnError)
+	cfg.RegisterFlags(fs)
+	help := fs.Lookup("plugins").Usage
+	open, end := strings.Index(help, "("), strings.Index(help, ")")
+	if open < 0 || end < open {
+		t.Fatalf("-plugins help lists no plugins: %q", help)
+	}
+	var targets []string
+	for _, list := range strings.Split(help[open+1:end], "; ") {
+		target, names, _ := strings.Cut(list, ": ")
+		targets = append(targets, target)
+		for _, name := range strings.Split(names, ",") {
+			cfg := cliConfig(target, 10, 0, 1)
+			cfg.Plugins = name
+			setup, err := Build(cfg)
+			if err != nil {
+				t.Errorf("-target %s -plugins %s: %v", target, name, err)
+				continue
+			}
+			if got := setup.Target.Plugins(); len(got) != 1 || got[0].Name != name {
+				t.Errorf("-target %s -plugins %s: built %d plugins, want %s alone", target, name, len(got), name)
+			}
+		}
+	}
+	if !slices.Equal(targets, []string{"pbft", "raft"}) {
+		t.Errorf("-plugins help lists targets %q, want pbft and raft: %q", targets, help)
+	}
+}
+
 // TestBuildErrors: what the flags cannot mean is an error from Build,
 // before any target or state exists.
 func TestBuildErrors(t *testing.T) {
@@ -221,7 +256,7 @@ func TestBuildErrors(t *testing.T) {
 		"unknown strategy":       {func(c *Config) { c.Strategy = "annealing" }, `unknown strategy "annealing"`},
 		"retired strategy":       {func(c *Config) { c.Strategy = "genetic" }, `unknown strategy "genetic" (want avd, random or coverage)`},
 		"unknown fault":          {func(c *Config) { c.Faults = "crash,gamma-ray" }, `unknown fault "gamma-ray"`},
-		"unknown plugin":         {func(c *Config) { c.Plugins = "clients,raftclients" }, `unknown pbft plugin "raftclients"`},
+		"unknown plugin":         {func(c *Config) { c.Plugins = "clients,raftclients" }, `unknown pbft plugin "raftclients" (want maccorrupt, clients, reorder, faultplan, slowprimary)`},
 		"shards beyond any axis": {func(c *Config) { c.Shards = 4097 }, `cannot split 4097 ways: largest axis "mac_mask" has only 4096 values`},
 		"no tests":               {func(c *Config) { c.Tests = 0 }, `-tests 0 must be at least 1`},
 		"negative tests":         {func(c *Config) { c.Tests = -3 }, `-tests -3 must be at least 1`},
@@ -305,9 +340,10 @@ func TestFaultNamesSelectMaskAxes(t *testing.T) {
 					target, tc.faults, plugin.DimCorruptMask, corrupt, plugin.DimDupMask, dup, tc.corrupt, tc.dup)
 			}
 			nf := setup.Target.Plugins()[len(setup.Target.Plugins())-1]
-			full := plugin.NewNetFaults(nf.(*plugin.NetFaults).Nodes)
-			if tc.corrupt && tc.dup && !reflect.DeepEqual(nf.Dimensions(), full.Dimensions()) {
-				t.Errorf("%s -faults %s: dimensions %v, the full plugin's %v", target, tc.faults, nf.Dimensions(), full.Dimensions())
+			from, _ := setup.Space.Dim(plugin.DimNetFaultFrom)
+			full := plugin.NewNetFaults(from.Max, true, true)
+			if tc.corrupt && tc.dup && !reflect.DeepEqual(nf.Dims, full.Dims) {
+				t.Errorf("%s -faults %s: dimensions %v, the full plugin's %v", target, tc.faults, nf.Dims, full.Dims)
 			}
 			rng, fullRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 			sc := setup.Space.New(nil)
@@ -423,7 +459,7 @@ func TestShardMutationStepsOnShardGrid(t *testing.T) {
 		}
 		var clients core.Plugin
 		for _, p := range setup.Target.Plugins() {
-			if p.Name() == tc.plugin {
+			if p.Name == tc.plugin {
 				clients = p
 			}
 		}

@@ -39,7 +39,7 @@ var shootoutDefects = []struct {
 		w.Equivocate = true
 		w.ByzantineReplica = 2
 		return cluster.NewTarget(w, plugin.NewClients(), plugin.NewCrashRestart(),
-			plugin.NewOneWay(4), plugin.NewNetFaults(4))
+			plugin.NewOneWay(4), plugin.NewNetFaults(4, true, true))
 	}, func(r core.Result) bool { return r.Violated("pbft/agreement") }},
 	{"raft_double_vote", 150, func() (core.Target, error) {
 		w := raftsim.DefaultWorkload()

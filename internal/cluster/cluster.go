@@ -47,9 +47,6 @@ type Workload struct {
 	// MaskBits is the width of the MAC-corruption mask (12 in the
 	// paper).
 	MaskBits uint
-	// BinaryMask disables the Gray decoding of the mac_mask coordinate
-	// (ablation A1).
-	BinaryMask bool
 	// CrashOnBadReproposal applies the modeled view-change crash defect
 	// (see internal/pbft); the attacked implementation had it, so the
 	// default workload enables it.
@@ -61,14 +58,6 @@ type Workload struct {
 	// here is 0.8*(1-tput/baseline) + 0.2*min(1, lat/LatencyRef). Zero
 	// disables the latency component.
 	LatencyRef time.Duration
-	// ReferenceThroughput, when positive, switches the throughput
-	// component to the paper's raw metric: the fitness compares the
-	// observed absolute throughput against this fixed reference (e.g.
-	// the 250-client baseline) instead of the per-client-count baseline.
-	// Under this metric shrinking the deployment itself raises impact,
-	// exactly as minimizing "average throughput observed by the correct
-	// clients" does in §6.
-	ReferenceThroughput float64
 	// Equivocate injects an equivocating primary (replica 0 proposes
 	// conflicting batches for the same sequence number) for oracle
 	// validation. On its own, correct quorums absorb the equivocation;
@@ -109,7 +98,7 @@ func DefaultWorkload() Workload {
 			Retry:    40 * time.Millisecond,
 			RetryCap: 80 * time.Millisecond,
 		},
-		MaskBits:             12,
+		MaskBits:             plugin.MACMaskBits,
 		CrashOnBadReproposal: true,
 		LatencyRef:           time.Second,
 	}
@@ -173,11 +162,17 @@ func populationOf(sc scenario.Scenario) masterKey {
 // NewRunner returns a runner for the workload with the default plugins.
 func NewRunner(w Workload) (*Runner, error) { return NewTarget(w) }
 
-// NewTarget builds the PBFT system under test for a workload. With no
-// explicit plugins it exposes the paper's PBFT hyperspace — the 12-bit
+// DefaultPlugins returns the paper's PBFT hyperspace: the 12-bit
 // Gray-coded MAC-corruption mask composed with the client-population
-// dimensions; pass plugins to widen or narrow the attack surface (e.g.
-// adding Reorder or SlowPrimary).
+// dimensions.
+func DefaultPlugins() []core.Plugin {
+	return []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
+}
+
+// NewTarget builds the PBFT system under test for a workload. With no
+// explicit plugins it exposes DefaultPlugins' hyperspace; pass plugins to
+// widen or narrow the attack surface (e.g. adding plugin.NewReorder or
+// plugin.NewSlowPrimary).
 func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 	if err := w.PBFT.Validate(); err != nil {
 		return nil, err
@@ -189,20 +184,19 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 		return nil, fmt.Errorf("cluster: mask bits %d out of range [1,32]", w.MaskBits)
 	}
 	if len(plugins) == 0 {
-		plugins = []core.Plugin{plugin.NewMACCorrupt(), plugin.NewClients()}
+		plugins = DefaultPlugins()
 	}
 	r := &Runner{w: w}
 	r.Harness = core.NewHarness[masterKey, *deployment, Report](core.HarnessSpec[masterKey, *deployment]{
-		Name:                "pbft",
-		Plugins:             plugins,
-		Config:              w,
-		ClientsDim:          plugin.DimCorrectClients,
-		Key:                 populationOf,
-		Build:               r.newDeployment,
-		Measure:             w.Measure,
-		StepBudget:          w.StepBudget,
-		LatencyRef:          w.LatencyRef,
-		ReferenceThroughput: w.ReferenceThroughput,
+		Name:       "pbft",
+		Plugins:    plugins,
+		Config:     w,
+		ClientsDim: plugin.DimCorrectClients,
+		Key:        populationOf,
+		Build:      r.newDeployment,
+		Measure:    w.Measure,
+		StepBudget: w.StepBudget,
+		LatencyRef: w.LatencyRef,
 	})
 	return r, nil
 }

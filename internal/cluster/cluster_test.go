@@ -168,7 +168,7 @@ func TestSlowPrimaryScenario(t *testing.T) {
 	w := fastWorkload()
 	w.Measure = 3 * time.Second
 	r := newRunner(t, w)
-	space, err := core.Space(plugin.NewClients(), &plugin.SlowPrimary{})
+	space, err := core.Space(plugin.NewClients(), plugin.NewSlowPrimary())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSlowPrimaryCollusionScenario(t *testing.T) {
 	w := fastWorkload()
 	w.Measure = 3 * time.Second
 	r := newRunner(t, w)
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.SlowPrimary{})
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewSlowPrimary())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestPerRequestTimerFixRestoresLiveness(t *testing.T) {
 	w.Measure = 3 * time.Second
 	w.PBFT.TimerMode = pbft.PerRequestTimer
 	r := newRunner(t, w)
-	space, err := core.Space(plugin.NewClients(), &plugin.SlowPrimary{})
+	space, err := core.Space(plugin.NewClients(), plugin.NewSlowPrimary())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestPerRequestTimerFixRestoresLiveness(t *testing.T) {
 
 func TestReorderScenarioRuns(t *testing.T) {
 	r := newRunner(t, fastWorkload())
-	space, err := core.Space(plugin.NewClients(), &plugin.Reorder{})
+	space, err := core.Space(plugin.NewClients(), plugin.NewReorder())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,24 +286,6 @@ func TestDropWindowScenarioRuns(t *testing.T) {
 	res := r.Run(sc)
 	if res.Throughput <= 0 {
 		t.Error("drop-window scenario made no progress")
-	}
-}
-
-func TestBinaryMaskAblationChangesEncoding(t *testing.T) {
-	wGray := fastWorkload()
-	wBin := fastWorkload()
-	wBin.BinaryMask = true
-	coord := int64(graycode.Decode(0xEEE)) // Gray: all backups corrupt
-	sc := paperSpace(t).New(map[string]int64{
-		plugin.DimMACMask:          coord,
-		plugin.DimCorrectClients:   20,
-		plugin.DimMaliciousClients: 1,
-	})
-	gray := newRunner(t, wGray).Run(sc)
-	bin := newRunner(t, wBin).Run(sc)
-	// Same coordinate, different effective masks -> different outcomes.
-	if gray.Impact == bin.Impact && gray.Throughput == bin.Throughput {
-		t.Error("binary-mask ablation produced identical results; encoding not applied")
 	}
 }
 

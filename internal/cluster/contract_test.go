@@ -58,7 +58,7 @@ func FuzzForkEqualsCold(f *testing.F)                   { targettest.FuzzForkEqu
 // crash,skew,oneway,corrupt,dup` explores.
 func contractTarget(tb testing.TB, w Workload) targettest.Target[masterKey, *deployment, Report] {
 	r, err := NewTarget(w, plugin.NewMACCorrupt(), plugin.NewClients(),
-		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4))
+		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4, true, true))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func completed(clients []*pbft.Client) (n uint64) {
 }
 
 func pbftContract(tb testing.TB) contract {
-	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), &plugin.Reorder{}, plugin.NewFaultPlan(), &plugin.SlowPrimary{},
-		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4))
+	space, err := core.Space(plugin.NewMACCorrupt(), plugin.NewClients(), plugin.NewReorder(), plugin.NewFaultPlan(), plugin.NewSlowPrimary(),
+		plugin.NewCrashRestart(), plugin.NewClockSkew(4), plugin.NewOneWay(4), plugin.NewNetFaults(4, true, true))
 	if err != nil {
 		tb.Fatal(err)
 	}

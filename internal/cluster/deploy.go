@@ -166,11 +166,7 @@ func (d *deployment) Arm(sc scenario.Scenario, withFaults bool) {
 	}
 	w := d.w
 
-	maskCoord := sc.GetOr(plugin.DimMACMask, 0)
-	mask := uint64(maskCoord)
-	if !w.BinaryMask {
-		mask = graycode.Encode(uint64(maskCoord))
-	}
+	mask := graycode.Encode(uint64(sc.GetOr(plugin.DimMACMask, 0)))
 	slowPrimary := sc.GetOr(plugin.DimSlowPrimary, 0) == 1
 	collude := slowPrimary && sc.GetOr(plugin.DimCollude, 0) == 1
 	slowInterval := time.Duration(sc.GetOr(plugin.DimSlowIntervalMS, 0)) * time.Millisecond

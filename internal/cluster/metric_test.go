@@ -8,27 +8,6 @@ import (
 	"avd/internal/plugin"
 )
 
-// TestAbsoluteMetricRanksSmallDeploymentsHigher verifies the
-// paper-faithful raw-throughput metric (Workload.ReferenceThroughput):
-// under it, a healthy small deployment scores higher impact than a
-// healthy large one, because the fitness is absolute observed
-// throughput.
-func TestAbsoluteMetricRanksSmallDeploymentsHigher(t *testing.T) {
-	w := fastWorkload()
-	w.ReferenceThroughput = 50000
-	r := newRunner(t, w)
-	space := paperSpace(t)
-	small := r.Run(space.New(map[string]int64{
-		plugin.DimMACMask: 0, plugin.DimCorrectClients: 10, plugin.DimMaliciousClients: 1,
-	}))
-	large := r.Run(space.New(map[string]int64{
-		plugin.DimMACMask: 0, plugin.DimCorrectClients: 100, plugin.DimMaliciousClients: 1,
-	}))
-	if small.Impact <= large.Impact {
-		t.Errorf("absolute metric: small=%.3f should exceed large=%.3f", small.Impact, large.Impact)
-	}
-}
-
 // TestRelativeMetricIgnoresDeploymentSize: under the default
 // per-client-count baseline, both healthy deployments score ~0.
 func TestRelativeMetricIgnoresDeploymentSize(t *testing.T) {
@@ -69,17 +48,12 @@ func TestLatencyComponentRaisesImpactOfDeadSystem(t *testing.T) {
 	}
 }
 
-// TestImpactBounded: impact stays in [0,1] across metric configs.
+// TestImpactBounded: impact stays in [0,1].
 func TestImpactBounded(t *testing.T) {
-	for _, ref := range []float64{0, 100} { // relative, tiny absolute ref
-		w := fastWorkload()
-		w.ReferenceThroughput = ref
-		r := newRunner(t, w)
-		res := r.Run(paperSpace(t).New(map[string]int64{
-			plugin.DimMACMask: 0, plugin.DimCorrectClients: 50, plugin.DimMaliciousClients: 1,
-		}))
-		if res.Impact < 0 || res.Impact > 1 {
-			t.Errorf("impact %.3f out of bounds with ref=%v", res.Impact, ref)
-		}
+	res := newRunner(t, fastWorkload()).Run(paperSpace(t).New(map[string]int64{
+		plugin.DimMACMask: 0, plugin.DimCorrectClients: 50, plugin.DimMaliciousClients: 1,
+	}))
+	if res.Impact < 0 || res.Impact > 1 {
+		t.Errorf("impact %.3f out of bounds", res.Impact)
 	}
 }

@@ -31,7 +31,7 @@ func covRunner(bucket int64) Runner {
 // point short of a drained space (seeds 3, 13 and 18 stopped at 255 of
 // 256); the grid scan behind it finds the last points.
 func TestControllerDrainsSpace(t *testing.T) {
-	p := &gridPlugin{name: "tiny", dim: scenario.Dimension{Name: "x", Min: 0, Max: 255, Step: 1}}
+	p := gridPlugin("tiny", scenario.Dimension{Name: "x", Min: 0, Max: 255, Step: 1})
 	for seed := int64(1); seed <= 20; seed++ {
 		c := newTestController(t, ControllerConfig{Seed: seed}, p)
 		results := runEngine(t, c, covRunner(16), 1000, 1)

@@ -44,8 +44,8 @@ func archiveTurns(results []Result) int {
 
 func twoDimPlugins() []Plugin {
 	return []Plugin{
-		&gridPlugin{name: "x", dim: scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}},
-		&gridPlugin{name: "y", dim: scenario.Dimension{Name: "y", Min: 0, Max: 63, Step: 1}},
+		gridPlugin("x", scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}),
+		gridPlugin("y", scenario.Dimension{Name: "y", Min: 0, Max: 63, Step: 1}),
 	}
 }
 

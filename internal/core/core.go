@@ -122,16 +122,17 @@ type Preparer interface {
 
 // Plugin mediates between the controller and one testing tool (§3): it
 // owns the tool's hyperspace dimensions and knows how to mutate them by a
-// given distance. Implementations live in internal/plugin.
-type Plugin interface {
+// given distance. The shipped tools are constructors in internal/plugin
+// and internal/raftsim.
+type Plugin struct {
 	// Name identifies the plugin in reports and fitness statistics.
-	Name() string
-	// Dimensions returns the hyperspace axes the plugin controls.
-	Dimensions() []scenario.Dimension
+	Name string
+	// Dims are the hyperspace axes the plugin controls.
+	Dims []scenario.Dimension
 	// Mutate returns a child scenario at roughly the given distance from
 	// the parent along the plugin's dimensions. distance is in [0,1]:
 	// 0 asks for the smallest possible change, 1 for an arbitrary jump.
-	Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario
+	Mutate func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario
 }
 
 // Explorer proposes scenarios and learns from results; the AVD
@@ -166,7 +167,7 @@ func firstUnseen(space *scenario.Space, seen map[scenario.CompactKey]bool) (scen
 func Space(plugins ...Plugin) (*scenario.Space, error) {
 	var dims []scenario.Dimension
 	for _, p := range plugins {
-		dims = append(dims, p.Dimensions()...)
+		dims = append(dims, p.Dims...)
 	}
 	return scenario.NewSpace(dims...)
 }
@@ -323,7 +324,7 @@ func (c *Controller) generate() {
 		pluginIdx := c.samplePlugin()                                          // line 2
 		distance := 1 - parent.Impact/c.maxImpactSafe()                        // line 3
 		child := c.plugins[pluginIdx].Mutate(parent.Scenario, distance, c.rng) // line 4
-		m := pendingMeta{generator: "mutate:" + c.plugins[pluginIdx].Name(), pluginIdx: pluginIdx, parentImpact: parent.Impact}
+		m := pendingMeta{generator: "mutate:" + c.plugins[pluginIdx].Name, pluginIdx: pluginIdx, parentImpact: parent.Impact}
 		if c.enqueue(child, m) { // lines 5-6: not in Ω (which also covers Ψ and Π)
 			return
 		}
@@ -345,7 +346,7 @@ func (c *Controller) enqueueNovel() {
 		p := c.plugins[c.rng.Intn(len(c.plugins))]
 		distance := 0.1 + 0.2*c.rng.Float64() + 0.05*float64(min(parent.Picks, 8))
 		child := p.Mutate(parent.Result.Scenario, distance, c.rng)
-		if c.enqueue(child, pendingMeta{generator: "archive:" + p.Name(), pluginIdx: -1}) {
+		if c.enqueue(child, pendingMeta{generator: "archive:" + p.Name, pluginIdx: -1}) {
 			return
 		}
 	}

@@ -12,29 +12,20 @@ import (
 
 // gridPlugin is a test plugin over one integer dimension with simple
 // +/-delta mutation.
-type gridPlugin struct {
-	name string
-	dim  scenario.Dimension
-}
-
-func (p *gridPlugin) Name() string { return p.name }
-
-func (p *gridPlugin) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{p.dim}
-}
-
-func (p *gridPlugin) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	cur := parent.GetOr(p.dim.Name, p.dim.Min)
-	max := p.dim.Count() - 1
-	d := int64(math.Round(distance * float64(max)))
-	if d < 1 {
-		d = 1
-	}
-	d = 1 + rng.Int63n(d)
-	if rng.Intn(2) == 0 {
-		d = -d
-	}
-	return parent.With(p.dim.Name, cur+d*p.dim.Step)
+func gridPlugin(name string, dim scenario.Dimension) Plugin {
+	return Plugin{Name: name, Dims: []scenario.Dimension{dim}, Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+		cur := parent.GetOr(dim.Name, dim.Min)
+		max := dim.Count() - 1
+		d := int64(math.Round(distance * float64(max)))
+		if d < 1 {
+			d = 1
+		}
+		d = 1 + rng.Int63n(d)
+		if rng.Intn(2) == 0 {
+			d = -d
+		}
+		return parent.With(dim.Name, cur+d*dim.Step)
+	}}
 }
 
 // peakRunner scores scenarios by proximity to a hidden peak on dimension
@@ -56,7 +47,7 @@ func (r *peakRunner) Run(sc scenario.Scenario) Result {
 func newTestController(t *testing.T, cfg ControllerConfig, plugins ...Plugin) *Controller {
 	t.Helper()
 	if len(plugins) == 0 {
-		plugins = []Plugin{&gridPlugin{name: "x", dim: scenario.Dimension{Name: "x", Min: 0, Max: 4095, Step: 1}}}
+		plugins = []Plugin{gridPlugin("x", scenario.Dimension{Name: "x", Min: 0, Max: 4095, Step: 1})}
 	}
 	c, err := NewController(cfg, plugins...)
 	if err != nil {
@@ -187,8 +178,8 @@ func TestMutateDistanceLargeForPoorParents(t *testing.T) {
 func TestPluginFitnessGainShiftsSelection(t *testing.T) {
 	// Two plugins on separate dimensions; only "good"'s dimension
 	// matters. Its fitness gain should earn it a higher weight.
-	good := &gridPlugin{name: "good", dim: scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}}
-	bad := &gridPlugin{name: "bad", dim: scenario.Dimension{Name: "y", Min: 0, Max: 1023, Step: 1}}
+	good := gridPlugin("good", scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1})
+	bad := gridPlugin("bad", scenario.Dimension{Name: "y", Min: 0, Max: 1023, Step: 1})
 	c := newTestController(t, ControllerConfig{Seed: 4, SeedTests: 10}, good, bad)
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		x := sc.GetOr("x", 0)
@@ -202,8 +193,8 @@ func TestPluginFitnessGainShiftsSelection(t *testing.T) {
 }
 
 func TestDisablePluginFitnessSamplesUniformly(t *testing.T) {
-	good := &gridPlugin{name: "good", dim: scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}}
-	bad := &gridPlugin{name: "bad", dim: scenario.Dimension{Name: "y", Min: 0, Max: 1023, Step: 1}}
+	good := gridPlugin("good", scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1})
+	bad := gridPlugin("bad", scenario.Dimension{Name: "y", Min: 0, Max: 1023, Step: 1})
 	c := newTestController(t, ControllerConfig{Seed: 4, SeedTests: 10, DisablePluginFitness: true}, good, bad)
 	runner := RunnerFunc(func(sc scenario.Scenario) Result {
 		return Result{Scenario: sc, Impact: float64(sc.GetOr("x", 0)) / 1023}

@@ -70,9 +70,6 @@ type HarnessSpec[K comparable, D any] struct {
 	// 0.8 x throughput collapse + 0.2 x latency inflation. Zero disables
 	// the latency component.
 	LatencyRef time.Duration
-	// ReferenceThroughput, when positive, replaces the per-count baseline
-	// as the throughput reference.
-	ReferenceThroughput float64
 }
 
 // defaultClients is the client count of a scenario that leaves the
@@ -234,11 +231,7 @@ func (h *Harness[K, D, R]) score(sc scenario.Scenario, res Result) Result {
 	if baseline <= 0 {
 		return res
 	}
-	ref := baseline
-	if h.spec.ReferenceThroughput > 0 {
-		ref = h.spec.ReferenceThroughput
-	}
-	tputImpact := min(max(1-res.Throughput/ref, 0), 1)
+	tputImpact := min(max(1-res.Throughput/baseline, 0), 1)
 	if h.spec.LatencyRef > 0 {
 		latImpact := min(float64(res.AvgLatency)/float64(h.spec.LatencyRef), 1)
 		res.Impact = 0.8*tputImpact + 0.2*latImpact

@@ -189,8 +189,8 @@ func TestHarnessMinimizeReusesMasters(t *testing.T) {
 		}
 	}
 	built := target.builds.Load()
-	if built != int64(regClients.Count()) {
-		t.Fatalf("the campaign built %d masters for %d populations", built, regClients.Count())
+	if built != int64(regClients.Dims[0].Count()) {
+		t.Fatalf("the campaign built %d masters for %d populations", built, regClients.Dims[0].Count())
 	}
 	m, err := core.Minimize(target, worst, core.MinimizeConfig{})
 	if err != nil {

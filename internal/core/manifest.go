@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -171,9 +172,14 @@ func WriteManifest(path string, m Manifest) error {
 	return nil
 }
 
+// ErrManifestGarbage marks a manifest file that reads but does not
+// decode: state no resume can accept, unlike a read error, which may pass.
+var ErrManifestGarbage = errors.New("not a manifest")
+
 // LoadManifest reads a manifest written by WriteManifest. A missing file
 // returns os.ErrNotExist (unwrapped-checkable), letting callers treat
-// "first run" and "resume" uniformly.
+// "first run" and "resume" uniformly; a file that does not decode returns
+// an error wrapping ErrManifestGarbage.
 func LoadManifest(path string) (Manifest, error) {
 	var m Manifest
 	data, err := os.ReadFile(path)
@@ -181,7 +187,7 @@ func LoadManifest(path string) (Manifest, error) {
 		return m, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("core: manifest %s: %w", path, err)
+		return m, fmt.Errorf("core: manifest %s: %w (%w)", path, ErrManifestGarbage, err)
 	}
 	return m, nil
 }

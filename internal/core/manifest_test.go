@@ -73,14 +73,19 @@ func TestManifestValidateNamesEveryMismatch(t *testing.T) {
 }
 
 // TestManifestCorrupt: a manifest that fails to parse is an error, not
-// a silent fresh start.
+// a silent fresh start, and one a caller can tell from a read error: a
+// resume refuses the first and may retry the second.
 func TestManifestCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "m.json")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.json")
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(path); err == nil || errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("corrupt manifest: got %v, want parse error", err)
+	if _, err := LoadManifest(path); !errors.Is(err, ErrManifestGarbage) || errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt manifest: got %v, want ErrManifestGarbage", err)
+	}
+	if _, err := LoadManifest(dir); err == nil || errors.Is(err, ErrManifestGarbage) {
+		t.Fatalf("reading a directory: got %v, want a read error", err)
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
+	"slices"
 
 	"avd/internal/scenario"
 )
@@ -104,54 +104,30 @@ func (p ShardPlan) strided(d scenario.Dimension, k int) scenario.Dimension {
 	return d
 }
 
-// shardPlugin narrows one plugin's view of the split axis. Only
-// Dimensions changes: Mutate still runs the wrapped plugin's own logic,
-// and because every mutation derives children via Scenario.With — which
-// clamps through the *shard* space the engine built from these
-// dimensions — offspring can never escape the shard.
-type shardPlugin struct {
-	Plugin
-	dims []scenario.Dimension
-}
-
-func (sp shardPlugin) Dimensions() []scenario.Dimension { return sp.dims }
-
-// WrapPlugins returns the plugin set as shard k must see it: plugins
-// owning the split axis report the strided dimension, everything else
-// passes through untouched.
+// WrapPlugins returns the plugin set as shard k must see it: copies whose
+// Dims hold the strided split axis, the input plugins left as they were.
+// Mutate is untouched: every mutation derives children via Scenario.With,
+// which clamps through the *shard* space the engine built from these
+// dimensions, so offspring can never escape the shard.
 func (p ShardPlan) WrapPlugins(plugins []Plugin, k int) ([]Plugin, error) {
 	if k < 0 || k >= p.Shards {
 		return nil, fmt.Errorf("core: shard %d outside plan of %d", k, p.Shards)
 	}
 	found := false
-	out := make([]Plugin, len(plugins))
-	for i, pl := range plugins {
-		dims := pl.Dimensions()
-		owns := false
-		for j, d := range dims {
+	out := slices.Clone(plugins)
+	for i := range out {
+		out[i].Dims = slices.Clone(out[i].Dims)
+		for j, d := range out[i].Dims {
 			if d.Name == p.Axis {
-				dims[j] = p.strided(d, k)
-				owns = true
+				out[i].Dims[j] = p.strided(d, k)
+				found = true
 			}
-		}
-		if owns {
-			out[i] = shardPlugin{Plugin: pl, dims: dims}
-			found = true
-		} else {
-			out[i] = pl
 		}
 	}
 	if !found {
 		return nil, fmt.Errorf("core: no plugin owns shard axis %q", p.Axis)
 	}
 	return out, nil
-}
-
-var _ Plugin = shardPlugin{}
-
-// Plugin interface conformance: Mutate and Name delegate via embedding.
-func (sp shardPlugin) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	return sp.Plugin.Mutate(parent, distance, rng)
 }
 
 // MergeShards combines per-shard result streams into one campaign,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,8 +73,8 @@ func TestShardPlanErrors(t *testing.T) {
 // wide fault axis and a narrower structural one.
 func populationPlugins() []Plugin {
 	return []Plugin{
-		&gridPlugin{name: "x", dim: scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}},
-		&gridPlugin{name: "pop", dim: scenario.Dimension{Name: "pop", Min: 10, Max: 250, Step: 10, Structural: true}},
+		gridPlugin("x", scenario.Dimension{Name: "x", Min: 0, Max: 1023, Step: 1}),
+		gridPlugin("pop", scenario.Dimension{Name: "pop", Min: 10, Max: 250, Step: 10, Structural: true}),
 	}
 }
 
@@ -152,12 +153,18 @@ func TestShardKeepsStructuralMarker(t *testing.T) {
 
 // TestShardWrapPluginsSpaceMatchesSubspace: the engine space built from
 // wrapped plugins must be structurally identical to the plan's
-// Subspace, so CompactKeys agree between the explorer and the merge.
+// Subspace, so CompactKeys agree between the explorer and the merge, and
+// wrapping leaves the input plugins' axes as they were: a copy sharing
+// its Dims with them would stride the unsharded plugin too.
 func TestShardWrapPluginsSpaceMatchesSubspace(t *testing.T) {
 	plugins := twoDimPlugins()
 	full, err := Space(plugins...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var dims [][]scenario.Dimension
+	for _, p := range plugins {
+		dims = append(dims, slices.Clone(p.Dims))
 	}
 	plan, err := PlanShards(full, 4)
 	if err != nil {
@@ -178,6 +185,11 @@ func TestShardWrapPluginsSpaceMatchesSubspace(t *testing.T) {
 		}
 		if got, want := SpaceSignature(engineSpace), SpaceSignature(sub); got != want {
 			t.Fatalf("shard %d: engine space %s != subspace %s", k, got, want)
+		}
+		for i, p := range plugins {
+			if !slices.Equal(p.Dims, dims[i]) {
+				t.Fatalf("shard %d: wrapping changed plugin %s's axes to %+v, want %+v", k, p.Name, p.Dims, dims[i])
+			}
 		}
 	}
 	if _, err := plan.WrapPlugins(nil, 0); err == nil {

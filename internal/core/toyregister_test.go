@@ -42,12 +42,10 @@ const (
 
 // regAxis is a plugin over one of the toy's axes; it mutates by jumping
 // anywhere on it.
-type regAxis struct{ scenario.Dimension }
-
-func (p regAxis) Name() string                     { return p.Dimension.Name }
-func (p regAxis) Dimensions() []scenario.Dimension { return []scenario.Dimension{p.Dimension} }
-func (p regAxis) Mutate(parent scenario.Scenario, _ float64, rng *rand.Rand) scenario.Scenario {
-	return parent.With(p.Dimension.Name, p.Value(rng.Int63n(p.Count())))
+func regAxis(d scenario.Dimension) core.Plugin {
+	return core.Plugin{Name: d.Name, Dims: []scenario.Dimension{d}, Mutate: func(parent scenario.Scenario, _ float64, rng *rand.Rand) scenario.Scenario {
+		return parent.With(d.Name, d.Value(rng.Int63n(d.Count())))
+	}}
 }
 
 // regLeakMB is a sixteenth of the window-memory ceiling: a leaking window
@@ -55,9 +53,9 @@ func (p regAxis) Mutate(parent scenario.Scenario, _ float64, rng *rand.Rand) sce
 const regLeakMB = slab.WindowCeiling >> 24
 
 var (
-	regClients = regAxis{scenario.Dimension{Name: dimRegClients, Min: 2, Max: 8, Step: 2, Structural: true}}
-	regLag     = regAxis{scenario.Dimension{Name: dimRegLagMS, Min: 0, Max: 10, Step: 1}}
-	regLeak    = regAxis{scenario.Dimension{Name: dimRegLeakMB, Min: 0, Max: regLeakMB, Step: regLeakMB}}
+	regClients = regAxis(scenario.Dimension{Name: dimRegClients, Min: 2, Max: 8, Step: 2, Structural: true})
+	regLag     = regAxis(scenario.Dimension{Name: dimRegLagMS, Min: 0, Max: 10, Step: 1})
+	regLeak    = regAxis(scenario.Dimension{Name: dimRegLeakMB, Min: 0, Max: regLeakMB, Step: regLeakMB})
 )
 
 func regKey(sc scenario.Scenario) int64 { return sc.GetOr(dimRegClients, 4) }
@@ -193,7 +191,13 @@ func (d *regDeployment) Arm(sc scenario.Scenario, attack bool) {
 		return
 	}
 	if lag := sc.GetOr(dimRegLagMS, 0); lag > 0 {
-		d.Net.SetLinkLatency(regPrimary, regBackup, time.Duration(lag)*time.Millisecond)
+		extra := time.Duration(lag)*time.Millisecond - regLatency
+		d.Net.AddInterceptor(simnet.InterceptorFunc(func(m *simnet.Message) simnet.Verdict {
+			if m.From == regPrimary && m.To == regBackup {
+				m.ExtraDelay = extra
+			}
+			return simnet.VerdictDeliver
+		}))
 	}
 	d.leak = int(sc.GetOr(dimRegLeakMB, 0)) << 20
 }

@@ -1,9 +1,10 @@
 // Package plugin provides AVD's testing-tool plugins (§3, §5 of the
-// paper). Each plugin owns the hyperspace dimensions of one testing tool
-// and implements tool-specific mutation semantics for the controller's
-// mutateDistance: a small distance makes the smallest meaningful change
-// (a Gray-code neighbor, an adjacent call number, one client more), a
-// large distance jumps far.
+// paper). Each constructor returns a core.Plugin value: the hyperspace
+// dimensions of one testing tool and its mutation rule for the
+// controller's mutateDistance, where a small distance makes the smallest
+// meaningful change (a Gray-code neighbor, an adjacent call number, one
+// client more) and a large distance jumps far. The package also arms the
+// shared fault axes on a deployment (ArmFaults).
 //
 // Dimension names used by the cluster runner:
 //
@@ -118,378 +119,260 @@ func GridOf(parent scenario.Scenario, own scenario.Dimension) scenario.Dimension
 	return own
 }
 
-// MACCorrupt is the MAC-corruption fault-injection plugin of §6. Its
-// single dimension is the 12-bit hyperspace coordinate; the PBFT
+// MACMaskBits is the width of the MAC-corruption mask (12 in the paper).
+const MACMaskBits = 12
+
+// NewMACCorrupt returns the MAC-corruption fault-injection plugin of §6.
+// Its single dimension is the 12-bit hyperspace coordinate; the PBFT
 // deployment arms the Gray encoding of the coordinate as the injector
 // bitmask, so that stepping the coordinate by one flips exactly one mask
-// bit (cluster.Workload.BinaryMask arms the coordinate itself, the A1
-// ablation).
-type MACCorrupt struct {
-	// Bits is the mask width (12 in the paper). Must be in [1, 32].
-	Bits uint
+// bit. Mutate steps the coordinate by a distance-scaled amount, wrapping
+// at the axis edges ("a small mutateDistance entails choosing a
+// neighboring value").
+func NewMACCorrupt() core.Plugin {
+	return core.Plugin{
+		Name: "maccorrupt",
+		Dims: []scenario.Dimension{{Name: DimMACMask, Min: 0, Max: 1<<MACMaskBits - 1, Step: 1}},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			coord := parent.GetOr(DimMACMask, 0)
+			delta := ScaledDelta(distance, 1<<(MACMaskBits-1), rng)
+			next := graycode.Step(uint64(coord), MACMaskBits, delta)
+			return parent.With(DimMACMask, int64(next))
+		},
+	}
 }
 
-// NewMACCorrupt returns the paper's 12-bit Gray-coded plugin.
-func NewMACCorrupt() *MACCorrupt { return &MACCorrupt{Bits: 12} }
-
-var _ core.Plugin = (*MACCorrupt)(nil)
-
-// Name implements core.Plugin.
-func (p *MACCorrupt) Name() string { return "maccorrupt" }
-
-// Dimensions implements core.Plugin.
-func (p *MACCorrupt) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{{
-		Name: DimMACMask,
-		Min:  0,
-		Max:  int64(uint64(1)<<p.Bits) - 1,
-		Step: 1,
-	}}
-}
-
-// Mutate implements core.Plugin: it steps the coordinate by a distance-
-// scaled amount, wrapping at the axis edges ("a small mutateDistance
-// entails choosing a neighboring value").
-func (p *MACCorrupt) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	coord := parent.GetOr(DimMACMask, 0)
-	half := int64(uint64(1) << (p.Bits - 1))
-	delta := ScaledDelta(distance, half, rng)
-	next := graycode.Step(uint64(coord), p.Bits, delta)
-	return parent.With(DimMACMask, int64(next))
-}
-
-// Clients controls the deployment-shape dimensions of the PBFT
+// NewClients returns the deployment-shape dimensions of the PBFT
 // experiment: how many correct clients connect (10..250 step 10) and how
-// many malicious clients (1 or 2).
-type Clients struct {
-	MinCorrect, MaxCorrect, StepCorrect int64
-	MinMalicious, MaxMalicious          int64
-}
-
-// NewClients returns the paper's client dimensions.
-func NewClients() *Clients {
-	return &Clients{
-		MinCorrect: 10, MaxCorrect: 250, StepCorrect: 10,
-		MinMalicious: 1, MaxMalicious: 2,
+// many malicious clients (1 or 2). Both axes are structural: the cluster
+// harness keys its masters and baselines on exactly this pair
+// (cluster.populationOf). Small distances nudge the correct-client count
+// by one step; large distances jump across the range and may flip the
+// malicious-client count.
+func NewClients() core.Plugin {
+	const minCorrect, minMalicious, maxMalicious = 10, 1, 2
+	correct := scenario.Dimension{Name: DimCorrectClients, Min: minCorrect, Max: 250, Step: 10, Structural: true}
+	return core.Plugin{
+		Name: "clients",
+		Dims: []scenario.Dimension{correct,
+			{Name: DimMaliciousClients, Min: minMalicious, Max: maxMalicious, Step: 1, Structural: true}},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			// Strong mutations may change the malicious population too.
+			if distance > 0.5 || rng.Float64() < 0.2 {
+				cur := parent.GetOr(DimMaliciousClients, minMalicious)
+				span := int64(maxMalicious - minMalicious)
+				next := minMalicious + (cur-minMalicious+1+rng.Int63n(span))%(span+1)
+				parent = parent.With(DimMaliciousClients, next)
+			}
+			axis := GridOf(parent, correct)
+			delta := ScaledDelta(distance, axis.Count()-1, rng)
+			cur := parent.GetOr(DimCorrectClients, minCorrect)
+			return parent.With(DimCorrectClients, cur+delta*axis.Step)
+		},
 	}
 }
 
-var _ core.Plugin = (*Clients)(nil)
-
-// Name implements core.Plugin.
-func (p *Clients) Name() string { return "clients" }
-
-// Dimensions implements core.Plugin. Both axes are structural: the
-// cluster harness keys its masters and baselines on exactly this pair
-// (cluster.populationOf).
-func (p *Clients) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimCorrectClients, Min: p.MinCorrect, Max: p.MaxCorrect, Step: p.StepCorrect, Structural: true},
-		{Name: DimMaliciousClients, Min: p.MinMalicious, Max: p.MaxMalicious, Step: 1, Structural: true},
+// NewReorder returns the message-reordering tool of §5: it delays a
+// fraction of replica-bound traffic to scramble delivery order.
+// mutateDistance maps to the edit distance between the original and
+// mutated delivery streams: small distances tweak the reordered fraction
+// slightly, large distances rewrite both fraction and delay bound.
+func NewReorder() core.Plugin {
+	return core.Plugin{
+		Name: "reorder",
+		Dims: []scenario.Dimension{
+			{Name: DimReorderPct, Min: 0, Max: 100, Step: 5},
+			{Name: DimReorderDelayMS, Min: 0, Max: 50, Step: 5},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			pct := parent.GetOr(DimReorderPct, 0)
+			out := parent.With(DimReorderPct, pct+5*ScaledDelta(distance, 20, rng))
+			if distance > 0.5 || rng.Float64() < 0.25 {
+				delay := out.GetOr(DimReorderDelayMS, 0)
+				out = out.With(DimReorderDelayMS, delay+5*ScaledDelta(distance, 10, rng))
+			}
+			return out
+		},
 	}
 }
 
-// Mutate implements core.Plugin: small distances nudge the correct-client
-// count by one step; large distances jump across the range and may flip
-// the malicious-client count.
-func (p *Clients) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	// Strong mutations may change the malicious population too.
-	if p.MaxMalicious > p.MinMalicious && (distance > 0.5 || rng.Float64() < 0.2) {
-		cur := parent.GetOr(DimMaliciousClients, p.MinMalicious)
-		span := p.MaxMalicious - p.MinMalicious
-		next := p.MinMalicious + (cur-p.MinMalicious+1+rng.Int63n(span))%(span+1)
-		parent = parent.With(DimMaliciousClients, next)
-	}
-	axis := GridOf(parent, p.Dimensions()[0])
-	delta := ScaledDelta(distance, axis.Count()-1, rng)
-	cur := parent.GetOr(DimCorrectClients, p.MinCorrect)
-	return parent.With(DimCorrectClients, cur+delta*axis.Step)
-}
-
-// Reorder is the message-reordering tool of §5: it delays a fraction of
-// replica-bound traffic to scramble delivery order. mutateDistance maps
-// to the edit distance between the original and mutated delivery
-// streams: small distances tweak the reordered fraction slightly, large
-// distances rewrite both fraction and delay bound.
-type Reorder struct{}
-
-var _ core.Plugin = (*Reorder)(nil)
-
-// Name implements core.Plugin.
-func (p *Reorder) Name() string { return "reorder" }
-
-// Dimensions implements core.Plugin.
-func (p *Reorder) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimReorderPct, Min: 0, Max: 100, Step: 5},
-		{Name: DimReorderDelayMS, Min: 0, Max: 50, Step: 5},
+// NewFaultPlan returns the library-level fault-injection tool of §5
+// (LFI-style): it drops a run of consecutive sends at a malicious client
+// starting at a given call number, on a paper-sized 4096-call axis. Per
+// the paper, mutateDistance is reflected in the call number: "a small
+// mutateDistance means injecting in a neighboring call".
+func NewFaultPlan() core.Plugin {
+	const maxCall = 4095
+	return core.Plugin{
+		Name: "faultplan",
+		Dims: []scenario.Dimension{
+			{Name: DimDropCall, Min: 0, Max: maxCall, Step: 1},
+			{Name: DimDropLen, Min: 0, Max: 16, Step: 1},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			call := parent.GetOr(DimDropCall, 0)
+			out := parent.With(DimDropCall, call+ScaledDelta(distance, maxCall/2, rng))
+			if distance > 0.5 || rng.Float64() < 0.25 {
+				n := out.GetOr(DimDropLen, 0)
+				out = out.With(DimDropLen, n+ScaledDelta(distance, 8, rng))
+			}
+			return out
+		},
 	}
 }
 
-// Mutate implements core.Plugin.
-func (p *Reorder) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	pct := parent.GetOr(DimReorderPct, 0)
-	out := parent.With(DimReorderPct, pct+5*ScaledDelta(distance, 20, rng))
-	if distance > 0.5 || rng.Float64() < 0.25 {
-		delay := out.GetOr(DimReorderDelayMS, 0)
-		out = out.With(DimReorderDelayMS, delay+5*ScaledDelta(distance, 10, rng))
-	}
-	return out
-}
-
-// FaultPlan is the library-level fault-injection tool of §5 (LFI-style):
-// it drops a run of consecutive sends at a malicious client starting at a
-// given call number. Per the paper, mutateDistance is reflected in the
-// call number: "a small mutateDistance means injecting in a neighboring
-// call".
-type FaultPlan struct {
-	// MaxCall bounds the injection call number axis.
-	MaxCall int64
-}
-
-// NewFaultPlan returns the plugin with the paper-sized 4096-call axis.
-func NewFaultPlan() *FaultPlan { return &FaultPlan{MaxCall: 4095} }
-
-var _ core.Plugin = (*FaultPlan)(nil)
-
-// Name implements core.Plugin.
-func (p *FaultPlan) Name() string { return "faultplan" }
-
-// Dimensions implements core.Plugin.
-func (p *FaultPlan) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimDropCall, Min: 0, Max: p.MaxCall, Step: 1},
-		{Name: DimDropLen, Min: 0, Max: 16, Step: 1},
-	}
-}
-
-// Mutate implements core.Plugin.
-func (p *FaultPlan) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	call := parent.GetOr(DimDropCall, 0)
-	out := parent.With(DimDropCall, call+ScaledDelta(distance, p.MaxCall/2, rng))
-	if distance > 0.5 || rng.Float64() < 0.25 {
-		n := out.GetOr(DimDropLen, 0)
-		out = out.With(DimDropLen, n+ScaledDelta(distance, 8, rng))
-	}
-	return out
-}
-
-// SlowPrimary synthesizes the replica-side behavior of §6's second bug: a
+// NewSlowPrimary returns the replica-side behavior of §6's second bug: a
 // Byzantine primary pacing execution against the view-change timer,
-// optionally colluding with a malicious client.
-type SlowPrimary struct{}
-
-var _ core.Plugin = (*SlowPrimary)(nil)
-
-// Name implements core.Plugin.
-func (p *SlowPrimary) Name() string { return "slowprimary" }
-
-// Dimensions implements core.Plugin.
-func (p *SlowPrimary) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimSlowPrimary, Min: 0, Max: 1, Step: 1},
-		{Name: DimCollude, Min: 0, Max: 1, Step: 1},
-		{Name: DimSlowIntervalMS, Min: 100, Max: 5000, Step: 100},
+// optionally colluding with a malicious client. Small distances tune the
+// pacing interval; large distances flip the behavior switches.
+func NewSlowPrimary() core.Plugin {
+	return core.Plugin{
+		Name: "slowprimary",
+		Dims: []scenario.Dimension{
+			{Name: DimSlowPrimary, Min: 0, Max: 1, Step: 1},
+			{Name: DimCollude, Min: 0, Max: 1, Step: 1},
+			{Name: DimSlowIntervalMS, Min: 100, Max: 5000, Step: 100},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			out := parent
+			switch {
+			case distance > 0.66:
+				out = out.With(DimSlowPrimary, 1-out.GetOr(DimSlowPrimary, 0))
+			case distance > 0.33 && rng.Intn(2) == 0:
+				out = out.With(DimCollude, 1-out.GetOr(DimCollude, 0))
+			default:
+				cur := out.GetOr(DimSlowIntervalMS, 100)
+				out = out.With(DimSlowIntervalMS, cur+100*ScaledDelta(distance, 24, rng))
+			}
+			return out
+		},
 	}
-}
-
-// Mutate implements core.Plugin: small distances tune the pacing
-// interval; large distances flip the behavior switches.
-func (p *SlowPrimary) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	out := parent
-	switch {
-	case distance > 0.66:
-		out = out.With(DimSlowPrimary, 1-out.GetOr(DimSlowPrimary, 0))
-	case distance > 0.33 && rng.Intn(2) == 0:
-		out = out.With(DimCollude, 1-out.GetOr(DimCollude, 0))
-	default:
-		cur := out.GetOr(DimSlowIntervalMS, 100)
-		out = out.With(DimSlowIntervalMS, cur+100*ScaledDelta(distance, 24, rng))
-	}
-	return out
 }
 
 // --- Fault vocabulary v2 (DESIGN.md §10) -----------------------------------
 //
 // The plugins below are protocol-neutral: both shipped targets read the
-// same dimension names, so the identical plugin instance widens either
-// the PBFT or the Raft hyperspace. Each axis is benign at its minimum
-// (fault off), which is what lets core.Minimize walk scenarios toward
-// the all-minimums origin.
+// same dimension names, so the identical plugin widens either the PBFT or
+// the Raft hyperspace. Each axis is benign at its minimum (fault off),
+// which is what lets core.Minimize walk scenarios toward the
+// all-minimums origin.
 
-// CrashRestart is the crash-restart fault plugin: an attacker that
-// periodically kills one node and brings it back after a down window,
-// with or without its durable state. The lose-state axis is the one the
-// old vocabulary cannot express: a node that forgets the vote it granted
-// or the entries it acknowledged.
-type CrashRestart struct {
-	MaxIntervalMS int64
-	MaxDownMS     int64
-}
-
-// NewCrashRestart returns the plugin with default axis bounds (interval
-// 0..1000 ms step 50, down 0..400 ms step 25).
-func NewCrashRestart() *CrashRestart {
-	return &CrashRestart{MaxIntervalMS: 1000, MaxDownMS: 400}
-}
-
-var _ core.Plugin = (*CrashRestart)(nil)
-
-// Name implements core.Plugin.
-func (p *CrashRestart) Name() string { return "crashrestart" }
-
-// Dimensions implements core.Plugin.
-func (p *CrashRestart) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimCrashIntervalMS, Min: 0, Max: p.MaxIntervalMS, Step: 50},
-		{Name: DimCrashDownMS, Min: 0, Max: p.MaxDownMS, Step: 25},
-		{Name: DimCrashLose, Min: 0, Max: 1, Step: 1},
+// NewCrashRestart returns the crash-restart fault plugin: an attacker
+// that periodically kills one node (interval 0..1000 ms step 50) and
+// brings it back after a down window (0..400 ms step 25), with or without
+// its durable state. The lose-state axis is the one the old vocabulary
+// cannot express: a node that forgets the vote it granted or the entries
+// it acknowledged. Small distances tune the crash cadence, larger ones
+// also rewrite the down window; the lose-state bit flips rarely (it
+// halves the search space when it matters at all).
+func NewCrashRestart() core.Plugin {
+	const maxIntervalMS, maxDownMS = 1000, 400
+	return core.Plugin{
+		Name: "crashrestart",
+		Dims: []scenario.Dimension{
+			{Name: DimCrashIntervalMS, Min: 0, Max: maxIntervalMS, Step: 50},
+			{Name: DimCrashDownMS, Min: 0, Max: maxDownMS, Step: 25},
+			{Name: DimCrashLose, Min: 0, Max: 1, Step: 1},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			interval := parent.GetOr(DimCrashIntervalMS, 0)
+			out := parent.With(DimCrashIntervalMS, interval+50*ScaledDelta(distance, maxIntervalMS/100, rng))
+			if distance > 0.5 || rng.Float64() < 0.25 {
+				down := out.GetOr(DimCrashDownMS, 0)
+				out = out.With(DimCrashDownMS, down+25*ScaledDelta(distance, maxDownMS/50, rng))
+			}
+			if rng.Float64() < 0.25 {
+				out = out.With(DimCrashLose, 1-out.GetOr(DimCrashLose, 0))
+			}
+			return out
+		},
 	}
 }
 
-// Mutate implements core.Plugin: small distances tune the crash cadence,
-// larger ones also rewrite the down window; the lose-state bit flips
-// rarely (it halves the search space when it matters at all).
-func (p *CrashRestart) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	interval := parent.GetOr(DimCrashIntervalMS, 0)
-	out := parent.With(DimCrashIntervalMS, interval+50*ScaledDelta(distance, p.MaxIntervalMS/100, rng))
-	if distance > 0.5 || rng.Float64() < 0.25 {
-		down := out.GetOr(DimCrashDownMS, 0)
-		out = out.With(DimCrashDownMS, down+25*ScaledDelta(distance, p.MaxDownMS/50, rng))
-	}
-	if rng.Float64() < 0.25 {
-		out = out.With(DimCrashLose, 1-out.GetOr(DimCrashLose, 0))
-	}
-	return out
-}
-
-// ClockSkew is the per-node clock-drift plugin: one node's timers run
-// fast or slow relative to its peers, entering premature-election (fast
+// NewClockSkew returns the per-node clock-drift plugin for an n-node
+// cluster: one node's timers run fast or slow relative to its peers, by
+// up to 50% in 100-permille steps, entering premature-election (fast
 // follower) and stale-leader (slow heartbeats) schedules into the search
 // space.
-type ClockSkew struct {
-	// Nodes bounds the victim axis (the cluster size).
-	Nodes int64
-	// MaxPermille bounds the drift axis.
-	MaxPermille int64
-}
-
-// NewClockSkew returns the plugin for an n-node cluster with up to 50%
-// clock drift in 100-permille steps.
-func NewClockSkew(nodes int64) *ClockSkew {
-	return &ClockSkew{Nodes: nodes, MaxPermille: 500}
-}
-
-var _ core.Plugin = (*ClockSkew)(nil)
-
-// Name implements core.Plugin.
-func (p *ClockSkew) Name() string { return "clockskew" }
-
-// Dimensions implements core.Plugin.
-func (p *ClockSkew) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimSkewNode, Min: 0, Max: p.Nodes, Step: 1},
-		{Name: DimSkewPermille, Min: 0, Max: p.MaxPermille, Step: 100},
+func NewClockSkew(nodes int64) core.Plugin {
+	const maxPermille = 500
+	return core.Plugin{
+		Name: "clockskew",
+		Dims: []scenario.Dimension{
+			{Name: DimSkewNode, Min: 0, Max: nodes, Step: 1},
+			{Name: DimSkewPermille, Min: 0, Max: maxPermille, Step: 100},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			out := parent.With(DimSkewPermille,
+				parent.GetOr(DimSkewPermille, 0)+100*ScaledDelta(distance, maxPermille/100, rng))
+			if distance > 0.5 || rng.Float64() < 0.25 {
+				out = out.With(DimSkewNode, out.GetOr(DimSkewNode, 0)+ScaledDelta(distance, nodes, rng))
+			}
+			return out
+		},
 	}
 }
 
-// Mutate implements core.Plugin.
-func (p *ClockSkew) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	out := parent.With(DimSkewPermille,
-		parent.GetOr(DimSkewPermille, 0)+100*ScaledDelta(distance, p.MaxPermille/100, rng))
-	if distance > 0.5 || rng.Float64() < 0.25 {
-		out = out.With(DimSkewNode, out.GetOr(DimSkewNode, 0)+ScaledDelta(distance, p.Nodes, rng))
-	}
-	return out
-}
-
-// OneWay is the asymmetric-partition plugin: it severs one direction of
-// a victim's links — the fault symmetric partitions and flaps cannot
-// express, because a node that can send but not receive (or the reverse)
-// behaves unlike an isolated one.
-type OneWay struct {
-	// Nodes bounds the victim axis (the cluster size).
-	Nodes int64
-}
-
-// NewOneWay returns the plugin for an n-node cluster.
-func NewOneWay(nodes int64) *OneWay { return &OneWay{Nodes: nodes} }
-
-var _ core.Plugin = (*OneWay)(nil)
-
-// Name implements core.Plugin.
-func (p *OneWay) Name() string { return "oneway" }
-
-// Dimensions implements core.Plugin.
-func (p *OneWay) Dimensions() []scenario.Dimension {
-	return []scenario.Dimension{
-		{Name: DimOneWayVictim, Min: 0, Max: p.Nodes, Step: 1},
-		{Name: DimOneWayDir, Min: 0, Max: 1, Step: 1},
+// NewOneWay returns the asymmetric-partition plugin for an n-node
+// cluster: it severs one direction of a victim's links — the fault
+// symmetric partitions and flaps cannot express, because a node that can
+// send but not receive (or the reverse) behaves unlike an isolated one.
+func NewOneWay(nodes int64) core.Plugin {
+	return core.Plugin{
+		Name: "oneway",
+		Dims: []scenario.Dimension{
+			{Name: DimOneWayVictim, Min: 0, Max: nodes, Step: 1},
+			{Name: DimOneWayDir, Min: 0, Max: 1, Step: 1},
+		},
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			out := parent.With(DimOneWayVictim,
+				parent.GetOr(DimOneWayVictim, 0)+ScaledDelta(distance, nodes, rng))
+			if rng.Float64() < 0.25 {
+				out = out.With(DimOneWayDir, 1-out.GetOr(DimOneWayDir, 0))
+			}
+			return out
+		},
 	}
 }
 
-// Mutate implements core.Plugin.
-func (p *OneWay) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	out := parent.With(DimOneWayVictim,
-		parent.GetOr(DimOneWayVictim, 0)+ScaledDelta(distance, p.Nodes, rng))
-	if rng.Float64() < 0.25 {
-		out = out.With(DimOneWayDir, 1-out.GetOr(DimOneWayDir, 0))
-	}
-	return out
-}
-
-// NetFaults is the message corruption/duplication plugin: deterministic
-// ModMask schedules over the sends of one (or any) node, routed through
-// the simnet link-fault layer and the faultinject ActCorrupt action.
-type NetFaults struct {
-	// Nodes bounds the sender-selector axis (the cluster size).
-	Nodes int64
-	// Corrupt and Dup select the mask axes the plugin exposes; an absent
-	// axis reads as mask 0, which arms nothing.
-	Corrupt, Dup bool
-}
-
-// NewNetFaults returns the plugin for an n-node cluster with 8-bit
-// corruption and duplication masks.
-func NewNetFaults(nodes int64) *NetFaults { return &NetFaults{Nodes: nodes, Corrupt: true, Dup: true} }
-
-var _ core.Plugin = (*NetFaults)(nil)
-
-// Name implements core.Plugin.
-func (p *NetFaults) Name() string { return "netfaults" }
-
-// Dimensions implements core.Plugin.
-func (p *NetFaults) Dimensions() []scenario.Dimension {
+// NewNetFaults returns the message corruption/duplication plugin for an
+// n-node cluster: deterministic ModMask schedules over the sends of one
+// (or any) node, routed through the simnet link-fault layer and the
+// faultinject ActCorrupt action. corrupt and dup select the 8-bit mask
+// axes it exposes; an absent axis reads as mask 0, which arms nothing.
+// Like the MAC-corruption plugin, small distances flip few mask bits,
+// large distances rewrite the masks. The duplication mask flips every
+// time when it is the only mask.
+func NewNetFaults(nodes int64, corrupt, dup bool) core.Plugin {
 	var dims []scenario.Dimension
-	if p.Corrupt {
+	if corrupt {
 		dims = append(dims, scenario.Dimension{Name: DimCorruptMask, Min: 0, Max: 255, Step: 1})
 	}
-	if p.Dup {
+	if dup {
 		dims = append(dims, scenario.Dimension{Name: DimDupMask, Min: 0, Max: 255, Step: 1})
 	}
-	return append(dims, scenario.Dimension{Name: DimNetFaultFrom, Min: 0, Max: p.Nodes, Step: 1})
-}
-
-// Mutate implements core.Plugin: like the MAC-corruption plugin, small
-// distances flip few mask bits, large distances rewrite the masks. The
-// duplication mask flips every time when it is the only mask.
-func (p *NetFaults) Mutate(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
-	flip := func(mask int64) int64 {
-		nbits := 1 + int(distance*3)
-		for i := 0; i < nbits; i++ {
-			mask ^= 1 << uint(rng.Intn(8))
-		}
-		return mask
+	return core.Plugin{
+		Name: "netfaults",
+		Dims: append(dims, scenario.Dimension{Name: DimNetFaultFrom, Min: 0, Max: nodes, Step: 1}),
+		Mutate: func(parent scenario.Scenario, distance float64, rng *rand.Rand) scenario.Scenario {
+			flip := func(mask int64) int64 {
+				nbits := 1 + int(distance*3)
+				for i := 0; i < nbits; i++ {
+					mask ^= 1 << uint(rng.Intn(8))
+				}
+				return mask
+			}
+			out := parent
+			if corrupt {
+				out = out.With(DimCorruptMask, flip(out.GetOr(DimCorruptMask, 0)))
+			}
+			if dup && (!corrupt || distance > 0.5 || rng.Float64() < 0.25) {
+				out = out.With(DimDupMask, flip(out.GetOr(DimDupMask, 0)))
+			}
+			if rng.Float64() < 0.2 {
+				out = out.With(DimNetFaultFrom, out.GetOr(DimNetFaultFrom, 0)+ScaledDelta(distance, nodes, rng))
+			}
+			return out
+		},
 	}
-	out := parent
-	if p.Corrupt {
-		out = out.With(DimCorruptMask, flip(out.GetOr(DimCorruptMask, 0)))
-	}
-	if p.Dup && (!p.Corrupt || distance > 0.5 || rng.Float64() < 0.25) {
-		out = out.With(DimDupMask, flip(out.GetOr(DimDupMask, 0)))
-	}
-	if rng.Float64() < 0.2 {
-		out = out.With(DimNetFaultFrom, out.GetOr(DimNetFaultFrom, 0)+ScaledDelta(distance, p.Nodes, rng))
-	}
-	return out
 }

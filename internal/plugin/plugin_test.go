@@ -89,9 +89,10 @@ func TestMACCorruptMutationStaysInRange(t *testing.T) {
 }
 
 // TestMACCorruptBinaryAblation: the A1 ablation's two encodings of a
-// coordinate (cluster.Workload.BinaryMask picks one) differ, and only
-// the Gray one keeps the plugin's smallest mutation a one-bit change of
-// the armed mask: 2047 -> 2048 flips all twelve bits of the coordinate.
+// coordinate, Gray (what the PBFT deployment arms) and plain binary,
+// differ, and only the Gray one keeps the plugin's smallest mutation a
+// one-bit change of the armed mask: 2047 -> 2048 flips all twelve bits
+// of the coordinate.
 func TestMACCorruptBinaryAblation(t *testing.T) {
 	if graycode.Encode(5) == 5 {
 		t.Error("Gray and binary encodings should differ at coordinate 5")
@@ -106,7 +107,7 @@ func TestMACCorruptBinaryAblation(t *testing.T) {
 
 func TestClientsDimensions(t *testing.T) {
 	p := NewClients()
-	dims := p.Dimensions()
+	dims := p.Dims
 	if len(dims) != 2 {
 		t.Fatalf("Clients owns %d dims, want 2", len(dims))
 	}
@@ -149,7 +150,7 @@ func TestClientsSmallDistanceSmallStep(t *testing.T) {
 }
 
 func TestReorderMutate(t *testing.T) {
-	p := &Reorder{}
+	p := NewReorder()
 	s := composedSpace(t, p)
 	rng := rand.New(rand.NewSource(6))
 	sc := s.New(nil)
@@ -182,7 +183,7 @@ func TestFaultPlanCallNumberLocality(t *testing.T) {
 }
 
 func TestSlowPrimaryMutate(t *testing.T) {
-	p := &SlowPrimary{}
+	p := NewSlowPrimary()
 	s := composedSpace(t, p)
 	rng := rand.New(rand.NewSource(8))
 	sc := s.New(nil)
@@ -208,7 +209,7 @@ func TestSlowPrimaryMutate(t *testing.T) {
 }
 
 func TestAllPluginsComposable(t *testing.T) {
-	s := composedSpace(t, NewMACCorrupt(), NewClients(), &Reorder{}, NewFaultPlan(), &SlowPrimary{})
+	s := composedSpace(t, NewMACCorrupt(), NewClients(), NewReorder(), NewFaultPlan(), NewSlowPrimary())
 	if s.Size() == 0 {
 		t.Error("composed space empty")
 	}
@@ -218,7 +219,7 @@ func TestAllPluginsComposable(t *testing.T) {
 }
 
 func TestMutationsAlwaysChangeScenario(t *testing.T) {
-	plugins := []core.Plugin{NewMACCorrupt(), NewClients(), &Reorder{}, NewFaultPlan()}
+	plugins := []core.Plugin{NewMACCorrupt(), NewClients(), NewReorder(), NewFaultPlan()}
 	s := composedSpace(t, plugins...)
 	rng := rand.New(rand.NewSource(9))
 	for _, p := range plugins {
@@ -231,7 +232,7 @@ func TestMutationsAlwaysChangeScenario(t *testing.T) {
 			}
 		}
 		if changed < 40 {
-			t.Errorf("plugin %s mutations were no-ops %d/50 times", p.Name(), 50-changed)
+			t.Errorf("plugin %s mutations were no-ops %d/50 times", p.Name, 50-changed)
 		}
 	}
 }

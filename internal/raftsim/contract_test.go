@@ -62,7 +62,7 @@ func FuzzForkEqualsCold(f *testing.F)                   { targettest.FuzzForkEqu
 // -faults crash,skew,oneway,corrupt,dup` explores.
 func contractTarget(tb testing.TB, w Workload) targettest.Target[int64, *deployment, Report] {
 	r, err := NewTarget(w, NewClientsPlugin(), NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
-		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
+		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5, true, true))
 	if err != nil {
 		tb.Fatal(err)
 	}

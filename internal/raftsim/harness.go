@@ -102,8 +102,7 @@ func populationOf(sc scenario.Scenario) int64 { return sc.GetOr(DimClients, 10) 
 func NewRunner(w Workload) (*Runner, error) { return NewTarget(w) }
 
 // NewTarget builds the Raft system under test for a workload. With no
-// explicit plugins it exposes the default Raft hyperspace: the client
-// population composed with the leader-flap attack dimensions.
+// explicit plugins it exposes DefaultPlugins' hyperspace.
 func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 	if err := w.Raft.Validate(); err != nil {
 		return nil, err
@@ -112,7 +111,7 @@ func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
 		return nil, fmt.Errorf("raftsim: measurement window must be positive")
 	}
 	if len(plugins) == 0 {
-		plugins = []core.Plugin{NewClientsPlugin(), NewLeaderFlapPlugin()}
+		plugins = DefaultPlugins()
 	}
 	r := &Runner{w: w}
 	r.Harness = core.NewHarness[int64, *deployment, Report](core.HarnessSpec[int64, *deployment]{

@@ -11,8 +11,8 @@ import (
 
 func testSpace(t *testing.T) *scenario.Space {
 	t.Helper()
-	space, err := scenario.NewSpace(append(NewClientsPlugin().Dimensions(),
-		NewLeaderFlapPlugin().Dimensions()...)...)
+	space, err := scenario.NewSpace(append(NewClientsPlugin().Dims,
+		NewLeaderFlapPlugin().Dims...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

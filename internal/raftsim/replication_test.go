@@ -427,7 +427,7 @@ func TestParkStocksOneRetiredArray(t *testing.T) {
 func allFaultsSpace(tb testing.TB) *scenario.Space {
 	tb.Helper()
 	space, err := core.Space(NewClientsPlugin(), NewLeaderFlapPlugin(), plugin.NewCrashRestart(),
-		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5))
+		plugin.NewClockSkew(5), plugin.NewOneWay(5), plugin.NewNetFaults(5, true, true))
 	if err != nil {
 		tb.Fatal(err)
 	}

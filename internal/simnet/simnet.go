@@ -2,12 +2,11 @@
 // the sim discrete-event engine.
 //
 // The network delivers opaque payloads between node addresses with
-// configurable one-way latency, jitter, and loss; supports partitions and
-// per-link overrides; and exposes an interceptor chain through which AVD's
-// testing tools exercise the control the paper grants attackers over the
-// network ("attackers can be assumed to exercise some sort of control over
-// the network", §2): dropping, delaying, reordering or mutating messages
-// in flight.
+// configurable one-way latency, jitter, and loss; supports partitions; and
+// exposes an interceptor chain through which AVD's testing tools exercise
+// the control the paper grants attackers over the network ("attackers can
+// be assumed to exercise some sort of control over the network", §2):
+// dropping, delaying, reordering or mutating messages in flight.
 package simnet
 
 import (
@@ -108,7 +107,6 @@ type Network struct {
 	//avdlint:derived deployment wiring: SetOwner runs during cluster build, before the first snapshot
 	owner        Owner
 	interceptors []Interceptor
-	linkLatency  map[linkKey]time.Duration
 	blocked      map[linkKey]bool
 	// blockedEnds counts, by address, the blocked links leaving and
 	// entering it. A send or delivery looks its link up in blocked only
@@ -122,10 +120,10 @@ type Network struct {
 
 	// Dirty tracking for delta Restore, mirroring sim.Engine: track is
 	// the snapshot deltas are recorded against and linksDirty records
-	// whether the partition/latency maps were touched since it was taken.
+	// whether the partition map was touched since it was taken.
 	// Counters and the interceptor chain are cheap to roll back
-	// unconditionally; the two maps are not, and most forks never touch
-	// them (network faults arm via interceptors).
+	// unconditionally; the map is not, and most forks never touch it
+	// (network faults arm via interceptors).
 	track      *NetSnapshot
 	linksDirty bool
 
@@ -225,10 +223,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg.DropRate = 1
 	}
 	n := &Network{
-		eng:         eng,
-		cfg:         cfg,
-		linkLatency: make(map[linkKey]time.Duration),
-		blocked:     make(map[linkKey]bool),
+		eng:     eng,
+		cfg:     cfg,
+		blocked: make(map[linkKey]bool),
 	}
 	n.deliveries = eng.NewStream(n.deliver)
 	return n
@@ -253,18 +250,6 @@ func (n *Network) SetOwner(o Owner) { n.owner = o }
 // AddInterceptor appends an interceptor to the chain.
 func (n *Network) AddInterceptor(i Interceptor) {
 	n.interceptors = append(n.interceptors, i)
-}
-
-// SetLinkLatency overrides the one-way latency of the directed link
-// from->to. A negative latency removes the override.
-func (n *Network) SetLinkLatency(from, to Addr, d time.Duration) {
-	n.linksDirty = true
-	k := linkKey{from, to}
-	if d < 0 {
-		delete(n.linkLatency, k)
-		return
-	}
-	n.linkLatency[k] = d
 }
 
 // Block severs the directed link from->to until Unblock.
@@ -382,11 +367,6 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 		return
 	}
 	d := n.cfg.BaseLatency
-	if len(n.linkLatency) > 0 {
-		if override, ok := n.linkLatency[linkKey{from, to}]; ok {
-			d = override
-		}
-	}
 	if n.cfg.Jitter > 0 {
 		d += time.Duration(n.eng.Rand().Int63n(int64(n.cfg.Jitter)))
 	}
@@ -406,15 +386,13 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 }
 
 // NetSnapshot is a restorable capture of the network's own state:
-// counters, partitions, per-link latency overrides, and the interceptor
-// chain length. In-flight messages are not here — they are deliveries the
-// engine holds by value, and its snapshot copies them; pairing a
-// Network.Snapshot with the engine's Snapshot captures the network
-// completely.
+// counters, partitions and the interceptor chain length. In-flight
+// messages are not here — they are deliveries the engine holds by value,
+// and its snapshot copies them; pairing a Network.Snapshot with the
+// engine's Snapshot captures the network completely.
 type NetSnapshot struct {
 	stats        Stats
 	blocked      map[linkKey]bool
-	linkLatency  map[linkKey]time.Duration
 	interceptors int
 	closed       bool
 	// lf is the link-fault state; its call counters are values, so the
@@ -424,22 +402,18 @@ type NetSnapshot struct {
 
 // Snapshot captures the network state (excluding the handler table,
 // which is structural and never rolled back) and arms delta tracking:
-// restoring this snapshot skips the partition/latency map rebuild unless
-// something touched them in between.
+// restoring this snapshot skips the partition map rebuild unless
+// something touched it in between.
 func (n *Network) Snapshot() *NetSnapshot {
 	s := &NetSnapshot{
 		stats:        n.stats,
 		blocked:      make(map[linkKey]bool, len(n.blocked)),
-		linkLatency:  make(map[linkKey]time.Duration, len(n.linkLatency)),
 		interceptors: len(n.interceptors),
 		closed:       n.closed,
 		lf:           n.lf,
 	}
 	for k, v := range n.blocked {
 		s.blocked[k] = v
-	}
-	for k, v := range n.linkLatency {
-		s.linkLatency[k] = v
 	}
 	n.track = s
 	n.linksDirty = false
@@ -461,10 +435,6 @@ func (n *Network) Restore(s *NetSnapshot) {
 		for k := range s.blocked {
 			n.blocked[k] = true
 			n.countEnds(k, 1)
-		}
-		clear(n.linkLatency)
-		for k, v := range s.linkLatency {
-			n.linkLatency[k] = v
 		}
 		n.track = s
 		n.linksDirty = false

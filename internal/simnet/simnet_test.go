@@ -279,26 +279,6 @@ func TestUnknownDestinationCountsDropped(t *testing.T) {
 	}
 }
 
-func TestLinkLatencyOverride(t *testing.T) {
-	eng := sim.New(1)
-	net := New(eng, Config{BaseLatency: time.Millisecond})
-	var at sim.Time
-	net.Handle(2, func(Addr, any) { at = eng.Now() })
-	net.SetLinkLatency(1, 2, 20*time.Millisecond)
-	net.Send(1, 2, "x")
-	eng.Run()
-	if at != sim.Time(20*time.Millisecond) {
-		t.Errorf("delivered at %v, want 20ms", at)
-	}
-	net.SetLinkLatency(1, 2, -1) // remove override
-	net.Send(1, 2, "y")
-	prev := at
-	eng.Run()
-	if at.Sub(prev) != time.Millisecond {
-		t.Errorf("override removal: delta %v, want 1ms", at.Sub(prev))
-	}
-}
-
 func TestCloseStopsDelivery(t *testing.T) {
 	eng := sim.New(1)
 	net := New(eng, Config{BaseLatency: time.Millisecond})
