@@ -26,7 +26,8 @@ type Deployment[R any] interface {
 	// every fault disarmed.
 	Restore()
 	// Trace records the oracle events of the next window into rec (nil
-	// records nothing); the next Restore stops it.
+	// records nothing, oracle.Off turns the oracle off); the next Restore
+	// stops it.
 	Trace(rec *oracle.Recorder)
 	// Arm activates the scenario's faults when attack is set. An unarmed
 	// run is the attack-free baseline.
@@ -258,14 +259,15 @@ func (h *Harness[K, D, R]) Baseline(clients int64) float64 {
 // baseline phase's. On pbft-fig2 three of the 37 masters exist only for a
 // baseline (34 attack populations over 22 correct counts), and the
 // benchmark's harness.masters_built, which counts attack populations, does
-// not see them.
+// not see them. Only the throughput is kept, so the window runs with the
+// oracle off (oracle.Off); Execute's unarmed runs keep their verdicts.
 func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	start := metrics.StartWatch()
 	defer func() { h.phases.AddBaseline(start.Elapsed()) }()
 	empty := scenario.MustNewSpace(scenario.Dimension{
 		Name: h.spec.ClientsDim, Min: clients, Max: clients, Step: 1,
 	}).New(nil)
-	res, _ := h.Execute(empty, false)
+	res, _ := h.execute(empty, false, oracle.Off)
 	return res.Throughput
 }
 

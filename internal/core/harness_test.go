@@ -6,6 +6,7 @@ package core_test
 // the harness is the contract suite, internal/core/targettest.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -165,6 +166,28 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	forkRes, forkRep := budgeted.Execute(sc, false)
 	if !reflect.DeepEqual(firstRes, forkRes) || !reflect.DeepEqual(firstRep, forkRep) {
 		t.Errorf("unarmed run on a fresh target differs from an unarmed fork:\nfresh: %+v %+v\nfork:  %+v %+v", firstRes, firstRep, forkRes, forkRep)
+	}
+}
+
+// TestBaselineSkipsOracle: a baseline window feeds the oracle nothing —
+// it finishes with the capture's verdicts and digest — and measures the
+// throughput of Execute's unarmed run bit for bit, which still folds its
+// window into a coverage digest.
+func TestBaselineSkipsOracle(t *testing.T) {
+	target := newRegTarget(regSpec())
+	d := target.newDeployment(4)
+	d.Capture()
+	_, captured := d.Oracle.Finish()
+	baseline := target.Baseline(4)
+	if got := target.lastUnarmed.Load(); got.Coverage != captured || got.Violations != nil {
+		t.Errorf("the baseline window reached the oracle: coverage %+v, violations %v; the capture's coverage %+v", got.Coverage, got.Violations, captured)
+	}
+	res, _ := target.Execute(regScenario(t, 4, 0), false)
+	if math.Float64bits(res.Throughput) != math.Float64bits(baseline) || baseline <= 0 {
+		t.Errorf("unarmed Execute measured %v, the baseline %v", res.Throughput, baseline)
+	}
+	if res.Coverage.IsZero() || res.Coverage == captured {
+		t.Errorf("unarmed Execute folded no event into its coverage %+v", res.Coverage)
 	}
 }
 

@@ -116,6 +116,7 @@ type regTarget struct {
 	// unarmed window and attack budget.
 	baselineWindows, lastBaselineWindow atomic.Int64
 	lastAttackBudget                    atomic.Uint64
+	lastUnarmed                         atomic.Pointer[core.Result]
 }
 
 func newRegTarget(spec core.HarnessSpec[int64, *regDeployment]) *regTarget {
@@ -216,6 +217,9 @@ func (d *regDeployment) Measure(sc scenario.Scenario, window time.Duration, step
 		PrimaryVersion: d.nodes[0].version, BackupVersion: d.nodes[1].version,
 	}
 	d.Finish(&res)
+	if !d.attack {
+		d.t.lastUnarmed.Store(&res)
+	}
 	return res, rep
 }
 

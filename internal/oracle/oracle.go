@@ -19,6 +19,7 @@ package oracle
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -112,13 +113,16 @@ func (v Violation) String() string {
 // Model is the spec-level model of a replicated log every target is
 // checked against, one per deployment. It keeps
 //
-//   - the first commit per log position: a different value committed
-//     there by another node is "<prefix>/agreement" (PBFT's agreement
-//     property; Raft's Log Matching / State Machine Safety corollary over
-//     applied entries);
-//   - each node's applied log: a node committing a different value at a
-//     position it already committed is "<prefix>/durability" — a
-//     committed entry was lost and overwritten in its history;
+//   - one cell per log position: the first value committed there, its
+//     committer, and a mask of the nodes whose applied value there is that
+//     first one. A different value committed there by another node is
+//     "<prefix>/agreement" (PBFT's agreement property; Raft's Log Matching /
+//     State Machine Safety corollary over applied entries); a node
+//     committing a different value at a position it already committed is
+//     "<prefix>/durability" — a committed entry was lost and overwritten in
+//     its history. The rare applied value that differs from the first, and
+//     any value of a node the 64-bit mask has no bit for, is kept aside in
+//     a map;
 //   - the first leader per term: a second node leading that term is
 //     "<prefix>/election-safety" (Raft §5.2). PBFT reports a view's
 //     leadership only from the view's primary, so it never trips there;
@@ -127,10 +131,11 @@ func (v Violation) String() string {
 // Log positions, terms and node ids are small and dense in every shipped
 // protocol, so the tables are flat slices rather than maps: observing an
 // event is a few indexed loads, with zero allocation once the slices have
-// grown to the run's high-water mark (perf_test.go's alloc guard).
+// grown to the run's high-water mark (perf_test.go's alloc guard). A
+// window traced into Off folds nothing.
 type Model struct {
 	prefix string
-	// pool stocks the log tables between runs (Park): they grow with the
+	// pool stocks the log table between runs (Park): it grows with the
 	// window's sequence numbers, and a parked deployment needs none.
 	pool *slab.Pool
 	//avdlint:ephemeral one window's trace: Trace sets it, Restore drops it
@@ -141,9 +146,11 @@ type Model struct {
 // State is a Model's run state: the one a run folds events into, and the
 // copy Snapshot takes for Restore.
 type State struct {
-	commits []commitCell   // the first commit per seq
-	applied [][]digestCell // each node's applied log, by seq
-	leaders []int32        // the first leader per term; -1 = none yet
+	log []seqCell // one cell per seq
+	// strays holds the applied values no agree mask holds: a node's value
+	// that differs from its cell's first, and every value of a node >= 64.
+	strays  map[nodeSeq]uint64
+	leaders []int32 // the first leader per term; -1 = none yet
 	// found holds each tripped invariant once: election safety first, then
 	// the log invariants in first-trip order — the order checkpoint
 	// journals hold.
@@ -151,33 +158,47 @@ type State struct {
 	cov   fold
 }
 
-type commitCell struct {
+// seqCell is one log position: the first value committed there and its
+// committer, and the nodes (bit n for node n) whose applied value there is
+// that one.
+type seqCell struct {
 	digest uint64
+	agree  uint64
 	node   int32
 	set    bool
+	stray  bool // strays may hold a node's value at this seq
 }
 
-type digestCell struct {
-	digest uint64
-	set    bool
+type nodeSeq struct {
+	node int
+	seq  uint64
 }
 
 const electionSafety = "/election-safety"
 
+// Off is the recorder of a window nobody reads the verdicts or digest of:
+// Trace(Off) makes the model ignore every event until the next Restore.
+// The harness's baseline windows, which keep only their throughput, run
+// this way.
+var Off = &Recorder{}
+
 // New returns an empty model whose violations are named "<prefix>/…", its
-// parked tables stocked in pool — the one the deployments of a harness
+// parked table stocked in pool — the one the deployments of a harness
 // share.
 func New(pool *slab.Pool, prefix string) *Model {
 	return &Model{prefix: prefix, pool: pool, st: State{cov: newFold()}}
 }
 
 // Trace records every event the model observes into rec until the next
-// Restore.
+// Restore; Trace(Off) ignores them instead.
 func (m *Model) Trace(rec *Recorder) { m.rec = rec }
 
 // Observe folds one event into the model.
 func (m *Model) Observe(ev Event) {
 	if m.rec != nil {
+		if m.rec == Off {
+			return
+		}
 		m.rec.events = append(m.rec.events, ev)
 	}
 	m.st.cov.observe(ev)
@@ -190,34 +211,42 @@ func (m *Model) Observe(ev Event) {
 }
 
 func (m *Model) commit(ev Event) {
-	seq := int(ev.Seq)
-	for ev.Node >= len(m.st.applied) {
-		m.st.applied = append(m.st.applied, nil)
+	if n := int(ev.Seq) + 1; n > len(m.st.log) {
+		m.st.log = append(m.st.log, make([]seqCell, n-len(m.st.log))...)
 	}
-	mine := m.st.applied[ev.Node]
-	for seq >= len(mine) {
-		mine = append(mine, digestCell{})
+	c := &m.st.log[ev.Seq]
+	if !c.set {
+		*c = seqCell{digest: ev.Digest, node: int32(ev.Node), set: true}
 	}
-	m.st.applied[ev.Node] = mine
-	if prev := mine[seq]; prev.set && prev.digest != ev.Digest {
+	// A shift past the mask's width is 0: such a node lives in strays.
+	bit, key := uint64(1)<<uint(ev.Node), nodeSeq{ev.Node, ev.Seq}
+	prev, had := c.digest, c.agree&bit != 0
+	if !had && c.stray {
+		prev, had = m.st.strays[key]
+	}
+	if had && prev != ev.Digest {
 		m.trip("/durability", fmt.Sprintf(
 			"node %d overwrote its committed entry at seq %d: digest %#x replaced %#x",
-			ev.Node, ev.Seq, ev.Digest, prev.digest))
+			ev.Node, ev.Seq, ev.Digest, prev))
 	}
-	mine[seq] = digestCell{digest: ev.Digest, set: true}
-	for seq >= len(m.st.commits) {
-		m.st.commits = append(m.st.commits, commitCell{})
-	}
-	w := m.st.commits[seq]
-	if !w.set {
-		m.st.commits[seq] = commitCell{digest: ev.Digest, node: int32(ev.Node), set: true}
-		return
-	}
-	if w.digest != ev.Digest && int(w.node) != ev.Node {
+	if c.digest != ev.Digest && int(c.node) != ev.Node {
 		m.trip("/agreement", fmt.Sprintf(
 			"nodes %d and %d committed different values at seq %d: %#x vs %#x",
-			w.node, ev.Node, ev.Seq, w.digest, ev.Digest))
+			c.node, ev.Node, ev.Seq, c.digest, ev.Digest))
 	}
+	if ev.Digest == c.digest && bit != 0 {
+		c.agree |= bit
+		if c.stray {
+			delete(m.st.strays, key)
+		}
+		return
+	}
+	c.agree &^= bit
+	c.stray = true
+	if m.st.strays == nil {
+		m.st.strays = make(map[nodeSeq]uint64)
+	}
+	m.st.strays[key] = ev.Digest
 }
 
 func (m *Model) lead(ev Event) {
@@ -261,11 +290,7 @@ func (m *Model) Finish() ([]Violation, Coverage) {
 // Snapshot copies the run state for Restore.
 func (m *Model) Snapshot() State {
 	s := m.st
-	s.commits = slices.Clone(s.commits)
-	s.applied = make([][]digestCell, len(m.st.applied))
-	for i, log := range m.st.applied {
-		s.applied[i] = slices.Clone(log)
-	}
+	s.log, s.strays = slices.Clone(s.log), maps.Clone(s.strays)
 	s.leaders = slices.Clone(s.leaders)
 	s.found = slices.Clone(s.found)
 	s.cov.edges, s.cov.commits = slices.Clone(s.cov.edges), slices.Clone(s.cov.commits)
@@ -273,14 +298,11 @@ func (m *Model) Snapshot() State {
 }
 
 // Restore rolls the model back to a Snapshot and ends any trace. The log
-// tables are borrowed from the pool; the rest is copied in place.
+// table is borrowed from the pool; the rest is copied in place.
 func (m *Model) Restore(s State) {
 	m.Park()
 	m.rec = nil
-	m.st.commits = append(slab.Borrow[commitCell](m.pool), s.commits...)
-	for _, log := range s.applied {
-		m.st.applied = append(m.st.applied, append(slab.Borrow[digestCell](m.pool), log...))
-	}
+	m.st.log, m.st.strays = append(slab.Borrow[seqCell](m.pool), s.log...), maps.Clone(s.strays)
 	m.st.leaders = append(m.st.leaders[:0], s.leaders...)
 	m.st.found = append(m.st.found[:0], s.found...)
 	edges, commits := append(m.st.cov.edges[:0], s.cov.edges...), append(m.st.cov.commits[:0], s.cov.commits...)
@@ -288,20 +310,13 @@ func (m *Model) Restore(s State) {
 	m.st.cov.edges, m.st.cov.commits = edges, commits
 }
 
-// Park ends a run: the log tables go back to the pool, since the next
-// Restore rebuilds them from the snapshot; only Restore may follow. The
-// order mirrors Restore's borrows, so under one worker every table gets
-// its own backing array back.
+// Park ends a run: the log table goes back to the pool, since the next
+// Restore rebuilds it from the snapshot; only Restore may follow.
 func (m *Model) Park() {
-	for i := len(m.st.applied) - 1; i >= 0; i-- {
-		slab.Return(m.pool, m.st.applied[i])
-		m.st.applied[i] = nil
+	if m.st.log != nil {
+		slab.Return(m.pool, m.st.log)
 	}
-	m.st.applied = m.st.applied[:0]
-	if m.st.commits != nil {
-		slab.Return(m.pool, m.st.commits)
-		m.st.commits = nil
-	}
+	m.st.log, m.st.strays = nil, nil
 }
 
 // Recorder holds the raw event stream of one traced window (Model.Trace),

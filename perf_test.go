@@ -216,6 +216,25 @@ func TestOracleObserveAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state oracle Observe allocates %.1f objects per event, want 0", allocs)
 	}
+
+	// A deployment's run: restore the capture, observe a window that
+	// diverges nowhere and outgrows the capture's log, park. Once the pool
+	// stocks the grown table, a run allocates nothing.
+	snap := model.Snapshot()
+	run := func() {
+		model.Restore(snap)
+		for seq := uint64(1); seq <= 1536; seq++ {
+			for node := 0; node < 4; node++ {
+				model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: node, Seq: seq, Digest: seq})
+			}
+		}
+		model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: 1, Term: 257})
+		model.Park()
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("a steady-state Restore, observe, Park cycle allocates %.1f objects, want 0", allocs)
+	}
 }
 
 // BenchmarkFig2AVDParallel is BenchmarkFig2AVD executed by the parallel
