@@ -13,7 +13,7 @@ vet:
 
 # lint runs the repository's own static-analysis suite (cmd/avdlint):
 # determinism contracts, snapshot completeness and Result/codec coverage.
-# Exit status 2 on any unsuppressed finding; see DESIGN.md §11 for the
+# Exit status 2 on any unsuppressed finding; see DESIGN.md §9 for the
 # //avdlint:allow / //avdlint:derived / //avdlint:ephemeral suppression
 # syntax. `make lint LINTFLAGS='-v'` also prints suppressed findings.
 lint:

@@ -1,7 +1,7 @@
 // Command avdlint runs the repository's static-analysis suite: the
 // determinism and snapshot contracts that forked==cold execution,
 // checkpoint replay and reproducible parallel campaigns rest on
-// (DESIGN.md §11).
+// (DESIGN.md §9).
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 package avd_test
 
-// The target contract (internal/core/targettest, DESIGN.md §8) on both
+// The target contract (internal/core/targettest, DESIGN.md §15) on both
 // shipped targets through their exported API alone: forked == cold across
 // the fault vocabulary, queue-hook neutrality, concurrent forks, workers=4
 // campaigns and the runaway storm. The checks that reach into a

@@ -1,6 +1,6 @@
 package avd_test
 
-// Fault vocabulary v2 (ISSUE 6, DESIGN.md §10): crash-restart with
+// Fault vocabulary v2 (DESIGN.md §13): crash-restart with
 // durable-state loss, per-node clock skew, asymmetric partitions, and
 // per-link corruption/duplication. The headline vulnerability: a
 // crash-restart schedule that loses a follower's durable vote record

@@ -375,7 +375,7 @@ func masterKeys[K comparable, D any](each func(func(K, D))) map[string]bool {
 }
 
 // TestShardsPartitionPopulations is the exact form of the shard plan's
-// purpose (DESIGN.md §13): the two shards of a default campaign stride
+// purpose (DESIGN.md §14): the two shards of a default campaign stride
 // the client-population axis, so no population is built — master,
 // warm-up, baseline window — by both. Pinned are the masters the pair
 // holds in total and how many of those populations a test ran on (the

@@ -20,12 +20,12 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens of the tests that run (shootout.golden, fig2.golden)")
 
 // shootoutDefects are three scenario-rare defect recipes (0.5-2% of
-// uniformly drawn scenarios; EXPERIMENTS.md "Coverage-guided
-// exploration"): a Byzantine backup with the quorum defect, which the
-// search has to rotate into the primary's seat; Raft's double-vote
-// defect; and, with nothing injected, an election storm of ten or more
-// leadership changes. Budgets are sized to the base rates: a blind search
-// gets a fair shot and a not-found run stays cheap.
+// uniformly drawn scenarios; EXPERIMENTS.md "Explorer shootout"): a
+// Byzantine backup with the quorum defect, which the search has to rotate
+// into the primary's seat; Raft's double-vote defect; and, with nothing
+// injected, an election storm of ten or more leadership changes. Budgets
+// are sized to the base rates: a blind search gets a fair shot and a
+// not-found run stays cheap.
 var shootoutDefects = []struct {
 	name   string
 	budget int

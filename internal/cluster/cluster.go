@@ -133,9 +133,6 @@ type Runner struct {
 	w Workload
 }
 
-// Target is the Runner under the name the core.Target seam knows it by.
-type Target = Runner
-
 var (
 	_ core.Target            = (*Runner)(nil)
 	_ core.WorkerSnapshotter = (*Runner)(nil)
@@ -173,7 +170,7 @@ func DefaultPlugins() []core.Plugin {
 // explicit plugins it exposes DefaultPlugins' hyperspace; pass plugins to
 // widen or narrow the attack surface (e.g. adding plugin.NewReorder or
 // plugin.NewSlowPrimary).
-func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
+func NewTarget(w Workload, plugins ...core.Plugin) (*Runner, error) {
 	if err := w.PBFT.Validate(); err != nil {
 		return nil, err
 	}

@@ -112,7 +112,7 @@ func pbftContract(tb testing.TB) contract {
 					{Name: "MAC mask, 40 clients, two malicious", Scenario: at(pt{plugin.DimMACMask: 1234, c: 40, m: 2})},
 				}},
 				// A reply goes back to the arena the moment its delivery has run
-				// (DESIGN.md §15). The closed-loop clients move in lock step, one
+				// (DESIGN.md §20). The closed-loop clients move in lock step, one
 				// 4 ms round after another, and replies are on the wire for half a
 				// millisecond of each: a round warm-up captures between rounds,
 				// this one does not. Every fork delivers those replies again; a

@@ -19,7 +19,7 @@ import (
 // corruption plans, Byzantine behaviors, interceptors) arms at
 // measurement start, which is what lets one warm deployment serve many
 // tests — the warmup prefix is shared, scenarios only diverge once
-// fault injection begins (DESIGN.md §8). A deployment is single-run at a
+// fault injection begins (DESIGN.md §14). A deployment is single-run at a
 // time and not safe for concurrent use; the Runner's master cache hands
 // each worker its own.
 type deployment struct {
@@ -203,8 +203,8 @@ func (d *deployment) Arm(sc scenario.Scenario, withFaults bool) {
 	}
 	d.replicas[d.byzIdx].ApplyByzantine()
 
-	// Fault vocabulary v2 (DESIGN.md §10); every axis is off at its
-	// minimum, so legacy scenarios arm exactly what they used to.
+	// The shared fault axes (DESIGN.md §13). Each is off at its minimum,
+	// so a scenario outside the -faults space arms only the tools above.
 	plugin.ArmFaults(sc, &d.faults)
 }
 

@@ -60,7 +60,7 @@ type Result struct {
 	// Coverage is the run's abstract-timeline coverage digest: the
 	// deterministic fold of the oracle event stream (commit/leader
 	// transitions, crash/restart markers) that coverage-guided
-	// exploration uses as execution feedback (DESIGN.md §12). Zero when
+	// exploration uses as execution feedback (DESIGN.md §16). Zero when
 	// the run panicked before measuring or the result was decoded from a
 	// pre-coverage checkpoint.
 	Coverage oracle.Coverage
@@ -109,7 +109,7 @@ type WorkerSnapshotter interface {
 }
 
 // Preparer is the prefetch capability of the pipelined campaign executor
-// (DESIGN.md §8): Prepare makes the expensive per-population artifacts a
+// (DESIGN.md §14): Prepare makes the expensive per-population artifacts a
 // scenario needs — the warm master deployment and the baseline
 // measurement — ready ahead of its run, so the engine can overlap the
 // next test's master build+warmup with the current test's measurement.
@@ -233,7 +233,7 @@ type pendingMeta struct {
 }
 
 // Controller is the AVD test controller (Algorithm 1) with a novelty
-// archive (DESIGN.md §12). It is not safe for concurrent use.
+// archive (DESIGN.md §14). It is not safe for concurrent use.
 type Controller struct {
 	cfg     ControllerConfig
 	space   *scenario.Space

@@ -29,7 +29,7 @@ func (e *CorpusEntry) weight() float64 {
 	return e.Energy * e.Energy / (1 + float64(e.Picks)/8)
 }
 
-// Corpus is the Controller's novelty archive (DESIGN.md §12): a run
+// Corpus is the Controller's novelty archive (DESIGN.md §14): a run
 // joins it when its behavior digest was never observed before in
 // the campaign, deduplicated by scenario identity via CompactKey.
 // Admission is the novelty test of greybox fuzzing — "keep an input iff

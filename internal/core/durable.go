@@ -13,7 +13,7 @@ import (
 )
 
 // DurableCheckpoint persists a campaign's Checkpoint across process
-// crashes (DESIGN.md §13) in one file, <path>.journal: an 8-byte magic
+// crashes (DESIGN.md §14) in one file, <path>.journal: an 8-byte magic
 // followed by CRC32-framed, length-prefixed batch records, fsynced per
 // append.
 //

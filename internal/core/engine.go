@@ -261,7 +261,7 @@ func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 		replay = e.cfg.checkpoint.snapshot()
 	}
 
-	// Pipelined prefetch (DESIGN.md §8): a Preparer target gets its
+	// Pipelined prefetch (DESIGN.md §14): a Preparer target gets its
 	// per-population masters and baselines built concurrently with the
 	// batch's measurements. Prepare is result-neutral by contract.
 	preparer, _ := e.target.(Preparer)

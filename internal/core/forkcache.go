@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// ForkCache is the harness's master-deployment checkout (DESIGN.md §8):
+// ForkCache is the harness's master-deployment checkout (DESIGN.md §14):
 // warm deployments keyed by structural identity, checked out exclusively
 // by one worker at a time and returned after the forked run. It is the snapshot-era sibling of
 // BaselineCache — harness infrastructure hoisted here so the PBFT and

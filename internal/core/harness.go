@@ -78,7 +78,7 @@ type HarnessSpec[K comparable, D any] struct {
 const defaultClients = 10
 
 // Harness executes scenarios against one system under test (DESIGN.md
-// §8). It owns what is the same for every target: the pool of warm master
+// §14). It owns what is the same for every target: the pool of warm master
 // deployments, one per structural key, that every test forks from; the
 // slab pool they lease window memory from; the attack-free baselines,
 // memoized per client count; impact scoring; the campaign phase timers;
@@ -92,7 +92,7 @@ type Harness[K comparable, D Deployment[R], R any] struct {
 	baselines BaselineCache
 	phases    PhaseTimes
 	// pool lends every deployment the message memory of its measurement
-	// window; it comes back when the run parks (DESIGN.md §15).
+	// window; it comes back when the run parks (DESIGN.md §20).
 	pool slab.Pool
 }
 

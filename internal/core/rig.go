@@ -12,7 +12,7 @@ import (
 	"avd/internal/slab"
 )
 
-// Rig is the deployment lifecycle every target shares (DESIGN.md §8): the
+// Rig is the deployment lifecycle every target shares (DESIGN.md §14): the
 // engine, network, oracle and message arena a deployment runs on, the
 // capture every run restores from, park, and the measurement window's
 // bookkeeping. A deployment embeds one, so Capture and Restore are the
@@ -28,7 +28,7 @@ type Rig struct {
 	Oracle *oracle.Model
 	// Mem is the message arena the deployment carves from: Capture adopts
 	// the warm-up prefix, park hands the window's chunks back to the pool
-	// (DESIGN.md §15), and the pool lends the latency tail for one window.
+	// (DESIGN.md §20), and the pool lends the latency tail for one window.
 	Mem *slab.Arena
 
 	name  string // prefixes the error of a hung test

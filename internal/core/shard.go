@@ -9,7 +9,7 @@ import (
 )
 
 // ShardPlan deterministically splits one campaign's hyperspace into K
-// disjoint sub-spaces, one per worker process (DESIGN.md §13). The split
+// disjoint sub-spaces, one per worker process (DESIGN.md §14). The split
 // is axis-strided: shard k of K keeps every K-th value of the split axis
 // starting at offset k, so each shard's sub-space is a genuine
 // scenario.Space — its explorers stay honest (random draws are uniform

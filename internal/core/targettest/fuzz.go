@@ -17,8 +17,8 @@ const fuzzForks = 6
 // stays small enough for a fuzzer to run many inputs per second.
 const fuzzPopulationIndex = 6
 
-// FuzzForkEqualsCold is the fuzzed form of forked == cold (DESIGN.md §8,
-// §15): a random scenario of Internals.Space runs cold — the first run of
+// FuzzForkEqualsCold is the fuzzed form of forked == cold (DESIGN.md §2,
+// §20): a random scenario of Internals.Space runs cold — the first run of
 // a fresh target — for each of two or three client populations, and then
 // forks on one more target in a random interleaving across those
 // populations, over a poisoned slab pool and with the queue hooks fuzzed

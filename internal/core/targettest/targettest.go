@@ -1,5 +1,5 @@
 // Package targettest is the contract a system under test owes
-// core.Harness (DESIGN.md §8), written once and run by every target:
+// core.Harness (DESIGN.md §14), written once and run by every target:
 // forked == cold (a fork of a reused master equals the first run of a
 // population on a fresh target) over a poisoned pool, messages in flight
 // at the capture, unarmed baselines, queue-hook neutrality, runaway
@@ -175,7 +175,7 @@ func withHook(set func(bool), f func()) {
 }
 
 // poison fills every chunk and object the slab pool takes back with
-// garbage for the rest of the test (DESIGN.md §15).
+// garbage for the rest of the test (DESIGN.md §20).
 func poison(tb testing.TB) {
 	slab.SetPoison(true)
 	tb.Cleanup(func() { slab.SetPoison(false) })
@@ -600,7 +600,7 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 // Retention: after forks interleaved across the populations of the group
 // and the baselines they trigger, nothing is on lease and
 // every parked master holds exactly the chunks its capture kept
-// (DESIGN.md §15), and whatever Parked checks.
+// (DESIGN.md §20), and whatever Parked checks.
 func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 	g := s.Group(t, group)
 	tg := s.Target(t, g.W)

@@ -1,6 +1,6 @@
 // Package lint implements avdlint: a repo-specific static-analysis
 // suite that enforces the determinism and snapshot contracts everything
-// in this reproduction depends on (DESIGN.md §11).
+// in this reproduction depends on (DESIGN.md §9).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // Analyzer, Pass, Diagnostic — but is built purely on the standard

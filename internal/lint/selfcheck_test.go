@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func TestRepoSelfCheck(t *testing.T) {
 		t.Errorf("%s", d.String())
 	}
 	if t.Failed() {
-		t.Log("fix the finding or annotate it: //avdlint:allow <reason> on the line, //avdlint:derived|ephemeral <reason> on the field (see DESIGN.md §11)")
+		t.Log("fix the finding or annotate it: //avdlint:allow <reason> on the line, //avdlint:derived|ephemeral <reason> on the field (see DESIGN.md §9)")
 	}
 }
 
@@ -92,6 +93,140 @@ func TestDesignIdentifiersExist(t *testing.T) {
 	if checked < 80 || checkedTests < 20 {
 		t.Errorf("only %d references and %d test names checked: the scan no longer finds them", checked, checkedTests)
 	}
+}
+
+// TestDocBudgets keeps the design documents short enough to read and
+// their cross-references real. DESIGN.md stays under 45 KiB with no
+// heading naming a PR; EXPERIMENTS.md stays under 100 KiB, opens with an
+// "## Index" section and keeps every section after it under 6 KiB; each
+// CHANGES.md entry from PR 31 on (a line starting `- PR N` or
+// `- **PR N`) stays under 250 words. Every DESIGN.md section that a Go
+// file, the CI workflow or the verify skill cites by its § number is a
+// heading of DESIGN.md, every quoted EXPERIMENTS.md section title is a
+// heading of EXPERIMENTS.md, and every package of the module starts a
+// line of §1's layering block.
+func TestDocBudgets(t *testing.T) {
+	prog := loadRepo(t)
+	read := func(name string) string {
+		src, err := os.ReadFile(filepath.Join(prog.Root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	design, experiments := read("DESIGN.md"), read("EXPERIMENTS.md")
+
+	if n := len(design); n >= 45<<10 {
+		t.Errorf("DESIGN.md is %d bytes, over its budget of %d", n, 45<<10)
+	}
+	sections := make(map[string]bool)
+	namesPR, numbered := regexp.MustCompile(`PR [0-9]`), regexp.MustCompile(`^## (§\w+) `)
+	for _, h := range regexp.MustCompile(`(?m)^#+ .*$`).FindAllString(design, -1) {
+		if namesPR.MatchString(h) {
+			t.Errorf("DESIGN.md heading %q names a PR", h)
+		}
+		if m := numbered.FindStringSubmatch(h); m != nil {
+			sections[m[1]] = true
+		}
+	}
+
+	if n := len(experiments); n >= 100<<10 {
+		t.Errorf("EXPERIMENTS.md is %d bytes, over its budget of %d", n, 100<<10)
+	}
+	titles := make(map[string]bool)
+	parts := regexp.MustCompile(`(?m)^## `).Split(experiments, -1)
+	if len(parts) < 2 || !strings.HasPrefix(parts[1], "Index\n") {
+		t.Errorf("EXPERIMENTS.md does not open with an ## Index section")
+	}
+	for i, part := range parts[1:] {
+		title, _, _ := strings.Cut(part, "\n")
+		titles[title] = true
+		if n := len(part) + len("## "); i > 0 && n >= 6<<10 {
+			t.Errorf("EXPERIMENTS.md section %q is %d bytes, over its budget of %d", title, n, 6<<10)
+		}
+	}
+
+	entry := regexp.MustCompile(`^- (?:\*\*)?PR (\d+)`)
+	for _, line := range strings.Split(read("CHANGES.md"), "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if pr, _ := strconv.Atoi(m[1]); pr < 31 {
+			continue
+		}
+		if n := len(strings.Fields(strings.TrimPrefix(line, "- "))); n >= 250 {
+			t.Errorf("CHANGES.md entry for PR %s is %d words, over its budget of 250", m[1], n)
+		}
+	}
+
+	// Citations may wrap across comment lines; join them first.
+	wrap := regexp.MustCompile(`\n[ \t]*(?://|#)?[ \t]*`)
+	designRef := regexp.MustCompile(`DESIGN\.md,? (§\w+(?:(?:, | and )§\w+)*)`)
+	section := regexp.MustCompile(`§\w+`)
+	experimentsRef := regexp.MustCompile(`EXPERIMENTS\.md,? "([^"]+)"`)
+	citing := []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+	for _, dir := range testDirs(t, prog.Root) {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, f := range files {
+			rel, _ := filepath.Rel(prog.Root, f)
+			citing = append(citing, rel)
+		}
+	}
+	cited := 0
+	for _, name := range citing {
+		src := wrap.ReplaceAllString(read(name), " ")
+		for _, m := range designRef.FindAllStringSubmatch(src, -1) {
+			for _, s := range section.FindAllString(m[1], -1) {
+				cited++
+				if !sections[s] {
+					t.Errorf("%s cites DESIGN.md %s, which has no such section", name, s)
+				}
+			}
+		}
+		for _, m := range experimentsRef.FindAllStringSubmatch(src, -1) {
+			if !titles[m[1]] {
+				t.Errorf("%s cites EXPERIMENTS.md %q, which has no such section", name, m[1])
+			}
+		}
+	}
+	if cited < 20 {
+		t.Errorf("only %d DESIGN.md citations found: the scan no longer finds them", cited)
+	}
+
+	layering := regexp.MustCompile("(?s)\n## §1 .*?```\n(.*?)```").FindStringSubmatch(design)
+	if layering == nil {
+		t.Fatal("DESIGN.md §1 has no layering block")
+	}
+	listed := make(map[string]bool)
+	for _, line := range strings.Split(layering[1], "\n") {
+		if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(line, " ") {
+			listed[strings.TrimSuffix(f[0], "/")] = true
+		}
+	}
+	for _, p := range prog.Pkgs {
+		rel, _ := filepath.Rel(prog.Root, p.Dir)
+		if nestedModule(prog.Root, p.Dir) {
+			continue
+		}
+		if rel == "." {
+			rel = prog.ModulePath
+		}
+		if !listed[filepath.ToSlash(rel)] {
+			t.Errorf("package %s is missing from DESIGN.md §1's layering block", rel)
+		}
+	}
+}
+
+// nestedModule reports whether dir, under root, belongs to a module of its
+// own: a go.mod in dir or in a directory between it and root.
+func nestedModule(root, dir string) bool {
+	for ; dir != root && len(dir) > len(root); dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // declares reports whether p declares name, or a type name with a field

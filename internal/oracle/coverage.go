@@ -5,7 +5,7 @@ import "math/bits"
 // Coverage is the abstract-timeline digest of one run: the execution
 // feedback that turns blind hyperspace search into coverage-guided
 // search (Mallory-style greybox fuzzing; see PAPERS.md and DESIGN.md
-// §12). It is a deterministic pure function of the run's oracle event
+// §16). It is a deterministic pure function of the run's oracle event
 // stream, so forked and cold executions of one scenario produce
 // identical digests bit for bit.
 //

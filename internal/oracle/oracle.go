@@ -11,7 +11,7 @@
 // coverage digest.
 //
 // A deployment owns one Model for its lifetime and rewinds it with the
-// rest of its state before every run (DESIGN.md §8). Events arrive on the
+// rest of its state before every run (DESIGN.md §14). Events arrive on the
 // simulation goroutine; Finish hands back the verdicts once the run ends.
 // Violations travel on core.Result, so explorers, checkpoints and the
 // minimizer all see which invariants a scenario provably breaks.

@@ -13,7 +13,7 @@ import "avd/internal/slab"
 // two per client.
 //
 // Messages several holders share carry a slab.Holders count, and the
-// holder that drops the last count puts the message back (DESIGN.md §15):
+// holder that drops the last count puts the message back (DESIGN.md §12):
 //
 //   - Request: each delivery, the primary's pending buffer, the
 //     pre-prepare whose batch carries it, a backup's pendingForwarded

@@ -499,7 +499,7 @@ func (r *Replica) crash(reason string) {
 func (r *Replica) Clock() int { return r.clock }
 
 // Crash halts the replica as an injected crash-restart fault (DESIGN.md
-// §10). The persistence seam: a PBFT replica's durable state is what a
+// §12). The persistence seam: a PBFT replica's durable state is what a
 // real implementation writes to stable storage before acting — the
 // agreement log, the executed history (lastExec, stateDigest, the
 // last-reply cache), stable checkpoints and the current view. Everything

@@ -9,7 +9,7 @@ import (
 )
 
 // This file implements the SUT side of snapshot/fork execution
-// (DESIGN.md §8, §9) for the PBFT deployment: replicas and clients
+// (DESIGN.md §12, §14) for the PBFT deployment: replicas and clients
 // capture every mutable field they own and roll themselves back for each
 // forked test. Messages (requests, votes, replies, view changes) are
 // immutable once constructed, so captures share their pointers and only

@@ -17,7 +17,7 @@ type FaultNode struct {
 	Clock int // the node's sim.Engine clock id
 }
 
-// FaultSite is what arming the fault-vocabulary-v2 axes (DESIGN.md §10)
+// FaultSite is what arming the fault-vocabulary-v2 axes (DESIGN.md §13)
 // needs from a deployment. A target fills one in at construction and
 // passes it to ArmFaults at every measurement start.
 type FaultSite struct {

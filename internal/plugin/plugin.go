@@ -44,7 +44,7 @@ const (
 )
 
 // Dimension name constants of the fault-vocabulary-v2 plugins (DESIGN.md
-// §10), shared by both shipped targets: the cluster (PBFT) and raftsim
+// §13), shared by both shipped targets: the cluster (PBFT) and raftsim
 // harnesses read the same names, so one plugin instance drives either
 // deployment.
 const (
@@ -249,7 +249,7 @@ func NewSlowPrimary() core.Plugin {
 	}
 }
 
-// --- Fault vocabulary v2 (DESIGN.md §10) -----------------------------------
+// --- Fault vocabulary v2 (DESIGN.md §13) -----------------------------------
 //
 // The plugins below are protocol-neutral: both shipped targets read the
 // same dimension names, so the identical plugin widens either the PBFT or

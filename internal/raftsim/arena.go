@@ -108,7 +108,7 @@ func (a *Arena) Release(payload any) {
 // to catch. Client traffic is left alone (it has its own fault tools). An
 // append reply's verdict flips to a reject and it keeps its PrevLogIndex
 // and LastLogIndex, so a garbled ack rejects the very append it answers
-// (DESIGN.md §10 has what the leader makes of such a reject).
+// (DESIGN.md §11 has what the leader makes of such a reject).
 //
 // A message whose one delivery is its only holder (a fresh single-
 // recipient message, the common case) is garbled in place and stays

@@ -100,7 +100,7 @@ func raftContract(tb testing.TB) contract {
 					{Name: "25 clients", Scenario: at(pt{c: 25})},
 				}},
 				// Every single-recipient message goes back to the arena when its
-				// delivery has run (DESIGN.md §15). The ten clients move in lock
+				// delivery has run (DESIGN.md §20). The ten clients move in lock
 				// step, one 2 ms round after another, and a round's client replies
 				// are on the wire for a quarter of it: the default warm-up captures
 				// between them, this one does not. Every fork delivers them again

@@ -14,7 +14,7 @@ import (
 // deployment is one instantiated Raft cluster bound to its own engine.
 // Construction is fault-neutral — the leader-flap attacker arms at
 // measurement start — so one warm deployment serves both scenario runs
-// and the attack-free baseline for its client count (DESIGN.md §8).
+// and the attack-free baseline for its client count (DESIGN.md §14).
 // A deployment runs one test at a time; the Runner's master cache hands
 // each worker its own.
 type deployment struct {

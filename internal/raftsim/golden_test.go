@@ -97,7 +97,7 @@ func TestGoldenTraceEagerResets(t *testing.T) {
 // last used by another master and comes back as 0xA5 garbage, so the
 // fixture only matches if every object is fully initialized by its call
 // site and nothing reads a window's objects after its master parked
-// (DESIGN.md §15).
+// (DESIGN.md §20).
 func TestGoldenTracePoisonedForks(t *testing.T) {
 	slab.SetPoison(true)
 	defer slab.SetPoison(false)

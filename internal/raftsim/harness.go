@@ -83,9 +83,6 @@ type Runner struct {
 	w Workload
 }
 
-// Target is the Runner under the name the core.Target seam knows it by.
-type Target = Runner
-
 var (
 	_ core.Target            = (*Runner)(nil)
 	_ core.WorkerSnapshotter = (*Runner)(nil)
@@ -103,7 +100,7 @@ func NewRunner(w Workload) (*Runner, error) { return NewTarget(w) }
 
 // NewTarget builds the Raft system under test for a workload. With no
 // explicit plugins it exposes DefaultPlugins' hyperspace.
-func NewTarget(w Workload, plugins ...core.Plugin) (*Target, error) {
+func NewTarget(w Workload, plugins ...core.Plugin) (*Runner, error) {
 	if err := w.Raft.Validate(); err != nil {
 		return nil, err
 	}

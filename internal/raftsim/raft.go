@@ -222,7 +222,7 @@ type NodeStats struct {
 
 // Node is one Raft server. All methods run on the simulation goroutine.
 //
-// The persistence seam (DESIGN.md §10): term, votedFor and log are the
+// The persistence seam (DESIGN.md §11): term, votedFor and log are the
 // node's durable state — what a real server fsyncs before answering — and
 // everything else is volatile, rebuilt after a restart. Crash(false)
 // models a server whose durable writes were lost (a dead disk, a

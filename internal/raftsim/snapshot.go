@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the SUT side of snapshot/fork execution
-// (DESIGN.md §8): a Node or Client captures every mutable field it owns —
+// (DESIGN.md §14): a Node or Client captures every mutable field it owns —
 // protocol state, counters, and its sim.Timer handles — and can roll
 // itself back to that capture. Timer handles survive because the engine's
 // own Restore revalidates the arena generations they reference; the

@@ -24,7 +24,7 @@ type Dimension struct {
 	// scenarios that differ on it never share a master or a baseline. The
 	// owning plugin sets it; it is a promise about the target's set-up
 	// key, not part of the axis grid, so it is in no key or signature.
-	// core.PlanShards prefers such an axis (DESIGN.md §13).
+	// core.PlanShards prefers such an axis (DESIGN.md §14).
 	Structural bool
 }
 

@@ -8,14 +8,14 @@
 //
 // Virtual time is decoupled from wall-clock time, so a multi-second PBFT
 // run with hundreds of clients completes in milliseconds. This is the
-// stand-in for the paper's Emulab testbed (see DESIGN.md §2).
+// stand-in for the paper's Emulab testbed (see DESIGN.md §19).
 //
 // Events live in a flat arena indexed by small integers and the queue is
 // one heap of pointer-free value nodes, so the sift operations of a busy
 // simulation never touch the garbage collector's write barrier. The arena
 // is also what makes Snapshot/Restore cheap: capturing the entire engine
 // state is three slice copies, and restoring is a delta — only the slots
-// dirtied since the capture copy back (DESIGN.md §2, §9).
+// dirtied since the capture copy back (DESIGN.md §19).
 //
 // Timers (Schedule, At) are cancelable closures with a queue node each,
 // and Reset moves a pending one to a later instant without touching the
@@ -23,7 +23,7 @@
 // deliveries (Stream.Schedule) are uncancelable fn(arg, meta) calls, held
 // by value, of which consecutive ones for one instant share a node: a
 // network's fan-out costs the queue one event, not one per message
-// (DESIGN.md §2).
+// (DESIGN.md §19).
 package sim
 
 import (

@@ -165,7 +165,7 @@ const (
 // is delivered untouched and not counted).
 type Corrupter func(from, to Addr, payload any) any
 
-// Owner is the deployment's side of payload ownership (DESIGN.md §15). A
+// Owner is the deployment's side of payload ownership (DESIGN.md §18). A
 // payload sent with SendOwned or BroadcastOwned carries a holder count the
 // sender started at the number of deliveries it sends plus whatever the
 // sender keeps; each such delivery holds one count. Hold adds the count

@@ -1,5 +1,5 @@
 // Package slab is the rewindable bump allocator behind snapshot/fork
-// execution (DESIGN.md §15). Protocol objects that are built once and
+// execution (DESIGN.md §20). Protocol objects that are built once and
 // shared by pointer — requests, replies, votes, appends, request batches
 // — are carved out of fixed-size chunks; everything a measurement window
 // carves becomes unreachable the moment the deployment rolls back to its
@@ -50,7 +50,8 @@ const chunkBytes = 32 << 10
 // holds at once: the largest measured are 2.8 MB on PBFT (250 clients)
 // and 15 MB on Raft (480 chunks: a corrupt+dup ack storm's backlog of
 // queued deliveries at the 2M-event step budget, before the Raft leader
-// kept one batch in flight per follower; DESIGN.md §15 has the table).
+// kept one batch in flight per follower; the table is §15 of
+// `git show 8de37d4:DESIGN.md`).
 // The ceiling is the backstop behind that budget: a deployment that leaks
 // past it is stopped through the Arena's stop callback and costs one hung
 // test, not the process.
@@ -63,7 +64,7 @@ const WindowCeiling = 128 << 20
 // the phase that builds the masters — where exactly is thread timing, and
 // it decided how much dead warm-up memory the process kept to its end
 // (163-192 MB peaks for one campaign). Collecting at points that depend
-// only on the work done pins the heap's high-water mark (DESIGN.md §15).
+// only on the work done pins the heap's high-water mark (DESIGN.md §20).
 const collectEvery = 32 << 20
 
 // poison makes the pool overwrite every chunk it takes back (tests only,
@@ -479,7 +480,7 @@ func (s *Slab[T]) dropFreed() {
 
 // Holders is the holder count of an object several holders share: the
 // deliveries in flight that carry it and whatever the protocol keeps it in
-// (DESIGN.md §15). Share starts it, Hold and Drop move it, and the holder
+// (DESIGN.md §20). Share starts it, Hold and Drop move it, and the holder
 // whose Drop reports the last one puts the object back.
 //
 // An object whose count was not started in the arena's current epoch is

@@ -1,5 +1,5 @@
 // Package supervise keeps a fleet of campaign worker processes alive
-// until their shards complete (DESIGN.md §13). It is the repo's own
+// until their shards complete (DESIGN.md §8). It is the repo's own
 // dose of the paper's medicine: the campaign infrastructure assumes its
 // workers crash — SIGKILL, OOM, power loss — and turns each crash into
 // a restart-and-resume instead of a lost run. The supervisor watches
