@@ -15,7 +15,9 @@ import (
 // in process: 100 tests of the avd strategy from seed 1, 1.5 s windows,
 // the 2M-event step budget. The pool is fully resident at the campaign's
 // peak, so this is the pool's exact share of that workload's peak RSS:
-// 2.2 MB. It was 75 (2.4 MB) while a stalled avd search drew uniform
+// 2.1 MB. It was 69 (2.2 MB) while a backup's pending-forwarded records
+// were carved from a slab of their own (two chunks at the peak); they are
+// values in the replica's table now. It was 75 (2.4 MB) while a stalled avd search drew uniform
 // random probes; it mutates novelty-archive entries now, so the campaign
 // runs other windows, over 16 client populations instead of 22. It was
 // 67 (2.1 MB) while view changes, their prepared proofs, new views and
@@ -29,7 +31,7 @@ import (
 // (mac.Auth). A change that moves it changed which windows the campaign
 // runs, what a window sends, what a message costs or which messages go
 // back; update the figure only with that explanation.
-const fig2PoolHighWater = 69
+const fig2PoolHighWater = 67
 
 // TestFig2PoolHighWater is the exact guard on the campaign-level memory
 // claim (CI's perf-smoke runs it by name).

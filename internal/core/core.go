@@ -344,7 +344,7 @@ func (c *Controller) enqueueNovel() {
 	for attempt := 0; c.archive.Len() > 0 && attempt < maxGenerationRetries; attempt++ {
 		parent := c.archive.Pick(c.rng)
 		p := c.plugins[c.rng.Intn(len(c.plugins))]
-		distance := 0.1 + 0.2*c.rng.Float64() + 0.05*float64(min(parent.Picks, 8))
+		distance := 0.1 + float64(0.2*c.rng.Float64()) + float64(0.05*float64(min(parent.Picks, 8)))
 		child := p.Mutate(parent.Result.Scenario, distance, c.rng)
 		if c.enqueue(child, pendingMeta{generator: "archive:" + p.Name, pluginIdx: -1}) {
 			return

@@ -26,7 +26,7 @@ type CorpusEntry struct {
 // order of magnitude likelier than a baseline one while the pick decay
 // still guarantees rotation.
 func (e *CorpusEntry) weight() float64 {
-	return e.Energy * e.Energy / (1 + float64(e.Picks)/8)
+	return e.Energy * e.Energy / (1 + float64(float64(e.Picks)/8))
 }
 
 // Corpus is the Controller's novelty archive (DESIGN.md §14): a run
@@ -99,7 +99,7 @@ func (c *Corpus) Add(res Result) bool {
 // worth mutating. This is the schedule-level analogue of a greybox
 // fuzzer boosting inputs that reached rare edges.
 func corpusEnergy(res Result) float64 {
-	e := 1 + 2*res.Impact + float64(res.Coverage.BehaviorCount)/32
+	e := 1 + float64(2*res.Impact) + float64(float64(res.Coverage.BehaviorCount)/32)
 	if vc := float64(res.ViewChanges); vc > 0 {
 		if vc > 24 {
 			vc = 24
@@ -127,7 +127,7 @@ func (c *Corpus) Pick(rng *rand.Rand) *CorpusEntry {
 	for i := range c.entries {
 		total += c.entries[i].weight()
 	}
-	x := rng.Float64() * total
+	x := float64(rng.Float64() * total)
 	pick := &c.entries[len(c.entries)-1]
 	for i := range c.entries {
 		x -= c.entries[i].weight()

@@ -235,7 +235,7 @@ func (h *Harness[K, D, R]) score(sc scenario.Scenario, res Result) Result {
 	tputImpact := min(max(1-res.Throughput/baseline, 0), 1)
 	if h.spec.LatencyRef > 0 {
 		latImpact := min(float64(res.AvgLatency)/float64(h.spec.LatencyRef), 1)
-		res.Impact = 0.8*tputImpact + 0.2*latImpact
+		res.Impact = float64(0.8*tputImpact) + float64(0.2*latImpact)
 	} else {
 		res.Impact = tputImpact
 	}

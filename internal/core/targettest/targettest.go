@@ -631,7 +631,8 @@ func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 
 // RestoreAllocFree: with a warm pool, a window that leases its message
 // memory and a restore that hands it back allocate nothing. It holds for
-// a target whose messages come from its arena.
+// a target whose messages come from its arena, and is not asserted under
+// -race.
 func (s Internals[W, K, D, R]) RestoreAllocFree(t *testing.T, group string) {
 	g := s.Group(t, group)
 	d := s.Target(t, g.W).Build(g.Cases[0].Scenario)
@@ -644,13 +645,15 @@ func (s Internals[W, K, D, R]) RestoreAllocFree(t *testing.T, group string) {
 	for range 3 { // the first cycles may grow the pool, the queue and dense tables
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
+	allocs := testing.AllocsPerRun(10, cycle)
+	t.Logf("a run/restore cycle allocates %.1f objects", allocs)
+	if allocs > 0 && !raceEnabled {
 		t.Errorf("a run/restore cycle allocates %.1f objects; want 0", allocs)
 	}
 }
 
 // Pin holds the pinned figures of the named pin to their exact values
-// (ForkAllocs and ForkBytes to their bounds).
+// (ForkAllocs and ForkBytes to their bounds, except under -race).
 func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 	i := slices.IndexFunc(s.Pins, func(p Pin[W, D]) bool { return p.Name == name })
 	if i < 0 {
@@ -663,10 +666,10 @@ func (s Internals[W, K, D, R]) Pin(t *testing.T, name string) {
 		fork() // builds, warms and captures the master, and measures the baseline
 		allocs, bytes := allocsPerRun(20, fork)
 		t.Logf("a forked run allocates %d objects, %d bytes", allocs, bytes)
-		if p.ForkAllocs > 0 && allocs > p.ForkAllocs {
+		if p.ForkAllocs > 0 && allocs > p.ForkAllocs && !raceEnabled {
 			t.Errorf("a forked run allocates %d objects, pinned at %d", allocs, p.ForkAllocs)
 		}
-		if p.ForkBytes > 0 && bytes > p.ForkBytes {
+		if p.ForkBytes > 0 && bytes > p.ForkBytes && !raceEnabled {
 			t.Errorf("a forked run allocates %d bytes, pinned at %d", bytes, p.ForkBytes)
 		}
 	}

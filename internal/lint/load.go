@@ -14,6 +14,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -231,8 +232,9 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses a directory's non-test sources and collects their
-// module-internal imports.
+// parseDir parses a directory's non-test sources that the default build
+// context selects (so a `race`-tagged file and its `!race` twin do not
+// both load) and collects their module-internal imports.
 func parseDir(fset *token.FileSet, dir, modPath string) ([]*ast.File, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -242,6 +244,9 @@ func parseDir(fset *token.FileSet, dir, modPath string) ([]*ast.File, []string, 
 	importSet := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -226,3 +226,17 @@ func collectFieldRefs(pkg *Package, root *types.Func, named *types.Named, refs m
 	}
 	scan(root)
 }
+
+// fieldOwner reports whether field belongs to the named struct type.
+func fieldOwner(field *types.Var, named *types.Named) bool {
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i) == field {
+			return true
+		}
+	}
+	return false
+}

@@ -34,6 +34,11 @@ var snapshotPairs = []methodPair{
 //   - never mutated outside the type's constructors, i.e. effectively
 //     immutable configuration.
 //
+// A struct of this package embedded by value is its state struct: its
+// fields count as the type's own, and a method that reads or writes the
+// embedded struct whole covers every one of them. A type that keeps its
+// mutable state in one embedded struct snapshots it with one copy.
+//
 // Adding a mutable field without threading it through the pair is how
 // forked!=cold heisenbugs are born; this turns them into build failures.
 func NewSnapCover() *Analyzer {
@@ -257,17 +262,17 @@ func (sc *snapCover) isConstructor(fn *types.Func, decl *ast.FuncDecl) bool {
 // checkType verifies one named struct type against every method pair it
 // implements.
 func (sc *snapCover) checkType(named *types.Named) {
-	st := named.Underlying().(*types.Struct)
+	whole := make(map[*types.Var][]*types.Var)
+	fields := sc.stateFields(named.Underlying().(*types.Struct), whole)
 	for _, pair := range snapshotPairs {
 		capFn := lookupMethod(named, pair.capture)
 		resFn := lookupMethod(named, pair.restore)
 		if capFn == nil || resFn == nil {
 			continue
 		}
-		capRefs := sc.fieldRefs(capFn, named)
-		resRefs := sc.fieldRefs(resFn, named)
-		for i := 0; i < st.NumFields(); i++ {
-			field := st.Field(i)
+		capRefs := sc.fieldRefs(capFn, fields, whole)
+		resRefs := sc.fieldRefs(resFn, fields, whole)
+		for _, field := range fields {
 			inCap, inRes := capRefs[field], resRefs[field]
 			covered := inCap && inRes
 			if pair.union {
@@ -303,9 +308,43 @@ func (sc *snapCover) checkType(named *types.Named) {
 	}
 }
 
-// fieldRefs returns the fields of recv referenced by the method body and
-// every same-package function or method it (transitively) calls.
-func (sc *snapCover) fieldRefs(root *types.Func, recv *types.Named) map[*types.Var]bool {
+// stateFields returns st's fields with every embedded state struct's
+// fields in place of the embedded field, and records in whole the fields
+// each embedded field stands for.
+func (sc *snapCover) stateFields(st *types.Struct, whole map[*types.Var][]*types.Var) []*types.Var {
+	var out []*types.Var
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		inner := sc.stateStruct(f)
+		if inner == nil {
+			out = append(out, f)
+			continue
+		}
+		whole[f] = sc.stateFields(inner, whole)
+		out = append(out, whole[f]...)
+	}
+	return out
+}
+
+// stateStruct returns the struct type of an embedded state struct field
+// (a struct of this package embedded by value), nil for any other field.
+func (sc *snapCover) stateStruct(field *types.Var) *types.Struct {
+	named, ok := field.Type().(*types.Named)
+	if !field.Embedded() || !ok || named.Obj().Pkg() != sc.pass.Pkg.Types {
+		return nil
+	}
+	st, _ := named.Underlying().(*types.Struct)
+	return st
+}
+
+// fieldRefs returns which of fields the method body and every
+// same-package function or method it (transitively) calls reference; a
+// reference to an embedded state struct references all of its fields.
+func (sc *snapCover) fieldRefs(root *types.Func, fields []*types.Var, whole map[*types.Var][]*types.Var) map[*types.Var]bool {
+	owned := make(map[*types.Var]bool, len(fields))
+	for _, f := range fields {
+		owned[f] = true
+	}
 	refs := make(map[*types.Var]bool)
 	seen := make(map[*types.Func]bool)
 	var scan func(fn *types.Func)
@@ -321,8 +360,15 @@ func (sc *snapCover) fieldRefs(root *types.Func, recv *types.Named) map[*types.V
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if obj, ok := sc.info.Uses[n.Sel].(*types.Var); ok && obj.IsField() && fieldOwner(obj, recv) {
+				obj, ok := sc.info.Uses[n.Sel].(*types.Var)
+				if !ok {
+					break
+				}
+				if owned[obj] {
 					refs[obj] = true
+				}
+				for _, f := range whole[obj] {
+					refs[f] = true
 				}
 			case *ast.CallExpr:
 				var callee *types.Func
@@ -341,20 +387,6 @@ func (sc *snapCover) fieldRefs(root *types.Func, recv *types.Named) map[*types.V
 	}
 	scan(root)
 	return refs
-}
-
-// fieldOwner reports whether field belongs to the named struct type.
-func fieldOwner(field *types.Var, named *types.Named) bool {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i) == field {
-			return true
-		}
-	}
-	return false
 }
 
 // lookupMethod finds a method by name on the named type (pointer or

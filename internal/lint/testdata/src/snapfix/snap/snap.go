@@ -1,7 +1,8 @@
-// Package snap is the snapcover analyzer's fixture: a Node with a
-// Snapshot/Restore pair whose coverage is deliberately incomplete.
-// Deleting a field from Restore (or adding a new mutable field without
-// touching the pair) must produce a finding here.
+// Package snap is the snapcover analyzer's fixture: types with a
+// Snapshot/Restore pair whose coverage is deliberately incomplete, two of
+// them keeping their state in an embedded state struct. Deleting a field
+// from Restore (or adding a new mutable field without touching the pair)
+// must produce a finding here.
 package snap
 
 // Node mimics a protocol state machine that forks via Snapshot/Restore.
@@ -56,3 +57,64 @@ func (n *Node) Restore(s NodeSnap) {
 	n.log = append(n.log[:0], s.log...)
 	n.refilled = 0
 }
+
+// peerState is Peer's state struct: the pair copies it whole, which
+// covers each of its fields.
+type peerState struct {
+	term int
+	log  []int
+}
+
+// Peer keeps its mutable state in an embedded state struct.
+type Peer struct {
+	peerState
+	// outside is mutated at runtime but declared outside the state
+	// struct, and the pair never touches it.
+	outside int // want "covered by neither"
+	cfg     int
+}
+
+// Step mutates the state struct's fields and outside.
+func (p *Peer) Step(x int) {
+	p.term++
+	p.log = append(p.log, x)
+	p.outside = x
+}
+
+// PeerSnap is Peer's state by value.
+type PeerSnap struct{ peerState }
+
+// Snapshot copies the state struct whole and clones its slice.
+func (p *Peer) Snapshot() PeerSnap {
+	s := PeerSnap{p.peerState}
+	s.log = append([]int(nil), p.log...)
+	return s
+}
+
+// Restore copies the state struct back, the slice into p's own memory.
+func (p *Peer) Restore(s PeerSnap) {
+	log := p.log
+	p.peerState = s.peerState
+	p.log = append(log[:0], s.log...)
+}
+
+// halfState is Half's state struct, captured whole but restored by field.
+type halfState struct {
+	term int
+	vote int // want "never restored"
+}
+
+// Half restores only one field of its state struct.
+type Half struct{ halfState }
+
+// Step mutates both fields.
+func (h *Half) Step(x int) {
+	h.term++
+	h.vote = x
+}
+
+// Snapshot copies the state struct whole.
+func (h *Half) Snapshot() halfState { return h.halfState }
+
+// Restore forgets vote.
+func (h *Half) Restore(s halfState) { h.term = s.term }

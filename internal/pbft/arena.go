@@ -3,14 +3,13 @@ package pbft
 import "avd/internal/slab"
 
 // Arena is the message memory of one PBFT deployment: every request,
-// reply, vote, proposal and forwarded-request record its replicas and
-// clients build is carved from these slabs (see package slab). A
-// full-throughput deployment used to allocate one heap object per reply
-// per replica, which made the allocator and the garbage collector the top
-// sites of a campaign profile; and one arena for the whole deployment,
-// rather than a set of slabs per replica and per client, keeps the partly
-// filled chunks a warm master retains to one per message type instead of
-// two per client.
+// reply, vote and proposal its replicas and clients build is carved from
+// these slabs (see package slab). A full-throughput deployment used to
+// allocate one heap object per reply per replica, which made the
+// allocator and the garbage collector the top sites of a campaign
+// profile; and one arena for the whole deployment, rather than a set of
+// slabs per replica and per client, keeps the partly filled chunks a warm
+// master retains to one per message type instead of two per client.
 //
 // Messages several holders share carry a slab.Holders count, and the
 // holder that drops the last count puts the message back (DESIGN.md §12):
@@ -47,7 +46,6 @@ type Arena struct {
 	prepares    *slab.Slab[Prepare]
 	commits     *slab.Slab[Commit]
 	prePrepares *slab.Slab[PrePrepare]
-	forwarded   *slab.Slab[forwarded]
 	fwdMsgs     *slab.Slab[ForwardedRequest]
 	// batches backs the primaries' pending-request buffers, whose
 	// prefixes become the batches log entries and pre-prepares carry.
@@ -77,7 +75,6 @@ func NewArena(mem *slab.Arena) *Arena {
 		prepares:    slab.New[Prepare](mem),
 		commits:     slab.New[Commit](mem),
 		prePrepares: slab.New[PrePrepare](mem),
-		forwarded:   slab.New[forwarded](mem),
 		fwdMsgs:     slab.New[ForwardedRequest](mem),
 		batches:     slab.NewSpan[*Request](mem),
 		viewChanges: slab.New[ViewChange](mem),

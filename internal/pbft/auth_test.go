@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"avd/internal/mac"
@@ -49,7 +50,7 @@ func verdictKinds() []verdictKind {
 				if r.isPrimary() {
 					return len(r.pending) == 1
 				}
-				fw := r.pendingForwarded[msg.(*Request).Key()]
+				fw := r.pendingForwarded.find(msg.(*Request).Key())
 				return fw != nil && fw.verified
 			},
 		},
@@ -74,7 +75,7 @@ func verdictKinds() []verdictKind {
 				return pp, req, next(r, 1)
 			},
 			accepted: func(r *Replica, msg any) bool {
-				e := r.log[1]
+				e := r.at(1)
 				return e != nil && e.prePrepare == msg && !e.poisoned()
 			},
 		},
@@ -88,7 +89,7 @@ func verdictKinds() []verdictKind {
 				return pp, pp, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				e := r.log[1]
+				e := r.at(1)
 				return e != nil && e.prePrepare == msg
 			},
 		},
@@ -101,8 +102,8 @@ func verdictKinds() []verdictKind {
 				return p, p, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				e := r.log[1]
-				return e != nil && e.prepares.mask&(1<<uint(msg.(*Prepare).Replica)) != 0
+				e := r.at(1)
+				return e != nil && e.prepares&(1<<uint(msg.(*Prepare).Replica)) != 0
 			},
 		},
 		{
@@ -114,8 +115,8 @@ func verdictKinds() []verdictKind {
 				return c, c, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				e := r.log[1]
-				return e != nil && e.commits.mask&(1<<uint(msg.(*Commit).Replica)) != 0
+				e := r.at(1)
+				return e != nil && e.commits&(1<<uint(msg.(*Commit).Replica)) != 0
 			},
 		},
 		{
@@ -126,8 +127,8 @@ func verdictKinds() []verdictKind {
 				return cp, cp, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				v := r.checkpoints[8]
-				return v != nil && v.mask&(1<<uint(msg.(*Checkpoint).Replica)) != 0
+				cp := msg.(*Checkpoint)
+				return slices.Contains(r.checkpoints, checkpointVote{seq: cp.SeqNo, digest: cp.Digest, replica: cp.Replica})
 			},
 		},
 		{
@@ -138,8 +139,7 @@ func verdictKinds() []verdictKind {
 				return vc, vc, from
 			},
 			accepted: func(r *Replica, msg any) bool {
-				set := r.viewChanges[1]
-				return set != nil && set.by[msg.(*ViewChange).Replica] != nil
+				return slices.Contains(r.viewChanges, msg.(*ViewChange))
 			},
 		},
 	}
@@ -226,11 +226,11 @@ func TestNewViewFillsGapWithNullRequest(t *testing.T) {
 	clean := func(seq uint64) *Request {
 		return &Request{Client: verdictClient, Seq: seq, Op: seq, Auth: mac.Sign(verdictClient, 4)}
 	}
-	set := r.newVCSet()
-	set.add(&ViewChange{NewView: 1, Replica: 0, Prepared: []PreparedProof{proof(1, clean(1)), proof(3, clean(3))}})
-	set.add(&ViewChange{NewView: 1, Replica: 1})
-	set.add(&ViewChange{NewView: 1, Replica: 2})
-	minS, out := r.computeNewViewSets(set)
+	minS, out := r.computeNewViewSets([]*ViewChange{
+		{NewView: 1, Replica: 0, Prepared: []PreparedProof{proof(1, clean(1)), proof(3, clean(3))}},
+		{NewView: 1, Replica: 1},
+		{NewView: 1, Replica: 2},
+	})
 	if minS != 0 || len(out) != 3 {
 		t.Fatalf("min-s %d with %d re-proposals, want 0 and 3", minS, len(out))
 	}
@@ -251,7 +251,7 @@ func TestNewViewFillsGapWithNullRequest(t *testing.T) {
 		t.Fatalf("new primary crashed (%q) or stayed out of view 1 (view %d)", why, r.View())
 	}
 	for _, pp := range out {
-		if e := r.log[pp.SeqNo]; e == nil || e.prePrepare != pp {
+		if e := r.at(pp.SeqNo); e == nil || e.prePrepare != pp {
 			t.Fatalf("re-proposal at %d is not in the log", pp.SeqNo)
 		}
 		if !pp.Auth.Verifies(2, 1) {
@@ -268,6 +268,38 @@ func TestNewViewFillsGapWithNullRequest(t *testing.T) {
 	}
 	if !tb.replicas[3].reproposalVerifies(proof(4, masked).PrePrepare) {
 		t.Fatal("replica 3, whose entry is clean, refused the re-proposal")
+	}
+}
+
+// TestPoisonHealsPastOneWord: an equivocating primary pads a batch to
+// BatchSize+1 requests, so a backup's poison mask must reach index
+// BatchSize (64 by default, the first bit past one word). A backup fed
+// such a pre-prepare whose last request fails its MAC keeps the entry
+// poisoned and sends no prepare, and a verified retransmission of that
+// request heals the entry into its prepare.
+func TestPoisonHealsPastOneWord(t *testing.T) {
+	tb := newTestbed(t, testbedOpts{})
+	r := tb.replicas[1] // a backup of view 0
+	batch := make([]*Request, r.cfg.BatchSize+1)
+	for i := range batch {
+		client := verdictClient + i
+		batch[i] = &Request{Client: simnet.Addr(client), Seq: 1, Op: uint64(i), Auth: mac.Sign(client, r.cfg.N)}
+	}
+	last := batch[len(batch)-1]
+	last.Auth = last.Auth.Corrupt(r.id)
+	pp := &PrePrepare{SeqNo: 1, Batch: batch, Digest: BatchDigest(batch), Auth: mac.Sign(0, r.cfg.N)}
+	r.onMessage(0, pp)
+	if e := r.at(1); e == nil || e.prePrepare != pp || !e.poisoned() || e.prepares != 0 {
+		t.Fatalf("entry after the padded pre-prepare: %+v, want it poisoned and unprepared", e)
+	}
+	if got := r.Stats().RejectedBatches; got != 1 {
+		t.Fatalf("%d batches rejected, want 1", got)
+	}
+	retx := *last
+	retx.Auth, retx.Retransmission = mac.Sign(int(last.Client), r.cfg.N), true
+	r.onMessage(last.Client, &retx)
+	if e := r.at(1); e.poisoned() || e.prepares != 1<<uint(r.id) {
+		t.Fatalf("entry after the verified retransmission: %+v, want it healed with this replica's prepare", e)
 	}
 }
 

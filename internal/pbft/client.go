@@ -47,15 +47,8 @@ type ClientStats struct {
 	Retransmissions uint64
 }
 
-// Client is a closed-loop PBFT client: it keeps exactly one request
-// outstanding and issues the next one as soon as the current one
-// completes (f+1 matching replies).
-type Client struct {
-	addr simnet.Addr
-	pcfg Config
-	ccfg ClientConfig
-	eng  *sim.Engine
-	net  *simnet.Network
+// clientState is what a client changes as it runs (see replicaState).
+type clientState struct {
 	// mac counts generateMAC calls from boot and holds the armed
 	// corruption schedule (SetPlan).
 	mac faultinject.Counter
@@ -66,15 +59,32 @@ type Client struct {
 	curDone bool // current request already completed (guards late replies)
 	sentAt  sim.Time
 	// replies records the current request's per-replica results densely:
-	// a presence mask plus one slot per replica id (the map this used to
-	// be was a per-reply hot path).
+	// a presence mask plus one slot per replica id.
 	replies    []uint64
 	repMask    uint64
 	retryTimer sim.Timer
 	curRetry   time.Duration
 	retryFor   uint64 // request seq the retry timer was armed for
-	retryFn    func() // pre-bound retry callback (no per-arm closure)
-	allAddrs   []simnet.Addr
+	// broadcast sends every first transmission to all replicas
+	// (ClientConfig.Broadcast, re-armed per run by SetBroadcast).
+	broadcast bool
+
+	stats ClientStats
+}
+
+// Client is a closed-loop PBFT client: it keeps exactly one request
+// outstanding and issues the next one as soon as the current one
+// completes (f+1 matching replies).
+type Client struct {
+	clientState
+
+	addr     simnet.Addr
+	pcfg     Config
+	ccfg     ClientConfig
+	eng      *sim.Engine
+	net      *simnet.Network
+	retryFn  func() // pre-bound retry callback (no per-arm closure)
+	allAddrs []simnet.Addr
 
 	// mem is the deployment's message arena (arena.go): requests are
 	// built once per transmission, shared by pointer and carved from it.
@@ -83,8 +93,6 @@ type Client struct {
 
 	// onComplete, when set, observes every completed request.
 	onComplete func(seq uint64, latency time.Duration)
-
-	stats ClientStats
 }
 
 // ClientOption customizes client construction.
@@ -117,12 +125,12 @@ func NewClient(addr simnet.Addr, pcfg Config, ccfg ClientConfig, net *simnet.Net
 		ccfg.RetryCap = 8 * ccfg.Retry
 	}
 	c := &Client{
-		addr:    addr,
-		pcfg:    pcfg,
-		ccfg:    ccfg,
-		eng:     net.Engine(),
-		net:     net,
-		replies: make([]uint64, pcfg.N),
+		clientState: clientState{replies: make([]uint64, pcfg.N), broadcast: ccfg.Broadcast},
+		addr:        addr,
+		pcfg:        pcfg,
+		ccfg:        ccfg,
+		eng:         net.Engine(),
+		net:         net,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -184,8 +192,8 @@ func (c *Client) issueNext() {
 	c.sentAt = c.eng.Now()
 	c.stats.Issued++
 	req := c.buildRequest(false)
-	if c.ccfg.Broadcast {
-		c.broadcast(req)
+	if c.broadcast {
+		c.broadcastRequest(req)
 	} else {
 		c.mem.share(&req.holders, 1)
 		c.net.SendOwned(c.addr, simnet.Addr(c.pcfg.PrimaryOf(c.view)), req)
@@ -193,8 +201,9 @@ func (c *Client) issueNext() {
 	c.armRetry()
 }
 
-// broadcast sends req to every replica; its deliveries are its holders.
-func (c *Client) broadcast(req *Request) {
+// broadcastRequest sends req to every replica; its deliveries are its
+// holders.
+func (c *Client) broadcastRequest(req *Request) {
 	c.mem.share(&req.holders, len(c.allAddrs))
 	c.net.BroadcastOwned(c.addr, c.replicaAddrs(), req)
 }
@@ -235,7 +244,7 @@ func (c *Client) onRetry(seq uint64) {
 		return
 	}
 	c.stats.Retransmissions++
-	c.broadcast(c.buildRequest(true))
+	c.broadcastRequest(c.buildRequest(true))
 	c.curRetry *= 2
 	if c.curRetry > c.ccfg.RetryCap {
 		c.curRetry = c.ccfg.RetryCap

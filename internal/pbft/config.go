@@ -97,8 +97,10 @@ func (c Config) Validate() error {
 		// Vote sets record per-replica votes in a 64-bit presence mask.
 		return fmt.Errorf("pbft: N=%d exceeds the supported maximum of 64 replicas", c.N)
 	}
-	if c.BatchSize < 1 {
-		return fmt.Errorf("pbft: batch size %d must be at least 1", c.BatchSize)
+	if c.BatchSize < 1 || c.BatchSize > 127 {
+		// A replica marks a batch's unauthenticated requests in a 128-bit
+		// mask, and a batch holds up to BatchSize+1 of them.
+		return fmt.Errorf("pbft: batch size %d must be in [1,127]", c.BatchSize)
 	}
 	if c.CheckpointInterval < 1 {
 		return fmt.Errorf("pbft: checkpoint interval %d must be at least 1", c.CheckpointInterval)

@@ -1,44 +1,16 @@
 package pbft
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"avd/internal/mac"
 	"avd/internal/sim"
 	"avd/internal/simnet"
 )
-
-// voteSet is a dense vote record over replica ids: a presence bitmask
-// plus one digest slot per replica. It replaces the per-entry
-// map[int]uint64 vote maps, whose iteration and per-entry allocation
-// dominated the agreement path (checkPrepared/checkCommitted) in
-// campaign profiles. Replica ids must be < 64 (Config.Validate enforces
-// N <= 64).
-type voteSet struct {
-	mask    uint64
-	digests []uint64 // indexed by replica id, len N
-}
-
-func (v *voteSet) set(id int, d uint64) {
-	v.mask |= 1 << uint(id)
-	v.digests[id] = d
-}
-
-// countMatching counts votes for digest d.
-func (v *voteSet) countMatching(d uint64) int {
-	matching := 0
-	m := v.mask
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		if v.digests[i] == d {
-			matching++
-		}
-	}
-	return matching
-}
 
 // ByzantineBehavior configures a faulty replica. The zero value (or a nil
 // pointer) is a correct replica. The only replica-side behavior the paper
@@ -85,56 +57,57 @@ type ReplicaStats struct {
 }
 
 // logEntry tracks one sequence number's agreement state. It holds its
-// pre-prepare (see Arena), whose batch is always the entry's batch.
+// pre-prepare (see Arena), whose batch is always the entry's batch. The
+// zero entry is a sequence number the replica knows nothing about.
 type logEntry struct {
 	view       uint64
 	digest     uint64
 	batch      []*Request
 	prePrepare *PrePrepare
-	// badIdx holds batch indices whose client MAC failed verification at
-	// this replica. While non-empty the entry is "poisoned": the replica
+	// bad marks the batch indices whose client MAC failed verification at
+	// this replica. While any is set the entry is "poisoned": the replica
 	// refuses to prepare it. Because the request digest covers only the
 	// request body (client, seq, op) and not the transport-level
 	// authenticator, a later retransmission of the same request with
 	// valid MACs *heals* the index (the real implementation fetches
-	// missing/unauthenticated requests the same way).
-	badIdx    map[int]bool
-	prepares  voteSet // replica -> digest voted
-	commits   voteSet
+	// missing/unauthenticated requests the same way). A batch holds at
+	// most BatchSize+1 requests (an equivocating primary's padded
+	// variant), which Config.Validate keeps within the mask.
+	bad [2]uint64
+	// prepares and commits are vote masks over replica ids; the digest
+	// each replica voted for is in replicaState.votes.
+	prepares  uint64
+	commits   uint64
 	prepared  bool
 	committed bool
 	executed  bool
+	// sealed marks poison no retransmission heals any more: the replica
+	// restarted since, and forgot which requests it was waiting on.
+	sealed bool
 }
 
 // poisoned reports whether the entry still has unauthenticated requests.
-func (e *logEntry) poisoned() bool { return len(e.badIdx) > 0 }
+func (e *logEntry) poisoned() bool { return e.bad != [2]uint64{} }
 
 // reset clears agreement state when the entry is superseded by a higher
 // view's pre-prepare, dropping its hold on the pre-prepare it had.
 func (e *logEntry) reset(mem *Arena, view uint64) {
 	e.resetKeepVotes(mem, view)
-	e.prepares.mask = 0
-	e.commits.mask = 0
+	e.prepares = 0
+	e.commits = 0
 }
 
 // resetKeepVotes is reset minus the vote sets: same-view votes buffered
 // before the pre-prepare arrived survive (see acceptPrePrepare).
 func (e *logEntry) resetKeepVotes(mem *Arena, view uint64) {
 	mem.dropPrePrepare(e.prePrepare)
-	e.view = view
-	e.digest = 0
-	e.batch = nil
-	e.prePrepare = nil
-	e.badIdx = nil
-	e.prepared = false
-	e.committed = false
+	*e = logEntry{view: view, prepares: e.prepares, commits: e.commits, executed: e.executed}
 }
 
-// seqIdx locates one request inside the log: sequence number and batch
-// index.
-type seqIdx struct {
-	seq uint64
-	idx int
+// drop empties the entry, dropping its hold on its pre-prepare.
+func (e *logEntry) drop(mem *Arena) {
+	mem.dropPrePrepare(e.prePrepare)
+	*e = logEntry{}
 }
 
 // forwarded tracks a request received directly from a client: the copy
@@ -146,16 +119,17 @@ type forwarded struct {
 	verified bool
 }
 
-// Replica is one PBFT replica. All methods run on the simulation
-// goroutine.
-type Replica struct {
-	id    int
-	cfg   Config
-	eng   *sim.Engine
-	clock int // engine clock identity: every local timer schedules through it
-	net   *simnet.Network
-	byz   *ByzantineBehavior
+// checkpointVote is one replica's checkpoint at one sequence number.
+type checkpointVote struct {
+	seq     uint64
+	digest  uint64
+	replica int
+}
 
+// replicaState is what a replica changes as it runs: Snapshot copies it
+// by value and clones its tables, and Restore copies it back. The rest of
+// Replica is set at construction.
+type replicaState struct {
 	crashed      bool
 	crashReason  string
 	view         uint64
@@ -165,17 +139,19 @@ type Replica struct {
 	seqCounter uint64 // primary: last assigned sequence number
 	lastExec   uint64
 	lowWater   uint64
-	log        map[uint64]*logEntry
-	// entryFree recycles log entries (and their vote-set backing) across
-	// watermark advances and snapshot restores.
-	//avdlint:derived free list: Restore rebuilds it from the entries the snapshot's log no longer references
-	entryFree []*logEntry
+	// log is the agreement state of the sequence numbers above lowWater,
+	// seq at index seq-lowWater-1: it grows as sequence numbers arrive and
+	// shifts down when lowWater moves (advanceWatermark). votes holds the
+	// digests behind its entries' vote masks, 2N an entry: each replica's
+	// prepare, then each replica's commit.
+	log   []logEntry
+	votes []uint64
 
 	// Primary batching state. admitted records, densely by client
 	// address, the highest request seq this primary has admitted into a
 	// batch and not seen a view change since: client seqs are issued
-	// monotonically, so one word replaces the RequestKey set (whose
-	// hashing was a per-request cost) for pending-duplicate suppression.
+	// monotonically, so one word replaces a RequestKey set for
+	// pending-duplicate suppression.
 	pending    []*Request
 	admitted   []uint64
 	batchTimer sim.Timer
@@ -183,45 +159,40 @@ type Replica struct {
 
 	// Client bookkeeping: the last reply sent per client address, by
 	// value — a reply on the wire belongs to its delivery (executeBatch).
-	// Addresses are small and dense, so a slice beats the map this used
-	// to be (the lookup runs once per executed request per replica).
 	lastReply []lastReply
 
 	// Client-request view-change timers (§6). pendingForwarded holds the
 	// requests this replica received directly from clients and has not
 	// seen execute ("such messages" in the paper's wording).
-	pendingForwarded map[RequestKey]*forwarded
-	singleTimer      sim.Timer                // SingleTimer mode
-	reqTimers        map[RequestKey]sim.Timer // PerRequestTimer mode
+	pendingForwarded byClient[forwarded]
+	singleTimer      sim.Timer           // SingleTimer mode
+	reqTimers        byClient[sim.Timer] // PerRequestTimer mode
 
-	// pendingBad indexes poisoned log slots by request key so that a
-	// valid retransmission can heal them.
-	pendingBad map[RequestKey][]seqIdx
-
-	// Checkpoints: seq -> per-replica digest votes (pooled via ckptFree).
-	checkpoints map[uint64]*voteSet
-	//avdlint:derived free list: Restore rebuilds it from the vote sets the snapshot's checkpoints no longer reference
-	ckptFree    []*voteSet
+	// checkpoints holds the checkpoint votes above the low watermark,
+	// sorted by sequence number, then replica.
+	checkpoints []checkpointVote
 	stateDigest uint64
 
-	// View change state: target view -> the view changes received for it
-	// (pooled via vcFree).
-	viewChanges map[uint64]*vcSet
-	//avdlint:derived free list: Restore rebuilds it from the sets the snapshot's view changes no longer reference
-	vcFree       []*vcSet
+	// viewChanges holds the view changes received for views above the
+	// current one, sorted by target view, then sender.
+	viewChanges  []*ViewChange
 	newViewTimer sim.Timer
 	nvTimeout    time.Duration
 
-	// Scratch of the view-change path (viewchange.go), dead between
-	// calls: sequence numbers (preparedProofs' prepared entries,
-	// enterView's dropped ones), enterView's re-forwarded request keys,
-	// and computeNewViewSets' highest-view proof per sequence number.
-	//avdlint:ephemeral call-scoped scratch, refilled from empty by every use
-	seqs []uint64
-	//avdlint:ephemeral call-scoped scratch, refilled from empty by every use
-	keys []RequestKey
-	//avdlint:ephemeral call-scoped scratch, emptied after every use
-	best map[uint64]*PrePrepare
+	stats ReplicaStats
+}
+
+// Replica is one PBFT replica. All methods run on the simulation
+// goroutine.
+type Replica struct {
+	replicaState
+
+	id    int
+	cfg   Config
+	eng   *sim.Engine
+	clock int // engine clock identity: every local timer schedules through it
+	net   *simnet.Network
+	byz   *ByzantineBehavior
 
 	// CrashOnBadReproposal models the implementation fragility the paper
 	// triggered ("PBFT will perform a view change and crash", §6): the
@@ -260,8 +231,6 @@ type Replica struct {
 	// the harness turns the new primary's installations into leadership
 	// events for the oracle stream.
 	viewObserver func(node int, view uint64)
-
-	stats ReplicaStats
 }
 
 // ReplicaOption customizes replica construction.
@@ -309,18 +278,11 @@ func NewReplica(id int, cfg Config, net *simnet.Network, opts ...ReplicaOption) 
 		return nil, fmt.Errorf("pbft: replica id %d out of range [0,%d)", id, cfg.N)
 	}
 	r := &Replica{
+		replicaState:         replicaState{nvTimeout: cfg.NewViewTimeout},
 		id:                   id,
 		cfg:                  cfg,
 		eng:                  net.Engine(),
 		net:                  net,
-		log:                  make(map[uint64]*logEntry),
-		pendingForwarded:     make(map[RequestKey]*forwarded),
-		reqTimers:            make(map[RequestKey]sim.Timer),
-		pendingBad:           make(map[RequestKey][]seqIdx),
-		checkpoints:          make(map[uint64]*voteSet),
-		viewChanges:          make(map[uint64]*vcSet),
-		best:                 make(map[uint64]*PrePrepare),
-		nvTimeout:            cfg.NewViewTimeout,
 		crashOnBadReproposal: true,
 	}
 	for _, opt := range opts {
@@ -394,48 +356,56 @@ func (r *Replica) replicaAddrs() []simnet.Addr { return r.allAddrs }
 // only who signed decides a verdict (see package mac).
 func (r *Replica) auth() mac.Auth { return mac.Sign(r.id, r.cfg.N) }
 
-// newEntry hands out a log entry from the pool, vote-set backing
-// included.
-func (r *Replica) newEntry() *logEntry {
-	if n := len(r.entryFree); n > 0 {
-		e := r.entryFree[n-1]
-		r.entryFree = r.entryFree[:n-1]
-		return e
+// at returns the log entry of seq, nil when the log does not reach it.
+func (r *Replica) at(seq uint64) *logEntry {
+	if seq <= r.lowWater || seq-r.lowWater > uint64(len(r.log)) {
+		return nil
 	}
-	return &logEntry{
-		prepares: voteSet{digests: make([]uint64, r.cfg.N)},
-		commits:  voteSet{digests: make([]uint64, r.cfg.N)},
+	return &r.log[seq-r.lowWater-1]
+}
+
+// entry returns the log entry of seq, which must be above the low
+// watermark, growing the log to reach it. The pointer is into the log:
+// after a call that may execute (and so advance the watermark) or
+// propose, look the entry up again.
+func (r *Replica) entry(seq uint64) *logEntry {
+	for seq-r.lowWater > uint64(len(r.log)) {
+		r.log = append(r.log, logEntry{})
+		r.votes = append(r.votes, make([]uint64, 2*r.cfg.N)...)
 	}
+	return &r.log[seq-r.lowWater-1]
 }
 
-// freeEntry clears an entry dropped from the log, dropping its hold on its
-// pre-prepare, and returns it to the pool.
-func (r *Replica) freeEntry(e *logEntry) {
-	e.reset(r.mem, 0)
-	e.executed = false
-	r.entryFree = append(r.entryFree, e)
-}
-
-// recycleEntry is freeEntry for Restore, which runs after the arena's
-// rewind: the window that held the pre-prepare is gone, and nothing may
-// touch what it carved.
-func (r *Replica) recycleEntry(e *logEntry) {
-	e.prePrepare = nil
-	r.freeEntry(e)
-}
-
-// newCkptSet hands out a checkpoint vote set from the pool.
-func (r *Replica) newCkptSet() *voteSet {
-	if n := len(r.ckptFree); n > 0 {
-		v := r.ckptFree[n-1]
-		r.ckptFree = r.ckptFree[:n-1]
-		v.mask = 0
-		return v
+// votesOf returns the prepare (or, with commit, the commit) vote mask of
+// the entry of seq and the digests behind it.
+func (r *Replica) votesOf(seq uint64, commit bool) (*uint64, []uint64) {
+	i, n := int(seq-r.lowWater-1), r.cfg.N
+	d := r.votes[2*n*i : 2*n*(i+1)]
+	if commit {
+		return &r.log[i].commits, d[n:]
 	}
-	return &voteSet{digests: make([]uint64, r.cfg.N)}
+	return &r.log[i].prepares, d[:n]
 }
 
-func (r *Replica) freeCkptSet(v *voteSet) { r.ckptFree = append(r.ckptFree, v) }
+// vote records replica id's prepare (or commit) for digest d at seq.
+func (r *Replica) vote(seq uint64, commit bool, id int, d uint64) {
+	mask, digests := r.votesOf(seq, commit)
+	*mask |= 1 << uint(id)
+	digests[id] = d
+}
+
+// matching returns the replicas whose prepares (or commits) at seq vote
+// for digest d.
+func (r *Replica) matching(seq uint64, commit bool, d uint64) uint64 {
+	mask, digests := r.votesOf(seq, commit)
+	m := uint64(0)
+	for v := *mask; v != 0; v &= v - 1 {
+		if i := bits.TrailingZeros64(v); digests[i] == d {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
 
 // lastReply is one slot of the dense last-reply table; sent tells a reply
 // from a slot the table only grew past.
@@ -520,16 +490,12 @@ func (r *Replica) Crash(keepDurable bool) bool {
 	if keepDurable {
 		return true
 	}
-	//avdlint:allow crash wipe: freed entries are fully reset on reuse, so drain order is not observable
-	for seq, e := range r.log {
-		r.freeEntry(e)
-		delete(r.log, seq)
+	for i := range r.log {
+		r.log[i].drop(r.mem)
 	}
-	//avdlint:allow crash wipe: freed vote sets are fully reset on reuse, so drain order is not observable
-	for seq, cs := range r.checkpoints {
-		r.freeCkptSet(cs)
-		delete(r.checkpoints, seq)
-	}
+	r.log = r.log[:0]
+	r.votes = r.votes[:0]
+	r.checkpoints = r.checkpoints[:0]
 	r.view = 0
 	r.seqCounter = 0
 	r.lastExec = 0
@@ -553,13 +519,15 @@ func (r *Replica) Restart() {
 	r.stats.Restarts++
 	r.dropPending()
 	clear(r.admitted)
-	//avdlint:allow restart wipe: dropping a hold is commutative, and released messages are fully reset on reuse
-	for _, fw := range r.pendingForwarded {
+	for k, fw := r.pendingForwarded.next(RequestKey{}); fw != nil; k, fw = r.pendingForwarded.next(k) {
 		r.mem.dropRequest(fw.req)
 	}
-	clear(r.pendingForwarded)
-	clear(r.pendingBad)
-	r.dropViewChanges()
+	r.pendingForwarded.reset()
+	// The requests poisoned entries wait on were volatile too.
+	for i := range r.log {
+		r.log[i].sealed = true
+	}
+	r.viewChanges = shift(r.viewChanges, len(r.viewChanges))
 	r.inViewChange = false
 	r.pendingView = 0
 	r.nvTimeout = r.cfg.NewViewTimeout
@@ -614,12 +582,11 @@ func (r *Replica) onDirectRequest(req *Request) {
 	// validity — authentication happens on the agreement path — which is
 	// why corrupted retransmissions still wind the timer (§6).
 	valid := r.verifyClientMAC(req)
-	fw, ok := r.pendingForwarded[key]
-	if !ok {
-		fw = r.mem.forwarded.Get()
-		fw.req, fw.verified = req, false
+	fw := r.pendingForwarded.find(key)
+	if fw == nil {
+		fw = r.pendingForwarded.add(key)
+		fw.req = req
 		r.mem.holdRequest(req)
-		r.pendingForwarded[key] = fw
 		r.stats.ForwardedRequests++
 	}
 	if valid {
@@ -647,36 +614,34 @@ func (r *Replica) forward(req *Request, primary int) {
 	r.net.SendOwned(r.Addr(), simnet.Addr(primary), fm)
 }
 
-// healPoisoned resolves poisoned log slots waiting on a valid copy of the
-// request: since the batch digest covers request bodies, a verified
+// healPoisoned resolves poisoned log entries waiting on a valid copy of
+// the request: since the batch digest covers request bodies, a verified
 // retransmission authenticates the stored copy. Entries whose last bad
-// index heals proceed to prepare.
+// index heals proceed to prepare, in sequence order.
 func (r *Replica) healPoisoned(key RequestKey) {
-	slots, ok := r.pendingBad[key]
-	if !ok {
-		return
-	}
-	delete(r.pendingBad, key)
-	for _, si := range slots {
-		entry, ok := r.log[si.seq]
-		if !ok || entry.executed || !entry.badIdx[si.idx] {
+	for seq := r.lowWater + 1; seq <= r.lowWater+uint64(len(r.log)); seq++ {
+		e := r.at(seq)
+		if e == nil || !e.poisoned() || e.sealed || e.executed {
 			continue
 		}
-		if si.idx >= len(entry.batch) || entry.batch[si.idx].Key() != key {
-			continue
-		}
-		delete(entry.badIdx, si.idx)
-		if entry.poisoned() {
-			continue
+		healed := false
+		for w := range e.bad {
+			for m := e.bad[w]; m != 0; m &= m - 1 {
+				i := w*64 + bits.TrailingZeros64(m)
+				if i < len(e.batch) && e.batch[i].Key() == key {
+					e.bad[w] &^= 1 << uint(i%64)
+					healed = true
+				}
+			}
 		}
 		// Fully healed: resume the agreement path we refused earlier.
-		if r.inViewChange || entry.view != r.view || entry.prePrepare == nil {
+		if !healed || e.poisoned() || r.inViewChange || e.view != r.view || e.prePrepare == nil {
 			continue
 		}
-		entry.prepares.set(r.id, entry.digest)
-		r.sendPrepare(entry.view, si.seq, entry.digest)
-		r.checkPrepared(si.seq, entry)
-		r.checkCommitted(si.seq, entry)
+		r.vote(seq, false, r.id, e.digest)
+		r.sendPrepare(e.view, seq, e.digest)
+		r.checkPrepared(seq)
+		r.checkCommitted(seq)
 	}
 }
 
@@ -788,7 +753,7 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 		return
 	}
 	r.stats.BatchesProposed++
-	entry := r.getEntry(seq)
+	entry := r.entry(seq)
 	if entry.prePrepare != nil && entry.view == r.view {
 		// Already proposed at this seq in this view.
 		for _, req := range batch {
@@ -808,7 +773,7 @@ func (r *Replica) sendPrePrepare(seq uint64, batch []*Request) {
 	r.mem.share(&pp.holders, r.cfg.N-1)
 	r.setPrePrepare(entry, r.view, pp)
 	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), pp)
-	r.checkPrepared(seq, entry)
+	r.checkPrepared(seq)
 }
 
 // setPrePrepare supersedes the entry's agreement state with view's
@@ -855,7 +820,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 		Auth:   r.auth(),
 	}
 	r.stats.BatchesProposed++
-	entry := r.getEntry(seq)
+	entry := r.entry(seq)
 	if entry.prePrepare != nil && entry.view == r.view {
 		return // already proposed at this seq in this view
 	}
@@ -873,16 +838,7 @@ func (r *Replica) sendEquivocalPrePrepare(seq uint64, batch []*Request) {
 			r.net.Send(r.Addr(), to, pp)
 		}
 	}
-	r.checkPrepared(seq, entry)
-}
-
-func (r *Replica) getEntry(seq uint64) *logEntry {
-	e, ok := r.log[seq]
-	if !ok {
-		e = r.newEntry()
-		r.log[seq] = e
-	}
-	return e
+	r.checkPrepared(seq)
 }
 
 // --- Agreement ------------------------------------------------------------
@@ -903,7 +859,7 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	if BatchDigest(pp.Batch) != pp.Digest {
 		return
 	}
-	entry := r.getEntry(pp.SeqNo)
+	entry := r.entry(pp.SeqNo)
 	if entry.prePrepare != nil && entry.view == pp.View {
 		return // first pre-prepare for (view, seq) wins
 	}
@@ -914,13 +870,13 @@ func (r *Replica) onPrePrepare(from int, pp *PrePrepare) {
 	if !accepted {
 		// Poisoned: no prepare from us, but commits buffered from the
 		// quorum can still certify the batch (state-transfer surrogate).
-		r.checkCommitted(pp.SeqNo, entry)
+		r.checkCommitted(pp.SeqNo)
 		return
 	}
-	entry.prepares.set(r.id, pp.Digest)
+	r.vote(pp.SeqNo, false, r.id, pp.Digest)
 	r.sendPrepare(pp.View, pp.SeqNo, pp.Digest)
-	r.checkPrepared(pp.SeqNo, entry)
-	r.checkCommitted(pp.SeqNo, entry)
+	r.checkPrepared(pp.SeqNo)
+	r.checkCommitted(pp.SeqNo)
 }
 
 // sendPrepare broadcasts this replica's prepare vote; its deliveries are
@@ -957,14 +913,10 @@ func (r *Replica) acceptPrePrepare(pp *PrePrepare, entry *logEntry) bool {
 			continue
 		}
 		// A previously verified direct copy authenticates the body.
-		if fw, ok := r.pendingForwarded[req.Key()]; ok && fw.verified {
+		if fw := r.pendingForwarded.find(req.Key()); fw != nil && fw.verified {
 			continue
 		}
-		if entry.badIdx == nil {
-			entry.badIdx = make(map[int]bool)
-		}
-		entry.badIdx[i] = true
-		r.pendingBad[req.Key()] = append(r.pendingBad[req.Key()], seqIdx{seq: pp.SeqNo, idx: i})
+		entry.bad[i/64] |= 1 << uint(i%64)
 	}
 	if entry.poisoned() {
 		r.stats.RejectedBatches++
@@ -986,7 +938,7 @@ func (r *Replica) onPrepare(p *Prepare) {
 	if !r.verifyPeer(p.Replica, p.Auth) {
 		return
 	}
-	entry := r.getEntry(p.SeqNo)
+	entry := r.entry(p.SeqNo)
 	if entry.prePrepare == nil {
 		// Vote buffered ahead of the pre-prepare: tag its view so the
 		// pre-prepare can tell whether to keep it.
@@ -994,17 +946,19 @@ func (r *Replica) onPrepare(p *Prepare) {
 	} else if entry.view != p.View {
 		return
 	}
-	entry.prepares.set(p.Replica, p.Digest)
-	r.checkPrepared(p.SeqNo, entry)
+	r.vote(p.SeqNo, false, p.Replica, p.Digest)
+	r.checkPrepared(p.SeqNo)
 }
 
-// checkPrepared promotes the entry to prepared (pre-prepare accepted plus
-// 2F matching prepares from distinct backups) and emits our commit.
-func (r *Replica) checkPrepared(seq uint64, entry *logEntry) {
-	if entry.prepared || entry.poisoned() || entry.prePrepare == nil {
+// checkPrepared promotes the entry of seq to prepared (pre-prepare
+// accepted plus 2F matching prepares from distinct backups) and emits our
+// commit.
+func (r *Replica) checkPrepared(seq uint64) {
+	entry := r.at(seq)
+	if entry == nil || entry.prepared || entry.poisoned() || entry.prePrepare == nil {
 		return
 	}
-	if entry.prepares.countMatching(entry.digest) < r.cfg.prepareQuorum() {
+	if bits.OnesCount64(r.matching(seq, false, entry.digest)) < r.cfg.prepareQuorum() {
 		return
 	}
 	entry.prepared = true
@@ -1012,9 +966,9 @@ func (r *Replica) checkPrepared(seq uint64, entry *logEntry) {
 	*c = Commit{View: entry.view, SeqNo: seq, Digest: entry.digest, Replica: r.id}
 	c.Auth = r.auth()
 	r.mem.share(&c.holders, r.cfg.N-1)
-	entry.commits.set(r.id, entry.digest)
+	r.vote(seq, true, r.id, entry.digest)
 	r.net.BroadcastOwned(r.Addr(), r.replicaAddrs(), c)
-	r.checkCommitted(seq, entry)
+	r.checkCommitted(seq)
 }
 
 func (r *Replica) onCommit(c *Commit) {
@@ -1027,29 +981,30 @@ func (r *Replica) onCommit(c *Commit) {
 	if !r.verifyPeer(c.Replica, c.Auth) {
 		return
 	}
-	entry := r.getEntry(c.SeqNo)
+	entry := r.entry(c.SeqNo)
 	if entry.prePrepare == nil {
 		entry.view = c.View
 	} else if entry.view != c.View {
 		return
 	}
-	entry.commits.set(c.Replica, c.Digest)
-	r.checkCommitted(c.SeqNo, entry)
+	r.vote(c.SeqNo, true, c.Replica, c.Digest)
+	r.checkCommitted(c.SeqNo)
 }
 
-// checkCommitted promotes the entry to committed at quorum 2F+1 and
+// checkCommitted promotes the entry of seq to committed at quorum 2F+1 and
 // drives in-order execution. A replica still holding the batch as
 // poisoned executes on the commit quorum anyway (standing in for PBFT's
 // state transfer), so correct replicas converge even when outvoted on a
 // MAC check.
-func (r *Replica) checkCommitted(seq uint64, entry *logEntry) {
-	if entry.committed || entry.prePrepare == nil {
+func (r *Replica) checkCommitted(seq uint64) {
+	entry := r.at(seq)
+	if entry == nil || entry.committed || entry.prePrepare == nil {
 		return
 	}
 	if !entry.prepared && !entry.poisoned() {
 		return
 	}
-	if entry.commits.countMatching(entry.digest) < r.cfg.commitQuorum() {
+	if bits.OnesCount64(r.matching(seq, true, entry.digest)) < r.cfg.commitQuorum() {
 		return
 	}
 	if entry.poisoned() {
@@ -1062,8 +1017,8 @@ func (r *Replica) checkCommitted(seq uint64, entry *logEntry) {
 // tryExecute executes committed entries in sequence order.
 func (r *Replica) tryExecute() {
 	for {
-		entry, ok := r.log[r.lastExec+1]
-		if !ok || !entry.committed || entry.executed {
+		entry := r.at(r.lastExec + 1)
+		if entry == nil || !entry.committed || entry.executed {
 			return
 		}
 		r.lastExec++
@@ -1081,15 +1036,8 @@ func (r *Replica) executeBatch(seq uint64, entry *logEntry) {
 		r.commitObserver(seq, entry.digest)
 	}
 	// Execution settles the entry: any unauthenticated copies are
-	// superseded by the commit quorum. The map is empty outside
-	// MAC-corruption scenarios; skipping the per-request hashing there
-	// keeps clean execution off the map entirely.
-	entry.badIdx = nil
-	if len(r.pendingBad) > 0 {
-		for _, req := range entry.batch {
-			delete(r.pendingBad, req.Key())
-		}
-	}
+	// superseded by the commit quorum.
+	entry.bad = [2]uint64{}
 	for _, req := range entry.batch {
 		if req.IsNull() {
 			r.stats.NullsExecuted++
@@ -1139,36 +1087,33 @@ func (r *Replica) armRequestTimer(key RequestKey) {
 			r.singleTimer = r.eng.ScheduleSkewed(r.clock, r.cfg.ViewChangeTimeout, r.reqTimerFn)
 		}
 	case PerRequestTimer:
-		if t, ok := r.reqTimers[key]; !ok || !t.Active() {
-			r.reqTimers[key] = r.eng.ScheduleSkewed(r.clock, r.cfg.ViewChangeTimeout, r.reqTimerFn)
+		if t := r.reqTimers.add(key); !t.Active() {
+			*t = r.eng.ScheduleSkewed(r.clock, r.cfg.ViewChangeTimeout, r.reqTimerFn)
 		}
 	}
 }
 
 // onRequestExecuted updates timers when a request executes.
 func (r *Replica) onRequestExecuted(key RequestKey) {
-	if len(r.pendingForwarded) == 0 {
+	fw := r.pendingForwarded.find(key)
+	if fw == nil {
 		return
 	}
-	fw, wasPending := r.pendingForwarded[key]
-	if !wasPending {
-		return
-	}
-	delete(r.pendingForwarded, key)
 	r.mem.dropRequest(fw.req)
+	r.pendingForwarded.del(key)
 	switch r.cfg.TimerMode {
 	case SingleTimer:
 		// The bug: executing ANY directly-received request resets the
 		// single timer, granting the primary a fresh full period even
 		// though other forwarded requests still pend.
 		r.singleTimer.Stop()
-		if len(r.pendingForwarded) > 0 && !r.inViewChange {
+		if r.pendingForwarded.n > 0 && !r.inViewChange {
 			r.singleTimer = r.eng.ScheduleSkewed(r.clock, r.cfg.ViewChangeTimeout, r.reqTimerFn)
 		}
 	case PerRequestTimer:
-		if t, ok := r.reqTimers[key]; ok {
+		if t := r.reqTimers.find(key); t != nil {
 			t.Stop()
-			delete(r.reqTimers, key)
+			r.reqTimers.del(key)
 		}
 	}
 }
@@ -1183,11 +1128,10 @@ func (r *Replica) onRequestTimerFired() {
 
 func (r *Replica) stopAllRequestTimers() {
 	r.singleTimer.Stop()
-	//avdlint:allow timer teardown: Stop cancels by handle and the engine orders events by (at, seq), not cancellation order
-	for k, t := range r.reqTimers {
+	for k, t := r.reqTimers.next(RequestKey{}); t != nil; k, t = r.reqTimers.next(k) {
 		t.Stop()
-		delete(r.reqTimers, k)
 	}
+	r.reqTimers.reset()
 }
 
 // --- Checkpoints -----------------------------------------------------------
@@ -1210,14 +1154,22 @@ func (r *Replica) recordCheckpoint(cp *Checkpoint) {
 	if cp.SeqNo <= r.lowWater {
 		return
 	}
-	byReplica, ok := r.checkpoints[cp.SeqNo]
-	if !ok {
-		byReplica = r.newCkptSet()
-		r.checkpoints[cp.SeqNo] = byReplica
+	v := checkpointVote{seq: cp.SeqNo, digest: cp.Digest, replica: cp.Replica}
+	i, found := slices.BinarySearchFunc(r.checkpoints, v, func(a, b checkpointVote) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.replica, b.replica))
+	})
+	if found {
+		r.checkpoints[i] = v
+	} else {
+		r.checkpoints = slices.Insert(r.checkpoints, i, v)
 	}
-	byReplica.set(cp.Replica, cp.Digest)
 	// Count agreement on the digest this checkpoint proposes.
-	matching := byReplica.countMatching(cp.Digest)
+	matching := 0
+	for _, o := range r.checkpoints {
+		if o.seq == cp.SeqNo && o.digest == cp.Digest {
+			matching++
+		}
+	}
 	// f+1 matching checkpoints form a weak certificate: at least one is
 	// from a correct replica, which suffices to fetch state when we have
 	// fallen behind (PBFT's state transfer).
@@ -1238,21 +1190,18 @@ func (r *Replica) advanceWatermark(stable uint64) {
 	if stable <= r.lowWater {
 		return
 	}
+	k := int(min(stable-r.lowWater, uint64(len(r.log))))
+	for i := range r.log[:k] {
+		r.log[i].drop(r.mem)
+	}
+	r.log = shift(r.log, k)
+	r.votes = shift(r.votes, 2*r.cfg.N*k)
 	r.lowWater = stable
-	//avdlint:allow watermark GC: freed entries are fully reset on reuse, so drain order is not observable
-	for seq, e := range r.log {
-		if seq <= stable {
-			r.freeEntry(e)
-			delete(r.log, seq)
-		}
+	k = 0
+	for k < len(r.checkpoints) && r.checkpoints[k].seq < stable {
+		k++
 	}
-	//avdlint:allow watermark GC: freed vote sets are fully reset on reuse, so drain order is not observable
-	for seq, cs := range r.checkpoints {
-		if seq < stable {
-			r.freeCkptSet(cs)
-			delete(r.checkpoints, seq)
-		}
-	}
+	r.checkpoints = shift(r.checkpoints, k)
 	if r.seqCounter < stable {
 		r.seqCounter = stable
 	}

@@ -6,44 +6,23 @@ import (
 	"slices"
 )
 
-// vcSet is the view changes a replica holds for one target view: a
-// presence bitmask over replica ids plus one slot per replica, as voteSet
-// is for votes. Replica ids are < 64 (Config.Validate).
-type vcSet struct {
-	mask uint64
-	by   []*ViewChange // indexed by replica id, len N
+// compareViewChanges orders view changes by target view, then sender.
+func compareViewChanges(a, b *ViewChange) int {
+	return cmp.Or(cmp.Compare(a.NewView, b.NewView), cmp.Compare(a.Replica, b.Replica))
 }
 
-func (s *vcSet) add(vc *ViewChange) {
-	s.mask |= 1 << uint(vc.Replica)
-	s.by[vc.Replica] = vc
-}
-
-// newVCSet hands out an empty view-change set from the pool.
-func (r *Replica) newVCSet() *vcSet {
-	if n := len(r.vcFree); n > 0 {
-		s := r.vcFree[n-1]
-		r.vcFree = r.vcFree[:n-1]
-		return s
+// viewChangesFor returns the view changes held for view target, in
+// replica-id order.
+func (r *Replica) viewChangesFor(target uint64) []*ViewChange {
+	lo := 0
+	for lo < len(r.viewChanges) && r.viewChanges[lo].NewView < target {
+		lo++
 	}
-	return &vcSet{by: make([]*ViewChange, r.cfg.N)}
-}
-
-// freeVCSet empties s, so that the pool points at no message, and pools
-// it.
-func (r *Replica) freeVCSet(s *vcSet) {
-	s.mask = 0
-	clear(s.by)
-	r.vcFree = append(r.vcFree, s)
-}
-
-// dropViewChanges discards every view-change set.
-func (r *Replica) dropViewChanges() {
-	//avdlint:allow drain: pooled view-change sets are fully reset on reuse, so drain order is not observable
-	for _, set := range r.viewChanges {
-		r.freeVCSet(set)
+	hi := lo
+	for hi < len(r.viewChanges) && r.viewChanges[hi].NewView == target {
+		hi++
 	}
-	clear(r.viewChanges)
+	return r.viewChanges[lo:hi]
 }
 
 // startViewChange abandons the current view and campaigns for target.
@@ -62,9 +41,8 @@ func (r *Replica) startViewChange(target uint64) {
 	// walk crashes. This is the "view change and crash" the paper
 	// reports for MAC-corruption attacks.
 	if r.crashOnBadReproposal {
-		//avdlint:allow crash fires iff any log entry is poisoned; the verdict and message are order-independent
-		for _, e := range r.log {
-			if !e.executed && e.poisoned() {
+		for i := range r.log {
+			if e := &r.log[i]; !e.executed && e.poisoned() {
 				r.crash("view-change assembly dereferenced an unauthenticated batch")
 				return
 			}
@@ -99,50 +77,47 @@ func (r *Replica) startViewChange(target uint64) {
 
 // preparedProofs collects certificates for batches prepared above the low
 // watermark, in sequence order. The proofs, their prepares and the
-// prepares' pointer slices are three windows carved in one go, so the
-// chunks they lease do not depend on map order. A proof holds its
-// pre-prepare for good: nothing counts the view change that carries it,
-// and the new view's re-proposals share the pre-prepare's batch.
+// prepares' pointer slices are three windows carved in one go. A proof
+// holds its pre-prepare for good: nothing counts the view change that
+// carries it, and the new view's re-proposals share the pre-prepare's
+// batch.
 func (r *Replica) preparedProofs() []PreparedProof {
-	seqs, votes := r.seqs[:0], 0
-	//avdlint:allow collection only: the sequence numbers are sorted before use and the vote total is a sum
-	for seq, e := range r.log {
-		if seq <= r.lowWater || !e.prepared {
-			continue
+	n, votes := 0, 0
+	for i := range r.log {
+		if e := &r.log[i]; e.prepared {
+			n++
+			votes += bits.OnesCount64(r.certificate(r.lowWater + 1 + uint64(i)))
 		}
-		seqs = append(seqs, seq)
-		votes += bits.OnesCount64(r.certificate(e))
 	}
-	slices.Sort(seqs)
-	r.seqs = seqs
-	proofs := r.mem.proofs.Get(len(seqs))
+	proofs := r.mem.proofs.Get(n)
 	prepares := r.mem.proofVotes.Get(votes)
 	ptrs := r.mem.proofPtrs.Get(votes)
-	next := 0
-	for i, seq := range seqs {
-		e := r.log[seq]
-		first := next
-		for m := r.certificate(e); m != 0; m &= m - 1 {
-			p := &prepares[next]
-			*p = Prepare{View: e.view, SeqNo: seq, Digest: e.digest, Replica: bits.TrailingZeros64(m)}
-			ptrs[next] = p
+	next, p := 0, 0
+	for i := range r.log {
+		e := &r.log[i]
+		if !e.prepared {
+			continue
+		}
+		seq, first := r.lowWater+1+uint64(i), next
+		for m := r.certificate(seq); m != 0; m &= m - 1 {
+			v := &prepares[next]
+			*v = Prepare{View: e.view, SeqNo: seq, Digest: e.digest, Replica: bits.TrailingZeros64(m)}
+			ptrs[next] = v
 			next++
 		}
 		r.mem.holdPrePrepare(e.prePrepare)
-		proofs[i] = PreparedProof{PrePrepare: e.prePrepare, Prepares: ptrs[first:next:next]}
+		proofs[p] = PreparedProof{PrePrepare: e.prePrepare, Prepares: ptrs[first:next:next]}
+		p++
 	}
 	return proofs
 }
 
-// certificate is the replicas whose prepares for e a proof carries: those
-// matching e's digest, less this replica's own when it proposed e.
-func (r *Replica) certificate(e *logEntry) uint64 {
-	m := uint64(0)
-	for v := e.prepares.mask; v != 0; v &= v - 1 {
-		if rep := bits.TrailingZeros64(v); e.prepares.digests[rep] == e.digest {
-			m |= 1 << uint(rep)
-		}
-	}
+// certificate is the replicas whose prepares for the entry of seq a proof
+// carries: those matching its digest, less this replica's own when it
+// proposed the entry.
+func (r *Replica) certificate(seq uint64) uint64 {
+	e := r.at(seq)
+	m := r.matching(seq, false, e.digest)
 	if r.cfg.PrimaryOf(e.view) == r.id {
 		m &^= 1 << uint(r.id)
 	}
@@ -167,13 +142,15 @@ func (r *Replica) onViewChange(vc *ViewChange) {
 	r.maybeAssembleNewView(vc.NewView)
 }
 
+// recordViewChange keeps vc, replacing its sender's earlier one for the
+// same view.
 func (r *Replica) recordViewChange(vc *ViewChange) {
-	set, ok := r.viewChanges[vc.NewView]
-	if !ok {
-		set = r.newVCSet()
-		r.viewChanges[vc.NewView] = set
+	i, found := slices.BinarySearchFunc(r.viewChanges, vc, compareViewChanges)
+	if found {
+		r.viewChanges[i] = vc
+		return
 	}
-	set.add(vc)
+	r.viewChanges = slices.Insert(r.viewChanges, i, vc)
 }
 
 // maybeJoinViewChange applies PBFT's f+1 join rule: join the smallest view
@@ -187,15 +164,14 @@ func (r *Replica) maybeJoinViewChange() {
 		current = r.pendingView
 	}
 	var smallest, campaigners uint64
-	//avdlint:allow a minimum and a union: both order-independent
-	for v, set := range r.viewChanges {
-		if v <= current {
+	for _, vc := range r.viewChanges {
+		if vc.NewView <= current {
 			continue
 		}
-		if smallest == 0 || v < smallest {
-			smallest = v
+		if smallest == 0 {
+			smallest = vc.NewView
 		}
-		campaigners |= set.mask
+		campaigners |= 1 << uint(vc.Replica)
 	}
 	if bits.OnesCount64(campaigners) >= r.cfg.F+1 {
 		r.startViewChange(smallest)
@@ -208,77 +184,81 @@ func (r *Replica) maybeAssembleNewView(target uint64) {
 	if r.crashed || r.cfg.PrimaryOf(target) != r.id || target <= r.view {
 		return
 	}
-	set := r.viewChanges[target]
-	if set == nil || bits.OnesCount64(set.mask) < r.cfg.Quorum() {
+	held := r.viewChangesFor(target)
+	if len(held) < r.cfg.Quorum() {
 		return
 	}
-	if set.mask&(1<<uint(r.id)) == 0 {
+	own := false
+	for _, vc := range held {
+		own = own || vc.Replica == r.id
+	}
+	if !own {
 		return // must include our own view change
 	}
-	minS, reproposals := r.computeNewViewSets(set)
-	vcs := r.mem.vcPtrs.Get(bits.OnesCount64(set.mask))
-	for i, m := 0, set.mask; m != 0; i, m = i+1, m&(m-1) {
-		vcs[i] = set.by[bits.TrailingZeros64(m)]
-	}
+	minS, reproposals := r.computeNewViewSets(held)
+	vcs := r.mem.vcPtrs.Get(len(held))
+	copy(vcs, held)
 	nv := r.mem.newViews.Get()
 	*nv = NewView{View: target, ViewChanges: vcs, PrePrepares: reproposals, Auth: r.auth()}
 	r.net.Broadcast(r.Addr(), r.replicaAddrs(), nv)
 	r.installNewView(target, minS, reproposals)
 }
 
-// computeNewViewSets derives min-s and the re-proposal set O: for every
-// sequence number between the highest stable checkpoint and the highest
-// prepared batch across the quorum, re-propose the prepared batch (from
-// the highest view) or fill the gap with a null request.
-func (r *Replica) computeNewViewSets(set *vcSet) (uint64, []*PrePrepare) {
+// computeNewViewSets derives min-s and the re-proposal set O from the view
+// changes of a quorum, given in replica-id order: for every sequence
+// number between the highest stable checkpoint and the highest prepared
+// batch across the quorum, re-propose the prepared batch (from the
+// highest view) or fill the gap with a null request.
+func (r *Replica) computeNewViewSets(held []*ViewChange) (uint64, []*PrePrepare) {
 	var minS, maxS uint64
-	best := r.best // seq -> highest-view prepared pre-prepare
-	// Iterate in replica-id order. With a Byzantine primary equivocating
-	// inside a view, a quorum can hold two prepared proofs for the same
-	// (seq, view) with different digests; the strict View comparison below
-	// then keeps whichever proof the iteration saw first, so any other
-	// order would decide which batch the new view re-proposes — cold and
-	// forked runs of the same scenario could install different histories.
-	for m := set.mask; m != 0; m &= m - 1 {
-		vc := set.by[bits.TrailingZeros64(m)]
-		if vc.LastStable > minS {
-			minS = vc.LastStable
-		}
+	for _, vc := range held {
+		minS = max(minS, vc.LastStable)
 		for _, proof := range vc.Prepared {
-			pp := proof.PrePrepare
-			if pp == nil {
-				continue
-			}
-			if pp.SeqNo > maxS {
-				maxS = pp.SeqNo
-			}
-			if cur, ok := best[pp.SeqNo]; !ok || pp.View > cur.View {
-				best[pp.SeqNo] = pp
+			if pp := proof.PrePrepare; pp != nil {
+				maxS = max(maxS, pp.SeqNo)
 			}
 		}
 	}
-	if maxS < minS {
-		maxS = minS
-	}
+	maxS = max(maxS, minS)
 	n := int(maxS - minS)
 	pps, out := r.mem.reproposals.Get(n), r.mem.ppPtrs.Get(n)
-	for i := range out {
-		seq := minS + 1 + uint64(i)
+	for i := range pps {
+		pps[i] = PrePrepare{SeqNo: minS + 1 + uint64(i)}
+	}
+	// Pick the highest-view proof per sequence number, parking its view in
+	// the re-proposal until the gaps are filled. With a Byzantine primary
+	// equivocating inside a view, a quorum can hold two prepared proofs
+	// for the same (seq, view) with different digests; the strict View
+	// comparison keeps the first in replica-id order, so cold and forked
+	// runs of the same scenario install the same history.
+	for _, vc := range held {
+		for _, proof := range vc.Prepared {
+			pp := proof.PrePrepare
+			if pp == nil || pp.SeqNo <= minS {
+				continue
+			}
+			if cur := &pps[pp.SeqNo-minS-1]; cur.Batch == nil || pp.View > cur.View {
+				cur.View, cur.Batch, cur.Digest = pp.View, pp.Batch, pp.Digest
+			}
+		}
+	}
+	for i := range pps {
 		// View is rewritten by installNewView / onNewView.
 		pp := &pps[i]
-		if prepared, ok := best[seq]; ok {
-			*pp = PrePrepare{SeqNo: seq, Batch: prepared.Batch, Digest: prepared.Digest}
-		} else {
-			batch := r.mem.nullBatch
-			*pp = PrePrepare{SeqNo: seq, Batch: batch, Digest: BatchDigest(batch)}
+		pp.View = 0
+		if pp.Batch == nil {
+			pp.Batch = r.mem.nullBatch
+			pp.Digest = BatchDigest(pp.Batch)
 		}
 		out[i] = pp
 	}
-	clear(best)
 	return minS, out
 }
 
 // installNewView switches the new primary itself into the target view.
+// A re-proposal at or below the low watermark, which this replica's own
+// checkpoints moved past the quorum's, is verified and sent but logs
+// nothing.
 func (r *Replica) installNewView(target, minS uint64, reproposals []*PrePrepare) {
 	r.enterView(target)
 	if minS > r.lowWater {
@@ -293,8 +273,8 @@ func (r *Replica) installNewView(target, minS uint64, reproposals []*PrePrepare)
 		if pp.SeqNo > r.seqCounter {
 			r.seqCounter = pp.SeqNo
 		}
-		entry := r.getEntry(pp.SeqNo)
-		if entry.executed {
+		logged := pp.SeqNo > r.lowWater
+		if logged && r.entry(pp.SeqNo).executed {
 			continue
 		}
 		// Modeled defect, primary side: re-proposing a batch whose client
@@ -302,9 +282,11 @@ func (r *Replica) installNewView(target, minS uint64, reproposals []*PrePrepare)
 		if !r.reproposalVerifies(pp) {
 			return
 		}
-		r.setPrePrepare(entry, target, pp)
+		if logged {
+			r.setPrePrepare(r.entry(pp.SeqNo), target, pp)
+		}
 		r.net.Broadcast(r.Addr(), r.replicaAddrs(), pp)
-		r.checkPrepared(pp.SeqNo, entry)
+		r.checkPrepared(pp.SeqNo)
 	}
 }
 
@@ -318,7 +300,7 @@ func (r *Replica) reproposalVerifies(pp *PrePrepare) bool {
 		if r.verifyClientMAC(req) {
 			continue
 		}
-		if fw, ok := r.pendingForwarded[req.Key()]; ok && fw.verified {
+		if fw := r.pendingForwarded.find(req.Key()); fw != nil && fw.verified {
 			continue
 		}
 		if r.crashOnBadReproposal {
@@ -353,17 +335,16 @@ func (r *Replica) onNewView(from int, nv *NewView) {
 	}
 	for _, pp := range nv.PrePrepares {
 		pp.View = nv.View
-		entry := r.getEntry(pp.SeqNo)
-		if entry.executed || pp.SeqNo <= r.lowWater {
+		if pp.SeqNo <= r.lowWater || r.entry(pp.SeqNo).executed {
 			continue
 		}
 		if !r.reproposalVerifies(pp) {
 			return
 		}
-		r.setPrePrepare(entry, nv.View, pp)
-		entry.prepares.set(r.id, pp.Digest)
+		r.setPrePrepare(r.entry(pp.SeqNo), nv.View, pp)
+		r.vote(pp.SeqNo, false, r.id, pp.Digest)
 		r.sendPrepare(nv.View, pp.SeqNo, pp.Digest)
-		r.checkPrepared(pp.SeqNo, entry)
+		r.checkPrepared(pp.SeqNo)
 	}
 }
 
@@ -379,60 +360,35 @@ func (r *Replica) enterView(target uint64) {
 		r.viewObserver(r.id, target)
 	}
 	// Discard obsolete view-change state.
-	//avdlint:allow discard: pooled view-change sets are fully reset on reuse, so drain order is not observable
-	for v, set := range r.viewChanges {
-		if v <= target {
-			r.freeVCSet(set)
-			delete(r.viewChanges, v)
-		}
+	k := 0
+	for k < len(r.viewChanges) && r.viewChanges[k].NewView <= target {
+		k++
 	}
+	r.viewChanges = shift(r.viewChanges, k)
 	// Drop un-executed agreement state from prior views; the new-view
 	// re-proposals are authoritative. Entries from this view (just
-	// installed by the primary path) stay. Free in sorted sequence order:
-	// the entry pool recycles LIFO, so the order entries are freed decides
-	// which backing objects later allocations receive, and replayed forks
-	// must hand them out identically.
-	drop := r.seqs[:0]
-	for seq, e := range r.log {
-		if e.executed || e.view >= target {
-			continue
+	// installed by the primary path) stay.
+	for i := range r.log {
+		if e := &r.log[i]; !e.executed && e.view < target {
+			e.drop(r.mem)
 		}
-		drop = append(drop, seq)
 	}
-	slices.Sort(drop)
-	r.seqs = drop
-	for _, seq := range drop {
-		r.freeEntry(r.log[seq])
-		delete(r.log, seq)
-	}
-	// Poisoned-slot bookkeeping refers to entries we just dropped; the
-	// new view's re-proposals rebuild it.
-	clear(r.pendingBad)
 	// Re-forward pending direct requests to the new primary and re-arm
-	// their timers (PBFT restarts the request timers in the new view).
-	// Iterate in sorted key order: admission and send order decide batch
-	// composition and network scheduling, and map order would make runs
-	// diverge.
+	// their timers (PBFT restarts the request timers in the new view), in
+	// key order: admission and send order decide batch composition and
+	// network scheduling.
 	primary := r.cfg.PrimaryOf(target)
-	keys := r.keys[:0]
-	for key := range r.pendingForwarded {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b RequestKey) int {
-		return cmp.Or(cmp.Compare(a.Client, b.Client), cmp.Compare(a.Seq, b.Seq))
-	})
-	r.keys = keys
-	for _, key := range keys {
-		fw := r.pendingForwarded[key]
-		if last := r.lastReplyFor(fw.req.Client); last != nil && last.Seq >= fw.req.Seq {
-			delete(r.pendingForwarded, key)
-			r.mem.dropRequest(fw.req)
+	for key, fw := r.pendingForwarded.next(RequestKey{}); fw != nil; key, fw = r.pendingForwarded.next(key) {
+		req := fw.req
+		if last := r.lastReplyFor(req.Client); last != nil && last.Seq >= req.Seq {
+			r.pendingForwarded.del(key)
+			r.mem.dropRequest(req)
 			continue
 		}
 		if primary == r.id {
-			r.primaryAdmit(fw.req)
+			r.primaryAdmit(req)
 		} else {
-			r.forward(fw.req, primary)
+			r.forward(req, primary)
 			r.armRequestTimer(key)
 		}
 	}

@@ -10,8 +10,8 @@ import "testing"
 // keeps whichever proof iteration saw first, so before the replica-order
 // fix the re-proposal set — and therefore the history the new view
 // installs — depended on Go's randomized map order (the view changes of
-// one view were a map by replica then; they are a set iterated in
-// replica order now, and the order they arrive in must not matter).
+// one view were a map by replica then; they are kept sorted by replica
+// now, and the order they arrive in must not matter).
 func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 	tb := newTestbed(t, testbedOpts{})
 	r := tb.replicas[0]
@@ -21,7 +21,7 @@ func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 		digestA = uint64(0xAAAA) // prepared at replica 1
 		digestB = uint64(0xBBBB) // prepared at replica 2, same seq and view
 	)
-	build := func(round int) *vcSet {
+	build := func(round int) []*ViewChange {
 		mkVC := func(rep int, digest uint64) *ViewChange {
 			return &ViewChange{
 				NewView: 1,
@@ -33,11 +33,11 @@ func TestComputeNewViewSetsDeterministicUnderEquivocation(t *testing.T) {
 			}
 		}
 		vcs := []*ViewChange{{NewView: 1, Replica: 0}, mkVC(1, digestA), mkVC(2, digestB)}
-		set := &vcSet{by: make([]*ViewChange, r.cfg.N)}
+		r.viewChanges = nil
 		for i := range vcs {
-			set.add(vcs[(i+round)%len(vcs)])
+			r.recordViewChange(vcs[(i+round)%len(vcs)])
 		}
-		return set
+		return r.viewChangesFor(1)
 	}
 
 	minS, first := r.computeNewViewSets(build(0))

@@ -198,7 +198,8 @@ func BenchmarkSnapshotOracleObserve(b *testing.B) {
 	}
 }
 
-// TestOracleObserveAllocFree is the hard assert behind the benchmark.
+// TestOracleObserveAllocFree is the hard assert behind the benchmark
+// (logged, not asserted, under -race).
 func TestOracleObserveAllocFree(t *testing.T) {
 	model := oracle.New(new(slab.Pool), "pbft")
 	for seq := uint64(1); seq <= 1024; seq++ {
@@ -213,7 +214,8 @@ func TestOracleObserveAllocFree(t *testing.T) {
 		model.Observe(oracle.Event{Kind: oracle.EventCommit, Node: int(seq) % 4, Seq: seq, Digest: seq})
 		model.Observe(oracle.Event{Kind: oracle.EventLeader, Node: int(seq % 256 % 4), Term: seq % 256})
 	})
-	if allocs != 0 {
+	t.Logf("steady-state oracle Observe allocates %.1f objects per event", allocs)
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("steady-state oracle Observe allocates %.1f objects per event, want 0", allocs)
 	}
 
@@ -232,7 +234,9 @@ func TestOracleObserveAllocFree(t *testing.T) {
 		model.Park()
 	}
 	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+	allocs = testing.AllocsPerRun(10, run)
+	t.Logf("a steady-state Restore, observe, Park cycle allocates %.1f objects", allocs)
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("a steady-state Restore, observe, Park cycle allocates %.1f objects, want 0", allocs)
 	}
 }
