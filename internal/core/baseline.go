@@ -15,19 +15,29 @@ type BaselineCache struct {
 	cells sync.Map // int64 -> *baselineCell
 }
 
-// baselineCell measures one key's baseline exactly once.
+// baselineCell holds one key's baseline once a measurement of it has
+// returned.
 type baselineCell struct {
-	once sync.Once
+	mu   sync.Mutex
+	done bool
 	val  float64
 }
 
 // Get returns the baseline for key, measuring it with measure on first
 // use. Concurrent callers for the same key share one measurement;
-// different keys measure in parallel.
+// different keys measure in parallel. A measurement that panics is not
+// memoized: the panic goes to the caller, and the next Get of the key
+// measures again, so every test that needs that baseline reports the
+// panic instead of scoring against a baseline of 0.
 func (c *BaselineCache) Get(key int64, measure func(key int64) float64) float64 {
 	v, _ := c.cells.LoadOrStore(key, &baselineCell{})
 	cell := v.(*baselineCell)
-	cell.once.Do(func() { cell.val = measure(key) })
+	cell.mu.Lock()
+	defer cell.mu.Unlock()
+	if !cell.done {
+		cell.val = measure(key)
+		cell.done = true
+	}
 	return cell.val
 }
 

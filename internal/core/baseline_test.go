@@ -69,3 +69,32 @@ func TestBaselineCacheWarm(t *testing.T) {
 		t.Fatalf("post-warm Gets re-measured: %d calls", n)
 	}
 }
+
+// TestBaselineCachePanicNotMemoized: a measurement that panics leaves no
+// baseline behind. The panic reaches the caller, and the next Get of the
+// key measures again instead of returning 0.
+func TestBaselineCachePanicNotMemoized(t *testing.T) {
+	var cache BaselineCache
+	calls := 0
+	measure := func(key int64) float64 {
+		calls++
+		if calls == 1 {
+			panic("the master's build failed")
+		}
+		return float64(key)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the measurement's panic did not reach the caller")
+			}
+		}()
+		cache.Get(7, measure)
+	}()
+	if got := cache.Get(7, measure); got != 7 || calls != 2 {
+		t.Fatalf("Get after a panicked measurement returned %v after %d calls, want 7 after 2", got, calls)
+	}
+	if got := cache.Get(7, measure); got != 7 || calls != 2 {
+		t.Fatalf("the successful measurement was not memoized: %v after %d calls", got, calls)
+	}
+}

@@ -317,8 +317,9 @@ func (e *Engine) drive(ctx context.Context) ([]Result, error) {
 				go func(sc scenario.Scenario) {
 					defer prepWG.Done()
 					// A panicking prefetch must not take the process
-					// down: the run that needs the master hits the same
-					// panic under safeRun and records it.
+					// down: the run that needs the master or the baseline
+					// hits the same panic under safeRun and records it (a
+					// baseline that panicked is not memoized).
 					defer func() { _ = recover() }()
 					preparer.Prepare(sc)
 				}(sc)

@@ -256,10 +256,11 @@ func (h *Harness[K, D, R]) Baseline(clients int64) float64 {
 // arms nothing: faults arm at measurement start, so the warmed capture is
 // already fault-neutral. Attack runs of that population share the master;
 // when none has run, the baseline builds it, and its whole cost is the
-// baseline phase's. On pbft-fig2 three of the 37 masters exist only for a
-// baseline (34 attack populations over 22 correct counts), and the
-// benchmark's harness.masters_built, which counts attack populations, does
-// not see them. Only the throughput is kept, so the window runs with the
+// baseline phase's. On pbft-fig2 (seed 1) six of the 28 masters exist
+// only for a baseline (22 attack populations over 16 correct counts;
+// campaign.TestFig2PoolHighWater pins the 28), and the benchmark's
+// harness.masters_built, which counts attack populations, does not see
+// them. Only the throughput is kept, so the window runs with the
 // oracle off (oracle.Off); Execute's unarmed runs keep their verdicts.
 func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	start := metrics.StartWatch()

@@ -8,6 +8,7 @@ package core_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,6 +167,41 @@ func TestHarnessBaselineWindow(t *testing.T) {
 	forkRes, forkRep := budgeted.Execute(sc, false)
 	if !reflect.DeepEqual(firstRes, forkRes) || !reflect.DeepEqual(firstRep, forkRep) {
 		t.Errorf("unarmed run on a fresh target differs from an unarmed fork:\nfresh: %+v %+v\nfork:  %+v %+v", firstRes, firstRep, forkRes, forkRep)
+	}
+}
+
+// TestHarnessBaselinePanicReachesEveryTest: when the population a
+// baseline forks fails to build, every test of that client count carries
+// the panic in Result.Error. None scores against a baseline of 0 as if
+// nothing had gone wrong.
+func TestHarnessBaselinePanicReachesEveryTest(t *testing.T) {
+	target := &regTarget{}
+	spec := regSpec()
+	spec.Name, spec.Plugins, spec.ClientsDim = "register", []core.Plugin{regClients, regLag}, dimRegClients
+	// The lag is structural here, so a baseline forks a master of its own:
+	// the population that sets the client count alone, lag 0.
+	spec.Key = func(sc scenario.Scenario) int64 { return regKey(sc) + 1000*sc.GetOr(dimRegLagMS, 0) }
+	spec.Build = func(key int64) *regDeployment {
+		if key < 1000 {
+			panic("the baseline population does not build")
+		}
+		return target.newDeployment(key % 1000)
+	}
+	target.Harness = core.NewHarness[int64, *regDeployment, regReport](spec)
+	scs := []scenario.Scenario{regScenario(t, 4, 1), regScenario(t, 4, 2), regScenario(t, 4, 1), regScenario(t, 6, 3)}
+	eng, err := core.NewEngine(target, core.WithExplorer(core.NewListExplorer(scs)), core.WithBudget(len(scs)), core.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.RunAll(t.Context())
+	if err != nil || len(results) != len(scs) {
+		t.Fatalf("the campaign ran %d of %d tests: %v", len(results), len(scs), err)
+	}
+	for i, res := range results {
+		if !strings.Contains(res.Error, "the baseline population does not build") {
+			t.Errorf("test %d (%s) does not report the baseline's panic: impact %v, baseline %v, error %q",
+				i, res.Scenario.Key(), res.Impact, res.BaselineThroughput, res.Error)
+		}
 	}
 }
 

@@ -26,9 +26,10 @@ type Rig struct {
 	// rewinds with the capture, so forked verdicts and digests equal cold
 	// ones.
 	Oracle *oracle.Model
-	// Mem is the message arena the deployment carves from: Capture adopts
-	// the warm-up prefix, park hands the window's chunks back to the pool
-	// (DESIGN.md §20), and the pool lends the latency tail for one window.
+	// Mem is the message arena the deployment carves from: the warm-up's
+	// objects are heap objects, park hands the window's chunks back to the
+	// pool (DESIGN.md §20), and the pool lends the latency tail for one
+	// window.
 	Mem *slab.Arena
 
 	name  string // prefixes the error of a hung test

@@ -8,8 +8,8 @@ import "avd/internal/slab"
 // allocate one heap object per reply per replica, which made the
 // allocator and the garbage collector the top sites of a campaign
 // profile; and one arena for the whole deployment, rather than a set of
-// slabs per replica and per client, keeps the partly filled chunks a warm
-// master retains to one per message type instead of two per client.
+// slabs per replica and per client, keeps the chunks a window leases to
+// at least one per message type instead of two per client.
 //
 // Messages several holders share carry a slab.Holders count, and the
 // holder that drops the last count puts the message back (DESIGN.md §12):

@@ -354,6 +354,8 @@ func TestTruncationCopiesOncePerEpoch(t *testing.T) {
 	t.Run("never led", func(t *testing.T) {
 		n := newTappedLeader(t).lead
 		usurp(n, 0, 100) // deposed before it sent a single entry
+		// The strikes are a window: their replies carve from leased chunks.
+		n.mem.mem.Capture()
 		strike := storm(n)
 		for i := 0; i < 4; i++ {
 			strike() // warm the engine's and the arena's free lists

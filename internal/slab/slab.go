@@ -9,29 +9,24 @@
 // Holders count; the holder that drops the last count hands it back
 // through Slab.Put, and it is the next one Get hands out.
 //
-// Ownership is split at the capture mark. Chunks a deployment filled
-// before Arena.Capture hold objects its snapshot may still point to: they
-// leave the pool for good, and the slab forgets all but the one it is
-// still carving, so the garbage collector keeps exactly those whose
-// objects the snapshot references. Chunks above the mark are leased from
-// a Pool shared by every deployment of a harness Runner and go back to it
-// on Arena.Rewind, so a parked master retains only the live part of its
-// warm-up and all masters of a worker carve their windows out of the
-// same, cache-warm memory.
+// Only windows carve. Until its arena's first Capture a slab hands out
+// heap objects, so the warm-up belongs to the garbage collector and a
+// parked master keeps exactly what its snapshot references. From the
+// capture on, a slab carves from chunks leased from a Pool shared by every
+// deployment of a harness Runner, and Arena.Rewind hands all of them
+// back, so all masters of a worker carve their windows out of the same,
+// cache-warm memory.
 //
 // Objects are handed out dirty. Every call site fully initializes what it
 // gets, which is also what makes the pool determinism-neutral: no object
 // can observe which chunk backs it or who used that chunk before. What a
 // rewind takes back points at nothing, though: the rewind zeroes every
-// object carved after the mark, in the chunks it returns and in the tail
-// of the chunk it keeps, or a window's objects would keep what they
-// pointed at — a Raft window's logs — alive for as long as the pool or the
-// parked master lives.
+// object the window carved, or those would keep what they pointed at — a
+// Raft window's logs — alive for as long as the pool lives.
 package slab
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -39,8 +34,8 @@ import (
 
 // chunkBytes sizes every pooled chunk: large enough that the pool lock
 // (taken once per chunk) is invisible next to the ~500 objects carved
-// from it, small enough that the partly filled chunk each slab keeps
-// below its capture mark is noise against a master's other state.
+// from it, small enough that the one chunk a window leases for each slab
+// it carves from is noise against a deployment's other state.
 const chunkBytes = 32 << 10
 
 // WindowCeiling bounds the bytes one Arena may lease between two rewinds.
@@ -56,16 +51,6 @@ const chunkBytes = 32 << 10
 // past it is stopped through the Arena's stop callback and costs one hung
 // test, not the process.
 const WindowCeiling = 128 << 20
-
-// collectEvery is how many bytes of warm-up chunks a pool's arenas may
-// forget (Arena.Capture) before the pool runs a garbage collection. Those
-// chunks are over half of what a campaign allocates, and its steady state
-// allocates next to nothing, so the collector's last cycle falls inside
-// the phase that builds the masters — where exactly is thread timing, and
-// it decided how much dead warm-up memory the process kept to its end
-// (163-192 MB peaks for one campaign). Collecting at points that depend
-// only on the work done pins the heap's high-water mark (DESIGN.md §20).
-const collectEvery = 32 << 20
 
 // poison makes the pool overwrite every chunk it takes back (tests only,
 // see SetPoison).
@@ -83,14 +68,13 @@ func SetPoison(on bool) { poison.Store(on) }
 type Pool struct {
 	mu     sync.Mutex
 	lists  map[any]any // chunkKey[T]{} or scratchKey[T]{} -> *freeList[T]
-	leased int         // chunks out on lease (handed out, not yet returned or adopted)
+	leased int         // chunks out on lease (handed out, not yet returned)
 	held   int         // chunks the pool is responsible for: leased plus free
 	high   int         // the largest held has been
-	forgot int         // bytes captures forgot since the last collection (see collectEvery)
 }
 
 // Leased reports how many chunks are currently out on lease: handed to a
-// slab and neither returned by a rewind nor adopted by a capture.
+// slab and not yet returned by a rewind.
 func (p *Pool) Leased() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -134,28 +118,25 @@ func listFor[T any](p *Pool, key any) *freeList[T] {
 }
 
 // Arena is one deployment's account with a Pool: the slabs created from
-// it capture and rewind together, and the bytes they lease between two
-// rewinds count against WindowCeiling. An Arena belongs to one simulation
-// goroutine at a time.
+// it capture and rewind together, and the bytes they hand out between two
+// rewinds, heap objects of the warm-up included, count against
+// WindowCeiling. An Arena belongs to one simulation goroutine at a time.
 type Arena struct {
-	pool  *Pool
-	stop  func()
-	slabs []rewinder
-	marks []Mark
-	owned int // chunks still held right after the last Capture
-	// epoch tells the objects a window carved from those the last Capture
-	// kept (see Holders): it starts at 1, so a zero Holders never matches,
-	// and every Capture moves it on.
+	pool     *Pool
+	stop     func()
+	slabs    []rewinder
+	captured bool // slabs carve from leased chunks, not the heap
+	// epoch tells the objects a window carved from the warm-up's (see
+	// Holders): it starts at 1, so a zero Holders never matches, and every
+	// Capture moves it on.
 	epoch uint16
 
-	window   int // bytes leased since the last Capture or Rewind
+	window   int // bytes handed out since the last Capture or Rewind
 	overflow bool
 }
 
 type rewinder interface {
-	Mark() Mark
-	Rewind(Mark)
-	adopt() (adopted, forgot int)
+	rewind()
 	held() int
 }
 
@@ -171,37 +152,19 @@ func NewArena(pool *Pool, stop func()) *Arena {
 	return &Arena{pool: pool, stop: stop, epoch: 1}
 }
 
-// Capture fixes the rewind point of every slab at its current position
-// and adopts the chunks below it: they leave the pool's lease count, and
-// each slab keeps only the chunk it is still carving — whatever the
-// snapshot references in the others stays alive through those references
-// alone, and the rest is the collector's: every collectEvery bytes the
-// pool's arenas forget, the capture that crosses the line collects.
+// Capture ends the warm-up: from now on the slabs carve from leased
+// chunks, all of which Rewind hands back. The warm-up's objects are heap
+// objects, alive while the snapshot references them; Capture empties the
+// slabs' free lists, which would keep the others alive too, and moves the
+// epoch on (see Holders). A capture must come before any window or right
+// after a Rewind: it panics while a slab holds chunks, whose objects the
+// snapshot could reference and the next rewind would hand out again.
 func (a *Arena) Capture() {
-	a.marks = a.marks[:0]
-	a.owned = 0
-	adopted, forgot := 0, 0
-	for _, s := range a.slabs {
-		n, bytes := s.adopt()
-		adopted += n
-		forgot += bytes
-		a.marks = append(a.marks, s.Mark())
-		a.owned += s.held()
+	if a.Held() > 0 {
+		panic("slab: Capture with window chunks outstanding")
 	}
-	p := a.pool
-	p.mu.Lock()
-	p.leased -= adopted
-	p.held -= adopted
-	p.forgot += forgot
-	collect := p.forgot >= collectEvery
-	if collect {
-		p.forgot = 0
-	}
-	p.mu.Unlock()
-	if collect {
-		runtime.GC()
-	}
-	a.window, a.overflow = 0, false
+	a.Rewind()
+	a.captured = true
 	a.epoch++
 	if a.epoch == poisonEpoch {
 		a.epoch++
@@ -211,16 +174,12 @@ func (a *Arena) Capture() {
 	}
 }
 
-// Rewind rolls every slab back to its captured mark (to empty when the
-// arena was never captured) and hands the chunks above the marks back to
-// the pool.
+// Rewind hands every chunk the slabs carved from back to the pool and
+// empties their free lists. Objects handed out before the first Capture
+// are heap objects and stay as they are.
 func (a *Arena) Rewind() {
-	for i, s := range a.slabs {
-		var m Mark
-		if i < len(a.marks) {
-			m = a.marks[i]
-		}
-		s.Rewind(m)
+	for _, s := range a.slabs {
+		s.rewind()
 	}
 	a.window, a.overflow = 0, false
 }
@@ -232,8 +191,8 @@ func (a *Arena) Pool() *Pool { return a.pool }
 // last Capture or Rewind.
 func (a *Arena) Overflowed() bool { return a.overflow }
 
-// Held reports how many chunks the arena's slabs hold right now; a parked
-// deployment has Held == Owned.
+// Held reports how many chunks the arena's slabs hold right now: those
+// the window leased, none once it is rewound.
 func (a *Arena) Held() int {
 	n := 0
 	for _, s := range a.slabs {
@@ -241,10 +200,6 @@ func (a *Arena) Held() int {
 	}
 	return n
 }
-
-// Owned reports how many chunks the slabs kept at the last Capture (at
-// most one each).
-func (a *Arena) Owned() int { return a.owned }
 
 func (a *Arena) charge(bytes int) {
 	a.window += bytes
@@ -256,13 +211,8 @@ func (a *Arena) charge(bytes int) {
 	}
 }
 
-// Mark is a rewind point of one slab: the number of chunks held and the
-// next free slot in the last of them.
-type Mark struct{ chunks, off int }
-
 // bump is the chunk bookkeeping Slab and Span share. The chunk being
-// carved is always the last one held, because a rewind releases
-// everything above its mark.
+// carved is always the last one held.
 type bump[T any] struct {
 	arena    *Arena
 	free     *freeList[T]
@@ -270,7 +220,6 @@ type bump[T any] struct {
 	chunks   [][]T
 	cur      []T // chunks[len(chunks)-1], nil when empty
 	off      int // next free slot in cur
-	leased   int // chunks[len(chunks)-leased:] are on lease from the pool
 }
 
 func newBump[T any](a *Arena) bump[T] {
@@ -280,6 +229,17 @@ func newBump[T any](a *Arena) bump[T] {
 		n = chunkBytes / size
 	}
 	return bump[T]{arena: a, free: listFor[T](a.pool, chunkKey[T]{}), chunkLen: n}
+}
+
+// warmup reports whether the arena is not yet captured, charging n
+// elements to it when so: the caller then hands out heap memory.
+func (b *bump[T]) warmup(n int) bool {
+	if b.arena.captured {
+		return false
+	}
+	var zero T
+	b.arena.charge(n * int(unsafe.Sizeof(zero)))
+	return true
 }
 
 // grow makes a fresh chunk of at least n elements current: a pooled
@@ -305,86 +265,44 @@ func (b *bump[T]) grow(n int) {
 	}
 	b.chunks = append(b.chunks, c)
 	b.cur, b.off = c, 0
-	b.leased++
 	var zero T
 	b.arena.charge(len(c) * int(unsafe.Sizeof(zero)))
 }
 
-// Mark returns the current allocation position.
-func (b *bump[T]) Mark() Mark { return Mark{chunks: len(b.chunks), off: b.off} }
-
-// Rewind rolls the allocation position back to m and returns the chunks
-// above it to the pool (oversize chunks go to the garbage collector).
-// Objects carved after m must be unreachable, or at least never read
-// again; they are zeroed. Objects carved before m are untouched. m must
-// not precede the arena's last Capture: the chunks below that are no
-// longer the pool's.
-func (b *bump[T]) Rewind(m Mark) {
-	b.zeroAbove(m)
-	if above := b.chunks[m.chunks:]; len(above) > 0 {
-		fill := poison.Load()
-		p := b.arena.pool
-		p.mu.Lock()
-		p.leased -= len(above)
-		b.leased -= len(above)
-		for i, c := range above {
-			if len(c) == b.chunkLen {
-				if fill {
-					poisonChunk(c)
-				}
-				b.free.chunks = append(b.free.chunks, c)
-			} else {
-				p.held--
-			}
-			above[i] = nil
-		}
-		p.mu.Unlock()
-		b.chunks = b.chunks[:m.chunks]
-	}
-	b.cur = nil
-	if m.chunks > 0 {
-		b.cur = b.chunks[m.chunks-1]
-	}
-	b.off = m.off
-}
-
-// zeroAbove zeroes every element carved after m: the tail of m's chunk
-// and the carved part of each pooled chunk above it. A chunk comes from
-// the pool or from make zeroed (poisoned, under SetPoison) and is carved
-// from its start, so zeroing what was carved keeps every pooled chunk
-// free of pointers; an oversize chunk is left to the collector.
-func (b *bump[T]) zeroAbove(m Mark) {
-	if m.chunks == len(b.chunks) {
-		clear(b.cur[m.off:b.off])
+// rewind hands every chunk back to the pool (oversize chunks go to the
+// garbage collector). The objects carved from them must be unreachable,
+// or at least never read again. A chunk comes from the pool or from make
+// zeroed (poisoned, under SetPoison) and is carved from its start, so
+// zeroing what was carved keeps every pooled chunk free of pointers.
+func (b *bump[T]) rewind() {
+	if len(b.chunks) == 0 {
 		return
 	}
-	if m.chunks > 0 {
-		clear(b.chunks[m.chunks-1][m.off:])
-	}
-	for _, c := range b.chunks[m.chunks : len(b.chunks)-1] {
-		if len(c) == b.chunkLen {
+	fill := poison.Load()
+	for i, c := range b.chunks {
+		switch {
+		case len(c) != b.chunkLen:
+		case fill:
+			poisonChunk(c)
+		case i == len(b.chunks)-1:
+			clear(c[:b.off])
+		default:
 			clear(c)
 		}
 	}
-	if len(b.cur) == b.chunkLen {
-		clear(b.cur[:b.off])
-	}
-}
-
-// adopt takes every held chunk off lease and forgets all but the current
-// one; it reports how many were on lease and how many bytes it forgot.
-func (b *bump[T]) adopt() (adopted, forgot int) {
-	if n := len(b.chunks); n > 1 {
-		var zero T
-		for _, c := range b.chunks[:n-1] {
-			forgot += len(c) * int(unsafe.Sizeof(zero))
+	p := b.arena.pool
+	p.mu.Lock()
+	p.leased -= len(b.chunks)
+	for i, c := range b.chunks {
+		if len(c) == b.chunkLen {
+			b.free.chunks = append(b.free.chunks, c)
+		} else {
+			p.held--
 		}
-		clear(b.chunks[:n-1])
-		b.chunks = append(b.chunks[:0], b.cur)
+		b.chunks[i] = nil
 	}
-	adopted = b.leased
-	b.leased = 0
-	return adopted, forgot
+	p.mu.Unlock()
+	b.chunks, b.cur, b.off = b.chunks[:0], nil, 0
 }
 
 func (b *bump[T]) held() int { return len(b.chunks) }
@@ -417,10 +335,10 @@ func poisonChunk[T any](c []T) (was bool) {
 // Slab hands out single objects.
 type Slab[T any] struct {
 	bump[T]
-	// freed holds the objects Put handed back, last in first out. They
-	// still sit in the slab's chunks, so the list is emptied whenever the
-	// chunks change hands: a Rewind returns them to the pool and a Capture
-	// forgets them, and a pointer left here would alias or pin them.
+	// freed holds the objects Put handed back, last in first out. Every
+	// Rewind empties it, since a window's objects go back with their
+	// chunks, and so does a Capture, leaving the warm-up's to the
+	// collector: a pointer left here would alias or pin them.
 	freed []*T
 }
 
@@ -440,6 +358,9 @@ func (s *Slab[T]) Get() *T {
 		return p
 	}
 	if s.off == len(s.cur) {
+		if s.warmup(1) {
+			return new(T)
+		}
 		s.grow(1)
 	}
 	p := &s.cur[s.off]
@@ -457,25 +378,13 @@ func (s *Slab[T]) Put(p *T) {
 	s.freed = append(s.freed, p)
 }
 
-// Rewind is bump.Rewind with the free list emptied first.
-func (s *Slab[T]) Rewind(m Mark) {
-	s.dropFreed()
-	s.bump.Rewind(m)
-}
-
-// adopt is bump.adopt with the free list emptied first.
-func (s *Slab[T]) adopt() (adopted, forgot int) {
-	s.dropFreed()
-	return s.bump.adopt()
-}
-
-// dropFreed empties the free list and drops every pointer it ever held,
-// popped ones included: they point into chunks a rewind returns and a
-// capture forgets, and a pointer left in the backing array would keep
-// such a chunk alive.
-func (s *Slab[T]) dropFreed() {
+// rewind is bump.rewind with the free list emptied first, of every
+// pointer it ever held, popped ones included: a pointer left in the
+// backing array would keep a warm-up object or a pooled chunk alive.
+func (s *Slab[T]) rewind() {
 	clear(s.freed[:cap(s.freed)])
 	s.freed = s.freed[:0]
+	s.bump.rewind()
 }
 
 // Holders is the holder count of an object several holders share: the
@@ -485,10 +394,10 @@ func (s *Slab[T]) dropFreed() {
 //
 // An object whose count was not started in the arena's current epoch is
 // never counted: Hold and Drop leave it alone. That covers the zero value
-// (an object built on the heap) and every object carved before the last
-// Capture, which the snapshot references and every fork reads again — a
-// window may neither release one nor write its count, or the next fork
-// would start from different memory than the cold run.
+// (an object built outside the arena) and every object handed out before
+// the last Capture, which the snapshot references and every fork reads
+// again — a window may neither release one nor write its count, or the
+// next fork would start from different memory than the cold run.
 //
 // It is four bytes, so that it fits the padding of most messages: a
 // window of a duplicated-ack storm held hundreds of thousands of them.
@@ -564,6 +473,9 @@ func NewSpan[T any](a *Arena) *Span[T] {
 // gets a chunk of its own.
 func (s *Span[T]) Get(n int) []T {
 	if s.off+n > len(s.cur) {
+		if s.warmup(n) {
+			return make([]T, n)
+		}
 		s.grow(n)
 	}
 	w := s.cur[s.off : s.off+n : s.off+n]
@@ -575,8 +487,7 @@ func (s *Span[T]) Get(n int) []T {
 // buffer moves to a fresh window of twice its length plus a quarter
 // chunk, so a buffer that grows all window long leaves no heap garbage
 // and the next rewind takes all of it back. After a rewind the owner must
-// point the buffer back at memory from before the mark (the backing array
-// it had at capture time).
+// point the buffer back at the backing array it had at capture time.
 func (s *Span[T]) Append(buf []T, v T) []T {
 	if len(buf) == cap(buf) {
 		grown := s.Get(2*len(buf) + s.chunkLen/4)[:len(buf)]

@@ -21,9 +21,9 @@ func capacity[T any](b *bump[T]) int {
 	return n
 }
 
-// TestSlabRewindReusesMemory: objects carved before the mark survive a
-// rewind untouched, and the first object carved after it lands on the
-// memory the rewound one had.
+// TestSlabRewindReusesMemory: a warm-up object survives a rewind
+// untouched, and the first object carved after it lands on the memory the
+// rewound one had.
 func TestSlabRewindReusesMemory(t *testing.T) {
 	a := NewArena(nil, nil)
 	s := New[obj](a)
@@ -32,24 +32,24 @@ func TestSlabRewindReusesMemory(t *testing.T) {
 	a.Capture()
 	first := s.Get()
 	*first = obj{a: 3}
-	for i := 0; i < 3*s.chunkLen; i++ {
+	for i := 0; i < s.chunkLen/2; i++ {
 		*s.Get() = obj{a: uint64(i)}
 	}
-	if a.Held() <= a.Owned() {
-		t.Fatalf("window did not lease: held %d, owned %d", a.Held(), a.Owned())
+	if a.Held() != 1 {
+		t.Fatalf("the window holds %d chunks, want 1", a.Held())
 	}
 	a.Rewind()
 	if *kept != (obj{a: 1, b: 2}) {
-		t.Fatalf("object below the mark changed: %+v", *kept)
+		t.Fatalf("warm-up object changed: %+v", *kept)
 	}
 	if again := s.Get(); again != first {
 		t.Fatalf("first object after the rewind is at %p, want the rewound slot %p", again, first)
 	}
 }
 
-// TestPoolLeaseAccounting: chunks above the mark are on lease until the
-// rewind, the captured prefix is adopted, and a second arena carves its
-// window out of the chunks the first one returned.
+// TestPoolLeaseAccounting: the warm-up leases nothing, a window's chunks
+// are on lease until the rewind returns every one, and a second arena
+// carves its window out of the chunks the first one returned.
 func TestPoolLeaseAccounting(t *testing.T) {
 	var p Pool
 	a := NewArena(&p, nil)
@@ -57,16 +57,10 @@ func TestPoolLeaseAccounting(t *testing.T) {
 	for i := 0; i < 2*s.chunkLen+1; i++ {
 		s.Get()
 	}
-	if got := p.Leased(); got != 3 {
-		t.Fatalf("leased %d chunks during warm-up, want 3", got)
+	if p.Leased() != 0 || a.Held() != 0 {
+		t.Fatalf("the warm-up leased %d chunks and holds %d, want none", p.Leased(), a.Held())
 	}
 	a.Capture()
-	if got := p.Leased(); got != 0 {
-		t.Fatalf("leased %d chunks after capture, want 0 (prefix adopted)", got)
-	}
-	if a.Held() != 1 || a.Owned() != 1 {
-		t.Fatalf("capture keeps held=%d owned=%d chunks, want the one still being carved", a.Held(), a.Owned())
-	}
 	for i := 0; i < 4*s.chunkLen; i++ {
 		s.Get()
 	}
@@ -75,23 +69,20 @@ func TestPoolLeaseAccounting(t *testing.T) {
 	}
 	window := s.chunks[len(s.chunks)-1]
 	a.Rewind()
-	if got := p.Leased(); got != 0 {
-		t.Fatalf("leased %d chunks after rewind, want 0", got)
-	}
-	if a.Held() != a.Owned() {
-		t.Fatalf("parked arena holds %d chunks, owns %d", a.Held(), a.Owned())
+	if p.Leased() != 0 || a.Held() != 0 {
+		t.Fatalf("rewound arena left leased=%d held=%d", p.Leased(), a.Held())
 	}
 
 	b := NewArena(&p, nil)
 	sb := New[obj](b)
+	b.Capture()
 	sb.Get()
 	if unsafe.SliceData(sb.cur) != unsafe.SliceData(window) {
 		t.Fatal("second arena did not reuse the chunk the first one returned last")
 	}
-	// A cold run never captures: its rewind returns everything.
 	b.Rewind()
-	if p.Leased() != 0 || b.Held() != 0 {
-		t.Fatalf("uncaptured rewind left leased=%d held=%d", p.Leased(), b.Held())
+	if p.Leased() != 0 || b.Held() != 0 || p.HighWater() != 4 {
+		t.Fatalf("after both rewinds leased=%d held=%d high-water=%d, want 0, 0, 4", p.Leased(), b.Held(), p.HighWater())
 	}
 }
 
@@ -100,6 +91,7 @@ func TestPoolLeaseAccounting(t *testing.T) {
 func TestSpanWindows(t *testing.T) {
 	a := NewArena(nil, nil)
 	s := NewSpan[uint64](a)
+	a.Capture()
 	n := s.chunkLen/2 + 1 // two of these cannot share a chunk
 	w1, w2 := s.Get(n), s.Get(n)
 	if len(w1) != n || cap(w1) != n || len(w2) != n || cap(w2) != n {
@@ -124,6 +116,7 @@ func TestSpanOversize(t *testing.T) {
 	var p Pool
 	a := NewArena(&p, nil)
 	s := NewSpan[obj](a)
+	a.Capture()
 	s.Get(4)
 	before := capacity(&s.bump)
 	const n = 20_000
@@ -147,6 +140,7 @@ func TestSpanOversize(t *testing.T) {
 
 // TestWindowCeiling: crossing the ceiling calls stop once, latches
 // Overflowed, still serves the allocation, and the next rewind re-arms.
+// The warm-up's heap memory counts like window chunks.
 func TestWindowCeiling(t *testing.T) {
 	stops := 0
 	a := NewArena(nil, func() { stops++ })
@@ -179,6 +173,7 @@ func TestPoison(t *testing.T) {
 	var p Pool
 	a := NewArena(&p, nil)
 	s := New[obj](a)
+	a.Capture()
 	*s.Get() = obj{a: 7}
 	a.Rewind()
 	if got := s.Get(); got.a != 0xA5A5A5A5A5A5A5A5 || got.b != 0xA5A5A5A5A5A5A5A5 {
@@ -279,62 +274,98 @@ func TestPutPoison(t *testing.T) {
 	s.Put(x)
 }
 
-// TestFreeListEmptiedByRewindAndCapture: the objects on the free list sit
-// in chunks that a Rewind returns to the pool and a Capture forgets, so
-// both empty it — the next Get carves, it does not hand out memory that
-// now belongs to someone else — and a Capture also drops every pointer the
-// list ever held, or those would keep the forgotten chunks alive.
+// TestFreeListEmptiedByRewindAndCapture: a Capture empties the free list
+// of warm-up objects, so they are the collector's once the snapshot drops
+// them, and a Rewind empties it of window objects, whose chunks go back to
+// the pool. Both drop every pointer the list ever held, popped ones
+// included, and the next Get carves.
 func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	a := NewArena(nil, nil)
 	s := New[obj](a)
-	below := s.Get()
-	a.Capture()
-	first := s.Get()
-	s.Put(s.Get())
-	s.Put(first)
-	s.Get() // popped: its pointer is still in the list's backing array
-	a.Rewind()
-	if len(s.freed) != 0 {
-		t.Fatalf("free list holds %d objects after a rewind", len(s.freed))
-	}
-	for i, p := range s.freed[:cap(s.freed)] {
-		if p != nil {
-			t.Fatalf("rewind left pointer %d of the free list's backing array set", i)
+	emptied := func(by string) {
+		t.Helper()
+		if len(s.freed) != 0 {
+			t.Fatalf("free list holds %d objects after a %s", len(s.freed), by)
+		}
+		for i, p := range s.freed[:cap(s.freed)] {
+			if p != nil {
+				t.Fatalf("%s left pointer %d of the free list's backing array set", by, i)
+			}
 		}
 	}
+	warm := s.Get()
+	s.Put(s.Get())
+	s.Put(warm)
+	s.Get() // popped: its pointer is still in the list's backing array
+	a.Capture()
+	emptied("capture")
+	first := s.Get()
+	if first == warm || a.Held() != 1 {
+		t.Fatalf("the first Get after the capture did not carve (held %d)", a.Held())
+	}
+	s.Put(s.Get())
+	s.Put(first)
+	s.Get()
+	a.Rewind()
+	emptied("rewind")
 	if got := s.Get(); got != first {
 		t.Fatalf("first Get after the rewind is %p, want the rewound slot %p", got, first)
 	}
-
-	s.Put(s.Get())
-	s.Put(s.Get())
-	s.Get() // popped: its pointer is still in the list's backing array
-	a.Capture()
-	if len(s.freed) != 0 {
-		t.Fatalf("free list holds %d objects after a capture", len(s.freed))
-	}
-	for i, p := range s.freed[:cap(s.freed)] {
-		if p != nil {
-			t.Fatalf("capture left pointer %d of the free list's backing array set", i)
-		}
-	}
-	if got := s.Get(); got == below || got == first {
-		t.Fatal("Get after a capture handed out an object from below the mark")
-	}
 }
 
-// TestRewindDropsWindowPointers: a heap object that only objects carved
-// after the mark point at is garbage once the window is rewound, wherever
-// those objects sat: in the tail of the chunk the capture kept, in a chunk
-// the rewind returned to the pool, or in an oversize chunk.
+// TestCaptureRefusesWindowChunks: a capture while the slabs hold chunks
+// would let the snapshot reference memory the next rewind hands out
+// again, so it panics; right after a rewind it is allowed.
+func TestCaptureRefusesWindowChunks(t *testing.T) {
+	a := NewArena(nil, nil)
+	s := New[obj](a)
+	a.Capture()
+	s.Get()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a capture with a window chunk outstanding did not panic")
+			}
+		}()
+		a.Capture()
+	}()
+	a.Rewind()
+	a.Capture()
+}
+
+// TestWarmupGarbageCollected: the warm-up hands out heap objects, so once
+// the capture is taken the collector keeps exactly those something still
+// references — a parked master holds no chunk because one of its objects
+// is alive.
+func TestWarmupGarbageCollected(t *testing.T) {
+	a := NewArena(nil, nil)
+	s := New[obj](a)
+	kept, dropped := s.Get(), s.Get()
+	*kept, *dropped = obj{a: 1}, obj{a: 2}
+	wkept, wdropped := weak.Make(kept), weak.Make(dropped)
+	dropped = nil
+	a.Capture()
+	runtime.GC()
+	if wdropped.Value() != nil {
+		t.Error("a warm-up object nothing references survived the capture and a collection")
+	}
+	if wkept.Value() != kept || kept.a != 1 {
+		t.Error("the referenced warm-up object did not survive")
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestRewindDropsWindowPointers: a heap object that only a window's
+// objects point at is garbage once the window is rewound, wherever those
+// objects sat: in a full pooled chunk, in the chunk being carved, or in an
+// oversize chunk.
 func TestRewindDropsWindowPointers(t *testing.T) {
 	type ref struct{ p *[8]uint64 }
 	var p Pool
 	a := NewArena(&p, nil)
 	s, span := New[ref](a), NewSpan[ref](a)
-	s.Get().p = nil
 	a.Capture()
-	where := []string{"the kept chunk's tail", "a pooled chunk", "an oversize chunk"}
+	where := []string{"a full pooled chunk", "the chunk being carved", "an oversize chunk"}
 	var targets []weak.Pointer[[8]uint64]
 	point := func(o *ref) {
 		o.p = new([8]uint64)
@@ -346,8 +377,8 @@ func TestRewindDropsWindowPointers(t *testing.T) {
 	}
 	point(s.Get())
 	point(&span.Get(2 * span.chunkLen)[0])
-	if p.Leased() != 2 {
-		t.Fatalf("the window leased %d chunks, want a pooled and an oversize one", p.Leased())
+	if p.Leased() != 3 {
+		t.Fatalf("the window leased %d chunks, want two pooled and an oversize one", p.Leased())
 	}
 	a.Rewind()
 	runtime.GC()
@@ -376,8 +407,8 @@ func TestSpanAppend(t *testing.T) {
 		}
 	}
 	a.Rewind()
-	if p.Leased() != 0 || a.Held() != a.Owned() {
-		t.Fatalf("append trail survived the rewind: leased=%d held=%d owned=%d", p.Leased(), a.Held(), a.Owned())
+	if p.Leased() != 0 || a.Held() != 0 {
+		t.Fatalf("append trail survived the rewind: leased=%d held=%d", p.Leased(), a.Held())
 	}
 }
 
@@ -471,38 +502,5 @@ func TestConcurrentArenas(t *testing.T) {
 	wg.Wait()
 	if p.Leased() != 0 {
 		t.Fatalf("leased %d chunks after every arena rewound", p.Leased())
-	}
-}
-
-// TestCaptureCollectsForgottenWarmup: captures account the warm-up bytes
-// they forget against the pool, and the one that brings the account to
-// collectEvery runs a collection and clears it — at a point that depends
-// only on the work done, whichever arena of the pool gets there.
-func TestCaptureCollectsForgottenWarmup(t *testing.T) {
-	var p Pool
-	warm := func(bytes int) { // forgets at least bytes: the chunk being carved stays
-		a := NewArena(&p, nil)
-		s := New[obj](a)
-		for i := 0; i <= (bytes+chunkBytes)/int(unsafe.Sizeof(obj{})); i++ {
-			s.Get()
-		}
-		a.Capture()
-	}
-	cycles := func() uint32 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.NumGC
-	}
-	warm(collectEvery / 2)
-	if p.forgot < collectEvery/2 || p.forgot >= collectEvery {
-		t.Fatalf("pool accounts %d forgotten bytes after half a quota of warm-up", p.forgot)
-	}
-	before := cycles()
-	warm(collectEvery / 2)
-	if p.forgot != 0 {
-		t.Fatalf("pool still accounts %d forgotten bytes after a full quota", p.forgot)
-	}
-	if cycles() == before {
-		t.Fatal("the capture that filled the quota did not collect")
 	}
 }
