@@ -29,10 +29,10 @@ func loadRepo(t *testing.T) *Program {
 }
 
 // maxWaivers is how many findings //avdlint:allow comments cover in this
-// repository: three goroutine pools in core, a diagnostics hook in core
-// and a commutative restore refill in simnet. A new waiver removes
-// another one, or raises this figure with its reason in the same change.
-const maxWaivers = 5
+// repository: three goroutine pools and a diagnostics hook, all in core.
+// A new waiver removes another one, or raises this figure with its reason
+// in the same change.
+const maxWaivers = 4
 
 // TestRepoSelfCheck runs the full avdlint suite over this repository and
 // requires zero unannotated findings — the same gate CI applies via

@@ -34,16 +34,9 @@ type ClientStats struct {
 	Redirects       uint64
 }
 
-// Client is a closed-loop Raft client: one request outstanding, the next
-// issued as soon as the current one commits. It tracks the leader via
-// redirect hints and rotates through the cluster on timeouts.
-type Client struct {
-	addr simnet.Addr
-	cfg  Config
-	ccfg ClientConfig
-	eng  *sim.Engine
-	net  *simnet.Network
-
+// clientState is what a client changes as it runs: Snapshot and Restore
+// copy it by value.
+type clientState struct {
 	running  bool
 	seq      uint64
 	target   int // node the current request was last sent to
@@ -51,7 +44,21 @@ type Client struct {
 	curRetry time.Duration
 	retryFor uint64
 	retry    sim.Timer
-	retryFn  func()
+	stats    ClientStats
+}
+
+// Client is a closed-loop Raft client: one request outstanding, the next
+// issued as soon as the current one commits. It tracks the leader via
+// redirect hints and rotates through the cluster on timeouts.
+type Client struct {
+	clientState
+
+	addr    simnet.Addr
+	cfg     Config
+	ccfg    ClientConfig
+	eng     *sim.Engine
+	net     *simnet.Network
+	retryFn func()
 
 	// mem is the deployment's message arena (arena.go): outgoing requests
 	// are carved from it, so retransmission storms cost no heap
@@ -59,7 +66,6 @@ type Client struct {
 	mem *Arena
 
 	onComplete func(seq uint64, latency time.Duration)
-	stats      ClientStats
 }
 
 // ClientOption customizes client construction.
@@ -92,12 +98,12 @@ func NewClient(addr simnet.Addr, cfg Config, ccfg ClientConfig, net *simnet.Netw
 		ccfg.RetryCap = 8 * ccfg.Retry
 	}
 	c := &Client{
-		addr:   addr,
-		cfg:    cfg,
-		ccfg:   ccfg,
-		eng:    net.Engine(),
-		net:    net,
-		target: int(addr) % cfg.N, // spread first contacts across nodes
+		clientState: clientState{target: int(addr) % cfg.N}, // spread first contacts across nodes
+		addr:        addr,
+		cfg:         cfg,
+		ccfg:        ccfg,
+		eng:         net.Engine(),
+		net:         net,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -109,9 +115,6 @@ func NewClient(addr simnet.Addr, cfg Config, ccfg ClientConfig, net *simnet.Netw
 	net.Handle(addr, c.onMessage)
 	return c, nil
 }
-
-// Addr returns the client's network address.
-func (c *Client) Addr() simnet.Addr { return c.addr }
 
 // Stats returns a snapshot of the client's counters.
 func (c *Client) Stats() ClientStats { return c.stats }

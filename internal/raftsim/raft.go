@@ -220,22 +220,10 @@ type NodeStats struct {
 	Restarts uint64
 }
 
-// Node is one Raft server. All methods run on the simulation goroutine.
-//
-// The persistence seam (DESIGN.md §11): term, votedFor and log are the
-// node's durable state — what a real server fsyncs before answering — and
-// everything else is volatile, rebuilt after a restart. Crash(false)
-// models a server whose durable writes were lost (a dead disk, a
-// misconfigured fsync): on Restart it rejoins at term 0 with an empty log
-// and no memory of the votes it granted, which is exactly the state-loss
-// fault the election-safety and durability oracles exist to catch.
-type Node struct {
-	id    int
-	cfg   Config
-	eng   *sim.Engine
-	net   *simnet.Network
-	clock int // sim.Engine clock id; skew drives this node's timers fast or slow
-
+// nodeState is what a node changes as it runs: Snapshot copies it by
+// value and clones its tables, and Restore copies it back. The rest of
+// Node is set at construction, or lives for one run (shared, retired).
+type nodeState struct {
 	// crashed gates the message handler and timers: a crashed node is
 	// silent until Restart.
 	crashed bool
@@ -247,13 +235,6 @@ type Node struct {
 	log      []Entry
 	commit   uint64
 	applied  uint64
-	// shared is the log's aliasing high-water mark: AppendEntries carry
-	// sub-slices of the log, so a message in flight may read indices up
-	// to shared, and they are never overwritten in place (truncate).
-	shared uint64
-	// retired holds the log arrays truncate replaced this run: messages in
-	// flight may still read them, so they are let go at Park.
-	retired [][]Entry //avdlint:ephemeral run-scoped: Park stocks the first array and drops the rest, and Snapshot drops the warm-up's, which the captured messages alias
 
 	// votes is the ballot box for the node's current candidacy, a dense
 	// presence mask over node ids (Config.Validate bounds N at 64).
@@ -271,8 +252,6 @@ type Node struct {
 
 	electionTimer  sim.Timer
 	heartbeatTimer sim.Timer
-	electionFn     func()
-	heartbeatFn    func()
 
 	// lastSeq deduplicates client requests at apply time: retransmitted
 	// requests re-enter the log but mutate the state machine once. Client
@@ -282,6 +261,38 @@ type Node struct {
 	// pending tracks the highest uncommitted seq appended per client, so
 	// a retransmission of an in-flight request is not appended twice.
 	pending []uint64
+
+	stats NodeStats
+}
+
+// Node is one Raft server. All methods run on the simulation goroutine.
+//
+// The persistence seam (DESIGN.md §11): term, votedFor and log are the
+// node's durable state — what a real server fsyncs before answering — and
+// everything else is volatile, rebuilt after a restart. Crash(false)
+// models a server whose durable writes were lost (a dead disk, a
+// misconfigured fsync): on Restart it rejoins at term 0 with an empty log
+// and no memory of the votes it granted, which is exactly the state-loss
+// fault the election-safety and durability oracles exist to catch.
+type Node struct {
+	nodeState
+
+	id    int
+	cfg   Config
+	eng   *sim.Engine
+	net   *simnet.Network
+	clock int // sim.Engine clock id; skew drives this node's timers fast or slow
+
+	// shared is the log's aliasing high-water mark: AppendEntries carry
+	// sub-slices of the log, so a message in flight may read indices up
+	// to shared, and they are never overwritten in place (truncate).
+	shared uint64
+	// retired holds the log arrays truncate replaced this run: messages in
+	// flight may still read them, so they are let go at Park.
+	retired [][]Entry //avdlint:ephemeral run-scoped: Park stocks the first array and drops the rest, and Snapshot drops the warm-up's, which the captured messages alias
+
+	electionFn  func()
+	heartbeatFn func()
 
 	// mem is the deployment's message arena (arena.go): every wire
 	// message the node sends is carved from it, keeping the forked hot
@@ -294,8 +305,6 @@ type Node struct {
 	// index the node applies (committed-entry identity included).
 	onLead  func(term uint64)
 	onApply func(index uint64, e Entry)
-
-	stats NodeStats
 }
 
 // NodeOption customizes node construction.
@@ -329,15 +338,17 @@ func NewNode(id int, cfg Config, net *simnet.Network, opts ...NodeOption) (*Node
 		return nil, fmt.Errorf("raftsim: node id %d out of range [0,%d)", id, cfg.N)
 	}
 	n := &Node{
-		id:         id,
-		cfg:        cfg,
-		eng:        net.Engine(),
-		net:        net,
-		clock:      net.Engine().RegisterClock(),
-		votedFor:   -1,
-		leader:     -1,
-		nextIndex:  make([]uint64, cfg.N),
-		matchIndex: make([]uint64, cfg.N),
+		nodeState: nodeState{
+			votedFor:   -1,
+			leader:     -1,
+			nextIndex:  make([]uint64, cfg.N),
+			matchIndex: make([]uint64, cfg.N),
+		},
+		id:    id,
+		cfg:   cfg,
+		eng:   net.Engine(),
+		net:   net,
+		clock: net.Engine().RegisterClock(),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -374,9 +385,6 @@ func (n *Node) LogLen() int { return len(n.log) }
 
 // Stats returns a snapshot of the node's counters.
 func (n *Node) Stats() NodeStats { return n.stats }
-
-// Crashed reports whether the node is down (between Crash and Restart).
-func (n *Node) Crashed() bool { return n.crashed }
 
 // Clock returns the node's sim.Engine clock id, through which harnesses
 // arm per-node clock skew.

@@ -1,43 +1,21 @@
 package raftsim
 
 import (
-	"time"
+	"slices"
 
-	"avd/internal/sim"
 	"avd/internal/slab"
 )
 
 // This file implements the SUT side of snapshot/fork execution
-// (DESIGN.md §14): a Node or Client captures every mutable field it owns —
-// protocol state, counters, and its sim.Timer handles — and can roll
-// itself back to that capture. Timer handles survive because the engine's
-// own Restore revalidates the arena generations they reference; the
-// pending timer events themselves live in the engine snapshot.
+// (DESIGN.md §14): a node keeps what it changes as it runs in one
+// nodeState, and a client in one clientState; a capture is that struct by
+// value with every table cloned, and a restore copies it back, the tables
+// into the memory the node already has. Timer handles survive because the
+// engine's own Restore revalidates the arena generations they reference;
+// the pending timer events themselves live in the engine snapshot.
 
 // NodeState is a restorable capture of one Raft node.
-type NodeState struct {
-	crashed     bool
-	role        role
-	term        uint64
-	votedFor    int
-	leader      int
-	log         []Entry
-	commit      uint64
-	applied     uint64
-	votes       uint64
-	replicating uint64
-	nextIndex   []uint64
-	matchIndex  []uint64
-	termStart   uint64
-
-	electionTimer  sim.Timer
-	heartbeatTimer sim.Timer
-
-	lastSeq []uint64
-	pending []uint64
-
-	stats NodeStats
-}
+type NodeState struct{ nodeState }
 
 // Snapshot captures the node's complete mutable state and parks the
 // node. The capture keeps the log array itself: messages in flight now —
@@ -47,26 +25,11 @@ type NodeState struct {
 // stocked: their Borrows are settled, and the collector takes each array
 // when its last message is gone.
 func (n *Node) Snapshot() *NodeState {
-	s := &NodeState{
-		crashed:        n.crashed,
-		role:           n.role,
-		term:           n.term,
-		votedFor:       n.votedFor,
-		leader:         n.leader,
-		log:            n.log,
-		commit:         n.commit,
-		applied:        n.applied,
-		votes:          n.votes,
-		replicating:    n.replicating,
-		nextIndex:      append([]uint64(nil), n.nextIndex...),
-		matchIndex:     append([]uint64(nil), n.matchIndex...),
-		termStart:      n.termStart,
-		electionTimer:  n.electionTimer,
-		heartbeatTimer: n.heartbeatTimer,
-		lastSeq:        append([]uint64(nil), n.lastSeq...),
-		pending:        append([]uint64(nil), n.pending...),
-		stats:          n.stats,
-	}
+	s := &NodeState{n.nodeState}
+	s.nextIndex = slices.Clone(n.nextIndex)
+	s.matchIndex = slices.Clone(n.matchIndex)
+	s.lastSeq = slices.Clone(n.lastSeq)
+	s.pending = slices.Clone(n.pending)
 	n.log, n.shared = nil, 0
 	n.dropRetired(0)
 	return s
@@ -105,61 +68,21 @@ func (n *Node) dropRetired(keep int) {
 
 // Restore rolls a parked node back to the captured state.
 func (n *Node) Restore(s *NodeState) {
-	n.crashed = s.crashed
-	n.role = s.role
-	n.term = s.term
-	n.votedFor = s.votedFor
-	n.leader = s.leader
+	own := n.nodeState
+	n.nodeState = s.nodeState
 	n.log = append(slab.BorrowLargest[Entry](n.mem.pool), s.log...)
 	n.shared = 0 // a copy no message has seen
-	n.commit = s.commit
-	n.applied = s.applied
-	n.votes = s.votes
-	n.replicating = s.replicating
-	n.nextIndex = append(n.nextIndex[:0], s.nextIndex...)
-	n.matchIndex = append(n.matchIndex[:0], s.matchIndex...)
-	n.termStart = s.termStart
-	n.electionTimer = s.electionTimer
-	n.heartbeatTimer = s.heartbeatTimer
-	n.lastSeq = append(n.lastSeq[:0], s.lastSeq...)
-	n.pending = append(n.pending[:0], s.pending...)
-	n.stats = s.stats
+	n.nextIndex = append(own.nextIndex[:0], s.nextIndex...)
+	n.matchIndex = append(own.matchIndex[:0], s.matchIndex...)
+	n.lastSeq = append(own.lastSeq[:0], s.lastSeq...)
+	n.pending = append(own.pending[:0], s.pending...)
 }
 
 // ClientState is a restorable capture of one Raft client.
-type ClientState struct {
-	running  bool
-	seq      uint64
-	target   int
-	sentAt   sim.Time
-	curRetry time.Duration
-	retryFor uint64
-	retry    sim.Timer
-	stats    ClientStats
-}
+type ClientState struct{ clientState }
 
 // Snapshot captures the client's complete mutable state.
-func (c *Client) Snapshot() *ClientState {
-	return &ClientState{
-		running:  c.running,
-		seq:      c.seq,
-		target:   c.target,
-		sentAt:   c.sentAt,
-		curRetry: c.curRetry,
-		retryFor: c.retryFor,
-		retry:    c.retry,
-		stats:    c.stats,
-	}
-}
+func (c *Client) Snapshot() *ClientState { return &ClientState{c.clientState} }
 
 // Restore rolls the client back to the captured state.
-func (c *Client) Restore(s *ClientState) {
-	c.running = s.running
-	c.seq = s.seq
-	c.target = s.target
-	c.sentAt = s.sentAt
-	c.curRetry = s.curRetry
-	c.retryFor = s.retryFor
-	c.retry = s.retry
-	c.stats = s.stats
-}
+func (c *Client) Restore(s *ClientState) { c.clientState = s.clientState }

@@ -14,8 +14,9 @@
 // one heap of pointer-free value nodes, so the sift operations of a busy
 // simulation never touch the garbage collector's write barrier. The arena
 // is also what makes Snapshot/Restore cheap: capturing the entire engine
-// state is three slice copies, and restoring is a delta — only the slots
-// dirtied since the capture copy back (DESIGN.md §19).
+// state is one struct copy and four slice clones, and restoring is a
+// delta — only the slots dirtied since the capture copy back (DESIGN.md
+// §19).
 //
 // Timers (Schedule, At) are cancelable closures with a queue node each,
 // and Reset moves a pending one to a later instant without touching the
@@ -28,6 +29,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -142,21 +144,48 @@ func less(a, b node) bool {
 	return a.seq < b.seq
 }
 
+// engineState is what an engine changes as it runs: Snapshot copies it by
+// value and clones its tables, and Restore copies it back.
+type engineState struct {
+	now   Time
+	heap  []node  // the queue: a 4-ary min-heap of nodes by (at, seq)
+	arena []event // slot storage; queue nodes and Timers index into it
+	free  []int32 // recycled arena slots
+	live  int     // pending events
+	seq   uint64
+
+	executed   uint64 // callbacks run
+	dispatches uint64 // queue nodes popped: executed less the deliveries that rode a train
+	resets     uint64 // Reset calls that left the queue node where it was
+	requeues   uint64 // queue nodes a Reset cost after all: stale ones re-keyed, and moves to an earlier instant
+
+	// clocks holds per-registered-clock drift in permille (positive runs
+	// fast: scheduled delays shrink; negative runs slow). Clock 0 does not
+	// exist — RegisterClock hands out indices and ScheduleSkewed scales a
+	// delay through its clock before queueing.
+	clocks []int32
+
+	// stepLimit is the watchdog: when non-zero, Run/RunUntil/Step refuse to
+	// fire events once executed reaches it, setting budgetHit instead of
+	// looping forever on a runaway schedule (e.g. a zero-delay
+	// self-rescheduling storm). 0 disables the budget.
+	stepLimit uint64
+	budgetHit bool
+
+	// src is the random stream's whole state, held by value: rolling the
+	// stream back is the struct copy.
+	src splitmixSource
+}
+
 // Engine is a discrete-event simulator. It is not safe for concurrent use:
 // all interaction must happen from the goroutine driving Run/Step, which is
 // also the goroutine on which event callbacks execute.
 type Engine struct {
-	now     Time
-	heap    []node  // the queue: a 4-ary min-heap of nodes by (at, seq)
-	arena   []event // slot storage; queue nodes and Timers index into it
-	free    []int32 // recycled arena slots
-	live    int     // pending events
-	seq     uint64
-	gens    uint64 //avdlint:ephemeral event ids only have to be unique: never rolling the counter back is what keeps one fork's Timers inert in the next
-	seed    int64
-	src     *splitmixSource
-	rng     *rand.Rand
-	stopped bool //avdlint:ephemeral run-scoped stop latch: Restore re-arms the engine so every fork starts runnable
+	engineState
+
+	gens    uint64     //avdlint:ephemeral event ids only have to be unique: never rolling the counter back is what keeps one fork's Timers inert in the next
+	rng     *rand.Rand // wraps &src
+	stopped bool       //avdlint:ephemeral run-scoped stop latch: Restore re-arms the engine so every fork starts runnable
 
 	// Dirty tracking for delta Restore: track is the snapshot deltas are
 	// recorded against (nil disables tracking entirely — engines that
@@ -167,29 +196,10 @@ type Engine struct {
 	dirty    []int32
 	dirtySeq uint64
 
-	executed   uint64 // callbacks run
-	dispatches uint64 // queue nodes popped: executed less the deliveries that rode a train
-	resets     uint64 // Reset calls that left the queue node where it was
-	requeues   uint64 // queue nodes a Reset cost after all: stale ones re-keyed, and moves to an earlier instant
-
 	// open is the train a Stream.Schedule for its instant, openAt, may join.
 	open       *train   //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
 	openAt     Time     //avdlint:ephemeral meaningful only while open is set, and set with it
 	freeTrains []*train //avdlint:ephemeral pool: a checkout's stream, cursor and arguments are overwritten before use
-
-	// clocks holds per-registered-clock drift in permille (positive runs
-	// fast: scheduled delays shrink; negative runs slow). Clock 0 does not
-	// exist — RegisterClock hands out indices and ScheduleSkewed scales a
-	// delay through its clock before queueing. The slice is part of every
-	// Snapshot so skew armed mid-run rolls back with the rest of the state.
-	clocks []int32
-
-	// stepLimit is the watchdog: when non-zero, Run/RunUntil/Step refuse to
-	// fire events once executed reaches it, setting budgetHit instead of
-	// looping forever on a runaway schedule (e.g. a zero-delay
-	// self-rescheduling storm). 0 disables the budget.
-	stepLimit uint64
-	budgetHit bool
 }
 
 // splitmixSource is the engine's random source: splitmix64, whose entire
@@ -217,8 +227,9 @@ func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
 
 // New returns an engine whose randomness derives entirely from seed.
 func New(seed int64) *Engine {
-	src := &splitmixSource{state: uint64(seed)}
-	return &Engine{seed: seed, src: src, rng: rand.New(src)}
+	e := &Engine{engineState: engineState{src: splitmixSource{state: uint64(seed)}}}
+	e.rng = rand.New(&e.src)
+	return e
 }
 
 // Now returns the current virtual time.
@@ -718,21 +729,8 @@ func (e *Engine) remove(idx int32) {
 // simulation objects, so restoring rolls the same simulation back rather
 // than cloning it onto another.
 type Snapshot struct {
-	owner    *Engine
-	now      Time
-	seq      uint64
-	executed uint64
-	dispatch uint64
-	resets   uint64
-	requeues uint64
-	live     int
-	rngState uint64
-	heap     []node
-	arena    []event
-	free     []int32
-	clocks   []int32
-	stepLim  uint64
-	budgetHt bool
+	owner *Engine
+	engineState
 	// trainIdx lists the slots holding a pending train: the snapshot arena
 	// points at a detached master of each, Restore hands out fresh copies.
 	trainIdx []int32
@@ -745,23 +743,11 @@ type Snapshot struct {
 // that continues from here is identical to one that never snapshotted,
 // except that no delivery pending at the capture is Owned any more.
 func (e *Engine) Snapshot() *Snapshot {
-	s := &Snapshot{
-		owner:    e,
-		now:      e.now,
-		seq:      e.seq,
-		executed: e.executed,
-		dispatch: e.dispatches,
-		resets:   e.resets,
-		requeues: e.requeues,
-		live:     e.live,
-		rngState: e.src.state,
-		heap:     append([]node(nil), e.heap...),
-		arena:    append([]event(nil), e.arena...),
-		free:     append([]int32(nil), e.free...),
-		clocks:   append([]int32(nil), e.clocks...),
-		stepLim:  e.stepLimit,
-		budgetHt: e.budgetHit,
-	}
+	s := &Snapshot{owner: e, engineState: e.engineState}
+	s.heap = slices.Clone(e.heap)
+	s.arena = slices.Clone(e.arena)
+	s.free = slices.Clone(e.free)
+	s.clocks = slices.Clone(e.clocks)
 	// Detach pending trains: deliveries will move the live ones' cursors, so
 	// the snapshot keeps immutable masters. What they hold is now delivered
 	// by the run that continues and again by every fork: none of it is
@@ -805,13 +791,13 @@ func (e *Engine) Restore(s *Snapshot) {
 	if s.owner != e {
 		panic("sim: snapshot restored into a different engine")
 	}
-	e.now, e.seq, e.executed, e.stopped = s.now, s.seq, s.executed, false
-	e.dispatches, e.live, e.open = s.dispatch, s.live, nil
-	e.resets, e.requeues = s.resets, s.requeues
+	own := e.engineState
+	e.engineState = s.engineState
+	e.heap, e.arena, e.free = own.heap, own.arena, own.free
+	e.stopped, e.open = false, nil
 	// Clocks only ever grow (registered at build time), so the snapshot's
-	// skews copy back in place; the step budget is two scalar copies.
-	e.clocks = append(e.clocks[:0], s.clocks...)
-	e.stepLimit, e.budgetHit = s.stepLim, s.budgetHt
+	// skews copy back in place.
+	e.clocks = append(own.clocks[:0], s.clocks...)
 
 	if s == e.track {
 		// Delta path: copy back exactly the slots mutated since the last
@@ -866,7 +852,4 @@ func (e *Engine) Restore(s *Snapshot) {
 			e.arena[idx].tr = copyTrain(e.getTrain(), m)
 		}
 	}
-	// The splitmix state is one word: rolling the stream back is a copy,
-	// not an O(taps) replay.
-	e.src.state = s.rngState
 }

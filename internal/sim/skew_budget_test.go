@@ -113,7 +113,8 @@ func TestStepBudgetRearmCountsFromNow(t *testing.T) {
 
 // TestSkewAndBudgetSnapshotRestore: clock skews and the watchdog state
 // are part of the engine snapshot — a fork that changes them must not
-// leak into a sibling fork restored from the same snapshot.
+// leak into a sibling fork restored from the same snapshot, nor, through
+// the restored fork, into the snapshot itself.
 func TestSkewAndBudgetSnapshotRestore(t *testing.T) {
 	e := New(1)
 	c := e.RegisterClock()
@@ -142,5 +143,11 @@ func TestSkewAndBudgetSnapshotRestore(t *testing.T) {
 	e.Run()
 	if at != Time(10*time.Millisecond) {
 		t.Fatalf("restored clock fired at %v, want 10ms (12ms at +200 permille)", at)
+	}
+
+	e.SetSkew(c, -300)
+	e.Restore(snap)
+	if got := e.Skew(c); got != 200 {
+		t.Fatalf("a second restore of the snapshot reads skew %d, want 200: the first fork wrote into it", got)
 	}
 }

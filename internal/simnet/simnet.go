@@ -11,6 +11,8 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"avd/internal/faultinject"
@@ -94,9 +96,22 @@ type Stats struct {
 	Duplicated  uint64 // extra copies injected by link faults
 }
 
+// netState is what a network changes as it runs, besides its partition
+// tables and interceptor chain: Snapshot and Restore copy it by value.
+type netState struct {
+	stats  Stats
+	closed bool
+	// lf holds the armed per-link corruption/duplication faults; zero
+	// value means disarmed (one bool check per send). Its call counters
+	// are values, so the struct copy captures them.
+	lf linkFaults
+}
+
 // Network is a simulated network. It is not safe for concurrent use; all
 // calls must happen on the engine goroutine.
 type Network struct {
+	netState
+
 	eng *sim.Engine
 	cfg Config
 	// handlers is indexed by Addr: node addresses are small and dense,
@@ -113,10 +128,7 @@ type Network struct {
 	// when its sender has a blocked link out and its receiver one in, so
 	// every client's traffic, and under a one-way partition all but the
 	// victim's side of it, never hashes a linkKey.
-	//avdlint:derived Block, Unblock and Restore keep it the count of blocked's keys
 	blockedEnds []linkEnds
-	stats       Stats
-	closed      bool
 
 	// Dirty tracking for delta Restore, mirroring sim.Engine: track is
 	// the snapshot deltas are recorded against and linksDirty records
@@ -126,10 +138,6 @@ type Network struct {
 	// (network faults arm via interceptors).
 	track      *NetSnapshot
 	linksDirty bool
-
-	// lf holds the armed per-link corruption/duplication faults; zero
-	// value means disarmed (one bool check per send).
-	lf linkFaults
 
 	// view is the Message every send shows the interceptors.
 	//avdlint:ephemeral send-scoped: filled before the interceptors run and its payload dropped after
@@ -385,35 +393,28 @@ func (n *Network) send(from, to Addr, payload any, owned bool) {
 	}
 }
 
-// NetSnapshot is a restorable capture of the network's own state:
-// counters, partitions and the interceptor chain length. In-flight
+// NetSnapshot is a restorable capture of the network's own state: its
+// netState, partitions and the interceptor chain length. In-flight
 // messages are not here — they are deliveries the engine holds by value,
 // and its snapshot copies them; pairing a Network.Snapshot with the
 // engine's Snapshot captures the network completely.
 type NetSnapshot struct {
-	stats        Stats
+	netState
 	blocked      map[linkKey]bool
+	blockedEnds  []linkEnds
 	interceptors int
-	closed       bool
-	// lf is the link-fault state; its call counters are values, so the
-	// struct copy captures them.
-	lf linkFaults
 }
 
 // Snapshot captures the network state (excluding the handler table,
 // which is structural and never rolled back) and arms delta tracking:
-// restoring this snapshot skips the partition map rebuild unless
-// something touched it in between.
+// restoring this snapshot skips the partition tables' refill unless
+// something touched them in between.
 func (n *Network) Snapshot() *NetSnapshot {
 	s := &NetSnapshot{
-		stats:        n.stats,
-		blocked:      make(map[linkKey]bool, len(n.blocked)),
+		netState:     n.netState,
+		blocked:      maps.Clone(n.blocked),
+		blockedEnds:  slices.Clone(n.blockedEnds),
 		interceptors: len(n.interceptors),
-		closed:       n.closed,
-		lf:           n.lf,
-	}
-	for k, v := range n.blocked {
-		s.blocked[k] = v
 	}
 	n.track = s
 	n.linksDirty = false
@@ -425,17 +426,11 @@ func (n *Network) Snapshot() *NetSnapshot {
 // prefix must be the snapshot's own interceptors, which Restore cannot
 // verify — harnesses only ever append.
 func (n *Network) Restore(s *NetSnapshot) {
-	n.stats = s.stats
-	n.closed = s.closed
-	n.lf = s.lf
+	n.netState = s.netState
 	if s != n.track || n.linksDirty {
 		clear(n.blocked)
-		clear(n.blockedEnds)
-		//avdlint:allow restore refill: each key sets its own entry and adds to two counts, which commutes
-		for k := range s.blocked {
-			n.blocked[k] = true
-			n.countEnds(k, 1)
-		}
+		maps.Copy(n.blocked, s.blocked)
+		n.blockedEnds = append(n.blockedEnds[:0], s.blockedEnds...)
 		n.track = s
 		n.linksDirty = false
 	}

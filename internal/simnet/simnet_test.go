@@ -125,8 +125,8 @@ func TestBlockAndUnblock(t *testing.T) {
 
 // TestBlockedLinksFollowRestore: a restore brings back the snapshot's
 // partition exactly — links blocked after the snapshot flow again, links
-// unblocked after it are cut again — and blocking a link twice still takes
-// one Unblock to heal it.
+// unblocked after it are cut again, also by a second restore of the same
+// snapshot — and blocking a link twice still takes one Unblock to heal it.
 func TestBlockedLinksFollowRestore(t *testing.T) {
 	eng := sim.New(1)
 	net := New(eng, Config{})
@@ -157,6 +157,11 @@ func TestBlockedLinksFollowRestore(t *testing.T) {
 		if got := !delivered(l.from, l.to); got != l.cut {
 			t.Errorf("link %d->%d cut: %v after the restore, want %v", l.from, l.to, got, l.cut)
 		}
+	}
+	net.Unblock(0, 1)
+	net.Restore(snap)
+	if delivered(0, 1) {
+		t.Error("link 0->1 flows after a second restore: the first fork's Unblock wrote into the snapshot")
 	}
 }
 
