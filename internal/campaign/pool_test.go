@@ -85,21 +85,33 @@ func parked[K, D any](each func(func(K, D))) (n int) {
 // views. While view changes built their messages on the heap the campaign
 // allocated 145.6 MB in 1.43 M objects, 59 MB of them prepared proofs
 // alone, and that garbage set the workload's peak RSS. They come from the
-// window arena now, and the campaign allocates 67.2 MB in 371 k objects
-// (69.5 MB in 95 k while warm-ups carved from 32 KB chunks), most of it
-// the masters' warm-ups. The bound leaves about a seventh for
-// growth elsewhere; a view-change path that allocates again fails it.
+// window arena now, and the campaign allocates 56.7 MB in 368 k objects,
+// most of it the masters' warm-ups (67.2 MB in 546 k under -race; 67.3
+// MB in 371 k while every master grew its own replica tables and slab
+// free lists, and 69.5 MB in 95 k while warm-ups carved from 32 KB
+// chunks). The bound holds under -race too; a view-change path that
+// allocates again fails it.
 const faultsCoverageAllocMB = 85
+
+// faultsCoverageAllocObjects bounds the objects the same campaign
+// allocates (the growth of runtime.MemStats.Mallocs): 367,746, nearly all
+// of them the warm-ups' messages, which are heap objects until the
+// capture. The bound leaves about a seventh for growth, so a warm-up that
+// allocates more per message fails it; it is not asserted under -race,
+// whose instrumentation allocates.
+const faultsCoverageAllocObjects = 420_000
 
 // faultsCoverageRetainedMB bounds what the same campaign keeps after it
 // and a collection: the growth of runtime.MemStats.HeapAlloc since before
-// the target was built, nearly all of it the parked masters. It is 33.1
-// MB. It was 45.9 MB while a capture kept each 32 KB warm-up chunk that
-// held a live object, plus each slab's partly carved chunk; the warm-up is
-// heap memory now, and a master keeps only the objects its capture
-// references. The bound leaves about a seventh for growth; a master that
-// keeps dead warm-up memory again fails it.
-const faultsCoverageRetainedMB = 38
+// the target was built, nearly all of it the parked masters. It is 24.6
+// MB. It was 33.1 MB while every master kept the replica tables and slab
+// free lists its windows grew, which each Restore overwrites; they are
+// borrowed from the pool's scratch stock per window now, so a parked
+// master keeps only its capture. It was 45.9 MB while a capture kept each
+// 32 KB warm-up chunk that held a live object, plus each slab's partly
+// carved chunk. The bound leaves about a seventh for growth; a master
+// that keeps dead warm-up memory or window tables again fails it.
+const faultsCoverageRetainedMB = 28
 
 // TestFaultsCoverageAllocs is the guard on that campaign's allocation and
 // retained heap (CI's test job runs it with the rest of the suite).
@@ -129,9 +141,13 @@ func TestFaultsCoverageAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(setup)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
-	t.Logf("the campaign allocated %.1f MB in %d objects", mb, after.Mallocs-before.Mallocs)
+	objects := after.Mallocs - before.Mallocs
+	t.Logf("the campaign allocated %.1f MB in %d objects", mb, objects)
 	if mb > faultsCoverageAllocMB {
 		t.Errorf("the campaign allocated %.1f MB, bound %d MB", mb, faultsCoverageAllocMB)
+	}
+	if objects > faultsCoverageAllocObjects && !raceEnabled {
+		t.Errorf("the campaign allocated %d objects, bound %d", objects, faultsCoverageAllocObjects)
 	}
 	retained := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
 	t.Logf("the target retains %.1f MB after a collection", retained)

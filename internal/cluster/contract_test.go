@@ -182,6 +182,13 @@ func pbftContract(tb testing.TB) contract {
 				return executed() > before
 			},
 		},
+		Parked: func(tb testing.TB, d *deployment) {
+			for _, rp := range d.replicas {
+				if !rp.Parked() {
+					tb.Errorf("parked master: replica %d still holds a table Restore borrowed", rp.ID())
+				}
+			}
+		},
 		Pins: []targettest.Pin[Workload, *deployment]{
 			// What the unarmed 1.5 s window of the largest default population,
 			// 250 correct clients and one malicious, leases from the pool: 1.9

@@ -92,7 +92,10 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 			panic(fmt.Sprintf("cluster: replica construction: %v", err)) // config was validated
 		}
 		d.replicas = append(d.replicas, rep)
+		// Restore borrows the tables a window grows, and park hands them
+		// back.
 		d.Keep(func() func() { s := rep.Snapshot(); return func() { rep.Restore(s) } })
+		d.OnPark(rep.Park)
 	}
 
 	d.faults = plugin.FaultSite{

@@ -598,9 +598,9 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 }
 
 // Retention: after forks interleaved across the populations of the group
-// and the baselines they trigger, nothing is on lease, no parked master
-// holds a chunk — its warm-up is heap memory (DESIGN.md §20) — and
-// whatever Parked checks.
+// and the baselines they trigger, nothing is on lease or borrowed, no
+// parked master holds a chunk — its warm-up is heap memory (DESIGN.md
+// §20) — and whatever Parked checks.
 func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 	g := s.Group(t, group)
 	tg := s.Target(t, g.W)
@@ -611,6 +611,9 @@ func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 	}
 	if n := tg.Pool().Leased(); n != 0 {
 		t.Errorf("%d chunks still on lease with every master parked", n)
+	}
+	if n := tg.Pool().Borrowed(); n != 0 {
+		t.Errorf("%d scratch buffers still borrowed with every master parked", n)
 	}
 	parked := make(map[K]bool)
 	tg.EachMaster(func(k K, d D) {

@@ -218,6 +218,9 @@ type Replica struct {
 	// deployment captures and rewinds it; a replica built without
 	// WithArena gets a private one.
 	mem *Arena
+	// borrowed says the tables Restore borrows from the pool are out, for
+	// Park to return.
+	borrowed bool //avdlint:ephemeral run-scoped: Restore sets it and Park clears it
 
 	// commitObserver, when set, observes every batch execution: the
 	// sequence number and the batch digest this replica committed there.

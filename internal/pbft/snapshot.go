@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"avd/internal/faultinject"
+	"avd/internal/slab"
 )
 
 // This file implements the SUT side of snapshot/fork execution
@@ -44,21 +45,58 @@ func (r *Replica) Snapshot() *ReplicaState {
 	return s
 }
 
-// Restore rolls the replica back to the captured state. The deployment
-// has already rewound the shared message arena: the window's objects are
-// garbage, and everything restored below predates the capture mark.
+// Restore rolls a parked replica back to the captured state. The
+// deployment has already rewound the shared message arena: the window's
+// objects are garbage, and everything restored below predates the capture
+// mark. The tables a window grows — the log, its vote digests, the
+// last-reply table and the forwarded requests' slots — are borrowed from
+// the pool (see Park); the rest is copied into the replica's own memory.
 func (r *Replica) Restore(s *ReplicaState) {
 	own := r.replicaState
 	r.replicaState = s.replicaState
-	r.log = refill(own.log, s.log)
-	r.votes = refill(own.votes, s.votes)
+	pool := r.mem.mem.Pool()
+	r.log = append(slab.BorrowLargest[logEntry](pool), s.log...)
+	r.votes = append(slab.BorrowLargest[uint64](pool), s.votes...)
 	r.pending = append(s.pendingBuf[:0], s.pending...)
 	r.admitted = refill(own.admitted, s.admitted)
-	r.lastReply = refill(own.lastReply, s.lastReply)
-	r.pendingForwarded = own.pendingForwarded.refill(s.pendingForwarded)
+	r.lastReply = append(slab.BorrowLargest[lastReply](pool), s.lastReply...)
+	r.pendingForwarded = byClient[forwarded]{
+		slots: append(slab.BorrowLargest[keyed[forwarded]](pool), s.pendingForwarded.slots...),
+		more:  refill(own.pendingForwarded.more, s.pendingForwarded.more),
+		n:     s.pendingForwarded.n,
+	}
 	r.reqTimers = own.reqTimers.refill(s.reqTimers)
 	r.checkpoints = refill(own.checkpoints, s.checkpoints)
 	r.viewChanges = refill(own.viewChanges, s.viewChanges)
+	r.borrowed = true
+}
+
+// Park ends a run: the tables Restore borrowed go back to the pool's
+// scratch stock, since the next Restore rebuilds them from the snapshot,
+// so a parked master keeps only its capture and one set of tables per
+// concurrent run serves every master. The log and the slots are cleared
+// first: their entries hold batches, pre-prepares and requests. Park is
+// idempotent, and only Restore may follow it.
+func (r *Replica) Park() {
+	if !r.borrowed {
+		return
+	}
+	pool := r.mem.mem.Pool()
+	clear(r.log[:cap(r.log)])
+	slab.Return(pool, r.log)
+	slab.Return(pool, r.votes)
+	slab.Return(pool, r.lastReply)
+	slots := r.pendingForwarded.slots
+	clear(slots[:cap(slots)])
+	slab.Return(pool, slots)
+	r.log, r.votes, r.lastReply, r.pendingForwarded.slots = nil, nil, nil, nil
+	r.borrowed = false
+}
+
+// Parked reports whether the replica holds none of the tables Restore
+// borrows, as after Park.
+func (r *Replica) Parked() bool {
+	return r.log == nil && r.votes == nil && r.lastReply == nil && r.pendingForwarded.slots == nil
 }
 
 // ApplyByzantine (re-)activates the replica's ByzantineBehavior after

@@ -290,6 +290,9 @@ type Node struct {
 	// retired holds the log arrays truncate replaced this run: messages in
 	// flight may still read them, so they are let go at Park.
 	retired [][]Entry //avdlint:ephemeral run-scoped: Park stocks the first array and drops the rest, and Snapshot drops the warm-up's, which the captured messages alias
+	// borrowed says the log is a buffer borrowed since Restore, for Park
+	// to return: an empty one may be nil.
+	borrowed bool //avdlint:ephemeral run-scoped: Restore sets it and Park clears it
 
 	electionFn  func()
 	heartbeatFn func()

@@ -408,7 +408,7 @@ func TestParkStocksOneRetiredArray(t *testing.T) {
 		n.onClientRequest(&ClientRequest{Client: simnet.Addr(client), Seq: 1})
 	}
 	pool := n.mem.pool
-	n.log = append(slab.Borrow[Entry](pool), n.log...) // as Restore leaves it
+	n.log, n.borrowed = append(slab.Borrow[Entry](pool), n.log...), true // as Restore leaves it
 	for range 3 {
 		n.shared = uint64(len(n.log)) // as if the node had just sent it all
 		n.truncate(n.shared - 1)

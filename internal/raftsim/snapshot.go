@@ -46,9 +46,9 @@ func (n *Node) Snapshot() *NodeState {
 // step-downs of an ordinary window.
 func (n *Node) Park() {
 	n.dropRetired(1)
-	if n.log != nil {
+	if n.borrowed {
 		slab.Return(n.mem.pool, n.log)
-		n.log = nil
+		n.log, n.borrowed = nil, false
 	}
 }
 
@@ -72,6 +72,7 @@ func (n *Node) Restore(s *NodeState) {
 	n.nodeState = s.nodeState
 	n.log = append(slab.BorrowLargest[Entry](n.mem.pool), s.log...)
 	n.shared = 0 // a copy no message has seen
+	n.borrowed = true
 	n.nextIndex = append(own.nextIndex[:0], s.nextIndex...)
 	n.matchIndex = append(own.matchIndex[:0], s.matchIndex...)
 	n.lastSeq = append(own.lastSeq[:0], s.lastSeq...)

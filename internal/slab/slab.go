@@ -56,11 +56,12 @@ const WindowCeiling = 128 << 20
 // see SetPoison).
 var poison atomic.Bool
 
-// SetPoison is a test hook: while on, every chunk returned to any Pool
-// and every object returned through Slab.Put is filled with 0xA5 bytes,
-// so an object that is read before its call site initialized it — or
-// through a pointer that outlived its window or its release — shows up as
-// garbage (or a fault) instead of as a plausible stale value.
+// SetPoison is a test hook: while on, every chunk returned to any Pool,
+// every object returned through Slab.Put and the whole capacity of every
+// scratch buffer stocked by Return is filled with 0xA5 bytes, so an
+// object that is read before its call site initialized it — or through a
+// pointer that outlived its window or its release — shows up as garbage
+// (or a fault) instead of as a plausible stale value.
 func SetPoison(on bool) { poison.Store(on) }
 
 // Pool is the shared stock of free chunks, one LIFO list per element
@@ -71,6 +72,7 @@ type Pool struct {
 	leased int         // chunks out on lease (handed out, not yet returned)
 	held   int         // chunks the pool is responsible for: leased plus free
 	high   int         // the largest held has been
+	out    int         // scratch buffers borrowed and not yet returned
 }
 
 // Leased reports how many chunks are currently out on lease: handed to a
@@ -79,6 +81,14 @@ func (p *Pool) Leased() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.leased
+}
+
+// Borrowed reports how many scratch buffers are out: handed out by Borrow
+// or BorrowLargest and not yet settled by a Return.
+func (p *Pool) Borrowed() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.out
 }
 
 // HighWater reports the most chunks the pool has held at once, leased and
@@ -335,10 +345,12 @@ func poisonChunk[T any](c []T) (was bool) {
 // Slab hands out single objects.
 type Slab[T any] struct {
 	bump[T]
-	// freed holds the objects Put handed back, last in first out. Every
-	// Rewind empties it, since a window's objects go back with their
-	// chunks, and so does a Capture, leaving the warm-up's to the
-	// collector: a pointer left here would alias or pin them.
+	// freed holds the objects Put handed back, last in first out. It is a
+	// scratch buffer the first Put borrows from the pool, and every Rewind
+	// returns it, since a window's objects go back with their chunks; so
+	// does a Capture, leaving the warm-up's to the collector: a pointer
+	// left here would alias or pin them. A parked deployment keeps no free
+	// list, and one per concurrent run serves every deployment.
 	freed []*T
 }
 
@@ -375,15 +387,22 @@ func (s *Slab[T]) Put(p *T) {
 	if poison.Load() && poisonChunk(unsafe.Slice(p, 1)) {
 		panic("slab: Put of an object that was already put back")
 	}
+	if s.freed == nil {
+		s.freed = BorrowLargest[*T](s.arena.pool)
+	}
 	s.freed = append(s.freed, p)
 }
 
-// rewind is bump.rewind with the free list emptied first, of every
-// pointer it ever held, popped ones included: a pointer left in the
-// backing array would keep a warm-up object or a pooled chunk alive.
+// rewind is bump.rewind with the free list returned first, cleared of
+// every pointer it ever held, popped ones included: a pointer left in the
+// backing array would keep a warm-up object or a pooled chunk alive. The
+// list is non-nil exactly when a Put borrowed it.
 func (s *Slab[T]) rewind() {
-	clear(s.freed[:cap(s.freed)])
-	s.freed = s.freed[:0]
+	if s.freed != nil {
+		clear(s.freed[:cap(s.freed)])
+		Return(s.arena.pool, s.freed)
+		s.freed = nil
+	}
 	s.bump.rewind()
 }
 
@@ -517,6 +536,7 @@ func borrow[T any](p *Pool, largest bool) []T {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	l.out++
+	p.out++
 	k := len(l.chunks) - 1
 	if k < 0 {
 		return nil
@@ -538,7 +558,9 @@ func borrow[T any](p *Pool, largest bool) []T {
 // matches no Borrow — a buffer its owner grew itself during warm-up — is
 // dropped, so the stock never exceeds the buffers out at one time. A nil
 // buf settles a Borrow and stocks nothing: the borrowed buffer is left to
-// the collector.
+// the collector. The owner clears a buffer of pointers before it returns
+// it; under SetPoison its whole capacity is poisoned, so a borrower that
+// reslices into the capacity instead of appending reads garbage.
 func Return[T any](p *Pool, buf []T) {
 	l := listFor[T](p, scratchKey[T]{})
 	p.mu.Lock()
@@ -547,7 +569,11 @@ func Return[T any](p *Pool, buf []T) {
 		return
 	}
 	l.out--
+	p.out--
 	if cap(buf) > 0 {
+		if poison.Load() {
+			poisonChunk(buf[:cap(buf)])
+		}
 		l.chunks = append(l.chunks, buf)
 	}
 }

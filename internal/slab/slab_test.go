@@ -277,21 +277,30 @@ func TestPutPoison(t *testing.T) {
 // TestFreeListEmptiedByRewindAndCapture: a Capture empties the free list
 // of warm-up objects, so they are the collector's once the snapshot drops
 // them, and a Rewind empties it of window objects, whose chunks go back to
-// the pool. Both drop every pointer the list ever held, popped ones
-// included, and the next Get carves.
+// the pool. Both return the list to the pool's scratch stock, cleared of
+// every pointer it ever held, popped ones included, and the next Get
+// carves.
 func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	a := NewArena(nil, nil)
 	s := New[obj](a)
 	emptied := func(by string) {
 		t.Helper()
-		if len(s.freed) != 0 {
-			t.Fatalf("free list holds %d objects after a %s", len(s.freed), by)
+		if s.freed != nil {
+			t.Fatalf("the slab kept its free list (%d objects) after a %s", len(s.freed), by)
 		}
-		for i, p := range s.freed[:cap(s.freed)] {
+		if n := a.Pool().Borrowed(); n != 0 {
+			t.Fatalf("%d scratch buffers borrowed after a %s, want the free list returned", n, by)
+		}
+		stocked := Borrow[*obj](a.Pool())
+		if cap(stocked) == 0 {
+			t.Fatalf("the %s stocked no free list", by)
+		}
+		for i, p := range stocked[:cap(stocked)] {
 			if p != nil {
 				t.Fatalf("%s left pointer %d of the free list's backing array set", by, i)
 			}
 		}
+		Return(a.Pool(), stocked)
 	}
 	warm := s.Get()
 	s.Put(s.Get())
@@ -441,6 +450,36 @@ func TestScratchStockIsBounded(t *testing.T) {
 	if len(l.chunks) != 0 {
 		t.Fatalf("stock holds %d buffers after a nil Return settled the only Borrow, want 0", len(l.chunks))
 	}
+}
+
+// TestReturnPoisonsStock: Borrowed counts the buffers out until a Return
+// settles them, and under SetPoison a stocked buffer is poisoned over its
+// whole capacity, so a borrower that reslices into it instead of
+// appending reads garbage.
+func TestReturnPoisonsStock(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	var p Pool
+	buf := append(Borrow[uint64](&p), 1, 2, 3)
+	BorrowLargest[uint64](&p)
+	if n := p.Borrowed(); n != 2 {
+		t.Fatalf("Borrowed reports %d with two buffers out", n)
+	}
+	Return(&p, buf[:1])
+	Return[uint64](&p, nil)
+	if n := p.Borrowed(); n != 0 {
+		t.Fatalf("Borrowed reports %d after both were returned", n)
+	}
+	got := Borrow[uint64](&p)
+	if cap(got) == 0 {
+		t.Fatal("the returned buffer was not stocked")
+	}
+	for i, v := range got[:cap(got)] {
+		if v != 0xA5A5A5A5A5A5A5A5 {
+			t.Fatalf("stocked buffer reads %#x at %d, want poison", v, i)
+		}
+	}
+	Return(&p, got)
 }
 
 // TestBorrowLargest: BorrowLargest hands out the stocked buffer of the
