@@ -304,7 +304,8 @@ func TestResumeWithChangedMeasureRefused(t *testing.T) {
 
 // TestProfileFlags: -cpuprofile and -memprofile each leave a non-empty
 // profile behind and the campaign still exits 0, so sizing a change does
-// not need a patched binary. The same run checks what the binary prints
+// not need a patched binary; the heap profile is sampled at
+// memProfileRate, not the runtime's default. The same run checks what the binary prints
 // for -workers 0 (the one worker that runs it, as the manifest records)
 // and -top 0 (no "top 0 attacks:" header over nothing).
 func TestProfileFlags(t *testing.T) {
@@ -333,6 +334,13 @@ func TestProfileFlags(t *testing.T) {
 		if info.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(path))
 		}
+	}
+	raw, err := exec.Command("go", "tool", "pprof", "-raw", mem).Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v", err)
+	}
+	if want := fmt.Sprintf("\nPeriod: %d\n", memProfileRate); !strings.Contains(string(raw), want) {
+		t.Errorf("the heap profile is not sampled every %d bytes:\n%.200s", memProfileRate, raw)
 	}
 }
 

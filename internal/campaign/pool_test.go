@@ -44,9 +44,18 @@ const fig2PoolHighWater = 75
 // so this count sets what the campaign's memory grows with.
 const fig2Masters = 28
 
+// fig2RetainedMB bounds what the same campaign keeps after it and a
+// collection, measured as faultsCoverageRetainedMB is: 14.8 MB, nearly all
+// of it the 28 parked masters. It was 16.2 MB while every master kept the
+// delivery trains its windows grew; the engine borrows them from the
+// pool's stock per window now (sim.Engine.Park). The bound leaves 1.2 MB
+// for growth, so a master that keeps its trains again fails it.
+const fig2RetainedMB = 16
+
 // TestFig2PoolHighWater is the exact guard on the campaign-level memory
 // claim (CI's test job runs it with the rest of the suite).
 func TestFig2PoolHighWater(t *testing.T) {
+	before := liveHeap()
 	setup, err := Build(Config{
 		Target: "pbft", Strategy: "avd", Tests: 100, Seed: 1,
 		Measure: 1500 * time.Millisecond, StepBudget: 2_000_000, Workers: 1, Shards: 1,
@@ -69,6 +78,19 @@ func TestFig2PoolHighWater(t *testing.T) {
 	if masters := parked(runner.EachMaster); masters != fig2Masters {
 		t.Errorf("the campaign parked %d masters, want exactly %d", masters, fig2Masters)
 	}
+	retained := (float64(liveHeap().HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+	runtime.KeepAlive(setup)
+	t.Logf("the target retains %.1f MB after a collection", retained)
+	if retained > fig2RetainedMB {
+		t.Errorf("the target retains %.1f MB after a collection, bound %d MB", retained, fig2RetainedMB)
+	}
+}
+
+// liveHeap returns the memory statistics right after a collection.
+func liveHeap() (ms runtime.MemStats) {
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms
 }
 
 // parked counts the masters a harness's EachMaster visits.
@@ -85,16 +107,16 @@ func parked[K, D any](each func(func(K, D))) (n int) {
 // views. While view changes built their messages on the heap the campaign
 // allocated 145.6 MB in 1.43 M objects, 59 MB of them prepared proofs
 // alone, and that garbage set the workload's peak RSS. They come from the
-// window arena now, and the campaign allocates 56.7 MB in 368 k objects,
-// most of it the masters' warm-ups (67.2 MB in 546 k under -race; 67.3
-// MB in 371 k while every master grew its own replica tables and slab
-// free lists, and 69.5 MB in 95 k while warm-ups carved from 32 KB
-// chunks). The bound holds under -race too; a view-change path that
+// window arena now, and the campaign allocates 53.3 MB in 367 k objects,
+// most of it the masters' warm-ups (63.8 MB in 545 k under -race; 56.7
+// MB while every master grew its own delivery trains, 67.3 MB in 371 k
+// while it grew its own replica tables and slab free lists, and 69.5 MB
+// in 95 k while warm-ups carved from 32 KB chunks). The bound holds under -race too; a view-change path that
 // allocates again fails it.
 const faultsCoverageAllocMB = 85
 
 // faultsCoverageAllocObjects bounds the objects the same campaign
-// allocates (the growth of runtime.MemStats.Mallocs): 367,746, nearly all
+// allocates (the growth of runtime.MemStats.Mallocs): 366,775, nearly all
 // of them the warm-ups' messages, which are heap objects until the
 // capture. The bound leaves about a seventh for growth, so a warm-up that
 // allocates more per message fails it; it is not asserted under -race,
@@ -103,15 +125,19 @@ const faultsCoverageAllocObjects = 420_000
 
 // faultsCoverageRetainedMB bounds what the same campaign keeps after it
 // and a collection: the growth of runtime.MemStats.HeapAlloc since before
-// the target was built, nearly all of it the parked masters. It is 24.6
-// MB. It was 33.1 MB while every master kept the replica tables and slab
-// free lists its windows grew, which each Restore overwrites; they are
-// borrowed from the pool's scratch stock per window now, so a parked
-// master keeps only its capture. It was 45.9 MB while a capture kept each
-// 32 KB warm-up chunk that held a live object, plus each slab's partly
-// carved chunk. The bound leaves about a seventh for growth; a master
-// that keeps dead warm-up memory or window tables again fails it.
-const faultsCoverageRetainedMB = 28
+// the target was built, nearly all of it the parked masters. It is 21.7
+// MB, under -race too. It was 24.6 MB while every master kept the
+// delivery trains its windows grew, its free ones and those queued at
+// window end; the engine borrows them from the pool's stock per window
+// now (sim.Engine.Park). It was 33.1 MB while every master kept the
+// replica tables and slab free lists its windows grew, which each Restore
+// overwrites; they are borrowed from the pool's scratch stock per window
+// now too, so a parked master keeps only its capture. It was 45.9 MB
+// while a capture kept each 32 KB warm-up chunk that held a live object,
+// plus each slab's partly carved chunk. The bound leaves 2.3 MB for
+// growth, less than any of those residues; a master that keeps its
+// trains, dead warm-up memory or window tables again fails it.
+const faultsCoverageRetainedMB = 24
 
 // TestFaultsCoverageAllocs is the guard on that campaign's allocation and
 // retained heap (CI's test job runs it with the rest of the suite).
@@ -119,9 +145,7 @@ func TestFaultsCoverageAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 400-test campaign")
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := liveHeap()
 	setup, err := Build(Config{
 		Target: "pbft", Strategy: "coverage", Faults: "crash,skew,oneway,corrupt,dup", Tests: 400, Seed: 1,
 		Measure: 1500 * time.Millisecond, StepBudget: 2_000_000, Workers: 1, Shards: 1,
@@ -137,8 +161,7 @@ func TestFaultsCoverageAllocs(t *testing.T) {
 	if err != nil || len(results) != 400 {
 		t.Fatalf("campaign ran %d tests: %v", len(results), err)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := liveHeap()
 	runtime.KeepAlive(setup)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	objects := after.Mallocs - before.Mallocs

@@ -56,6 +56,7 @@ type Rig struct {
 // invariants "<prefix>/…".
 func NewRig(name string, pool *slab.Pool, seed int64, cfg simnet.Config, prefix string) *Rig {
 	r := &Rig{name: name, Eng: sim.New(seed), Oracle: oracle.New(pool, prefix)}
+	r.Eng.SetPool(pool)
 	r.Net = simnet.New(r.Eng, cfg)
 	r.Mem = slab.NewArena(pool, r.Eng.Stop)
 	return r
@@ -70,9 +71,11 @@ func (r *Rig) Keep(capture func() (restore func())) { r.keeps = append(r.keeps, 
 // the oracle's tables.
 func (r *Rig) OnPark(fn func()) { r.parks = append(r.parks, fn) }
 
-// Capture implements Deployment.
+// Capture implements Deployment. The engine hands its train stock back at
+// once: a captured master may park before its first run (Harness.Prepare).
 func (r *Rig) Capture() {
 	r.eng, r.net, r.oracle = r.Eng.Snapshot(), r.Net.Snapshot(), r.Oracle.Snapshot()
+	r.Eng.Park()
 	for _, capture := range r.keeps {
 		r.restores = append(r.restores, capture())
 	}
@@ -91,15 +94,16 @@ func (r *Rig) Restore() {
 	r.measuring, r.completed, r.latSum, r.latN = false, 0, 0, 0
 }
 
-// park ends a run: the window's message memory, what OnPark registered
-// and the oracle's tables go back to the pool, so a parked master retains
-// only what its capture references and the next fork — of this master or
-// any other — carves the same chunks. Nothing reads the window's objects
-// afterwards: the result is already extracted, and Restore overwrites
-// every pointer to them. park is idempotent, and only Restore may follow
-// it.
+// park ends a run: the window's message memory, the engine's delivery
+// trains, what OnPark registered and the oracle's tables go back to the
+// pool, so a parked master retains only what its capture references and
+// the next fork — of this master or any other — carves the same chunks and
+// takes the same trains. Nothing reads the window's objects afterwards:
+// the result is already extracted, and Restore overwrites every pointer to
+// them. park is idempotent, and only Restore may follow it.
 func (r *Rig) park() {
 	r.Mem.Rewind()
+	r.Eng.Park()
 	for _, fn := range r.parks {
 		fn()
 	}

@@ -600,10 +600,17 @@ func (s Internals[W, K, D, R]) Hung(t *testing.T) {
 // Retention: after forks interleaved across the populations of the group
 // and the baselines they trigger, nothing is on lease or borrowed, no
 // parked master holds a chunk — its warm-up is heap memory (DESIGN.md
-// §20) — and whatever Parked checks.
+// §20) — or a delivery train besides its capture's, and whatever Parked
+// checks. A master captured ahead of its first run (Harness.Prepare)
+// borrows nothing while it waits.
 func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 	g := s.Group(t, group)
 	tg := s.Target(t, g.W)
+	d := tg.Build(g.Cases[0].Scenario)
+	d.Capture()
+	if n, trains := tg.Pool().Borrowed(), s.Window(d).Eng.Trains(); n != 0 || trains != 0 {
+		t.Errorf("a captured master borrows %d scratch buffers and holds %d delivery trains besides its capture's, want 0 and 0", n, trains)
+	}
 	for range 2 {
 		for _, c := range g.Cases {
 			tg.Run(c.Scenario)
@@ -620,6 +627,9 @@ func (s Internals[W, K, D, R]) Retention(t *testing.T, group string) {
 		parked[k] = true
 		if n := s.Window(d).Mem.Held(); n != 0 {
 			t.Errorf("parked master %+v holds %d chunks, want 0", k, n)
+		}
+		if n := s.Window(d).Eng.Trains(); n != 0 {
+			t.Errorf("parked master %+v holds %d delivery trains besides its capture's, want 0", k, n)
 		}
 		if s.Parked != nil {
 			s.Parked(t, d)

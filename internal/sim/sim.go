@@ -32,6 +32,8 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+
+	"avd/internal/slab"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -197,9 +199,14 @@ type Engine struct {
 	dirtySeq uint64
 
 	// open is the train a Stream.Schedule for its instant, openAt, may join.
-	open       *train   //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
-	openAt     Time     //avdlint:ephemeral meaningful only while open is set, and set with it
-	freeTrains []*train //avdlint:ephemeral pool: a checkout's stream, cursor and arguments are overwritten before use
+	open   *train //avdlint:ephemeral run-scoped: closing a train early never changes dispatch order, so Snapshot and Restore just close it
+	openAt Time   //avdlint:ephemeral meaningful only while open is set, and set with it
+
+	// freeTrains is the stock of free trains, borrowed from pool by the
+	// first train a run takes or gives up and handed back by Park; nil
+	// while none is borrowed.
+	pool       *slab.Pool //avdlint:ephemeral where the train stock is borrowed from, set before the first train
+	freeTrains []*train   //avdlint:ephemeral pool: a checkout's stream, cursor and arguments are overwritten before use
 }
 
 // splitmixSource is the engine's random source: splitmix64, whose entire
@@ -441,7 +448,26 @@ func (s *Stream) Schedule(d time.Duration, arg any, meta uint64) {
 	}
 }
 
+// SetPool makes the engine borrow its train stock from p, which every
+// deployment of a harness shares; an engine given none borrows from a pool
+// of its own. It must come before the engine's first delivery.
+func (e *Engine) SetPool(p *slab.Pool) { e.pool = p }
+
+// borrowTrains takes a train stock from the pool.
+func (e *Engine) borrowTrains() {
+	if e.pool == nil {
+		e.pool = new(slab.Pool)
+	}
+	e.freeTrains = slab.BorrowStock[*train](e.pool)
+	if e.freeTrains == nil { // none stocked yet; nil would mean none borrowed
+		e.freeTrains = make([]*train, 0, 64)
+	}
+}
+
 func (e *Engine) getTrain() *train {
+	if e.freeTrains == nil {
+		e.borrowTrains()
+	}
 	if n := len(e.freeTrains); n > 0 {
 		tr := e.freeTrains[n-1]
 		e.freeTrains = e.freeTrains[:n-1]
@@ -452,15 +478,53 @@ func (e *Engine) getTrain() *train {
 	return tr
 }
 
-// putTrain pools a train, dropping what it still references.
+// putTrain stocks a train, dropping what it still references: the stock
+// goes from deployment to deployment, so a train in it must not keep one
+// alive.
 func (e *Engine) putTrain(tr *train) {
 	if len(tr.ds) == 1 {
 		tr.ds[0] = delivery{} // all of jittered traffic: no call into the runtime
 	} else {
 		clear(tr.ds)
 	}
-	tr.ds, tr.next = tr.ds[:0], 0
+	tr.s, tr.ds, tr.next = nil, tr.ds[:0], 0
+	if e.freeTrains == nil {
+		e.borrowTrains()
+	}
 	e.freeTrains = append(e.freeTrains, tr)
+}
+
+// Park hands back what a run borrowed: every train queued in a slot
+// changed since the last Snapshot or Restore, whose deliveries a rollback
+// discards, and the stock of free trains, to the pool they came from. A
+// parked engine holds only its capture's trains: the detached masters and
+// the copies of them the last Restore queued. Park is idempotent, and only
+// Restore may follow it, or a run when no slot changed since a Snapshot.
+func (e *Engine) Park() {
+	e.open = nil
+	for _, idx := range e.dirty {
+		if ev := &e.arena[idx]; ev.tr != nil {
+			e.putTrain(ev.tr)
+			ev.tr = nil
+		}
+	}
+	if e.freeTrains != nil {
+		slab.ReturnStock(e.pool, e.freeTrains)
+		e.freeTrains = nil
+	}
+}
+
+// Trains reports how many trains the engine holds besides its capture's:
+// the stock it borrowed and those queued in slots changed since the last
+// Snapshot or Restore. A parked engine holds none.
+func (e *Engine) Trains() int {
+	n := len(e.freeTrains)
+	for _, idx := range e.dirty {
+		if e.arena[idx].tr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func (e *Engine) schedule(t Time, fn func(), tr *train) Timer {
@@ -563,9 +627,9 @@ func (e *Engine) fire(one bool) bool {
 		return true
 	}
 	// A train of one — all of jittered traffic — has no cursor to keep.
-	d := tr.ds[0]
+	d, deliver := tr.ds[0], tr.s.fn
 	e.putTrain(tr)
-	tr.s.fn(d.arg, d.meta)
+	deliver(d.arg, d.meta)
 	return true
 }
 
@@ -776,9 +840,9 @@ func copyTrain(dst, src *train) *train {
 	return dst
 }
 
-// Restore rolls the engine back to the snapshot state. Timer handles
-// taken before the snapshot become valid again (their event id is part
-// of the captured arena); handles created after it go inert. Restore
+// Restore parks the engine and rolls it back to the snapshot state. Timer
+// handles taken before the snapshot become valid again (their event id is
+// part of the captured arena); handles created after it go inert. Restore
 // panics if the snapshot belongs to a different engine.
 //
 // Restoring the tracked snapshot (the most recent one) is a delta
@@ -791,10 +855,11 @@ func (e *Engine) Restore(s *Snapshot) {
 	if s.owner != e {
 		panic("sim: snapshot restored into a different engine")
 	}
+	e.Park()
 	own := e.engineState
 	e.engineState = s.engineState
 	e.heap, e.arena, e.free = own.heap, own.arena, own.free
-	e.stopped, e.open = false, nil
+	e.stopped = false
 	// Clocks only ever grow (registered at build time), so the snapshot's
 	// skews copy back in place.
 	e.clocks = append(own.clocks[:0], s.clocks...)
@@ -803,14 +868,9 @@ func (e *Engine) Restore(s *Snapshot) {
 		// Delta path: copy back exactly the slots mutated since the last
 		// restore. Slots grown past the snapshot arena are invalidated;
 		// untouched grown slots were already invalidated by the previous
-		// restore and need no work. A dirty slot still holding a train (an
-		// exhausted one has left its slot) holds deliveries this rollback
-		// discards: the train goes back to the pool, its deliveries nowhere.
+		// restore and need no work. Park took the trains of dirty slots.
 		for _, idx := range e.dirty {
 			ev := &e.arena[idx]
-			if ev.tr != nil {
-				e.putTrain(ev.tr)
-			}
 			if int(idx) < len(s.arena) {
 				*ev = s.arena[idx]
 			} else {

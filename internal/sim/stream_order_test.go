@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"avd/internal/slab"
 )
 
 // The differential test of dispatch order: random programs of timers,
-// stream deliveries, cancellations, re-arms, partial runs, budgets, stops
-// and snapshot rollbacks run on the real engine and on refQueue, a naive
+// stream deliveries, cancellations, re-arms, partial runs, budgets, stops,
+// parks and snapshot rollbacks run on the real engine and on refQueue, a naive
 // queue that keeps one entry per delivery in a slice sorted by
 // (at, seq). Whatever the engine does to put deliveries on trains or to
 // leave a re-armed timer's node where it was, both must run the same
@@ -32,6 +34,7 @@ type orderQueue interface {
 	stop()
 	resume()
 	snapshot()
+	park() // only restore may follow
 	restore()
 	observe() observation
 }
@@ -181,6 +184,8 @@ func (q *refQueue) snapshot() {
 	q.snap = &s
 }
 
+func (q *refQueue) park() {}
+
 func (q *refQueue) restore() {
 	q.refState = *q.snap
 	q.evs = slices.Clone(q.snap.evs)
@@ -203,9 +208,13 @@ func (q *refQueue) observe() observation {
 // word, the way simnet packs addresses there. A delivery must arrive with
 // exactly that meta, the Owned bit cleared if and only if a snapshot was
 // taken since it was sent: every delivery pending at a capture is made
-// again by the run that continues and by every fork.
+// again by the run that continues and by every fork. Its engine borrows
+// trains from pool, and a parked engine must have handed back all of them
+// but its capture's.
 type engineQueue struct {
+	t       *testing.T
 	e       *Engine
+	pool    slab.Pool
 	streams [2]*Stream
 	snap    *Snapshot
 	deliver func(id int, beh byte)
@@ -217,7 +226,8 @@ type engineQueue struct {
 }
 
 func newEngineQueue(t *testing.T) *engineQueue {
-	q := &engineQueue{e: New(1), sentIn: make(map[int]int)}
+	q := &engineQueue{t: t, e: New(1), sentIn: make(map[int]int)}
+	q.e.SetPool(&q.pool)
 	for i := range q.streams {
 		q.streams[i] = q.e.NewStream(func(_ any, meta uint64) {
 			id, beh := int(meta&^Owned>>8), byte(meta)
@@ -266,6 +276,13 @@ func (q *engineQueue) snapshot() {
 	q.snapInFlight = q.inFlight
 }
 
+func (q *engineQueue) park() {
+	q.e.Park()
+	if n, trains := q.pool.Borrowed(), q.e.Trains(); n != 0 || trains != 0 {
+		q.t.Fatalf("a parked engine borrows %d stocks and holds %d trains besides its capture's", n, trains)
+	}
+}
+
 func (q *engineQueue) restore() {
 	q.e.Restore(q.snap)
 	q.inFlight = q.snapInFlight
@@ -297,6 +314,7 @@ const (
 	opRestore
 	opRun
 	opReset // which handle, delay, behaviour
+	opPark  // then restore: what ends every fork
 	numOps
 )
 
@@ -435,6 +453,11 @@ func (r *runner) exec(prog []byte) []observation {
 			if snapped {
 				r.q.restore()
 			}
+		case opPark:
+			if snapped {
+				r.q.park()
+				r.q.restore()
+			}
 		case opRun:
 			r.q.run()
 		case opReset:
@@ -488,8 +511,8 @@ func checkProgram(t *testing.T, prog []byte) {
 
 // disasm renders a program for failure messages.
 func disasm(prog []byte) string {
-	names := [numOps]string{"timer", "send", "stoptimer", "step", "runfor", "budget", "stop", "resume", "snapshot", "restore", "run", "reset"}
-	operands := [numOps]int{2, 3, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3}
+	names := [numOps]string{"timer", "send", "stoptimer", "step", "runfor", "budget", "stop", "resume", "snapshot", "restore", "run", "reset", "park"}
+	operands := [numOps]int{2, 3, 1, 0, 1, 1, 0, 0, 0, 0, 0, 3, 0}
 	var sb strings.Builder
 	for len(prog) > 0 {
 		op := prog[0] % numOps
@@ -602,6 +625,10 @@ func streamOrderSeeds() map[string][]byte {
 		// Snapshot with a train half delivered, finish it, roll back: the
 		// remainder is delivered again, un-owned, twice over.
 		"restore-half-delivered": cat(fan(4, behNone), []byte{opStep, opStep, opSnapshot, opRun, opRestore, opStep, opRestore, opRun}),
+		// Park between a run and its restore, with a captured train half
+		// delivered, a train the run queued and one it left in the stock:
+		// the restore borrows again and copies the captured train afresh.
+		"park-between-run-and-restore": cat(fan(4, behNone), []byte{opStep, opSnapshot, opStep}, fan(2, behNone), []byte{opSend, 1, 2, behNone, opRunFor, 1, opPark, opRun, opPark, opStep, opPark, opRestore, opRun}),
 		// A send after Snapshot must not join a captured train, and a
 		// rollback must discard what it added.
 		"send-after-snapshot": cat(fan(2, behNone), []byte{opSnapshot}, fan(2, behNone), []byte{opRestore}, fan(2, behNone), []byte{opStep, opRestore}, fan(1, behNone), []byte{opRun, opRestore, opRun}),

@@ -68,7 +68,7 @@ func SetPoison(on bool) { poison.Store(on) }
 // type. It is safe for concurrent use; the zero value is ready.
 type Pool struct {
 	mu     sync.Mutex
-	lists  map[any]any // chunkKey[T]{} or scratchKey[T]{} -> *freeList[T]
+	lists  map[any]any // chunkKey[T]{}, scratchKey[T]{} or stockKey[T]{} -> *freeList[T]
 	leased int         // chunks out on lease (handed out, not yet returned)
 	held   int         // chunks the pool is responsible for: leased plus free
 	high   int         // the largest held has been
@@ -83,8 +83,9 @@ func (p *Pool) Leased() int {
 	return p.leased
 }
 
-// Borrowed reports how many scratch buffers are out: handed out by Borrow
-// or BorrowLargest and not yet settled by a Return.
+// Borrowed reports how many scratch buffers are out: handed out by Borrow,
+// BorrowLargest or BorrowStock and not yet settled by a Return or
+// ReturnStock.
 func (p *Pool) Borrowed() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -99,11 +100,13 @@ func (p *Pool) HighWater() int {
 	return p.high
 }
 
-// chunkKey and scratchKey key a pool's two kinds of free list per element
-// type: fixed-size chunks (bump.grow) and scratch buffers (Borrow).
+// chunkKey, scratchKey and stockKey key a pool's three kinds of free list
+// per element type: fixed-size chunks (bump.grow), scratch buffers
+// (Borrow) and stocks of free objects (BorrowStock).
 type (
 	chunkKey[T any]   struct{}
 	scratchKey[T any] struct{}
+	stockKey[T any]   struct{}
 )
 
 type freeList[T any] struct {
@@ -522,17 +525,25 @@ func (s *Span[T]) Append(buf []T, v T) []T {
 // next run: latency samples, oracle tables, replicated logs. One set of
 // buffers per concurrent run ends up serving every deployment of the
 // Runner.
-func Borrow[T any](p *Pool) []T { return borrow[T](p, false) }
+func Borrow[T any](p *Pool) []T { return borrow[T](p, scratchKey[T]{}, false)[:0] }
 
 // BorrowLargest is Borrow handing out the stocked buffer of the largest
 // capacity instead of the last one returned, for a borrower whose buffers
 // grow all run long: a smaller one would be regrown, and its outgrown
 // arrays left to the collector. Raft logs borrow this way; the stocks
 // other borrowers keep stay last-in first-out.
-func BorrowLargest[T any](p *Pool) []T { return borrow[T](p, true) }
+func BorrowLargest[T any](p *Pool) []T { return borrow[T](p, scratchKey[T]{}, true)[:0] }
 
-func borrow[T any](p *Pool, largest bool) []T {
-	l := listFor[T](p, scratchKey[T]{})
+// BorrowStock is Borrow for a stock of free objects: the buffer comes back
+// as the last ReturnStock left it, length and all, and its borrower pops
+// objects off the end and pushes them back (the engine's delivery trains,
+// sim.Engine.Park). Every concurrent run holds one stock, so the objects
+// go from deployment to deployment instead of staying with the one that
+// grew them; nil when none is stocked.
+func BorrowStock[T any](p *Pool) []T { return borrow[T](p, stockKey[T]{}, false) }
+
+func borrow[T any](p *Pool, key any, largest bool) []T {
+	l := listFor[T](p, key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	l.out++
@@ -551,7 +562,7 @@ func borrow[T any](p *Pool, largest bool) []T {
 	buf := l.chunks[k]
 	l.chunks[k] = nil
 	l.chunks = l.chunks[:k]
-	return buf[:0]
+	return buf
 }
 
 // Return stocks a scratch buffer for the next Borrow. A Return that
@@ -561,8 +572,17 @@ func borrow[T any](p *Pool, largest bool) []T {
 // the collector. The owner clears a buffer of pointers before it returns
 // it; under SetPoison its whole capacity is poisoned, so a borrower that
 // reslices into the capacity instead of appending reads garbage.
-func Return[T any](p *Pool, buf []T) {
-	l := listFor[T](p, scratchKey[T]{})
+func Return[T any](p *Pool, buf []T) { settle(p, scratchKey[T]{}, buf, buf[:cap(buf)]) }
+
+// ReturnStock settles a BorrowStock, stocking the objects in stock[:len]
+// for the next one; under SetPoison only the capacity past them is
+// poisoned.
+func ReturnStock[T any](p *Pool, stock []T) {
+	settle(p, stockKey[T]{}, stock, stock[len(stock):cap(stock)])
+}
+
+func settle[T any](p *Pool, key any, buf, dead []T) {
+	l := listFor[T](p, key)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if l.out == 0 {
@@ -572,7 +592,7 @@ func Return[T any](p *Pool, buf []T) {
 	p.out--
 	if cap(buf) > 0 {
 		if poison.Load() {
-			poisonChunk(buf[:cap(buf)])
+			poisonChunk(dead)
 		}
 		l.chunks = append(l.chunks, buf)
 	}

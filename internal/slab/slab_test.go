@@ -507,6 +507,38 @@ func TestBorrowLargest(t *testing.T) {
 	}
 }
 
+// TestStockKeepsItsObjects: BorrowStock hands a stock back as ReturnStock
+// left it, length and all, counts in Borrowed until it is returned, and
+// under SetPoison only the capacity past its objects is poisoned; a stock
+// of another type, or a Borrow of the same type, does not see it.
+func TestStockKeepsItsObjects(t *testing.T) {
+	SetPoison(true)
+	defer SetPoison(false)
+	var p Pool
+	if got := BorrowStock[*int](&p); got != nil {
+		t.Fatalf("BorrowStock from an empty pool gave %d objects, want nil", len(got))
+	}
+	a, b := new(int), new(int)
+	ReturnStock(&p, append(make([]*int, 0, 4), a, b))
+	if n := p.Borrowed(); n != 0 {
+		t.Fatalf("Borrowed reports %d after the stock was returned", n)
+	}
+	if got := Borrow[*int](&p); got != nil {
+		t.Fatalf("Borrow took the stock: %d elements", cap(got))
+	}
+	Return[*int](&p, nil)
+	got := BorrowStock[*int](&p)
+	if p.Borrowed() != 1 || len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("BorrowStock gave %v (%d borrowed), want the two objects returned", got, p.Borrowed())
+	}
+	for i, v := range got[2:cap(got)] {
+		if uintptr(unsafe.Pointer(v)) != 0xA5A5A5A5A5A5A5A5 {
+			t.Fatalf("spare capacity reads %p at %d, want poison", v, i)
+		}
+	}
+	ReturnStock(&p, got[:0])
+}
+
 // TestConcurrentArenas: arenas on separate goroutines share one pool (run
 // under -race); every arena sees only its own writes.
 func TestConcurrentArenas(t *testing.T) {
