@@ -200,18 +200,19 @@ func pbftContract(tb testing.TB) contract {
 			// stable checkpoint, so the window carves about what two checkpoint
 			// intervals hold at once: 42 chunks of pending-buffer trail
 			// (proposed batches are prefixes of it, so it is never handed back
-			// before the rewind), 14 of requests, 1 of replies, and one chunk
-			// each for five slabs whose window objects all fit in one. It was
-			// 57 while a capture left each slab the partly carved chunk of its
-			// warm-up, and the window's first objects filled that tail; the
-			// warm-up is heap memory now, so a window leases a chunk for every
-			// slab it carves from. It was 67
-			// while authenticators were tag vectors: 8 chunks of them, and 16
-			// of requests, which were 64 bytes before their authenticator
-			// became a 16-byte verdict mask (mac.Auth). A change that moves it
-			// changed what the window sends, what a message costs or which
-			// messages go back; update the figure only with that explanation.
-			{Name: "window lease", W: DefaultWorkload(), Scenario: largest, Window: 1500 * time.Millisecond, Lease: 62},
+			// before the rewind), 12 of requests, 1 of replies, and one chunk
+			// each for five slabs whose window objects all fit in one. It was 62
+			// while a request was 56 bytes instead of 48: it stored its Op,
+			// which Request.Op derives now. It was 57 while a capture left each
+			// slab the partly carved chunk of its warm-up, and the window's
+			// first objects filled that tail; the warm-up is heap memory now, so
+			// a window leases a chunk for every slab it carves from. It was 67
+			// while authenticators were tag vectors: 8 chunks of them, and 16 of
+			// requests, which were 64 bytes before their authenticator became a
+			// 16-byte verdict mask (mac.Auth). A change that moves it changed
+			// what the window sends, what a message costs or which messages go
+			// back; update the figure only with that explanation.
+			{Name: "window lease", W: DefaultWorkload(), Scenario: largest, Window: 1500 * time.Millisecond, Lease: 60},
 			// The same window runs exactly 716,664 callbacks and pays for them
 			// with exactly 3,296 queue events, because a round's same-instant
 			// deliveries ride one sim.Stream train (ROADMAP 1(a)'s Cost record
@@ -261,21 +262,22 @@ func pbftContract(tb testing.TB) contract {
 			// objects (13, 512 bytes, when last measured): eight checkpoints
 			// (heap messages nothing counts), the report's final views, arming
 			// the fault plan and the baseline lookup. It was 2,198 objects,
-			// 145,989 bytes while view changes, their prepared proofs, new
-			// views and re-proposals were heap objects; they come from the
-			// arena's view-change slabs and spans now, and the join, assembly
-			// and install bookkeeping keeps replica tables. The same armed window
-			// leases 26 chunks, 832 KB, under two thirds of a percent of
-			// slab.WindowCeiling: 17 of agreement traffic and 9 of view-change
+			// 145,989 bytes while view changes, their prepared proofs, new views
+			// and re-proposals were heap objects; they come from the arena's
+			// view-change slabs and spans now, and the join, assembly and
+			// install bookkeeping keeps replica tables. The same armed window
+			// leases 25 chunks, 800 KB, under two thirds of a percent of
+			// slab.WindowCeiling: 16 of agreement traffic and 9 of view-change
 			// memory, one per slab or span and a second of proof prepares. It
-			// was 21 while a capture left each slab the partly carved chunk of
-			// its warm-up, where five slabs' window objects fitted; the warm-up
-			// is heap memory now. It was 22 while a
-			// backup's pending-forwarded records were carved from a slab of
-			// their own; they are values in the replica's table now. The
-			// rules of the Big MAC pin apply to all three figures.
+			// was 26 while a request was 56 bytes instead of 48. It was 21 while
+			// a capture left each slab the partly carved chunk of its warm-up,
+			// where five slabs' window objects fitted; the warm-up is heap
+			// memory now. It was 22 while a backup's pending-forwarded records
+			// were carved from a slab of their own; they are values in the
+			// replica's table now. The rules of the Big MAC pin apply to all
+			// three figures.
 			{Name: "view-change fork", W: windows(300*time.Millisecond, 1500*time.Millisecond, 2_000_000), Scenario: primaryMuted,
-				Armed: true, Window: 1500 * time.Millisecond, Lease: 26, ForkAllocs: 14, ForkBytes: 1 << 10,
+				Armed: true, Window: 1500 * time.Millisecond, Lease: 25, ForkAllocs: 14, ForkBytes: 1 << 10,
 				Check: func(tb testing.TB, d *deployment) {
 					var views uint64
 					for _, rp := range d.replicas {

@@ -28,12 +28,12 @@ type verdictKind struct {
 const verdictClient = 4
 
 func cleanRequest() *Request {
-	return &Request{Client: verdictClient, Seq: 1, Op: 1, Auth: mac.Sign(verdictClient, 4)}
+	return &Request{Client: verdictClient, Seq: 1, Auth: mac.Sign(verdictClient, 4)}
 }
 
 func verdictKinds() []verdictKind {
 	request := func(from int, auth mac.Auth) *Request {
-		return &Request{Client: simnet.Addr(from), Seq: 1, Op: 1, Auth: auth}
+		return &Request{Client: simnet.Addr(from), Seq: 1, Auth: auth}
 	}
 	next := func(r *Replica, k int) int { return (r.id + k) % r.cfg.N }
 	return []verdictKind{
@@ -224,7 +224,7 @@ func TestNewViewFillsGapWithNullRequest(t *testing.T) {
 		return PreparedProof{PrePrepare: &PrePrepare{SeqNo: seq, Batch: batch, Digest: BatchDigest(batch), Auth: mac.Sign(0, 4)}}
 	}
 	clean := func(seq uint64) *Request {
-		return &Request{Client: verdictClient, Seq: seq, Op: seq, Auth: mac.Sign(verdictClient, 4)}
+		return &Request{Client: verdictClient, Seq: seq, Auth: mac.Sign(verdictClient, 4)}
 	}
 	minS, out := r.computeNewViewSets([]*ViewChange{
 		{NewView: 1, Replica: 0, Prepared: []PreparedProof{proof(1, clean(1)), proof(3, clean(3))}},
@@ -283,7 +283,7 @@ func TestPoisonHealsPastOneWord(t *testing.T) {
 	batch := make([]*Request, r.cfg.BatchSize+1)
 	for i := range batch {
 		client := verdictClient + i
-		batch[i] = &Request{Client: simnet.Addr(client), Seq: 1, Op: uint64(i), Auth: mac.Sign(client, r.cfg.N)}
+		batch[i] = &Request{Client: simnet.Addr(client), Seq: 1, Auth: mac.Sign(client, r.cfg.N)}
 	}
 	last := batch[len(batch)-1]
 	last.Auth = last.Auth.Corrupt(r.id)

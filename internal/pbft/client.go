@@ -225,7 +225,6 @@ func (c *Client) buildRequest(retransmission bool) *Request {
 	*req = Request{
 		Client:         c.addr,
 		Seq:            c.seq,
-		Op:             uint64(c.seq)<<16 | uint64(c.addr)&0xffff,
 		Auth:           auth,
 		Retransmission: retransmission,
 	}

@@ -31,8 +31,6 @@ type Request struct {
 	Client simnet.Addr
 	// Seq is the client-local request number (PBFT's timestamp).
 	Seq uint64
-	// Op is the opaque operation identifier.
-	Op uint64
 	// Auth is the MAC authenticator, entry i for replica i.
 	Auth mac.Auth
 	// Retransmission marks a client retransmission (broadcast to all
@@ -49,9 +47,20 @@ type Request struct {
 // Digest returns the request digest, which the authenticator covers.
 func (r *Request) Digest() uint64 {
 	if r.dig == 0 {
-		r.dig = fnv3(uint64(r.Client), r.Seq, r.Op)
+		r.dig = fnv3(uint64(r.Client), r.Seq, r.Op())
 	}
 	return r.dig
+}
+
+// Op is the opaque operation identifier: the seq over the client
+// address's low 16 bits, or nullRequestOp for the null request. It is
+// derived, not stored, which keeps a Request at 48 bytes on 64-bit
+// builds (DESIGN.md §12).
+func (r *Request) Op() uint64 {
+	if r.IsNull() {
+		return nullRequestOp
+	}
+	return r.Seq<<16 | uint64(r.Client)&0xffff
 }
 
 // Key identifies the request independent of its payload.
@@ -204,11 +213,12 @@ const nullRequestOp = ^uint64(0)
 
 // NullRequest returns the distinguished no-op request for gap filling.
 func NullRequest() *Request {
-	return &Request{Client: -1, Seq: 0, Op: nullRequestOp}
+	return &Request{Client: -1, Seq: 0}
 }
 
-// IsNull reports whether the request is a gap-filling null request.
-func (r *Request) IsNull() bool { return r.Op == nullRequestOp && r.Client == -1 }
+// IsNull reports whether the request is a gap-filling null request:
+// client addresses are never negative, nor client seqs zero.
+func (r *Request) IsNull() bool { return r.Client == -1 && r.Seq == 0 }
 
 // BatchDigest combines the digests of a batch's requests (word-folded
 // FNV-1a, one multiply per request).

@@ -146,6 +146,10 @@ type replicaState struct {
 	// prepare, then each replica's commit.
 	log   []logEntry
 	votes []uint64
+	// healable says a log entry may hold poison a verified request heals:
+	// acceptPrePrepare sets it, and a healPoisoned scan that leaves no such
+	// entry clears it, so a request skips the scan while nothing waits.
+	healable bool
 
 	// Primary batching state. admitted records, densely by client
 	// address, the highest request seq this primary has admitted into a
@@ -530,6 +534,7 @@ func (r *Replica) Restart() {
 	for i := range r.log {
 		r.log[i].sealed = true
 	}
+	r.healable = false
 	r.viewChanges = shift(r.viewChanges, len(r.viewChanges))
 	r.inViewChange = false
 	r.pendingView = 0
@@ -622,23 +627,29 @@ func (r *Replica) forward(req *Request, primary int) {
 // retransmission authenticates the stored copy. Entries whose last bad
 // index heals proceed to prepare, in sequence order.
 func (r *Replica) healPoisoned(key RequestKey) {
+	if !r.healable {
+		return
+	}
+	r.healable = false
 	for seq := r.lowWater + 1; seq <= r.lowWater+uint64(len(r.log)); seq++ {
 		e := r.at(seq)
 		if e == nil || !e.poisoned() || e.sealed || e.executed {
 			continue
 		}
-		healed := false
 		for w := range e.bad {
 			for m := e.bad[w]; m != 0; m &= m - 1 {
 				i := w*64 + bits.TrailingZeros64(m)
 				if i < len(e.batch) && e.batch[i].Key() == key {
 					e.bad[w] &^= 1 << uint(i%64)
-					healed = true
 				}
 			}
 		}
+		if e.poisoned() {
+			r.healable = true // still waiting on another request
+			continue
+		}
 		// Fully healed: resume the agreement path we refused earlier.
-		if !healed || e.poisoned() || r.inViewChange || e.view != r.view || e.prePrepare == nil {
+		if r.inViewChange || e.view != r.view || e.prePrepare == nil {
 			continue
 		}
 		r.vote(seq, false, r.id, e.digest)
@@ -922,6 +933,7 @@ func (r *Replica) acceptPrePrepare(pp *PrePrepare, entry *logEntry) bool {
 		entry.bad[i/64] |= 1 << uint(i%64)
 	}
 	if entry.poisoned() {
+		r.healable = true
 		r.stats.RejectedBatches++
 		return false
 	}

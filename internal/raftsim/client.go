@@ -2,6 +2,7 @@ package raftsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"avd/internal/sim"
@@ -91,6 +92,9 @@ func NewClient(addr simnet.Addr, cfg Config, ccfg ClientConfig, net *simnet.Netw
 	if int(addr) < cfg.N {
 		return nil, fmt.Errorf("raftsim: client address %v collides with node ids", addr)
 	}
+	if int64(addr) > math.MaxInt32 {
+		return nil, fmt.Errorf("raftsim: client address %v overflows a log entry's 32 bits", addr)
+	}
 	if ccfg.Retry <= 0 {
 		ccfg.Retry = DefaultClientConfig().Retry
 	}
@@ -146,6 +150,9 @@ func (c *Client) Stop() {
 func (c *Client) issueNext() {
 	if !c.running {
 		return
+	}
+	if c.seq == math.MaxUint32 {
+		panic(fmt.Sprintf("raftsim: client %v: seq %d overflows a log entry's 32 bits", c.addr, c.seq))
 	}
 	c.seq++
 	c.curRetry = c.ccfg.Retry

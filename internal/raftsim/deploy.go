@@ -48,7 +48,7 @@ func (r *Runner) newDeployment(clients int64) *deployment {
 				d.Oracle.Observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
 			}),
 			WithApplyObserver(func(index uint64, e Entry) {
-				d.Oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
+				d.Oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: uint64(e.Term), Digest: EntryDigest(e)})
 			}),
 			WithArena(arena))
 		if err != nil {

@@ -30,7 +30,7 @@ func newEdgeCluster(t *testing.T, cfg Config, seed int64) *edgeCluster {
 				c.oracle.Observe(oracle.Event{Kind: oracle.EventLeader, Node: id, Term: term})
 			}),
 			WithApplyObserver(func(index uint64, e Entry) {
-				c.oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: e.Term, Digest: EntryDigest(e)})
+				c.oracle.Observe(oracle.Event{Kind: oracle.EventCommit, Node: id, Seq: index, Term: uint64(e.Term), Digest: EntryDigest(e)})
 			}))
 		if err != nil {
 			t.Fatal(err)

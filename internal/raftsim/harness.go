@@ -213,7 +213,7 @@ func (d *deployment) pickCrashVictim(strikes uint64) int {
 func EntryDigest(e Entry) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	for _, v := range [3]uint64{e.Term, uint64(int64(e.Client)), e.Seq} {
+	for _, v := range [3]uint64{uint64(e.Term), uint64(int64(e.Client)), uint64(e.Seq)} {
 		h ^= v
 		h *= prime
 	}

@@ -15,6 +15,7 @@ package raftsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -117,11 +118,15 @@ func seqPut(s *[]uint64, a simnet.Addr, v uint64) {
 }
 
 // Entry is one replicated log entry: a client request awaiting
-// commitment.
+// commitment. It is 12 bytes because every node, capture and stocked
+// buffer holds a log of them (DESIGN.md §11). A term is born only where a
+// candidate increments it, a seq only where a client does, and a client
+// address at NewClient: each checks the 32-bit limit there. Whatever
+// compares, digests or reports an entry widens its fields to 64 bits.
 type Entry struct {
-	Term   uint64
-	Client simnet.Addr
-	Seq    uint64
+	Term   uint32
+	Client int32
+	Seq    uint32
 }
 
 // --- Wire messages ----------------------------------------------------------
@@ -457,7 +462,7 @@ func (n *Node) lastLog() (index, term uint64) {
 	if len(n.log) == 0 {
 		return 0, 0
 	}
-	return uint64(len(n.log)), n.log[len(n.log)-1].Term
+	return uint64(len(n.log)), uint64(n.log[len(n.log)-1].Term)
 }
 
 // stepDown adopts a higher term as follower.
@@ -480,6 +485,9 @@ func (n *Node) stepDown(term uint64) {
 func (n *Node) onElectionTimeout() {
 	if n.role == leader || n.crashed {
 		return
+	}
+	if n.term == math.MaxUint32 {
+		panic(fmt.Sprintf("raftsim: node %d: term %d overflows a log entry's 32 bits", n.id, n.term))
 	}
 	n.role = candidate
 	n.term++
@@ -520,7 +528,7 @@ func (n *Node) becomeLeader() {
 	n.replicating = 0 // every follower starts in probe
 	n.matchIndex[n.id] = lastIdx
 	n.termStart = lastIdx + 1
-	for n.termStart > 1 && n.log[n.termStart-2].Term == n.term {
+	for n.termStart > 1 && uint64(n.log[n.termStart-2].Term) == n.term {
 		n.termStart-- // a term re-run after state loss left entries of it behind
 	}
 	clear(n.pending)
@@ -560,7 +568,7 @@ func (n *Node) sendAppend(peer int) {
 	prevIdx := next - 1
 	var prevTerm uint64
 	if prevIdx > 0 {
-		prevTerm = n.log[prevIdx-1].Term
+		prevTerm = uint64(n.log[prevIdx-1].Term)
 	}
 	var entries []Entry
 	if last := uint64(len(n.log)); last >= next {
@@ -651,7 +659,7 @@ func (n *Node) onAppendEntries(m *AppendEntries) {
 	n.resetElectionTimer()
 	// Consistency check.
 	if m.PrevLogIndex > 0 {
-		if uint64(len(n.log)) < m.PrevLogIndex || n.log[m.PrevLogIndex-1].Term != m.PrevLogTerm {
+		if uint64(len(n.log)) < m.PrevLogIndex || uint64(n.log[m.PrevLogIndex-1].Term) != m.PrevLogTerm {
 			n.stats.AppendsRejected++
 			n.sendAppendReply(m, false, 0)
 			return
@@ -805,15 +813,16 @@ func (n *Node) applyCommitted() {
 		if n.onApply != nil {
 			n.onApply(n.applied, e)
 		}
-		if e.Seq > seqAt(n.lastSeq, e.Client) {
-			seqPut(&n.lastSeq, e.Client, e.Seq)
+		client, seq := simnet.Addr(e.Client), uint64(e.Seq)
+		if seq > seqAt(n.lastSeq, client) {
+			seqPut(&n.lastSeq, client, seq)
 			n.stats.EntriesApplied++
 		}
-		if int(e.Client) < len(n.pending) {
-			n.pending[e.Client] = 0
+		if int(client) < len(n.pending) {
+			n.pending[client] = 0
 		}
 		if n.role == leader {
-			n.sendClientReply(e.Client, e.Seq, true, n.id)
+			n.sendClientReply(client, seq, true, n.id)
 		}
 	}
 }
@@ -833,7 +842,7 @@ func (n *Node) onClientRequest(m *ClientRequest) {
 	// committed yet; the apply path will answer it.
 	if m.Seq > seqAt(n.pending, m.Client) {
 		seqPut(&n.pending, m.Client, m.Seq)
-		n.log = append(n.log, Entry{Term: n.term, Client: m.Client, Seq: m.Seq})
+		n.log = append(n.log, Entry{Term: uint32(n.term), Client: int32(m.Client), Seq: uint32(m.Seq)})
 		n.matchIndex[n.id] = uint64(len(n.log))
 		// A single-node cluster is its own majority: without peers there are
 		// no AppendEntriesReply callbacks to drive the commit index forward.

@@ -30,7 +30,7 @@ import (
 func advanceCommitLoop(n *Node) {
 	last, _ := n.lastLog()
 	for idx := last; idx > n.commit; idx-- {
-		if n.log[idx-1].Term != n.term {
+		if uint64(n.log[idx-1].Term) != n.term {
 			break
 		}
 		count := 0
@@ -64,7 +64,7 @@ func TestAdvanceCommitMatchesReferenceLoop(t *testing.T) {
 			logLen := rng.Intn(24)
 			log := make([]Entry, logLen)
 			for i := range log {
-				log[i] = Entry{Term: 1 + uint64(rng.Intn(term)), Client: simnet.Addr(size + i), Seq: 1}
+				log[i] = Entry{Term: 1 + uint32(rng.Intn(term)), Client: int32(size + i), Seq: 1}
 			}
 			// A leader's own appends: a run of current-term entries at the
 			// end, of any length (none: it has appended nothing yet).
@@ -281,10 +281,10 @@ func usurp(n *Node, keep uint64, entries int) {
 	next := n.stats.TermsSeen + 1
 	ae := &AppendEntries{Term: next, Leader: int32((n.id + 1) % n.cfg.N), PrevLogIndex: keep}
 	if keep > 0 {
-		ae.PrevLogTerm = n.log[keep-1].Term
+		ae.PrevLogTerm = uint64(n.log[keep-1].Term)
 	}
 	for i := 0; i < entries; i++ {
-		ae.Entries = append(ae.Entries, Entry{Term: next, Client: 99, Seq: uint64(i + 1)})
+		ae.Entries = append(ae.Entries, Entry{Term: uint32(next), Client: 99, Seq: uint32(i + 1)})
 	}
 	n.onAppendEntries(ae)
 }
@@ -339,13 +339,13 @@ func TestTruncationCopiesOncePerEpoch(t *testing.T) {
 	// so a strike allocates only what the node does.
 	storm := func(n *Node) func() {
 		ae := &AppendEntries{Leader: 1, PrevLogIndex: 49, Entries: make([]Entry, 10)}
-		rival := uint64(5)
+		rival := uint32(5)
 		return func() {
 			for i := range ae.Entries {
-				ae.Entries[i] = Entry{Term: rival, Client: 99, Seq: uint64(i)}
+				ae.Entries[i] = Entry{Term: rival, Client: 99, Seq: uint32(i)}
 			}
 			rival ^= 1
-			ae.Term, ae.PrevLogTerm = n.term, n.log[48].Term
+			ae.Term, ae.PrevLogTerm = n.term, uint64(n.log[48].Term)
 			n.onAppendEntries(ae)
 			n.eng.RunFor(time.Millisecond)
 		}
