@@ -46,8 +46,9 @@ const fig2PoolHighWater = 73
 const fig2Masters = 28
 
 // fig2RetainedMB bounds what the same campaign keeps after it and a
-// collection, measured as faultsCoverageRetainedMB is: 13.5 MB, nearly all
-// of it the 28 parked masters. It was 14.8 MB while a warm-up request was
+// collection, measured as faultsCoverageRetainedMB is: 12.9 MB, nearly all
+// of it the 28 parked masters. It was 13.5 MB while every window kept its
+// latency samples, in a buffer the pool stocked. It was 14.8 MB while a warm-up request was
 // 56 bytes, in Go's 64-byte size class; it is 48 now (Request.Op). It was
 // 16.2 MB while every master kept the delivery trains its windows grew; the
 // engine borrows them from the pool's stock per window now
@@ -55,10 +56,20 @@ const fig2Masters = 28
 // keeps its trains again (14.8 MB) fails it.
 const fig2RetainedMB = 14
 
+// fig2AllocMB bounds what the same campaign allocates, set-up included
+// (the growth of runtime.MemStats.TotalAlloc): 16.2 MB. Nearly all of it is
+// the 28 warm-ups' live objects; the rest of what they allocate goes back
+// to the pool. It was 31.5 MB while the warm-ups grew the replica tables
+// on the heap, their freed messages were left to the collector, and every
+// window kept its latency samples for a P99 nobody read; that garbage set
+// the workload's peak RSS. The bound is not asserted under -race, whose
+// instrumentation allocates (30.2 MB).
+const fig2AllocMB = 20
+
 // raftFlapRetainedMB bounds what the benchmark's raft-flap campaign keeps
 // after it and a collection, measured as faultsCoverageRetainedMB is: 80
 // tests of the avd strategy from seed 1, 1.5 s windows, the 2M-event step
-// budget. It is 7.1 MB, most of it Raft logs: every node of every parked
+// budget. It is 6.7 MB, most of it Raft logs: every node of every parked
 // master holds one, and so do the captures and the scratch stock. It was
 // 12.3 MB while a log entry was 24 bytes, a 64-bit term and seq and a
 // word-sized client address; it is 12 now (raftsim.Entry). The bound
@@ -82,6 +93,13 @@ func TestRaftFlapRetained(t *testing.T) {
 func TestFig2PoolHighWater(t *testing.T) {
 	before := liveHeap()
 	setup := runBenchCampaign(t, Config{Target: "pbft", Strategy: "avd", Tests: 100})
+	var done runtime.MemStats
+	runtime.ReadMemStats(&done)
+	mb := float64(done.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("the campaign allocated %.1f MB", mb)
+	if mb > fig2AllocMB && !raceEnabled {
+		t.Errorf("the campaign allocated %.1f MB, bound %d MB", mb, fig2AllocMB)
+	}
 	runner := setup.Target.(*cluster.Runner)
 	if got := runner.Pool().HighWater(); got != fig2PoolHighWater {
 		t.Errorf("the pool held at most %d chunks (%d KB), want exactly %d", got, got*32, fig2PoolHighWater)
@@ -135,30 +153,30 @@ func parked[K, D any](each func(func(K, D))) (n int) {
 // coverage strategy (the avd Controller) over crash, skew, oneway, corrupt
 // and dup faults from seed 1, 1.5 s windows, the 2M-event step budget (the
 // growth of runtime.MemStats.TotalAlloc). Oneway and crash faults make PBFT
-// change views. While view changes built their messages on the heap the
-// campaign allocated 145.6 MB in 1.43 M objects, 59 MB of them prepared
-// proofs alone, and that garbage set the workload's peak RSS. They come
-// from the window arena now, and the campaign allocates 49.3 MB in 367 k
-// objects, most of it the masters' warm-ups (59.8 MB in 545 k under
-// -race; 53.3 MB, 63.8 MB under -race, while a warm-up request was 56
-// bytes instead of 48; 56.7 MB while every master grew its own delivery trains, 67.3 MB in 371 k
-// while it grew its own replica tables and slab free lists, and 69.5 MB in
-// 95 k while warm-ups carved from 32 KB chunks). The bound holds under
-// -race too; a view-change path that allocates again fails it.
-const faultsCoverageAllocMB = 85
+// change views. It is 25.7 MB in 188 k objects, nearly all of it the
+// masters' warm-ups' live objects (36.8 MB under -race). It was 49.3 MB in
+// 367 k (59.8 MB under -race) while the warm-ups grew the replica tables
+// on the heap, their freed messages were left to the collector, every
+// window kept its latency samples and a corrupted message's copy was a
+// heap object; 145.6 MB in 1.43 M while view changes built their messages
+// on the heap, 59 MB of them prepared proofs alone, and that garbage set
+// the workload's peak RSS. The bound holds under -race too; a warm-up or a
+// view-change path that allocates again fails it.
+const faultsCoverageAllocMB = 40
 
 // faultsCoverageAllocObjects bounds the objects the same campaign
-// allocates (the growth of runtime.MemStats.Mallocs): 366,770, nearly all
-// of them the warm-ups' messages, which are heap objects until the
-// capture. The bound leaves about a seventh for growth, so a warm-up that
-// allocates more per message fails it; it is not asserted under -race,
-// whose instrumentation allocates.
-const faultsCoverageAllocObjects = 420_000
+// allocates (the growth of runtime.MemStats.Mallocs): 188,333, nearly all
+// of them the warm-ups' live messages, which are heap objects until the
+// capture. The bound leaves about a sixth for growth, so warm-ups that
+// leave their freed messages to the collector again (366,770) fail it; it
+// is not asserted under -race, whose instrumentation allocates.
+const faultsCoverageAllocObjects = 220_000
 
 // faultsCoverageRetainedMB bounds what the same campaign keeps after it and
 // a collection: the growth of runtime.MemStats.HeapAlloc since before the
-// target was built, nearly all of it the parked masters. It is 19.9 MB,
-// 20.0 under -race. It was 21.7 MB while a warm-up request was 56 bytes, in
+// target was built, nearly all of it the parked masters. It is 19.2 MB
+// under -race too, the pool's stock of the warm-ups' freed messages
+// included; it was 19.9 MB while the collector took those. It was 21.7 MB while a warm-up request was 56 bytes, in
 // Go's 64-byte size class; it is 48 now (Request.Op). It was 24.6 MB while
 // every master kept the delivery trains its windows grew, its free ones and
 // those queued at window end; the engine borrows them from the pool's stock

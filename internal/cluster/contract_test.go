@@ -11,6 +11,7 @@ import (
 	"avd/internal/pbft"
 	"avd/internal/plugin"
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 type contract = targettest.Internals[Workload, masterKey, *deployment, Report]
@@ -21,6 +22,12 @@ type contract = targettest.Internals[Workload, masterKey, *deployment, Report]
 // API alone, and run from the root package's contract_test.go.
 
 func TestBaselineForkedEqualsCold(t *testing.T) { pbftContract(t).Baseline(t, "populations") }
+
+// TestStockedWarmupsForkedEqualsCold: masters built after the first warm
+// up on the objects earlier warm-ups put back, poisoned.
+func TestStockedWarmupsForkedEqualsCold(t *testing.T) {
+	pbftContract(t).StockedWarmups(t, "populations")
+}
 
 // TestBaselineWindowForkedEqualsCold: the same at the owned-replies
 // capture, replies in flight.
@@ -41,15 +48,28 @@ func TestAllOffMeasuresBaseline(t *testing.T) {
 	pbftContract(t).AllOff(t, w, w.LatencyRef, 10, 50, 250)
 }
 
-func TestRunOnFromCaptureThenFork(t *testing.T)         { pbftContract(t).RunOnFromCapture(t) }
-func TestStormHungSameWithSplitTrains(t *testing.T)     { pbftContract(t).Hung(t) }
-func TestParkedMastersHoldNoLeases(t *testing.T)        { pbftContract(t).Retention(t, "populations") }
-func TestPBFTRestoreAllocFree(t *testing.T)             { pbftContract(t).RestoreAllocFree(t, "populations") }
-func TestWindowLease(t *testing.T)                      { pbftContract(t).Pin(t, "window lease") }
-func TestWindowDispatchCounts(t *testing.T)             { pbftContract(t).Pin(t, "window dispatch counts") }
-func TestForkedBigMACAllocs(t *testing.T)               { pbftContract(t).Pin(t, "Big MAC fork") }
-func TestForkedViewChangeAllocs(t *testing.T)           { pbftContract(t).Pin(t, "view-change fork") }
-func TestRunnerDeterministic(t *testing.T)              { pbftContract(t).Deterministic(t, "populations") }
+func TestRunOnFromCaptureThenFork(t *testing.T)     { pbftContract(t).RunOnFromCapture(t) }
+func TestStormHungSameWithSplitTrains(t *testing.T) { pbftContract(t).Hung(t) }
+func TestParkedMastersHoldNoLeases(t *testing.T)    { pbftContract(t).Retention(t, "populations") }
+func TestPBFTRestoreAllocFree(t *testing.T)         { pbftContract(t).RestoreAllocFree(t, "populations") }
+func TestWindowLease(t *testing.T)                  { pbftContract(t).Pin(t, "window lease") }
+func TestWindowDispatchCounts(t *testing.T)         { pbftContract(t).Pin(t, "window dispatch counts") }
+func TestForkedBigMACAllocs(t *testing.T)           { pbftContract(t).Pin(t, "Big MAC fork") }
+func TestForkedViewChangeAllocs(t *testing.T)       { pbftContract(t).Pin(t, "view-change fork") }
+func TestRunnerDeterministic(t *testing.T)          { pbftContract(t).Deterministic(t, "populations") }
+
+// TestCorruptDupWindowAllocFree: the "shared payloads" group's dup and
+// corrupt case, on a 300 ms window. Replicas build their checkpoint
+// messages on the heap, one per 128 executions (the view-change pin counts
+// eight), and a 1.5 s window of this population emits seven; the window
+// here ends before the first, so every object it needs comes from the
+// arena.
+func TestCorruptDupWindowAllocFree(t *testing.T) {
+	pbftContract(t).FaultWindowAllocFree(t, windows(104250*time.Microsecond, 300*time.Millisecond, 0), map[string]int64{
+		plugin.DimCorrectClients: 30, plugin.DimMaliciousClients: 1,
+		plugin.DimDupMask: 0xFF, plugin.DimCorruptMask: 0x3C, plugin.DimNetFaultFrom: 1,
+	})
+}
 func TestParallelSweepSafe(t *testing.T)                { pbftContract(t).ConcurrentForks(t, "populations") }
 func TestStructuralMarkerMatchesMasterKey(t *testing.T) { pbftContract(t).StructuralKey(t) }
 func FuzzForkEqualsCold(f *testing.F)                   { targettest.FuzzForkEqualsCold(f, pbftContract(f)) }
@@ -294,5 +314,33 @@ func pbftContract(tb testing.TB) contract {
 			// while retransmissions heal poisoned ones.
 			{Point: pt{plugin.DimMACMask: int64(graycode.Decode(0xBBB)), m: 1}, Pops: []byte{2, 0, 0, 0, 5, 0}, Order: 0b101101},
 		},
+	}
+}
+
+// TestReportP99Exact: RunReport's P99 latency is exact, the figures of a
+// crash-restart and a clock-skew scenario equal to the nanosecond what the
+// window that kept every sample unconditionally reported, while Run, whose
+// report nobody reads, keeps no sample: on a fresh target its runs leave
+// the pool's latency stock empty.
+func TestReportP99Exact(t *testing.T) {
+	space := pbftContract(t).Space
+	tg := contractTarget(t, fastWorkload())
+	crash := space.New(map[string]int64{plugin.DimCorrectClients: 30, plugin.DimMaliciousClients: 1,
+		plugin.DimCrashIntervalMS: 60, plugin.DimCrashDownMS: 30, plugin.DimCrashLose: 1})
+	skew := space.New(map[string]int64{plugin.DimCorrectClients: 60, plugin.DimMaliciousClients: 1,
+		plugin.DimSkewNode: 1, plugin.DimSkewPermille: 300})
+	tg.Run(crash)
+	tg.Run(skew)
+	if stock := slab.Borrow[time.Duration](tg.Pool()); cap(stock) != 0 {
+		t.Errorf("Run's windows stocked a latency buffer of %d samples, want none kept", cap(stock))
+	}
+	slab.Return[time.Duration](tg.Pool(), nil)
+	for _, c := range []struct {
+		sc  scenario.Scenario
+		p99 time.Duration
+	}{{crash, 545_500_000}, {skew, 4_038_461}} {
+		if _, rep := tg.RunReport(c.sc); rep.P99Latency != c.p99 {
+			t.Errorf("%v: P99 %d ns, want %d", c.sc, rep.P99Latency, c.p99)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func (r *Runner) newDeployment(key masterKey) *deployment {
 		PickVictim: d.pickCrashVictim,
 		Crash:      func(node int, keepDurable bool) bool { return d.replicas[node].Crash(keepDurable) },
 		Restart:    func(node int) { d.replicas[node].Restart() },
-		Corrupt:    pbft.Corrupt,
+		Corrupt:    arena.Corrupt,
 	}
 	for _, rpl := range d.replicas {
 		d.faults.Nodes = append(d.faults.Nodes, plugin.FaultNode{Addr: rpl.Addr(), Clock: rpl.Clock()})

@@ -29,6 +29,10 @@ type Deployment[R any] interface {
 	// records nothing, oracle.Off turns the oracle off); the next Restore
 	// stops it.
 	Trace(rec *oracle.Recorder)
+	// KeepLatencies makes the next window keep every latency sample, for
+	// the P99 its report carries; the next Restore stops it. The harness
+	// asks for them only when the caller reads the report.
+	KeepLatencies()
 	// Arm activates the scenario's faults when attack is set. An unarmed
 	// run is the attack-free baseline.
 	Arm(sc scenario.Scenario, attack bool)
@@ -121,9 +125,10 @@ func (h *Harness[K, D, R]) ConfigFingerprint() string {
 
 // Run implements Runner: it forks the scenario's population, checking
 // its warm master out of the pool (building, warming and capturing one
-// when none is free), and scores the window against the baseline.
+// when none is free), and scores the window against the baseline. Its
+// report is not read, so the window keeps no latency sample.
 func (h *Harness[K, D, R]) Run(sc scenario.Scenario) Result {
-	res, _ := h.RunReport(sc)
+	res, _ := h.runScored(sc, nil, false)
 	return res
 }
 
@@ -135,7 +140,7 @@ func (h *Harness[K, D, R]) RunForkWorker(sc scenario.Scenario, _ int) Result { r
 
 // RunReport is Run with the target's detailed report.
 func (h *Harness[K, D, R]) RunReport(sc scenario.Scenario) (Result, R) {
-	return h.runScored(sc, nil)
+	return h.runScored(sc, nil, true)
 }
 
 // RunForkReport is RunReport, for benchmark/, which still names it.
@@ -146,7 +151,7 @@ func (h *Harness[K, D, R]) RunForkReport(sc scenario.Scenario) (Result, R) { ret
 // simulation order.
 func (h *Harness[K, D, R]) RunTraced(sc scenario.Scenario) (Result, R, []oracle.Event) {
 	rec := oracle.NewRecorder()
-	res, rep := h.runScored(sc, rec)
+	res, rep := h.runScored(sc, rec, true)
 	return res, rep, rec.Events()
 }
 
@@ -156,9 +161,9 @@ func (h *Harness[K, D, R]) RunTracedFork(sc scenario.Scenario) (Result, R, []ora
 }
 
 // runScored is an attack run, scored, its window traced into rec when rec
-// is not nil.
-func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, rec *oracle.Recorder) (Result, R) {
-	res, rep := h.execute(sc, true, rec)
+// is not nil and its report complete when report is set.
+func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, rec *oracle.Recorder, report bool) (Result, R) {
+	res, rep := h.execute(sc, true, rec, report)
 	return h.score(sc, res), rep
 }
 
@@ -167,17 +172,17 @@ func (h *Harness[K, D, R]) runScored(sc scenario.Scenario, rec *oracle.Recorder)
 // scenario's faults and measures the full window under the step budget;
 // an attack-free run arms nothing and measures the baseline window.
 func (h *Harness[K, D, R]) Execute(sc scenario.Scenario, attack bool) (Result, R) {
-	return h.execute(sc, attack, nil)
+	return h.execute(sc, attack, nil, true)
 }
 
-func (h *Harness[K, D, R]) execute(sc scenario.Scenario, attack bool, rec *oracle.Recorder) (Result, R) {
+func (h *Harness[K, D, R]) execute(sc scenario.Scenario, attack bool, rec *oracle.Recorder, report bool) (Result, R) {
 	key := h.spec.Key(sc)
 	// A baseline's whole cost, including a master build it triggers, is
 	// the baseline phase's (measureBaseline times it); only attack runs
 	// accrue to the other phases.
 	d := h.masters.Acquire(key, func() D { return h.buildMaster(key, attack) })
 	defer h.masters.Release(key, d)
-	return h.forkRun(d, sc, attack, rec)
+	return h.forkRun(d, sc, attack, rec, report)
 }
 
 // buildMaster builds, warms up and captures the master for a key.
@@ -198,7 +203,7 @@ func (h *Harness[K, D, R]) buildMaster(key K, accrue bool) D {
 // run takes exactly the steps of every later one (build, capture,
 // restore, arm, measure), so a fork of a reused master equals the first
 // run of a fresh one, by test (internal/core/targettest).
-func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, rec *oracle.Recorder) (Result, R) {
+func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, rec *oracle.Recorder, report bool) (Result, R) {
 	budget := h.spec.StepBudget
 	if !attack {
 		budget = 0
@@ -206,6 +211,9 @@ func (h *Harness[K, D, R]) forkRun(d D, sc scenario.Scenario, attack bool, rec *
 	forkStart := metrics.StartWatch()
 	d.Restore()
 	d.Trace(rec)
+	if report {
+		d.KeepLatencies()
+	}
 	d.Arm(sc, attack)
 	if attack {
 		h.phases.AddFork(forkStart.Elapsed())
@@ -261,14 +269,15 @@ func (h *Harness[K, D, R]) Baseline(clients int64) float64 {
 // campaign.TestFig2PoolHighWater pins the 28), and the benchmark's
 // harness.masters_built, which counts attack populations, does not see
 // them. Only the throughput is kept, so the window runs with the
-// oracle off (oracle.Off); Execute's unarmed runs keep their verdicts.
+// oracle off (oracle.Off) and keeps no latency sample; Execute's unarmed
+// runs keep their verdicts and report.
 func (h *Harness[K, D, R]) measureBaseline(clients int64) float64 {
 	start := metrics.StartWatch()
 	defer func() { h.phases.AddBaseline(start.Elapsed()) }()
 	empty := scenario.MustNewSpace(scenario.Dimension{
 		Name: h.spec.ClientsDim, Min: clients, Max: clients, Step: 1,
 	}).New(nil)
-	res, _ := h.execute(empty, false, oracle.Off)
+	res, _ := h.execute(empty, false, oracle.Off, false)
 	return res.Throughput
 }
 

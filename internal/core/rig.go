@@ -28,8 +28,8 @@ type Rig struct {
 	Oracle *oracle.Model
 	// Mem is the message arena the deployment carves from: the warm-up's
 	// objects are heap objects, park hands the window's chunks back to the
-	// pool (DESIGN.md §20), and the pool lends the latency tail for one
-	// window.
+	// pool (DESIGN.md §20), and the pool lends the latency samples of a
+	// window that keeps them.
 	Mem *slab.Arena
 
 	name  string // prefixes the error of a hung test
@@ -43,8 +43,10 @@ type Rig struct {
 	oracle   oracle.State
 	restores []func()
 
-	// The window: completions and latencies count only while it is open.
+	// The window: completions and latencies count only while it is open,
+	// and each latency is kept for the P99 only when sampling.
 	measuring bool
+	sampling  bool
 	completed uint64
 	latSum    time.Duration
 	latN      uint64
@@ -71,14 +73,22 @@ func (r *Rig) Keep(capture func() (restore func())) { r.keeps = append(r.keeps, 
 // the oracle's tables.
 func (r *Rig) OnPark(fn func()) { r.parks = append(r.parks, fn) }
 
-// Capture implements Deployment. The engine hands its train stock back at
-// once: a captured master may park before its first run (Harness.Prepare).
+// Capture implements Deployment. What the warm-up borrowed goes back at
+// once — the engine's train stock, whatever OnPark registered and the
+// oracle's table, right after the clones — and the arena stocks the
+// warm-up's freed objects: a captured master may park before its first
+// run (Harness.Prepare), and the next master's warm-up grows in the same
+// memory.
 func (r *Rig) Capture() {
 	r.eng, r.net, r.oracle = r.Eng.Snapshot(), r.Net.Snapshot(), r.Oracle.Snapshot()
 	r.Eng.Park()
 	for _, capture := range r.keeps {
 		r.restores = append(r.restores, capture())
 	}
+	for _, fn := range r.parks {
+		fn()
+	}
+	r.Oracle.Park()
 	r.Mem.Capture()
 }
 
@@ -91,7 +101,7 @@ func (r *Rig) Restore() {
 	for _, restore := range r.restores {
 		restore()
 	}
-	r.measuring, r.completed, r.latSum, r.latN = false, 0, 0, 0
+	r.measuring, r.sampling, r.completed, r.latSum, r.latN = false, false, 0, 0, 0
 }
 
 // park ends a run: the window's message memory, the engine's delivery
@@ -114,6 +124,10 @@ func (r *Rig) park() {
 // events into rec, until the next Restore.
 func (r *Rig) Trace(rec *oracle.Recorder) { r.Oracle.Trace(rec) }
 
+// KeepLatencies implements Deployment: the next window keeps every latency
+// sample, until the next Restore.
+func (r *Rig) KeepLatencies() { r.sampling = true }
+
 // Finish ends Measure: it sets the result's coverage digest and oracle
 // verdicts, then parks.
 func (r *Rig) Finish(res *Result) {
@@ -129,7 +143,9 @@ func (r *Rig) OnComplete(seq uint64, latency time.Duration) {
 	r.completed++
 	r.latSum += latency
 	r.latN++
-	r.latTail = append(r.latTail, latency)
+	if r.sampling {
+		r.latTail = append(r.latTail, latency)
+	}
 }
 
 // Completed returns the completions counted since the last Restore.
@@ -137,13 +153,15 @@ func (r *Rig) Completed() uint64 { return r.completed }
 
 // MeasureWindow runs one measurement window of the rig — at most
 // stepBudget events when that is positive — and returns the window's
-// throughput and latency as a Result, plus the P99 latency. A window cut
+// throughput and latency as a Result, plus the P99 latency, which is 0
+// unless KeepLatencies asked for the samples. A window cut
 // short by the step budget or the window-memory ceiling degrades to
 // Result.Hung. clients are the correct clients whose requests still in
 // flight at window end are censored into the latency average.
 func MeasureWindow[C interface{ Outstanding() (sim.Time, bool) }](r *Rig, clients []C, sc scenario.Scenario, window time.Duration, stepBudget uint64) (Result, time.Duration) {
-	r.latTail = slab.Borrow[time.Duration](r.Mem.Pool())
-
+	if r.sampling {
+		r.latTail = slab.Borrow[time.Duration](r.Mem.Pool())
+	}
 	r.measuring = true
 	if stepBudget > 0 {
 		r.Eng.SetStepBudget(stepBudget)
@@ -171,7 +189,9 @@ func MeasureWindow[C interface{ Outstanding() (sim.Time, bool) }](r *Rig, client
 			if waited := end.Sub(sentAt); waited > 0 {
 				r.latSum += waited
 				r.latN++
-				r.latTail = append(r.latTail, waited)
+				if r.sampling {
+					r.latTail = append(r.latTail, waited)
+				}
 			}
 		}
 	}
@@ -188,8 +208,11 @@ func MeasureWindow[C interface{ Outstanding() (sim.Time, bool) }](r *Rig, client
 		res.Hung = true
 		res.Error = fmt.Sprintf("%s: scenario exceeded the %d MB window-memory ceiling (runaway allocation)", r.name, slab.WindowCeiling>>20)
 	}
-	p99 := metrics.PercentileInPlace(r.latTail, 99)
-	slab.Return(r.Mem.Pool(), r.latTail)
-	r.latTail = nil
+	var p99 time.Duration
+	if r.sampling {
+		p99 = metrics.PercentileInPlace(r.latTail, 99)
+		slab.Return(r.Mem.Pool(), r.latTail)
+		r.latTail = nil
+	}
 	return res, p99
 }

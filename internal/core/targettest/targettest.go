@@ -293,6 +293,24 @@ func (s Spec[W, R]) ForkedEqualsCold(t *testing.T, group string) {
 	}
 }
 
+// StockedWarmups: over a poisoned pool, the first run of each case of the
+// group on one target equals its cold run on a target of its own, though
+// every master after the first warms up on the objects earlier warm-ups
+// put back, which their captures stocked poisoned (DESIGN.md §20).
+func (s Spec[W, R]) StockedWarmups(t *testing.T, group string) {
+	poison(t)
+	g := s.Group(t, group)
+	tg := s.New(t, g.W)
+	for _, c := range g.Cases {
+		res, rep, trace := s.New(t, g.W).RunTraced(c.Scenario)
+		want := traced[R]{res, rep, trace}
+		res, rep, trace = tg.RunTraced(c.Scenario)
+		if msg := diff(c.Name+": a run on stocked warm-up objects", want, traced[R]{res, rep, trace}); msg != "" {
+			t.Error(msg)
+		}
+	}
+}
+
 // QueueHooks: with either queue hook on, every traced run of the group
 // comes back as shipped.
 func (s Spec[W, R]) QueueHooks(t *testing.T, group string) {
@@ -662,6 +680,44 @@ func (s Internals[W, K, D, R]) RestoreAllocFree(t *testing.T, group string) {
 	t.Logf("a run/restore cycle allocates %.1f objects", allocs)
 	if allocs > 0 && !raceEnabled {
 		t.Errorf("a run/restore cycle allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// FaultWindowAllocFree: on a warm master, a window of w armed at point —
+// corrupt and dup faults on its links — allocates no heap object: a
+// garbled payload's copy is carved from the deployment's arena, like the
+// message it garbles, and the rewind takes it back. Arming (the fault
+// plan) is not part of the window. Each window must corrupt and
+// duplicate deliveries. It is not asserted under -race.
+func (s Internals[W, K, D, R]) FaultWindowAllocFree(t *testing.T, w W, point map[string]int64) {
+	sc := s.Space.New(point)
+	tg := s.Target(t, w)
+	d := tg.Build(sc)
+	d.Capture()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run := func() (allocs uint64) {
+		d.Restore()
+		d.Arm(sc, true)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Window(d).Eng.RunFor(tg.Measure)
+		runtime.ReadMemStats(&after)
+		if st := s.Window(d).Net.Stats(); st.Corrupted == 0 || st.Duplicated == 0 {
+			t.Fatalf("the window corrupted %d and duplicated %d deliveries: it must exercise both faults", st.Corrupted, st.Duplicated)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for range 3 { // the first windows may grow the pool, the queue and dense tables
+		run()
+	}
+	const runs = 10
+	var allocs uint64
+	for range runs {
+		allocs += run()
+	}
+	t.Logf("a corrupt+dup window allocates %.1f objects", float64(allocs)/runs)
+	if allocs > 0 && !raceEnabled {
+		t.Errorf("a corrupt+dup window allocates %.1f objects; want 0", float64(allocs)/runs)
 	}
 }
 

@@ -117,7 +117,7 @@ func TestKeyringSeedSeparation(t *testing.T) {
 // tagVerdict is the tag arithmetic an Auth stands for: sender computes n
 // entries over digest, the entries in corrupt are corrupted, and receiver
 // verifies its entry as coming from claimed over digest, flipped in bit 0
-// when changed (a corrupter's copy, pbft.Corrupt).
+// when changed (a corrupter's copy, pbft.Arena.Corrupt).
 func tagVerdict(kr *Keyring, sender, claimed, receiver, n int, corrupt, digest uint64, changed bool) bool {
 	keys := make([]Key, n)
 	for i := range keys {

@@ -18,6 +18,7 @@
 package oracle
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -128,11 +129,13 @@ func (v Violation) String() string {
 //     leadership only from the view's primary, so it never trips there;
 //   - the coverage fold of the whole stream (coverage.go).
 //
-// Log positions, terms and node ids are small and dense in every shipped
+// Log positions and node ids are small and dense in every shipped
 // protocol, so the tables are flat slices rather than maps: observing an
 // event is a few indexed loads, with zero allocation once the slices have
-// grown to the run's high-water mark (perf_test.go's alloc guard). A
-// window traced into Off folds nothing.
+// grown to the run's high-water mark (perf_test.go's alloc guard). Terms
+// arrive mostly in order but a corrupted one can leap, so the leaders
+// table holds only the terms seen. A window traced into Off folds
+// nothing.
 type Model struct {
 	prefix string
 	// pool stocks the log table between runs (Park): it grows with the
@@ -149,8 +152,10 @@ type State struct {
 	log []seqCell // one cell per seq
 	// strays holds the applied values no agree mask holds: a node's value
 	// that differs from its cell's first, and every value of a node >= 64.
-	strays  map[nodeSeq]uint64
-	leaders []int32 // the first leader per term; -1 = none yet
+	strays map[nodeSeq]uint64
+	// leaders holds the first leader of every term seen, sorted by term:
+	// terms need not be dense, and one far ahead must not size the table.
+	leaders []termLeader
 	// found holds each tripped invariant once: election safety first, then
 	// the log invariants in first-trip order — the order checkpoint
 	// journals hold.
@@ -174,6 +179,11 @@ type nodeSeq struct {
 	seq  uint64
 }
 
+type termLeader struct {
+	term uint64
+	node int32
+}
+
 const electionSafety = "/election-safety"
 
 // Off is the recorder of a window nobody reads the verdicts or digest of:
@@ -183,10 +193,10 @@ const electionSafety = "/election-safety"
 var Off = &Recorder{}
 
 // New returns an empty model whose violations are named "<prefix>/…", its
-// parked table stocked in pool — the one the deployments of a harness
-// share.
+// log table borrowed from pool — the one the deployments of a harness
+// share — until Park, so a warm-up grows it in the stock's memory too.
 func New(pool *slab.Pool, prefix string) *Model {
-	return &Model{prefix: prefix, pool: pool, st: State{cov: newFold()}}
+	return &Model{prefix: prefix, pool: pool, st: State{log: slab.Borrow[seqCell](pool), cov: newFold()}}
 }
 
 // Trace records every event the model observes into rec until the next
@@ -249,17 +259,19 @@ func (m *Model) commit(ev Event) {
 	m.st.strays[key] = ev.Digest
 }
 
+// lead records the term's first leader, or checks the event's node is
+// it. Terms mostly arrive in order, so the table grows at its end.
 func (m *Model) lead(ev Event) {
-	term := int(ev.Term)
-	for term >= len(m.st.leaders) {
-		m.st.leaders = append(m.st.leaders, -1)
+	l := m.st.leaders
+	i := len(l)
+	if i > 0 && l[i-1].term >= ev.Term {
+		i, _ = slices.BinarySearchFunc(l, ev.Term, func(e termLeader, term uint64) int { return cmp.Compare(e.term, term) })
 	}
-	first := m.st.leaders[term]
-	if first < 0 {
-		m.st.leaders[term] = int32(ev.Node)
+	if i == len(l) || l[i].term != ev.Term {
+		m.st.leaders = slices.Insert(l, i, termLeader{ev.Term, int32(ev.Node)})
 		return
 	}
-	if int(first) != ev.Node {
+	if first := l[i].node; int(first) != ev.Node {
 		m.trip(electionSafety, fmt.Sprintf("nodes %d and %d both led term %d", first, ev.Node, ev.Term))
 	}
 }
@@ -310,8 +322,9 @@ func (m *Model) Restore(s State) {
 	m.st.cov.edges, m.st.cov.commits = edges, commits
 }
 
-// Park ends a run: the log table goes back to the pool, since the next
-// Restore rebuilds it from the snapshot; only Restore may follow.
+// Park ends a run or, right after the deployment's Snapshot, its
+// warm-up: the log table goes back to the pool, since the next Restore
+// rebuilds it from the snapshot; only Restore may follow.
 func (m *Model) Park() {
 	if m.st.log != nil {
 		slab.Return(m.pool, m.st.log)

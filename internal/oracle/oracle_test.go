@@ -1,7 +1,9 @@
 package oracle
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"avd/internal/slab"
@@ -98,6 +100,31 @@ func TestElectionSafety(t *testing.T) {
 			events: []Event{leader(0, 5), leader(2, 5), commit(9, 1, 1), leader(1, 5)},
 			want:   []Violation{{Invariant: "raft/election-safety", Detail: "nodes 0 and 2 both led term 5", Count: 2}}},
 	})
+}
+
+// TestLeaderTableFollowsTermsSeen: one leadership event at term 2^40
+// allocates under a kilobyte — the leaders table holds the terms seen,
+// not every term up to the largest — and election safety still trips on
+// two leaders of one term, when the terms around it arrive out of order
+// too.
+func TestLeaderTableFollowsTermsSeen(t *testing.T) {
+	const far = 1 << 40
+	m := newModel("raft")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Observe(leader(0, far))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<10 {
+		t.Errorf("a leadership event at term 2^40 allocated %d bytes, want under 1 KB", grew)
+	}
+	for _, ev := range []Event{leader(1, 7), leader(2, far+1), leader(1, 7), leader(3, 9), leader(2, far)} {
+		m.Observe(ev)
+	}
+	got, _ := m.Finish()
+	want := []Violation{{Invariant: "raft/election-safety", Detail: fmt.Sprintf("nodes 0 and 2 both led term %d", uint64(far)), Count: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("violations %+v, want %+v", got, want)
+	}
 }
 
 // TestModelFinishOrder: Finish lists election safety first and the log

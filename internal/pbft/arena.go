@@ -1,6 +1,9 @@
 package pbft
 
-import "avd/internal/slab"
+import (
+	"avd/internal/simnet"
+	"avd/internal/slab"
+)
 
 // Arena is the message memory of one PBFT deployment: every request,
 // reply, vote and proposal its replicas and clients build is carved from
@@ -175,6 +178,49 @@ func (a *Arena) dropPrePrepare(pp *PrePrepare) {
 		a.dropRequest(req)
 	}
 	a.prePrepares.Put(pp)
+}
+
+// Corrupt is the PBFT target's simnet.Corrupter: it garbles a protocol
+// message into a copy carved from the arena (payloads are shared, so
+// corruption must never mutate in place). The copy counts no holders and
+// is never put back, like view-change memory, so the rewind takes it
+// back; the delivery it rides owns nothing, so the original's hold stays
+// taken and the batch the copy shares with it stays alive. Flipping the
+// digest a vote or proposal speaks for changes a field its authenticator
+// covers, so the copy's authenticator is garbled and the receiver rejects
+// it — modelling bit rot that PBFT's MACs catch, which selectively erases
+// agreement votes from the schedule. Client traffic is left alone (it has
+// its own MAC-corruption tool).
+func (a *Arena) Corrupt(from, to simnet.Addr, payload any) any {
+	switch m := payload.(type) {
+	case *PrePrepare:
+		c := a.prePrepares.Get()
+		*c = *m
+		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
+		c.holders = slab.Holders{}
+		return c
+	case *Prepare:
+		c := a.prepares.Get()
+		*c = *m
+		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
+		c.holders = slab.Holders{}
+		return c
+	case *Commit:
+		c := a.commits.Get()
+		*c = *m
+		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
+		c.holders = slab.Holders{}
+		return c
+	case *Checkpoint:
+		c := *m
+		c.Digest ^= 1
+		c.Auth = c.Auth.Garble()
+		return &c
+	}
+	return nil
 }
 
 // newPrivateArena backs a replica or client constructed without a

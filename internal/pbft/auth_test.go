@@ -147,7 +147,7 @@ func verdictKinds() []verdictKind {
 
 // TestMessageVerdicts delivers every kind of authenticated message to each
 // of four replicas and checks who accepts it: everyone a clean one, nobody
-// a pbft.Corrupt copy, one claiming another sender or an unsigned one
+// an Arena.Corrupt copy, one claiming another sender or an unsigned one
 // (the zero value, like a new view's unsigned re-proposal), and exactly
 // the receivers whose entry the Big MAC mask left clean — replica 0, the
 // view-0 primary — a masked one. The masked client request comes from a
@@ -189,7 +189,7 @@ func TestMessageVerdicts(t *testing.T) {
 					}
 					msg, signed, src := k.build(r, from, tc.auth(k, m, from))
 					if tc.corrupt {
-						c := Corrupt(simnet.Addr(src), r.Addr(), signed)
+						c := r.mem.Corrupt(simnet.Addr(src), r.Addr(), signed)
 						if k.client || k.name == "view change" {
 							// Client traffic has its own tool, and view changes
 							// are not garbled: the corrupter declines.

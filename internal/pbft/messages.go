@@ -168,45 +168,6 @@ type ForwardedRequest struct {
 	holders slab.Holders // see Arena
 }
 
-// Corrupt is the PBFT target's simnet.Corrupter: it garbles a protocol
-// message into a new value (payloads are shared, so corruption must never
-// mutate in place). The copy counts no holders; the delivery it rides owns
-// nothing, so the original's hold stays taken and the batch the copy
-// shares with it stays alive. Flipping the digest a vote or proposal
-// speaks for changes a field its authenticator covers, so the copy's
-// authenticator is garbled and the receiver rejects it — modelling bit rot
-// that PBFT's MACs catch, which selectively erases agreement votes from
-// the schedule. Client traffic is left alone (it has its own
-// MAC-corruption tool).
-func Corrupt(from, to simnet.Addr, payload any) any {
-	switch m := payload.(type) {
-	case *PrePrepare:
-		c := *m
-		c.Digest ^= 1
-		c.Auth = c.Auth.Garble()
-		c.holders = slab.Holders{}
-		return &c
-	case *Prepare:
-		c := *m
-		c.Digest ^= 1
-		c.Auth = c.Auth.Garble()
-		c.holders = slab.Holders{}
-		return &c
-	case *Commit:
-		c := *m
-		c.Digest ^= 1
-		c.Auth = c.Auth.Garble()
-		c.holders = slab.Holders{}
-		return &c
-	case *Checkpoint:
-		c := *m
-		c.Digest ^= 1
-		c.Auth = c.Auth.Garble()
-		return &c
-	}
-	return nil
-}
-
 // nullRequestOp marks null requests used to fill sequence gaps during
 // view changes; they execute as no-ops and produce no replies.
 const nullRequestOp = ^uint64(0)

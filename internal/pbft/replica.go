@@ -222,9 +222,9 @@ type Replica struct {
 	// deployment captures and rewinds it; a replica built without
 	// WithArena gets a private one.
 	mem *Arena
-	// borrowed says the tables Restore borrows from the pool are out, for
+	// borrowed says the tables borrow takes from the pool are out, for
 	// Park to return.
-	borrowed bool //avdlint:ephemeral run-scoped: Restore sets it and Park clears it
+	borrowed bool //avdlint:ephemeral run-scoped: borrow sets it and Park clears it
 
 	// commitObserver, when set, observes every batch execution: the
 	// sequence number and the batch digest this replica committed there.
@@ -314,6 +314,7 @@ func NewReplica(id int, cfg Config, net *simnet.Network, opts ...ReplicaOption) 
 	if r.byz != nil && r.byz.SlowPrimary && r.byz.SlowInterval <= 0 {
 		r.byz.SlowInterval = cfg.ViewChangeTimeout * 9 / 10
 	}
+	r.borrow(&replicaState{})
 	net.Handle(simnet.Addr(id), r.onMessage)
 	if r.isSlowPrimary() {
 		r.armSlowTimer()

@@ -48,35 +48,40 @@ func (r *Replica) Snapshot() *ReplicaState {
 // Restore rolls a parked replica back to the captured state. The
 // deployment has already rewound the shared message arena: the window's
 // objects are garbage, and everything restored below predates the capture
-// mark. The tables a window grows — the log, its vote digests, the
-// last-reply table and the forwarded requests' slots — are borrowed from
-// the pool (see Park); the rest is copied into the replica's own memory.
+// mark. The tables a run grows are borrowed from the pool (see borrow);
+// the rest is copied into the replica's own memory.
 func (r *Replica) Restore(s *ReplicaState) {
 	own := r.replicaState
 	r.replicaState = s.replicaState
-	pool := r.mem.mem.Pool()
-	r.log = append(slab.BorrowLargest[logEntry](pool), s.log...)
-	r.votes = append(slab.BorrowLargest[uint64](pool), s.votes...)
+	r.borrow(&s.replicaState)
 	r.pending = append(s.pendingBuf[:0], s.pending...)
 	r.admitted = refill(own.admitted, s.admitted)
-	r.lastReply = append(slab.BorrowLargest[lastReply](pool), s.lastReply...)
-	r.pendingForwarded = byClient[forwarded]{
-		slots: append(slab.BorrowLargest[keyed[forwarded]](pool), s.pendingForwarded.slots...),
-		more:  refill(own.pendingForwarded.more, s.pendingForwarded.more),
-		n:     s.pendingForwarded.n,
-	}
+	r.pendingForwarded.more = refill(own.pendingForwarded.more, s.pendingForwarded.more)
 	r.reqTimers = own.reqTimers.refill(s.reqTimers)
 	r.checkpoints = refill(own.checkpoints, s.checkpoints)
 	r.viewChanges = refill(own.viewChanges, s.viewChanges)
+}
+
+// borrow sets the tables a run grows — the log, its vote digests, the
+// last-reply table and the forwarded requests' slots — to copies of
+// src's in buffers borrowed from the pool's scratch stock, for Park to
+// return. A new replica borrows them empty, so the warm-up grows them in
+// the stock's memory too, and the deployment's capture parks it.
+func (r *Replica) borrow(src *replicaState) {
+	pool := r.mem.mem.Pool()
+	r.log = append(slab.BorrowLargest[logEntry](pool), src.log...)
+	r.votes = append(slab.BorrowLargest[uint64](pool), src.votes...)
+	r.lastReply = append(slab.BorrowLargest[lastReply](pool), src.lastReply...)
+	r.pendingForwarded.slots = append(slab.BorrowLargest[keyed[forwarded]](pool), src.pendingForwarded.slots...)
 	r.borrowed = true
 }
 
-// Park ends a run: the tables Restore borrowed go back to the pool's
-// scratch stock, since the next Restore rebuilds them from the snapshot,
-// so a parked master keeps only its capture and one set of tables per
-// concurrent run serves every master. The log and the slots are cleared
-// first: their entries hold batches, pre-prepares and requests. Park is
-// idempotent, and only Restore may follow it.
+// Park ends a run or the warm-up: the tables borrow took go back to the
+// pool's scratch stock, since the next Restore rebuilds them from the
+// snapshot, so a parked master keeps only its capture and one set of
+// tables per concurrent run serves every master. The log and the slots
+// are cleared first: their entries hold batches, pre-prepares and
+// requests. Park is idempotent, and only Restore may follow it.
 func (r *Replica) Park() {
 	if !r.borrowed {
 		return

@@ -113,34 +113,39 @@ func (a *Arena) Release(payload any) {
 // A message whose one delivery is its only holder (a fresh single-
 // recipient message, the common case) is garbled in place and stays
 // owned; anything else — the broadcast RequestVote, or a message carved
-// before the capture, which every fork delivers again — is copied, and
-// the copy counts nothing.
+// before the capture, which every fork delivers again — is copied into a
+// fresh object of its slab. The copy counts nothing, so nothing puts it
+// back, and the rewind takes it back with the window.
 func (a *Arena) Corrupt(from, to simnet.Addr, payload any) any {
 	switch m := payload.(type) {
 	case *RequestVote:
-		c := *m
+		c := a.votes.Get()
+		*c = *m
 		c.LastLogIndex ^= 1
 		c.LastLogTerm ^= 1
-		return &c
+		return c
 	case *RequestVoteReply:
 		if !a.mem.Sole(&m.holders) {
-			c := *m
-			c.holders, m = slab.Holders{}, &c
+			c := a.voteReplies.Get()
+			*c = *m
+			c.holders, m = slab.Holders{}, c
 		}
 		m.Granted = false
 		return m
 	case *AppendEntries:
 		if !a.mem.Sole(&m.holders) {
-			c := *m
-			c.holders, m = slab.Holders{}, &c
+			c := a.appends.Get()
+			*c = *m
+			c.holders, m = slab.Holders{}, c
 		}
 		m.PrevLogIndex ^= 1
 		m.PrevLogTerm ^= 1
 		return m
 	case *AppendEntriesReply:
 		if !a.mem.Sole(&m.holders) {
-			c := *m
-			c.holders, m = slab.Holders{}, &c
+			c := a.appendReplies.Get()
+			*c = *m
+			c.holders, m = slab.Holders{}, c
 		}
 		m.Success = false
 		m.MatchIndex = 0

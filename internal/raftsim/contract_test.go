@@ -8,6 +8,7 @@ import (
 	"avd/internal/core/targettest"
 	"avd/internal/plugin"
 	"avd/internal/scenario"
+	"avd/internal/slab"
 )
 
 type contract = targettest.Internals[Workload, int64, *deployment, Report]
@@ -19,6 +20,12 @@ type contract = targettest.Internals[Workload, int64, *deployment, Report]
 // contract_test.go.
 
 func TestBaselineForkedEqualsCold(t *testing.T) { raftContract(t).Baseline(t, "populations") }
+
+// TestStockedWarmupsForkedEqualsCold: masters built after the first warm
+// up on the objects earlier warm-ups put back, poisoned.
+func TestStockedWarmupsForkedEqualsCold(t *testing.T) {
+	raftContract(t).StockedWarmups(t, "populations")
+}
 
 // TestBaselineWindowForkedEqualsCold: the same at the owned-messages
 // capture, client replies in flight.
@@ -50,6 +57,18 @@ func TestWindowDispatchCounts(t *testing.T) {
 
 func TestForkedStormAllocs(t *testing.T)   { raftContract(t).Pin(t, "storm fork") }
 func TestRunnerDeterministic(t *testing.T) { raftContract(t).Deterministic(t, "populations") }
+
+// TestCorruptDupWindowAllocFree: dup and corrupt faults together on
+// every link, on the "owned messages" group's warm-up, with the leader's
+// (node 4's) outbound links cut: the elections that follow broadcast vote
+// requests, which the corrupter copies, where it garbles a fresh
+// single-recipient message in place. The 600 ms window leaves them time
+// to.
+func TestCorruptDupWindowAllocFree(t *testing.T) {
+	raftContract(t).FaultWindowAllocFree(t, windows(500750*time.Microsecond, 600*time.Millisecond, 300_000), map[string]int64{
+		DimClients: 10, plugin.DimOneWayVictim: 5, plugin.DimOneWayDir: 1, plugin.DimDupMask: 0x3C, plugin.DimCorruptMask: 0xA5,
+	})
+}
 
 func TestConcurrentForksAreDeterministic(t *testing.T) {
 	raftContract(t).ConcurrentForks(t, "populations")
@@ -253,3 +272,30 @@ func raftContract(tb testing.TB) contract {
 // busy is the busiest window of the Raft space: 50 clients, every message
 // duplicated.
 var busy = map[string]int64{DimClients: 50, plugin.DimDupMask: 0xFF}
+
+// TestReportP99Exact: RunReport's P99 latency is exact, the figures of a
+// leader-flap and a crash-restart scenario equal to the nanosecond what
+// the window that kept every sample unconditionally reported, while Run,
+// whose report nobody reads, keeps no sample: on a fresh target its runs
+// leave the pool's latency stock empty.
+func TestReportP99Exact(t *testing.T) {
+	space := raftContract(t).Space
+	tg := contractTarget(t, DefaultWorkload())
+	flap := space.New(map[string]int64{DimClients: 10, DimFlapIntervalMS: 100, DimFlapDownMS: 400})
+	crash := space.New(map[string]int64{DimClients: 10,
+		plugin.DimCrashIntervalMS: 60, plugin.DimCrashDownMS: 30, plugin.DimCrashLose: 1})
+	tg.Run(flap)
+	tg.Run(crash)
+	if stock := slab.Borrow[time.Duration](tg.Pool()); cap(stock) != 0 {
+		t.Errorf("Run's windows stocked a latency buffer of %d samples, want none kept", cap(stock))
+	}
+	slab.Return[time.Duration](tg.Pool(), nil)
+	for _, c := range []struct {
+		sc  scenario.Scenario
+		p99 time.Duration
+	}{{flap, 304_000_000}, {crash, 1_951_015_620}} {
+		if _, rep := tg.RunReport(c.sc); rep.P99Latency != c.p99 {
+			t.Errorf("%v: P99 %d ns, want %d", c.sc, rep.P99Latency, c.p99)
+		}
+	}
+}

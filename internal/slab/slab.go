@@ -10,12 +10,13 @@
 // through Slab.Put, and it is the next one Get hands out.
 //
 // Only windows carve. Until its arena's first Capture a slab hands out
-// heap objects, so the warm-up belongs to the garbage collector and a
-// parked master keeps exactly what its snapshot references. From the
-// capture on, a slab carves from chunks leased from a Pool shared by every
-// deployment of a harness Runner, and Arena.Rewind hands all of them
-// back, so all masters of a worker carve their windows out of the same,
-// cache-warm memory.
+// heap objects, so a parked master keeps exactly what its snapshot
+// references. The warm-up's freed objects are not left to the collector:
+// the capture stocks them in the pool, and the next deployment's warm-up
+// takes them before it allocates. From the capture on, a slab carves from
+// chunks leased from a Pool shared by every deployment of a harness
+// Runner, and Arena.Rewind hands all of them back, so all masters of a
+// worker carve their windows out of the same, cache-warm memory.
 //
 // Objects are handed out dirty. Every call site fully initializes what it
 // gets, which is also what makes the pool determinism-neutral: no object
@@ -167,11 +168,13 @@ func NewArena(pool *Pool, stop func()) *Arena {
 
 // Capture ends the warm-up: from now on the slabs carve from leased
 // chunks, all of which Rewind hands back. The warm-up's objects are heap
-// objects, alive while the snapshot references them; Capture empties the
-// slabs' free lists, which would keep the others alive too, and moves the
-// epoch on (see Holders). A capture must come before any window or right
-// after a Rewind: it panics while a slab holds chunks, whose objects the
-// snapshot could reference and the next rewind would hand out again.
+// objects, alive while the snapshot references them; those it put back
+// go to the pool's stock of free objects of their type, for the next
+// deployment's warm-up, and stay single heap objects, so a capture pins
+// none of them. Capture also moves the epoch on (see Holders). A capture
+// must come before any window or right after a Rewind: it panics while a
+// slab holds chunks, whose objects the snapshot could reference and the
+// next rewind would hand out again.
 func (a *Arena) Capture() {
 	if a.Held() > 0 {
 		panic("slab: Capture with window chunks outstanding")
@@ -348,24 +351,31 @@ func poisonChunk[T any](c []T) (was bool) {
 // Slab hands out single objects.
 type Slab[T any] struct {
 	bump[T]
-	// freed holds the objects Put handed back, last in first out. It is a
-	// scratch buffer the first Put borrows from the pool, and every Rewind
-	// returns it, since a window's objects go back with their chunks; so
-	// does a Capture, leaving the warm-up's to the collector: a pointer
-	// left here would alias or pin them. A parked deployment keeps no free
-	// list, and one per concurrent run serves every deployment.
+	// freed holds the objects Put handed back, last in first out. In a
+	// window it is a scratch buffer the first Put borrows from the pool,
+	// and every Rewind returns it emptied, since a window's objects go
+	// back with their chunks: a pointer left here would alias them. In the
+	// warm-up it is the pool's stock of free heap objects of T, which New
+	// borrows and the Capture returns with the warm-up's freed objects on
+	// it, so the next deployment's warm-up takes them before it allocates
+	// (see Capture). A parked deployment keeps no free list.
 	freed []*T
+	lent  bool // freed is borrowed: a stock before the capture, scratch after
 }
 
 // New creates a slab of T in the arena.
 func New[T any](a *Arena) *Slab[T] {
 	s := &Slab[T]{bump: newBump[T](a)}
 	a.slabs = append(a.slabs, s)
+	if !a.captured {
+		s.borrowFree()
+	}
 	return s
 }
 
 // Get returns the next object, dirty: the caller must assign every field.
-// Objects handed back through Put go out again first.
+// Objects handed back through Put go out again first, and in the warm-up
+// so do those an earlier deployment's warm-up put back.
 func (s *Slab[T]) Get() *T {
 	if k := len(s.freed); k > 0 {
 		p := s.freed[k-1]
@@ -390,21 +400,48 @@ func (s *Slab[T]) Put(p *T) {
 	if poison.Load() && poisonChunk(unsafe.Slice(p, 1)) {
 		panic("slab: Put of an object that was already put back")
 	}
-	if s.freed == nil {
-		s.freed = BorrowLargest[*T](s.arena.pool)
+	if !s.lent {
+		s.borrowFree()
 	}
 	s.freed = append(s.freed, p)
 }
 
-// rewind is bump.rewind with the free list returned first, cleared of
-// every pointer it ever held, popped ones included: a pointer left in the
-// backing array would keep a warm-up object or a pooled chunk alive. The
-// list is non-nil exactly when a Put borrowed it.
+// borrowFree borrows the free list: the pool's stock of T's heap objects
+// during the warm-up, an empty scratch buffer in a window.
+func (s *Slab[T]) borrowFree() {
+	if s.arena.captured {
+		s.freed = BorrowLargest[*T](s.arena.pool)
+	} else {
+		s.freed = BorrowStock[*T](s.arena.pool)
+	}
+	s.lent = true
+}
+
+// rewind is bump.rewind with the free list returned first. A window's
+// list goes back cleared of every pointer it ever held, popped ones
+// included: a pointer left in the backing array would keep a pooled chunk
+// alive. The warm-up's goes back as a stock of the heap objects on it
+// (the capture's rewind, Arena.Capture), each zeroed so that it pins
+// nothing, or left poisoned under SetPoison; the pointers popped off it
+// are cleared, since the capture may reference those objects only for a
+// while.
 func (s *Slab[T]) rewind() {
-	if s.freed != nil {
-		clear(s.freed[:cap(s.freed)])
-		Return(s.arena.pool, s.freed)
-		s.freed = nil
+	if s.lent {
+		pool := s.arena.pool
+		if s.arena.captured {
+			clear(s.freed[:cap(s.freed)])
+			Return(pool, s.freed)
+		} else {
+			if !poison.Load() {
+				var zero T
+				for _, p := range s.freed {
+					*p = zero
+				}
+			}
+			clear(s.freed[len(s.freed):cap(s.freed)])
+			ReturnStock(pool, s.freed)
+		}
+		s.freed, s.lent = nil, false
 	}
 	s.bump.rewind()
 }

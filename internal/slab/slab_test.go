@@ -274,42 +274,61 @@ func TestPutPoison(t *testing.T) {
 	s.Put(x)
 }
 
-// TestFreeListEmptiedByRewindAndCapture: a Capture empties the free list
-// of warm-up objects, so they are the collector's once the snapshot drops
-// them, and a Rewind empties it of window objects, whose chunks go back to
-// the pool. Both return the list to the pool's scratch stock, cleared of
-// every pointer it ever held, popped ones included, and the next Get
-// carves.
+// TestFreeListEmptiedByRewindAndCapture: a Capture hands the warm-up's
+// freed objects to the pool's stock of free objects, each zeroed, and
+// clears the pointers popped off it: the capture may reference those
+// objects. The next deployment's warm-up takes them before it allocates.
+// A Rewind empties the list of window objects, whose chunks go back to the
+// pool: it returns the list to the scratch stock cleared of every pointer
+// it ever held, and leaves no window object in the stock of free ones.
 func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	a := NewArena(nil, nil)
 	s := New[obj](a)
 	emptied := func(by string) {
 		t.Helper()
-		if s.freed != nil {
+		if s.freed != nil || s.lent {
 			t.Fatalf("the slab kept its free list (%d objects) after a %s", len(s.freed), by)
 		}
 		if n := a.Pool().Borrowed(); n != 0 {
-			t.Fatalf("%d scratch buffers borrowed after a %s, want the free list returned", n, by)
+			t.Fatalf("%d buffers borrowed after a %s, want the free list returned", n, by)
 		}
-		stocked := Borrow[*obj](a.Pool())
-		if cap(stocked) == 0 {
-			t.Fatalf("the %s stocked no free list", by)
+	}
+	// stocked checks the stock of free objects holds exactly want, and no
+	// pointer past it.
+	stocked := func(by string, want ...*obj) {
+		t.Helper()
+		stock := BorrowStock[*obj](a.Pool())
+		defer ReturnStock(a.Pool(), stock)
+		if len(stock) != len(want) {
+			t.Fatalf("after a %s the pool stocks %d free objects, want %d", by, len(stock), len(want))
 		}
-		for i, p := range stocked[:cap(stocked)] {
-			if p != nil {
-				t.Fatalf("%s left pointer %d of the free list's backing array set", by, i)
+		for i, p := range stock {
+			if p != want[i] || *p != (obj{}) {
+				t.Fatalf("after a %s stocked object %d is %p (%+v), want %p zeroed", by, i, p, *p, want[i])
 			}
 		}
-		Return(a.Pool(), stocked)
+		for i, p := range stock[len(stock):cap(stock)] {
+			if p != nil {
+				t.Fatalf("after a %s the stock's backing array keeps pointer %d set", by, len(stock)+i)
+			}
+		}
 	}
-	warm := s.Get()
-	s.Put(s.Get())
-	s.Put(warm)
-	s.Get() // popped: its pointer is still in the list's backing array
+	kept, freed, popped := s.Get(), s.Get(), s.Get()
+	*kept, *freed, *popped = obj{a: 1}, obj{a: 2, p: new(uint64)}, obj{a: 3}
+	s.Put(freed)
+	s.Put(popped)
+	if s.Get() != popped { // popped: its pointer is still in the list's backing array
+		t.Fatal("the warm-up's Get did not take the object put back last")
+	}
 	a.Capture()
 	emptied("capture")
+	stocked("capture", freed)
+	if *kept != (obj{a: 1}) || *popped != (obj{a: 3}) {
+		t.Fatalf("the capture wrote objects it still references: %+v, %+v", *kept, *popped)
+	}
+
 	first := s.Get()
-	if first == warm || a.Held() != 1 {
+	if first == freed || a.Held() != 1 {
 		t.Fatalf("the first Get after the capture did not carve (held %d)", a.Held())
 	}
 	s.Put(s.Get())
@@ -317,9 +336,29 @@ func TestFreeListEmptiedByRewindAndCapture(t *testing.T) {
 	s.Get()
 	a.Rewind()
 	emptied("rewind")
+	scratch := Borrow[*obj](a.Pool())
+	if cap(scratch) == 0 {
+		t.Fatal("the rewind stocked no free list")
+	}
+	for i, p := range scratch[:cap(scratch)] {
+		if p != nil {
+			t.Fatalf("the rewind left pointer %d of the free list's backing array set", i)
+		}
+	}
+	Return(a.Pool(), scratch)
+	stocked("rewind", freed)
 	if got := s.Get(); got != first {
 		t.Fatalf("first Get after the rewind is %p, want the rewound slot %p", got, first)
 	}
+
+	next := New[obj](NewArena(a.Pool(), nil))
+	if got := next.Get(); got != freed {
+		t.Fatalf("the next deployment's warm-up got %p, want the stocked object %p", got, freed)
+	}
+	if fresh := next.Get(); fresh == freed || fresh == kept || fresh == popped {
+		t.Fatalf("the next deployment's warm-up got %p again", fresh)
+	}
+	runtime.KeepAlive(kept)
 }
 
 // TestCaptureRefusesWindowChunks: a capture while the slabs hold chunks
@@ -531,8 +570,9 @@ func TestStockKeepsItsObjects(t *testing.T) {
 	if p.Borrowed() != 1 || len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("BorrowStock gave %v (%d borrowed), want the two objects returned", got, p.Borrowed())
 	}
+	const poisoned = ^uintptr(0) / 0xff * 0xa5 // 0xA5 in every byte of a word
 	for i, v := range got[2:cap(got)] {
-		if uintptr(unsafe.Pointer(v)) != 0xA5A5A5A5A5A5A5A5 {
+		if uintptr(unsafe.Pointer(v)) != poisoned {
 			t.Fatalf("spare capacity reads %p at %d, want poison", v, i)
 		}
 	}
